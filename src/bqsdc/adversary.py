@@ -24,7 +24,7 @@ from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from .codebook import ghz_state
 from .labels import GhzLabel
-from .particles import Particle, System, append_ancilla, measure_particles
+from .particles import Register, append_ancilla, measure_particles
 from .qcore import MeasBasis, Rng
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
@@ -89,37 +89,34 @@ def eavesdrop_unitary(alpha: float, beta: float) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-def attack_intercept_resend(particle: Particle, cfg: AttackConfig, rng: Rng) -> Particle:
+def attack_intercept_resend(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
     """Keep the genuine particle (stored, never measured) and inject a fake."""
     token = cfg.fake_state if cfg.fake_state is not None else rng.choice(DECOY_TOKENS)
-    return System(decoy_state(token)).particle(0)
+    reg.at[role] = append_ancilla(reg, decoy_state(token))
 
 
-def attack_measure_resend(particle: Particle, cfg: AttackConfig, rng: Rng) -> Particle:
+def attack_measure_resend(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
     """Measure the particle in Eve's basis and forward it collapsed."""
     basis = cfg.eve_basis if cfg.eve_basis is not None else rng.choice(_BASIS_TOKENS)
-    measure_particles(MeasBasis(basis), [particle], rng)
-    return particle
+    measure_particles(MeasBasis(basis), reg, [role], rng)
 
 
-def attack_entangle_measure(particle: Particle, cfg: AttackConfig, rng: Rng) -> Particle:
+def attack_entangle_measure(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
     """Append an ancilla and couple it to the particle in flight."""
-    ancilla = append_ancilla(particle.system, qcore.make_basis_state("0"))
-    particle.system.state = qcore.apply_unitary(
-        particle.system.state, eavesdrop_unitary(cfg.alpha, cfg.beta),
-        (particle.pos, ancilla.pos))
-    return particle
+    ancilla = append_ancilla(reg, qcore.make_basis_state("0"))
+    reg.state = qcore.apply_unitary(reg.state, eavesdrop_unitary(cfg.alpha, cfg.beta),
+                                    (reg.at[role], ancilla))
 
 
-def apply_attack(particle: Particle, cfg: AttackConfig, rng: Rng) -> Particle:
-    """Run one in-flight particle through the configured strategy."""
-    if cfg.strategy == "none":
-        return particle
+def apply_attack(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
+    """Run the particle at reg's role, in flight, through the configured
+    strategy; reg changes in place."""
     if cfg.strategy == "intercept_resend":
-        return attack_intercept_resend(particle, cfg, rng)
-    if cfg.strategy == "measure_resend":
-        return attack_measure_resend(particle, cfg, rng)
-    return attack_entangle_measure(particle, cfg, rng)
+        attack_intercept_resend(reg, role, cfg, rng)
+    elif cfg.strategy == "measure_resend":
+        attack_measure_resend(reg, role, cfg, rng)
+    elif cfg.strategy == "entangle_measure":
+        attack_entangle_measure(reg, role, cfg, rng)
 
 
 @dataclass(frozen=True)

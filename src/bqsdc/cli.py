@@ -40,13 +40,23 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return secrets.randbits(63)
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _open_out(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_text(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w") as fh:
+        with _open_out(path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _parse_attack(args) -> AttackConfig | None:
@@ -95,7 +105,10 @@ def _split_policy(text: str) -> tuple[str, str | None]:
 def cmd_verify(args) -> int:
     csv_path = (args.csv_out or "swap_table.csv") if args.emit == "csv" else None
     transform = codebook.verify_transform_table()
-    swap_rep = swap.verify_swap_table(csv_path=csv_path)
+    try:
+        swap_rep = swap.verify_swap_table(csv_path=csv_path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {csv_path}: {exc.strerror}") from None
     n_ok = (64 - transform["mismatches"]) + (64 - swap_rep["mismatches"])
     print(f"transform chart: {64 - transform['mismatches']}/64 entries verified")
     print(f"swap collections: {64 - swap_rep['mismatches']}/64 pairs verified")
@@ -153,12 +166,7 @@ def cmd_run(args) -> int:
     else:
         print(f"alice decoded: {transcript.alice_message_bits()}")
         print(f"bob decoded:   {transcript.bob_message_bits()}")
-    text = transcript.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, transcript.to_json())
     return 0
 
 
@@ -196,6 +204,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.monte_carlo is not None and args.monte_carlo < 1:
+        raise UsageError("--monte-carlo needs at least one group")
     leak = analysis.leakage_report()
     cap = analysis.capacity_report()
     rows = analysis.comparison_report()
@@ -214,14 +224,14 @@ def cmd_analyze(args) -> int:
         "capacity": cap,
         "comparison": [r.to_json_dict() for r in rows],
     }
-    if args.monte_carlo:
+    if args.monte_carlo is not None:
         payload["leakage_monte_carlo"] = analysis.leakage_monte_carlo(
             n_groups=args.monte_carlo, seed=_resolve_seed(args.seed))
     if args.out:
         _write_json(args.out, payload)
     if args.emit == "csv":
         path = args.csv_out or "comparison.csv"
-        with open(path, "w", newline="") as fh:
+        with _open_out(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["protocol", "bits_per_round", "leaked_bits", "efficiency", "note"])
             for r in rows:

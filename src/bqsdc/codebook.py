@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qcore
-from .labels import BellLabel, GhzLabel, bell_amplitudes, ghz_amplitudes
+from .labels import GhzLabel, ghz_amplitudes
 from .qcore import ISY, SX, SZ, I, SingleQubitOp, StateVector
 
 MessageTriple = tuple[int, int, int]
@@ -81,22 +81,12 @@ def ghz_state(label: GhzLabel) -> StateVector:
     return StateVector(ghz_amplitudes(label))
 
 
-def bell_state(label: BellLabel) -> StateVector:
-    """The two-qubit Bell state for a label."""
-    return StateVector(bell_amplitudes(label))
-
-
 def message_to_op(bits: MessageTriple) -> CompositeOp:
     """Three message bits (b2, b1, b0) to the composite operation."""
     b2, b1, b0 = bits
     if any(b not in (0, 1) for b in (b2, b1, b0)):
         raise ValueError(f"message bits must be 0/1, got {bits!r}")
     return CompositeOp((b2 << 2) | (b1 << 1) | b0)
-
-
-def op_to_message(op: CompositeOp) -> MessageTriple:
-    """Inverse of :func:`message_to_op`."""
-    return op.bits
 
 
 def apply_composite(s: StateVector, op: CompositeOp, q1: int, q2: int) -> StateVector:

@@ -1,10 +1,10 @@
-"""Registry of few-qubit systems and the particle handles that move between
-parties.
+"""Few-qubit registers: one state vector plus a map from roles to qubits.
 
-A System owns one StateVector; a Particle is a stable handle to one qubit
-inside some system. Measurements collapse the owning system in place, and
-systems are merged (tensored) on demand when a joint measurement spans two
-of them. Handles survive merges.
+A register holds one GHZ triple (roles 0, 1, 2 for the first, second and
+third particle), one GHZ sample, or one decoy. Whatever an attack leaves
+behind, a fake or an ancilla, is appended to the register it hits, so a
+role may point past the original qubits. Two registers are tensored only
+where the protocol joins them: Bob's swap merges the two triples of a group.
 """
 
 from __future__ import annotations
@@ -15,70 +15,37 @@ from . import qcore
 from .qcore import MeasBasis, Rng, SingleQubitOp, StateVector
 
 
-class Particle:
-    __slots__ = ("system", "pos")
-
-    def __init__(self, system: "System", pos: int):
-        self.system = system
-        self.pos = pos
-
-
-class System:
-    __slots__ = ("state", "particles")
+class Register:
+    __slots__ = ("state", "at")
 
     def __init__(self, state: StateVector):
         self.state = state
-        self.particles = [Particle(self, i) for i in range(state.num_qubits)]
-
-    def particle(self, i: int) -> Particle:
-        return self.particles[i]
+        self.at = list(range(state.num_qubits))
 
 
-def merge(a: System, b: System) -> System:
-    """Tensor b's state onto a's; b's particles are re-homed into a."""
-    if a is b:
-        return a
+def merge(a: Register, b: Register) -> Register:
+    """A new register with a's qubits first, then b's; b's roles follow a's."""
+    reg = Register(qcore.tensor(a.state, b.state))
     offset = a.state.num_qubits
-    a.state = qcore.tensor(a.state, b.state)
-    for p in b.particles:
-        p.system = a
-        p.pos += offset
-        a.particles.append(p)
-    b.particles = []
-    return a
+    reg.at = a.at + [q + offset for q in b.at]
+    return reg
 
 
-def ensure_joint(particles: Sequence[Particle]) -> System:
-    """Merge systems as needed so all given particles share one system."""
-    sys0 = particles[0].system
-    for p in particles[1:]:
-        if p.system is not sys0:
-            merge(sys0, p.system)
-    return sys0
+def append_ancilla(reg: Register, state: StateVector) -> int:
+    """Tensor a fresh one-qubit state onto reg; returns its qubit index."""
+    qubit = reg.state.num_qubits
+    reg.state = qcore.tensor(reg.state, state)
+    return qubit
 
 
-def apply_op(p: Particle, op: SingleQubitOp) -> None:
-    p.system.state = qcore.apply_single(p.system.state, op, p.pos)
+def apply_op(reg: Register, role: int, op: SingleQubitOp) -> None:
+    reg.state = qcore.apply_single(reg.state, op, reg.at[role])
 
 
-def append_ancilla(sys: System, state: StateVector) -> Particle:
-    """Tensor a fresh subsystem onto sys; returns the first new particle."""
-    offset = sys.state.num_qubits
-    sys.state = qcore.tensor(sys.state, state)
-    first = None
-    for i in range(state.num_qubits):
-        p = Particle(sys, offset + i)
-        sys.particles.append(p)
-        first = first or p
-    return first
+def measure_particles(basis: MeasBasis, reg: Register, roles: Sequence[int], rng: Rng):
+    """Projective measurement of the given roles; reg collapses in place.
 
-
-def measure_particles(basis: MeasBasis, particles: Sequence[Particle], rng: Rng):
-    """Projective measurement across particles (merged into one system first).
-
-    Returns the outcome label; the owning system collapses in place.
+    Returns the outcome label.
     """
-    sys0 = ensure_joint(particles)
-    outcome, collapsed = qcore.measure(sys0.state, basis, [p.pos for p in particles], rng)
-    sys0.state = collapsed
+    outcome, reg.state = qcore.measure(reg.state, basis, [reg.at[r] for r in roles], rng)
     return outcome

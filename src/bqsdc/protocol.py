@@ -12,6 +12,11 @@ between the two triples with three Bell measurements, and announces which
 outcome collection occurred. Each side then infers the other's operation
 from the announcement, its own operation, and the initial state.
 
+Each GHZ triple, sample and decoy is its own register; whatever an attack
+leaves behind joins the register it hits. The two triples of a group are
+merged into one register exactly once, at Bob's swap, so no state is wider
+than two triples plus one attack qubit (7 qubits).
+
 Every random draw comes from one keyed stream, so a transcript is a pure
 function of the configuration (byte-identical across runs).
 """
@@ -20,13 +25,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
+from . import particles
 from .adversary import AttackConfig, apply_attack
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from .codebook import (CompositeOp, MessageTriple, ghz_state, invert_transform,
-                       message_to_op, op_to_message, transform_label)
+                       message_to_op, transform_label)
 from .labels import CollectionLabel, GhzLabel
-from .particles import Particle, System, apply_op, measure_particles
+from .particles import Register, apply_op, measure_particles
 from .qcore import MeasBasis, Rng
 from .swap import BellTriple, collection_of, collection_table
 
@@ -187,6 +194,21 @@ def random_message_bits(n_groups: int, rng: Rng) -> str:
     return "".join(str(rng.randrange(2)) for _ in range(3 * n_groups))
 
 
+@lru_cache(maxsize=None)
+def _counterpart_table() -> dict[tuple[GhzLabel, CollectionLabel, str], GhzLabel]:
+    """(own label, announcement, own side) -> the counterpart's label, read
+    off the swap chart; each chart row and column is a permutation."""
+    table = {}
+    for first in GhzLabel:
+        for second in GhzLabel:
+            m = collection_table(first, second)
+            for key, other in (((first, m, "first"), second), ((second, m, "second"), first)):
+                if key in table:
+                    raise AssertionError("swap chart rows are not permutations")
+                table[key] = other
+    return table
+
+
 def infer_op_from_announcement(initial: GhzLabel, own_op: CompositeOp,
                                announcement: CollectionLabel,
                                own_side: str) -> CompositeOp:
@@ -196,43 +218,31 @@ def infer_op_from_announcement(initial: GhzLabel, own_op: CompositeOp,
     swapped pair (Alice) and "second" for the second triple (Bob).
     """
     own_label = transform_label(initial, own_op)
-    for other in GhzLabel:
-        pair = (own_label, other) if own_side == "first" else (other, own_label)
-        if collection_table(*pair) == announcement:
-            return invert_transform(initial, other)
-    raise ValueError(f"announcement {announcement.token} matches no state")  # unreachable
+    return invert_transform(initial, _counterpart_table()[(own_label, announcement, own_side)])
 
 
 def alice_decode(prepared: GhzLabel, a_op: CompositeOp,
                  announcement: CollectionLabel) -> MessageTriple:
     """Bob's message bits for one group, from Alice's knowledge."""
-    return op_to_message(infer_op_from_announcement(prepared, a_op, announcement, "first"))
+    return infer_op_from_announcement(prepared, a_op, announcement, "first").bits
 
 
 def bob_decode(measured: GhzLabel, b_op: CompositeOp,
                announcement: CollectionLabel) -> MessageTriple:
     """Alice's message bits for one group, from Bob's knowledge."""
-    return op_to_message(infer_op_from_announcement(measured, b_op, announcement, "second"))
+    return infer_op_from_announcement(measured, b_op, announcement, "second").bits
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
-    """One slot of a transmitted particle sequence."""
+    """One slot of a transmitted particle sequence: the particle at role of
+    reg, for a data triple, a GHZ sample (with its label) or a decoy."""
 
-    particle: Particle
-    kind: str                      # "data" | "sample" | "decoy"
-    group: int | None = None       # data: 0-based group index
-    parity: str | None = None      # data: "odd" | "even"
-    sample: "_GhzSample | None" = None
+    reg: Register
+    role: int
+    kind: str                          # "data" | "sample" | "decoy"
+    label: GhzLabel | None = None
     decoy_token: str | None = None
-
-
-@dataclass
-class _GhzSample:
-    label: GhzLabel
-    a: Particle
-    b: Particle
-    c: Particle
 
 
 class Session:
@@ -248,9 +258,9 @@ class Session:
         self.bob_ops = [message_to_op(t) for t in message_triples(bob_bits, cfg.n_groups)]
         self.rng = Rng(cfg.seed)
         self.transcript = SessionTranscript(config=cfg)
-        # Particle handles the receiving side ends up holding, index 2n for
-        # group n's odd triple and 2n+1 for its even triple.
-        self.slots: dict[str, list[Particle]] = {"S_A": [], "S_B": [], "S_C": []}
+        # Group n's odd triple at index 2n and its even triple at 2n+1; roles
+        # 0, 1, 2 are the particles sent in S_A, S_B, S_C.
+        self.triples: list[Register] = []
         # Transmitted sequences, including in-flight samples and decoys.
         self.seqs: dict[str, list[_Entry]] = {"S_A": [], "S_B": [], "S_C": []}
         self.prepared: list[GhzLabel] = []
@@ -268,36 +278,27 @@ class Session:
                 else GhzLabel(self.rng.randrange(8))
             self.prepared.append(label)
             self.transcript.groups.append(GroupRecord(index=n + 1, prepared_label=label))
-            for _ in ("odd", "even"):
-                sys = System(ghz_state(label))
-                self.slots["S_A"].append(sys.particle(0))
-                self.slots["S_B"].append(sys.particle(1))
-                self.slots["S_C"].append(sys.particle(2))
+            self.triples.append(Register(ghz_state(label)))
+            self.triples.append(Register(ghz_state(label)))
 
         samples = []
         for _ in range(d1):
             label = GhzLabel(self.rng.randrange(8))
-            sys = System(ghz_state(label))
-            samples.append(_GhzSample(label, sys.particle(0), sys.particle(1), sys.particle(2)))
+            samples.append((label, Register(ghz_state(label))))
 
         total = 2 * cfg.n_groups + d1
         positions = set(self.rng.index_sample(total, d1))
         # Sample particles go to the same index in all three sequences so
         # the triples stay aligned for the correlation check.
-        data_i, sample_i = 0, 0
+        data, extra = iter(self.triples), iter(samples)
         for pos in range(total):
             if pos in positions:
-                s = samples[sample_i]
-                sample_i += 1
-                self.seqs["S_A"].append(_Entry(s.a, "sample", sample=s))
-                self.seqs["S_B"].append(_Entry(s.b, "sample", sample=s))
-                self.seqs["S_C"].append(_Entry(s.c, "sample", sample=s))
+                label, reg = next(extra)
+                kind = "sample"
             else:
-                n, parity = data_i // 2, ("odd" if data_i % 2 == 0 else "even")
-                for name in ("S_A", "S_B", "S_C"):
-                    self.seqs[name].append(_Entry(self.slots[name][data_i], "data",
-                                                  group=n, parity=parity))
-                data_i += 1
+                label, reg, kind = None, next(data), "data"
+            for role, name in enumerate(("S_A", "S_B", "S_C")):
+                self.seqs[name].append(_Entry(reg, role, kind, label))
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
@@ -305,7 +306,7 @@ class Session:
         if cfg is None or cfg.strategy == "none" or cfg.target != name:
             return
         for entry in self.seqs[name]:
-            entry.particle = apply_attack(entry.particle, cfg, self.rng)
+            apply_attack(entry.reg, entry.role, cfg, self.rng)
 
     # -- step 2 ----------------------------------------------------------
 
@@ -315,13 +316,13 @@ class Session:
         samples = [(i, e) for i, e in enumerate(self.seqs["S_C"]) if e.kind == "sample"]
         for pos, entry in samples:
             basis = MeasBasis.Z if self.rng.randrange(2) == 0 else MeasBasis.X
-            c_out = measure_particles(basis, [entry.particle], self.rng)
-            a_out = measure_particles(basis, [entry.sample.a], self.rng)
-            b_out = measure_particles(basis, [entry.sample.b], self.rng)
-            ok = ghz_sample_ok(entry.sample.label, basis, (a_out, b_out, c_out))
+            c_out = measure_particles(basis, entry.reg, [2], self.rng)
+            a_out = measure_particles(basis, entry.reg, [0], self.rng)
+            b_out = measure_particles(basis, entry.reg, [1], self.rng)
+            ok = ghz_sample_ok(entry.label, basis, (a_out, b_out, c_out))
             errors += not ok
             records.append({"position": pos, "kind": "ghz_sample",
-                            "state": entry.sample.label.token,
+                            "state": entry.label.token,
                             "basis": basis.value, "ok": ok})
         return self._record_check(2, len(samples), errors, records)
 
@@ -335,47 +336,33 @@ class Session:
             self.transcript.abort_step = step
         return rec
 
-    def _strip_decoys(self, name: str) -> None:
-        kept = [e for e in self.seqs[name] if e.kind == "data"]
-        # In-flight substitution may have replaced handles; refresh slots.
-        for e in kept:
-            self.slots[name][2 * e.group + (e.parity == "even")] = e.particle
-        self.seqs[name] = kept
-
     # -- step 3 ----------------------------------------------------------
 
     def alice_encode(self) -> None:
         """Encode Alice's bits on the odd triples, then send the
         second-particle sequence with fresh single-particle decoys."""
-        self._strip_decoys("S_C")
-        self._strip_decoys("S_A")
-        self._strip_decoys("S_B")
         for n, op in enumerate(self.alice_ops):
-            apply_op(self.slots["S_A"][2 * n], op.first)
-            apply_op(self.slots["S_B"][2 * n], op.second)
+            apply_op(self.triples[2 * n], 0, op.first)
+            apply_op(self.triples[2 * n], 1, op.second)
             self.transcript.groups[n].a_op = op
         _, d3, _ = self.cfg.resolved_decoys()
         self._insert_decoys("S_B", d3)
         self._transmit("S_B")
 
     def _insert_decoys(self, name: str, count: int) -> None:
+        """Replace the sequence by its data entries with count fresh decoys
+        at random positions; samples and earlier decoys are dropped."""
         decoys = []
         for _ in range(count):
             token = DECOY_TOKENS[self.rng.randrange(4)]
-            decoys.append(_Entry(System(decoy_state(token)).particle(0),
-                                 "decoy", decoy_token=token))
-        data_entries = self.seqs[name]
+            decoys.append(_Entry(Register(decoy_state(token)), 0, "decoy",
+                                 decoy_token=token))
+        data_entries = [e for e in self.seqs[name] if e.kind == "data"]
         total = len(data_entries) + count
         positions = set(self.rng.index_sample(total, count))
-        out, data_i, decoy_i = [], 0, 0
-        for pos in range(total):
-            if pos in positions:
-                out.append(decoys[decoy_i])
-                decoy_i += 1
-            else:
-                out.append(data_entries[data_i])
-                data_i += 1
-        self.seqs[name] = out
+        data, extra = iter(data_entries), iter(decoys)
+        self.seqs[name] = [next(extra) if pos in positions else next(data)
+                           for pos in range(total)]
 
     # -- steps 4 and 5 ---------------------------------------------------
 
@@ -395,7 +382,7 @@ class Session:
         decoys = [(i, e) for i, e in enumerate(self.seqs[name]) if e.kind == "decoy"]
         for pos, entry in decoys:
             prep = DECOY_STATES[entry.decoy_token]
-            out = measure_particles(prep.basis, [entry.particle], self.rng)
+            out = measure_particles(prep.basis, entry.reg, [0], self.rng)
             ok = out == prep.expected
             errors += not ok
             records.append({"position": pos, "kind": "single", "state": prep.token,
@@ -407,19 +394,14 @@ class Session:
     def bob_encode(self) -> None:
         """Identify each group's prepared state from the even triple,
         rebuild it fresh, and encode Bob's bits on it."""
-        self._strip_decoys("S_B")
-        self._strip_decoys("S_A")
         for n, op in enumerate(self.bob_ops):
             i = 2 * n + 1
-            held = [self.slots["S_A"][i], self.slots["S_B"][i], self.slots["S_C"][i]]
-            p_label = measure_particles(MeasBasis.GHZ, held, self.rng)
+            p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2], self.rng)
             self.measured_labels[n] = p_label
-            fresh = System(ghz_state(p_label))
-            self.slots["S_A"][i] = fresh.particle(0)
-            self.slots["S_B"][i] = fresh.particle(1)
-            self.slots["S_C"][i] = fresh.particle(2)
-            apply_op(self.slots["S_A"][i], op.first)
-            apply_op(self.slots["S_B"][i], op.second)
+            fresh = Register(ghz_state(p_label))
+            apply_op(fresh, 0, op.first)
+            apply_op(fresh, 1, op.second)
+            self.triples[i] = fresh
             self.transcript.groups[n].p_label = p_label
             self.transcript.groups[n].b_op = op
 
@@ -430,13 +412,9 @@ class Session:
         outcome collection over the (ideal) classical channel."""
         announcements = []
         for n in range(self.cfg.n_groups):
-            odd, even = 2 * n, 2 * n + 1
-            outs = []
-            for pair in ((self.slots["S_A"][odd], self.slots["S_A"][even]),
-                         (self.slots["S_B"][odd], self.slots["S_B"][even]),
-                         (self.slots["S_C"][odd], self.slots["S_C"][even])):
-                outs.append(measure_particles(MeasBasis.BELL, pair, self.rng))
-            triple = BellTriple(*outs)
+            joint = particles.merge(self.triples[2 * n], self.triples[2 * n + 1])
+            triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], self.rng)
+                                  for r in range(3)))
             m = collection_of(triple)
             announcements.append(m)
             rec = self.transcript.groups[n]

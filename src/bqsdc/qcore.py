@@ -78,10 +78,6 @@ class Rng:
             pool[i], pool[j] = pool[j], pool[i]
         return sorted(pool[:k])
 
-    def substream(self, tag: int) -> "Rng":
-        """Derived independent stream; deterministic in (self, tag)."""
-        return Rng(self.seed, _mix64(self.stream + _GOLDEN * (tag + 1)))
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

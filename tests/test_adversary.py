@@ -8,9 +8,9 @@ from bqsdc.adversary import (AttackConfig, CheckTemplate, apply_attack,
                              estimate_detection, exact_detection_probability)
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import GhzLabel
-from bqsdc.particles import System
+from bqsdc.particles import Register
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import Rng
+from bqsdc.qcore import MeasBasis, Rng, born_distribution
 
 
 class TestAttackConfig:
@@ -53,30 +53,32 @@ class TestEavesdropUnitary:
 
 class TestAttackApplication:
     def test_intercept_returns_fresh_particle(self):
-        sys = System(ghz_state(GhzLabel.PSI0))
-        genuine = sys.particle(2)
-        fake = apply_attack(genuine, AttackConfig("intercept_resend", fake_state="0"), Rng(1))
-        assert fake.system is not sys
-        assert fake.system.state.num_qubits == 1
-        assert sys.state.num_qubits == 3  # genuine particle still entangled
+        reg = Register(ghz_state(GhzLabel.PSI0))
+        apply_attack(reg, 2, AttackConfig("intercept_resend", fake_state="0"), Rng(1))
+        # the fake is appended and takes the role; the genuine particle
+        # stays in the register, still entangled with the other two
+        assert reg.at == [0, 1, 3] and reg.state.num_qubits == 4
+        assert born_distribution(reg.state, MeasBasis.Z, [3])[0] == pytest.approx(1.0)
+        assert born_distribution(reg.state, MeasBasis.Z, [2])[0] == pytest.approx(0.5)
 
     def test_measure_resend_collapses(self):
-        sys = System(ghz_state(GhzLabel.PSI0))
-        p = apply_attack(sys.particle(2), AttackConfig("measure_resend", eve_basis="Z"), Rng(1))
-        assert p.system is sys
+        reg = Register(ghz_state(GhzLabel.PSI0))
+        apply_attack(reg, 2, AttackConfig("measure_resend", eve_basis="Z"), Rng(1))
+        assert reg.at == [0, 1, 2]
         # the whole triple collapsed to a definite computational state
-        probs = np.abs(sys.state.amps) ** 2
+        probs = np.abs(reg.state.amps) ** 2
         assert max(probs) == pytest.approx(1.0)
 
     def test_entangle_appends_ancilla(self):
-        sys = System(ghz_state(GhzLabel.PSI0))
-        p = apply_attack(sys.particle(2), AttackConfig.entangling(0.25), Rng(1))
-        assert p.system is sys and sys.state.num_qubits == 4
+        reg = Register(ghz_state(GhzLabel.PSI0))
+        apply_attack(reg, 2, AttackConfig.entangling(0.25), Rng(1))
+        assert reg.at == [0, 1, 2] and reg.state.num_qubits == 4
 
     def test_none_is_identity(self):
-        sys = System(ghz_state(GhzLabel.PSI0))
-        p = sys.particle(2)
-        assert apply_attack(p, AttackConfig("none"), Rng(1)) is p
+        reg = Register(ghz_state(GhzLabel.PSI0))
+        state = reg.state
+        apply_attack(reg, 2, AttackConfig("none"), Rng(1))
+        assert reg.state is state and reg.at == [0, 1, 2]
 
 
 # Exact Born-rule detection rates for the GHZ-sample check. Where the

@@ -80,14 +80,25 @@ def test_analyze_command(tmp_path):
     assert len(csv_out.read_text().strip().splitlines()) == 20
 
 
-def test_usage_errors_exit_two():
-    assert run_cli("run", "--N", "2", "--alice", "010", "--bob", "101",
-                   "--seed", "1").returncode == 2
-    assert run_cli("run", "--N", "1", "--alice", "010", "--bob", "101",
-                   "--initial", "psi9", "--seed", "1").returncode == 2
-    assert run_cli("attack", "--strategy", "warp", "--seed", "1").returncode == 2
-    assert run_cli("attack", "--strategy", "entangle", "--beta2", "1.5",
-                   "--seed", "1").returncode == 2
+def test_usage_errors_exit_two(tmp_path):
+    missing = str(tmp_path / "missing" / "x.json")
+    cases = [
+        ("run", "--N", "2", "--alice", "010", "--bob", "101", "--seed", "1"),
+        ("run", "--N", "1", "--alice", "010", "--bob", "101", "--initial", "psi9",
+         "--seed", "1"),
+        ("attack", "--strategy", "warp", "--seed", "1"),
+        ("attack", "--strategy", "entangle", "--beta2", "1.5", "--seed", "1"),
+        ("run", "--N", "1", "--random-messages", "--seed", "1", "--out", missing),
+        ("verify", "--out", missing),
+        ("attack", "--strategy", "none", "--trials", "10", "--seed", "1", "--out", missing),
+        ("analyze", "--seed", "1", "--out", missing),
+        ("analyze", "--monte-carlo", "-3", "--seed", "1"),
+        ("analyze", "--monte-carlo", "0", "--seed", "1"),
+    ]
+    for args in cases:
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "error:" in res.stderr and "Traceback" not in res.stderr, args
     assert run_cli("nonsense").returncode == 2
 
 

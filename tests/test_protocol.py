@@ -7,11 +7,12 @@ from bqsdc.adversary import AttackConfig
 from bqsdc.checks import consistent_ghz_outcomes
 from bqsdc.codebook import CompositeOp, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
-from bqsdc.particles import System, ensure_joint, measure_particles, merge
+from bqsdc.particles import Register, append_ancilla, measure_particles, merge
 from bqsdc.protocol import (Session, SessionConfig, alice_decode, bob_decode,
                             default_decoy_count, message_triples,
                             random_message_bits, run_session)
-from bqsdc.qcore import MeasBasis, Rng, equal_up_to_global_phase
+from bqsdc.qcore import (MeasBasis, Rng, StateVector, equal_up_to_global_phase,
+                         make_basis_state)
 from bqsdc.swap import collection_members, collection_table
 
 
@@ -22,26 +23,22 @@ def quiet_cfg(n, seed=0, **kw):
     return SessionConfig(n_groups=n, seed=seed, **kw)
 
 
-class TestParticleRegistry:
-    def test_merge_reindexes(self):
-        a = System(ghz_state(GhzLabel.PSI0))
-        b = System(ghz_state(GhzLabel.PSI1))
-        p = b.particle(2)
-        merge(a, b)
-        assert p.system is a and p.pos == 5
-        assert a.state.num_qubits == 6
+class TestRegister:
+    def test_merge_puts_b_roles_after_a(self):
+        a = Register(ghz_state(GhzLabel.PSI0))
+        b = Register(ghz_state(GhzLabel.PSI1))
+        b.at[2] = append_ancilla(b, make_basis_state("0"))
+        joint = merge(a, b)
+        assert joint.state.num_qubits == 7
+        assert joint.at == [0, 1, 2, 3, 4, 6]
+        assert a.state.num_qubits == 3  # the inputs are left as they were
 
-    def test_ensure_joint_idempotent(self):
-        a = System(ghz_state(GhzLabel.PSI0))
-        sys0 = ensure_joint([a.particle(0), a.particle(2)])
-        assert sys0 is a and a.state.num_qubits == 3
-
-    def test_measurement_collapses_owner(self):
-        a = System(ghz_state(GhzLabel.PSI0))
-        out = measure_particles(MeasBasis.Z, [a.particle(0)], Rng(1))
+    def test_measurement_collapses_in_place(self):
+        a = Register(ghz_state(GhzLabel.PSI0))
+        out = measure_particles(MeasBasis.Z, a, [0], Rng(1))
         # remaining particles are perfectly correlated with the outcome
-        out_b = measure_particles(MeasBasis.Z, [a.particle(1)], Rng(2))
-        out_c = measure_particles(MeasBasis.Z, [a.particle(2)], Rng(3))
+        out_b = measure_particles(MeasBasis.Z, a, [1], Rng(2))
+        out_c = measure_particles(MeasBasis.Z, a, [2], Rng(3))
         assert out == out_b == out_c
 
 
@@ -75,8 +72,8 @@ class TestPrepare:
         assert [e.kind for e in s.seqs["S_C"]] == ["data", "data"]
         # both triples of the group carry the same prepared label
         from bqsdc.codebook import classify_ghz
-        odd = classify_ghz(s.slots["S_A"][0].system.state)
-        even = classify_ghz(s.slots["S_A"][1].system.state)
+        odd = classify_ghz(s.triples[0].state)
+        even = classify_ghz(s.triples[1].state)
         assert odd[0] == even[0] == s.prepared[0]
 
     def test_sample_insertion_and_alignment(self):
@@ -136,7 +133,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
-        assert equal_up_to_global_phase(s.slots["S_A"][0].system.state, expect)
+        assert equal_up_to_global_phase(s.triples[0].state, expect)
 
     def test_identity_op_leaves_label(self):
         # U0 keeps every label fixed, though not always with phase +1: on
@@ -145,7 +142,7 @@ class TestEncoding:
         s.prepare()
         s.check1()
         s.alice_encode()
-        out = s.slots["S_A"][0].system.state
+        out = s.triples[0].state
         assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI3))
         assert np.allclose(out.amps, -ghz_state(GhzLabel.PSI3).amps)
 
@@ -158,7 +155,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
-        assert equal_up_to_global_phase(s.slots["S_A"][0].system.state, expect)
+        assert equal_up_to_global_phase(s.triples[0].state, expect)
 
     def test_decoy_states_drawn_uniformly(self):
         cfg = SessionConfig(n_groups=1, seed=14, decoys_step1=0,
@@ -210,7 +207,7 @@ class TestEncoding:
         s.check2()
         s.check3()
         s.bob_encode()
-        even_state = s.slots["S_A"][1].system.state
+        even_state = s.triples[1].state
         assert equal_up_to_global_phase(even_state, ghz_state(GhzLabel.PSI5))
 
 
@@ -344,3 +341,27 @@ class TestAborts:
                             decoys_step5=0, attack=attack, check_threshold=0.99)
         t = run_session(cfg, "010", "101")
         assert not t.aborted
+
+
+class TestWidth:
+    # widest state per strategy: two triples joined at the swap, plus the
+    # fake or ancilla an attack on one transmission leaves in a triple
+    WIDEST = {"none": 6, "intercept_resend": 7, "measure_resend": 6, "entangle_measure": 7}
+
+    @pytest.mark.parametrize("target", ["S_C", "S_B", "S_A"])
+    @pytest.mark.parametrize("strategy", list(WIDEST))
+    def test_no_state_wider_than_seven_qubits(self, monkeypatch, strategy, target):
+        widths = []
+        post_init = StateVector.__post_init__
+
+        def record(self):
+            post_init(self)
+            widths.append(self.num_qubits)
+
+        monkeypatch.setattr(StateVector, "__post_init__", record)
+        attack = AttackConfig.entangling(0.25, target=target) \
+            if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
+        cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
+        t = run_session(cfg, "010110", "101001")
+        assert t.groups[-1].announcement is not None
+        assert max(widths) == self.WIDEST[strategy]

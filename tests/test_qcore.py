@@ -228,10 +228,6 @@ class TestRng:
     def test_streams_differ(self):
         assert [Rng(1, 0).u64() for _ in range(4)] != [Rng(1, 1).u64() for _ in range(4)]
 
-    def test_substream_deterministic(self):
-        assert Rng(5, 2).substream(3).u64() == Rng(5, 2).substream(3).u64()
-        assert Rng(5, 2).substream(3).u64() != Rng(5, 2).substream(4).u64()
-
     def test_index_sample(self):
         rng = Rng(8)
         picks = rng.index_sample(10, 4)
