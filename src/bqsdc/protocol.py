@@ -412,6 +412,7 @@ class Session:
         outcome collection over the (ideal) classical channel."""
         announcements = []
         for n in range(self.cfg.n_groups):
+            # merge is looked up on the module, where bench/tracer.py counts it
             joint = particles.merge(self.triples[2 * n], self.triples[2 * n + 1])
             triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], self.rng)
                                   for r in range(3)))
