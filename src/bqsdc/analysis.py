@@ -106,8 +106,7 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
     rng = Rng(seed, stream=1)
     alice_bits = random_message_bits(n_groups, rng)
     bob_bits = random_message_bits(n_groups, rng)
-    cfg = SessionConfig(n_groups=n_groups, seed=seed,
-                        decoys_step1=0, decoys_step3=0, decoys_step5=0)
+    cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=0)
     transcript = run_session(cfg, alice_bits, bob_bits)
     counts: dict[CollectionLabel, dict[OpPair, int]] = {}
     m_counts: dict[CollectionLabel, int] = {}

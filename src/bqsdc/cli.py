@@ -14,11 +14,13 @@ import json
 import os
 import secrets
 import sys
+from contextlib import nullcontext
 
 from . import __version__, adversary, analysis, codebook, swap
-from .adversary import AttackConfig, CheckTemplate
+from .adversary import STRATEGIES, TARGETS, AttackConfig, CheckTemplate
+from .checks import DECOY_TOKENS
 from .labels import GhzLabel
-from .protocol import SessionConfig, random_message_bits, run_session
+from .protocol import Session, SessionConfig, random_message_bits
 from .qcore import Rng
 
 SEED_ENV_VAR = "BQSDC_SEED"
@@ -40,88 +42,74 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return secrets.randbits(63)
 
 
-def _open_out(path: str, newline: str | None = None):
+def _open_out(path: str | None, newline: str | None = None, default=None):
+    """The output file at path, opened before the work it records so that
+    an unwritable path fails at once; without a path, default."""
+    if not path:
+        return nullcontext(default)
     try:
         return open(path, "w", newline=newline)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path:
-        with _open_out(path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_json(fh, payload: dict) -> None:
+    if fh is not None:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+_SHORT_STRATEGIES = {"intercept": "intercept_resend", "entangle": "entangle_measure"}
 
 
-def _parse_attack(args) -> AttackConfig | None:
-    """Attack from --attack STRATEGY[:TARGET] plus the policy flags."""
-    if not args.attack:
-        return None
-    strategy, target = args.attack, "S_C"
-    if ":" in strategy:
-        strategy, target = strategy.split(":", 1)
-    return _build_attack(strategy, target, args.fake, args.eve_basis, args.beta2)
-
-
-def _build_attack(strategy: str, target: str, fake: str | None,
-                  eve_basis: str | None, beta2: float | None) -> AttackConfig:
-    name = strategy.strip().lower().replace("-", "_")
-    aliases = {
-        "intercept": "intercept_resend",
-        "intercept_resend": "intercept_resend",
-        "measure_resend": "measure_resend",
-        "entangle": "entangle_measure",
-        "entangle_measure": "entangle_measure",
-        "none": "none",
-    }
-    if name not in aliases:
-        raise UsageError(f"unknown attack strategy {strategy!r}")
-    name = aliases[name]
+def _attack_config(spec: str, target: str, args) -> AttackConfig:
+    """Attack from STRATEGY[:ARG] plus the --fake, --eve-basis and --beta2
+    flags. ARG is a target, an intercept fake state or a measure-resend
+    basis, and takes precedence over the matching flag."""
+    head, colon, arg = spec.partition(":")
+    name = head.strip().lower().replace("-", "_")
+    name = _SHORT_STRATEGIES.get(name, name)
+    if name not in STRATEGIES:
+        raise UsageError(f"unknown attack strategy {head!r}")
+    fake, eve_basis = args.fake, args.eve_basis
+    if colon:
+        if arg in TARGETS:
+            target = arg
+        elif name == "intercept_resend" and arg in DECOY_TOKENS:
+            fake = arg
+        elif name == "measure_resend" and arg.upper() in ("Z", "X"):
+            eve_basis = arg.upper()
+        else:
+            raise UsageError(f"bad attack {spec!r}: ARG must be a target ({', '.join(TARGETS)}), "
+                             "an intercept fake state or a measure-resend basis")
     try:
         if name == "entangle_measure":
-            if beta2 is None:
+            if args.beta2 is None:
                 raise UsageError("entangle attack needs --beta2")
-            base = AttackConfig.entangling(beta2, target=target)
-            return base
+            return AttackConfig.entangling(args.beta2, target=target)
         return AttackConfig(name, target=target, fake_state=fake, eve_basis=eve_basis)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _split_policy(text: str) -> tuple[str, str | None]:
-    """'measure-resend:X' -> ('measure-resend', 'X')."""
-    if ":" in text:
-        head, policy = text.split(":", 1)
-        return head, policy
-    return text, None
-
-
 def cmd_verify(args) -> int:
     csv_path = (args.csv_out or "swap_table.csv") if args.emit == "csv" else None
-    transform = codebook.verify_transform_table()
-    try:
-        swap_rep = swap.verify_swap_table(csv_path=csv_path)
-    except OSError as exc:
-        raise UsageError(f"cannot write {csv_path}: {exc.strerror}") from None
-    n_ok = (64 - transform["mismatches"]) + (64 - swap_rep["mismatches"])
-    print(f"transform chart: {64 - transform['mismatches']}/64 entries verified")
-    print(f"swap collections: {64 - swap_rep['mismatches']}/64 pairs verified")
-    print(f"reference collection sets: {swap_rep['reference_set_matches']}/8 equal")
-    print(f"total checks passed: {n_ok + swap_rep['reference_set_matches']}")
-    payload = {
-        "version": __version__,
-        "transform_table": transform,
-        "swap_table": {k: v for k, v in swap_rep.items() if k != "entries"},
-        "swap_entries": swap_rep["entries"],
-    }
-    if args.out:
-        _write_json(args.out, payload)
+    with _open_out(args.out) as out:
+        transform = codebook.verify_transform_table()
+        try:
+            swap_rep = swap.verify_swap_table(csv_path=csv_path)
+        except OSError as exc:
+            raise UsageError(f"cannot write {csv_path}: {exc.strerror}") from None
+        n_ok = (64 - transform["mismatches"]) + (64 - swap_rep["mismatches"])
+        print(f"transform chart: {64 - transform['mismatches']}/64 entries verified")
+        print(f"swap collections: {64 - swap_rep['mismatches']}/64 pairs verified")
+        print(f"reference collection sets: {swap_rep['reference_set_matches']}/8 equal")
+        print(f"total checks passed: {n_ok + swap_rep['reference_set_matches']}")
+        _write_json(out, {
+            "version": __version__,
+            "transform_table": transform,
+            "swap_table": {k: v for k, v in swap_rep.items() if k != "entries"},
+            "swap_entries": swap_rep["entries"],
+        })
     if csv_path:
         print(f"wrote {csv_path}")
     failed = (transform["mismatches"] or swap_rep["mismatches"]
@@ -131,15 +119,13 @@ def cmd_verify(args) -> int:
 
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
-    attack = _parse_attack(args)
+    attack = _attack_config(args.attack, "S_C", args) if args.attack else None
     try:
         initial = GhzLabel.from_token(args.initial) if args.initial else None
         cfg = SessionConfig(
             n_groups=args.N,
             seed=seed,
-            decoys_step1=args.decoys,
-            decoys_step3=args.decoys,
-            decoys_step5=args.decoys,
+            decoys=args.decoys,
             check_threshold=args.threshold,
             attack=attack,
             initial_label=initial,
@@ -155,90 +141,93 @@ def cmd_run(args) -> int:
             raise UsageError("provide --alice and --bob bits, or --random-messages")
         alice, bob = args.alice, args.bob
     try:
-        transcript = run_session(cfg, alice, bob)
+        session = Session(cfg, alice, bob)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    for check in transcript.checks:
-        print(f"check at step {check.step}: {check.errors}/{check.samples} errors "
-              f"(rate {check.error_rate:.4f})")
-    if transcript.aborted:
-        print(f"session aborted at step {transcript.abort_step}")
-    else:
-        print(f"alice decoded: {transcript.alice_message_bits()}")
-        print(f"bob decoded:   {transcript.bob_message_bits()}")
-    _write_text(args.out, transcript.to_json())
+    with _open_out(args.out, default=sys.stdout) as out:
+        transcript = session.run()
+        # the session's registers are garbage now; freeing them before the
+        # transcript is serialised keeps the two off the heap together
+        del session
+        for check in transcript.checks:
+            print(f"check at step {check.step}: {check.errors}/{check.samples} errors "
+                  f"(rate {check.error_rate:.4f})")
+        if transcript.aborted:
+            print(f"session aborted at step {transcript.abort_step}")
+        else:
+            print(f"alice decoded: {transcript.alice_message_bits()}")
+            print(f"bob decoded:   {transcript.bob_message_bits()}")
+        out.write(transcript.to_json())
     return 0
 
 
 def cmd_attack(args) -> int:
     seed = _resolve_seed(args.seed)
-    head, policy = _split_policy(args.strategy)
-    name = head.strip().lower().replace("-", "_")
-    fake = args.fake
-    eve_basis = args.eve_basis
-    if policy is not None:
-        if name in ("intercept", "intercept_resend"):
-            fake = policy
-        elif name in ("measure_resend",):
-            eve_basis = policy.upper()
-        else:
-            raise UsageError(f"strategy {args.strategy!r} takes no ':' policy")
-    cfg = _build_attack(name, args.target, fake, eve_basis, args.beta2)
+    cfg = _attack_config(args.strategy, args.target, args)
+    if args.trials < 1:
+        raise UsageError("--trials needs at least one trial")
     try:
         template = CheckTemplate(
             sample_label=GhzLabel.from_token(args.sample),
             bob_basis=None if args.check_basis == "uniform" else args.check_basis,
             decoy_basis=None if args.decoy_basis == "uniform" else args.decoy_basis,
         )
-        est = adversary.estimate_detection(cfg, template, trials=args.trials, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(f"strategy {est.strategy} on {est.target}: rate {est.rate:.4f} "
-          f"(ci95 {est.ci95:.4f}, exact {est.exact_value:.4f})")
-    if est.claimed_value is not None:
-        print(f"claimed {est.claimed_value:.4f}, abs error {est.abs_error:.4f}")
-    payload = {"version": __version__, "seed": seed, **est.to_json_dict()}
-    if args.out:
-        _write_json(args.out, payload)
+    with _open_out(args.out) as out:
+        est = adversary.estimate_detection(cfg, template, trials=args.trials, seed=seed)
+        print(f"strategy {est.strategy} on {est.target}: rate {est.rate:.4f} "
+              f"(ci95 {est.ci95:.4f}, exact {est.exact_value:.4f})")
+        if est.claimed_value is not None:
+            print(f"claimed {est.claimed_value:.4f}, abs error {est.abs_error:.4f}")
+        _write_json(out, {"version": __version__, "seed": seed, **est.to_json_dict()})
     return 0
 
 
 def cmd_analyze(args) -> int:
-    if args.monte_carlo is not None and args.monte_carlo < 1:
-        raise UsageError("--monte-carlo needs at least one group")
-    leak = analysis.leakage_report()
-    cap = analysis.capacity_report()
-    rows = analysis.comparison_report()
-    print(f"observer entropy: {leak['computed']['entropy_bits']:.4f} bits "
-          f"(claimed {leak['claimed']['entropy_bits']:.1f})")
-    print(f"conditioned on announcement: {leak['computed']['conditional_entropy_bits']:.4f} bits")
-    print(f"mutual information: {leak['computed']['mutual_information_bits']:.4f} bits "
-          f"(claimed leakage {leak['claimed']['leaked_bits']:.1f}, "
-          f"discrepancy={leak['discrepancy']})")
-    print(f"efficiency: {cap['efficiency']:.1%} "
-          f"({cap['bits_per_round']} bits / {cap['qubits_per_round']} qubits "
-          f"+ {cap['classical_bits_per_round']} classical)")
-    payload = {
-        "version": __version__,
-        "leakage": leak,
-        "capacity": cap,
-        "comparison": [r.to_json_dict() for r in rows],
-    }
+    seed = None
     if args.monte_carlo is not None:
-        payload["leakage_monte_carlo"] = analysis.leakage_monte_carlo(
-            n_groups=args.monte_carlo, seed=_resolve_seed(args.seed))
-    if args.out:
-        _write_json(args.out, payload)
-    if args.emit == "csv":
-        path = args.csv_out or "comparison.csv"
-        with _open_out(path, newline="") as fh:
-            writer = csv.writer(fh)
+        if args.monte_carlo < 1:
+            raise UsageError("--monte-carlo needs at least one group")
+        seed = _resolve_seed(args.seed)
+    csv_path = (args.csv_out or "comparison.csv") if args.emit == "csv" else None
+    with _open_out(args.out) as out, _open_out(csv_path, newline="") as csv_fh:
+        leak = analysis.leakage_report()
+        cap = analysis.capacity_report()
+        rows = analysis.comparison_report()
+        print(f"observer entropy: {leak['computed']['entropy_bits']:.4f} bits "
+              f"(claimed {leak['claimed']['entropy_bits']:.1f})")
+        print(f"conditioned on announcement: "
+              f"{leak['computed']['conditional_entropy_bits']:.4f} bits")
+        print(f"mutual information: {leak['computed']['mutual_information_bits']:.4f} bits "
+              f"(claimed leakage {leak['claimed']['leaked_bits']:.1f}, "
+              f"discrepancy={leak['discrepancy']})")
+        print(f"efficiency: {cap['efficiency']:.1%} "
+              f"({cap['bits_per_round']} bits / {cap['qubits_per_round']} qubits "
+              f"+ {cap['classical_bits_per_round']} classical)")
+        payload = {
+            "version": __version__,
+            "leakage": leak,
+            "capacity": cap,
+            "comparison": [r.to_json_dict() for r in rows],
+        }
+        if seed is not None:
+            payload["leakage_monte_carlo"] = analysis.leakage_monte_carlo(
+                n_groups=args.monte_carlo, seed=seed)
+        _write_json(out, payload)
+        if csv_fh is not None:
+            writer = csv.writer(csv_fh)
             writer.writerow(["protocol", "bits_per_round", "leaked_bits", "efficiency", "note"])
             for r in rows:
                 writer.writerow([r.protocol, r.bits_per_round, r.leaked_bits,
                                  "" if r.efficiency is None else f"{r.efficiency:.4f}", r.note])
-        print(f"wrote {path}")
+    if csv_path:
+        print(f"wrote {csv_path}")
     return 0
+
+
+ATTACK_HELP = ("none, intercept-resend, measure-resend or entangle; ARG is a target "
+               "(S_C, S_B, S_A), an intercept fake state or a measure-resend basis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="GHZ entanglement-swapping bidirectional QSDC simulator")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    attack_flags = argparse.ArgumentParser(add_help=False)
+    attack_flags.add_argument("--fake", choices=["0", "1", "+", "-"],
+                              help="intercept fake state")
+    attack_flags.add_argument("--eve-basis", choices=["Z", "X"], help="measure-resend basis")
+    attack_flags.add_argument("--beta2", type=float, help="entangle attack flip probability")
 
     p = sub.add_parser("verify", help="re-derive and verify both codebook charts")
     p.add_argument("--out", help="write the JSON report here")
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", help="path for the CSV table (with --emit csv)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("run", help="execute one protocol session")
+    p = sub.add_parser("run", help="execute one protocol session", parents=[attack_flags])
     p.add_argument("--N", type=int, default=1, help="number of message groups")
     p.add_argument("--alice", help="Alice's 3N message bits")
     p.add_argument("--bob", help="Bob's 3N message bits")
@@ -263,22 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--decoys", type=int, help="decoys per check (default 16 or N)")
     p.add_argument("--threshold", type=float, default=0.0, help="abort threshold")
-    p.add_argument("--attack", help="STRATEGY[:TARGET], e.g. intercept:S_C")
-    p.add_argument("--fake", choices=["0", "1", "+", "-"], help="intercept fake state")
-    p.add_argument("--eve-basis", choices=["Z", "X"], help="measure-resend basis")
-    p.add_argument("--beta2", type=float, help="entangle attack flip probability")
+    p.add_argument("--attack", metavar="STRATEGY[:ARG]", help=ATTACK_HELP)
     p.add_argument("--out", help="write the transcript JSON here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("attack", help="Monte Carlo detection-rate estimate")
-    p.add_argument("--strategy", required=True,
-                   help="none | intercept-resend[:FAKE] | measure-resend[:BASIS] | entangle")
+    p = sub.add_parser("attack", help="Monte Carlo detection-rate estimate",
+                       parents=[attack_flags])
+    p.add_argument("--strategy", required=True, metavar="STRATEGY[:ARG]", help=ATTACK_HELP)
     p.add_argument("--target", choices=["S_C", "S_B", "S_A"], default="S_C")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--fake", choices=["0", "1", "+", "-"])
-    p.add_argument("--eve-basis", choices=["Z", "X"])
-    p.add_argument("--beta2", type=float)
     p.add_argument("--sample", default="psi0", help="GHZ sample state for S_C checks")
     p.add_argument("--check-basis", choices=["Z", "X", "uniform"], default="uniform")
     p.add_argument("--decoy-basis", choices=["Z", "X", "uniform"], default="uniform")

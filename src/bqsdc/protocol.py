@@ -49,9 +49,7 @@ class SessionConfig:
 
     n_groups: int
     seed: int = 0
-    decoys_step1: int | None = None
-    decoys_step3: int | None = None
-    decoys_step5: int | None = None
+    decoys: int | None = None  # per check; None means default_decoy_count
     check_threshold: float = 0.0
     attack: AttackConfig | None = None
     initial_label: GhzLabel | None = None  # force every group's prepared state
@@ -61,20 +59,14 @@ class SessionConfig:
             raise ValueError("need at least one message group")
         if not 0.0 <= self.check_threshold < 1.0:
             raise ValueError("check_threshold must lie in [0, 1)")
-        for count in (self.decoys_step1, self.decoys_step3, self.decoys_step5):
-            if count is not None and count < 0:
-                raise ValueError("decoy counts must be nonnegative")
+        if self.decoys is not None and self.decoys < 0:
+            raise ValueError("decoy counts must be nonnegative")
 
-    def resolved_decoys(self) -> tuple[int, int, int]:
-        d = default_decoy_count(self.n_groups)
-        return (
-            self.decoys_step1 if self.decoys_step1 is not None else d,
-            self.decoys_step3 if self.decoys_step3 is not None else d,
-            self.decoys_step5 if self.decoys_step5 is not None else d,
-        )
+    def resolved_decoys(self) -> int:
+        return self.decoys if self.decoys is not None else default_decoy_count(self.n_groups)
 
     def to_json_dict(self) -> dict:
-        d1, d3, d5 = self.resolved_decoys()
+        d = self.resolved_decoys()
         attack = None
         if self.attack is not None:
             attack = {
@@ -82,14 +74,14 @@ class SessionConfig:
                 "target": self.attack.target,
                 "fake_state": self.attack.fake_state,
                 "eve_basis": self.attack.eve_basis,
-                "beta_squared": round(self.attack.beta ** 2, 12),
+                "beta_squared": round(self.attack.beta_squared, 12),
             }
         return {
             "n_groups": self.n_groups,
             "seed": self.seed,
-            "decoys_step1": d1,
-            "decoys_step3": d3,
-            "decoys_step5": d5,
+            "decoys_step1": d,
+            "decoys_step3": d,
+            "decoys_step5": d,
             "check_threshold": self.check_threshold,
             "attack": attack,
             "initial_label": self.initial_label.token if self.initial_label else None,
@@ -272,7 +264,7 @@ class Session:
         """Draw labels, build two identical GHZ triples per group, insert
         aligned GHZ samples, and transmit the third-particle sequence."""
         cfg = self.cfg
-        d1, _, _ = cfg.resolved_decoys()
+        d = cfg.resolved_decoys()
         for n in range(cfg.n_groups):
             label = cfg.initial_label if cfg.initial_label is not None \
                 else GhzLabel(self.rng.randrange(8))
@@ -282,12 +274,12 @@ class Session:
             self.triples.append(Register(ghz_state(label)))
 
         samples = []
-        for _ in range(d1):
+        for _ in range(d):
             label = GhzLabel(self.rng.randrange(8))
             samples.append((label, Register(ghz_state(label))))
 
-        total = 2 * cfg.n_groups + d1
-        positions = set(self.rng.index_sample(total, d1))
+        total = 2 * cfg.n_groups + d
+        positions = set(self.rng.index_sample(total, d))
         # Sample particles go to the same index in all three sequences so
         # the triples stay aligned for the correlation check.
         data, extra = iter(self.triples), iter(samples)
@@ -345,8 +337,7 @@ class Session:
             apply_op(self.triples[2 * n], 0, op.first)
             apply_op(self.triples[2 * n], 1, op.second)
             self.transcript.groups[n].a_op = op
-        _, d3, _ = self.cfg.resolved_decoys()
-        self._insert_decoys("S_B", d3)
+        self._insert_decoys("S_B", self.cfg.resolved_decoys())
         self._transmit("S_B")
 
     def _insert_decoys(self, name: str, count: int) -> None:
@@ -372,8 +363,7 @@ class Session:
 
     def check3(self) -> CheckRecord:
         """Send the first-particle sequence with fresh decoys, then check."""
-        _, _, d5 = self.cfg.resolved_decoys()
-        self._insert_decoys("S_A", d5)
+        self._insert_decoys("S_A", self.cfg.resolved_decoys())
         self._transmit("S_A")
         return self._decoy_check(5, "S_A")
 

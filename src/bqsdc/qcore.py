@@ -176,13 +176,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def apply_single(s: StateVector, op: SingleQubitOp, q: int) -> StateVector:
     """Apply a single-qubit unitary at qubit index q."""
-    n = s.num_qubits
-    if not 0 <= q < n:
-        raise IndexError(f"qubit {q} out of range for {n} qubits")
-    t = np.moveaxis(s.amps.reshape((2,) * n), q, 0).reshape(2, -1)
-    out = op.matrix @ t
-    out = np.moveaxis(out.reshape((2,) * n), 0, q)
-    return StateVector(out.reshape(-1))
+    return apply_unitary(s, op.matrix, (q,))
 
 
 def apply_unitary(s: StateVector, matrix: np.ndarray, qubits: Sequence[int]) -> StateVector:

@@ -68,8 +68,7 @@ def test_criterion_4_exhaustive_roundtrip_and_capacity():
     for p in GhzLabel:
         for a in CompositeOp:
             for b in CompositeOp:
-                cfg = SessionConfig(n_groups=1, seed=29, initial_label=p,
-                                    decoys_step1=0, decoys_step3=0, decoys_step5=0)
+                cfg = SessionConfig(n_groups=1, seed=29, initial_label=p, decoys=0)
                 t = run_session(cfg, "".join(map(str, a.bits)), "".join(map(str, b.bits)))
                 g = t.groups[0]
                 if g.decoded_by_bob != "".join(map(str, a.bits)):
@@ -121,13 +120,13 @@ ATTACK_CASES = [
                          ATTACK_CASES, ids=[c[0] for c in ATTACK_CASES])
 def test_criterion_5_attack_statistics(case_id, attack, template, advertised, born):
     est = estimate_detection(attack, template, trials=TRIALS, seed=101)
-    # the entangling cases get beta**2 back as sqrt(b2)**2
-    chart_ok = est.claimed_value is not None and abs(est.claimed_value - advertised) <= 1e-12
-    ok = abs(est.rate - born) <= 0.01 and chart_ok
+    ok = (abs(est.rate - born) <= 0.01 and est.exact_value == born
+          and est.claimed_value == advertised)
     report(f"5 attack {case_id}", ok,
            f"(rate {est.rate:.4f} vs born {born:.4f}, advertised {advertised:.4f})")
     assert ok, (f"{case_id}: measured {est.rate:.4f}, born {born:.4f}, "
-                f"advertised {advertised:.4f}, claimed_value {est.claimed_value}")
+                f"exact_value {est.exact_value!r}, advertised {advertised:.4f}, "
+                f"claimed_value {est.claimed_value!r}")
 
 
 def test_criterion_6_analysis_figures():

@@ -23,32 +23,30 @@ class TestAttackConfig:
             AttackConfig("intercept_resend", fake_state="2")
         with pytest.raises(ValueError):
             AttackConfig("measure_resend", eve_basis="Y")
-        with pytest.raises(ValueError):
-            AttackConfig("entangle_measure", alpha=1.0, beta=1.0)
+        for beta_squared in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                AttackConfig("entangle_measure", beta_squared=beta_squared)
 
     def test_entangling_constructor(self):
-        cfg = AttackConfig.entangling(0.25)
-        assert cfg.beta ** 2 == pytest.approx(0.25)
-        assert cfg.alpha ** 2 + cfg.beta ** 2 == pytest.approx(1.0)
+        cfg = AttackConfig.entangling(0.25, target="S_A")
+        assert cfg == AttackConfig("entangle_measure", "S_A", beta_squared=0.25)
 
 
 class TestEavesdropUnitary:
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_unitary_for_all_beta(self, beta_sq):
-        alpha = np.sqrt(1.0 - beta_sq)
-        beta = np.sqrt(beta_sq)
-        e = eavesdrop_unitary(alpha, beta)
+        e = eavesdrop_unitary(beta_sq)
         assert np.allclose(e.conj().T @ e, np.eye(4), atol=1e-9)
 
     def test_flip_amplitude(self):
-        e = eavesdrop_unitary(np.sqrt(0.75), np.sqrt(0.25))
+        e = eavesdrop_unitary(0.25)
         out = e @ np.array([1, 0, 0, 0], complex)  # |0>|0>
         assert abs(out[0]) ** 2 == pytest.approx(0.75)  # stays |0>, ancilla 0
         assert abs(out[3]) ** 2 == pytest.approx(0.25)  # flips, ancilla 1
 
     def test_identity_at_beta_zero(self):
-        assert np.allclose(eavesdrop_unitary(1.0, 0.0), np.eye(4))
+        assert np.allclose(eavesdrop_unitary(0.0), np.eye(4))
 
 
 class TestAttackApplication:
@@ -207,8 +205,8 @@ class TestEstimateDetection:
 class TestAttackLocality:
     def test_attack_on_sb_leaves_other_checks_clean(self):
         attack = AttackConfig("measure_resend", target="S_B")
-        cfg = SessionConfig(n_groups=1, seed=11, decoys_step1=20, decoys_step3=20,
-                            decoys_step5=20, attack=attack, check_threshold=0.999)
+        cfg = SessionConfig(n_groups=1, seed=11, decoys=20, attack=attack,
+                            check_threshold=0.999)
         t = run_session(cfg, "010", "101")
         by_step = {c.step: c for c in t.checks}
         assert by_step[2].errors == 0
@@ -217,8 +215,8 @@ class TestAttackLocality:
 
     def test_attack_on_sa_only_hits_step5(self):
         attack = AttackConfig("intercept_resend", target="S_A")
-        cfg = SessionConfig(n_groups=1, seed=6, decoys_step1=20, decoys_step3=20,
-                            decoys_step5=20, attack=attack, check_threshold=0.999)
+        cfg = SessionConfig(n_groups=1, seed=6, decoys=20, attack=attack,
+                            check_threshold=0.999)
         t = run_session(cfg, "010", "101")
         by_step = {c.step: c for c in t.checks}
         assert by_step[2].errors == 0 and by_step[4].errors == 0

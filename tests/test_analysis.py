@@ -57,8 +57,7 @@ class TestAnnouncement:
         # the same announcement must come out of the full quantum session
         for seed, (a_bits, b_bits) in enumerate([("010", "101"), ("111", "000"),
                                                  ("100", "110")]):
-            cfg = SessionConfig(n_groups=1, seed=seed, decoys_step1=0,
-                                decoys_step3=0, decoys_step5=0)
+            cfg = SessionConfig(n_groups=1, seed=seed, decoys=0)
             t = run_session(cfg, a_bits, b_bits)
             g = t.groups[0]
             assert g.announcement == announcement_for(g.prepared_label, g.a_op, g.b_op)

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from bqsdc import cli
+
 CMD = [sys.executable, "-m", "bqsdc"]
 
 
@@ -94,12 +98,101 @@ def test_usage_errors_exit_two(tmp_path):
         ("analyze", "--seed", "1", "--out", missing),
         ("analyze", "--monte-carlo", "-3", "--seed", "1"),
         ("analyze", "--monte-carlo", "0", "--seed", "1"),
+        ("attack", "--strategy", "none", "--trials", "0", "--seed", "1"),
     ]
     for args in cases:
         res = run_cli(*args)
         assert res.returncode == 2, args
         assert "error:" in res.stderr and "Traceback" not in res.stderr, args
+        # every check, the writability of --out included, comes before the work
+        assert res.stdout == "", args
     assert run_cli("nonsense").returncode == 2
+
+
+def recorded_attack(argv, tmp_path):
+    """The attack that `run` or `attack` made of argv, as its output records it."""
+    out = tmp_path / "out.json"
+    if argv[0] == "run":
+        argv = [*argv, "--N", "1", "--random-messages", "--decoys", "0"]
+    else:
+        argv = [*argv, "--trials", "1"]
+    assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 0, argv
+    doc = json.loads(out.read_text())
+    if argv[0] == "run":
+        return doc["config"]["attack"]
+    return {"strategy": doc["strategy"], "target": doc["target"],
+            **{k: doc["params"][k] for k in ("fake_state", "eve_basis", "beta_squared")}}
+
+
+def attack(strategy, target="S_C", fake=None, eve=None, b2=0.0):
+    return {"strategy": strategy, "target": target, "fake_state": fake,
+            "eve_basis": eve, "beta_squared": b2}
+
+
+# Spellings with the attack each one means. UNION_SPELLINGS cross the two
+# commands: a fake state or a basis after `run --attack`, and a target
+# after `attack --strategy`.
+ACCEPTED_SPELLINGS = [
+    (["run", "--attack", "intercept"], attack("intercept_resend")),
+    (["run", "--attack", "intercept:S_B"], attack("intercept_resend", "S_B")),
+    (["run", "--attack", "intercept-resend:S_A", "--fake", "+"],
+     attack("intercept_resend", "S_A", fake="+")),
+    (["run", "--attack", "Intercept_Resend:S_C", "--eve-basis", "X"],
+     attack("intercept_resend", eve="X")),
+    (["run", "--attack", "measure-resend:S_B", "--eve-basis", "Z"],
+     attack("measure_resend", "S_B", eve="Z")),
+    (["run", "--attack", "entangle:S_A", "--beta2", "0.5"],
+     attack("entangle_measure", "S_A", b2=0.5)),
+    (["run", "--attack", "entangle-measure", "--beta2", "0.1", "--fake", "0"],
+     attack("entangle_measure", b2=0.1)),
+    (["run", "--attack", "none:S_B"], attack("none", "S_B")),
+    (["attack", "--strategy", "intercept-resend:0", "--check-basis", "Z"],
+     attack("intercept_resend", fake="0")),
+    (["attack", "--strategy", "intercept:1", "--fake", "0"],
+     attack("intercept_resend", fake="1")),
+    (["attack", "--strategy", "INTERCEPT", "--fake", "-", "--target", "S_B"],
+     attack("intercept_resend", "S_B", fake="-")),
+    (["attack", "--strategy", "measure-resend:x", "--target", "S_B"],
+     attack("measure_resend", "S_B", eve="X")),
+    (["attack", "--strategy", "measure-resend:Z", "--eve-basis", "X"],
+     attack("measure_resend", eve="Z")),
+    (["attack", "--strategy", "measure-resend", "--eve-basis", "X", "--target", "S_A"],
+     attack("measure_resend", "S_A", eve="X")),
+    (["attack", "--strategy", "entangle", "--beta2", "0.25", "--target", "S_A"],
+     attack("entangle_measure", "S_A", b2=0.25)),
+    (["attack", "--strategy", "none"], attack("none")),
+]
+
+UNION_SPELLINGS = [
+    (["run", "--attack", "intercept:+"], attack("intercept_resend", fake="+")),
+    (["run", "--attack", "measure-resend:x", "--eve-basis", "Z"],
+     attack("measure_resend", eve="X")),
+    (["attack", "--strategy", "intercept:S_B"], attack("intercept_resend", "S_B")),
+    (["attack", "--strategy", "measure-resend:S_A", "--target", "S_B"],
+     attack("measure_resend", "S_A")),
+    (["attack", "--strategy", "entangle:S_B", "--beta2", "0.5"],
+     attack("entangle_measure", "S_B", b2=0.5)),
+]
+
+SPELLINGS = ACCEPTED_SPELLINGS + UNION_SPELLINGS
+
+
+@pytest.mark.parametrize("argv,expected", SPELLINGS,
+                         ids=[" ".join(argv) for argv, _ in SPELLINGS])
+def test_attack_spellings(argv, expected, tmp_path):
+    assert recorded_attack(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("command", ["run --attack", "attack --strategy"])
+@pytest.mark.parametrize("spec", ["warp", "intercept:Z", "measure-resend:0", "entangle:X",
+                                  "intercept:S_X"])
+def test_bad_attack_spellings_exit_two(command, spec, capsys):
+    argv = [*command.split(), spec, "--beta2", "0.25", "--seed", "1"]
+    if argv[0] == "run":
+        argv += ["--random-messages"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_seed_env_var(tmp_path):

@@ -41,8 +41,7 @@ def sweep_transcripts():
         for attack in sweep_attacks():
             for decoys in (0, 3, None):
                 for threshold in (0.0, 0.9):
-                    cfg = SessionConfig(n_groups=N_GROUPS, seed=seed, decoys_step1=decoys,
-                                        decoys_step3=decoys, decoys_step5=decoys,
+                    cfg = SessionConfig(n_groups=N_GROUPS, seed=seed, decoys=decoys,
                                         check_threshold=threshold, attack=attack)
                     msg_rng = Rng(seed, stream=2)
                     alice = random_message_bits(N_GROUPS, msg_rng)

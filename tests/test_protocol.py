@@ -17,9 +17,7 @@ from bqsdc.swap import collection_members, collection_table
 
 
 def quiet_cfg(n, seed=0, **kw):
-    kw.setdefault("decoys_step1", 0)
-    kw.setdefault("decoys_step3", 0)
-    kw.setdefault("decoys_step5", 0)
+    kw.setdefault("decoys", 0)
     return SessionConfig(n_groups=n, seed=seed, **kw)
 
 
@@ -54,7 +52,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SessionConfig(n_groups=1, check_threshold=1.0)
         with pytest.raises(ValueError):
-            SessionConfig(n_groups=1, decoys_step3=-1)
+            SessionConfig(n_groups=1, decoys=-1)
 
     def test_message_validation(self):
         with pytest.raises(ValueError):
@@ -77,8 +75,7 @@ class TestPrepare:
         assert odd[0] == even[0] == s.prepared[0]
 
     def test_sample_insertion_and_alignment(self):
-        cfg = SessionConfig(n_groups=4, seed=9, decoys_step1=2,
-                            decoys_step3=0, decoys_step5=0)
+        cfg = SessionConfig(n_groups=4, seed=9, decoys=2)
         s = Session(cfg, "0" * 12, "0" * 12)
         s.prepare()
         assert len(s.seqs["S_C"]) == 10
@@ -107,8 +104,7 @@ class TestPrepare:
 
 class TestChecks:
     def test_clean_channel_no_errors(self):
-        cfg = SessionConfig(n_groups=2, seed=5, decoys_step1=12,
-                            decoys_step3=12, decoys_step5=12)
+        cfg = SessionConfig(n_groups=2, seed=5, decoys=12)
         t = run_session(cfg, "010110", "101001")
         assert [c.errors for c in t.checks] == [0, 0, 0]
         assert [c.step for c in t.checks] == [2, 4, 5]
@@ -148,8 +144,7 @@ class TestEncoding:
 
     def test_decoys_never_touch_data_states(self):
         # same encoding must come out whether or not decoys ride along
-        cfg = SessionConfig(n_groups=1, seed=8, initial_label=GhzLabel.PSI0,
-                            decoys_step1=6, decoys_step3=6, decoys_step5=6)
+        cfg = SessionConfig(n_groups=1, seed=8, initial_label=GhzLabel.PSI0, decoys=6)
         s = Session(cfg, "010", "000")
         s.prepare()
         s.check1()
@@ -158,8 +153,7 @@ class TestEncoding:
         assert equal_up_to_global_phase(s.triples[0].state, expect)
 
     def test_decoy_states_drawn_uniformly(self):
-        cfg = SessionConfig(n_groups=1, seed=14, decoys_step1=0,
-                            decoys_step3=400, decoys_step5=400)
+        cfg = SessionConfig(n_groups=1, seed=14, decoys=400)
         s = Session(cfg, "010", "101")
         s.prepare()
         s.check1()
@@ -175,11 +169,10 @@ class TestEncoding:
             assert abs(c / 800 - 0.25) < 0.06
 
     def test_check_records_keep_decoy_positions(self):
-        cfg = SessionConfig(n_groups=2, seed=3, decoys_step1=5,
-                            decoys_step3=4, decoys_step5=3)
+        cfg = SessionConfig(n_groups=2, seed=3, decoys=4)
         t = run_session(cfg, "010110", "101001")
         by_step = {c.step: c for c in t.checks}
-        assert [len(by_step[s].decoys) for s in (2, 4, 5)] == [5, 4, 3]
+        assert [len(by_step[s].decoys) for s in (2, 4, 5)] == [4, 4, 4]
         for c in t.checks:
             positions = [d["position"] for d in c.decoys]
             assert positions == sorted(positions)
@@ -306,8 +299,7 @@ class TestAborts:
     def test_intercept_with_many_decoys_always_aborts(self):
         attack = AttackConfig("intercept_resend", target="S_C")
         for seed in range(1000):
-            cfg = SessionConfig(n_groups=1, seed=seed, decoys_step1=64,
-                                decoys_step3=0, decoys_step5=0, attack=attack)
+            cfg = SessionConfig(n_groups=1, seed=seed, decoys=64, attack=attack)
             t = run_session(cfg, "010", "101")
             assert t.abort_step == 2
             assert t.alice_message_bits() is None
@@ -318,8 +310,7 @@ class TestAborts:
         for decoys in (1, 2, 4):
             aborts = 0
             for seed in range(1000):
-                cfg = SessionConfig(n_groups=1, seed=seed, decoys_step1=decoys,
-                                    decoys_step3=0, decoys_step5=0, attack=attack)
+                cfg = SessionConfig(n_groups=1, seed=seed, decoys=decoys, attack=attack)
                 aborts += run_session(cfg, "010", "101").aborted
             rates.append(aborts / 1000)
         assert rates[0] <= rates[1] <= rates[2]
@@ -328,8 +319,7 @@ class TestAborts:
 
     def test_abort_skips_later_steps(self):
         attack = AttackConfig("measure_resend", target="S_B")
-        cfg = SessionConfig(n_groups=1, seed=5, decoys_step1=0,
-                            decoys_step3=64, decoys_step5=0, attack=attack)
+        cfg = SessionConfig(n_groups=1, seed=5, decoys=64, attack=attack)
         t = run_session(cfg, "010", "101")
         assert t.abort_step == 4
         assert [c.step for c in t.checks] == [2, 4]
@@ -337,8 +327,8 @@ class TestAborts:
 
     def test_threshold_tolerates_errors(self):
         attack = AttackConfig("measure_resend", target="S_B")
-        cfg = SessionConfig(n_groups=1, seed=5, decoys_step1=0, decoys_step3=64,
-                            decoys_step5=0, attack=attack, check_threshold=0.99)
+        cfg = SessionConfig(n_groups=1, seed=5, decoys=64, attack=attack,
+                            check_threshold=0.99)
         t = run_session(cfg, "010", "101")
         assert not t.aborted
 
