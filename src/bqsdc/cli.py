@@ -93,12 +93,12 @@ def _attack_config(spec: str, target: str, args) -> AttackConfig:
 
 def cmd_verify(args) -> int:
     csv_path = (args.csv_out or "swap_table.csv") if args.emit == "csv" else None
+    transform = codebook.verify_transform_table()
+    try:
+        swap_rep = swap.verify_swap_table(csv_path=csv_path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {csv_path}: {exc.strerror}") from None
     with _open_out(args.out) as out:
-        transform = codebook.verify_transform_table()
-        try:
-            swap_rep = swap.verify_swap_table(csv_path=csv_path)
-        except OSError as exc:
-            raise UsageError(f"cannot write {csv_path}: {exc.strerror}") from None
         n_ok = (64 - transform["mismatches"]) + (64 - swap_rep["mismatches"])
         print(f"transform chart: {64 - transform['mismatches']}/64 entries verified")
         print(f"swap collections: {64 - swap_rep['mismatches']}/64 pairs verified")

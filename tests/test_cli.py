@@ -104,7 +104,7 @@ def test_usage_errors_exit_two(tmp_path):
         res = run_cli(*args)
         assert res.returncode == 2, args
         assert "error:" in res.stderr and "Traceback" not in res.stderr, args
-        # every check, the writability of --out included, comes before the work
+        # every check, the writability of --out included, comes before any output
         assert res.stdout == "", args
     assert run_cli("nonsense").returncode == 2
 
