@@ -9,8 +9,8 @@ from .codebook import (CompositeOp, apply_composite, classify_ghz, ghz_state,
                        verify_transform_table)
 from .labels import BellLabel, CollectionLabel, GhzLabel
 from .protocol import (Session, SessionConfig, SessionTranscript, run_session)
-from .qcore import (MeasBasis, Rng, StateVector, born_distribution,
-                    equal_up_to_global_phase, make_basis_state, measure, tensor)
+from .qcore import (MeasBasis, Rng, StateVector, born_distribution, make_basis_state,
+                    measure, tensor)
 from .swap import (BellTriple, collection_of, collection_table,
                    swap_distribution, verify_swap_table)
 

@@ -38,8 +38,9 @@ _BASIS_TOKENS = ("Z", "X")
 class AttackConfig:
     """Which transmission Eve attacks, with which strategy and parameters.
 
-    fake_state/eve_basis of None mean a fresh uniform draw per particle.
-    beta_squared is the flip probability of the entangling attack.
+    fake_state (intercept-resend only) and eve_basis (measure-resend only)
+    of None mean a fresh uniform draw per particle. beta_squared is the flip
+    probability of the entangling attack and stays 0 for the others.
     """
 
     strategy: str
@@ -59,6 +60,12 @@ class AttackConfig:
             raise ValueError("eve_basis must be 'Z' or 'X'")
         if not 0.0 <= self.beta_squared <= 1.0:
             raise ValueError("beta_squared must lie in [0, 1]")
+        if self.fake_state is not None and self.strategy != "intercept_resend":
+            raise ValueError("a fake state goes with the intercept-resend attack only")
+        if self.eve_basis is not None and self.strategy != "measure_resend":
+            raise ValueError("Eve's basis goes with the measure-resend attack only")
+        if self.beta_squared != 0.0 and self.strategy != "entangle_measure":
+            raise ValueError("beta_squared goes with the entangling attack only")
 
     @classmethod
     def entangling(cls, beta_squared: float, target: str = "S_C") -> "AttackConfig":
@@ -162,17 +169,14 @@ class DetectionEstimate:
         }
 
 
-def _eve_choices(cfg: AttackConfig) -> tuple[list, bool]:
-    """Eve's per-particle random choice axis: (values, drawn per trial?)."""
+def _eve_choices(cfg: AttackConfig) -> list:
+    """Eve's per-particle choice axis; a trial draws from it when it has
+    more than one value."""
     if cfg.strategy == "intercept_resend":
-        if cfg.fake_state is None:
-            return list(DECOY_TOKENS), True
-        return [cfg.fake_state], False
+        return list(DECOY_TOKENS) if cfg.fake_state is None else [cfg.fake_state]
     if cfg.strategy == "measure_resend":
-        if cfg.eve_basis is None:
-            return list(_BASIS_TOKENS), True
-        return [cfg.eve_basis], False
-    return [None], False
+        return list(_BASIS_TOKENS) if cfg.eve_basis is None else [cfg.eve_basis]
+    return [None]
 
 
 def _ghz_outcome_table(cfg: AttackConfig, label: GhzLabel, choice, basis: MeasBasis):
@@ -227,21 +231,21 @@ def _decoy_outcome_table(cfg: AttackConfig, token: str, choice):
     return [(p, out != prep.expected) for out, p in dist.items() if p > qcore.ZERO_TOL]
 
 
-def _decoy_axis(template: CheckTemplate) -> tuple[list[str], bool]:
+def _decoy_axis(template: CheckTemplate) -> list[str]:
     if template.decoy_basis is None:
-        return list(DECOY_TOKENS), True
+        return list(DECOY_TOKENS)
     if template.decoy_basis == "Z":
-        return ["0", "1"], True
+        return ["0", "1"]
     if template.decoy_basis == "X":
-        return ["+", "-"], True
+        return ["+", "-"]
     raise ValueError("decoy_basis must be 'Z', 'X', or None")
 
 
-def _basis_axis(template: CheckTemplate) -> tuple[list[MeasBasis], bool]:
+def _basis_axis(template: CheckTemplate) -> list[MeasBasis]:
     if template.bob_basis is None:
-        return [MeasBasis.Z, MeasBasis.X], True
+        return [MeasBasis.Z, MeasBasis.X]
     if template.bob_basis in _BASIS_TOKENS:
-        return [MeasBasis(template.bob_basis)], False
+        return [MeasBasis(template.bob_basis)]
     raise ValueError("bob_basis must be 'Z', 'X', or None")
 
 
@@ -249,18 +253,19 @@ class _TrialSampler:
     """Per-trial sampler over exactly expanded branch tables."""
 
     def __init__(self, cfg: AttackConfig, template: CheckTemplate):
-        self.eve_values, self.eve_random = _eve_choices(cfg)
+        self.eve_values = _eve_choices(cfg)
         if cfg.target == "S_C":
-            self.lead_values, self.lead_random = _basis_axis(template)
+            self.lead_values = _basis_axis(template)
 
             def build(lead, choice):
                 return _ghz_outcome_table(cfg, template.sample_label, choice, lead)
         else:
-            self.lead_values, self.lead_random = _decoy_axis(template)
+            self.lead_values = _decoy_axis(template)
 
             def build(lead, choice):
                 return _decoy_outcome_table(cfg, lead, choice)
 
+        self.n_lead, self.n_eve = len(self.lead_values), len(self.eve_values)
         self.tables = {}
         for lead in self.lead_values:
             for choice in self.eve_values:
@@ -272,17 +277,17 @@ class _TrialSampler:
                 self.tables[(lead, choice)] = (cum, flags)
 
     def trial_is_detection(self, rng: Rng) -> bool:
-        lead = self.lead_values[rng.randrange(len(self.lead_values))] \
-            if self.lead_random else self.lead_values[0]
-        choice = self.eve_values[rng.randrange(len(self.eve_values))] \
-            if self.eve_random else self.eve_values[0]
+        lead = self.lead_values[rng.randrange(self.n_lead)] \
+            if self.n_lead > 1 else self.lead_values[0]
+        choice = self.eve_values[rng.randrange(self.n_eve)] \
+            if self.n_eve > 1 else self.eve_values[0]
         cum, flags = self.tables[(lead, choice)]
         idx = min(bisect_right(cum, rng.random()), len(flags) - 1)
         return flags[idx]
 
     def exact_rate(self) -> float:
         total = 0.0
-        weight = 1.0 / (len(self.lead_values) * len(self.eve_values))
+        weight = 1.0 / (self.n_lead * self.n_eve)
         for cum, flags in self.tables.values():
             prev = 0.0
             for edge, is_err in zip(cum, flags):

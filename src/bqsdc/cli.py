@@ -14,7 +14,7 @@ import json
 import os
 import secrets
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager
 
 from . import __version__, adversary, analysis, codebook, swap
 from .adversary import STRATEGIES, TARGETS, AttackConfig, CheckTemplate
@@ -42,15 +42,34 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return secrets.randbits(63)
 
 
-def _open_out(path: str | None, newline: str | None = None, default=None):
-    """The output file at path, opened before the work it records so that
-    an unwritable path fails at once; without a path, default."""
-    if not path:
-        return nullcontext(default)
-    try:
-        return open(path, "w", newline=newline)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+@contextmanager
+def _open_outputs(*paths: str | None):
+    """One open file per output path, None where a path is unset. Every path
+    is opened, without truncation, before any file is truncated and before
+    the work it records: an unwritable path fails at once and leaves the
+    other outputs as they were."""
+    made = []
+    for path in filter(None, paths):
+        new = not os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            for p in made:
+                os.remove(p)
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        if new:
+            made.append(path)
+    with ExitStack() as stack:
+        yield [stack.enter_context(open(p, "w", newline="")) if p else None for p in paths]
+
+
+def _csv_path(args, default: str) -> str | None:
+    """Where --emit csv writes its table; --csv-out alone is a usage error."""
+    if args.emit != "csv":
+        if args.csv_out:
+            raise UsageError("--csv-out needs --emit csv")
+        return None
+    return args.csv_out or default
 
 
 def _write_json(fh, payload: dict) -> None:
@@ -81,24 +100,20 @@ def _attack_config(spec: str, target: str, args) -> AttackConfig:
         else:
             raise UsageError(f"bad attack {spec!r}: ARG must be a target ({', '.join(TARGETS)}), "
                              "an intercept fake state or a measure-resend basis")
+    if (args.beta2 is None) == (name == "entangle_measure"):
+        raise UsageError("the entangle attack needs --beta2, and no other attack takes it")
     try:
-        if name == "entangle_measure":
-            if args.beta2 is None:
-                raise UsageError("entangle attack needs --beta2")
-            return AttackConfig.entangling(args.beta2, target=target)
-        return AttackConfig(name, target=target, fake_state=fake, eve_basis=eve_basis)
+        return AttackConfig(name, target=target, fake_state=fake, eve_basis=eve_basis,
+                            beta_squared=args.beta2 or 0.0)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_verify(args) -> int:
-    csv_path = (args.csv_out or "swap_table.csv") if args.emit == "csv" else None
-    transform = codebook.verify_transform_table()
-    try:
-        swap_rep = swap.verify_swap_table(csv_path=csv_path)
-    except OSError as exc:
-        raise UsageError(f"cannot write {csv_path}: {exc.strerror}") from None
-    with _open_out(args.out) as out:
+    csv_path = _csv_path(args, "swap_table.csv")
+    with _open_outputs(args.out, csv_path) as (out, csv_fh):
+        transform = codebook.verify_transform_table()
+        swap_rep = swap.verify_swap_table()
         n_ok = (64 - transform["mismatches"]) + (64 - swap_rep["mismatches"])
         print(f"transform chart: {64 - transform['mismatches']}/64 entries verified")
         print(f"swap collections: {64 - swap_rep['mismatches']}/64 pairs verified")
@@ -110,6 +125,12 @@ def cmd_verify(args) -> int:
             "swap_table": {k: v for k, v in swap_rep.items() if k != "entries"},
             "swap_entries": swap_rep["entries"],
         })
+        if csv_fh is not None:
+            writer = csv.writer(csv_fh)
+            writer.writerow(["g1", "g2", "collection", "support", "max_prob_deviation"])
+            for e in swap_rep["entries"]:
+                writer.writerow([e["g1"], e["g2"], e["collection"],
+                                 ";".join(e["support"]), f"{e['max_prob_deviation']:.3e}"])
     if csv_path:
         print(f"wrote {csv_path}")
     failed = (transform["mismatches"] or swap_rep["mismatches"]
@@ -144,7 +165,7 @@ def cmd_run(args) -> int:
         session = Session(cfg, alice, bob)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _open_out(args.out, default=sys.stdout) as out:
+    with _open_outputs(args.out) as (out,):
         transcript = session.run()
         # the session's registers are garbage now; freeing them before the
         # transcript is serialised keeps the two off the heap together
@@ -157,7 +178,7 @@ def cmd_run(args) -> int:
         else:
             print(f"alice decoded: {transcript.alice_message_bits()}")
             print(f"bob decoded:   {transcript.bob_message_bits()}")
-        out.write(transcript.to_json())
+        (out or sys.stdout).write(transcript.to_json())
     return 0
 
 
@@ -174,7 +195,7 @@ def cmd_attack(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _open_out(args.out) as out:
+    with _open_outputs(args.out) as (out,):
         est = adversary.estimate_detection(cfg, template, trials=args.trials, seed=seed)
         print(f"strategy {est.strategy} on {est.target}: rate {est.rate:.4f} "
               f"(ci95 {est.ci95:.4f}, exact {est.exact_value:.4f})")
@@ -190,8 +211,8 @@ def cmd_analyze(args) -> int:
         if args.monte_carlo < 1:
             raise UsageError("--monte-carlo needs at least one group")
         seed = _resolve_seed(args.seed)
-    csv_path = (args.csv_out or "comparison.csv") if args.emit == "csv" else None
-    with _open_out(args.out) as out, _open_out(csv_path, newline="") as csv_fh:
+    csv_path = _csv_path(args, "comparison.csv")
+    with _open_outputs(args.out, csv_path) as (out, csv_fh):
         leak = analysis.leakage_report()
         cap = analysis.capacity_report()
         rows = analysis.comparison_report()

@@ -56,13 +56,6 @@ class CompositeOp(IntEnum):
     def token(self) -> str:
         return f"U{int(self)}"
 
-    @classmethod
-    def from_token(cls, text: str) -> "CompositeOp":
-        t = text.strip().upper()
-        if not t.startswith("U") or not t[1:].isdigit():
-            raise ValueError(f"not a composite op: {text!r}")
-        return cls(int(t[1:]))
-
 
 _OP_FACTORS = {
     CompositeOp.U0: (SZ, SZ),
@@ -126,24 +119,19 @@ def _derive_transform(initial: GhzLabel, op: CompositeOp) -> tuple[GhzLabel, flo
 
 
 @lru_cache(maxsize=None)
-def _transform_data() -> dict[tuple[GhzLabel, CompositeOp], tuple[GhzLabel, float]]:
-    return {(p, k): _derive_transform(p, k) for p in GhzLabel for k in CompositeOp}
+def _transform_data() -> dict[tuple[GhzLabel, CompositeOp], GhzLabel]:
+    return {(p, k): _derive_transform(p, k)[0] for p in GhzLabel for k in CompositeOp}
 
 
 def transform_label(initial: GhzLabel, op: CompositeOp) -> GhzLabel:
     """Label of the GHZ state produced by the composite operation."""
-    return _transform_data()[(initial, op)][0]
-
-
-def transform_phase(initial: GhzLabel, op: CompositeOp) -> float:
-    """Global phase (+1 or -1) accompanying :func:`transform_label`."""
-    return _transform_data()[(initial, op)][1]
+    return _transform_data()[(initial, op)]
 
 
 @lru_cache(maxsize=None)
 def _inverse_data() -> dict[tuple[GhzLabel, GhzLabel], CompositeOp]:
     inv = {}
-    for (p, k), (q, _) in _transform_data().items():
+    for (p, k), q in _transform_data().items():
         if (p, q) in inv:
             raise AssertionError("transform rows are not permutations")
         inv[(p, q)] = k

@@ -90,13 +90,6 @@ class CollectionLabel(IntEnum):
     def token(self) -> str:
         return f"c{int(self)}"
 
-    @classmethod
-    def from_token(cls, text: str) -> "CollectionLabel":
-        t = text.strip().lower()
-        if not t.startswith("c") or not t[1:].isdigit():
-            raise ValueError(f"not a collection label: {text!r}")
-        return cls(int(t[1:]))
-
 
 def ghz_amplitudes(label: GhzLabel) -> np.ndarray:
     """Amplitude vector of the GHZ basis state, qubit 0 most significant."""

@@ -255,8 +255,6 @@ class Session:
         self.triples: list[Register] = []
         # Transmitted sequences, including in-flight samples and decoys.
         self.seqs: dict[str, list[_Entry]] = {"S_A": [], "S_B": [], "S_C": []}
-        self.prepared: list[GhzLabel] = []
-        self.measured_labels: list[GhzLabel | None] = [None] * cfg.n_groups
 
     # -- step 1 ----------------------------------------------------------
 
@@ -268,7 +266,6 @@ class Session:
         for n in range(cfg.n_groups):
             label = cfg.initial_label if cfg.initial_label is not None \
                 else GhzLabel(self.rng.randrange(8))
-            self.prepared.append(label)
             self.transcript.groups.append(GroupRecord(index=n + 1, prepared_label=label))
             self.triples.append(Register(ghz_state(label)))
             self.triples.append(Register(ghz_state(label)))
@@ -387,7 +384,6 @@ class Session:
         for n, op in enumerate(self.bob_ops):
             i = 2 * n + 1
             p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2], self.rng)
-            self.measured_labels[n] = p_label
             fresh = Register(ghz_state(p_label))
             apply_op(fresh, 0, op.first)
             apply_op(fresh, 1, op.second)
@@ -414,10 +410,9 @@ class Session:
         return announcements
 
     def decode(self) -> None:
-        for n in range(self.cfg.n_groups):
-            rec = self.transcript.groups[n]
-            a_bits = alice_decode(self.prepared[n], self.alice_ops[n], rec.announcement)
-            b_bits = bob_decode(self.measured_labels[n], self.bob_ops[n], rec.announcement)
+        for rec in self.transcript.groups:
+            a_bits = alice_decode(rec.prepared_label, rec.a_op, rec.announcement)
+            b_bits = bob_decode(rec.p_label, rec.b_op, rec.announcement)
             rec.decoded_by_alice = "".join(map(str, a_bits))
             rec.decoded_by_bob = "".join(map(str, b_bits))
 

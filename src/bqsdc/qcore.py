@@ -182,42 +182,53 @@ def apply_single(s: StateVector, op: SingleQubitOp, q: int) -> StateVector:
 def apply_unitary(s: StateVector, matrix: np.ndarray, qubits: Sequence[int]) -> StateVector:
     """Apply a k-qubit unitary to the given (distinct) qubit indices."""
     n = s.num_qubits
+    mat, perm = _grouped(s.amps, n, _check_qubits(n, qubits))
+    return StateVector(_ungrouped(np.asarray(matrix, dtype=np.complex128) @ mat, n, perm))
+
+
+def _check_qubits(n: int, qubits: Sequence[int]) -> list[int]:
     qs = list(qubits)
-    k = len(qs)
-    if len(set(qs)) != k or any(not 0 <= q < n for q in qs):
-        raise IndexError(f"bad qubit indices {qubits} for {n} qubits")
-    rest = [i for i in range(n) if i not in qs]
-    perm = qs + rest
-    t = s.amps.reshape((2,) * n).transpose(perm).reshape(1 << k, -1)
-    out = (np.asarray(matrix, dtype=np.complex128) @ t).reshape((2,) * n)
-    inv = np.argsort(perm)
-    return StateVector(out.transpose(inv).reshape(-1))
-
-
-def _grouped(amps: np.ndarray, n: int, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """Reshape amplitudes to (2**k, rest) with the measured qubits in front."""
-    qs = list(qubits)
-    rest = [i for i in range(n) if i not in qs]
-    perm = qs + rest
-    return amps.reshape((2,) * n).transpose(perm).reshape(1 << len(qs), -1), perm
-
-
-def _collapse(mat: np.ndarray, vec: np.ndarray, proj: np.ndarray, prob: float,
-              n: int, perm: list[int]) -> np.ndarray:
-    """Post-measurement amplitudes given the projection coefficients."""
-    out = np.outer(vec, proj / np.sqrt(prob)).reshape((2,) * n)
-    return out.transpose(np.argsort(perm)).reshape(-1)
+    if len(set(qs)) != len(qs):
+        raise ValueError("qubit indices must be distinct")
+    if any(not 0 <= q < n for q in qs):
+        raise IndexError(f"qubit indices {qs} out of range for {n} qubits")
+    return qs
 
 
 def _check_measurement_args(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> list[int]:
     qs = list(qubits)
     if len(qs) != basis.arity:
         raise ValueError(f"{basis.value} basis measures {basis.arity} qubits, got {len(qs)}")
-    if len(set(qs)) != len(qs):
-        raise ValueError("qubit indices must be distinct")
-    if any(not 0 <= q < s.num_qubits for q in qs):
-        raise IndexError(f"qubit indices {qs} out of range")
-    return qs
+    return _check_qubits(s.num_qubits, qs)
+
+
+def _grouped(amps: np.ndarray, n: int, qs: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Reshape amplitudes to (2**k, rest) with the qubits qs in front."""
+    perm = qs + [i for i in range(n) if i not in qs]
+    return amps.reshape((2,) * n).transpose(perm).reshape(1 << len(qs), -1), perm
+
+
+def _ungrouped(mat: np.ndarray, n: int, perm: list[int]) -> np.ndarray:
+    """Inverse of _grouped: flat amplitudes in the original qubit order."""
+    return mat.reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
+
+
+def _born(amps: np.ndarray, n: int, basis: MeasBasis, qs: list[int]):
+    """The Born projection: group the measured qubits, project onto each
+    basis vector and take the norm. Returns (perm, rows), one row
+    (label, prob, vec, proj) per basis outcome in basis order."""
+    mat, perm = _grouped(amps, n, qs)
+    rows = []
+    for label, vec in basis_outcomes(basis):
+        proj = vec.conj() @ mat
+        rows.append((label, float(np.vdot(proj, proj).real), vec, proj))
+    return perm, rows
+
+
+def _collapse(vec: np.ndarray, proj: np.ndarray, prob: float,
+              n: int, perm: list[int]) -> np.ndarray:
+    """Post-measurement amplitudes for one row of _born."""
+    return _ungrouped(np.outer(vec, proj / np.sqrt(prob)), n, perm)
 
 
 def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> dict:
@@ -226,12 +237,8 @@ def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -
     Returns the full map over basis labels; probabilities sum to one.
     """
     qs = _check_measurement_args(s, basis, qubits)
-    mat, _ = _grouped(s.amps, s.num_qubits, qs)
-    dist = {}
-    for label, vec in basis_outcomes(basis):
-        proj = vec.conj() @ mat
-        dist[label] = float(np.vdot(proj, proj).real)
-    return dist
+    _, rows = _born(s.amps, s.num_qubits, basis, qs)
+    return {label: prob for label, prob, _, _ in rows}
 
 
 def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
@@ -242,23 +249,16 @@ def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
     """
     qs = _check_measurement_args(s, basis, qubits)
     n = s.num_qubits
-    mat, perm = _grouped(s.amps, n, qs)
-    outcomes = basis_outcomes(basis)
-    projs = [vec.conj() @ mat for _, vec in outcomes]
-    probs = [float(np.vdot(p, p).real) for p in projs]
+    perm, rows = _born(s.amps, n, basis, qs)
     r = rng.random()
     acc = 0.0
-    pick = None
-    for idx, p in enumerate(probs):
-        acc += p
-        if r < acc and p > ZERO_TOL:
-            pick = idx
+    for label, prob, vec, proj in rows:
+        acc += prob
+        if r < acc and prob > ZERO_TOL:
             break
-    if pick is None:  # numerical guard: fall back to the largest outcome
-        pick = max(range(len(probs)), key=probs.__getitem__)
-    label, vec = outcomes[pick]
-    amps = _collapse(mat, vec, projs[pick], probs[pick], n, perm)
-    return label, StateVector(amps)
+    else:  # numerical guard: fall back to the largest outcome
+        label, prob, vec, proj = max(rows, key=lambda row: row[1])
+    return label, StateVector(_collapse(vec, proj, prob, n, perm))
 
 
 def measurement_branches(s: StateVector, basis: MeasBasis,
@@ -267,15 +267,9 @@ def measurement_branches(s: StateVector, basis: MeasBasis,
     measurement, zero-probability outcomes dropped."""
     qs = _check_measurement_args(s, basis, qubits)
     n = s.num_qubits
-    mat, perm = _grouped(s.amps, n, qs)
-    branches = []
-    for label, vec in basis_outcomes(basis):
-        proj = vec.conj() @ mat
-        p = float(np.vdot(proj, proj).real)
-        if p <= ZERO_TOL:
-            continue
-        branches.append((label, p, StateVector(_collapse(mat, vec, proj, p, n, perm))))
-    return branches
+    perm, rows = _born(s.amps, n, basis, qs)
+    return [(label, prob, StateVector(_collapse(vec, proj, prob, n, perm)))
+            for label, prob, vec, proj in rows if prob > ZERO_TOL]
 
 
 def joint_distribution(s: StateVector, basis: MeasBasis,
@@ -292,22 +286,8 @@ def joint_distribution(s: StateVector, basis: MeasBasis,
         qs = list(qs)
         nxt = []
         for outs, prob, amps in branches:
-            mat, perm = _grouped(amps, n, qs)
-            for label, vec in basis_outcomes(basis):
-                proj = vec.conj() @ mat
-                p = float(np.vdot(proj, proj).real)
-                if p <= ZERO_TOL:
-                    continue
-                nxt.append((outs + (label,), prob * p,
-                            _collapse(mat, vec, proj, p, n, perm)))
+            perm, rows = _born(amps, n, basis, qs)
+            nxt.extend((outs + (label,), prob * p, _collapse(vec, proj, p, n, perm))
+                       for label, p, vec, proj in rows if p > ZERO_TOL)
         branches = nxt
     return {outs: prob for outs, prob, _ in branches}
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) -> bool:
-    """True iff a = c * b for some unit-modulus scalar c, within tol."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("qubit count mismatch")
-    ov = np.vdot(b.amps, a.amps)
-    c = ov / abs(ov) if abs(ov) > 0 else 1.0
-    return float(np.linalg.norm(a.amps - c * b.amps)) <= tol

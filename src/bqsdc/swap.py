@@ -13,7 +13,6 @@ verification fixture for :func:`verify_swap_table`.
 
 from __future__ import annotations
 
-import csv
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -45,10 +44,6 @@ class BellTriple(NamedTuple):
         if len(parts) != 3:
             raise ValueError(f"not a Bell triple: {text!r}")
         return cls(*(BellLabel.from_token(p) for p in parts))
-
-
-def all_bell_triples() -> list[BellTriple]:
-    return [BellTriple(a, b, c) for a in BellLabel for b in BellLabel for c in BellLabel]
 
 
 def swap_distribution(g1: GhzLabel, g2: GhzLabel) -> dict[BellTriple, float]:
@@ -139,10 +134,9 @@ REFERENCE_COLLECTIONS: tuple[frozenset[BellTriple], ...] = (
 )
 
 
-def verify_swap_table(csv_path: str | None = None) -> dict:
+def verify_swap_table() -> dict:
     """Cross-check every swap distribution against the collection chart and
-    the hand-enumerated reference sets. Returns a JSON-ready report and
-    optionally writes the 64-row table as CSV."""
+    the hand-enumerated reference sets. Returns a JSON-ready report."""
     entries = []
     mismatches = 0
     max_dev = 0.0
@@ -172,7 +166,7 @@ def verify_swap_table(csv_path: str | None = None) -> dict:
         for m in range(8)
     )
     sizes = [len(ms) for ms in _collection_members()]
-    report = {
+    return {
         "entries": entries,
         "mismatches": mismatches,
         "max_prob_deviation": max_dev,
@@ -180,11 +174,3 @@ def verify_swap_table(csv_path: str | None = None) -> dict:
         "collection_sizes": sizes,
         "partition_ok": sum(sizes) == 64,
     }
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["g1", "g2", "collection", "support", "max_prob_deviation"])
-            for e in entries:
-                writer.writerow([e["g1"], e["g2"], e["collection"],
-                                 ";".join(e["support"]), f"{e['max_prob_deviation']:.3e}"])
-    return report

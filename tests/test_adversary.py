@@ -26,6 +26,15 @@ class TestAttackConfig:
         for beta_squared in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 AttackConfig("entangle_measure", beta_squared=beta_squared)
+        # a parameter of another strategy
+        for strategy, param, value in [("measure_resend", "fake_state", "1"),
+                                       ("none", "fake_state", "0"),
+                                       ("intercept_resend", "eve_basis", "X"),
+                                       ("entangle_measure", "eve_basis", "Z"),
+                                       ("intercept_resend", "beta_squared", 0.3),
+                                       ("measure_resend", "beta_squared", 1.0)]:
+            with pytest.raises(ValueError):
+                AttackConfig(strategy, **{param: value})
 
     def test_entangling_constructor(self):
         cfg = AttackConfig.entangling(0.25, target="S_A")
@@ -121,14 +130,22 @@ class TestExactRates:
             AttackConfig("intercept_resend", "S_A", fake_state="+"),
             CheckTemplate()) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("beta_sq", [0.0, 0.1, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("beta_sq", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
     def test_entangle_rate_is_flip_probability(self, beta_sq):
-        ghz = exact_detection_probability(
-            AttackConfig.entangling(beta_sq), CheckTemplate(bob_basis="Z"))
-        decoy = exact_detection_probability(
-            AttackConfig.entangling(beta_sq, target="S_A"), CheckTemplate(decoy_basis="Z"))
-        assert ghz == pytest.approx(beta_sq, abs=1e-12)
-        assert decoy == pytest.approx(beta_sq, abs=1e-12)
+        checks = [
+            (AttackConfig.entangling(beta_sq), CheckTemplate(bob_basis="Z")),
+            (AttackConfig.entangling(beta_sq, target="S_B"), CheckTemplate(decoy_basis="Z")),
+            (AttackConfig.entangling(beta_sq, target="S_A"), CheckTemplate(decoy_basis="Z")),
+        ]
+        for cfg, template in checks:
+            assert exact_detection_probability(cfg, template) == pytest.approx(beta_sq, abs=1e-12)
+        # Monte Carlo against exact on the sample check and the S_B decoys:
+        # 5 binomial standard deviations at a fixed seed (exact at 0 and 1)
+        trials = 20_000
+        bound = 5 * (beta_sq * (1 - beta_sq) / trials) ** 0.5 + 1e-12
+        for cfg, template in checks[:2]:
+            est = estimate_detection(cfg, template, trials=trials, seed=17)
+            assert abs(est.rate - est.exact_value) <= bound, (cfg.target, est.rate)
 
     def test_entangle_invisible_to_x_decoys(self):
         rate = exact_detection_probability(

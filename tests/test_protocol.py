@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import equal_up_to_global_phase
 
 from bqsdc.adversary import AttackConfig
 from bqsdc.checks import consistent_ghz_outcomes
@@ -11,8 +12,7 @@ from bqsdc.particles import Register, append_ancilla, measure_particles, merge
 from bqsdc.protocol import (Session, SessionConfig, alice_decode, bob_decode,
                             default_decoy_count, message_triples,
                             random_message_bits, run_session)
-from bqsdc.qcore import (MeasBasis, Rng, StateVector, equal_up_to_global_phase,
-                         make_basis_state)
+from bqsdc.qcore import MeasBasis, Rng, StateVector, make_basis_state
 from bqsdc.swap import collection_members, collection_table
 
 
@@ -72,7 +72,7 @@ class TestPrepare:
         from bqsdc.codebook import classify_ghz
         odd = classify_ghz(s.triples[0].state)
         even = classify_ghz(s.triples[1].state)
-        assert odd[0] == even[0] == s.prepared[0]
+        assert odd[0] == even[0] == s.transcript.groups[0].prepared_label
 
     def test_sample_insertion_and_alignment(self):
         cfg = SessionConfig(n_groups=4, seed=9, decoys=2)
@@ -88,7 +88,7 @@ class TestPrepare:
     def test_forced_initial_label(self):
         s = Session(quiet_cfg(3, seed=1, initial_label=GhzLabel.PSI6), "0" * 9, "0" * 9)
         s.prepare()
-        assert s.prepared == [GhzLabel.PSI6] * 3
+        assert [g.prepared_label for g in s.transcript.groups] == [GhzLabel.PSI6] * 3
 
     def test_prepared_labels_uniform(self):
         # frequency of each of the eight labels over 1e4 groups within
@@ -96,8 +96,8 @@ class TestPrepare:
         s = Session(quiet_cfg(10_000, seed=123), "0" * 30_000, "0" * 30_000)
         s.prepare()
         counts = {lab: 0 for lab in GhzLabel}
-        for lab in s.prepared:
-            counts[lab] += 1
+        for g in s.transcript.groups:
+            counts[g.prepared_label] += 1
         for lab, c in counts.items():
             assert abs(c / 10_000 - 0.125) < 0.02
 
@@ -190,7 +190,7 @@ class TestEncoding:
             s.check2()
             s.check3()
             s.bob_encode()
-            assert s.measured_labels == s.prepared
+            assert all(g.p_label == g.prepared_label for g in s.transcript.groups)
 
     def test_bob_encode_label_change(self):
         s = Session(quiet_cfg(1, seed=3, initial_label=GhzLabel.PSI0), "000", "101")

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import equal_up_to_global_phase
+
 from bqsdc import qcore
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          apply_single, apply_unitary, basis_outcomes,
-                         born_distribution, equal_up_to_global_phase,
-                         joint_distribution, make_basis_state, measure, tensor)
+                         born_distribution, joint_distribution, make_basis_state,
+                         measure, tensor)
 
 INV = 2 ** -0.5
 

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
+from bqsdc import cli
 from bqsdc.labels import BellLabel, CollectionLabel, GhzLabel
 from bqsdc.qcore import ATOL
-from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, all_bell_triples,
-                        collection_members, collection_of, collection_table,
+from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, collection_members, collection_of, collection_table,
                         swap_distribution, verify_swap_table)
 
 # Independent reference chart: cell [g1][g2] = collection index.
@@ -66,8 +68,8 @@ class TestCollections:
         assert collection_of(t) == CollectionLabel.C7
 
     def test_collection_of_total(self):
-        for t in all_bell_triples():
-            assert collection_of(t) in CollectionLabel
+        for labels in itertools.product(BellLabel, repeat=3):
+            assert collection_of(BellTriple(*labels)) in CollectionLabel
 
     def test_sign_parity_constant_within_collection(self):
         for m in CollectionLabel:
@@ -115,9 +117,10 @@ def test_verify_swap_table_report():
     assert report["max_prob_deviation"] <= ATOL
 
 
-def test_verify_swap_table_csv(tmp_path):
+def test_verify_swap_table_csv(tmp_path, capsys):
     path = tmp_path / "table.csv"
-    verify_swap_table(csv_path=str(path))
+    assert cli.main(["verify", "--emit", "csv", "--csv-out", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {path}\n")
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 65
     assert lines[0] == "g1,g2,collection,support,max_prob_deviation"
