@@ -14,4 +14,4 @@ from .qcore import (MeasBasis, Rng, StateVector, born_distribution, make_basis_s
 from .swap import (BellTriple, collection_of, collection_table,
                    swap_distribution, verify_swap_table)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,26 +147,13 @@ class DetectionEstimate:
     trials: int
     detections: int
     rate: float
-    per_decoy_rate: float
     ci95: float
     exact_value: float
     claimed_value: float | None
     abs_error: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "target": self.target,
-            "params": self.params,
-            "trials": self.trials,
-            "detections": self.detections,
-            "rate": self.rate,
-            "per_decoy_rate": self.per_decoy_rate,
-            "ci95": self.ci95,
-            "exact_value": self.exact_value,
-            "claimed_value": self.claimed_value,
-            "abs_error": self.abs_error,
-        }
+        return asdict(self)
 
 
 def _eve_choices(cfg: AttackConfig) -> list:
@@ -380,7 +367,6 @@ def estimate_detection(cfg: AttackConfig, template: CheckTemplate = CheckTemplat
         trials=trials,
         detections=detections,
         rate=rate,
-        per_decoy_rate=rate,
         ci95=1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials),
         exact_value=sampler.exact_rate(),
         claimed_value=claimed,

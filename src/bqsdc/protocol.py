@@ -17,14 +17,21 @@ leaves behind joins the register it hits. The two triples of a group are
 merged into one register exactly once, at Bob's swap, so no state is wider
 than two triples plus one attack qubit (7 qubits).
 
-Every random draw comes from one keyed stream, so a transcript is a pure
-function of the configuration (byte-identical across runs).
+The paper hides the samples and decoys at random positions of each
+sequence. Eve treats every particle of a sequence alike, so a position would
+change nothing but the order of the random draws, and positions are not
+simulated. Instead every draw comes from a stream keyed by its place in the
+protocol and the group, triple, sample or decoy it concerns (the stream ids
+above Session). A transcript is therefore a pure function of the
+configuration and the messages (byte-identical across runs), and group n's
+record depends only on the seed, the attack, the initial state and group
+n's own messages: not on N, the decoy count or the other groups.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from . import particles
@@ -61,12 +68,14 @@ class SessionConfig:
             raise ValueError("check_threshold must lie in [0, 1)")
         if self.decoys is not None and self.decoys < 0:
             raise ValueError("decoy counts must be nonnegative")
+        if self.attack is not None and self.attack.strategy == "none":
+            # no attack, whatever target it names
+            object.__setattr__(self, "attack", None)
 
     def resolved_decoys(self) -> int:
         return self.decoys if self.decoys is not None else default_decoy_count(self.n_groups)
 
     def to_json_dict(self) -> dict:
-        d = self.resolved_decoys()
         attack = None
         if self.attack is not None:
             attack = {
@@ -79,9 +88,7 @@ class SessionConfig:
         return {
             "n_groups": self.n_groups,
             "seed": self.seed,
-            "decoys_step1": d,
-            "decoys_step3": d,
-            "decoys_step5": d,
+            "decoys": self.resolved_decoys(),
             "check_threshold": self.check_threshold,
             "attack": attack,
             "initial_label": self.initial_label.token if self.initial_label else None,
@@ -95,17 +102,9 @@ class CheckRecord:
     errors: int
     error_rate: float
     aborted: bool
-    # per-decoy details (position, state, basis, ok); kept out of the JSON
-    decoys: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "samples": self.samples,
-            "errors": self.errors,
-            "error_rate": self.error_rate,
-            "aborted": self.aborted,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -225,16 +224,24 @@ def bob_decode(measured: GhzLabel, b_op: CompositeOp,
     return infer_op_from_announcement(measured, b_op, announcement, "second").bits
 
 
-@dataclass(slots=True)
-class _Entry:
-    """One slot of a transmitted particle sequence: the particle at role of
-    reg, for a data triple, a GHZ sample (with its label) or a decoy."""
+# Stream ids. Every draw of a session comes from Rng(cfg.seed, stream=id),
+# id = place << _UNIT_BITS | unit: the place in the protocol in the top byte,
+# the index of the group, triple, sample or decoy it concerns below it. Places
+# start at 1, so no session stream is one of the message streams 1 and 2 that
+# cli and analysis draw from. Draws within one stream keep a fixed order.
+_UNIT_BITS = 56
+_GROUP_LABEL = 1                                  # unit: group n
+_SAMPLE_LABEL = 2                                 # unit: GHZ sample i
+_DECOY_TOKEN = {"S_B": 3, "S_A": 4}               # unit: decoy i of that sequence
+_CHECK = {"S_C": 5, "S_B": 6, "S_A": 7}           # unit: sample or decoy i measured
+_BOB_GHZ = 8                                      # unit: group n
+_SWAP = 9                                         # unit: group n
+_EVE_TRIPLES = {"S_C": 10, "S_B": 11, "S_A": 12}  # unit: triple t (2n odd, 2n+1 even)
+_EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in flight
 
-    reg: Register
-    role: int
-    kind: str                          # "data" | "sample" | "decoy"
-    label: GhzLabel | None = None
-    decoy_token: str | None = None
+# Each sequence carries the particle at this role of every triple (and, in
+# S_C, of every GHZ sample).
+_ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 
 class Session:
@@ -242,84 +249,78 @@ class Session:
 
     Use run_session for the whole pipeline; the step methods exist so tests
     and experiments can drive or inspect intermediate states.
+
+    A transmitted sequence is the particle at its role of every triple plus
+    its samples or decoys, in no particular order: positions are not
+    simulated (see the module docstring). Each draw comes from the stream
+    of its place and unit (_rng), so no step depends on how many draws an
+    earlier one made.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
         self.cfg = cfg
         self.alice_ops = [message_to_op(t) for t in message_triples(alice_bits, cfg.n_groups)]
         self.bob_ops = [message_to_op(t) for t in message_triples(bob_bits, cfg.n_groups)]
-        self.rng = Rng(cfg.seed)
         self.transcript = SessionTranscript(config=cfg)
         # Group n's odd triple at index 2n and its even triple at 2n+1; roles
         # 0, 1, 2 are the particles sent in S_A, S_B, S_C.
         self.triples: list[Register] = []
-        # Transmitted sequences, including in-flight samples and decoys.
-        self.seqs: dict[str, list[_Entry]] = {"S_A": [], "S_B": [], "S_C": []}
+        # GHZ samples (label, register), whose third particles travel in S_C,
+        # and the decoys (token, register) that travel in S_B and in S_A.
+        self.samples: list[tuple[GhzLabel, Register]] = []
+        self.decoys: dict[str, list[tuple[str, Register]]] = {}
+
+    def _rng(self, place: int, unit: int) -> Rng:
+        return Rng(self.cfg.seed, stream=place << _UNIT_BITS | unit)
 
     # -- step 1 ----------------------------------------------------------
 
     def prepare(self) -> None:
-        """Draw labels, build two identical GHZ triples per group, insert
-        aligned GHZ samples, and transmit the third-particle sequence."""
+        """Draw labels, build two identical GHZ triples per group and the
+        GHZ samples, and transmit the third-particle sequence."""
         cfg = self.cfg
-        d = cfg.resolved_decoys()
         for n in range(cfg.n_groups):
             label = cfg.initial_label if cfg.initial_label is not None \
-                else GhzLabel(self.rng.randrange(8))
+                else GhzLabel(self._rng(_GROUP_LABEL, n).randrange(8))
             self.transcript.groups.append(GroupRecord(index=n + 1, prepared_label=label))
             self.triples.append(Register(ghz_state(label)))
             self.triples.append(Register(ghz_state(label)))
-
-        samples = []
-        for _ in range(d):
-            label = GhzLabel(self.rng.randrange(8))
-            samples.append((label, Register(ghz_state(label))))
-
-        total = 2 * cfg.n_groups + d
-        positions = set(self.rng.index_sample(total, d))
-        # Sample particles go to the same index in all three sequences so
-        # the triples stay aligned for the correlation check.
-        data, extra = iter(self.triples), iter(samples)
-        for pos in range(total):
-            if pos in positions:
-                label, reg = next(extra)
-                kind = "sample"
-            else:
-                label, reg, kind = None, next(data), "data"
-            for role, name in enumerate(("S_A", "S_B", "S_C")):
-                self.seqs[name].append(_Entry(reg, role, kind, label))
+        for i in range(cfg.resolved_decoys()):
+            label = GhzLabel(self._rng(_SAMPLE_LABEL, i).randrange(8))
+            self.samples.append((label, Register(ghz_state(label))))
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
-        cfg = self.cfg.attack
-        if cfg is None or cfg.strategy == "none" or cfg.target != name:
+        """Eve's pass over one sequence: the particle at its role of every
+        triple, then its samples (S_C) or decoys (S_B, S_A)."""
+        attack = self.cfg.attack
+        if attack is None or attack.target != name:
             return
-        for entry in self.seqs[name]:
-            apply_attack(entry.reg, entry.role, cfg, self.rng)
+        role = _ROLES[name]
+        for t, reg in enumerate(self.triples):
+            apply_attack(reg, role, attack, self._rng(_EVE_TRIPLES[name], t))
+        # a decoy is a single particle, at role 0 of its register
+        extras, extra_role = (self.samples, role) if name == "S_C" else (self.decoys[name], 0)
+        for i, (_, reg) in enumerate(extras):
+            apply_attack(reg, extra_role, attack, self._rng(_EVE_EXTRAS[name], i))
 
     # -- step 2 ----------------------------------------------------------
 
     def check1(self) -> CheckRecord:
         """GHZ-sample correlation check on the delivered third particles."""
-        errors, records = 0, []
-        samples = [(i, e) for i, e in enumerate(self.seqs["S_C"]) if e.kind == "sample"]
-        for pos, entry in samples:
-            basis = MeasBasis.Z if self.rng.randrange(2) == 0 else MeasBasis.X
-            c_out = measure_particles(basis, entry.reg, [2], self.rng)
-            a_out = measure_particles(basis, entry.reg, [0], self.rng)
-            b_out = measure_particles(basis, entry.reg, [1], self.rng)
-            ok = ghz_sample_ok(entry.label, basis, (a_out, b_out, c_out))
-            errors += not ok
-            records.append({"position": pos, "kind": "ghz_sample",
-                            "state": entry.label.token,
-                            "basis": basis.value, "ok": ok})
-        return self._record_check(2, len(samples), errors, records)
+        errors = 0
+        for i, (label, reg) in enumerate(self.samples):
+            rng = self._rng(_CHECK["S_C"], i)
+            basis = MeasBasis.Z if rng.randrange(2) == 0 else MeasBasis.X
+            c_out = measure_particles(basis, reg, [2], rng)
+            a_out = measure_particles(basis, reg, [0], rng)
+            b_out = measure_particles(basis, reg, [1], rng)
+            errors += not ghz_sample_ok(label, basis, (a_out, b_out, c_out))
+        return self._record_check(2, len(self.samples), errors)
 
-    def _record_check(self, step: int, samples: int, errors: int,
-                      decoy_records: list[dict]) -> CheckRecord:
+    def _record_check(self, step: int, samples: int, errors: int) -> CheckRecord:
         rate = errors / samples if samples else 0.0
-        rec = CheckRecord(step, samples, errors, rate,
-                          rate > self.cfg.check_threshold, decoy_records)
+        rec = CheckRecord(step, samples, errors, rate, rate > self.cfg.check_threshold)
         self.transcript.checks.append(rec)
         if rec.aborted:
             self.transcript.abort_step = step
@@ -334,23 +335,14 @@ class Session:
             apply_op(self.triples[2 * n], 0, op.first)
             apply_op(self.triples[2 * n], 1, op.second)
             self.transcript.groups[n].a_op = op
-        self._insert_decoys("S_B", self.cfg.resolved_decoys())
+        self._draw_decoys("S_B")
         self._transmit("S_B")
 
-    def _insert_decoys(self, name: str, count: int) -> None:
-        """Replace the sequence by its data entries with count fresh decoys
-        at random positions; samples and earlier decoys are dropped."""
-        decoys = []
-        for _ in range(count):
-            token = DECOY_TOKENS[self.rng.randrange(4)]
-            decoys.append(_Entry(Register(decoy_state(token)), 0, "decoy",
-                                 decoy_token=token))
-        data_entries = [e for e in self.seqs[name] if e.kind == "data"]
-        total = len(data_entries) + count
-        positions = set(self.rng.index_sample(total, count))
-        data, extra = iter(data_entries), iter(decoys)
-        self.seqs[name] = [next(extra) if pos in positions else next(data)
-                           for pos in range(total)]
+    def _draw_decoys(self, name: str) -> None:
+        """Fresh single-particle decoys to travel in the named sequence."""
+        tokens = [DECOY_TOKENS[self._rng(_DECOY_TOKEN[name], i).randrange(4)]
+                  for i in range(self.cfg.resolved_decoys())]
+        self.decoys[name] = [(token, Register(decoy_state(token))) for token in tokens]
 
     # -- steps 4 and 5 ---------------------------------------------------
 
@@ -360,21 +352,17 @@ class Session:
 
     def check3(self) -> CheckRecord:
         """Send the first-particle sequence with fresh decoys, then check."""
-        self._insert_decoys("S_A", self.cfg.resolved_decoys())
+        self._draw_decoys("S_A")
         self._transmit("S_A")
         return self._decoy_check(5, "S_A")
 
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
-        errors, records = 0, []
-        decoys = [(i, e) for i, e in enumerate(self.seqs[name]) if e.kind == "decoy"]
-        for pos, entry in decoys:
-            prep = DECOY_STATES[entry.decoy_token]
-            out = measure_particles(prep.basis, entry.reg, [0], self.rng)
-            ok = out == prep.expected
-            errors += not ok
-            records.append({"position": pos, "kind": "single", "state": prep.token,
-                            "basis": prep.basis.value, "ok": ok})
-        return self._record_check(step, len(decoys), errors, records)
+        errors = 0
+        for i, (token, reg) in enumerate(self.decoys[name]):
+            prep = DECOY_STATES[token]
+            out = measure_particles(prep.basis, reg, [0], self._rng(_CHECK[name], i))
+            errors += out != prep.expected
+        return self._record_check(step, len(self.decoys[name]), errors)
 
     # -- step 6 ----------------------------------------------------------
 
@@ -383,7 +371,8 @@ class Session:
         rebuild it fresh, and encode Bob's bits on it."""
         for n, op in enumerate(self.bob_ops):
             i = 2 * n + 1
-            p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2], self.rng)
+            p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2],
+                                        self._rng(_BOB_GHZ, n))
             fresh = Register(ghz_state(p_label))
             apply_op(fresh, 0, op.first)
             apply_op(fresh, 1, op.second)
@@ -400,7 +389,8 @@ class Session:
         for n in range(self.cfg.n_groups):
             # merge is looked up on the module, where bench/tracer.py counts it
             joint = particles.merge(self.triples[2 * n], self.triples[2 * n + 1])
-            triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], self.rng)
+            rng = self._rng(_SWAP, n)
+            triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], rng)
                                   for r in range(3)))
             m = collection_of(triple)
             announcements.append(m)

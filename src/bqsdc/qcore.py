@@ -68,16 +68,6 @@ class Rng:
     def choice(self, seq: Sequence):
         return seq[self.randrange(len(seq))]
 
-    def index_sample(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), sorted ascending."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randrange(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

@@ -211,8 +211,7 @@ class TestEstimateDetection:
         est = estimate_detection(AttackConfig("measure_resend", "S_C"), trials=100, seed=2)
         doc = est.to_json_dict()
         assert set(doc) == {"strategy", "target", "params", "trials", "detections",
-                            "rate", "per_decoy_rate", "ci95", "exact_value",
-                            "claimed_value", "abs_error"}
+                            "rate", "ci95", "exact_value", "claimed_value", "abs_error"}
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -154,7 +154,7 @@ ACCEPTED_SPELLINGS = [
      attack("measure_resend", "S_B", eve="Z")),
     (["run", "--attack", "entangle:S_A", "--beta2", "0.5"],
      attack("entangle_measure", "S_A", b2=0.5)),
-    (["run", "--attack", "none:S_B"], attack("none", "S_B")),
+    (["run", "--attack", "none:S_B"], None),
     (["attack", "--strategy", "intercept-resend:0", "--check-basis", "Z"],
      attack("intercept_resend", fake="0")),
     (["attack", "--strategy", "intercept:1", "--fake", "0"],

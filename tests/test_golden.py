@@ -1,26 +1,29 @@
 """Golden transcripts: a sweep of sessions over every attack strategy and
 target, fixed and uniform attack parameters, three decoy counts and two
-abort thresholds, hashed together. The hash pins the exact random-draw
-order and every measured outcome, so a refactor of the session engine
+abort thresholds, hashed together. The hash pins every keyed random draw
+and every measured outcome, so a refactor of the session engine
 that changes any transcript byte fails here.
 
 A second hash pins what the command line makes of its attack spellings:
 `bqsdc run` transcripts under each strategy, and `bqsdc attack` estimates
 for the fifteen acceptance detection cases as the benchmark spells them.
 
-A deliberate format change bumps the transcript version and records the
-new hash in CHANGES.md.
+A deliberate format change bumps the transcript version, in the package
+and in pyproject.toml alike, and records the new hash in CHANGES.md.
 """
 
 import hashlib
 import json
+import tomllib
+from pathlib import Path
 
+import bqsdc
 from bqsdc import cli
 from bqsdc.adversary import AttackConfig
 from bqsdc.protocol import SessionConfig, random_message_bits, run_session
 from bqsdc.qcore import Rng
 
-GOLDEN_SHA256 = "ca6f4da0bf1f39e74414df3eecbf205f73e7cfa35a6ba8459999e5038978e7d0"
+GOLDEN_SHA256 = "a761c2eeade79b7322a0f76542ed4be2f99baebd526383d822fbb959d77dd005"
 
 N_GROUPS = 3
 
@@ -54,7 +57,7 @@ def test_golden_transcripts():
     assert digest == GOLDEN_SHA256
 
 
-CLI_GOLDEN_SHA256 = "55e1ec2b72bce60acdfac81fdf2d7a4dd102b4cb51eaaf4baf6f81d7d32c8c7d"
+CLI_GOLDEN_SHA256 = "b53b655c875f3c298175d74fa908c256a007556fdfc6da3d008e7d87c6e390f6"
 
 RUN_ATTACKS = [
     [],
@@ -98,3 +101,9 @@ def cli_outputs(out, capsys):
 def test_golden_cli_outputs(tmp_path, capsys):
     text = "\n".join(cli_outputs(tmp_path / "out.json", capsys))
     assert hashlib.sha256(text.encode()).hexdigest() == CLI_GOLDEN_SHA256
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert bqsdc.__version__ == tomllib.load(fh)["project"]["version"]

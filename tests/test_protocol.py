@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
 
 from bqsdc.adversary import AttackConfig
@@ -66,8 +68,7 @@ class TestPrepare:
     def test_minimal_session_shape(self):
         s = Session(quiet_cfg(1, seed=4), "000", "000")
         s.prepare()
-        assert len(s.seqs["S_C"]) == 2
-        assert [e.kind for e in s.seqs["S_C"]] == ["data", "data"]
+        assert len(s.triples) == 2 and s.samples == []
         # both triples of the group carry the same prepared label
         from bqsdc.codebook import classify_ghz
         odd = classify_ghz(s.triples[0].state)
@@ -78,12 +79,11 @@ class TestPrepare:
         cfg = SessionConfig(n_groups=4, seed=9, decoys=2)
         s = Session(cfg, "0" * 12, "0" * 12)
         s.prepare()
-        assert len(s.seqs["S_C"]) == 10
-        sample_pos_c = [i for i, e in enumerate(s.seqs["S_C"]) if e.kind == "sample"]
-        sample_pos_a = [i for i, e in enumerate(s.seqs["S_A"]) if e.kind == "sample"]
-        assert sample_pos_c == sample_pos_a and len(sample_pos_c) == 2
-        data = [e for e in s.seqs["S_C"] if e.kind == "data"]
-        assert len(data) == 8
+        assert len(s.triples) == 8 and len(s.samples) == 2
+        # each sample is one GHZ triple in the state of its label
+        for label, reg in s.samples:
+            assert reg.at == [0, 1, 2]
+            assert equal_up_to_global_phase(reg.state, ghz_state(label))
 
     def test_forced_initial_label(self):
         s = Session(quiet_cfg(3, seed=1, initial_label=GhzLabel.PSI6), "0" * 9, "0" * 9)
@@ -161,24 +161,12 @@ class TestEncoding:
         s.check2()
         s.check3()
         counts = {tok: 0 for tok in "01+-"}
-        for check in s.transcript.checks[1:]:
-            for d in check.decoys:
-                counts[d["state"]] += 1
+        for name in ("S_B", "S_A"):
+            for token, _ in s.decoys[name]:
+                counts[token] += 1
         assert sum(counts.values()) == 800
         for tok, c in counts.items():
             assert abs(c / 800 - 0.25) < 0.06
-
-    def test_check_records_keep_decoy_positions(self):
-        cfg = SessionConfig(n_groups=2, seed=3, decoys=4)
-        t = run_session(cfg, "010110", "101001")
-        by_step = {c.step: c for c in t.checks}
-        assert [len(by_step[s].decoys) for s in (2, 4, 5)] == [4, 4, 4]
-        for c in t.checks:
-            positions = [d["position"] for d in c.decoys]
-            assert positions == sorted(positions)
-            assert all(d["ok"] for d in c.decoys)
-        # decoy details stay out of the serialized transcript
-        assert "decoys" not in t.checks[0].to_json_dict()
 
     def test_bob_measures_prepared_label(self):
         for seed in range(5):
@@ -275,6 +263,8 @@ class TestSessions:
         t = run_session(SessionConfig(n_groups=1, seed=0), "010", "101")
         doc = json.loads(t.to_json())
         assert set(doc) == {"version", "config", "groups", "checks", "abort"}
+        assert set(doc["config"]) == {"n_groups", "seed", "decoys", "check_threshold",
+                                      "attack", "initial_label"}
         g = doc["groups"][0]
         assert set(g) == {"n", "prepared_label", "a_op", "p_label", "b_op",
                           "bell_triple", "announcement", "decoded_by_alice",
@@ -293,6 +283,57 @@ class TestSessions:
                                     "".join(map(str, b.bits)))
                     assert t.groups[0].decoded_by_bob == "".join(map(str, a.bits))
                     assert t.groups[0].decoded_by_alice == "".join(map(str, b.bits))
+
+
+# No attack, then every strategy on every target.
+ATTACKS = [None, *(AttackConfig.entangling(0.25, target=target)
+                   if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
+                   for strategy in ("intercept_resend", "measure_resend", "entangle_measure")
+                   for target in ("S_C", "S_B", "S_A"))]
+ATTACK_IDS = ["none" if a is None else f"{a.strategy}-{a.target}" for a in ATTACKS]
+
+
+class TestKeyedStreams:
+    @pytest.mark.parametrize("attack", ATTACKS, ids=ATTACK_IDS)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 3),
+           extra=st.integers(1, 3), decoys=st.integers(1, 6))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_group_record_independent_of_n_and_decoys(self, attack, seed, n, extra, decoys):
+        # the first n groups' records are the same for N = n and N = n + extra,
+        # with and without decoys, in every session that does not abort
+        msg_rng = Rng(seed, stream=2)
+        alice = random_message_bits(n + extra, msg_rng)
+        bob = random_message_bits(n + extra, msg_rng)
+        records = []
+        for n_groups in (n, n + extra):
+            for d in (0, decoys):
+                cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=d,
+                                    check_threshold=0.99, attack=attack)
+                t = run_session(cfg, alice[:3 * n_groups], bob[:3 * n_groups])
+                if not t.aborted:
+                    records.append([g.to_json_dict() for g in t.groups[:n]])
+        assert len(records) >= 2  # sessions without decoys never abort
+        assert all(r == records[0] for r in records)
+
+    @pytest.mark.parametrize("attack", ATTACKS, ids=ATTACK_IDS)
+    def test_stream_ids_distinct_from_each_other_and_message_streams(self, attack,
+                                                                     monkeypatch):
+        streams = []
+        init = Rng.__init__
+
+        def record(self, seed, stream=0):
+            init(self, seed, stream)
+            streams.append(self.stream)
+
+        monkeypatch.setattr(Rng, "__init__", record)
+        # every step, whatever the checks find, so that every place draws
+        s = Session(SessionConfig(n_groups=3, seed=5, decoys=4, attack=attack),
+                    "010110011", "101001100")
+        for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3,
+                     s.bob_encode, s.swap_and_announce):
+            step()
+        assert len(streams) == len(set(streams))
+        assert not set(streams) & {0, 1, 2}
 
 
 class TestAborts:

@@ -230,12 +230,6 @@ class TestRng:
     def test_streams_differ(self):
         assert [Rng(1, 0).u64() for _ in range(4)] != [Rng(1, 1).u64() for _ in range(4)]
 
-    def test_index_sample(self):
-        rng = Rng(8)
-        picks = rng.index_sample(10, 4)
-        assert picks == sorted(set(picks)) and all(0 <= i < 10 for i in picks)
-        assert rng.index_sample(5, 0) == []
-
     @given(st.integers(0, 2 ** 60))
     @settings(max_examples=30, deadline=None)
     def test_random_in_unit_interval(self, seed):
