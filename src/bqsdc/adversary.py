@@ -11,12 +11,17 @@ one keyed random stream per trial. The outcome distribution of every random
 branch is expanded exactly once with the state-vector engine; each trial
 then draws its branch and its outcome from those exact Born tables, so 1e5
 trials stay fast without approximating anything.
+
+Trials are drawn a block at a time in numpy (qcore.StreamBlock). The
+streams are counter-based, so draw i of trial t's stream is a pure function
+of (seed, t, i) that uint64 arithmetic computes for a whole block at once,
+and one sorted search looks up every trial's outcome in the Born tables.
+The counts are those of drawing each trial from its own scalar Rng.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,12 +31,20 @@ from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_s
 from .codebook import ghz_state
 from .labels import GhzLabel
 from .particles import Register, append_ancilla, measure_particles
-from .qcore import MeasBasis, Rng
+from .qcore import MeasBasis, Rng, StreamBlock
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
 TARGETS = ("S_C", "S_B", "S_A")
 
 _BASIS_TOKENS = ("Z", "X")
+
+# Trials drawn together by estimate_detection: large enough to amortise
+# numpy's per-call cost, small enough that the buffers stay a few KB
+# whatever the trial count.
+_BLOCK = 512
+# Low bits of each table row's last edge: above every outcome draw m < 2**53
+# and every scaled edge, below the next row.
+_ROW_END = (1 << 54) - 1
 
 
 @dataclass(frozen=True)
@@ -237,7 +250,7 @@ def _basis_axis(template: CheckTemplate) -> list[MeasBasis]:
 
 
 class _TrialSampler:
-    """Per-trial sampler over exactly expanded branch tables."""
+    """Check trials sampled from exactly expanded branch tables."""
 
     def __init__(self, cfg: AttackConfig, template: CheckTemplate):
         self.eve_values = _eve_choices(cfg)
@@ -263,14 +276,53 @@ class _TrialSampler:
                     flags.append(is_err)
                 self.tables[(lead, choice)] = (cum, flags)
 
-    def trial_is_detection(self, rng: Rng) -> bool:
-        lead = self.lead_values[rng.randrange(self.n_lead)] \
-            if self.n_lead > 1 else self.lead_values[0]
-        choice = self.eve_values[rng.randrange(self.n_eve)] \
-            if self.n_eve > 1 else self.eve_values[0]
-        cum, flags = self.tables[(lead, choice)]
-        idx = min(bisect_right(cum, rng.random()), len(flags) - 1)
-        return flags[idx]
+        # Row k = lead index * n_eve + choice index of every table, flattened
+        # into one sorted edge array: edge e of row k becomes
+        # k << 54 | ceil(e * 2**53), and each row ends in one more edge,
+        # above any draw, and one more copy of its last flag.
+        edges, all_flags = [], []
+        for k, (cum, flags) in enumerate(self.tables.values()):
+            edges.extend(k << 54 | math.ceil(e * 2.0 ** 53) for e in cum)
+            edges.append(k << 54 | _ROW_END)
+            all_flags.extend(flags + flags[-1:])
+        self._edges = np.array(edges, dtype=np.uint64)
+        self._flags = np.array(all_flags, dtype=bool)
+
+    def count_detections(self, seed: int, trials: int) -> int:
+        """Detections among trials 0, ..., trials - 1, trial t drawing from
+        the keyed stream (seed, t), in blocks of _BLOCK trials.
+
+        Trial t draws, in this order: the lead index u64 % n_lead when
+        n_lead > 1, Eve's choice u64 % n_eve when n_eve > 1, then the
+        outcome m = u64 >> 11, whose flag is that of the first edge e of its
+        row's table with m * 2**-53 < e. Scaling by 2**53 is exact in
+        binary64, so that edge is the first with ceil(e * 2**53) > m, and
+        one searchsorted of k << 54 | m over all rows finds it for every
+        trial of a block. The row-end edge makes the flag index the same
+        count, and its flag serves an m past the row's last edge.
+        """
+        streams = StreamBlock(seed, min(trials, _BLOCK))
+        rows = np.empty(streams.size, dtype=np.uint64)
+        # each axis adds index * weight << 54 to the row's high bits
+        axes = [(np.uint64(size), np.uint64(weight << 54))
+                for size, weight in ((self.n_lead, self.n_eve), (self.n_eve, 1)) if size > 1]
+        detections = 0
+        for start in range(0, trials, streams.size):
+            n = min(streams.size, trials - start)
+            streams.key(start, n)
+            row = rows[:n]
+            row.fill(0)
+            for draw, (size, weight) in enumerate(axes):
+                u = streams.draw(draw)
+                u %= size
+                u *= weight
+                row += u
+            query = streams.draw(len(axes))
+            query >>= np.uint64(11)
+            query |= row
+            idx = np.searchsorted(self._edges, query, side="right")
+            detections += int(np.count_nonzero(self._flags[idx]))
+        return detections
 
     def exact_rate(self) -> float:
         total = 0.0
@@ -340,15 +392,15 @@ def estimate_detection(cfg: AttackConfig, template: CheckTemplate = CheckTemplat
     """Monte Carlo per-decoy detection estimate over independent trials.
 
     Trial t draws from the stream (seed, t); the result is reproducible and
-    independent of trial ordering.
+    independent of trial ordering. The trials run in blocks of _BLOCK, each
+    drawn at once from its keyed streams, so memory does not grow with the
+    trial count, and the count equals that of one Rng(seed, t) per trial
+    (_TrialSampler.count_detections says why).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     sampler = _TrialSampler(cfg, template)
-    detections = 0
-    for t in range(trials):
-        if sampler.trial_is_detection(Rng(seed, stream=t)):
-            detections += 1
+    detections = sampler.count_detections(seed, trials)
     rate = detections / trials
     claimed = claimed_detection_rate(cfg, template)
     params = {

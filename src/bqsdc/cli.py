@@ -305,9 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves the parser as it was, and building it costs
+# more than a whole detection estimate.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

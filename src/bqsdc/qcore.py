@@ -69,6 +69,62 @@ class Rng:
         return seq[self.randrange(len(seq))]
 
 
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """_mix64 on every element of the uint64 array x, using tmp as scratch;
+    numpy's uint64 arithmetic wraps modulo 2**64 as the masks do."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= _MIX1
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= _MIX2
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
+
+
+class StreamBlock:
+    """The keyed streams (seed, start), ..., (seed, start + n - 1) drawn side
+    by side in numpy uint64 buffers of `size` lanes, reused block after block.
+
+    Lane j of draw(i) equals draw i (0-based) of Rng(seed, start + j): a
+    stream's state after i + 1 draws is its key plus (i + 1) golden-ratio
+    increments, so any draw of any stream is computed without the ones
+    before it.
+    """
+
+    __slots__ = ("size", "n", "_base", "_lanes", "_keys", "_out", "_tmp")
+
+    def __init__(self, seed: int, size: int):
+        self.size = size
+        self.n = 0
+        self._base = _mix64(seed & _MASK64)
+        self._lanes = np.arange(size, dtype=np.uint64)
+        self._keys = np.empty(size, dtype=np.uint64)
+        self._out = np.empty(size, dtype=np.uint64)
+        self._tmp = np.empty(size, dtype=np.uint64)
+
+    def key(self, start: int, n: int) -> None:
+        """Key the n <= size lanes to the streams start, ..., start + n - 1
+        (each masked to 64 bits, as Rng masks its stream)."""
+        if not 0 < n <= self.size:
+            raise ValueError(f"a block holds 1 to {self.size} streams, got {n}")
+        self.n = n
+        keys = self._keys[:n]
+        np.add(self._lanes[:n], np.uint64((self._base + start) & _MASK64), out=keys)
+        _mix64_inplace(keys, self._tmp[:n])
+
+    def draw(self, i: int) -> np.ndarray:
+        """Draw i of every keyed lane, as a view the next draw overwrites."""
+        out = self._out[:self.n]
+        np.add(self._keys[:self.n], np.uint64((i + 1) * _GOLDEN & _MASK64), out=out)
+        _mix64_inplace(out, self._tmp[:self.n])
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized amplitude vector over n qubits (length 2**n)."""

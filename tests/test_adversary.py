@@ -1,10 +1,14 @@
+import itertools
+import tracemalloc
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqsdc.adversary import (AttackConfig, CheckTemplate, apply_attack,
-                             claimed_detection_rate, eavesdrop_unitary,
+from bqsdc.adversary import (_BLOCK, AttackConfig, CheckTemplate, _TrialSampler,
+                             apply_attack, claimed_detection_rate, eavesdrop_unitary,
                              estimate_detection, exact_detection_probability)
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import GhzLabel
@@ -177,6 +181,36 @@ class TestClaimedRates:
         assert claimed_detection_rate(AttackConfig("none")) == 0.0
 
 
+def scalar_detections(sampler, seed, trials):
+    """Reference for estimate_detection: trial t draws its lead value, Eve's
+    choice and its outcome one at a time from Rng(seed, t)."""
+    detections = 0
+    for t in range(trials):
+        rng = Rng(seed, stream=t)
+        lead = sampler.lead_values[rng.randrange(sampler.n_lead)] \
+            if sampler.n_lead > 1 else sampler.lead_values[0]
+        choice = sampler.eve_values[rng.randrange(sampler.n_eve)] \
+            if sampler.n_eve > 1 else sampler.eve_values[0]
+        cum, flags = sampler.tables[(lead, choice)]
+        detections += flags[min(bisect_right(cum, rng.random()), len(flags) - 1)]
+    return detections
+
+
+DIFF_SEEDS = [0, 101, 2 ** 63 + 5, 2 ** 64 - 1, -3]
+DIFF_ATTACKS = (
+    [("none", {})]
+    + [("intercept_resend", {"fake_state": f}) for f in (None, "0", "1", "+", "-")]
+    + [("measure_resend", {"eve_basis": b}) for b in (None, "Z", "X")]
+    + [("entangle_measure", {"beta_squared": 0.25})]
+)
+DIFF_CASES = [
+    (AttackConfig(strategy, target, **kw),
+     CheckTemplate(bob_basis=basis) if target == "S_C" else CheckTemplate(decoy_basis=basis))
+    for (strategy, kw), target, basis in itertools.product(
+        DIFF_ATTACKS, ("S_C", "S_B", "S_A"), (None, "Z", "X"))
+]
+
+
 class TestEstimateDetection:
     def test_no_attack_rate_exactly_zero(self):
         est = estimate_detection(AttackConfig("none"), trials=500, seed=0)
@@ -216,6 +250,35 @@ class TestEstimateDetection:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             estimate_detection(AttackConfig("none"), trials=0)
+
+    @pytest.mark.parametrize("cfg,template", DIFF_CASES,
+                             ids=[f"{c.strategy}-{c.target}-{c.fake_state or c.eve_basis}-"
+                                  f"{t.bob_basis or t.decoy_basis}" for c, t in DIFF_CASES])
+    def test_block_draws_equal_scalar_trials(self, cfg, template):
+        """Same detection count as one scalar Rng per trial, for trial
+        counts on both sides of the block edges; the scalar reference also
+        pins the draws per trial (1 + [n_lead > 1] + [n_eve > 1])."""
+        sampler = _TrialSampler(cfg, template)
+        for i, trials in enumerate((1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)):
+            seed = DIFF_SEEDS[i]
+            est = estimate_detection(cfg, template, trials=trials, seed=seed)
+            assert est.detections == scalar_detections(sampler, seed, trials), (trials, seed)
+
+    def test_heap_does_not_grow_with_trials(self):
+        # bb84-ir: a uniform decoy and a uniform fake state per trial, the
+        # most draws and table rows of the benchmark's detection cases
+        cfg = AttackConfig("intercept_resend", "S_B")
+
+        def peak(trials):
+            estimate_detection(cfg, trials=trials, seed=3)  # warm the caches
+            tracemalloc.start()
+            try:
+                estimate_detection(cfg, trials=trials, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100_000) - peak(1_000) <= 16 * 1024
 
 
 class TestAttackLocality:

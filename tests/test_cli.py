@@ -227,3 +227,15 @@ def test_seed_env_var(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert json.loads(out1.read_text())["config"]["seed"] == 4242
+
+
+def test_main_calls_in_sequence_share_no_state(tmp_path):
+    """The parser is built once per process; one call's flags must not carry
+    into the next."""
+    assert recorded_attack(["run", "--attack", "entangle:S_A", "--beta2", "0.25"],
+                           tmp_path) == attack("entangle_measure", "S_A", b2=0.25)
+    assert recorded_attack(["run"], tmp_path) is None
+    assert recorded_attack(["attack", "--strategy", "intercept:S_B", "--fake", "+"],
+                           tmp_path) == attack("intercept_resend", "S_B", fake="+")
+    assert recorded_attack(["attack", "--strategy", "intercept"],
+                           tmp_path) == attack("intercept_resend")

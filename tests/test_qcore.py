@@ -10,7 +10,7 @@ from helpers import equal_up_to_global_phase
 from bqsdc import qcore
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
-                         apply_single, apply_unitary, basis_outcomes,
+                         StreamBlock, apply_single, apply_unitary, basis_outcomes,
                          born_distribution, joint_distribution, make_basis_state,
                          measure, tensor)
 
@@ -235,6 +235,36 @@ class TestRng:
     def test_random_in_unit_interval(self, seed):
         r = Rng(seed).random()
         assert 0.0 <= r < 1.0
+
+
+class TestStreamBlock:
+    SEEDS = [0, 101, 2 ** 63 + 5, 2 ** 64 - 1, -3]
+    # (start, n): from 0, from 2**32, and across 2**64, where Rng masks the
+    # stream id back to 0
+    RANGES = [(0, 16), (2 ** 32, 16), (2 ** 64 - 9, 16)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_draws_equal_scalar_streams(self, seed):
+        draws = 4
+        block = StreamBlock(seed, size=16)
+        for start, n in self.RANGES:
+            block.key(start, n)
+            got = [block.draw(i).tolist() for i in range(draws)]
+            for j in range(n):
+                rng = Rng(seed, stream=start + j)
+                assert [got[i][j] for i in range(draws)] == \
+                    [rng.u64() for _ in range(draws)], (seed, start + j)
+
+    def test_part_block_and_reuse(self):
+        block = StreamBlock(7, size=8)
+        block.key(5, 8)
+        block.draw(0)
+        block.key(100, 3)
+        assert block.draw(1).tolist() == [
+            (rng.u64(), rng.u64())[1] for rng in (Rng(7, s) for s in (100, 101, 102))]
+        for n in (0, 9):
+            with pytest.raises(ValueError):
+                block.key(0, n)
 
 
 def test_apply_unitary_two_qubit():
