@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,8 +86,10 @@ class AttackConfig:
         return cls("entangle_measure", target=target, beta_squared=beta_squared)
 
 
+@lru_cache(maxsize=16)
 def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
-    """Two-qubit coupling on (target, ancilla), ancilla prepared in |0>.
+    """Two-qubit coupling on (target, ancilla), ancilla prepared in |0>,
+    as a shared read-only matrix.
 
     Maps |i,0> to alpha|i,0> + i*beta|i^1,1>, with beta = sqrt(beta_squared)
     and alpha = sqrt(1 - beta_squared): the ancilla records whether a flip
@@ -97,12 +100,14 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
         raise ValueError("beta_squared must lie in [0, 1]")
     alpha = math.sqrt(1.0 - beta_squared)
     ib = 1j * math.sqrt(beta_squared)
-    return np.array([
+    u = np.array([
         [alpha, 0, 0, ib],
         [0, alpha, ib, 0],
         [0, ib, alpha, 0],
         [ib, 0, 0, alpha],
     ], dtype=np.complex128)
+    u.setflags(write=False)
+    return u
 
 
 def attack_intercept_resend(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:

@@ -40,8 +40,9 @@ DECOY_STATES: dict[str, DecoyState] = {
 DECOY_TOKENS = tuple(DECOY_STATES)
 
 
+@lru_cache(maxsize=None)
 def decoy_state(token: str) -> StateVector:
-    """Fresh single-qubit state for a decoy token."""
+    """Single-qubit state for a decoy token (shared: the result is immutable)."""
     if token == "0":
         return make_basis_state("0")
     if token == "1":

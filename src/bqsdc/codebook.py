@@ -69,8 +69,10 @@ _OP_FACTORS = {
 }
 
 
+@lru_cache(maxsize=None)
 def ghz_state(label: GhzLabel) -> StateVector:
-    """The three-qubit GHZ basis state for a label, exact amplitudes."""
+    """The three-qubit GHZ basis state for a label, exact amplitudes
+    (shared: the result is immutable)."""
     return StateVector(ghz_amplitudes(label))
 
 

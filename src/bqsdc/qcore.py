@@ -5,10 +5,26 @@ with qubit 0 in the leftmost (most significant) position so kets transcribe
 left to right. All operations are pure functions of their inputs; sampling
 randomness enters only through an explicit Rng argument, never through
 ambient state.
+
+A state is validated where it enters the engine: StateVector(...) copies
+its amplitudes and checks their length, finiteness and norm, and tensor,
+which builds the widest states, goes through it. The results of
+apply_unitary and of the measurement collapses skip that copy and those
+checks, because a unitary and a normalized projection keep the norm by
+construction. Two cheap guards, which fail on NaN as well, stand in for
+them: apply_unitary checks the norm of its result with one vdot, which
+catches a matrix that is not unitary on the state, and measure checks
+that its outcome probabilities, which sum to the squared norm of the
+state, total 1.
+
+The index work of grouping k qubits is computed once per (n, qubits) as a
+gather plan, and a measurement projects onto every basis vector in one
+matmul.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -153,6 +169,24 @@ class StateVector:
         return complex(self.amps[int(bits, 2)])
 
 
+def _unchecked_state(amps: np.ndarray) -> StateVector:
+    """A StateVector around a fresh complex128 vector, without the copy and
+    checks of StateVector(...): only for the results of apply_unitary and of
+    measurement collapses, which keep the norm by construction."""
+    amps.setflags(write=False)
+    s = object.__new__(StateVector)
+    object.__setattr__(s, "amps", amps)
+    return s
+
+
+def _require_unit_norm(norm2: float, what: str) -> None:
+    """Raise unless the norm sqrt(norm2) lies within ATOL of 1, as
+    StateVector requires; NaN fails the comparison and raises too."""
+    err = abs(math.sqrt(norm2) - 1.0)
+    if not err <= ATOL:
+        raise ValueError(f"{what} not normalized: |norm - 1| = {err:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class SingleQubitOp:
     """Named 2x2 unitary acting on a single particle."""
@@ -206,8 +240,9 @@ def basis_outcomes(basis: MeasBasis) -> tuple[tuple[Hashable, np.ndarray], ...]:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
 def make_basis_state(bits: str) -> StateVector:
-    """Computational basis state |bits>."""
+    """Computational basis state |bits> (shared: the result is immutable)."""
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
@@ -217,7 +252,7 @@ def make_basis_state(bits: str) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product with a's qubits first (most significant)."""
-    return StateVector(np.kron(a.amps, b.amps))
+    return StateVector(np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply_single(s: StateVector, op: SingleQubitOp, q: int) -> StateVector:
@@ -226,55 +261,71 @@ def apply_single(s: StateVector, op: SingleQubitOp, q: int) -> StateVector:
 
 
 def apply_unitary(s: StateVector, matrix: np.ndarray, qubits: Sequence[int]) -> StateVector:
-    """Apply a k-qubit unitary to the given (distinct) qubit indices."""
-    n = s.num_qubits
-    mat, perm = _grouped(s.amps, n, _check_qubits(n, qubits))
-    return StateVector(_ungrouped(np.asarray(matrix, dtype=np.complex128) @ mat, n, perm))
+    """Apply a k-qubit unitary to the given (distinct) qubit indices.
+
+    Raises ValueError when the result is not normalized (the matrix is not
+    unitary on this state) or not finite.
+    """
+    qs = tuple(qubits)
+    idx = _plan(s.num_qubits, qs)
+    out = np.empty_like(s.amps)
+    out[idx] = (np.asarray(matrix, dtype=np.complex128)
+                @ s.amps[idx].reshape(1 << len(qs), -1)).reshape(-1)
+    _require_unit_norm(np.vdot(out, out).real, "apply_unitary result")
+    return _unchecked_state(out)
 
 
-def _check_qubits(n: int, qubits: Sequence[int]) -> list[int]:
+@lru_cache(maxsize=None)
+def _plan(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Gather plan that brings the given qubits of an n-qubit state to the
+    front: amps[plan].reshape(2**k, -1) has one row per bit pattern of the
+    qubits (qubits[0] most significant) and one column per pattern of the
+    others, in order; out[plan] = mat.reshape(-1) scatters it back."""
     qs = list(qubits)
     if len(set(qs)) != len(qs):
         raise ValueError("qubit indices must be distinct")
     if any(not 0 <= q < n for q in qs):
         raise IndexError(f"qubit indices {qs} out of range for {n} qubits")
-    return qs
-
-
-def _check_measurement_args(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> list[int]:
-    qs = list(qubits)
-    if len(qs) != basis.arity:
-        raise ValueError(f"{basis.value} basis measures {basis.arity} qubits, got {len(qs)}")
-    return _check_qubits(s.num_qubits, qs)
-
-
-def _grouped(amps: np.ndarray, n: int, qs: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Reshape amplitudes to (2**k, rest) with the qubits qs in front."""
     perm = qs + [i for i in range(n) if i not in qs]
-    return amps.reshape((2,) * n).transpose(perm).reshape(1 << len(qs), -1), perm
+    idx = np.arange(1 << n).reshape((2,) * n).transpose(perm).reshape(-1)
+    idx.setflags(write=False)
+    return idx
 
 
-def _ungrouped(mat: np.ndarray, n: int, perm: list[int]) -> np.ndarray:
-    """Inverse of _grouped: flat amplitudes in the original qubit order."""
-    return mat.reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
+@lru_cache(maxsize=None)
+def _basis_matrices(basis: MeasBasis) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(labels, bras, kets) of a basis: bras holds the conjugated basis
+    vectors as rows, kets the vectors themselves, both in basis order."""
+    labels, vecs = zip(*basis_outcomes(basis))
+    kets = np.array(vecs)
+    bras = kets.conj()
+    kets.setflags(write=False)
+    bras.setflags(write=False)
+    return labels, bras, kets
 
 
-def _born(amps: np.ndarray, n: int, basis: MeasBasis, qs: list[int]):
-    """The Born projection: group the measured qubits, project onto each
-    basis vector and take the norm. Returns (perm, rows), one row
-    (label, prob, vec, proj) per basis outcome in basis order."""
-    mat, perm = _grouped(amps, n, qs)
-    rows = []
-    for label, vec in basis_outcomes(basis):
-        proj = vec.conj() @ mat
-        rows.append((label, float(np.vdot(proj, proj).real), vec, proj))
-    return perm, rows
+def _born(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]):
+    """The Born projection: every outcome's projection in one matmul and
+    every probability in one vector operation. Returns (labels, kets, plan,
+    projs, probs), projs[j] the unnormalized remainder of outcome j and
+    probs a list, both in basis order."""
+    labels, bras, kets = _basis_matrices(basis)
+    qs = tuple(qubits)
+    if 1 << len(qs) != len(labels):
+        raise ValueError(f"{basis.value} basis measures {basis.arity} qubits, got {len(qs)}")
+    idx = _plan(amps.size.bit_length() - 1, qs)
+    projs = bras @ amps[idx].reshape(len(labels), -1)
+    flat = projs.view(np.float64)  # real and imaginary parts side by side
+    probs = (flat * flat).sum(axis=1).tolist()
+    return labels, kets, idx, projs, probs
 
 
-def _collapse(vec: np.ndarray, proj: np.ndarray, prob: float,
-              n: int, perm: list[int]) -> np.ndarray:
-    """Post-measurement amplitudes for one row of _born."""
-    return _ungrouped(np.outer(vec, proj / np.sqrt(prob)), n, perm)
+def _collapse(kets: np.ndarray, projs: np.ndarray, j: int, prob: float,
+              idx: np.ndarray) -> np.ndarray:
+    """Post-measurement amplitudes for outcome j of _born."""
+    out = np.empty(idx.size, dtype=np.complex128)
+    out[idx] = np.multiply.outer(kets[j], projs[j] / math.sqrt(prob)).reshape(-1)
+    return out
 
 
 def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> dict:
@@ -282,9 +333,8 @@ def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -
 
     Returns the full map over basis labels; probabilities sum to one.
     """
-    qs = _check_measurement_args(s, basis, qubits)
-    _, rows = _born(s.amps, s.num_qubits, basis, qs)
-    return {label: prob for label, prob, _, _ in rows}
+    labels, _, _, _, probs = _born(s.amps, basis, qubits)
+    return dict(zip(labels, probs))
 
 
 def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
@@ -292,30 +342,30 @@ def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
 
     Returns (outcome label, collapsed StateVector). Re-measuring the same
     qubits in the same basis then reproduces the outcome with certainty.
+    Raises ValueError when the outcome probabilities do not total 1.
     """
-    qs = _check_measurement_args(s, basis, qubits)
-    n = s.num_qubits
-    perm, rows = _born(s.amps, n, basis, qs)
+    labels, kets, idx, projs, probs = _born(s.amps, basis, qubits)
+    _require_unit_norm(sum(probs), "measured state")
     r = rng.random()
     acc = 0.0
-    for label, prob, vec, proj in rows:
+    for j, prob in enumerate(probs):
         acc += prob
         if r < acc and prob > ZERO_TOL:
             break
-    else:  # numerical guard: fall back to the largest outcome
-        label, prob, vec, proj = max(rows, key=lambda row: row[1])
-    return label, StateVector(_collapse(vec, proj, prob, n, perm))
+    else:  # rounding left the total at or below r < 1, where exact
+        # arithmetic takes the last outcome with nonzero probability
+        j = max(i for i, p in enumerate(probs) if p > ZERO_TOL)
+        prob = probs[j]
+    return labels[j], _unchecked_state(_collapse(kets, projs, j, prob, idx))
 
 
 def measurement_branches(s: StateVector, basis: MeasBasis,
                          qubits: Sequence[int]) -> list[tuple]:
     """All (label, probability, collapsed state) branches of one projective
     measurement, zero-probability outcomes dropped."""
-    qs = _check_measurement_args(s, basis, qubits)
-    n = s.num_qubits
-    perm, rows = _born(s.amps, n, basis, qs)
-    return [(label, prob, StateVector(_collapse(vec, proj, prob, n, perm)))
-            for label, prob, vec, proj in rows if prob > ZERO_TOL]
+    labels, kets, idx, projs, probs = _born(s.amps, basis, qubits)
+    return [(labels[j], p, _unchecked_state(_collapse(kets, projs, j, p, idx)))
+            for j, p in enumerate(probs) if p > ZERO_TOL]
 
 
 def joint_distribution(s: StateVector, basis: MeasBasis,
@@ -327,13 +377,11 @@ def joint_distribution(s: StateVector, basis: MeasBasis,
     dropped, so the keys are exactly the support.
     """
     branches: list[tuple[tuple, float, np.ndarray]] = [((), 1.0, s.amps)]
-    n = s.num_qubits
     for qs in groups:
-        qs = list(qs)
         nxt = []
         for outs, prob, amps in branches:
-            perm, rows = _born(amps, n, basis, qs)
-            nxt.extend((outs + (label,), prob * p, _collapse(vec, proj, p, n, perm))
-                       for label, p, vec, proj in rows if p > ZERO_TOL)
+            labels, kets, idx, projs, probs = _born(amps, basis, qs)
+            nxt.extend((outs + (labels[j],), prob * p, _collapse(kets, projs, j, p, idx))
+                       for j, p in enumerate(probs) if p > ZERO_TOL)
         branches = nxt
     return {outs: prob for outs, prob, _ in branches}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
 
+from bqsdc import qcore
 from bqsdc.adversary import AttackConfig
 from bqsdc.checks import consistent_ghz_outcomes
 from bqsdc.codebook import CompositeOp, ghz_state, transform_label
@@ -382,17 +383,28 @@ class TestWidth:
     @pytest.mark.parametrize("target", ["S_C", "S_B", "S_A"])
     @pytest.mark.parametrize("strategy", list(WIDEST))
     def test_no_state_wider_than_seven_qubits(self, monkeypatch, strategy, target):
+        # every state counts: the checked constructions and the results of
+        # unitaries and collapses, which skip the checks
         widths = []
+        unchecked = []
         post_init = StateVector.__post_init__
+        unchecked_state = qcore._unchecked_state
 
         def record(self):
             post_init(self)
             widths.append(self.num_qubits)
 
+        def record_unchecked(amps):
+            s = unchecked_state(amps)
+            unchecked.append(s.num_qubits)
+            return s
+
         monkeypatch.setattr(StateVector, "__post_init__", record)
+        monkeypatch.setattr(qcore, "_unchecked_state", record_unchecked)
         attack = AttackConfig.entangling(0.25, target=target) \
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
         t = run_session(cfg, "010110", "101001")
         assert t.groups[-1].announcement is not None
-        assert max(widths) == self.WIDEST[strategy]
+        assert unchecked, "no unitary or collapse result was recorded"
+        assert max(widths + unchecked) == self.WIDEST[strategy]

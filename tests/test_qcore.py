@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
 
 from bqsdc import qcore
+from bqsdc.adversary import eavesdrop_unitary
+from bqsdc.checks import decoy_state
+from bqsdc.codebook import ghz_state
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, basis_outcomes,
                          born_distribution, joint_distribution, make_basis_state,
-                         measure, tensor)
+                         measure, measurement_branches, tensor)
 
 INV = 2 ** -0.5
 
@@ -271,3 +275,128 @@ def test_apply_unitary_two_qubit():
     swap_mat = np.eye(4)[[0, 2, 1, 3]]
     s = apply_unitary(make_basis_state("10"), swap_mat, (0, 1))
     assert s.amplitude("01") == 1
+
+
+def reference_grouped(amps, n, qs):
+    """Amplitudes as a (2**k, rest) matrix with the qubits qs in front,
+    by transposing the (2,) * n tensor."""
+    perm = qs + [i for i in range(n) if i not in qs]
+    return amps.reshape((2,) * n).transpose(perm).reshape(1 << len(qs), -1), perm
+
+
+def reference_ungrouped(mat, n, perm):
+    return mat.reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
+
+
+def reference_apply_unitary(s, matrix, qubits):
+    """Reference for apply_unitary: transpose, matmul, transpose back."""
+    n = s.num_qubits
+    mat, perm = reference_grouped(s.amps, n, list(qubits))
+    return reference_ungrouped(matrix @ mat, n, perm)
+
+
+def reference_measure(s, basis, qubits, rng):
+    """Reference for measure: one projection per outcome, each in its own
+    loop pass; returns (label, collapsed amplitudes)."""
+    n = s.num_qubits
+    mat, perm = reference_grouped(s.amps, n, list(qubits))
+    rows = []
+    for label, vec in basis_outcomes(basis):
+        proj = vec.conj() @ mat
+        rows.append((label, float(np.vdot(proj, proj).real), vec, proj))
+    r = rng.random()
+    acc = 0.0
+    for label, prob, vec, proj in rows:
+        acc += prob
+        if r < acc and prob > qcore.ZERO_TOL:
+            break
+    else:  # the draw passed the total: the largest outcome
+        label, prob, vec, proj = max(rows, key=lambda row: row[1])
+    return label, reference_ungrouped(np.outer(vec, proj / np.sqrt(prob)), n, perm)
+
+
+def random_unitary(dim, seed):
+    g = np.random.default_rng(seed)
+    q, r = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+BASES_BY_ARITY = {1: (MeasBasis.Z, MeasBasis.X), 2: (MeasBasis.BELL,), 3: (MeasBasis.GHZ,)}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_qubit_tuple_and_basis(self, n):
+        stream = 0
+        for k in (1, 2, 3):
+            for qs in permutations(range(n), k):
+                s = random_state(n, 1000 * n + stream)
+                u = random_unitary(1 << k, stream)
+                got = apply_unitary(s, u, qs).amps
+                assert np.max(np.abs(got - reference_apply_unitary(s, u, qs))) < 1e-12, qs
+                for basis in BASES_BY_ARITY[k]:
+                    stream += 1
+                    label, post = measure(s, basis, qs, Rng(n, stream))
+                    ref_label, ref_amps = reference_measure(s, basis, qs, Rng(n, stream))
+                    assert label == ref_label, (qs, basis)
+                    assert np.max(np.abs(post.amps - ref_amps)) < 1e-12, (qs, basis)
+                    dist = born_distribution(s, basis, qs)
+                    for lab, p, branch in measurement_branches(s, basis, qs):
+                        assert p == dist[lab]
+                        if lab == label:
+                            assert np.array_equal(branch.amps, post.amps)
+
+    def test_non_unitary_or_nan_matrix_raises(self):
+        s = random_state(3, 8)
+        with pytest.raises(ValueError):
+            apply_unitary(s, 2 * np.eye(2), (1,))
+        with pytest.raises(ValueError):
+            apply_unitary(s, [[1, 1], [0, 1]], (0,))
+        with pytest.raises(ValueError):
+            apply_unitary(s, np.full((4, 4), np.nan), (0, 2))
+
+
+class StubDraw:
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+class TestMeasureGuards:
+    def test_draw_past_rounded_total_takes_last_nonzero_outcome(self):
+        # probabilities 0.7 and 0.3 - 4e-16, then a draw above their total:
+        # exact arithmetic has r < 1 and takes outcome 1, not the larger 0
+        s = qcore._unchecked_state(np.array([math.sqrt(0.7), math.sqrt(0.3 - 4e-16)],
+                                            dtype=np.complex128))
+        r = 1.0 - 2.0 ** -53
+        assert sum(born_distribution(s, MeasBasis.Z, [0]).values()) < r
+        label, post = measure(s, MeasBasis.Z, [0], StubDraw(r))
+        assert label == 1 and post.amplitude("1") == 1
+
+    def test_last_nonzero_skips_zero_outcomes(self):
+        # PHI_PLUS, the first Bell outcome, is the only one above ZERO_TOL,
+        # and its probability falls short of the draw
+        amps = np.array([1, 0, 0, 1 - 8e-16], dtype=np.complex128) * INV
+        s = qcore._unchecked_state(amps)
+        label, _ = measure(s, MeasBasis.BELL, [0, 1], StubDraw(1.0 - 2.0 ** -53))
+        assert label == BellLabel.PHI_PLUS
+
+    @pytest.mark.parametrize("amps", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0]])
+    def test_unnormalized_state_raises(self, amps):
+        s = qcore._unchecked_state(np.array(amps, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            measure(s, MeasBasis.Z, [0], Rng(1))
+
+
+class TestSharedStates:
+    def test_constants_are_shared_and_read_only(self):
+        for label in GhzLabel:
+            assert ghz_state(label) is ghz_state(label)
+        assert make_basis_state("0") is make_basis_state("0")
+        assert eavesdrop_unitary(0.25) is eavesdrop_unitary(0.25)
+        for arr in (ghz_state(GhzLabel.PSI0).amps, decoy_state("+").amps,
+                    make_basis_state("0").amps, eavesdrop_unitary(0.25)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
