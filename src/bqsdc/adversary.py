@@ -4,7 +4,9 @@ Three attacks can be mounted on any of the three transmissions: substitute
 a fresh fake particle (intercept-resend), measure in flight and forward the
 collapsed particle (measure-resend), or couple a one-qubit ancilla through
 a unitary that flips the target with probability beta**2
-(entangle-measure).
+(entangle-measure). Eve treats every particle of a sequence alike, so an
+attack runs on a block of registers at once, each drawing from its own
+keyed stream.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
 one keyed random stream per trial. The outcome distribution of every random
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +34,14 @@ from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from .codebook import ghz_state
 from .labels import GhzLabel
-from .particles import Register, append_ancilla, measure_particles
-from .qcore import MeasBasis, Rng, StreamBlock
+from .particles import Register, append_ancilla, measure_in_bases, measure_particles
+from .qcore import MeasBasis, StreamBlock
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
 TARGETS = ("S_C", "S_B", "S_A")
 
 _BASIS_TOKENS = ("Z", "X")
+_EVE_BASES = tuple(MeasBasis(token) for token in _BASIS_TOKENS)
 
 # Trials drawn together by estimate_detection: large enough to amortise
 # numpy's per-call cost, small enough that the buffers stay a few KB
@@ -110,34 +114,39 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     return u
 
 
-def attack_intercept_resend(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
-    """Keep the genuine particle (stored, never measured) and inject a fake."""
-    token = cfg.fake_state if cfg.fake_state is not None else rng.choice(DECOY_TOKENS)
-    reg.at[role] = append_ancilla(reg, decoy_state(token))
-
-
-def attack_measure_resend(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
-    """Measure the particle in Eve's basis and forward it collapsed."""
-    basis = cfg.eve_basis if cfg.eve_basis is not None else rng.choice(_BASIS_TOKENS)
-    measure_particles(MeasBasis(basis), reg, [role], rng)
-
-
-def attack_entangle_measure(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
-    """Append an ancilla and couple it to the particle in flight."""
-    ancilla = append_ancilla(reg, qcore.make_basis_state("0"))
-    reg.state = qcore.apply_unitary(reg.state, eavesdrop_unitary(cfg.beta_squared),
-                                    (reg.at[role], ancilla))
-
-
-def apply_attack(reg: Register, role: int, cfg: AttackConfig, rng: Rng) -> None:
-    """Run the particle at reg's role, in flight, through the configured
-    strategy; reg changes in place."""
+def apply_attack(regs: Sequence[Register], role: int, cfg: AttackConfig,
+                 rng: StreamBlock) -> None:
+    """Run the particle at role of every register of regs, in flight,
+    through the configured strategy, regs[i] drawing from lane i of rng
+    (keyed to its stream). The registers share one layout and change in
+    place."""
     if cfg.strategy == "intercept_resend":
-        attack_intercept_resend(reg, role, cfg, rng)
+        # keep the genuine particle (stored, never measured), inject a fake
+        fakes = (decoy_state(cfg.fake_state).amps if cfg.fake_state is not None
+                 else _decoy_rows()[rng.randrange(len(DECOY_TOKENS))])
+        qubit = append_ancilla(regs, fakes)
+        for reg in regs:
+            reg.at[role] = qubit
     elif cfg.strategy == "measure_resend":
-        attack_measure_resend(reg, role, cfg, rng)
+        # measure the particle in Eve's basis and forward it collapsed
+        if cfg.eve_basis is not None:
+            measure_particles(MeasBasis(cfg.eve_basis), regs, [(role,)], [rng.random()],
+                              keep=True)
+        else:
+            which = rng.randrange(len(_EVE_BASES))
+            measure_in_bases(_EVE_BASES, which, regs, [(role,)], [rng.random()], keep=True)
     elif cfg.strategy == "entangle_measure":
-        attack_entangle_measure(reg, role, cfg, rng)
+        # couple a fresh ancilla to the particle in flight
+        append_ancilla(regs, qcore.make_basis_state("0").amps,
+                       coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
+
+
+@lru_cache(maxsize=None)
+def _decoy_rows() -> np.ndarray:
+    """The four decoy states, in DECOY_TOKENS order, as the rows of one array."""
+    rows = np.stack([decoy_state(token).amps for token in DECOY_TOKENS])
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from the announcement, its own operation, and the initial state.
 Each GHZ triple, sample and decoy is its own register; whatever an attack
 leaves behind joins the register it hits. The two triples of a group are
 merged into one register exactly once, at Bob's swap, so no state is wider
-than two triples plus one attack qubit (7 qubits).
+than two triples plus one attack qubit (7 qubits). A step runs once per
+block of registers of one sequence, which share one layout, as one batched
+register operation (particles), not once per particle.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so a position would
@@ -34,14 +36,16 @@ import json
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from . import particles
 from .adversary import AttackConfig, apply_attack
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from .codebook import (CompositeOp, MessageTriple, ghz_state, invert_transform,
-                       message_to_op, transform_label)
+                       transform_label)
 from .labels import CollectionLabel, GhzLabel
-from .particles import Register, apply_op, measure_particles
-from .qcore import MeasBasis, Rng
+from .particles import Register, apply_op, measure_in_bases, measure_particles
+from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
 from .swap import BellTriple, collection_of, collection_table
 
 def default_decoy_count(n_groups: int) -> int:
@@ -173,12 +177,13 @@ class SessionTranscript:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def message_triples(bits: str, n_groups: int) -> list[MessageTriple]:
-    """Split a 0/1 string into 3-bit triples, validating its length."""
-    if len(bits) != 3 * n_groups or any(c not in "01" for c in bits):
+def message_ops(bits: str, n_groups: int) -> list[CompositeOp]:
+    """The composite operation of every group, its three message bits read
+    as a binary number (message_to_op), the whole string validated at once."""
+    digits = np.frombuffer(bits.encode(), dtype=np.uint8) - np.uint8(ord("0"))
+    if len(bits) != 3 * n_groups or digits.size != len(bits) or (digits > 1).any():
         raise ValueError(f"need exactly {3 * n_groups} message bits of 0/1")
-    return [(int(bits[3 * i]), int(bits[3 * i + 1]), int(bits[3 * i + 2]))
-            for i in range(n_groups)]
+    return [_OPS[k] for k in (digits.reshape(-1, 3) @ _BIT_WEIGHTS).tolist()]
 
 
 def random_message_bits(n_groups: int, rng: Rng) -> str:
@@ -224,6 +229,41 @@ def bob_decode(measured: GhzLabel, b_op: CompositeOp,
     return infer_op_from_announcement(measured, b_op, announcement, "second").bits
 
 
+@lru_cache(maxsize=None)
+def _decode_table() -> tuple:
+    """decoded[side][own label][own op][announcement]: the bits that Alice
+    (side 0, alice_decode) or Bob (side 1, bob_decode) reads off an
+    announcement, as a 0/1 string."""
+    text = {op.bits: "".join(map(str, op.bits)) for op in CompositeOp}
+    return tuple(tuple(tuple(tuple(text[decode(p, k, m)] for m in CollectionLabel)
+                             for k in CompositeOp) for p in GhzLabel)
+                 for decode in (alice_decode, bob_decode))
+
+
+@lru_cache(maxsize=None)
+def _sample_ok() -> np.ndarray:
+    """ok[label, w, 4a + 2b + c]: whether the outcome indices a, b, c of the
+    first, second and third particle pass the check of a GHZ sample in state
+    label measured in _CHECK_BASES[w] (ghz_sample_ok)."""
+    ok = np.empty((len(GhzLabel), len(_CHECK_BASES), 8), dtype=bool)
+    for label in GhzLabel:
+        for w, basis in enumerate(_CHECK_BASES):
+            names = basis_labels(basis)
+            for k in range(8):
+                ok[label, w, k] = ghz_sample_ok(
+                    label, basis, (names[k >> 2], names[k >> 1 & 1], names[k & 1]))
+    return ok
+
+
+@lru_cache(maxsize=None)
+def _swap_outcomes() -> tuple[tuple[BellTriple, CollectionLabel], ...]:
+    """(Bell triple, its collection) for the Bell outcome indices a, b, c of
+    the three cross pairs, at index 16a + 4b + c."""
+    bell = basis_labels(MeasBasis.BELL)
+    triples = [BellTriple(bell[k >> 4], bell[k >> 2 & 3], bell[k & 3]) for k in range(64)]
+    return tuple((t, collection_of(t)) for t in triples)
+
+
 # Stream ids. Every draw of a session comes from Rng(cfg.seed, stream=id),
 # id = place << _UNIT_BITS | unit: the place in the protocol in the top byte,
 # the index of the group, triple, sample or decoy it concerns below it. Places
@@ -243,6 +283,25 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 # S_C, of every GHZ sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
+# Units per block of a batched step: every numpy pass of a step covers up to
+# this many triples, groups, samples or decoys. The swap's buffers for a
+# block of joint 7-qubit registers take about 0.4 MB; larger blocks would
+# raise the session's peak heap above that of serialising its transcript.
+_BLOCK = 32
+
+_GHZ = tuple(GhzLabel)
+_OPS = tuple(CompositeOp)
+_BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.intp)
+# The first and second factor of every composite op, stacked in op order.
+_FIRST = np.stack([op.first.matrix for op in CompositeOp])
+_SECOND = np.stack([op.second.matrix for op in CompositeOp])
+# The check bases, drawn Z for 0 and X for 1; each decoy token's basis in
+# that order, and the index of the outcome a clean channel gives it.
+_CHECK_BASES = (MeasBasis.Z, MeasBasis.X)
+_DECOY_BASIS = np.array([_CHECK_BASES.index(DECOY_STATES[t].basis) for t in DECOY_TOKENS])
+_DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STATES[t].expected)
+                            for t in DECOY_TOKENS])
+
 
 class Session:
     """Single-threaded deterministic run of the seven protocol steps.
@@ -253,14 +312,19 @@ class Session:
     A transmitted sequence is the particle at its role of every triple plus
     its samples or decoys, in no particular order: positions are not
     simulated (see the module docstring). Each draw comes from the stream
-    of its place and unit (_rng), so no step depends on how many draws an
-    earlier one made.
+    of its place and unit, so no step depends on how many draws an earlier
+    one made.
+
+    Each step runs once per block of up to _BLOCK units (triples, groups,
+    samples or decoys) of a sequence, as one batched register operation of
+    particles, with the units' draws taken side by side from their keyed
+    streams (_blocks); memory for a step's buffers does not grow with N.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
         self.cfg = cfg
-        self.alice_ops = [message_to_op(t) for t in message_triples(alice_bits, cfg.n_groups)]
-        self.bob_ops = [message_to_op(t) for t in message_triples(bob_bits, cfg.n_groups)]
+        self.alice_ops = message_ops(alice_bits, cfg.n_groups)
+        self.bob_ops = message_ops(bob_bits, cfg.n_groups)
         self.transcript = SessionTranscript(config=cfg)
         # Group n's odd triple at index 2n and its even triple at 2n+1; roles
         # 0, 1, 2 are the particles sent in S_A, S_B, S_C.
@@ -269,9 +333,21 @@ class Session:
         # and the decoys (token, register) that travel in S_B and in S_A.
         self.samples: list[tuple[GhzLabel, Register]] = []
         self.decoys: dict[str, list[tuple[str, Register]]] = {}
+        self._streams = StreamBlock(cfg.seed, _BLOCK)
 
-    def _rng(self, place: int, unit: int) -> Rng:
-        return Rng(self.cfg.seed, stream=place << _UNIT_BITS | unit)
+    def _blocks(self, place: int, count: int):
+        """The count units at place in consecutive blocks of at most _BLOCK:
+        yields (start, stop, rng), lane j of rng keyed to the stream
+        Rng(seed, place << _UNIT_BITS | start + j) of unit start + j."""
+        rng = self._streams
+        for start in range(0, count, _BLOCK):
+            stop = min(start + _BLOCK, count)
+            rng.key(place << _UNIT_BITS | start, stop - start)
+            yield start, stop, rng
+
+    def _randrange(self, place: int, count: int, n: int) -> list[int]:
+        """randrange(n) drawn first from the stream of each of count units."""
+        return [k for _, _, rng in self._blocks(place, count) for k in rng.randrange(n).tolist()]
 
     # -- step 1 ----------------------------------------------------------
 
@@ -279,15 +355,14 @@ class Session:
         """Draw labels, build two identical GHZ triples per group and the
         GHZ samples, and transmit the third-particle sequence."""
         cfg = self.cfg
-        for n in range(cfg.n_groups):
-            label = cfg.initial_label if cfg.initial_label is not None \
-                else GhzLabel(self._rng(_GROUP_LABEL, n).randrange(8))
+        labels = ([cfg.initial_label] * cfg.n_groups if cfg.initial_label is not None
+                  else [_GHZ[k] for k in self._randrange(_GROUP_LABEL, cfg.n_groups, 8)])
+        for n, label in enumerate(labels):
             self.transcript.groups.append(GroupRecord(index=n + 1, prepared_label=label))
             self.triples.append(Register(ghz_state(label)))
             self.triples.append(Register(ghz_state(label)))
-        for i in range(cfg.resolved_decoys()):
-            label = GhzLabel(self._rng(_SAMPLE_LABEL, i).randrange(8))
-            self.samples.append((label, Register(ghz_state(label))))
+        for k in self._randrange(_SAMPLE_LABEL, cfg.resolved_decoys(), 8):
+            self.samples.append((_GHZ[k], Register(ghz_state(_GHZ[k]))))
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
@@ -297,26 +372,29 @@ class Session:
         if attack is None or attack.target != name:
             return
         role = _ROLES[name]
-        for t, reg in enumerate(self.triples):
-            apply_attack(reg, role, attack, self._rng(_EVE_TRIPLES[name], t))
+        for start, stop, rng in self._blocks(_EVE_TRIPLES[name], len(self.triples)):
+            apply_attack(self.triples[start:stop], role, attack, rng)
         # a decoy is a single particle, at role 0 of its register
         extras, extra_role = (self.samples, role) if name == "S_C" else (self.decoys[name], 0)
-        for i, (_, reg) in enumerate(extras):
-            apply_attack(reg, extra_role, attack, self._rng(_EVE_EXTRAS[name], i))
+        regs = [reg for _, reg in extras]
+        for start, stop, rng in self._blocks(_EVE_EXTRAS[name], len(regs)):
+            apply_attack(regs[start:stop], extra_role, attack, rng)
 
     # -- step 2 ----------------------------------------------------------
 
     def check1(self) -> CheckRecord:
         """GHZ-sample correlation check on the delivered third particles."""
+        labels = np.array([label for label, _ in self.samples], dtype=np.intp)
+        regs = [reg for _, reg in self.samples]
+        ok = _sample_ok()
         errors = 0
-        for i, (label, reg) in enumerate(self.samples):
-            rng = self._rng(_CHECK["S_C"], i)
-            basis = MeasBasis.Z if rng.randrange(2) == 0 else MeasBasis.X
-            c_out = measure_particles(basis, reg, [2], rng)
-            a_out = measure_particles(basis, reg, [0], rng)
-            b_out = measure_particles(basis, reg, [1], rng)
-            errors += not ghz_sample_ok(label, basis, (a_out, b_out, c_out))
-        return self._record_check(2, len(self.samples), errors)
+        for start, stop, rng in self._blocks(_CHECK["S_C"], len(regs)):
+            which = rng.randrange(len(_CHECK_BASES))
+            draws = [rng.random() for _ in range(3)]  # for C, then A, then B
+            c, a, b = measure_in_bases(_CHECK_BASES, which, regs[start:stop],
+                                       [(2,), (0,), (1,)], draws)
+            errors += int(np.count_nonzero(~ok[labels[start:stop], which, 4 * a + 2 * b + c]))
+        return self._record_check(2, len(regs), errors)
 
     def _record_check(self, step: int, samples: int, errors: int) -> CheckRecord:
         rate = errors / samples if samples else 0.0
@@ -331,17 +409,25 @@ class Session:
     def alice_encode(self) -> None:
         """Encode Alice's bits on the odd triples, then send the
         second-particle sequence with fresh single-particle decoys."""
-        for n, op in enumerate(self.alice_ops):
-            apply_op(self.triples[2 * n], 0, op.first)
-            apply_op(self.triples[2 * n], 1, op.second)
-            self.transcript.groups[n].a_op = op
+        self._encode(self.triples[0::2], self.alice_ops)
+        for rec, op in zip(self.transcript.groups, self.alice_ops):
+            rec.a_op = op
         self._draw_decoys("S_B")
         self._transmit("S_B")
 
+    @staticmethod
+    def _encode(regs: list[Register], ops: list[CompositeOp]) -> None:
+        """Apply each group's composite operation to the first and second
+        particle of its register."""
+        codes = np.array(ops, dtype=np.intp)
+        for start in range(0, len(regs), _BLOCK):
+            k = codes[start:start + _BLOCK]
+            apply_op(regs[start:start + _BLOCK], [(0, _FIRST[k]), (1, _SECOND[k])])
+
     def _draw_decoys(self, name: str) -> None:
         """Fresh single-particle decoys to travel in the named sequence."""
-        tokens = [DECOY_TOKENS[self._rng(_DECOY_TOKEN[name], i).randrange(4)]
-                  for i in range(self.cfg.resolved_decoys())]
+        tokens = [DECOY_TOKENS[k] for k in
+                  self._randrange(_DECOY_TOKEN[name], self.cfg.resolved_decoys(), 4)]
         self.decoys[name] = [(token, Register(decoy_state(token))) for token in tokens]
 
     # -- steps 4 and 5 ---------------------------------------------------
@@ -357,54 +443,60 @@ class Session:
         return self._decoy_check(5, "S_A")
 
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
+        kinds = np.array([DECOY_TOKENS.index(token) for token, _ in self.decoys[name]],
+                         dtype=np.intp)
+        regs = [reg for _, reg in self.decoys[name]]
         errors = 0
-        for i, (token, reg) in enumerate(self.decoys[name]):
-            prep = DECOY_STATES[token]
-            out = measure_particles(prep.basis, reg, [0], self._rng(_CHECK[name], i))
-            errors += out != prep.expected
-        return self._record_check(step, len(self.decoys[name]), errors)
+        for start, stop, rng in self._blocks(_CHECK[name], len(regs)):
+            kind = kinds[start:stop]
+            out, = measure_in_bases(_CHECK_BASES, _DECOY_BASIS[kind], regs[start:stop],
+                                    [(0,)], [rng.random()])
+            errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kind]))
+        return self._record_check(step, len(regs), errors)
 
     # -- step 6 ----------------------------------------------------------
 
     def bob_encode(self) -> None:
         """Identify each group's prepared state from the even triple,
         rebuild it fresh, and encode Bob's bits on it."""
-        for n, op in enumerate(self.bob_ops):
-            i = 2 * n + 1
-            p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2],
-                                        self._rng(_BOB_GHZ, n))
-            fresh = Register(ghz_state(p_label))
-            apply_op(fresh, 0, op.first)
-            apply_op(fresh, 1, op.second)
-            self.triples[i] = fresh
-            self.transcript.groups[n].p_label = p_label
-            self.transcript.groups[n].b_op = op
+        ghz = basis_labels(MeasBasis.GHZ)
+        groups = self.transcript.groups
+        for start, stop, rng in self._blocks(_BOB_GHZ, self.cfg.n_groups):
+            evens = slice(2 * start + 1, 2 * stop, 2)
+            found, = measure_particles(MeasBasis.GHZ, self.triples[evens], [(0, 1, 2)],
+                                       [rng.random()])
+            p_labels = [ghz[k] for k in found.tolist()]
+            self.triples[evens] = [Register(ghz_state(p)) for p in p_labels]
+            for rec, p, op in zip(groups[start:stop], p_labels, self.bob_ops[start:stop]):
+                rec.p_label = p
+                rec.b_op = op
+        self._encode(self.triples[1::2], self.bob_ops)
 
     # -- step 7 ----------------------------------------------------------
 
     def swap_and_announce(self) -> list[CollectionLabel]:
         """Bell-measure the three cross pairs of each group and announce the
         outcome collection over the (ideal) classical channel."""
+        outcomes = _swap_outcomes()
         announcements = []
-        for n in range(self.cfg.n_groups):
+        groups = self.transcript.groups
+        for start, stop, rng in self._blocks(_SWAP, self.cfg.n_groups):
             # merge is looked up on the module, where bench/tracer.py counts it
-            joint = particles.merge(self.triples[2 * n], self.triples[2 * n + 1])
-            rng = self._rng(_SWAP, n)
-            triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], rng)
-                                  for r in range(3)))
-            m = collection_of(triple)
-            announcements.append(m)
-            rec = self.transcript.groups[n]
-            rec.bell_triple = triple
-            rec.announcement = m
+            joints = [particles.merge(self.triples[2 * n], self.triples[2 * n + 1])
+                      for n in range(start, stop)]
+            draws = [rng.random() for _ in range(3)]
+            a, b, c = measure_particles(MeasBasis.BELL, joints,
+                                        [(r, r + 3) for r in range(3)], draws)
+            for rec, k in zip(groups[start:stop], (16 * a + 4 * b + c).tolist()):
+                rec.bell_triple, rec.announcement = outcomes[k]
+                announcements.append(rec.announcement)
         return announcements
 
     def decode(self) -> None:
+        alice, bob = _decode_table()
         for rec in self.transcript.groups:
-            a_bits = alice_decode(rec.prepared_label, rec.a_op, rec.announcement)
-            b_bits = bob_decode(rec.p_label, rec.b_op, rec.announcement)
-            rec.decoded_by_alice = "".join(map(str, a_bits))
-            rec.decoded_by_bob = "".join(map(str, b_bits))
+            rec.decoded_by_alice = alice[rec.prepared_label][rec.a_op][rec.announcement]
+            rec.decoded_by_bob = bob[rec.p_label][rec.b_op][rec.announcement]
 
     # ---------------------------------------------------------------------
 

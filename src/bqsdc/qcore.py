@@ -12,14 +12,17 @@ which builds the widest states, goes through it. The results of
 apply_unitary and of the measurement collapses skip that copy and those
 checks, because a unitary and a normalized projection keep the norm by
 construction. Two cheap guards, which fail on NaN as well, stand in for
-them: apply_unitary checks the norm of its result with one vdot, which
-catches a matrix that is not unitary on the state, and measure checks
-that its outcome probabilities, which sum to the squared norm of the
-state, total 1.
+them: apply_unitary checks the norm of its result, which catches a matrix
+that is not unitary on the state, and measure checks that its outcome
+probabilities, which sum to the squared norm of the state, total 1.
 
-The index work of grouping k qubits is computed once per (n, qubits) as a
-gather plan, and a measurement projects onto every basis vector in one
-matmul.
+Every kernel works on rows: the *_rows functions take the states of many
+registers of one layout stacked as the rows of one (rows, 2**n) array and
+run one numpy pass over all of them, with every check and guard applied
+to each row (tensor_rows checks each row as StateVector(...) does). The
+one-state functions are the one-row case of the same code. The index work
+of grouping k qubits is computed once per (n, qubits) as a gather plan,
+and a measurement projects onto every basis vector in one matmul.
 """
 
 from __future__ import annotations
@@ -109,14 +112,16 @@ class StreamBlock:
     Lane j of draw(i) equals draw i (0-based) of Rng(seed, start + j): a
     stream's state after i + 1 draws is its key plus (i + 1) golden-ratio
     increments, so any draw of any stream is computed without the ones
-    before it.
+    before it. u64, random and randrange take the lanes' next draw, as the
+    Rng methods of the same names do for one stream.
     """
 
-    __slots__ = ("size", "n", "_base", "_lanes", "_keys", "_out", "_tmp")
+    __slots__ = ("size", "n", "drawn", "_base", "_lanes", "_keys", "_out", "_tmp")
 
     def __init__(self, seed: int, size: int):
         self.size = size
         self.n = 0
+        self.drawn = 0
         self._base = _mix64(seed & _MASK64)
         self._lanes = np.arange(size, dtype=np.uint64)
         self._keys = np.empty(size, dtype=np.uint64)
@@ -125,10 +130,11 @@ class StreamBlock:
 
     def key(self, start: int, n: int) -> None:
         """Key the n <= size lanes to the streams start, ..., start + n - 1
-        (each masked to 64 bits, as Rng masks its stream)."""
+        (each masked to 64 bits, as Rng masks its stream), none drawn yet."""
         if not 0 < n <= self.size:
             raise ValueError(f"a block holds 1 to {self.size} streams, got {n}")
         self.n = n
+        self.drawn = 0
         keys = self._keys[:n]
         np.add(self._lanes[:n], np.uint64((self._base + start) & _MASK64), out=keys)
         _mix64_inplace(keys, self._tmp[:n])
@@ -139,6 +145,23 @@ class StreamBlock:
         np.add(self._keys[:self.n], np.uint64((i + 1) * _GOLDEN & _MASK64), out=out)
         _mix64_inplace(out, self._tmp[:self.n])
         return out
+
+    def u64(self) -> np.ndarray:
+        """The next draw of every lane, as a view the next draw overwrites."""
+        self.drawn += 1
+        return self.draw(self.drawn - 1)
+
+    def random(self) -> np.ndarray:
+        """Rng.random of every lane: (u >> 11) * 2**-53, exact in float64."""
+        u = self.u64()
+        u >>= np.uint64(11)
+        return u * 2.0 ** -53
+
+    def randrange(self, n: int) -> np.ndarray:
+        """Rng.randrange(n) of every lane: u % n, as indices."""
+        if n <= 0:
+            raise ValueError("randrange needs n >= 1")
+        return (self.u64() % np.uint64(n)).astype(np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +174,13 @@ class StateVector:
         a = np.array(self.amps, dtype=np.complex128)
         if a.ndim != 1 or a.size < 2 or a.size & (a.size - 1):
             raise ValueError("amplitude vector length must be a power of two >= 2")
-        if not np.all(np.isfinite(a.view(np.float64))):
+        # one pass for both checks: the squared norm is finite exactly when
+        # every amplitude is, since it sums their nonnegative squares
+        norm2 = np.vdot(a, a).real
+        if not math.isfinite(norm2) and not np.isfinite(a.view(np.float64)).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > ATOL:
+        norm = math.sqrt(norm2)
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
@@ -170,21 +196,24 @@ class StateVector:
 
 
 def _unchecked_state(amps: np.ndarray) -> StateVector:
-    """A StateVector around a fresh complex128 vector, without the copy and
-    checks of StateVector(...): only for the results of apply_unitary and of
-    measurement collapses, which keep the norm by construction."""
-    amps.setflags(write=False)
+    """A StateVector around a read-only complex128 vector, without the copy
+    and checks of StateVector(...): only for the rows of rows_as_states."""
     s = object.__new__(StateVector)
     object.__setattr__(s, "amps", amps)
     return s
 
 
-def _require_unit_norm(norm2: float, what: str) -> None:
-    """Raise unless the norm sqrt(norm2) lies within ATOL of 1, as
-    StateVector requires; NaN fails the comparison and raises too."""
-    err = abs(math.sqrt(norm2) - 1.0)
-    if not err <= ATOL:
-        raise ValueError(f"{what} not normalized: |norm - 1| = {err:.3e}")
+_NORM2_LO, _NORM2_HI = (1.0 - ATOL) ** 2, (1.0 + ATOL) ** 2
+
+
+def _require_unit_norms(norm2: np.ndarray, what: str) -> None:
+    """Raise unless every norm sqrt(norm2[i]) lies within ATOL of 1, as
+    StateVector requires; NaN fails the comparisons and raises too."""
+    if not (_NORM2_LO <= norm2.min() and norm2.max() <= _NORM2_HI):
+        err = np.abs(np.sqrt(norm2) - 1.0)
+        row = int(np.flatnonzero(~(err <= ATOL))[0])
+        raise ValueError(f"{what} not normalized: |norm - 1| = {err[row]:.3e}"
+                         + (f" in row {row}" if err.size > 1 else ""))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +281,30 @@ def make_basis_state(bits: str) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product with a's qubits first (most significant)."""
-    return StateVector(np.multiply.outer(a.amps, b.amps).reshape(-1))
+    return StateVector((a.amps[:, None] * b.amps).reshape(-1))
+
+
+def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tensor on every row: row i of the result is a[i] (x) b[i], with b
+    one row for all rows or one per row. Each row is checked as
+    StateVector(...) checks a state: finite and normalized."""
+    out = (a[:, :, None] * b[..., None, :]).reshape(len(a), -1)
+    flat = out.view(np.float64)
+    norm2 = (flat * flat).sum(axis=1)
+    # as in StateVector, a row's squared norm is finite exactly when its
+    # amplitudes are
+    if not np.isfinite(norm2).all() and not np.isfinite(flat).all():
+        raise ValueError("amplitudes must be finite")
+    _require_unit_norms(norm2, "state")
+    return out
+
+
+def rows_as_states(amps: np.ndarray) -> list[StateVector]:
+    """The rows of a row kernel's result as states, without the copy and
+    checks of StateVector(...): the kernel's guards have checked each row.
+    The array becomes read-only, and each state holds a view of its row."""
+    amps.setflags(write=False)
+    return [_unchecked_state(row) for row in amps]
 
 
 def apply_single(s: StateVector, op: SingleQubitOp, q: int) -> StateVector:
@@ -266,21 +318,35 @@ def apply_unitary(s: StateVector, matrix: np.ndarray, qubits: Sequence[int]) -> 
     Raises ValueError when the result is not normalized (the matrix is not
     unitary on this state) or not finite.
     """
+    return rows_as_states(apply_unitary_rows(s.amps[None], matrix, qubits))[0]
+
+
+def apply_unitary_rows(amps: np.ndarray, matrix: np.ndarray,
+                       qubits: Sequence[int]) -> np.ndarray:
+    """apply_unitary on every row of amps (rows, 2**n): one (2**k, 2**k)
+    matrix for all rows, or one per row stacked (rows, 2**k, 2**k).
+
+    Returns a fresh array; raises ValueError when any row of it is not
+    normalized or not finite.
+    """
     qs = tuple(qubits)
-    idx = _plan(s.num_qubits, qs)
-    out = np.empty_like(s.amps)
-    out[idx] = (np.asarray(matrix, dtype=np.complex128)
-                @ s.amps[idx].reshape(1 << len(qs), -1)).reshape(-1)
-    _require_unit_norm(np.vdot(out, out).real, "apply_unitary result")
-    return _unchecked_state(out)
+    rows, size = amps.shape
+    idx, inverse = _plan(size.bit_length() - 1, qs)
+    out = (np.asarray(matrix, dtype=np.complex128)
+           @ amps.take(idx, axis=1).reshape(rows, 1 << len(qs), -1)
+           ).reshape(rows, -1).take(inverse, axis=1)
+    flat = out.view(np.float64)
+    _require_unit_norms((flat * flat).sum(axis=1), "apply_unitary result")
+    return out
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Gather plan that brings the given qubits of an n-qubit state to the
-    front: amps[plan].reshape(2**k, -1) has one row per bit pattern of the
-    qubits (qubits[0] most significant) and one column per pattern of the
-    others, in order; out[plan] = mat.reshape(-1) scatters it back."""
+def _plan(n: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gather plans that bring the given qubits of an n-qubit state to the
+    front and back: amps[..., plan].reshape(2**k, -1) has one row per bit
+    pattern of the qubits (qubits[0] most significant) and one column per
+    pattern of the others, in order; mat.reshape(-1)[..., inverse] puts a
+    matrix of that shape back in state order."""
     qs = list(qubits)
     if len(set(qs)) != len(qs):
         raise ValueError("qubit indices must be distinct")
@@ -288,44 +354,73 @@ def _plan(n: int, qubits: tuple[int, ...]) -> np.ndarray:
         raise IndexError(f"qubit indices {qs} out of range for {n} qubits")
     perm = qs + [i for i in range(n) if i not in qs]
     idx = np.arange(1 << n).reshape((2,) * n).transpose(perm).reshape(-1)
+    inverse = np.argsort(idx)
     idx.setflags(write=False)
-    return idx
+    inverse.setflags(write=False)
+    return idx, inverse
 
 
 @lru_cache(maxsize=None)
 def _basis_matrices(basis: MeasBasis) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(labels, bras, kets) of a basis: bras holds the conjugated basis
-    vectors as rows, kets the vectors themselves, both in basis order."""
-    labels, vecs = zip(*basis_outcomes(basis))
-    kets = np.array(vecs)
-    bras = kets.conj()
-    kets.setflags(write=False)
+    """(labels, bras, vecs) of a basis, in basis order: bras holds the
+    conjugated basis vectors as complex rows, vecs the same vectors as float
+    rows (every basis vector here is real)."""
+    labels, kets = zip(*basis_outcomes(basis))
+    bras = np.array(kets).conj()
+    vecs = bras.real.copy()
+    if np.any(bras.imag):
+        raise AssertionError(f"{basis.value} basis vectors are not real")
     bras.setflags(write=False)
-    return labels, bras, kets
+    vecs.setflags(write=False)
+    return labels, bras, vecs
+
+
+def basis_labels(basis: MeasBasis) -> tuple:
+    """The outcome labels of a basis in basis order: outcome index j of
+    measure_rows is the label basis_labels(basis)[j]."""
+    return _basis_matrices(basis)[0]
 
 
 def _born(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]):
-    """The Born projection: every outcome's projection in one matmul and
-    every probability in one vector operation. Returns (labels, kets, plan,
-    projs, probs), projs[j] the unnormalized remainder of outcome j and
-    probs a list, both in basis order."""
-    labels, bras, kets = _basis_matrices(basis)
+    """The Born projection of every row of amps (rows, 2**n): every
+    outcome's projection in one matmul and every probability in one vector
+    operation. Returns (labels, vecs, inverse, projs, probs): projs[i, j] is
+    the unnormalized remainder of outcome j in row i as float64 pairs (real,
+    imaginary), probs[i, j] its probability, outcomes in basis order."""
+    labels, bras, vecs = _basis_matrices(basis)
     qs = tuple(qubits)
     if 1 << len(qs) != len(labels):
         raise ValueError(f"{basis.value} basis measures {basis.arity} qubits, got {len(qs)}")
-    idx = _plan(amps.size.bit_length() - 1, qs)
-    projs = bras @ amps[idx].reshape(len(labels), -1)
-    flat = projs.view(np.float64)  # real and imaginary parts side by side
-    probs = (flat * flat).sum(axis=1).tolist()
-    return labels, kets, idx, projs, probs
+    rows, size = amps.shape
+    idx, inverse = _plan(size.bit_length() - 1, qs)
+    projs = (bras @ amps.take(idx, axis=1).reshape(rows, len(labels), -1)).view(np.float64)
+    probs = (projs * projs).sum(axis=2)
+    return labels, vecs, inverse, projs, probs
 
 
-def _collapse(kets: np.ndarray, projs: np.ndarray, j: int, prob: float,
-              idx: np.ndarray) -> np.ndarray:
-    """Post-measurement amplitudes for outcome j of _born."""
-    out = np.empty(idx.size, dtype=np.complex128)
-    out[idx] = np.multiply.outer(kets[j], projs[j] / math.sqrt(prob)).reshape(-1)
-    return out
+def _collapse(vecs: np.ndarray, projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
+              j: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Post-measurement amplitudes: row i is row src[i] of _born's input
+    collapsed to outcome j[i]. The basis vectors are real, so each amplitude
+    is a real multiple of the normalized remainder."""
+    post = projs[src, j].view(np.complex128) / np.sqrt(probs[src, j])[:, None]
+    out = vecs[j][:, :, None] * post.view(np.float64)[:, None, :]
+    return out.view(np.complex128).reshape(j.size, -1).take(inverse, axis=1)
+
+
+def _pick(probs: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row i, the first outcome j with r[i] < cum[i, j] = probs[i, 0] +
+    ... + probs[i, j] (summed left to right) and probs[i, j] above ZERO_TOL.
+    Where rounding left the total at or below r[i] < 1, the last outcome
+    with nonzero probability, which exact arithmetic would take."""
+    live = probs > ZERO_TOL
+    hit = (r[:, None] < cum) & live
+    j = hit.argmax(axis=1)
+    found = hit.any(axis=1)
+    if not found.all():
+        short = ~found
+        j[short] = probs.shape[1] - 1 - live[short, ::-1].argmax(axis=1)
+    return j
 
 
 def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> dict:
@@ -333,8 +428,8 @@ def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -
 
     Returns the full map over basis labels; probabilities sum to one.
     """
-    labels, _, _, _, probs = _born(s.amps, basis, qubits)
-    return dict(zip(labels, probs))
+    labels, _, _, _, probs = _born(s.amps[None], basis, qubits)
+    return dict(zip(labels, probs[0].tolist()))
 
 
 def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
@@ -344,44 +439,55 @@ def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
     qubits in the same basis then reproduces the outcome with certainty.
     Raises ValueError when the outcome probabilities do not total 1.
     """
-    labels, kets, idx, projs, probs = _born(s.amps, basis, qubits)
-    _require_unit_norm(sum(probs), "measured state")
-    r = rng.random()
-    acc = 0.0
-    for j, prob in enumerate(probs):
-        acc += prob
-        if r < acc and prob > ZERO_TOL:
-            break
-    else:  # rounding left the total at or below r < 1, where exact
-        # arithmetic takes the last outcome with nonzero probability
-        j = max(i for i, p in enumerate(probs) if p > ZERO_TOL)
-        prob = probs[j]
-    return labels[j], _unchecked_state(_collapse(kets, projs, j, prob, idx))
+    j, post = measure_rows(s.amps[None], basis, qubits, np.array([rng.random()]))
+    return basis_labels(basis)[j[0]], rows_as_states(post)[0]
+
+
+def measure_rows(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int],
+                 r: np.ndarray, collapse: bool = True):
+    """measure on every row of amps (rows, 2**n), row i drawing with the
+    uniform r[i] in [0, 1).
+
+    Returns (j, post): j[i] the index of row i's outcome in basis order
+    (basis_labels), post the collapsed rows as a fresh array, or None
+    without collapse, for a measurement nothing reads again. Raises
+    ValueError when any row's outcome probabilities do not total 1.
+    """
+    labels, vecs, inverse, projs, probs = _born(amps, basis, qubits)
+    cum = probs.cumsum(axis=1)
+    _require_unit_norms(cum[:, -1], "measured state")
+    j = _pick(probs, cum, r)
+    if not collapse:
+        return j, None
+    return j, _collapse(vecs, projs, probs, np.arange(j.size), j, inverse)
 
 
 def measurement_branches(s: StateVector, basis: MeasBasis,
                          qubits: Sequence[int]) -> list[tuple]:
     """All (label, probability, collapsed state) branches of one projective
     measurement, zero-probability outcomes dropped."""
-    labels, kets, idx, projs, probs = _born(s.amps, basis, qubits)
-    return [(labels[j], p, _unchecked_state(_collapse(kets, projs, j, p, idx)))
-            for j, p in enumerate(probs) if p > ZERO_TOL]
+    labels, vecs, inverse, projs, probs = _born(s.amps[None], basis, qubits)
+    js = np.flatnonzero(probs[0] > ZERO_TOL)
+    post = _collapse(vecs, projs, probs, np.zeros_like(js), js, inverse)
+    return [(labels[j], p, state)
+            for j, p, state in zip(js.tolist(), probs[0, js].tolist(), rows_as_states(post))]
 
 
 def joint_distribution(s: StateVector, basis: MeasBasis,
                        groups: Iterable[Sequence[int]]) -> dict[tuple, float]:
     """Joint distribution of the same-basis measurement applied to several
-    disjoint qubit groups, by exact branch expansion.
+    disjoint qubit groups, by exact branch expansion: the branches are the
+    rows of one array, each group's measurement splits every row into its
+    nonzero outcomes.
 
     Keys are outcome tuples in group order; zero-probability branches are
     dropped, so the keys are exactly the support.
     """
-    branches: list[tuple[tuple, float, np.ndarray]] = [((), 1.0, s.amps)]
+    outs, weights, amps = [()], np.ones(1), s.amps[None]
     for qs in groups:
-        nxt = []
-        for outs, prob, amps in branches:
-            labels, kets, idx, projs, probs = _born(amps, basis, qs)
-            nxt.extend((outs + (labels[j],), prob * p, _collapse(kets, projs, j, p, idx))
-                       for j, p in enumerate(probs) if p > ZERO_TOL)
-        branches = nxt
-    return {outs: prob for outs, prob, _ in branches}
+        labels, vecs, inverse, projs, probs = _born(amps, basis, qs)
+        src, js = np.nonzero(probs > ZERO_TOL)
+        outs = [outs[b] + (labels[j],) for b, j in zip(src.tolist(), js.tolist())]
+        weights = weights[src] * probs[src, js]
+        amps = _collapse(vecs, projs, probs, src, js, inverse)
+    return dict(zip(outs, weights.tolist()))

@@ -14,7 +14,7 @@ from bqsdc.codebook import ghz_state
 from bqsdc.labels import GhzLabel
 from bqsdc.particles import Register
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import MeasBasis, Rng, born_distribution
+from bqsdc.qcore import MeasBasis, Rng, StreamBlock, born_distribution
 
 
 class TestAttackConfig:
@@ -62,34 +62,39 @@ class TestEavesdropUnitary:
         assert np.allclose(eavesdrop_unitary(0.0), np.eye(4))
 
 
+def attacked_block(cfg, count=3):
+    """GHZ triples with Eve's strategy run on their third particles, register
+    j drawing from the keyed stream (1, j)."""
+    regs = [Register(ghz_state(GhzLabel.PSI0)) for _ in range(count)]
+    rng = StreamBlock(1, count)
+    rng.key(0, count)
+    apply_attack(regs, 2, cfg, rng)
+    return regs
+
+
 class TestAttackApplication:
     def test_intercept_returns_fresh_particle(self):
-        reg = Register(ghz_state(GhzLabel.PSI0))
-        apply_attack(reg, 2, AttackConfig("intercept_resend", fake_state="0"), Rng(1))
-        # the fake is appended and takes the role; the genuine particle
-        # stays in the register, still entangled with the other two
-        assert reg.at == [0, 1, 3] and reg.state.num_qubits == 4
-        assert born_distribution(reg.state, MeasBasis.Z, [3])[0] == pytest.approx(1.0)
-        assert born_distribution(reg.state, MeasBasis.Z, [2])[0] == pytest.approx(0.5)
+        for reg in attacked_block(AttackConfig("intercept_resend", fake_state="0")):
+            # the fake is appended and takes the role; the genuine particle
+            # stays in the register, still entangled with the other two
+            assert reg.at == [0, 1, 3] and reg.state.num_qubits == 4
+            assert born_distribution(reg.state, MeasBasis.Z, [3])[0] == pytest.approx(1.0)
+            assert born_distribution(reg.state, MeasBasis.Z, [2])[0] == pytest.approx(0.5)
 
     def test_measure_resend_collapses(self):
-        reg = Register(ghz_state(GhzLabel.PSI0))
-        apply_attack(reg, 2, AttackConfig("measure_resend", eve_basis="Z"), Rng(1))
-        assert reg.at == [0, 1, 2]
-        # the whole triple collapsed to a definite computational state
-        probs = np.abs(reg.state.amps) ** 2
-        assert max(probs) == pytest.approx(1.0)
+        for reg in attacked_block(AttackConfig("measure_resend", eve_basis="Z")):
+            assert reg.at == [0, 1, 2]
+            # the whole triple collapsed to a definite computational state
+            probs = np.abs(reg.state.amps) ** 2
+            assert max(probs) == pytest.approx(1.0)
 
     def test_entangle_appends_ancilla(self):
-        reg = Register(ghz_state(GhzLabel.PSI0))
-        apply_attack(reg, 2, AttackConfig.entangling(0.25), Rng(1))
-        assert reg.at == [0, 1, 2] and reg.state.num_qubits == 4
+        for reg in attacked_block(AttackConfig.entangling(0.25)):
+            assert reg.at == [0, 1, 2] and reg.state.num_qubits == 4
 
     def test_none_is_identity(self):
-        reg = Register(ghz_state(GhzLabel.PSI0))
-        state = reg.state
-        apply_attack(reg, 2, AttackConfig("none"), Rng(1))
-        assert reg.state is state and reg.at == [0, 1, 2]
+        for reg in attacked_block(AttackConfig("none")):
+            assert reg.state is ghz_state(GhzLabel.PSI0) and reg.at == [0, 1, 2]
 
 
 # Exact Born-rule detection rates for the GHZ-sample check. Where the

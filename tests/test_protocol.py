@@ -1,21 +1,24 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
+from reference_session import ReferenceSession
 
 from bqsdc import qcore
 from bqsdc.adversary import AttackConfig
 from bqsdc.checks import consistent_ghz_outcomes
 from bqsdc.codebook import CompositeOp, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
-from bqsdc.particles import Register, append_ancilla, measure_particles, merge
-from bqsdc.protocol import (Session, SessionConfig, alice_decode, bob_decode,
-                            default_decoy_count, message_triples,
-                            random_message_bits, run_session)
-from bqsdc.qcore import MeasBasis, Rng, StateVector, make_basis_state
+from bqsdc.particles import (Register, append_ancilla, measure_in_bases, measure_particles,
+                             merge)
+from bqsdc.protocol import (_BLOCK, Session, SessionConfig, alice_decode, bob_decode,
+                            default_decoy_count, message_ops, random_message_bits,
+                            run_session)
+from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, make_basis_state
 from bqsdc.swap import collection_members, collection_table
 
 
@@ -28,7 +31,7 @@ class TestRegister:
     def test_merge_puts_b_roles_after_a(self):
         a = Register(ghz_state(GhzLabel.PSI0))
         b = Register(ghz_state(GhzLabel.PSI1))
-        b.at[2] = append_ancilla(b, make_basis_state("0"))
+        b.at[2] = append_ancilla([b], make_basis_state("0").amps)
         joint = merge(a, b)
         assert joint.state.num_qubits == 7
         assert joint.at == [0, 1, 2, 3, 4, 6]
@@ -36,11 +39,29 @@ class TestRegister:
 
     def test_measurement_collapses_in_place(self):
         a = Register(ghz_state(GhzLabel.PSI0))
-        out = measure_particles(MeasBasis.Z, a, [0], Rng(1))
+        outs = [measure_particles(MeasBasis.Z, [a], [(role,)], [np.array([Rng(seed).random()])],
+                                  keep=True)[0][0]
+                for role, seed in ((0, 1), (1, 2), (2, 3))]
         # remaining particles are perfectly correlated with the outcome
-        out_b = measure_particles(MeasBasis.Z, a, [1], Rng(2))
-        out_c = measure_particles(MeasBasis.Z, a, [2], Rng(3))
-        assert out == out_b == out_c
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_rounds_collapse_and_keep(self):
+        # three Z rounds on GHZ triples agree within each register; without
+        # keep the registers are left as they were
+        regs = [Register(ghz_state(GhzLabel.PSI0)) for _ in range(5)]
+        before = [reg.state for reg in regs]
+        draws = [np.array([Rng(seed, stream=k).random() for seed in range(5)]) for k in range(3)]
+        a, b, c = measure_particles(MeasBasis.Z, regs, [(0,), (1,), (2,)], draws)
+        assert (a == b).all() and (b == c).all() and 0 < a.sum() < 5
+        assert [reg.state for reg in regs] == before
+
+    def test_basis_per_register(self):
+        # |0> in Z and |+> in X are certain; each register gets its own basis
+        regs = [Register(make_basis_state("0")), Register(qcore.StateVector([2 ** -0.5] * 2))]
+        which = np.array([0, 1])
+        out, = measure_in_bases((MeasBasis.Z, MeasBasis.X), which, regs, [(0,)],
+                                [np.array([0.99, 0.99])])
+        assert out.tolist() == [0, 0]
 
 
 class TestConfig:
@@ -58,11 +79,12 @@ class TestConfig:
             SessionConfig(n_groups=1, decoys=-1)
 
     def test_message_validation(self):
-        with pytest.raises(ValueError):
-            message_triples("0101", 1)
-        with pytest.raises(ValueError):
-            message_triples("01x", 1)
-        assert message_triples("010101", 2) == [(0, 1, 0), (1, 0, 1)]
+        for bits in ("0101", "01x", "01/", "01\u00e9", "0 1"):
+            with pytest.raises(ValueError):
+                message_ops(bits, 1)
+        assert message_ops("010101", 2) == [CompositeOp.U2, CompositeOp.U5]
+        for op in CompositeOp:
+            assert message_ops("".join(map(str, op.bits)) * 2, 2) == [op, op]
 
 
 class TestPrepare:
@@ -319,22 +341,113 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("attack", ATTACKS, ids=ATTACK_IDS)
     def test_stream_ids_distinct_from_each_other_and_message_streams(self, attack,
                                                                      monkeypatch):
+        # every stream a scalar Rng or a StreamBlock lane is keyed to
         streams = []
-        init = Rng.__init__
+        init, key = Rng.__init__, StreamBlock.key
 
         def record(self, seed, stream=0):
             init(self, seed, stream)
             streams.append(self.stream)
 
+        def record_block(self, start, n):
+            key(self, start, n)
+            streams.extend(start + j for j in range(n))
+
         monkeypatch.setattr(Rng, "__init__", record)
+        monkeypatch.setattr(StreamBlock, "key", record_block)
         # every step, whatever the checks find, so that every place draws
         s = Session(SessionConfig(n_groups=3, seed=5, decoys=4, attack=attack),
                     "010110011", "101001100")
         for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3,
                      s.bob_encode, s.swap_and_announce):
             step()
+        assert streams, "no stream was keyed"
         assert len(streams) == len(set(streams))
         assert not set(streams) & {0, 1, 2}
+
+
+# Uniform and fixed attack parameters: Eve's fake state and basis drawn per
+# particle or fixed, and two values of beta squared.
+BOUNDARY_ATTACKS = [None, *(
+    AttackConfig(strategy, target=target, **params)
+    for target in ("S_C", "S_B", "S_A")
+    for strategy, params in [("intercept_resend", {}), ("intercept_resend", {"fake_state": "+"}),
+                             ("measure_resend", {}), ("measure_resend", {"eve_basis": "X"}),
+                             ("entangle_measure", {"beta_squared": 0.25}),
+                             ("entangle_measure", {"beta_squared": 0.7})])]
+BOUNDARY_IDS = ["none" if a is None else
+                f"{a.strategy}-{a.target}-{a.fake_state or a.eve_basis or a.beta_squared or 'uniform'}"
+                for a in BOUNDARY_ATTACKS]
+# unit counts on both sides of the block edges, each taken by the group
+# count and by the decoy count
+BOUNDARY_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+def reference_transcript(cfg, alice, bob):
+    return ReferenceSession(cfg, alice, bob).run().to_json()
+
+
+class TestBlockBoundaries:
+    """The batched session writes the transcript of the session run one
+    register at a time (reference_session.py), for group and decoy counts
+    on both sides of every block edge. Threshold 0 aborts at the first
+    check an attack disturbs; 0.99 lets most sessions run every step."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.99])
+    @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
+    def test_batched_equals_per_register(self, attack, threshold):
+        aborted = set()  # whether each session aborted
+        for i, (n, decoys) in enumerate(zip(BOUNDARY_SIZES, reversed(BOUNDARY_SIZES))):
+            cfg = SessionConfig(n_groups=n, seed=1000 * i + 7, decoys=decoys,
+                                check_threshold=threshold, attack=attack)
+            msg_rng = Rng(cfg.seed, stream=2)
+            alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
+            got = run_session(cfg, alice, bob).to_json()
+            assert got == reference_transcript(cfg, alice, bob), (n, decoys)
+            aborted.add(json.loads(got)["abort"]["aborted"])
+        # an attack is caught at threshold 0; at 0.99 sessions run to the end
+        if attack is None:
+            assert aborted == {False}
+        else:
+            assert (threshold == 0.0) in aborted
+
+    @pytest.mark.parametrize("attack", [None, AttackConfig("measure_resend", target="S_A")],
+                             ids=["none", "measure_resend-S_A"])
+    def test_forced_initial_label(self, attack):
+        for n in BOUNDARY_SIZES:
+            cfg = SessionConfig(n_groups=n, seed=n, decoys=n, check_threshold=0.99,
+                                attack=attack, initial_label=GhzLabel.PSI5)
+            alice, bob = "011" * n, "110" * n
+            got = run_session(cfg, alice, bob).to_json()
+            assert got == reference_transcript(cfg, alice, bob), n
+
+
+class TestStepMemory:
+    def test_swap_buffers_do_not_grow_with_groups(self, monkeypatch):
+        # transient peak of the swap (peak minus the heap before it) at 4B
+        # groups against B: the records it fills take some 30 bytes a group,
+        # its block buffers must not grow at all; one block of all 4B groups
+        # grows them by about 1 MB
+        attack = AttackConfig.entangling(0.25, target="S_A")
+
+        def transient(n):
+            s = Session(quiet_cfg(n, seed=4, attack=attack), "101" * n, "011" * n)
+            for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3,
+                         s.bob_encode):
+                step()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                s.swap_and_announce()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        transient(_BLOCK)  # warm the caches
+        growth = transient(4 * _BLOCK) - transient(_BLOCK)
+        assert growth <= 8 * 1024
+        monkeypatch.setattr("bqsdc.protocol._BLOCK", 4 * _BLOCK)
+        assert transient(4 * _BLOCK) - transient(_BLOCK) > 100 * 1024 + growth
 
 
 class TestAborts:

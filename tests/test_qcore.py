@@ -13,10 +13,12 @@ from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import decoy_state
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
+from bqsdc.protocol import _BLOCK
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
-                         StreamBlock, apply_single, apply_unitary, basis_outcomes,
-                         born_distribution, joint_distribution, make_basis_state,
-                         measure, measurement_branches, tensor)
+                         StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
+                         basis_labels, basis_outcomes, born_distribution,
+                         joint_distribution, make_basis_state, measure,
+                         measure_rows, measurement_branches, tensor, tensor_rows)
 
 INV = 2 ** -0.5
 
@@ -354,6 +356,80 @@ class TestAgainstReference:
             apply_unitary(s, [[1, 1], [0, 1]], (0,))
         with pytest.raises(ValueError):
             apply_unitary(s, np.full((4, 4), np.nan), (0, 2))
+
+
+class TestRowKernels:
+    """An M-row call equals M one-row calls exactly (they are one code path)
+    and the transpose/matmul reference within 1e-12."""
+
+    @pytest.mark.parametrize("rows", [1, 3, _BLOCK + 1])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_equal_one_row_calls_and_reference(self, rows, n):
+        stream = 0
+        for k in (1, 2, 3):
+            for qs in permutations(range(n), k):
+                states = [random_state(n, 7000 * n + 100 * stream + i) for i in range(rows)]
+                amps = np.stack([s.amps for s in states])
+                stream += 1
+                u = random_unitary(1 << k, stream)
+                per_row = np.stack([random_unitary(1 << k, 1000 + stream + i)
+                                    for i in range(rows)])
+                got = apply_unitary_rows(amps, u, qs)
+                got_each = apply_unitary_rows(amps, per_row, qs)
+                for i, s in enumerate(states):
+                    assert np.array_equal(got[i], apply_unitary(s, u, qs).amps)
+                    assert np.array_equal(got_each[i], apply_unitary(s, per_row[i], qs).amps)
+                    assert np.max(np.abs(got[i] - reference_apply_unitary(s, u, qs))) < 1e-12
+                for basis in BASES_BY_ARITY[k]:
+                    r = np.array([Rng(n, 50 * stream + i).random() for i in range(rows)])
+                    j, post = measure_rows(amps, basis, qs, r)
+                    j_only, none = measure_rows(amps, basis, qs, r, collapse=False)
+                    assert none is None and np.array_equal(j, j_only)
+                    for i, s in enumerate(states):
+                        label, one = measure(s, basis, qs, StubDraw(r[i]))
+                        ref_label, ref_amps = reference_measure(s, basis, qs, StubDraw(r[i]))
+                        assert basis_labels(basis)[j[i]] == label == ref_label, (qs, basis)
+                        assert np.array_equal(post[i], one.amps), (qs, basis)
+                        assert np.max(np.abs(post[i] - ref_amps)) < 1e-12, (qs, basis)
+
+    def test_tensor_rows_equal_tensor(self):
+        a = [random_state(3, 40 + i) for i in range(5)]
+        b = [random_state(1, 80 + i) for i in range(5)]
+        rows = tensor_rows(np.stack([s.amps for s in a]), np.stack([s.amps for s in b]))
+        shared = tensor_rows(np.stack([s.amps for s in a]), b[0].amps)
+        for i in range(5):
+            assert np.array_equal(rows[i], tensor(a[i], b[i]).amps)
+            assert np.array_equal(shared[i], tensor(a[i], b[0]).amps)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0], [math.inf, 0.0]])
+    def test_one_bad_row_in_a_block_raises(self, bad):
+        amps = np.stack([random_state(1, i).amps for i in range(_BLOCK + 1)])
+        amps[_BLOCK // 2] = bad
+        r = np.full(len(amps), 0.5)
+        with pytest.raises(ValueError):
+            measure_rows(amps, MeasBasis.Z, [0], r)
+        with pytest.raises(ValueError):
+            tensor_rows(amps, make_basis_state("0").amps)
+        with pytest.raises(ValueError):
+            tensor_rows(np.stack([make_basis_state("1").amps] * len(amps)), amps)
+        with pytest.raises(ValueError):
+            apply_unitary_rows(amps, SX.matrix, [0])
+
+    def test_short_row_takes_last_nonzero_outcome_others_unaffected(self):
+        # row 2 has probabilities 0.7 and 0.3 - 4e-16; at a draw above their
+        # total it takes outcome 1, as exact arithmetic would, while the
+        # other rows draw as they do alone
+        short = [math.sqrt(0.7), math.sqrt(0.3 - 4e-16)]
+        states = [random_state(1, 60 + i).amps for i in range(5)]
+        amps = np.stack(states[:2] + [np.array(short, dtype=np.complex128)] + states[2:])
+        r = np.array([0.1, 0.6, 1.0 - 2.0 ** -53, 0.9, 0.35, 0.99])
+        assert amps[2].real @ amps[2].real < r[2]
+        j, post = measure_rows(amps, MeasBasis.Z, [0], r)
+        assert j[2] == 1 and np.array_equal(post[2], [0, 1])
+        for i in (0, 1, 3, 4, 5):
+            one_j, one_post = measure_rows(amps[i:i + 1], MeasBasis.Z, [0], r[i:i + 1])
+            assert j[i] == one_j[0] and np.array_equal(post[i], one_post[0])
 
 
 class StubDraw:
