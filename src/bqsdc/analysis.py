@@ -10,14 +10,15 @@ takes no side on which reading is intended.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .codebook import CompositeOp, transform_label
-from .labels import CollectionLabel, GhzLabel
+from .codebook import CompositeOp
+from .labels import CollectionLabel
 from .protocol import SessionConfig, run_session, random_message_bits
 from .qcore import Rng
-from .swap import collection_table
+from .swap import announcement
 
 OpPair = tuple[CompositeOp, CompositeOp]
 
@@ -45,33 +46,31 @@ def shannon_entropy(dist: Mapping[Hashable, float]) -> float:
     return -sum(p * math.log2(p) for p in dist.values() if p > 0.0)
 
 
-def announcement_for(initial: GhzLabel, a_op: CompositeOp, b_op: CompositeOp) -> CollectionLabel:
-    """Collection announced for a group with the given prepared state and
-    operation pair; shares the chart lookups with the session decoder."""
-    return collection_table(transform_label(initial, a_op), transform_label(initial, b_op))
+def _entropy_given_announcement(weights: Mapping[tuple[CollectionLabel, OpPair], float]) -> float:
+    """H(operation pair | announcement) from joint weights w(m, pair), read
+    as probabilities once divided by their total: the sum over m of
+    w_m / total times the entropy of the pairs within m."""
+    total = sum(weights.values())
+    buckets: dict[CollectionLabel, dict[OpPair, float]] = {}
+    for (m, pair), w in weights.items():
+        buckets.setdefault(m, {})[pair] = w
+    h_cond = 0.0
+    for bucket in buckets.values():
+        w_m = sum(bucket.values())
+        h_cond += (w_m / total) * shannon_entropy({k: v / w_m for k, v in bucket.items()})
+    return h_cond
 
 
 def conditional_entropy_given_announcement(prior: Mapping[OpPair, float]) -> float:
     """H(operation pair | announced collection), by exhaustive enumeration.
 
-    The prepared state is uniform over the eight labels and unknown to the
-    observer; the announcement for each (state, pair) case comes from the
-    same chart lookups the protocol uses.
+    The announcement for each pair comes from swap.announcement, the same
+    chart the session decodes with; it is one collection for every prepared
+    state, so the unknown initial state adds nothing to enumerate.
     """
     _validate_distribution(prior)
-    joint: dict[CollectionLabel, dict[OpPair, float]] = {}
-    for pair, p_pair in prior.items():
-        if p_pair == 0.0:
-            continue
-        for initial in GhzLabel:
-            m = announcement_for(initial, *pair)
-            bucket = joint.setdefault(m, {})
-            bucket[pair] = bucket.get(pair, 0.0) + p_pair / 8.0
-    h_cond = 0.0
-    for bucket in joint.values():
-        p_m = sum(bucket.values())
-        h_cond += p_m * shannon_entropy({k: v / p_m for k, v in bucket.items()})
-    return h_cond
+    return _entropy_given_announcement(
+        {(announcement(*pair), pair): p for pair, p in prior.items() if p != 0.0})
 
 
 def leakage_report(prior: Mapping[OpPair, float] | None = None) -> dict:
@@ -108,18 +107,9 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
     bob_bits = random_message_bits(n_groups, rng)
     cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=0)
     transcript = run_session(cfg, alice_bits, bob_bits)
-    counts: dict[CollectionLabel, dict[OpPair, int]] = {}
-    m_counts: dict[CollectionLabel, int] = {}
-    for rec in transcript.groups:
-        pair = (rec.a_op, rec.b_op)
-        bucket = counts.setdefault(rec.announcement, {})
-        bucket[pair] = bucket.get(pair, 0) + 1
-        m_counts[rec.announcement] = m_counts.get(rec.announcement, 0) + 1
-    h_cond = 0.0
-    for m, bucket in counts.items():
-        total = m_counts[m]
-        h_cond += (total / n_groups) * shannon_entropy(
-            {k: v / total for k, v in bucket.items()})
+    h_cond = _entropy_given_announcement(
+        Counter((rec.announcement, (rec.a_op, rec.b_op)) for rec in transcript.groups))
+    m_counts = Counter(rec.announcement for rec in transcript.groups)
     exhaustive = conditional_entropy_given_announcement(uniform_op_pair_prior())
     return {
         "groups": n_groups,
@@ -128,7 +118,7 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
         "exhaustive_conditional_entropy_bits": exhaustive,
         "abs_difference": abs(h_cond - exhaustive),
         "announcement_frequencies": {
-            m.token: m_counts.get(m, 0) / n_groups for m in CollectionLabel
+            m.token: m_counts[m] / n_groups for m in CollectionLabel
         },
     }
 

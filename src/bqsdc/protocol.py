@@ -10,7 +10,8 @@ prepared state of each group by a GHZ measurement on the untouched second
 triple, rebuilds it, encodes his own three bits on it, swaps entanglement
 between the two triples with three Bell measurements, and announces which
 outcome collection occurred. Each side then infers the other's operation
-from the announcement, its own operation, and the initial state.
+from the announcement and its own operation alone: the announcement depends
+only on the two operations (swap.announcement), not on the prepared state.
 
 Each GHZ triple, sample and decoy is its own register; whatever an attack
 leaves behind joins the register it hits. The two triples of a group are
@@ -41,12 +42,14 @@ import numpy as np
 from . import particles
 from .adversary import AttackConfig, apply_attack
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
-from .codebook import (CompositeOp, MessageTriple, ghz_state, invert_transform,
-                       transform_label)
+# transform_label, invert_transform and collection_table have no caller
+# here: bench/tracer.py wraps them in this namespace, so they stay imported
+# until the tracer no longer names them.
+from .codebook import CompositeOp, ghz_state, invert_transform, transform_label  # noqa: F401
 from .labels import CollectionLabel, GhzLabel
 from .particles import Register, apply_op, measure_in_bases, measure_particles
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
-from .swap import BellTriple, collection_of, collection_table
+from .swap import BellTriple, announcement, collection_of, collection_table  # noqa: F401
 
 def default_decoy_count(n_groups: int) -> int:
     """Per-check decoy count used when the config leaves it unset: enough to
@@ -190,54 +193,28 @@ def random_message_bits(n_groups: int, rng: Rng) -> str:
     return "".join(str(rng.randrange(2)) for _ in range(3 * n_groups))
 
 
-@lru_cache(maxsize=None)
-def _counterpart_table() -> dict[tuple[GhzLabel, CollectionLabel, str], GhzLabel]:
-    """(own label, announcement, own side) -> the counterpart's label, read
-    off the swap chart; each chart row and column is a permutation."""
-    table = {}
-    for first in GhzLabel:
-        for second in GhzLabel:
-            m = collection_table(first, second)
-            for key, other in (((first, m, "first"), second), ((second, m, "second"), first)):
-                if key in table:
-                    raise AssertionError("swap chart rows are not permutations")
-                table[key] = other
-    return table
-
-
-def infer_op_from_announcement(initial: GhzLabel, own_op: CompositeOp,
-                               announcement: CollectionLabel,
-                               own_side: str) -> CompositeOp:
-    """Deduce the counterpart's operation from the announced collection.
-
-    own_side is "first" when the decoder encoded the first triple of the
-    swapped pair (Alice) and "second" for the second triple (Bob).
-    """
-    own_label = transform_label(initial, own_op)
-    return invert_transform(initial, _counterpart_table()[(own_label, announcement, own_side)])
-
-
-def alice_decode(prepared: GhzLabel, a_op: CompositeOp,
-                 announcement: CollectionLabel) -> MessageTriple:
-    """Bob's message bits for one group, from Alice's knowledge."""
-    return infer_op_from_announcement(prepared, a_op, announcement, "first").bits
-
-
-def bob_decode(measured: GhzLabel, b_op: CompositeOp,
-               announcement: CollectionLabel) -> MessageTriple:
-    """Alice's message bits for one group, from Bob's knowledge."""
-    return infer_op_from_announcement(measured, b_op, announcement, "second").bits
+def _invert_announcements(announced) -> tuple:
+    """decoded[side][own op][announcement] from announced[a][b]: the bits
+    of Bob's operation that Alice (side 0) reads along her row a, and of
+    Alice's that Bob (side 1) reads down his column b, as 0/1 strings.
+    Raises unless every row and column is a permutation of the collections."""
+    bits = [f"{k:03b}" for k in range(8)]  # one string per op, shared by every group
+    decoded = ([[None] * 8 for _ in _OPS], [[None] * 8 for _ in _OPS])
+    for a in _OPS:
+        for b in _OPS:
+            m = announced[a][b]
+            for side, own, other in ((0, a, b), (1, b, a)):
+                if decoded[side][own][m] is not None:
+                    raise AssertionError(f"announcement {m.token} repeats for {own.token} "
+                                         f"on side {side}; it cannot be decoded")
+                decoded[side][own][m] = bits[other]
+    return tuple(tuple(map(tuple, rows)) for rows in decoded)
 
 
 @lru_cache(maxsize=None)
-def _decode_table() -> tuple:
-    """decoded[side][own label][own op][announcement]: the bits that Alice
-    (side 0, alice_decode) or Bob (side 1, bob_decode) reads off an
-    announcement, as a 0/1 string."""
-    text = {op.bits: "".join(map(str, op.bits)) for op in CompositeOp}
-    return tuple(tuple(tuple(tuple(text[decode(p, k, m)] for m in CollectionLabel)
-                             for k in CompositeOp) for p in GhzLabel)
-                 for decode in (alice_decode, bob_decode))
+def _decoded() -> tuple:
+    """The decode table of the announcement chart (_invert_announcements)."""
+    return _invert_announcements([[announcement(a, b) for b in _OPS] for a in _OPS])
 
 
 @lru_cache(maxsize=None)
@@ -493,10 +470,12 @@ class Session:
         return announcements
 
     def decode(self) -> None:
-        alice, bob = _decode_table()
+        """Each side reads the other's bits off the announcement and its own
+        operation (_decoded); neither needs the prepared state."""
+        alice, bob = _decoded()
         for rec in self.transcript.groups:
-            rec.decoded_by_alice = alice[rec.prepared_label][rec.a_op][rec.announcement]
-            rec.decoded_by_bob = bob[rec.p_label][rec.b_op][rec.announcement]
+            rec.decoded_by_alice = alice[rec.a_op][rec.announcement]
+            rec.decoded_by_bob = bob[rec.b_op][rec.announcement]
 
     # ---------------------------------------------------------------------
 

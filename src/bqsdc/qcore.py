@@ -84,9 +84,6 @@ class Rng:
             raise ValueError("randrange needs n >= 1")
         return self.u64() % n
 
-    def choice(self, seq: Sequence):
-        return seq[self.randrange(len(seq))]
-
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -189,11 +186,6 @@ class StateVector:
     def num_qubits(self) -> int:
         return self.amps.size.bit_length() - 1
 
-    def amplitude(self, bits: str) -> complex:
-        if len(bits) != self.num_qubits:
-            raise ValueError("bitstring length mismatch")
-        return complex(self.amps[int(bits, 2)])
-
 
 def _unchecked_state(amps: np.ndarray) -> StateVector:
     """A StateVector around a read-only complex128 vector, without the copy
@@ -234,8 +226,6 @@ SZ = SingleQubitOp("SZ", [[1, 0], [0, -1]])
 SX = SingleQubitOp("SX", [[0, 1], [1, 0]])
 # i*sigma_y maps |0> to -|1> and |1> to |0>; real-valued like the other three.
 ISY = SingleQubitOp("ISY", [[0, 1], [-1, 0]])
-
-SINGLE_OPS = {op.name: op for op in (I, SX, ISY, SZ)}
 
 
 class MeasBasis(Enum):

@@ -9,6 +9,10 @@ Collection membership is derived from the state-vector engine (support of
 the swap distribution against the reference input), never hand-typed. The
 independently hand-enumerated sets in REFERENCE_COLLECTIONS exist only as a
 verification fixture for :func:`verify_swap_table`.
+
+The collection chart composed with the transform chart gives the
+announcement for a pair of encoding operations (:func:`announcement`), the
+same for every prepared state.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import qcore
-from .codebook import ghz_state
+from .codebook import CompositeOp, ghz_state, transform_label
 from .labels import BellLabel, CollectionLabel, GhzLabel
 from .qcore import MeasBasis
 
@@ -107,6 +111,26 @@ def _collection_table() -> dict[tuple[GhzLabel, GhzLabel], CollectionLabel]:
 def collection_table(g1: GhzLabel, g2: GhzLabel) -> CollectionLabel:
     """Collection containing the entire swap support of the labelled pair."""
     return _collection_table()[(g1, g2)]
+
+
+@lru_cache(maxsize=None)
+def _announcement_table() -> tuple[tuple[CollectionLabel, ...], ...]:
+    """announced[a][b]: the collection announced for a group whose first
+    triple carries operation a and second triple b, composed from the two
+    charts for every prepared state; all eight must give the same one."""
+    def composed(a: CompositeOp, b: CompositeOp) -> CollectionLabel:
+        ms = {collection_table(transform_label(p, a), transform_label(p, b)) for p in GhzLabel}
+        if len(ms) != 1:
+            raise AssertionError(f"announcement for ({a.token}, {b.token}) "
+                                 "depends on the prepared state")
+        return ms.pop()
+    return tuple(tuple(composed(a, b) for b in CompositeOp) for a in CompositeOp)
+
+
+def announcement(a_op: CompositeOp, b_op: CompositeOp) -> CollectionLabel:
+    """Collection announced when Alice applied a_op and Bob b_op, whatever
+    the prepared state."""
+    return _announcement_table()[a_op][b_op]
 
 
 def _ref(*tokens: str) -> frozenset[BellTriple]:

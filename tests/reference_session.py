@@ -4,22 +4,42 @@ Session is held to in test_protocol.py.
 Every step is a loop over triples, groups, samples or decoys. Each unit
 draws from its own scalar Rng(seed, place << 56 | unit) and goes through
 the one-state qcore functions (measure, apply_single, apply_unitary,
-tensor). Decoding calls alice_decode and bob_decode per group, not the
-table built from them. Only the loops, the draws and the stacking differ
-from Session, so both must write the same transcripts, byte for byte.
+tensor). Each side decodes its group by composing the two charts from
+the prepared or measured label (alice_decode, bob_decode), where Session
+reads one table of operations that never sees a label. Only the loops,
+the draws, the stacking and the decoding path differ from Session, so
+both must write the same transcripts, byte for byte.
 """
 
 from bqsdc import qcore
 from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
-from bqsdc.codebook import ghz_state
+from bqsdc.codebook import ghz_state, invert_transform, transform_label
 from bqsdc.labels import GhzLabel
 from bqsdc.particles import Register, merge
 from bqsdc.protocol import (_BOB_GHZ, _CHECK, _DECOY_TOKEN, _EVE_EXTRAS, _EVE_TRIPLES,
                             _GROUP_LABEL, _ROLES, _SAMPLE_LABEL, _SWAP, _UNIT_BITS,
-                            GroupRecord, Session, alice_decode, bob_decode)
+                            GroupRecord, Session)
 from bqsdc.qcore import MeasBasis, Rng
-from bqsdc.swap import BellTriple, collection_of
+from bqsdc.swap import BellTriple, collection_of, collection_table
+
+
+def alice_decode(prepared, a_op, announcement):
+    """Bob's message bits from what Alice knows: the label her operation
+    gave the prepared state, the one label of Bob's triple that the swap
+    chart pairs with it under the announcement, and the operation that
+    carries the prepared state there."""
+    own = transform_label(prepared, a_op)
+    [other] = [q for q in GhzLabel if collection_table(own, q) == announcement]
+    return invert_transform(prepared, other).bits
+
+
+def bob_decode(measured, b_op, announcement):
+    """Alice's message bits from what Bob knows, the measured label in place
+    of the prepared one and his triple second in the swap chart."""
+    own = transform_label(measured, b_op)
+    [other] = [q for q in GhzLabel if collection_table(q, own) == announcement]
+    return invert_transform(measured, other).bits
 
 
 def measure_particles(basis, reg, roles, rng):
@@ -41,10 +61,10 @@ def append_ancilla(reg, state):
 def apply_attack(reg, role, cfg, rng):
     """Eve's strategy on the particle at reg's role."""
     if cfg.strategy == "intercept_resend":
-        token = cfg.fake_state if cfg.fake_state is not None else rng.choice(DECOY_TOKENS)
+        token = cfg.fake_state if cfg.fake_state is not None else DECOY_TOKENS[rng.randrange(4)]
         reg.at[role] = append_ancilla(reg, decoy_state(token))
     elif cfg.strategy == "measure_resend":
-        basis = cfg.eve_basis if cfg.eve_basis is not None else rng.choice(("Z", "X"))
+        basis = cfg.eve_basis if cfg.eve_basis is not None else ("Z", "X")[rng.randrange(2)]
         measure_particles(MeasBasis(basis), reg, [role], rng)
     elif cfg.strategy == "entangle_measure":
         ancilla = append_ancilla(reg, qcore.make_basis_state("0"))

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqsdc.analysis import (announcement_for, cabello_efficiency, capacity_report,
+from bqsdc.analysis import (cabello_efficiency, capacity_report,
                             comparison_report, conditional_entropy_given_announcement,
                             leakage_monte_carlo, leakage_report, shannon_entropy,
                             uniform_op_pair_prior)
 from bqsdc.codebook import CompositeOp
-from bqsdc.labels import CollectionLabel, GhzLabel
+from bqsdc.labels import CollectionLabel
 from bqsdc.protocol import SessionConfig, run_session
+from bqsdc.swap import announcement
 
 
 def normalized_prior(weights):
@@ -44,14 +45,7 @@ class TestEntropy:
 
 class TestAnnouncement:
     def test_worked_example(self):
-        assert announcement_for(GhzLabel.PSI0, CompositeOp.U2, CompositeOp.U5) \
-            == CollectionLabel.C7
-
-    def test_independent_of_initial_state(self):
-        for a in CompositeOp:
-            for b in CompositeOp:
-                ms = {announcement_for(p, a, b) for p in GhzLabel}
-                assert len(ms) == 1
+        assert announcement(CompositeOp.U2, CompositeOp.U5) == CollectionLabel.C7
 
     def test_matches_protocol_path(self):
         # the same announcement must come out of the full quantum session
@@ -60,7 +54,7 @@ class TestAnnouncement:
             cfg = SessionConfig(n_groups=1, seed=seed, decoys=0)
             t = run_session(cfg, a_bits, b_bits)
             g = t.groups[0]
-            assert g.announcement == announcement_for(g.prepared_label, g.a_op, g.b_op)
+            assert g.announcement == announcement(g.a_op, g.b_op)
 
 
 class TestConditionalEntropy:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqsdc import cli
 
@@ -239,3 +244,71 @@ def test_main_calls_in_sequence_share_no_state(tmp_path):
                            tmp_path) == attack("intercept_resend", "S_B", fake="+")
     assert recorded_attack(["attack", "--strategy", "intercept"],
                            tmp_path) == attack("intercept_resend")
+
+
+# Each subcommand's flags with a few valid values each, a shared pool of
+# bad ones (non-finite, negative and overflowing numbers, bad labels, empty
+# strings, a missing value as None), and paths filled in per run (<out>
+# writable, <missing> and <dir> not). The prefix makes a small valid
+# command; a drawn flag overrides it. Sizes stay at 50 or below.
+FLAGS = {
+    "verify": {"--out": ["<out>"], "--emit": ["json", "csv"], "--csv-out": ["<out>"]},
+    "run": {"--N": ["1", "2", "50"], "--alice": ["010", "101101"], "--bob": ["101", "011110"],
+            "--random-messages": [], "--initial": ["psi0", "psi7"], "--seed": ["0", "-7"],
+            "--decoys": ["0", "3", "50"], "--threshold": ["0", "0.5"],
+            "--attack": ["entangle:S_A", "intercept:+", "measure-resend:x", "none:S_B"],
+            "--out": ["<out>"], "--fake": ["0", "+"], "--eve-basis": ["Z", "X"],
+            "--beta2": ["0", "0.25", "1"]},
+    "attack": {"--strategy": ["none", "intercept:S_B", "entangle", "measure-resend:Z"],
+               "--target": ["S_A", "S_B"], "--trials": ["1", "50"], "--seed": ["0", "-7"],
+               "--sample": ["psi0", "psi5"], "--check-basis": ["Z", "uniform"],
+               "--decoy-basis": ["X", "uniform"], "--out": ["<out>"], "--fake": ["1", "-"],
+               "--eve-basis": ["X"], "--beta2": ["0.5"]},
+    "analyze": {"--seed": ["0", "-7"], "--monte-carlo": ["1", "50"], "--out": ["<out>"],
+                "--emit": ["json", "csv"], "--csv-out": ["<out>"]},
+}
+PREFIX = {"verify": [], "run": ["--seed", "1", "--alice", "010", "--bob", "101"],
+          "attack": ["--seed", "1", "--trials", "20", "--strategy", "none"],
+          "analyze": ["--seed", "1"]}
+BAD_VALUES = ["-1", "-0.5", "nan", "inf", "-inf", "1e309", "", None, "psi9", "psi²",
+              "S_Q", "intercept:", "warp:S_B", "entangle:S_A:S_B", "<missing>", "<dir>"]
+
+
+def flag_with_value(command):
+    def with_value(flag):
+        if flag == "--random-messages":
+            return st.just([flag])
+        value = st.sampled_from(FLAGS[command][flag]) | st.sampled_from(BAD_VALUES)
+        return value.map(lambda v: [flag] if v is None else [flag, v])
+    return st.sampled_from(sorted(FLAGS[command])).flatmap(with_value)
+
+
+ARGVS = st.sampled_from(sorted(FLAGS)).flatmap(
+    lambda command: st.lists(flag_with_value(command), max_size=4).map(
+        lambda args: [command, *PREFIX[command], *(x for arg in args for x in arg)]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(argv=ARGVS)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_any_argument_list_ends_in_an_exit_code(fuzz_dir, argv):
+    """No argument list gets a traceback out of main: it returns 0, 1 or 2,
+    or argparse exits with 0 or 2."""
+    paths = {"<out>": str(fuzz_dir / "out.json"), "<missing>": str(fuzz_dir / "no" / "x"),
+             "<dir>": str(fuzz_dir)}
+    argv = [paths.get(arg, arg) for arg in argv]
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # default CSV outputs land here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
-from reference_session import ReferenceSession
+from reference_session import ReferenceSession, alice_decode, bob_decode
 
 from bqsdc import qcore
 from bqsdc.adversary import AttackConfig
@@ -15,7 +15,7 @@ from bqsdc.codebook import CompositeOp, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import (Register, append_ancilla, measure_in_bases, measure_particles,
                              merge)
-from bqsdc.protocol import (_BLOCK, Session, SessionConfig, alice_decode, bob_decode,
+from bqsdc.protocol import (_BLOCK, Session, SessionConfig, _decoded, _invert_announcements,
                             default_decoy_count, message_ops, random_message_bits,
                             run_session)
 from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, make_basis_state
@@ -237,21 +237,38 @@ class TestDecode:
     def test_worked_example(self):
         assert alice_decode(GhzLabel.PSI0, CompositeOp.U2, CollectionLabel.C7) == (1, 0, 1)
         assert bob_decode(GhzLabel.PSI0, CompositeOp.U5, CollectionLabel.C7) == (0, 1, 0)
+        alice, bob = _decoded()
+        assert alice[CompositeOp.U2][CollectionLabel.C7] == "101"
+        assert bob[CompositeOp.U5][CollectionLabel.C7] == "010"
 
     def test_chart_level_roundtrip_all_512(self):
+        # the session's table and chart composition from the label agree
+        alice, bob = _decoded()
         for p in GhzLabel:
             for a in CompositeOp:
                 for b in CompositeOp:
                     m = collection_table(transform_label(p, a), transform_label(p, b))
                     assert alice_decode(p, a, m) == b.bits
                     assert bob_decode(p, b, m) == a.bits
+                    assert alice[a][m] == "".join(map(str, b.bits))
+                    assert bob[b][m] == "".join(map(str, a.bits))
 
-    def test_announcement_depends_only_on_ops(self):
-        for a in CompositeOp:
-            for b in CompositeOp:
-                ms = {collection_table(transform_label(p, a), transform_label(p, b))
-                      for p in GhzLabel}
-                assert len(ms) == 1
+    def test_table_rejects_an_undecodable_chart(self):
+        # a collection repeated along a row leaves Alice two candidates for
+        # Bob's operation, and down a column Bob two for Alice's; the
+        # builder must refuse either rather than pick one
+        def xor_chart():
+            return [[CollectionLabel(a ^ b) for b in range(8)] for a in range(8)]
+
+        assert _invert_announcements(xor_chart()) == _decoded()
+        bad_row = xor_chart()
+        bad_row[3][5] = bad_row[3][6]
+        bad_column = xor_chart()
+        row = bad_column[0]
+        row[1], row[2] = row[2], row[1]  # row 0 is still a permutation
+        for announced in (bad_row, bad_column):
+            with pytest.raises(AssertionError, match="cannot be decoded"):
+                _invert_announcements(announced)
 
 
 class TestSessions:

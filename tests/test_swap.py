@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from bqsdc import cli
+from bqsdc import cli, swap
+from bqsdc.codebook import CompositeOp, transform_label
 from bqsdc.labels import BellLabel, CollectionLabel, GhzLabel
 from bqsdc.qcore import ATOL
-from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, collection_members, collection_of, collection_table,
-                        swap_distribution, verify_swap_table)
+from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, announcement, collection_members,
+                        collection_of, collection_table, swap_distribution, verify_swap_table)
 
 # Independent reference chart: cell [g1][g2] = collection index.
 REFERENCE_SWAP_CHART = [
@@ -105,6 +106,31 @@ class TestCollectionTable:
                 m = collection_table(g1, g2)
                 for t in swap_distribution(g1, g2):
                     assert collection_of(t) == m
+
+
+class TestAnnouncement:
+    def test_composes_the_charts_for_every_prepared_state(self):
+        # both triples start in p, which cancels: the announcement is the
+        # XOR of the two operations, for all 512 (p, a, b)
+        for p in GhzLabel:
+            for a in CompositeOp:
+                for b in CompositeOp:
+                    m = announcement(a, b)
+                    assert m == collection_table(transform_label(p, a), transform_label(p, b))
+                    assert m == CollectionLabel(a ^ b)
+
+    def test_raises_if_the_prepared_state_matters(self, monkeypatch):
+        # a fake transform chart under which psi3 ignores the operation:
+        # the derivation must notice that p no longer cancels
+        real = swap.transform_label
+        monkeypatch.setattr(swap, "transform_label",
+                            lambda p, op: p if p == GhzLabel.PSI3 else real(p, op))
+        swap._announcement_table.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=r"\(U0, U1\) depends on the prepared"):
+                announcement(CompositeOp.U0, CompositeOp.U1)
+        finally:
+            swap._announcement_table.cache_clear()
 
 
 def test_verify_swap_table_report():
