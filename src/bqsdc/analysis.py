@@ -34,9 +34,10 @@ def uniform_op_pair_prior() -> dict[OpPair, float]:
 
 
 def _validate_distribution(dist: Mapping[Hashable, float]) -> None:
-    if any(p < 0 for p in dist.values()):
+    # written so that NaN, which fails every comparison, fails both checks
+    if not all(p >= 0 for p in dist.values()):
         raise ValueError("probabilities must be nonnegative")
-    if abs(sum(dist.values()) - 1.0) > _DIST_TOL:
+    if not abs(sum(dist.values()) - 1.0) <= _DIST_TOL:
         raise ValueError("probabilities must sum to 1")
 
 

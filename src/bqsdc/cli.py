@@ -168,7 +168,9 @@ def cmd_run(args) -> int:
     with _open_outputs(args.out) as (out,):
         transcript = session.run()
         # the session's registers are garbage now; freeing them before the
-        # transcript is serialised keeps the two off the heap together
+        # transcript is serialised keeps the two, which both grow with N, off
+        # the heap together (at 1000 groups the swap's block buffers are the
+        # peak either way)
         del session
         for check in transcript.checks:
             print(f"check at step {check.step}: {check.errors}/{check.samples} errors "

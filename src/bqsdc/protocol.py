@@ -128,19 +128,6 @@ class GroupRecord:
     decoded_by_alice: str | None = None
     decoded_by_bob: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.index,
-            "prepared_label": self.prepared_label.token,
-            "a_op": self.a_op.token if self.a_op is not None else None,
-            "p_label": self.p_label.token if self.p_label is not None else None,
-            "b_op": self.b_op.token if self.b_op is not None else None,
-            "bell_triple": self.bell_triple.token if self.bell_triple else None,
-            "announcement": self.announcement.token if self.announcement is not None else None,
-            "decoded_by_alice": self.decoded_by_alice,
-            "decoded_by_bob": self.decoded_by_bob,
-        }
-
 
 @dataclass
 class SessionTranscript:
@@ -166,18 +153,53 @@ class SessionTranscript:
             return None
         return "".join(g.decoded_by_bob for g in self.groups)
 
-    def to_json_dict(self) -> dict:
-        from . import __version__
-        return {
-            "version": __version__,
-            "config": self.config.to_json_dict(),
-            "groups": [g.to_json_dict() for g in self.groups],
-            "checks": [c.to_json_dict() for c in self.checks],
-            "abort": {"aborted": self.aborted, "step": self.abort_step},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The transcript as json.dumps(..., indent=2) would write it, plus a
+        newline: json.dumps formats the header (version and config) and the
+        footer (checks and abort), and each group is one _GROUP_JSON template
+        filled with the JSON text of its fields (_field_json)."""
+        from . import __version__
+        head = json.dumps({"version": __version__, "config": self.config.to_json_dict()},
+                          indent=2)
+        tail = json.dumps({"checks": [c.to_json_dict() for c in self.checks],
+                           "abort": {"aborted": self.aborted, "step": self.abort_step}},
+                          indent=2)
+        ghz, ops, bell, coll, bits = _field_json()
+        groups = ",\n".join([_GROUP_JSON % (
+            g.index, ghz[g.prepared_label], ops[g.a_op], ghz[g.p_label], ops[g.b_op],
+            bell[g.bell_triple], coll[g.announcement], bits[g.decoded_by_alice],
+            bits[g.decoded_by_bob]) for g in self.groups])
+        groups = f"[\n{groups}\n  ]" if groups else "[]"
+        # head ends in "\n}" and tail starts with "{\n": splice the groups between
+        return f'{head[:-2]},\n  "groups": {groups},\n{tail[2:]}\n'
+
+
+# One group of the transcript, at the indentation json.dumps(indent=2) gives
+# it; the fields in GroupRecord order.
+_GROUP_JSON = """\
+    {
+      "n": %d,
+      "prepared_label": %s,
+      "a_op": %s,
+      "p_label": %s,
+      "b_op": %s,
+      "bell_triple": %s,
+      "announcement": %s,
+      "decoded_by_alice": %s,
+      "decoded_by_bob": %s
+    }"""
+
+
+@lru_cache(maxsize=None)
+def _field_json() -> tuple[dict, ...]:
+    """The JSON text of every value a group field can take, None as null: one
+    table per field type (GHZ labels, composite ops, Bell triples, collections
+    and 3-bit strings). The label types are IntEnums that compare equal to
+    each other, so they cannot share a table."""
+    def table(values, text=lambda v: v.token):
+        return {None: "null", **{v: json.dumps(text(v)) for v in values}}
+    return (table(GhzLabel), table(CompositeOp), table(t for t, _ in _swap_outcomes()),
+            table(CollectionLabel), table((f"{k:03b}" for k in range(8)), str))
 
 
 def message_ops(bits: str, n_groups: int) -> list[CompositeOp]:
@@ -261,10 +283,12 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Units per block of a batched step: every numpy pass of a step covers up to
-# this many triples, groups, samples or decoys. The swap's buffers for a
-# block of joint 7-qubit registers take about 0.4 MB; larger blocks would
-# raise the session's peak heap above that of serialising its transcript.
-_BLOCK = 32
+# this many triples, groups, samples or decoys. The swap's buffers grow with
+# the block, and at 64 they are the session's peak heap: a 1000-group
+# session (bench/run.py, seed 3) peaks at 1.62 MB clean and 2.35 MB under an
+# entangling attack on S_A, against 1.40 and 2.07 MB at 32 and 1.93 and
+# 3.07 MB at 128, while 64 runs about 1.1-1.3x as many groups/s as 32.
+_BLOCK = 64
 
 _GHZ = tuple(GhzLabel)
 _OPS = tuple(CompositeOp)
@@ -307,7 +331,8 @@ class Session:
         # 0, 1, 2 are the particles sent in S_A, S_B, S_C.
         self.triples: list[Register] = []
         # GHZ samples (label, register), whose third particles travel in S_C,
-        # and the decoys (token, register) that travel in S_B and in S_A.
+        # and the decoys (token, register) that travel in S_B and in S_A,
+        # each held from its draw until its check.
         self.samples: list[tuple[GhzLabel, Register]] = []
         self.decoys: dict[str, list[tuple[str, Register]]] = {}
         self._streams = StreamBlock(cfg.seed, _BLOCK)
@@ -360,9 +385,11 @@ class Session:
     # -- step 2 ----------------------------------------------------------
 
     def check1(self) -> CheckRecord:
-        """GHZ-sample correlation check on the delivered third particles."""
-        labels = np.array([label for label, _ in self.samples], dtype=np.intp)
-        regs = [reg for _, reg in self.samples]
+        """GHZ-sample correlation check on the delivered third particles. The
+        samples are released: nothing reads them once their errors count."""
+        samples, self.samples = self.samples, []
+        labels = np.array([label for label, _ in samples], dtype=np.intp)
+        regs = [reg for _, reg in samples]
         ok = _sample_ok()
         errors = 0
         for start, stop, rng in self._blocks(_CHECK["S_C"], len(regs)):
@@ -420,9 +447,11 @@ class Session:
         return self._decoy_check(5, "S_A")
 
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
-        kinds = np.array([DECOY_TOKENS.index(token) for token, _ in self.decoys[name]],
-                         dtype=np.intp)
-        regs = [reg for _, reg in self.decoys[name]]
+        """Measure the named sequence's decoys and release them, as check1
+        does its samples."""
+        decoys = self.decoys.pop(name)
+        kinds = np.array([DECOY_TOKENS.index(token) for token, _ in decoys], dtype=np.intp)
+        regs = [reg for _, reg in decoys]
         errors = 0
         for start, stop, rng in self._blocks(_CHECK[name], len(regs)):
             kind = kinds[start:stop]

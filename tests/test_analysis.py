@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,10 @@ class TestEntropy:
         with pytest.raises(ValueError):
             shannon_entropy({0: 1.5, 1: -0.5})
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            shannon_entropy({0: math.nan, 1: 0.5})
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=64, max_size=64))
     @settings(max_examples=30, deadline=None)
     def test_bounded_by_support(self, weights):
@@ -67,6 +73,12 @@ class TestConditionalEntropy:
         prior = {k: 0.0 for k in uniform_op_pair_prior()}
         prior[(CompositeOp.U1, CompositeOp.U4)] = 1.0
         assert conditional_entropy_given_announcement(prior) == pytest.approx(0.0)
+
+    def test_rejects_nan(self):
+        prior = uniform_op_pair_prior()
+        prior[(CompositeOp.U1, CompositeOp.U4)] = math.nan
+        with pytest.raises(ValueError):
+            conditional_entropy_given_announcement(prior)
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=64, max_size=64))
     @settings(max_examples=20, deadline=None)

@@ -44,6 +44,21 @@ def test_run_worked_example(tmp_path):
     assert doc["config"]["seed"] == 7
 
 
+def test_run_writes_transcript_as_json_dumps(tmp_path, capsys):
+    # the transcript written to --out, and to stdout after the summary
+    # lines without it, is what json.dumps(indent=2) writes for it
+    argv = ["run", "--N", "3", "--random-messages", "--seed", "4",
+            "--attack", "entangle:S_A", "--beta2", "0.3", "--threshold", "0.99"]
+    out = tmp_path / "t.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    written = out.read_text()
+    assert json.dumps(json.loads(written), indent=2) + "\n" == written
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout[stdout.index("{\n"):] == written
+
+
 def test_run_attack_aborts(tmp_path):
     out = tmp_path / "t.json"
     res = run_cli("run", "--N", "1", "--alice", "010", "--bob", "101",

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -15,9 +16,9 @@ from bqsdc.codebook import CompositeOp, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import (Register, append_ancilla, measure_in_bases, measure_particles,
                              merge)
-from bqsdc.protocol import (_BLOCK, Session, SessionConfig, _decoded, _invert_announcements,
-                            default_decoy_count, message_ops, random_message_bits,
-                            run_session)
+from bqsdc.protocol import (_BLOCK, Session, SessionConfig, SessionTranscript, _decoded,
+                            _invert_announcements, default_decoy_count, message_ops,
+                            random_message_bits, run_session)
 from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, make_basis_state
 from bqsdc.swap import collection_members, collection_table
 
@@ -178,15 +179,21 @@ class TestEncoding:
     def test_decoy_states_drawn_uniformly(self):
         cfg = SessionConfig(n_groups=1, seed=14, decoys=400)
         s = Session(cfg, "010", "101")
+        # the checks release their decoys, so read the tokens as they are drawn
+        counts = {tok: 0 for tok in "01+-"}
+        draw = s._draw_decoys
+
+        def draw_and_count(name):
+            draw(name)
+            for token, _ in s.decoys[name]:
+                counts[token] += 1
+
+        s._draw_decoys = draw_and_count
         s.prepare()
         s.check1()
         s.alice_encode()
         s.check2()
         s.check3()
-        counts = {tok: 0 for tok in "01+-"}
-        for name in ("S_B", "S_A"):
-            for token, _ in s.decoys[name]:
-                counts[token] += 1
         assert sum(counts.values()) == 800
         for tok, c in counts.items():
             assert abs(c / 800 - 0.25) < 0.06
@@ -351,7 +358,7 @@ class TestKeyedStreams:
                                     check_threshold=0.99, attack=attack)
                 t = run_session(cfg, alice[:3 * n_groups], bob[:3 * n_groups])
                 if not t.aborted:
-                    records.append([g.to_json_dict() for g in t.groups[:n]])
+                    records.append(t.groups[:n])
         assert len(records) >= 2  # sessions without decoys never abort
         assert all(r == records[0] for r in records)
 
@@ -381,6 +388,57 @@ class TestKeyedStreams:
         assert streams, "no stream was keyed"
         assert len(streams) == len(set(streams))
         assert not set(streams) & {0, 1, 2}
+
+
+def assert_written_as_json_dumps(text):
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+class TestTranscriptWriter:
+    """SessionTranscript.to_json writes, byte for byte, what
+    json.dumps(indent=2) writes for the document it encodes."""
+
+    @pytest.mark.parametrize("attack", ATTACKS, ids=ATTACK_IDS)
+    def test_every_attack(self, attack):
+        cfg = SessionConfig(n_groups=3, seed=11, decoys=4, check_threshold=0.99, attack=attack)
+        t = run_session(cfg, "010110011", "101001100")
+        assert not t.aborted
+        assert_written_as_json_dumps(t.to_json())
+
+    @pytest.mark.parametrize("target, step", [("S_C", 2), ("S_B", 4), ("S_A", 5)])
+    def test_aborted_sessions(self, target, step):
+        cfg = SessionConfig(n_groups=2, seed=3, decoys=64,
+                            attack=AttackConfig("intercept_resend", target=target))
+        t = run_session(cfg, "010110", "101001")
+        assert t.abort_step == step
+        assert_written_as_json_dumps(t.to_json())
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_group_counts_at_block_edges(self, n):
+        msg_rng = Rng(n, stream=2)
+        alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
+        t = run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
+        assert len(t.groups) == n and not t.aborted
+        assert_written_as_json_dumps(t.to_json())
+
+    def test_forced_initial_label(self):
+        t = run_session(quiet_cfg(2, seed=5, initial_label=GhzLabel.PSI6), "011100", "110001")
+        text = t.to_json()
+        assert '"initial_label": "psi6"' in text
+        assert_written_as_json_dumps(text)
+
+    def test_non_round_floats(self):
+        cfg = SessionConfig(n_groups=2, seed=5, decoys=3, check_threshold=0.1 + 0.2,
+                            attack=AttackConfig.entangling(1 / 7, target="S_B"))
+        text = run_session(cfg, "011100", "110001").to_json()
+        assert '"check_threshold": 0.30000000000000004' in text
+        assert '"beta_squared": 0.142857142857' in text
+        assert_written_as_json_dumps(text)
+
+    def test_no_groups(self):
+        text = SessionTranscript(SessionConfig(n_groups=1)).to_json()
+        assert json.loads(text)["groups"] == []
+        assert_written_as_json_dumps(text)
 
 
 # Uniform and fixed attack parameters: Eve's fake state and basis drawn per
@@ -444,7 +502,7 @@ class TestStepMemory:
         # transient peak of the swap (peak minus the heap before it) at 4B
         # groups against B: the records it fills take some 30 bytes a group,
         # its block buffers must not grow at all; one block of all 4B groups
-        # grows them by about 1 MB
+        # grows them by about 2 MB at B = 64
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def transient(n):
@@ -465,6 +523,33 @@ class TestStepMemory:
         assert growth <= 8 * 1024
         monkeypatch.setattr("bqsdc.protocol._BLOCK", 4 * _BLOCK)
         assert transient(4 * _BLOCK) - transient(_BLOCK) > 100 * 1024 + growth
+
+    def test_checked_units_released_before_the_swap(self):
+        # the heap a session holds entering the swap, at a fixed group
+        # count, does not grow with the decoy count: each check releases the
+        # samples or decoys it has counted (kept, 1024 of each hold about
+        # 0.7 MB more than 16). The interpreter's free lists keep up to some
+        # 25 KB of freed floats and tuples that tracemalloc counts as held;
+        # a full collection empties them, and a few hundred bytes remain.
+        attack = AttackConfig.entangling(0.25, target="S_A")
+
+        def held(decoys):
+            tracemalloc.start()
+            try:
+                s = Session(SessionConfig(n_groups=8, seed=4, decoys=decoys,
+                                          check_threshold=0.99, attack=attack),
+                            "101" * 8, "011" * 8)
+                for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3,
+                             s.bob_encode):
+                    step()
+                assert not s.transcript.aborted
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held(1024)  # warm the caches
+        assert held(1024) - held(16) <= 8 * 1024
 
 
 class TestAborts:
