@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from .codebook import ghz_state
 from .labels import GhzLabel
-from .particles import Register, append_ancilla, measure_in_bases, measure_particles
+from .particles import Block, append_ancilla, measure_in_bases, measure_particles
 from .qcore import MeasBasis, StreamBlock
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
@@ -114,36 +113,33 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     return u
 
 
-def apply_attack(regs: Sequence[Register], role: int, cfg: AttackConfig,
-                 rng: StreamBlock) -> None:
-    """Run the particle at role of every register of regs, in flight,
-    through the configured strategy, regs[i] drawing from lane i of rng
-    (keyed to its stream). The registers share one layout and change in
-    place."""
+def apply_attack(block: Block, role: int, cfg: AttackConfig, rng: StreamBlock) -> None:
+    """Run the particle at role of every register of the block, in flight,
+    through the configured strategy, row i drawing from lane i of rng
+    (keyed to its stream). The block changes in place."""
     if cfg.strategy == "intercept_resend":
         # keep the genuine particle (stored, never measured), inject a fake
         fakes = (decoy_state(cfg.fake_state).amps if cfg.fake_state is not None
-                 else _decoy_rows()[rng.randrange(len(DECOY_TOKENS))])
-        qubit = append_ancilla(regs, fakes)
-        for reg in regs:
-            reg.at[role] = qubit
+                 else decoy_rows()[rng.randrange(len(DECOY_TOKENS))])
+        block.at[role] = append_ancilla(block, fakes)
     elif cfg.strategy == "measure_resend":
         # measure the particle in Eve's basis and forward it collapsed
         if cfg.eve_basis is not None:
-            measure_particles(MeasBasis(cfg.eve_basis), regs, [(role,)], [rng.random()],
+            measure_particles(MeasBasis(cfg.eve_basis), block, [(role,)], [rng.random()],
                               keep=True)
         else:
             which = rng.randrange(len(_EVE_BASES))
-            measure_in_bases(_EVE_BASES, which, regs, [(role,)], [rng.random()], keep=True)
+            measure_in_bases(_EVE_BASES, which, block, [(role,)], [rng.random()], keep=True)
     elif cfg.strategy == "entangle_measure":
         # couple a fresh ancilla to the particle in flight
-        append_ancilla(regs, qcore.make_basis_state("0").amps,
+        append_ancilla(block, qcore.make_basis_state("0").amps,
                        coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
 
 
 @lru_cache(maxsize=None)
-def _decoy_rows() -> np.ndarray:
-    """The four decoy states, in DECOY_TOKENS order, as the rows of one array."""
+def decoy_rows() -> np.ndarray:
+    """The four decoy states, in DECOY_TOKENS order, as the read-only rows
+    of one array."""
     rows = np.stack([decoy_state(token).amps for token in DECOY_TOKENS])
     rows.setflags(write=False)
     return rows

@@ -167,7 +167,7 @@ def cmd_run(args) -> int:
         raise UsageError(str(exc)) from None
     with _open_outputs(args.out) as (out,):
         transcript = session.run()
-        # the session's registers are garbage now; freeing them before the
+        # the session's blocks are garbage now; freeing them before the
         # transcript is serialised keeps the two, which both grow with N, off
         # the heap together (at 1000 groups the swap's block buffers are the
         # peak either way)

@@ -76,6 +76,15 @@ def ghz_state(label: GhzLabel) -> StateVector:
     return StateVector(ghz_amplitudes(label))
 
 
+@lru_cache(maxsize=None)
+def ghz_rows() -> np.ndarray:
+    """The eight GHZ states as the read-only rows of one array, row k the
+    amplitudes of ghz_state(GhzLabel(k))."""
+    rows = np.stack([ghz_state(label).amps for label in GhzLabel])
+    rows.setflags(write=False)
+    return rows
+
+
 def message_to_op(bits: MessageTriple) -> CompositeOp:
     """Three message bits (b2, b1, b0) to the composite operation."""
     b2, b1, b0 = bits

@@ -1,17 +1,12 @@
-"""Few-qubit registers: one state vector plus a map from roles to qubits.
-
-A register holds one GHZ triple (roles 0, 1, 2 for the first, second and
-third particle), one GHZ sample, or one decoy. Whatever an attack leaves
-behind, a fake or an ancilla, is appended to the register it hits, so a
-role may point past the original qubits. Two registers are tensored only
-where the protocol joins them: Bob's swap merges the two triples of a group.
-
-Every operation but merge acts on a block of registers at once. The
-registers of one block share one layout (the same qubit count and the same
-role map), as the registers of one sequence do, because every step treats
-them alike. Their states are stacked as the rows of one array, one qcore
-row kernel runs over all of them, and the rows are written back to the
-registers, or dropped where nothing reads the collapse again.
+"""Blocks of few-qubit registers. A register holds one GHZ triple (roles 0,
+1, 2 for the first, second and third particle), one GHZ sample, or one
+decoy. The registers of one sequence share one layout (the same qubit
+count and role map), because every step treats them alike, so a block
+holds them as the rows of one (rows, 2**n) amplitude array with one map
+from roles to qubits. Whatever an attack leaves behind, a fake or an
+ancilla, is appended to every row, so a role may point past the original
+qubits. Every operation runs one qcore row kernel over a block and
+replaces its array. Bob's swap alone joins two blocks (merge).
 """
 
 from __future__ import annotations
@@ -21,95 +16,100 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .qcore import MeasBasis, StateVector
+from .qcore import MeasBasis
 
 
-class Register:
-    __slots__ = ("state", "at")
+class Block:
+    __slots__ = ("amps", "at")
 
-    def __init__(self, state: StateVector):
-        self.state = state
-        self.at = list(range(state.num_qubits))
+    def __init__(self, amps: np.ndarray, at: list[int] | None = None):
+        self.amps = amps
+        self.at = list(range(self.num_qubits)) if at is None else at
 
-
-def merge(a: Register, b: Register) -> Register:
-    """A new register with a's qubits first, then b's; b's roles follow a's."""
-    reg = Register(qcore.tensor(a.state, b.state))
-    offset = a.state.num_qubits
-    reg.at = a.at + [q + offset for q in b.at]
-    return reg
+    @property
+    def num_qubits(self) -> int:
+        return self.amps.shape[1].bit_length() - 1
 
 
-def _stack(regs: Sequence[Register]) -> np.ndarray:
-    return np.concatenate([reg.state.amps for reg in regs]).reshape(len(regs), -1)
+def merge(a: Block, b: Block) -> Block:
+    """A new block whose row i is row i of a tensored with row i of b, a's
+    qubits first; b's roles follow a's.
+
+    Each joined row is built as a checked state (qcore.tensor) from views
+    of the rows (qcore.rows_as_states, which leaves a's and b's arrays
+    read-only), because the traced benchmark reads the widest state from
+    the checked constructions; one tensor_rows would do once it reads
+    widths elsewhere (ROADMAP item 1).
+    """
+    joined = [qcore.tensor(x, y).amps
+              for x, y in zip(qcore.rows_as_states(a.amps), qcore.rows_as_states(b.amps))]
+    offset = a.num_qubits
+    return Block(np.stack(joined), a.at + [q + offset for q in b.at])
 
 
-def _store(regs: Sequence[Register], amps: np.ndarray) -> None:
-    for reg, state in zip(regs, qcore.rows_as_states(amps)):
-        reg.state = state
-
-
-def append_ancilla(regs: Sequence[Register], states: np.ndarray,
+def append_ancilla(block: Block, states: np.ndarray,
                    coupling: tuple[int, np.ndarray] | None = None) -> int:
     """Tensor a fresh one-qubit state onto every register: states[i] onto
-    regs[i], or one state (2,) onto all. With coupling = (role, matrix), the
+    row i, or one state (2,) onto all. With coupling = (role, matrix), the
     two-qubit unitary then acts on the particle at role and the new qubit.
     Returns the new qubit's index."""
-    qubit = regs[0].state.num_qubits
-    amps = qcore.tensor_rows(_stack(regs), states)
+    qubit = block.num_qubits
+    amps = qcore.tensor_rows(block.amps, states)
     if coupling is not None:
         role, matrix = coupling
-        amps = qcore.apply_unitary_rows(amps, matrix, (regs[0].at[role], qubit))
-    _store(regs, amps)
+        amps = qcore.apply_unitary_rows(amps, matrix, (block.at[role], qubit))
+    block.amps = amps
     return qubit
 
 
-def apply_op(regs: Sequence[Register], ops: Sequence[tuple[int, np.ndarray]]) -> None:
+def apply_op(block: Block, ops: Sequence[tuple[int, np.ndarray]]) -> None:
     """Apply single-qubit unitaries in order: each (role, matrices) puts
-    matrices[i] on the particle at role of regs[i], or one 2x2 matrix on
-    that particle of every register."""
-    at = regs[0].at
-    amps = _stack(regs)
+    matrices[i] on the particle at role of row i, or one 2x2 matrix on
+    that particle of every row."""
+    amps = block.amps
     for role, matrices in ops:
-        amps = qcore.apply_unitary_rows(amps, matrices, (at[role],))
-    _store(regs, amps)
+        amps = qcore.apply_unitary_rows(amps, matrices, (block.at[role],))
+    block.amps = amps
 
 
-def measure_particles(basis: MeasBasis, regs: Sequence[Register],
-                      rounds: Sequence[Sequence[int]], draws: Sequence[np.ndarray],
-                      keep: bool = False) -> list[np.ndarray]:
+def measure_particles(basis: MeasBasis, block: Block, rounds: Sequence[Sequence[int]],
+                      draws: Sequence[np.ndarray], keep: bool = False) -> list[np.ndarray]:
     """Projective measurements of the roles of each round in turn, each
-    round on the state the one before collapsed, regs[i] drawing with
+    round on the state the one before collapsed, row i drawing with
     draws[k][i] in round k.
 
     Returns each round's outcome indices in basis order
-    (qcore.basis_labels). With keep, the registers hold their collapsed
-    states afterwards; without, they are left as they were, for a
-    measurement nothing reads again.
+    (qcore.basis_labels). With keep, the block holds the collapsed states
+    afterwards; without, it is left as it was, for a measurement nothing
+    reads again.
     """
-    at = regs[0].at
-    amps = _stack(regs)
+    amps = block.amps
     outs = []
     for k, (roles, r) in enumerate(zip(rounds, draws)):
-        j, amps = qcore.measure_rows(amps, basis, [at[x] for x in roles], r,
+        j, amps = qcore.measure_rows(amps, basis, [block.at[x] for x in roles], r,
                                      collapse=keep or k + 1 < len(rounds))
         outs.append(j)
     if keep:
-        _store(regs, amps)
+        block.amps = amps
     return outs
 
 
-def measure_in_bases(bases: Sequence[MeasBasis], which: np.ndarray,
-                     regs: Sequence[Register], rounds: Sequence[Sequence[int]],
-                     draws: Sequence[np.ndarray], keep: bool = False) -> list[np.ndarray]:
-    """measure_particles with a basis per register: regs[i] is measured in
+def measure_in_bases(bases: Sequence[MeasBasis], which: np.ndarray, block: Block,
+                     rounds: Sequence[Sequence[int]], draws: Sequence[np.ndarray],
+                     keep: bool = False) -> list[np.ndarray]:
+    """measure_particles with a basis per row: row i is measured in
     bases[which[i]]."""
-    outs = [np.empty(len(regs), dtype=np.intp) for _ in rounds]
+    outs = [np.empty(len(which), dtype=np.intp) for _ in rounds]
+    post = np.empty_like(block.amps) if keep else None
     for b, basis in enumerate(bases):
         sel = np.flatnonzero(which == b)
         if sel.size:
-            got = measure_particles(basis, [regs[i] for i in sel.tolist()], rounds,
-                                    [r[sel] for r in draws], keep)
+            part = Block(block.amps[sel], block.at)
+            got = measure_particles(basis, part, rounds, [r[sel] for r in draws], keep)
             for out, j in zip(outs, got):
                 out[sel] = j
+            if keep:
+                post[sel] = part.amps
+    if keep:
+        block.amps = post
     return outs

@@ -13,12 +13,12 @@ outcome collection occurred. Each side then infers the other's operation
 from the announcement and its own operation alone: the announcement depends
 only on the two operations (swap.announcement), not on the prepared state.
 
-Each GHZ triple, sample and decoy is its own register; whatever an attack
-leaves behind joins the register it hits. The two triples of a group are
-merged into one register exactly once, at Bob's swap, so no state is wider
-than two triples plus one attack qubit (7 qubits). A step runs once per
-block of registers of one sequence, which share one layout, as one batched
-register operation (particles), not once per particle.
+The triples, samples and decoys of a sequence are held in blocks
+(particles.Block) of up to _BLOCK groups, samples or decoys, built by
+indexing a table of the GHZ or the decoy states, and a step runs once per
+block, not once per particle. The two triples of a group are merged
+exactly once, at Bob's swap, so no state is wider than two triples plus
+one attack qubit (7 qubits).
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so a position would
@@ -40,14 +40,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import particles
-from .adversary import AttackConfig, apply_attack
-from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
-# transform_label, invert_transform and collection_table have no caller
-# here: bench/tracer.py wraps them in this namespace, so they stay imported
-# until the tracer no longer names them.
-from .codebook import CompositeOp, ghz_state, invert_transform, transform_label  # noqa: F401
+from .adversary import AttackConfig, apply_attack, decoy_rows
+# decoy_state, transform_label, invert_transform and collection_table have
+# no caller here: bench/tracer.py wraps them in this namespace, so they stay
+# imported until the tracer no longer names them.
+from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
+from .codebook import CompositeOp, ghz_rows, invert_transform, transform_label  # noqa: F401
 from .labels import CollectionLabel, GhzLabel
-from .particles import Register, apply_op, measure_in_bases, measure_particles
+from .particles import Block, apply_op, measure_in_bases, measure_particles
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
 from .swap import BellTriple, announcement, collection_of, collection_table  # noqa: F401
 
@@ -282,13 +282,12 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 # S_C, of every GHZ sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
-# Units per block of a batched step: every numpy pass of a step covers up to
-# this many triples, groups, samples or decoys. The swap's buffers grow with
-# the block, and at 64 they are the session's peak heap: a 1000-group
-# session (bench/run.py, seed 3) peaks at 1.62 MB clean and 2.35 MB under an
-# entangling attack on S_A, against 1.40 and 2.07 MB at 32 and 1.93 and
-# 3.07 MB at 128, while 64 runs about 1.1-1.3x as many groups/s as 32.
-_BLOCK = 64
+# Groups (twice as many triples), samples or decoys per block. The swap's
+# buffers grow with the block and are the session's peak heap: a 1000-group
+# session (bench/run.py, seeds 3-5) peaks at 1.22 MB clean and 2.05 MB under
+# an entangling attack on S_A, against 0.93 and 1.36 MB at 64, and runs
+# about 1.05x and 1.13x as many groups/s as at 64.
+_BLOCK = 128
 
 _GHZ = tuple(GhzLabel)
 _OPS = tuple(CompositeOp)
@@ -316,10 +315,9 @@ class Session:
     of its place and unit, so no step depends on how many draws an earlier
     one made.
 
-    Each step runs once per block of up to _BLOCK units (triples, groups,
-    samples or decoys) of a sequence, as one batched register operation of
-    particles, with the units' draws taken side by side from their keyed
-    streams (_blocks); memory for a step's buffers does not grow with N.
+    Each step runs once per block as one batched operation of particles,
+    with the units' draws taken side by side from their keyed streams
+    (_blocks); memory for a step's buffers does not grow with N.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
@@ -327,44 +325,49 @@ class Session:
         self.alice_ops = message_ops(alice_bits, cfg.n_groups)
         self.bob_ops = message_ops(bob_bits, cfg.n_groups)
         self.transcript = SessionTranscript(config=cfg)
-        # Group n's odd triple at index 2n and its even triple at 2n+1; roles
-        # 0, 1, 2 are the particles sent in S_A, S_B, S_C.
-        self.triples: list[Register] = []
-        # GHZ samples (label, register), whose third particles travel in S_C,
-        # and the decoys (token, register) that travel in S_B and in S_A,
+        # Triple t at row t of the blocks in order (group n's odd triple at
+        # 2n, its even one at 2n + 1), roles 0, 1, 2 sent in S_A, S_B, S_C;
+        # bob_encode splits each block into its odd and even rows (pairs).
+        self.triples: list[Block] = []
+        self.pairs: list[tuple[Block, Block]] = []
+        # GHZ samples (labels, block), whose third particles travel in S_C,
+        # and decoys (kinds indexing DECOY_TOKENS, block) in S_B and S_A,
         # each held from its draw until its check.
-        self.samples: list[tuple[GhzLabel, Register]] = []
-        self.decoys: dict[str, list[tuple[str, Register]]] = {}
-        self._streams = StreamBlock(cfg.seed, _BLOCK)
+        self.samples: list[tuple[np.ndarray, Block]] = []
+        self.decoys: dict[str, list[tuple[np.ndarray, Block]]] = {}
+        self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a triple block's rows
 
-    def _blocks(self, place: int, count: int):
-        """The count units at place in consecutive blocks of at most _BLOCK:
-        yields (start, stop, rng), lane j of rng keyed to the stream
-        Rng(seed, place << _UNIT_BITS | start + j) of unit start + j."""
+    def _blocks(self, place: int, count: int, size: int | None = None):
+        """The count units at place in consecutive blocks of at most size
+        (default _BLOCK): yields (start, stop, rng), lane j of rng keyed to
+        the stream Rng(seed, place << _UNIT_BITS | start + j) of unit
+        start + j."""
+        size = size or _BLOCK
         rng = self._streams
-        for start in range(0, count, _BLOCK):
-            stop = min(start + _BLOCK, count)
+        for start in range(0, count, size):
+            stop = min(start + size, count)
             rng.key(place << _UNIT_BITS | start, stop - start)
             yield start, stop, rng
 
-    def _randrange(self, place: int, count: int, n: int) -> list[int]:
-        """randrange(n) drawn first from the stream of each of count units."""
-        return [k for _, _, rng in self._blocks(place, count) for k in rng.randrange(n).tolist()]
+    def _randrange(self, place: int, count: int, n: int) -> list[np.ndarray]:
+        """randrange(n) drawn first from the stream of each of count units,
+        one array per block."""
+        return [rng.randrange(n) for _, _, rng in self._blocks(place, count)]
 
     # -- step 1 ----------------------------------------------------------
 
     def prepare(self) -> None:
         """Draw labels, build two identical GHZ triples per group and the
         GHZ samples, and transmit the third-particle sequence."""
-        cfg = self.cfg
-        labels = ([cfg.initial_label] * cfg.n_groups if cfg.initial_label is not None
-                  else [_GHZ[k] for k in self._randrange(_GROUP_LABEL, cfg.n_groups, 8)])
-        for n, label in enumerate(labels):
-            self.transcript.groups.append(GroupRecord(index=n + 1, prepared_label=label))
-            self.triples.append(Register(ghz_state(label)))
-            self.triples.append(Register(ghz_state(label)))
-        for k in self._randrange(_SAMPLE_LABEL, cfg.resolved_decoys(), 8):
-            self.samples.append((_GHZ[k], Register(ghz_state(_GHZ[k]))))
+        cfg, rows = self.cfg, ghz_rows()
+        labels = (self._randrange(_GROUP_LABEL, cfg.n_groups, 8) if cfg.initial_label is None
+                  else np.split(np.full(cfg.n_groups, cfg.initial_label),
+                                range(_BLOCK, cfg.n_groups, _BLOCK)))
+        self.transcript.groups.extend(GroupRecord(index=n + 1, prepared_label=_GHZ[k])
+                                      for n, k in enumerate(np.concatenate(labels).tolist()))
+        self.triples = [Block(rows[k.repeat(2)]) for k in labels]
+        self.samples = [(k, Block(rows[k])) for k in
+                        self._randrange(_SAMPLE_LABEL, cfg.resolved_decoys(), 8)]
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
@@ -374,13 +377,14 @@ class Session:
         if attack is None or attack.target != name:
             return
         role = _ROLES[name]
-        for start, stop, rng in self._blocks(_EVE_TRIPLES[name], len(self.triples)):
-            apply_attack(self.triples[start:stop], role, attack, rng)
+        keyed = self._blocks(_EVE_TRIPLES[name], 2 * self.cfg.n_groups, 2 * _BLOCK)
+        for block, (_, _, rng) in zip(self.triples, keyed):
+            apply_attack(block, role, attack, rng)
         # a decoy is a single particle, at role 0 of its register
         extras, extra_role = (self.samples, role) if name == "S_C" else (self.decoys[name], 0)
-        regs = [reg for _, reg in extras]
-        for start, stop, rng in self._blocks(_EVE_EXTRAS[name], len(regs)):
-            apply_attack(regs[start:stop], extra_role, attack, rng)
+        keyed = self._blocks(_EVE_EXTRAS[name], self.cfg.resolved_decoys())
+        for (_, block), (_, _, rng) in zip(extras, keyed):
+            apply_attack(block, extra_role, attack, rng)
 
     # -- step 2 ----------------------------------------------------------
 
@@ -388,17 +392,15 @@ class Session:
         """GHZ-sample correlation check on the delivered third particles. The
         samples are released: nothing reads them once their errors count."""
         samples, self.samples = self.samples, []
-        labels = np.array([label for label, _ in samples], dtype=np.intp)
-        regs = [reg for _, reg in samples]
+        count = self.cfg.resolved_decoys()
         ok = _sample_ok()
         errors = 0
-        for start, stop, rng in self._blocks(_CHECK["S_C"], len(regs)):
+        for (labels, block), (_, _, rng) in zip(samples, self._blocks(_CHECK["S_C"], count)):
             which = rng.randrange(len(_CHECK_BASES))
             draws = [rng.random() for _ in range(3)]  # for C, then A, then B
-            c, a, b = measure_in_bases(_CHECK_BASES, which, regs[start:stop],
-                                       [(2,), (0,), (1,)], draws)
-            errors += int(np.count_nonzero(~ok[labels[start:stop], which, 4 * a + 2 * b + c]))
-        return self._record_check(2, len(regs), errors)
+            c, a, b = measure_in_bases(_CHECK_BASES, which, block, [(2,), (0,), (1,)], draws)
+            errors += int(np.count_nonzero(~ok[labels, which, 4 * a + 2 * b + c]))
+        return self._record_check(2, count, errors)
 
     def _record_check(self, step: int, samples: int, errors: int) -> CheckRecord:
         rate = errors / samples if samples else 0.0
@@ -413,26 +415,20 @@ class Session:
     def alice_encode(self) -> None:
         """Encode Alice's bits on the odd triples, then send the
         second-particle sequence with fresh single-particle decoys."""
-        self._encode(self.triples[0::2], self.alice_ops)
+        ops = np.array(self.alice_ops, dtype=np.intp)
+        for start, block in zip(range(0, self.cfg.n_groups, _BLOCK), self.triples):
+            odd, k = Block(block.amps[0::2], block.at), ops[start:start + _BLOCK]
+            apply_op(odd, [(0, _FIRST[k]), (1, _SECOND[k])])
+            block.amps[0::2] = odd.amps
         for rec, op in zip(self.transcript.groups, self.alice_ops):
             rec.a_op = op
         self._draw_decoys("S_B")
         self._transmit("S_B")
 
-    @staticmethod
-    def _encode(regs: list[Register], ops: list[CompositeOp]) -> None:
-        """Apply each group's composite operation to the first and second
-        particle of its register."""
-        codes = np.array(ops, dtype=np.intp)
-        for start in range(0, len(regs), _BLOCK):
-            k = codes[start:start + _BLOCK]
-            apply_op(regs[start:start + _BLOCK], [(0, _FIRST[k]), (1, _SECOND[k])])
-
     def _draw_decoys(self, name: str) -> None:
         """Fresh single-particle decoys to travel in the named sequence."""
-        tokens = [DECOY_TOKENS[k] for k in
-                  self._randrange(_DECOY_TOKEN[name], self.cfg.resolved_decoys(), 4)]
-        self.decoys[name] = [(token, Register(decoy_state(token))) for token in tokens]
+        self.decoys[name] = [(k, Block(decoy_rows()[k])) for k in
+                             self._randrange(_DECOY_TOKEN[name], self.cfg.resolved_decoys(), 4)]
 
     # -- steps 4 and 5 ---------------------------------------------------
 
@@ -450,33 +446,32 @@ class Session:
         """Measure the named sequence's decoys and release them, as check1
         does its samples."""
         decoys = self.decoys.pop(name)
-        kinds = np.array([DECOY_TOKENS.index(token) for token, _ in decoys], dtype=np.intp)
-        regs = [reg for _, reg in decoys]
+        count = self.cfg.resolved_decoys()
         errors = 0
-        for start, stop, rng in self._blocks(_CHECK[name], len(regs)):
-            kind = kinds[start:stop]
-            out, = measure_in_bases(_CHECK_BASES, _DECOY_BASIS[kind], regs[start:stop],
-                                    [(0,)], [rng.random()])
-            errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kind]))
-        return self._record_check(step, len(regs), errors)
+        for (kinds, block), (_, _, rng) in zip(decoys, self._blocks(_CHECK[name], count)):
+            out, = measure_in_bases(_CHECK_BASES, _DECOY_BASIS[kinds], block, [(0,)],
+                                    [rng.random()])
+            errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
+        return self._record_check(step, count, errors)
 
     # -- step 6 ----------------------------------------------------------
 
     def bob_encode(self) -> None:
         """Identify each group's prepared state from the even triple,
         rebuild it fresh, and encode Bob's bits on it."""
-        ghz = basis_labels(MeasBasis.GHZ)
         groups = self.transcript.groups
-        for start, stop, rng in self._blocks(_BOB_GHZ, self.cfg.n_groups):
-            evens = slice(2 * start + 1, 2 * stop, 2)
-            found, = measure_particles(MeasBasis.GHZ, self.triples[evens], [(0, 1, 2)],
-                                       [rng.random()])
-            p_labels = [ghz[k] for k in found.tolist()]
-            self.triples[evens] = [Register(ghz_state(p)) for p in p_labels]
-            for rec, p, op in zip(groups[start:stop], p_labels, self.bob_ops[start:stop]):
-                rec.p_label = p
+        ops = np.array(self.bob_ops, dtype=np.intp)
+        triples, self.triples = self.triples, []
+        for block, (start, stop, rng) in zip(triples, self._blocks(_BOB_GHZ, self.cfg.n_groups)):
+            found, = measure_particles(MeasBasis.GHZ, Block(block.amps[1::2], block.at),
+                                       [(0, 1, 2)], [rng.random()])
+            even, k = Block(ghz_rows()[found]), ops[start:stop]
+            apply_op(even, [(0, _FIRST[k]), (1, _SECOND[k])])
+            # a copy, so that the measured even rows are freed with the block
+            self.pairs.append((Block(block.amps[0::2].copy(), block.at), even))
+            for rec, j, op in zip(groups[start:stop], found.tolist(), self.bob_ops[start:stop]):
+                rec.p_label = _GHZ[j]
                 rec.b_op = op
-        self._encode(self.triples[1::2], self.bob_ops)
 
     # -- step 7 ----------------------------------------------------------
 
@@ -486,12 +481,12 @@ class Session:
         outcomes = _swap_outcomes()
         announcements = []
         groups = self.transcript.groups
-        for start, stop, rng in self._blocks(_SWAP, self.cfg.n_groups):
+        for (odd, even), (start, stop, rng) in zip(self.pairs,
+                                                   self._blocks(_SWAP, self.cfg.n_groups)):
             # merge is looked up on the module, where bench/tracer.py counts it
-            joints = [particles.merge(self.triples[2 * n], self.triples[2 * n + 1])
-                      for n in range(start, stop)]
+            joint = particles.merge(odd, even)
             draws = [rng.random() for _ in range(3)]
-            a, b, c = measure_particles(MeasBasis.BELL, joints,
+            a, b, c = measure_particles(MeasBasis.BELL, joint,
                                         [(r, r + 3) for r in range(3)], draws)
             for rec, k in zip(groups[start:stop], (16 * a + 4 * b + c).tolist()):
                 rec.bell_triple, rec.announcement = outcomes[k]

@@ -7,8 +7,10 @@ the one-state qcore functions (measure, apply_single, apply_unitary,
 tensor). Each side decodes its group by composing the two charts from
 the prepared or measured label (alice_decode, bob_decode), where Session
 reads one table of operations that never sees a label. Only the loops,
-the draws, the stacking and the decoding path differ from Session, so
-both must write the same transcripts, byte for byte.
+the draws, the blocks and the decoding path differ from Session, so both
+must write the same transcripts, byte for byte. Each triple, sample and
+decoy is its own Register here, where Session holds a sequence's units as
+the rows of particles.Block arrays.
 """
 
 from bqsdc import qcore
@@ -16,7 +18,6 @@ from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import ghz_state, invert_transform, transform_label
 from bqsdc.labels import GhzLabel
-from bqsdc.particles import Register, merge
 from bqsdc.protocol import (_BOB_GHZ, _CHECK, _DECOY_TOKEN, _EVE_EXTRAS, _EVE_TRIPLES,
                             _GROUP_LABEL, _ROLES, _SAMPLE_LABEL, _SWAP, _UNIT_BITS,
                             GroupRecord, Session)
@@ -40,6 +41,22 @@ def bob_decode(measured, b_op, announcement):
     own = transform_label(measured, b_op)
     [other] = [q for q in GhzLabel if collection_table(q, own) == announcement]
     return invert_transform(measured, other).bits
+
+
+class Register:
+    """One state vector plus a map from roles to qubits."""
+
+    def __init__(self, state):
+        self.state = state
+        self.at = list(range(state.num_qubits))
+
+
+def merge(a, b):
+    """A new register with a's qubits first, then b's; b's roles follow a's."""
+    reg = Register(qcore.tensor(a.state, b.state))
+    offset = a.state.num_qubits
+    reg.at = a.at + [q + offset for q in b.at]
+    return reg
 
 
 def measure_particles(basis, reg, roles, rng):

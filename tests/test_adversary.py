@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from bqsdc.adversary import (_BLOCK, AttackConfig, CheckTemplate, _TrialSampler,
                              apply_attack, claimed_detection_rate, eavesdrop_unitary,
                              estimate_detection, exact_detection_probability)
-from bqsdc.codebook import ghz_state
+from bqsdc.codebook import ghz_rows, ghz_state
 from bqsdc.labels import GhzLabel
-from bqsdc.particles import Register
+from bqsdc.particles import Block
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import MeasBasis, Rng, StreamBlock, born_distribution
+from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, born_distribution
 
 
 class TestAttackConfig:
@@ -63,38 +63,48 @@ class TestEavesdropUnitary:
 
 
 def attacked_block(cfg, count=3):
-    """GHZ triples with Eve's strategy run on their third particles, register
-    j drawing from the keyed stream (1, j)."""
-    regs = [Register(ghz_state(GhzLabel.PSI0)) for _ in range(count)]
+    """A block of GHZ triples with Eve's strategy run on their third
+    particles, row j drawing from the keyed stream (1, j), and the array the
+    block held before."""
+    block = Block(ghz_rows()[[GhzLabel.PSI0] * count])
+    before = block.amps
     rng = StreamBlock(1, count)
     rng.key(0, count)
-    apply_attack(regs, 2, cfg, rng)
-    return regs
+    apply_attack(block, 2, cfg, rng)
+    return block, before
+
+
+def row_states(block):
+    return [StateVector(row) for row in block.amps]
 
 
 class TestAttackApplication:
     def test_intercept_returns_fresh_particle(self):
-        for reg in attacked_block(AttackConfig("intercept_resend", fake_state="0")):
-            # the fake is appended and takes the role; the genuine particle
-            # stays in the register, still entangled with the other two
-            assert reg.at == [0, 1, 3] and reg.state.num_qubits == 4
-            assert born_distribution(reg.state, MeasBasis.Z, [3])[0] == pytest.approx(1.0)
-            assert born_distribution(reg.state, MeasBasis.Z, [2])[0] == pytest.approx(0.5)
+        block, _ = attacked_block(AttackConfig("intercept_resend", fake_state="0"))
+        # the fake is appended and takes the role; the genuine particle
+        # stays in the register, still entangled with the other two
+        assert block.at == [0, 1, 3] and block.num_qubits == 4
+        for state in row_states(block):
+            assert born_distribution(state, MeasBasis.Z, [3])[0] == pytest.approx(1.0)
+            assert born_distribution(state, MeasBasis.Z, [2])[0] == pytest.approx(0.5)
 
     def test_measure_resend_collapses(self):
-        for reg in attacked_block(AttackConfig("measure_resend", eve_basis="Z")):
-            assert reg.at == [0, 1, 2]
+        block, _ = attacked_block(AttackConfig("measure_resend", eve_basis="Z"))
+        assert block.at == [0, 1, 2]
+        for state in row_states(block):
             # the whole triple collapsed to a definite computational state
-            probs = np.abs(reg.state.amps) ** 2
+            probs = np.abs(state.amps) ** 2
             assert max(probs) == pytest.approx(1.0)
 
     def test_entangle_appends_ancilla(self):
-        for reg in attacked_block(AttackConfig.entangling(0.25)):
-            assert reg.at == [0, 1, 2] and reg.state.num_qubits == 4
+        block, _ = attacked_block(AttackConfig.entangling(0.25))
+        assert block.at == [0, 1, 2] and block.num_qubits == 4
+        assert len(row_states(block)) == 3
 
     def test_none_is_identity(self):
-        for reg in attacked_block(AttackConfig("none")):
-            assert reg.state is ghz_state(GhzLabel.PSI0) and reg.at == [0, 1, 2]
+        block, before = attacked_block(AttackConfig("none"))
+        assert block.amps is before and block.at == [0, 1, 2]
+        assert all(np.array_equal(row, ghz_state(GhzLabel.PSI0).amps) for row in block.amps)
 
 
 # Exact Born-rule detection rates for the GHZ-sample check. Where the

@@ -10,12 +10,11 @@ from helpers import equal_up_to_global_phase
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
 from bqsdc import qcore
-from bqsdc.adversary import AttackConfig
-from bqsdc.checks import consistent_ghz_outcomes
-from bqsdc.codebook import CompositeOp, ghz_state, transform_label
+from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, decoy_rows
+from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
+from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
-from bqsdc.particles import (Register, append_ancilla, measure_in_bases, measure_particles,
-                             merge)
+from bqsdc.particles import Block, append_ancilla, measure_in_bases, measure_particles, merge
 from bqsdc.protocol import (_BLOCK, Session, SessionConfig, SessionTranscript, _decoded,
                             _invert_announcements, default_decoy_count, message_ops,
                             random_message_bits, run_session)
@@ -28,39 +27,53 @@ def quiet_cfg(n, seed=0, **kw):
     return SessionConfig(n_groups=n, seed=seed, **kw)
 
 
+def ghz_block(*labels):
+    """A block of GHZ triples, one row per label."""
+    return Block(ghz_rows()[list(labels)])
+
+
+def row_state(block, row):
+    """Row row of the block as a checked state."""
+    return StateVector(block.amps[row])
+
+
 class TestRegister:
     def test_merge_puts_b_roles_after_a(self):
-        a = Register(ghz_state(GhzLabel.PSI0))
-        b = Register(ghz_state(GhzLabel.PSI1))
-        b.at[2] = append_ancilla([b], make_basis_state("0").amps)
+        a = ghz_block(GhzLabel.PSI0, GhzLabel.PSI2)
+        b = ghz_block(GhzLabel.PSI1, GhzLabel.PSI3)
+        b.at[2] = append_ancilla(b, make_basis_state("0").amps)
+        before = a.amps
         joint = merge(a, b)
-        assert joint.state.num_qubits == 7
+        assert joint.num_qubits == 7
         assert joint.at == [0, 1, 2, 3, 4, 6]
-        assert a.state.num_qubits == 3  # the inputs are left as they were
+        assert a.num_qubits == 3 and a.amps is before  # the inputs are left as they were
+        for row in range(2):
+            expect = qcore.tensor(row_state(a, row), row_state(b, row))
+            assert np.array_equal(joint.amps[row], expect.amps)
 
     def test_measurement_collapses_in_place(self):
-        a = Register(ghz_state(GhzLabel.PSI0))
-        outs = [measure_particles(MeasBasis.Z, [a], [(role,)], [np.array([Rng(seed).random()])],
+        a = ghz_block(GhzLabel.PSI0)
+        outs = [measure_particles(MeasBasis.Z, a, [(role,)], [np.array([Rng(seed).random()])],
                                   keep=True)[0][0]
                 for role, seed in ((0, 1), (1, 2), (2, 3))]
         # remaining particles are perfectly correlated with the outcome
         assert outs[0] == outs[1] == outs[2]
 
     def test_rounds_collapse_and_keep(self):
-        # three Z rounds on GHZ triples agree within each register; without
-        # keep the registers are left as they were
-        regs = [Register(ghz_state(GhzLabel.PSI0)) for _ in range(5)]
-        before = [reg.state for reg in regs]
+        # three Z rounds on GHZ triples agree within each row; without keep
+        # the block's array is left as it was
+        block = ghz_block(*[GhzLabel.PSI0] * 5)
+        before = block.amps.copy()
         draws = [np.array([Rng(seed, stream=k).random() for seed in range(5)]) for k in range(3)]
-        a, b, c = measure_particles(MeasBasis.Z, regs, [(0,), (1,), (2,)], draws)
+        a, b, c = measure_particles(MeasBasis.Z, block, [(0,), (1,), (2,)], draws)
         assert (a == b).all() and (b == c).all() and 0 < a.sum() < 5
-        assert [reg.state for reg in regs] == before
+        assert np.array_equal(block.amps, before)
 
     def test_basis_per_register(self):
-        # |0> in Z and |+> in X are certain; each register gets its own basis
-        regs = [Register(make_basis_state("0")), Register(qcore.StateVector([2 ** -0.5] * 2))]
+        # |0> in Z and |+> in X are certain; each row gets its own basis
+        block = Block(decoy_rows()[[DECOY_TOKENS.index("0"), DECOY_TOKENS.index("+")]])
         which = np.array([0, 1])
-        out, = measure_in_bases((MeasBasis.Z, MeasBasis.X), which, regs, [(0,)],
+        out, = measure_in_bases((MeasBasis.Z, MeasBasis.X), which, block, [(0,)],
                                 [np.array([0.99, 0.99])])
         assert out.tolist() == [0, 0]
 
@@ -92,22 +105,25 @@ class TestPrepare:
     def test_minimal_session_shape(self):
         s = Session(quiet_cfg(1, seed=4), "000", "000")
         s.prepare()
-        assert len(s.triples) == 2 and s.samples == []
+        [block] = s.triples
+        assert block.amps.shape == (2, 8) and s.samples == []
         # both triples of the group carry the same prepared label
         from bqsdc.codebook import classify_ghz
-        odd = classify_ghz(s.triples[0].state)
-        even = classify_ghz(s.triples[1].state)
+        odd = classify_ghz(row_state(block, 0))
+        even = classify_ghz(row_state(block, 1))
         assert odd[0] == even[0] == s.transcript.groups[0].prepared_label
 
     def test_sample_insertion_and_alignment(self):
         cfg = SessionConfig(n_groups=4, seed=9, decoys=2)
         s = Session(cfg, "0" * 12, "0" * 12)
         s.prepare()
-        assert len(s.triples) == 8 and len(s.samples) == 2
+        [block] = s.triples
+        [(labels, samples)] = s.samples
+        assert block.amps.shape == (8, 8) and len(labels) == 2
         # each sample is one GHZ triple in the state of its label
-        for label, reg in s.samples:
-            assert reg.at == [0, 1, 2]
-            assert equal_up_to_global_phase(reg.state, ghz_state(label))
+        assert samples.at == [0, 1, 2]
+        for row, label in enumerate(labels):
+            assert equal_up_to_global_phase(row_state(samples, row), ghz_state(GhzLabel(label)))
 
     def test_forced_initial_label(self):
         s = Session(quiet_cfg(3, seed=1, initial_label=GhzLabel.PSI6), "0" * 9, "0" * 9)
@@ -124,6 +140,23 @@ class TestPrepare:
             counts[g.prepared_label] += 1
         for lab, c in counts.items():
             assert abs(c / 10_000 - 0.125) < 0.02
+
+
+class TestRowTables:
+    def test_rows_are_the_derived_states(self):
+        # every block is built by indexing these tables, so each row must be
+        # the state it stands for, and no block may write through to it
+        ghz, decoys = ghz_rows(), decoy_rows()
+        assert ghz.shape == (8, 8) and decoys.shape == (4, 2)
+        for label in GhzLabel:
+            assert np.array_equal(ghz[label], ghz_state(label).amps)
+        for k, token in enumerate(DECOY_TOKENS):
+            assert np.array_equal(decoys[k], decoy_state(token).amps)
+        for table, cached in ((ghz, ghz_rows()), (decoys, decoy_rows())):
+            assert table is cached
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestChecks:
@@ -153,7 +186,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
-        assert equal_up_to_global_phase(s.triples[0].state, expect)
+        assert equal_up_to_global_phase(row_state(s.triples[0], 0), expect)
 
     def test_identity_op_leaves_label(self):
         # U0 keeps every label fixed, though not always with phase +1: on
@@ -162,7 +195,7 @@ class TestEncoding:
         s.prepare()
         s.check1()
         s.alice_encode()
-        out = s.triples[0].state
+        out = row_state(s.triples[0], 0)
         assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI3))
         assert np.allclose(out.amps, -ghz_state(GhzLabel.PSI3).amps)
 
@@ -174,7 +207,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
-        assert equal_up_to_global_phase(s.triples[0].state, expect)
+        assert equal_up_to_global_phase(row_state(s.triples[0], 0), expect)
 
     def test_decoy_states_drawn_uniformly(self):
         cfg = SessionConfig(n_groups=1, seed=14, decoys=400)
@@ -185,8 +218,9 @@ class TestEncoding:
 
         def draw_and_count(name):
             draw(name)
-            for token, _ in s.decoys[name]:
-                counts[token] += 1
+            for kinds, _ in s.decoys[name]:
+                for k in kinds.tolist():
+                    counts[DECOY_TOKENS[k]] += 1
 
         s._draw_decoys = draw_and_count
         s.prepare()
@@ -218,7 +252,8 @@ class TestEncoding:
         s.check2()
         s.check3()
         s.bob_encode()
-        even_state = s.triples[1].state
+        [(_, even)] = s.pairs
+        even_state = row_state(even, 0)
         assert equal_up_to_global_phase(even_state, ghz_state(GhzLabel.PSI5))
 
 
@@ -497,6 +532,35 @@ class TestBlockBoundaries:
             assert got == reference_transcript(cfg, alice, bob), n
 
 
+# Every strategy on every target; the draws below fix Eve's fake state or
+# basis or draw it per particle, and pick beta squared.
+STRATEGY_TARGETS = [("none", "S_C"), *((strategy, target) for strategy in STRATEGIES[1:]
+                                       for target in TARGETS)]
+
+
+class TestDifferential:
+    """The batched session against the reference at sizes TestBlockBoundaries
+    does not list: an index slip in the interleaved triple blocks (2 *
+    _BLOCK rows) or at bob_encode's odd/even split changes some group's
+    transcript."""
+
+    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
+    @given(n=st.integers(1, 2 * _BLOCK + 3), decoys=st.integers(0, _BLOCK + 1),
+           fake=st.sampled_from([None, *DECOY_TOKENS]), basis=st.sampled_from([None, "Z", "X"]),
+           beta_squared=st.floats(0.0, 1.0), threshold=st.sampled_from([0.0, 0.99]),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_session_equals_reference(self, strategy, target, n, decoys, fake, basis,
+                                      beta_squared, threshold, seed):
+        params = {"intercept_resend": {"fake_state": fake}, "measure_resend": {"eve_basis": basis},
+                  "entangle_measure": {"beta_squared": beta_squared}}.get(strategy, {})
+        cfg = SessionConfig(n_groups=n, seed=seed, decoys=decoys, check_threshold=threshold,
+                            attack=AttackConfig(strategy, target=target, **params))
+        msg_rng = Rng(seed, stream=2)
+        alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
+        assert run_session(cfg, alice, bob).to_json() == reference_transcript(cfg, alice, bob)
+
+
 class TestStepMemory:
     def test_swap_buffers_do_not_grow_with_groups(self, monkeypatch):
         # transient peak of the swap (peak minus the heap before it) at 4B
@@ -523,6 +587,30 @@ class TestStepMemory:
         assert growth <= 8 * 1024
         monkeypatch.setattr("bqsdc.protocol._BLOCK", 4 * _BLOCK)
         assert transient(4 * _BLOCK) - transient(_BLOCK) > 100 * 1024 + growth
+
+    def test_held_state_per_group(self):
+        # the heap a session holds entering the swap grows by at most 800
+        # bytes a group from 64 to 4096 groups: after an entangling attack on
+        # S_A, a group's odd triple takes 256 bytes of amplitudes and its
+        # even one 128, plus its record and message operations. One
+        # register object per triple held about 1500 bytes a group.
+        attack = AttackConfig.entangling(0.25, target="S_A")
+
+        def held(n):
+            tracemalloc.start()
+            try:
+                s = Session(quiet_cfg(n, seed=4, check_threshold=0.99, attack=attack),
+                            "101" * n, "011" * n)
+                for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3,
+                             s.bob_encode):
+                    step()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held(64)  # warm the caches
+        assert held(4096) - held(64) <= 800 * (4096 - 64)
 
     def test_checked_units_released_before_the_swap(self):
         # the heap a session holds entering the swap, at a fixed group
@@ -598,28 +686,36 @@ class TestWidth:
     @pytest.mark.parametrize("target", ["S_C", "S_B", "S_A"])
     @pytest.mark.parametrize("strategy", list(WIDEST))
     def test_no_state_wider_than_seven_qubits(self, monkeypatch, strategy, target):
-        # every state counts: the checked constructions and the results of
-        # unitaries and collapses, which skip the checks
+        # every state counts: the checked constructions, and the inputs and
+        # results of the row kernels, whose rows skip those checks
         widths = []
-        unchecked = []
+        kernels = []
         post_init = StateVector.__post_init__
-        unchecked_state = qcore._unchecked_state
 
         def record(self):
             post_init(self)
             widths.append(self.num_qubits)
 
-        def record_unchecked(amps):
-            s = unchecked_state(amps)
-            unchecked.append(s.num_qubits)
-            return s
+        def record_rows(*arrays):
+            kernels.extend(a.shape[-1].bit_length() - 1 for a in arrays
+                           if a is not None and a.ndim == 2)
+
+        def recording(kernel, result=lambda out: out):
+            def wrapper(amps, *args, **kwargs):
+                out = kernel(amps, *args, **kwargs)
+                record_rows(amps, result(out))
+                return out
+            return wrapper
 
         monkeypatch.setattr(StateVector, "__post_init__", record)
-        monkeypatch.setattr(qcore, "_unchecked_state", record_unchecked)
+        monkeypatch.setattr(qcore, "tensor_rows", recording(qcore.tensor_rows))
+        monkeypatch.setattr(qcore, "apply_unitary_rows", recording(qcore.apply_unitary_rows))
+        monkeypatch.setattr(qcore, "measure_rows",
+                            recording(qcore.measure_rows, lambda out: out[1]))
         attack = AttackConfig.entangling(0.25, target=target) \
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
         t = run_session(cfg, "010110", "101001")
         assert t.groups[-1].announcement is not None
-        assert unchecked, "no unitary or collapse result was recorded"
-        assert max(widths + unchecked) == self.WIDEST[strategy]
+        assert kernels, "no row kernel input or result was recorded"
+        assert max(widths + kernels) == self.WIDEST[strategy]
