@@ -9,10 +9,13 @@ attack runs on a block of registers at once, each drawing from its own
 keyed stream.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
-one keyed random stream per trial. The outcome distribution of every random
-branch is expanded exactly once with the state-vector engine; each trial
-then draws its branch and its outcome from those exact Born tables, so 1e5
-trials stay fast without approximating anything.
+one keyed random stream per trial. Every (check, Eve choice) pair is
+expanded exactly once with the state-vector engine, by one expansion for
+the GHZ-sample and the decoy checks alike: Eve acts on the transmitted
+particle, then every particle is measured in the check's basis. Each trial
+then draws its check, Eve's choice and its outcome from those exact Born
+tables, so 1e5 trials stay fast without approximating anything. The tables
+model Eve independently of apply_attack, which the session runs.
 
 Trials are drawn a block at a time in numpy (qcore.StreamBlock). The
 streams are counter-based, so draw i of trial t's stream is a pure function
@@ -34,7 +37,7 @@ from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_s
 from .codebook import ghz_state
 from .labels import GhzLabel
 from .particles import Block, append_ancilla, measure_in_bases, measure_particles
-from .qcore import MeasBasis, StreamBlock
+from .qcore import MeasBasis, StateVector, StreamBlock
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
 TARGETS = ("S_C", "S_B", "S_A")
@@ -189,65 +192,38 @@ def _eve_choices(cfg: AttackConfig) -> list:
     return [None]
 
 
-def _ghz_outcome_table(cfg: AttackConfig, label: GhzLabel, choice, basis: MeasBasis):
-    """Exact (probability, is_error) rows for one branch of the GHZ check."""
-    sample = ghz_state(label)
-    groups = [(0,), (1,), (2,)]
-    if cfg.strategy == "none":
-        dist = qcore.joint_distribution(sample, basis, groups)
-    elif cfg.strategy == "intercept_resend":
-        # Eve holds the genuine third particle unmeasured; Bob measures the
-        # fake, so his outcome is independent of Alice's pair.
-        dist_ab = qcore.joint_distribution(sample, basis, [(0,), (1,)])
-        dist_c = qcore.born_distribution(decoy_state(choice), basis, [0])
-        dist = {
-            (a, b, c): p_ab * p_c
-            for (a, b), p_ab in dist_ab.items()
-            for c, p_c in dist_c.items()
-            if p_ab * p_c > qcore.ZERO_TOL
-        }
-    elif cfg.strategy == "measure_resend":
-        dist = {}
-        for _, p_e, collapsed in qcore.measurement_branches(sample, MeasBasis(choice), (2,)):
-            for outs, p in qcore.joint_distribution(collapsed, basis, groups).items():
-                dist[outs] = dist.get(outs, 0.0) + p_e * p
+def _outcome_table(cfg: AttackConfig, state: StateVector, role: int, basis: MeasBasis,
+                   choice, allowed) -> list[tuple[float, bool]]:
+    """Exact (probability, is_error) rows of a check that measures every
+    particle of state in basis, one at a time, after Eve's choice on the
+    particle at role; an outcome tuple outside allowed is an error."""
+    n = state.num_qubits
+    groups = [(q,) for q in range(n)]
+    if cfg.strategy == "intercept_resend":
+        # Eve keeps the genuine particle unmeasured; the check measures her fake
+        state = qcore.tensor(state, decoy_state(choice))
+        groups[role] = (n,)
+    elif cfg.strategy == "entangle_measure":
+        state = qcore.apply_unitary(qcore.tensor(state, qcore.make_basis_state("0")),
+                                    eavesdrop_unitary(cfg.beta_squared), (role, n))
+    if cfg.strategy == "measure_resend":
+        branches = [(p_e, collapsed) for _, p_e, collapsed
+                    in qcore.measurement_branches(state, MeasBasis(choice), (role,))]
     else:
-        coupled = qcore.apply_unitary(
-            qcore.tensor(sample, qcore.make_basis_state("0")),
-            eavesdrop_unitary(cfg.beta_squared), (2, 3))
-        dist = qcore.joint_distribution(coupled, basis, groups)
-    allowed = consistent_ghz_outcomes(label, basis)
+        branches = [(1.0, state)]
+    dist = {}
+    for p_e, branch in branches:
+        for outs, p in qcore.joint_distribution(branch, basis, groups).items():
+            dist[outs] = dist.get(outs, 0.0) + p_e * p
     return [(p, outs not in allowed) for outs, p in dist.items()]
-
-
-def _decoy_outcome_table(cfg: AttackConfig, token: str, choice):
-    """Exact (probability, is_error) rows for one single-particle decoy."""
-    prep = DECOY_STATES[token]
-    if cfg.strategy == "none":
-        dist = qcore.born_distribution(decoy_state(token), prep.basis, [0])
-    elif cfg.strategy == "intercept_resend":
-        dist = qcore.born_distribution(decoy_state(choice), prep.basis, [0])
-    elif cfg.strategy == "measure_resend":
-        dist = {}
-        for _, p_e, collapsed in qcore.measurement_branches(
-                decoy_state(token), MeasBasis(choice), (0,)):
-            for out, p in qcore.born_distribution(collapsed, prep.basis, [0]).items():
-                dist[out] = dist.get(out, 0.0) + p_e * p
-    else:
-        coupled = qcore.apply_unitary(
-            qcore.tensor(decoy_state(token), qcore.make_basis_state("0")),
-            eavesdrop_unitary(cfg.beta_squared), (0, 1))
-        dist = qcore.born_distribution(coupled, prep.basis, [0])
-    return [(p, out != prep.expected) for out, p in dist.items() if p > qcore.ZERO_TOL]
 
 
 def _decoy_axis(template: CheckTemplate) -> list[str]:
     if template.decoy_basis is None:
         return list(DECOY_TOKENS)
-    if template.decoy_basis == "Z":
-        return ["0", "1"]
-    if template.decoy_basis == "X":
-        return ["+", "-"]
+    if template.decoy_basis in _BASIS_TOKENS:
+        return [token for token, prep in DECOY_STATES.items()
+                if prep.basis.value == template.decoy_basis]
     raise ValueError("decoy_basis must be 'Z', 'X', or None")
 
 
@@ -266,21 +242,24 @@ class _TrialSampler:
         self.eve_values = _eve_choices(cfg)
         if cfg.target == "S_C":
             self.lead_values = _basis_axis(template)
+            label = template.sample_label
 
-            def build(lead, choice):
-                return _ghz_outcome_table(cfg, template.sample_label, choice, lead)
+            def check(basis):
+                return ghz_state(label), 2, basis, consistent_ghz_outcomes(label, basis)
         else:
             self.lead_values = _decoy_axis(template)
 
-            def build(lead, choice):
-                return _decoy_outcome_table(cfg, lead, choice)
+            def check(token):
+                prep = DECOY_STATES[token]
+                return decoy_state(token), 0, prep.basis, {(prep.expected,)}
 
         self.n_lead, self.n_eve = len(self.lead_values), len(self.eve_values)
         self.tables = {}
         for lead in self.lead_values:
+            state, role, basis, allowed = check(lead)
             for choice in self.eve_values:
                 cum, flags, acc = [], [], 0.0
-                for p, is_err in build(lead, choice):
+                for p, is_err in _outcome_table(cfg, state, role, basis, choice, allowed):
                     acc += p
                     cum.append(acc)
                     flags.append(is_err)

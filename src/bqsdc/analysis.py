@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, Mapping
 
 from .codebook import CompositeOp
@@ -160,13 +160,7 @@ class ComparisonRow:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "bits_per_round": self.bits_per_round,
-            "leaked_bits": self.leaked_bits,
-            "efficiency": self.efficiency,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def comparison_report() -> list[ComparisonRow]:

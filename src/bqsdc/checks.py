@@ -16,9 +16,7 @@ from typing import Hashable
 from . import qcore
 from .codebook import ghz_state
 from .labels import GhzLabel
-from .qcore import MeasBasis, StateVector, make_basis_state
-
-_INV_SQRT2 = 2.0 ** -0.5
+from .qcore import MeasBasis, StateVector
 
 
 @dataclass(frozen=True)
@@ -42,16 +40,12 @@ DECOY_TOKENS = tuple(DECOY_STATES)
 
 @lru_cache(maxsize=None)
 def decoy_state(token: str) -> StateVector:
-    """Single-qubit state for a decoy token (shared: the result is immutable)."""
-    if token == "0":
-        return make_basis_state("0")
-    if token == "1":
-        return make_basis_state("1")
-    if token == "+":
-        return StateVector([_INV_SQRT2, _INV_SQRT2])
-    if token == "-":
-        return StateVector([_INV_SQRT2, -_INV_SQRT2])
-    raise ValueError(f"unknown decoy token {token!r}")
+    """Single-qubit state for a decoy token, the basis vector of its expected
+    outcome (shared: the result is immutable)."""
+    prep = DECOY_STATES.get(token)
+    if prep is None:
+        raise ValueError(f"unknown decoy token {token!r}")
+    return StateVector(dict(qcore.basis_outcomes(prep.basis))[prep.expected])
 
 
 @lru_cache(maxsize=None)

@@ -46,19 +46,26 @@ def _resolve_seed(arg_seed: int | None) -> int:
 def _open_outputs(*paths: str | None):
     """One open file per output path, None where a path is unset. Every path
     is opened, without truncation, before any file is truncated and before
-    the work it records: an unwritable path fails at once and leaves the
-    other outputs as they were."""
+    the work it records: an unwritable path, or two paths naming one file,
+    fails at once and leaves the other outputs as they were."""
+    named = [p for p in paths if p]
     made = []
-    for path in filter(None, paths):
-        new = not os.path.exists(path)
-        try:
-            open(path, "a").close()
-        except OSError as exc:
-            for p in made:
-                os.remove(p)
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-        if new:
-            made.append(path)
+    try:
+        for i, path in enumerate(named):
+            new = not os.path.exists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+            if new:
+                made.append(path)
+            for other in named[:i]:
+                if os.path.samefile(path, other):
+                    raise UsageError(f"{other} and {path} are the same file")
+    except UsageError:
+        for p in made:
+            os.remove(p)
+        raise
     with ExitStack() as stack:
         yield [stack.enter_context(open(p, "w", newline="")) if p else None for p in paths]
 
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     attack_flags = argparse.ArgumentParser(add_help=False)
-    attack_flags.add_argument("--fake", choices=["0", "1", "+", "-"],
+    attack_flags.add_argument("--fake", choices=DECOY_TOKENS,
                               help="intercept fake state")
     attack_flags.add_argument("--eve-basis", choices=["Z", "X"], help="measure-resend basis")
     attack_flags.add_argument("--beta2", type=float, help="entangle attack flip probability")
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="Monte Carlo detection-rate estimate",
                        parents=[attack_flags])
     p.add_argument("--strategy", required=True, metavar="STRATEGY[:ARG]", help=ATTACK_HELP)
-    p.add_argument("--target", choices=["S_C", "S_B", "S_A"], default="S_C")
+    p.add_argument("--target", choices=TARGETS, default="S_C")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--sample", default="psi0", help="GHZ sample state for S_C checks")

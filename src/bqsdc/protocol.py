@@ -475,11 +475,10 @@ class Session:
 
     # -- step 7 ----------------------------------------------------------
 
-    def swap_and_announce(self) -> list[CollectionLabel]:
+    def swap_and_announce(self) -> None:
         """Bell-measure the three cross pairs of each group and announce the
         outcome collection over the (ideal) classical channel."""
         outcomes = _swap_outcomes()
-        announcements = []
         groups = self.transcript.groups
         for (odd, even), (start, stop, rng) in zip(self.pairs,
                                                    self._blocks(_SWAP, self.cfg.n_groups)):
@@ -490,8 +489,6 @@ class Session:
                                         [(r, r + 3) for r in range(3)], draws)
             for rec, k in zip(groups[start:stop], (16 * a + 4 * b + c).tolist()):
                 rec.bell_triple, rec.announcement = outcomes[k]
-                announcements.append(rec.announcement)
-        return announcements
 
     def decode(self) -> None:
         """Each side reads the other's bits off the announcement and its own

@@ -162,18 +162,14 @@ class ReferenceSession(Session):
             self.transcript.groups[n].b_op = op
 
     def swap_and_announce(self):
-        announcements = []
         for n in range(self.cfg.n_groups):
             joint = merge(self.triples[2 * n], self.triples[2 * n + 1])
             rng = self._rng(_SWAP, n)
             triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], rng)
                                   for r in range(3)))
-            m = collection_of(triple)
-            announcements.append(m)
             rec = self.transcript.groups[n]
             rec.bell_triple = triple
-            rec.announcement = m
-        return announcements
+            rec.announcement = collection_of(triple)
 
     def decode(self):
         for rec in self.transcript.groups:

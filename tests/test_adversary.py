@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from bisect import bisect_right
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from bqsdc.adversary import (_BLOCK, AttackConfig, CheckTemplate, _TrialSampler,
                              apply_attack, claimed_detection_rate, eavesdrop_unitary,
                              estimate_detection, exact_detection_probability)
+from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import ghz_rows, ghz_state
 from bqsdc.labels import GhzLabel
 from bqsdc.particles import Block
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, born_distribution
+from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
+                         joint_distribution)
 
 
 class TestAttackConfig:
@@ -170,6 +173,57 @@ class TestExactRates:
         rate = exact_detection_probability(
             AttackConfig.entangling(0.5, target="S_B"), CheckTemplate(decoy_basis="X"))
         assert rate == pytest.approx(0.0, abs=1e-12)
+
+
+CROSS_ATTACKS = (
+    [AttackConfig("none")]
+    + [AttackConfig("intercept_resend", fake_state=f) for f in DECOY_TOKENS]
+    + [AttackConfig.entangling(b2) for b2 in (0.0, 0.1, 0.25, 0.5, 1.0)]
+)
+CROSS_IDS = [f"{c.strategy}-{c.fake_state or c.beta_squared}" for c in CROSS_ATTACKS]
+
+
+class TestHarnessMatchesSessionAttack:
+    """The harness's Born tables (_TrialSampler) and the session's attack
+    (apply_attack) model Eve independently; on every attack without a random
+    choice they must give the same check outcome distribution."""
+
+    @staticmethod
+    def session_rows(cfg, pristine, role, basis, is_error):
+        block = Block(pristine.amps[None].copy())
+        rng = StreamBlock(0, 1)
+        rng.key(0, 1)
+        apply_attack(block, role, cfg, rng)
+        dist = joint_distribution(StateVector(block.amps[0]), basis,
+                                  [(q,) for q in block.at])
+        return [(p, is_error(outs)) for outs, p in dist.items()]
+
+    @staticmethod
+    def assert_same_rows(sampler, key, rows):
+        cum, flags = sampler.tables[key]
+        probs = np.diff([0.0, *cum])
+        assert flags == [e for _, e in rows], key
+        assert np.abs(probs - [p for p, _ in rows]).max() <= 1e-12, key
+
+    @pytest.mark.parametrize("cfg", CROSS_ATTACKS, ids=CROSS_IDS)
+    def test_sample_check(self, cfg):
+        for label in GhzLabel:
+            sampler = _TrialSampler(cfg, CheckTemplate(sample_label=label))
+            for basis, choice in sampler.tables:
+                rows = self.session_rows(cfg, ghz_state(label), 2, basis,
+                                         lambda outs: not ghz_sample_ok(label, basis, outs))
+                self.assert_same_rows(sampler, (basis, choice), rows)
+
+    @pytest.mark.parametrize("target", ["S_B", "S_A"])
+    @pytest.mark.parametrize("cfg", CROSS_ATTACKS, ids=CROSS_IDS)
+    def test_decoy_check(self, cfg, target):
+        cfg = dataclasses.replace(cfg, target=target)
+        sampler = _TrialSampler(cfg, CheckTemplate())
+        for token, choice in sampler.tables:
+            prep = DECOY_STATES[token]
+            rows = self.session_rows(cfg, decoy_state(token), 0, prep.basis,
+                                     lambda outs: outs != (prep.expected,))
+            self.assert_same_rows(sampler, (token, choice), rows)
 
 
 class TestClaimedRates:

@@ -142,6 +142,24 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("nonsense").returncode == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_outputs_naming_one_file_exit_two(command, tmp_path, capsys):
+    # --out and --csv-out must not overwrite each other: the same path, or
+    # a second spelling of it, is a usage error before anything is written
+    (tmp_path / "dir").mkdir()
+    kept = tmp_path / "dir" / "x"
+    kept.write_bytes(b'{"kept": 1}\n')
+    spellings = [(kept, kept), (kept, tmp_path / "dir" / "." / "x"),
+                 (tmp_path / "dir" / "new", tmp_path / "dir" / "." / "new")]
+    for out, csv_out in spellings:
+        argv = [command, "--out", str(out), "--emit", "csv", "--csv-out", str(csv_out)]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
+    assert kept.read_bytes() == b'{"kept": 1}\n'
+    assert [p.name for p in (tmp_path / "dir").iterdir()] == ["x"]
+
+
 def recorded_attack(argv, tmp_path):
     """The attack that `run` or `attack` made of argv, as its output records it."""
     out = tmp_path / "out.json"

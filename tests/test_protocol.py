@@ -173,6 +173,20 @@ class TestChecks:
         x = consistent_ghz_outcomes(GhzLabel.PSI0, MeasBasis.X)
         assert x == {("+", "+", "+"), ("-", "-", "+"), ("+", "-", "-"), ("-", "+", "-")}
 
+    def test_decoy_states_are_the_hand_written_vectors(self):
+        # decoy_state derives each state from its DECOY_STATES entry; these
+        # literals are the independent fixture
+        r = 2.0 ** -0.5
+        expected = {"0": [1, 0], "1": [0, 1], "+": [r, r], "-": [r, -r]}
+        assert tuple(expected) == DECOY_TOKENS
+        for token, amps in expected.items():
+            state = decoy_state(token)
+            assert state.amps.dtype == np.complex128
+            assert np.array_equal(state.amps, np.array(amps, dtype=np.complex128)), token
+        for token in ("2", "x", "00", ""):
+            with pytest.raises(ValueError):
+                decoy_state(token)
+
     def test_zero_decoys_check_passes(self):
         t = run_session(quiet_cfg(1, seed=2), "010", "101")
         assert all(c.samples == 0 and c.error_rate == 0.0 for c in t.checks)
