@@ -6,7 +6,9 @@ holds them as the rows of one (rows, 2**n) amplitude array with one map
 from roles to qubits. Whatever an attack leaves behind, a fake or an
 ancilla, is appended to every row, so a role may point past the original
 qubits. Every operation runs one qcore row kernel over a block and
-replaces its array. Bob's swap alone joins two blocks (merge).
+replaces its array; a measurement of several rounds, such as the swap's
+three Bell measurements, is one kernel pass. Bob's swap alone joins two
+blocks (merge).
 """
 
 from __future__ import annotations
@@ -72,26 +74,26 @@ def apply_op(block: Block, ops: Sequence[tuple[int, np.ndarray]]) -> None:
     block.amps = amps
 
 
-def measure_particles(basis: MeasBasis, block: Block, rounds: Sequence[Sequence[int]],
-                      draws: Sequence[np.ndarray], keep: bool = False) -> list[np.ndarray]:
-    """Projective measurements of the roles of each round in turn, each
-    round on the state the one before collapsed, row i drawing with
-    draws[k][i] in round k.
+def measure_particles(basis: MeasBasis | Sequence[MeasBasis], block: Block,
+                      rounds: Sequence[Sequence[int]], draws: Sequence[np.ndarray],
+                      keep: bool = False, which: np.ndarray | None = None) -> list[np.ndarray]:
+    """Projective measurements of the roles of each round in turn, all in
+    one qcore.measure_rows pass: each round measures what the rounds before
+    it left, row i drawing with draws[k][i] in round k. basis is one
+    MeasBasis or, with which, a sequence of bases of one arity: row i is
+    measured in basis[which[i]].
 
     Returns each round's outcome indices in basis order
     (qcore.basis_labels). With keep, the block holds the collapsed states
     afterwards; without, it is left as it was, for a measurement nothing
     reads again.
     """
-    amps = block.amps
-    outs = []
-    for k, (roles, r) in enumerate(zip(rounds, draws)):
-        j, amps = qcore.measure_rows(amps, basis, [block.at[x] for x in roles], r,
-                                     collapse=keep or k + 1 < len(rounds))
-        outs.append(j)
+    js, post = qcore.measure_rows(block.amps, basis,
+                                  [[block.at[x] for x in roles] for roles in rounds],
+                                  draws, collapse=keep, which=which)
     if keep:
-        block.amps = amps
-    return outs
+        block.amps = post
+    return js
 
 
 def measure_in_bases(bases: Sequence[MeasBasis], which: np.ndarray, block: Block,
@@ -99,17 +101,4 @@ def measure_in_bases(bases: Sequence[MeasBasis], which: np.ndarray, block: Block
                      keep: bool = False) -> list[np.ndarray]:
     """measure_particles with a basis per row: row i is measured in
     bases[which[i]]."""
-    outs = [np.empty(len(which), dtype=np.intp) for _ in rounds]
-    post = np.empty_like(block.amps) if keep else None
-    for b, basis in enumerate(bases):
-        sel = np.flatnonzero(which == b)
-        if sel.size:
-            part = Block(block.amps[sel], block.at)
-            got = measure_particles(basis, part, rounds, [r[sel] for r in draws], keep)
-            for out, j in zip(outs, got):
-                out[sel] = j
-            if keep:
-                post[sel] = part.amps
-    if keep:
-        block.amps = post
-    return outs
+    return measure_particles(bases, block, rounds, draws, keep, which)

@@ -284,9 +284,9 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Groups (twice as many triples), samples or decoys per block. The swap's
 # buffers grow with the block and are the session's peak heap: a 1000-group
-# session (bench/run.py, seeds 3-5) peaks at 1.22 MB clean and 2.05 MB under
-# an entangling attack on S_A, against 0.93 and 1.36 MB at 64, and runs
-# about 1.05x and 1.13x as many groups/s as at 64.
+# session (bench/run.py, seeds 3-5) peaks at 1.04 MB clean and 1.70 MB under
+# an entangling attack on S_A. At 256 it peaks at 1.58 and 2.77 MB, 1.5x
+# and 1.6x as much, for only about 1.01x and 1.10x as many groups/s.
 _BLOCK = 128
 
 _GHZ = tuple(GhzLabel)

@@ -13,16 +13,21 @@ apply_unitary and of the measurement collapses skip that copy and those
 checks, because a unitary and a normalized projection keep the norm by
 construction. Two cheap guards, which fail on NaN as well, stand in for
 them: apply_unitary checks the norm of its result, which catches a matrix
-that is not unitary on the state, and measure checks that its outcome
-probabilities, which sum to the squared norm of the state, total 1.
+that is not unitary on the state, and measure checks that the outcome
+probabilities of each round, which sum to the squared norm of what it
+measures, total 1.
 
 Every kernel works on rows: the *_rows functions take the states of many
 registers of one layout stacked as the rows of one (rows, 2**n) array and
 run one numpy pass over all of them, with every check and guard applied
 to each row (tensor_rows checks each row as StateVector(...) does). The
 one-state functions are the one-row case of the same code. The index work
-of grouping k qubits is computed once per (n, qubits) as a gather plan,
-and a measurement projects onto every basis vector in one matmul.
+of grouping k qubits is computed once per (n, qubits) as a gather plan.
+Every basis vector is real, so a measurement projects onto all of them in
+one real matmul on the float64 view of the amplitudes. measure_rows takes
+several rounds of disjoint qubits in one pass: it gathers them once, each
+round projects the normalized remainder the round before it left, and the
+collapsed state is expanded once, at the end, and only when it is kept.
 """
 
 from __future__ import annotations
@@ -351,18 +356,25 @@ def _plan(n: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _basis_matrices(basis: MeasBasis) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(labels, bras, vecs) of a basis, in basis order: bras holds the
-    conjugated basis vectors as complex rows, vecs the same vectors as float
-    rows (every basis vector here is real)."""
+def _basis_matrices(basis: MeasBasis) -> tuple[tuple, np.ndarray]:
+    """(labels, vecs) of a basis, in basis order: vecs holds the basis
+    vectors as float rows (every basis vector here is real)."""
     labels, kets = zip(*basis_outcomes(basis))
-    bras = np.array(kets).conj()
-    vecs = bras.real.copy()
-    if np.any(bras.imag):
+    kets = np.array(kets)
+    if np.any(kets.imag):
         raise AssertionError(f"{basis.value} basis vectors are not real")
-    bras.setflags(write=False)
+    vecs = kets.real.copy()
     vecs.setflags(write=False)
-    return labels, bras, vecs
+    return labels, vecs
+
+
+@lru_cache(maxsize=None)
+def _stacked_matrices(bases: tuple[MeasBasis, ...]) -> np.ndarray:
+    """The vecs of several bases of one arity, stacked (bases, 2**k, 2**k);
+    np.stack raises ValueError on bases of two arities."""
+    vecs = np.stack([_basis_matrices(basis)[1] for basis in bases])
+    vecs.setflags(write=False)
+    return vecs
 
 
 def basis_labels(basis: MeasBasis) -> tuple:
@@ -371,21 +383,41 @@ def basis_labels(basis: MeasBasis) -> tuple:
     return _basis_matrices(basis)[0]
 
 
+def _gather(amps: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of amps (rows, 2**n) with the given (distinct) qubits brought
+    to the front, in order, as float64 pairs (real, imaginary), and the plan
+    that puts them back."""
+    idx, inverse = _plan(amps.shape[1].bit_length() - 1, qubits)
+    return amps.take(idx, axis=1).view(np.float64), inverse
+
+
+def _project(vecs: np.ndarray, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(projs, probs) of the float-pair rows rem, whose leading qubits the
+    basis vecs (one for all rows, or one per row) measures: projs[i, j] the
+    unnormalized remainder of outcome j in row i, probs[i, j] its weight."""
+    projs = vecs @ rem.reshape(len(rem), vecs.shape[-1], -1)
+    return projs, (projs * projs).sum(axis=2)
+
+
 def _born(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]):
-    """The Born projection of every row of amps (rows, 2**n): every
-    outcome's projection in one matmul and every probability in one vector
-    operation. Returns (labels, vecs, inverse, projs, probs): projs[i, j] is
-    the unnormalized remainder of outcome j in row i as float64 pairs (real,
-    imaginary), probs[i, j] its probability, outcomes in basis order."""
-    labels, bras, vecs = _basis_matrices(basis)
+    """The Born projection of every row of amps (rows, 2**n) onto every
+    outcome of basis: one real matmul and one vector operation. Returns
+    (labels, vecs, inverse, projs, probs) as _project, outcomes in basis
+    order."""
+    labels, vecs = _basis_matrices(basis)
     qs = tuple(qubits)
     if 1 << len(qs) != len(labels):
         raise ValueError(f"{basis.value} basis measures {basis.arity} qubits, got {len(qs)}")
-    rows, size = amps.shape
-    idx, inverse = _plan(size.bit_length() - 1, qs)
-    projs = (bras @ amps.take(idx, axis=1).reshape(rows, len(labels), -1)).view(np.float64)
-    probs = (projs * projs).sum(axis=2)
+    rem, inverse = _gather(amps, qs)
+    projs, probs = _project(vecs, rem)
     return labels, vecs, inverse, projs, probs
+
+
+def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
+               j: np.ndarray) -> np.ndarray:
+    """The remainder of row src[i] in outcome j[i], normalized, as complex
+    rows (a complex-by-real division, which every collapse shares)."""
+    return projs[src, j].view(np.complex128) / np.sqrt(probs[src, j])[:, None]
 
 
 def _collapse(vecs: np.ndarray, projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
@@ -393,7 +425,7 @@ def _collapse(vecs: np.ndarray, projs: np.ndarray, probs: np.ndarray, src: np.nd
     """Post-measurement amplitudes: row i is row src[i] of _born's input
     collapsed to outcome j[i]. The basis vectors are real, so each amplitude
     is a real multiple of the normalized remainder."""
-    post = projs[src, j].view(np.complex128) / np.sqrt(probs[src, j])[:, None]
+    post = _remainder(projs, probs, src, j)
     out = vecs[j][:, :, None] * post.view(np.float64)[:, None, :]
     return out.view(np.complex128).reshape(j.size, -1).take(inverse, axis=1)
 
@@ -429,27 +461,56 @@ def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
     qubits in the same basis then reproduces the outcome with certainty.
     Raises ValueError when the outcome probabilities do not total 1.
     """
-    j, post = measure_rows(s.amps[None], basis, qubits, np.array([rng.random()]))
+    (j,), post = measure_rows(s.amps[None], basis, [qubits], [np.array([rng.random()])])
     return basis_labels(basis)[j[0]], rows_as_states(post)[0]
 
 
-def measure_rows(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int],
-                 r: np.ndarray, collapse: bool = True):
-    """measure on every row of amps (rows, 2**n), row i drawing with the
-    uniform r[i] in [0, 1).
+def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
+                 rounds: Sequence[Sequence[int]], draws: Sequence[np.ndarray],
+                 collapse: bool = True, which: np.ndarray | None = None):
+    """measure on every row of amps (rows, 2**n), for each round of qubits
+    in turn, row i drawing with the uniform draws[k][i] in [0, 1) in round
+    k. The rounds are disjoint, and each measures as many qubits as the
+    basis does. basis is one MeasBasis for all rows or, with which, a
+    sequence of bases of one arity: row i is measured in basis[which[i]].
 
-    Returns (j, post): j[i] the index of row i's outcome in basis order
-    (basis_labels), post the collapsed rows as a fresh array, or None
-    without collapse, for a measurement nothing reads again. Raises
-    ValueError when any row's outcome probabilities do not total 1.
+    One pass: the qubits of every round are gathered once, and each round
+    projects the normalized remainder of the round before it, never the
+    re-expanded state. Returns (js, post): js[k][i] the index of row i's
+    outcome in round k, in its basis order (basis_labels), post the
+    collapsed rows as a fresh array, or None without collapse, for a
+    measurement nothing reads again. Raises ValueError when two rounds
+    share a qubit, a round's size is not the basis's arity, or any row's
+    outcome probabilities in any round do not total 1.
     """
-    labels, vecs, inverse, projs, probs = _born(amps, basis, qubits)
-    cum = probs.cumsum(axis=1)
-    _require_unit_norms(cum[:, -1], "measured state")
-    j = _pick(probs, cum, r)
+    if len(draws) != len(rounds):
+        raise ValueError(f"{len(rounds)} rounds need as many draws, got {len(draws)}")
+    vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))
+    outcomes = vecs.shape[-1]
+    for qs in rounds:
+        if 1 << len(qs) != outcomes:
+            raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
+                             f"got {len(qs)}")
+    rem, inverse = _gather(amps, sum(map(tuple, rounds), ()))
+    if which is not None:
+        vecs = vecs[which]
+    rows = np.arange(len(amps))
+    js = []
+    for k, r in enumerate(draws):
+        projs, probs = _project(vecs, rem)
+        cum = probs.cumsum(axis=1)
+        _require_unit_norms(cum[:, -1], "measured state")
+        js.append(_pick(probs, cum, r))
+        if collapse or k + 1 < len(draws):
+            rem = _remainder(projs, probs, rows, js[-1]).view(np.float64)
     if not collapse:
-        return j, None
-    return j, _collapse(vecs, projs, probs, np.arange(j.size), j, inverse)
+        return js, None
+    # the collapsed state, vecs[j_1] (x) ... (x) the last remainder, as
+    # float pairs: real basis vectors scale both parts of an amplitude alike
+    for j in reversed(js):
+        vec = vecs[j] if which is None else vecs[rows, j]
+        rem = (vec[:, :, None] * rem[:, None, :]).reshape(len(rem), -1)
+    return js, rem.view(np.complex128).take(inverse, axis=1)
 
 
 def measurement_branches(s: StateVector, basis: MeasBasis,

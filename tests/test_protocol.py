@@ -714,22 +714,28 @@ class TestWidth:
             kernels.extend(a.shape[-1].bit_length() - 1 for a in arrays
                            if a is not None and a.ndim == 2)
 
-        def recording(kernel, result=lambda out: out):
+        def recording(kernel, result=lambda out: out, calls=None):
             def wrapper(amps, *args, **kwargs):
                 out = kernel(amps, *args, **kwargs)
                 record_rows(amps, result(out))
+                if calls is not None:
+                    calls.append(amps.shape)
                 return out
             return wrapper
 
+        # particles measures through qcore.measure_rows, looked up on the
+        # module, which returns (outcome indices, collapsed rows or None)
+        measured = []
         monkeypatch.setattr(StateVector, "__post_init__", record)
         monkeypatch.setattr(qcore, "tensor_rows", recording(qcore.tensor_rows))
         monkeypatch.setattr(qcore, "apply_unitary_rows", recording(qcore.apply_unitary_rows))
         monkeypatch.setattr(qcore, "measure_rows",
-                            recording(qcore.measure_rows, lambda out: out[1]))
+                            recording(qcore.measure_rows, lambda out: out[1], measured))
         attack = AttackConfig.entangling(0.25, target=target) \
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
         t = run_session(cfg, "010110", "101001")
         assert t.groups[-1].announcement is not None
         assert kernels, "no row kernel input or result was recorded"
+        assert measured, "no measurement kernel call was recorded"
         assert max(widths + kernels) == self.WIDEST[strategy]

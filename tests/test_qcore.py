@@ -382,8 +382,8 @@ class TestRowKernels:
                     assert np.max(np.abs(got[i] - reference_apply_unitary(s, u, qs))) < 1e-12
                 for basis in BASES_BY_ARITY[k]:
                     r = np.array([Rng(n, 50 * stream + i).random() for i in range(rows)])
-                    j, post = measure_rows(amps, basis, qs, r)
-                    j_only, none = measure_rows(amps, basis, qs, r, collapse=False)
+                    (j,), post = measure_rows(amps, basis, [qs], [r])
+                    (j_only,), none = measure_rows(amps, basis, [qs], [r], collapse=False)
                     assert none is None and np.array_equal(j, j_only)
                     for i, s in enumerate(states):
                         label, one = measure(s, basis, qs, StubDraw(r[i]))
@@ -408,7 +408,13 @@ class TestRowKernels:
         amps[_BLOCK // 2] = bad
         r = np.full(len(amps), 0.5)
         with pytest.raises(ValueError):
-            measure_rows(amps, MeasBasis.Z, [0], r)
+            measure_rows(amps, MeasBasis.Z, [[0]], [r])
+        # the bad row, and a second qubit measured after it, in one call
+        two = (amps[:, :, None] * make_basis_state("0").amps).reshape(len(amps), -1)
+        for bases, which in ((MeasBasis.Z, None),
+                             ((MeasBasis.Z, MeasBasis.X), np.arange(len(amps)) % 2)):
+            with pytest.raises(ValueError):
+                measure_rows(two, bases, [[1], [0]], [r, r], which=which)
         with pytest.raises(ValueError):
             tensor_rows(amps, make_basis_state("0").amps)
         with pytest.raises(ValueError):
@@ -425,11 +431,88 @@ class TestRowKernels:
         amps = np.stack(states[:2] + [np.array(short, dtype=np.complex128)] + states[2:])
         r = np.array([0.1, 0.6, 1.0 - 2.0 ** -53, 0.9, 0.35, 0.99])
         assert amps[2].real @ amps[2].real < r[2]
-        j, post = measure_rows(amps, MeasBasis.Z, [0], r)
+        (j,), post = measure_rows(amps, MeasBasis.Z, [[0]], [r])
         assert j[2] == 1 and np.array_equal(post[2], [0, 1])
         for i in (0, 1, 3, 4, 5):
-            one_j, one_post = measure_rows(amps[i:i + 1], MeasBasis.Z, [0], r[i:i + 1])
+            (one_j,), one_post = measure_rows(amps[i:i + 1], MeasBasis.Z, [[0]], [r[i:i + 1]])
             assert j[i] == one_j[0] and np.array_equal(post[i], one_post[0])
+
+
+DRAW = st.integers(0, 2 ** 53 - 1).map(lambda u: u * 2.0 ** -53)  # as Rng.random draws
+
+
+@st.composite
+def rounds_case(draw, bases):
+    """A block of random states, 1-3 disjoint rounds of qubits sized for
+    the first of bases, and one draw per row and round."""
+    k = bases[0].arity
+    n = draw(st.integers(k, 7))
+    count = draw(st.integers(1, min(3, n // k)))
+    qubits = draw(st.permutations(range(n)))[:count * k]
+    rows = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32))
+    amps = np.stack([random_state(n, seed + i).amps for i in range(rows)])
+    draws = [np.array(draw(st.lists(DRAW, min_size=rows, max_size=rows)))
+             for _ in range(count)]
+    return amps, [qubits[i * k:(i + 1) * k] for i in range(count)], draws
+
+
+class TestRoundsKernel:
+    """One measure_rows call over several rounds equals one call per round,
+    each on the state the round before collapsed, and one call with a basis
+    per row equals one call per basis on its rows."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rounds_equal_successive_calls(self, data):
+        basis = data.draw(st.sampled_from(list(MeasBasis)))
+        amps, rounds, draws = data.draw(rounds_case([basis]))
+        js, post = measure_rows(amps, basis, rounds, draws)
+        js_only, none = measure_rows(amps, basis, rounds, draws, collapse=False)
+        assert none is None
+        state = amps
+        for qs, r, j, j_only in zip(rounds, draws, js, js_only):
+            (one,), state = measure_rows(state, basis, [qs], [r])
+            assert np.array_equal(j, one) and np.array_equal(j_only, one), (rounds, basis)
+        assert np.max(np.abs(post - state)) < 1e-12, (rounds, basis)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_basis_per_row_equals_rows_split_by_basis(self, data):
+        bases = (MeasBasis.Z, MeasBasis.X)
+        amps, rounds, draws = data.draw(rounds_case(bases))
+        which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
+                                            max_size=len(amps))))
+        js, post = measure_rows(amps, bases, rounds, draws, which=which)
+        for b, basis in enumerate(bases):
+            sel = np.flatnonzero(which == b)
+            if sel.size:
+                part_js, part = measure_rows(amps[sel], basis, rounds, [r[sel] for r in draws])
+                for j, part_j in zip(js, part_js):
+                    assert np.array_equal(j[sel], part_j)
+                assert np.array_equal(post[sel], part)
+
+    def test_overlapping_rounds_raise(self):
+        amps = random_state(5, 3).amps[None]
+        with pytest.raises(ValueError):
+            measure_rows(amps, MeasBasis.BELL, [(0, 3), (3, 4)], [np.array([0.5])] * 2)
+        with pytest.raises(ValueError):
+            measure_rows(amps, MeasBasis.Z, [(1,), (1,)], [np.array([0.5])] * 2,
+                         collapse=False)
+
+    @pytest.mark.parametrize("rounds", [[(0, 1), (2,)], [(0,), (1, 2)], [(0, 1, 2)]])
+    def test_round_of_the_wrong_size_raises(self, rounds):
+        amps = random_state(4, 5).amps[None]
+        with pytest.raises(ValueError):
+            measure_rows(amps, MeasBasis.BELL, rounds, [np.array([0.5])] * len(rounds))
+
+    def test_bases_of_two_arities_or_missing_draws_raise(self):
+        amps = random_state(4, 6).amps[None]
+        with pytest.raises(ValueError):
+            measure_rows(amps, (MeasBasis.Z, MeasBasis.BELL), [(0,)], [np.array([0.5])],
+                         which=np.array([0]))
+        with pytest.raises(ValueError):
+            measure_rows(amps, MeasBasis.Z, [(0,), (1,)], [np.array([0.5])])
 
 
 class StubDraw:
