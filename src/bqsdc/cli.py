@@ -176,8 +176,8 @@ def cmd_run(args) -> int:
         transcript = session.run()
         # the session's blocks are garbage now; freeing them before the
         # transcript is serialised keeps the two, which both grow with N, off
-        # the heap together (at 1000 groups the swap's block buffers are the
-        # peak either way)
+        # the heap together (at 1000 groups the session's block buffers are
+        # the peak either way)
         del session
         for check in transcript.checks:
             print(f"check at step {check.step}: {check.errors}/{check.samples} errors "

@@ -6,9 +6,10 @@ holds them as the rows of one (rows, 2**n) amplitude array with one map
 from roles to qubits. Whatever an attack leaves behind, a fake or an
 ancilla, is appended to every row, so a role may point past the original
 qubits. Every operation runs one qcore row kernel over a block and
-replaces its array; a measurement of several rounds, such as the swap's
-three Bell measurements, is one kernel pass. Bob's swap alone joins two
-blocks (merge).
+replaces its array; a measurement of several rounds, such as the
+GHZ-sample check's three single-particle measurements, is one kernel pass.
+Bob's swap alone joins two blocks (merge), and only the rows of the pairs
+of states it has not met before.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ def merge(a: Block, b: Block) -> Block:
     of the rows (qcore.rows_as_states, which leaves a's and b's arrays
     read-only), because the traced benchmark reads the widest state from
     the checked constructions; one tensor_rows would do once it reads
-    widths elsewhere (ROADMAP item 1).
+    widths elsewhere. The per-row cost is paid once per distinct pair of
+    states a session reaches, a few hundred at most, not once per group
+    (protocol.SwapTable).
     """
     joined = [qcore.tensor(x, y).amps
               for x, y in zip(qcore.rows_as_states(a.amps), qcore.rows_as_states(b.amps))]

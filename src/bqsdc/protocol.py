@@ -16,9 +16,12 @@ only on the two operations (swap.announcement), not on the prepared state.
 The triples, samples and decoys of a sequence are held in blocks
 (particles.Block) of up to _BLOCK groups, samples or decoys, built by
 indexing a table of the GHZ or the decoy states, and a step runs once per
-block, not once per particle. The two triples of a group are merged
-exactly once, at Bob's swap, so no state is wider than two triples plus
-one attack qubit (7 qubits).
+block, not once per particle. The two triples of a group meet only at
+Bob's swap, and are joined only when the session has not met their pair
+of states before (SwapTable): the swap expands each distinct pair's three
+Bell rounds once into a table of branch probabilities and draws every
+group's outcomes from its pair's table. No state is wider than two
+triples plus one attack qubit (7 qubits).
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so a position would
@@ -39,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import particles
+from . import particles, qcore
 from .adversary import AttackConfig, apply_attack, decoy_rows
 # decoy_state, transform_label, invert_transform and collection_table have
 # no caller here: bench/tracer.py wraps them in this namespace, so they stay
@@ -282,12 +285,21 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 # S_C, of every GHZ sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
-# Groups (twice as many triples), samples or decoys per block. The swap's
-# buffers grow with the block and are the session's peak heap: a 1000-group
-# session (bench/run.py, seeds 3-5) peaks at 1.04 MB clean and 1.70 MB under
-# an entangling attack on S_A. At 256 it peaks at 1.58 and 2.77 MB, 1.5x
-# and 1.6x as much, for only about 1.01x and 1.10x as many groups/s.
+# Groups (twice as many triples), samples or decoys per block. The block
+# buffers of Bob's GHZ identification and of the swap are the session's
+# peak heap: a 1000-group session (bench/run.py, seeds 3-5) peaks at
+# 0.81-0.83 MB clean, in the swap, and at 1.18-1.19 MB under an entangling
+# attack on S_A, in bob_encode. The swap's buffers are a block's pair keys
+# (about 420 bytes a group) and the joined states of at most _SWAP_CHUNK
+# new pairs with their branch expansion; its table, about 190 KB at the 170
+# pairs of such a session, grows with the distinct pairs, not with N. At
+# 256 the session peaks at 0.87-0.90 and 1.25-1.27 MB, 1.07x as much, for
+# about 1.08x and 1.15x as many groups/s.
 _BLOCK = 128
+# The swap joins and expands at most this many new pairs at once, so the
+# first block, where most of a session's pairs are new, holds a quarter of
+# the joint states that one merge of the whole block would.
+_SWAP_CHUNK = 32
 
 _GHZ = tuple(GhzLabel)
 _OPS = tuple(CompositeOp)
@@ -301,6 +313,54 @@ _CHECK_BASES = (MeasBasis.Z, MeasBasis.X)
 _DECOY_BASIS = np.array([_CHECK_BASES.index(DECOY_STATES[t].basis) for t in DECOY_TOKENS])
 _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STATES[t].expected)
                             for t in DECOY_TOKENS])
+
+
+def _pair_keys(odd: np.ndarray, even: np.ndarray) -> list[bytes]:
+    """The exact bytes of every odd row followed by those of its even row;
+    the block-sized copies are freed on return, before any pair is joined."""
+    pairs = np.concatenate([odd, even], axis=1)
+    buf, width = pairs.tobytes(), pairs.shape[1] * pairs.itemsize
+    return [buf[at:at + width] for at in range(0, len(buf), width)]
+
+
+class SwapTable:
+    """The Bell branches of the swap, one entry per distinct (odd row, even
+    row) pair of a session: the qcore.branch_rows tables of the pair's joint
+    state, whose three rounds measure the cross pairs (r, r + 3).
+
+    A pair is keyed by the exact bytes of its odd row followed by those of
+    its even row. Every block of a session has one layout (the odd rows'
+    width and both role maps), so those bytes fix the joint state and the
+    qubits measured; entries_of raises if a block brings another layout.
+    The table is bounded by the distinct pairs a session reaches, not by N.
+    """
+
+    def __init__(self):
+        self.entries: dict[bytes, int] = {}
+        self.probs: list[np.ndarray] = []  # per round, (entries, 4**k, 4)
+        self.layout: tuple | None = None
+
+    def entries_of(self, odd: Block, even: Block) -> np.ndarray:
+        """The entry of every row pair of the two blocks. The pairs not seen
+        before are joined (particles.merge, once per pair) and expanded."""
+        layout = (odd.num_qubits, odd.at, even.at)
+        if self.layout not in (None, layout):
+            raise AssertionError("the blocks of a session changed their role layout")
+        self.layout = layout
+        keys = _pair_keys(odd.amps, even.amps)
+        entries = self.entries
+        # a row of each pair not seen before; equal bytes, so any row will do
+        missing = {key: row for row, key in enumerate(keys) if key not in entries}
+        rows = list(missing.values())
+        for at in range(0, len(rows), _SWAP_CHUNK):
+            part = rows[at:at + _SWAP_CHUNK]
+            # merge is looked up on the module, where bench/tracer.py counts it
+            joint = particles.merge(Block(odd.amps[part], odd.at), Block(even.amps[part], even.at))
+            new = qcore.branch_rows(joint.amps, MeasBasis.BELL,
+                                    [(joint.at[r], joint.at[r + 3]) for r in range(3)])
+            self.probs = [np.concatenate(pair) for pair in zip(self.probs, new)] or new
+        entries.update(zip(missing, range(len(entries), len(entries) + len(rows))))
+        return np.array([entries[key] for key in keys])
 
 
 class Session:
@@ -336,6 +396,7 @@ class Session:
         self.samples: list[tuple[np.ndarray, Block]] = []
         self.decoys: dict[str, list[tuple[np.ndarray, Block]]] = {}
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a triple block's rows
+        self.swap_table = SwapTable()
 
     def _blocks(self, place: int, count: int, size: int | None = None):
         """The count units at place in consecutive blocks of at most size
@@ -480,13 +541,12 @@ class Session:
         outcome collection over the (ideal) classical channel."""
         outcomes = _swap_outcomes()
         groups = self.transcript.groups
+        table = self.swap_table
         for (odd, even), (start, stop, rng) in zip(self.pairs,
                                                    self._blocks(_SWAP, self.cfg.n_groups)):
-            # merge is looked up on the module, where bench/tracer.py counts it
-            joint = particles.merge(odd, even)
+            entries = table.entries_of(odd, even)
             draws = [rng.random() for _ in range(3)]
-            a, b, c = measure_particles(MeasBasis.BELL, joint,
-                                        [(r, r + 3) for r in range(3)], draws)
+            a, b, c = qcore.sample_branches(table.probs, entries, draws)
             for rec, k in zip(groups[start:stop], (16 * a + 4 * b + c).tolist()):
                 rec.bell_triple, rec.announcement = outcomes[k]
 

@@ -28,6 +28,9 @@ one real matmul on the float64 view of the amplitudes. measure_rows takes
 several rounds of disjoint qubits in one pass: it gathers them once, each
 round projects the normalized remainder the round before it left, and the
 collapsed state is expanded once, at the end, and only when it is kept.
+branch_rows follows every outcome of those rounds instead of one, with the
+same arithmetic, so walking its probability tables (sample_branches) draws
+the outcomes measure_rows would, for any number of draws of each row.
 """
 
 from __future__ import annotations
@@ -391,6 +394,18 @@ def _gather(amps: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return amps.take(idx, axis=1).view(np.float64), inverse
 
 
+def _gather_rounds(amps: np.ndarray, outcomes: int,
+                   rounds: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """_gather of the qubits of every round in turn, each round as many
+    qubits as a basis of that many outcomes measures; raises ValueError when
+    a round has another size or two rounds share a qubit (_plan)."""
+    for qs in rounds:
+        if 1 << len(qs) != outcomes:
+            raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
+                             f"got {len(qs)}")
+    return _gather(amps, sum(map(tuple, rounds), ()))
+
+
 def _project(vecs: np.ndarray, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(projs, probs) of the float-pair rows rem, whose leading qubits the
     basis vecs (one for all rows, or one per row) measures: projs[i, j] the
@@ -416,8 +431,11 @@ def _born(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]):
 def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
                j: np.ndarray) -> np.ndarray:
     """The remainder of row src[i] in outcome j[i], normalized, as complex
-    rows (a complex-by-real division, which every collapse shares)."""
-    return projs[src, j].view(np.complex128) / np.sqrt(probs[src, j])[:, None]
+    rows (a complex-by-real division, in place on the gathered rows, which
+    every collapse shares)."""
+    rem = projs[src, j].view(np.complex128)
+    rem /= np.sqrt(probs[src, j])[:, None]
+    return rem
 
 
 def _collapse(vecs: np.ndarray, projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
@@ -486,12 +504,7 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     if len(draws) != len(rounds):
         raise ValueError(f"{len(rounds)} rounds need as many draws, got {len(draws)}")
     vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))
-    outcomes = vecs.shape[-1]
-    for qs in rounds:
-        if 1 << len(qs) != outcomes:
-            raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
-                             f"got {len(qs)}")
-    rem, inverse = _gather(amps, sum(map(tuple, rounds), ()))
+    rem, inverse = _gather_rounds(amps, vecs.shape[-1], rounds)
     if which is not None:
         vecs = vecs[which]
     rows = np.arange(len(amps))
@@ -511,6 +524,58 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
         vec = vecs[j] if which is None else vecs[rows, j]
         rem = (vec[:, :, None] * rem[:, None, :]).reshape(len(rem), -1)
     return js, rem.view(np.complex128).take(inverse, axis=1)
+
+
+def branch_rows(amps: np.ndarray, basis: MeasBasis,
+                rounds: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """The Born tree of measure_rows without collapse, for every row of amps
+    (rows, 2**n): every outcome of every round on every path, where
+    measure_rows follows one path per row.
+
+    Returns one array per round: tables[k][i, p, j] the probability of
+    outcome j in round k of row i after outcomes j_0, ..., j_(k-1) in the
+    rounds before it, p = j_0 d**(k-1) + ... + j_(k-1) with d outcomes per
+    round. It is computed as measure_rows computes it on that path, one
+    gather, then _project and _remainder round after round, so it is the
+    same number bit for bit. A branch at or below ZERO_TOL is never taken,
+    so it is never divided: the entries below it are 0. Raises ValueError
+    as measure_rows does, the unit-norm guard running on every live branch.
+    """
+    vecs = _basis_matrices(basis)[1]
+    outcomes = len(vecs)
+    rem, _ = _gather_rounds(amps, outcomes, rounds)
+    # live[b]: the index i * d**k + p of live branch b, one per row of rem
+    live = np.arange(len(amps))
+    tables = []
+    for k in range(len(rounds)):
+        projs, probs = _project(vecs, rem)
+        del rem  # off the heap before the next round's remainders are built
+        _require_unit_norms(probs.cumsum(axis=1)[:, -1], "measured state")
+        table = np.zeros((len(amps) * outcomes ** k, outcomes))
+        table[live] = probs
+        tables.append(table.reshape(len(amps), -1, outcomes))
+        if k + 1 < len(rounds):
+            src, j = np.nonzero(probs > ZERO_TOL)
+            rem = _remainder(projs, probs, src, j).view(np.float64)
+            live = live[src] * outcomes + j
+    return tables
+
+
+def sample_branches(tables: Sequence[np.ndarray], rows: np.ndarray,
+                    draws: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Walk branch_rows' tables: sample i follows row rows[i] of the tables,
+    drawing with draws[k][i] in round k. Returns each round's outcome
+    indices, which measure_rows(..., collapse=False) returns for the rows
+    of the tables' input and these draws."""
+    if len(draws) != len(tables):
+        raise ValueError(f"{len(tables)} rounds need as many draws, got {len(draws)}")
+    path = np.zeros(len(rows), dtype=np.intp)
+    js = []
+    for table, r in zip(tables, draws):
+        probs = table[rows, path]
+        js.append(_pick(probs, probs.cumsum(axis=1), r))
+        path = path * table.shape[-1] + js[-1]
+    return js
 
 
 def measurement_branches(s: StateVector, basis: MeasBasis,

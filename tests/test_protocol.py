@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
-from bqsdc import qcore
+from bqsdc import particles, qcore
 from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, decoy_rows
 from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import Block, append_ancilla, measure_in_bases, measure_particles, merge
-from bqsdc.protocol import (_BLOCK, Session, SessionConfig, SessionTranscript, _decoded,
-                            _invert_announcements, default_decoy_count, message_ops,
+from bqsdc.protocol import (_BLOCK, Session, SessionConfig, SessionTranscript, SwapTable,
+                            _decoded, _invert_announcements, default_decoy_count, message_ops,
                             random_message_bits, run_session)
 from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, make_basis_state
 from bqsdc.swap import collection_members, collection_table
@@ -575,6 +575,45 @@ class TestDifferential:
         assert run_session(cfg, alice, bob).to_json() == reference_transcript(cfg, alice, bob)
 
 
+class TestSwapTable:
+    """The swap expands each distinct (odd row, even row) pair of a session
+    once, and the pairs a session reaches stay few as N grows."""
+
+    BOUND = 1024
+
+    @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
+    def test_each_pair_built_once_and_table_bounded(self, monkeypatch, attack):
+        n = 20 * _BLOCK
+        msg_rng = Rng(n, stream=2)
+        s = Session(quiet_cfg(n, seed=11, attack=attack),
+                    random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
+        for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
+            step()
+        distinct = {(odd_row.tobytes(), even_row.tobytes())
+                    for odd, even in s.pairs for odd_row, even_row in zip(odd.amps, even.amps)}
+        joined = []
+        real_merge = particles.merge
+
+        def counting_merge(a, b):
+            joined.append(len(a.amps))
+            return real_merge(a, b)
+
+        monkeypatch.setattr(particles, "merge", counting_merge)
+        s.swap_and_announce()
+        assert s.transcript.groups[-1].announcement is not None
+        assert sum(joined) == len(distinct) == len(s.swap_table.entries)
+        assert len(distinct) <= self.BOUND
+
+    def test_another_layout_raises(self):
+        # the same bytes under another role map are another joint state
+        table = SwapTable()
+        odd = ghz_block(GhzLabel.PSI0, GhzLabel.PSI0)
+        even = ghz_block(GhzLabel.PSI1, GhzLabel.PSI2)
+        assert table.entries_of(odd, even).tolist() == [0, 1]
+        with pytest.raises(AssertionError):
+            table.entries_of(Block(odd.amps, [1, 0, 2]), even)
+
+
 class TestStepMemory:
     def test_swap_buffers_do_not_grow_with_groups(self, monkeypatch):
         # transient peak of the swap (peak minus the heap before it) at 4B
@@ -725,12 +764,16 @@ class TestWidth:
 
         # particles measures through qcore.measure_rows, looked up on the
         # module, which returns (outcome indices, collapsed rows or None)
-        measured = []
+        measured, branched = [], []
         monkeypatch.setattr(StateVector, "__post_init__", record)
         monkeypatch.setattr(qcore, "tensor_rows", recording(qcore.tensor_rows))
         monkeypatch.setattr(qcore, "apply_unitary_rows", recording(qcore.apply_unitary_rows))
         monkeypatch.setattr(qcore, "measure_rows",
                             recording(qcore.measure_rows, lambda out: out[1], measured))
+        # the swap expands its pairs through qcore.branch_rows, which returns
+        # probability tables, no states
+        monkeypatch.setattr(qcore, "branch_rows",
+                            recording(qcore.branch_rows, lambda out: None, branched))
         attack = AttackConfig.entangling(0.25, target=target) \
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
@@ -738,4 +781,5 @@ class TestWidth:
         assert t.groups[-1].announcement is not None
         assert kernels, "no row kernel input or result was recorded"
         assert measured, "no measurement kernel call was recorded"
+        assert branched, "no branch expansion was recorded"
         assert max(widths + kernels) == self.WIDEST[strategy]

@@ -1,5 +1,6 @@
 import math
-from itertools import permutations
+import warnings
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.protocol import _BLOCK
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
-                         basis_labels, basis_outcomes, born_distribution,
+                         basis_labels, basis_outcomes, born_distribution, branch_rows,
                          joint_distribution, make_basis_state, measure,
-                         measure_rows, measurement_branches, tensor, tensor_rows)
+                         measure_rows, measurement_branches, sample_branches, tensor,
+                         tensor_rows)
 
 INV = 2 ** -0.5
 
@@ -513,6 +515,107 @@ class TestRoundsKernel:
                          which=np.array([0]))
         with pytest.raises(ValueError):
             measure_rows(amps, MeasBasis.Z, [(0,), (1,)], [np.array([0.5])])
+
+
+class TestBranchTables:
+    """branch_rows expands every path of measure_rows's rounds, and walking
+    its tables with sample_branches gives the outcomes measure_rows draws,
+    bit for bit."""
+
+    @staticmethod
+    def assert_walk_equals_measure_rows(amps, basis, rounds, draws):
+        tables = branch_rows(amps, basis, rounds)
+        js, _ = measure_rows(amps, basis, rounds, draws, collapse=False)
+        walked = sample_branches(tables, np.arange(len(amps)), draws)
+        for j, got in zip(js, walked):
+            assert np.array_equal(got, j), (rounds, basis)
+        return tables
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_walk_equals_measure_rows(self, data):
+        basis = data.draw(st.sampled_from(list(MeasBasis)))
+        amps, rounds, draws = data.draw(rounds_case([basis]))
+        tables = self.assert_walk_equals_measure_rows(amps, basis, rounds, draws)
+        # samples read table rows by index, any row any number of times
+        rows = np.array(data.draw(st.lists(st.integers(0, len(amps) - 1), min_size=1,
+                                           max_size=8)))
+        r = [np.resize(d, len(rows)) for d in draws]
+        js, _ = measure_rows(amps[rows], basis, rounds, r, collapse=False)
+        for j, got in zip(js, sample_branches(tables, rows, r)):
+            assert np.array_equal(got, j), (rounds, basis)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0 - 2.0 ** -53])
+    @pytest.mark.parametrize("basis", list(MeasBasis))
+    def test_extreme_draws(self, basis, r):
+        k = basis.arity
+        amps = np.stack([random_state(3 * k, 90 + i).amps for i in range(4)])
+        rounds = [tuple(range(i * k, (i + 1) * k)) for i in range(3)]
+        self.assert_walk_equals_measure_rows(amps, basis, rounds, [np.full(4, r)] * 3)
+
+    def test_draw_past_rounded_total_takes_last_nonzero_outcome(self):
+        # as TestMeasureGuards: probabilities 0.7 and 0.3 - 4e-16 fall short
+        # of the draw, and the last nonzero outcome is taken
+        short = np.array([[math.sqrt(0.7), math.sqrt(0.3 - 4e-16)]], dtype=np.complex128)
+        r = np.array([1.0 - 2.0 ** -53])
+        (table,) = branch_rows(short, MeasBasis.Z, [(0,)])
+        assert table.sum() < r[0]
+        (j,) = sample_branches([table], np.array([0]), [r])
+        assert j.tolist() == [1]
+        self.assert_walk_equals_measure_rows(short, MeasBasis.Z, [(0,)], [r])
+
+    @pytest.mark.parametrize("basis, rounds", [
+        (MeasBasis.Z, [(0,), (1,), (2,)]), (MeasBasis.X, [(2,), (0,), (1,)]),
+        (MeasBasis.GHZ, [(0, 1, 2)]), (MeasBasis.BELL, [(0, 3), (1, 4), (2, 5)])])
+    def test_zero_branches_stay_zero_without_nan(self, basis, rounds):
+        # GHZ triples and basis states (two triples each for the Bell rounds,
+        # the swap's case): most branches have probability 0, and their
+        # tables must hold 0, never a NaN from a division by zero
+        states = [ghz_state(label).amps for label in GhzLabel] + \
+                 [make_basis_state(f"{b:03b}").amps for b in range(8)]
+        if basis is MeasBasis.BELL:
+            states = [np.kron(a, b) for a in states[::3] for b in states[1::3]]
+        amps = np.stack(states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tables = branch_rows(amps, basis, rounds)
+            for r in (0.0, 0.3, 0.7, 1.0 - 2.0 ** -53):
+                self.assert_walk_equals_measure_rows(amps, basis, rounds,
+                                                     [np.full(len(amps), r)] * len(rounds))
+        for table in tables:
+            assert np.isfinite(table).all()
+        # the probability of a path is the product along it, and the paths
+        # whose every round is above ZERO_TOL are joint_distribution's support
+        outcomes = len(basis_labels(basis))
+        for i, row in enumerate(amps):
+            joint = joint_distribution(qcore._unchecked_state(row), basis, rounds)
+            paths = {}
+            for path in product(range(outcomes), repeat=len(rounds)):
+                probs, prefix = [], 0
+                for table, j in zip(tables, path):
+                    probs.append(table[i, prefix, j])
+                    prefix = prefix * outcomes + j
+                if min(probs) > qcore.ZERO_TOL:
+                    paths[tuple(basis_labels(basis)[j] for j in path)] = math.prod(probs)
+            assert paths.keys() == joint.keys()
+            assert all(abs(paths[key] - joint[key]) < 1e-12 for key in joint)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("amps", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0]])
+    def test_unnormalized_live_branch_raises(self, amps):
+        rows = np.array([[1.0, 0.0], amps], dtype=np.complex128)
+        with pytest.raises(ValueError):
+            branch_rows(rows, MeasBasis.Z, [(0,)])
+
+    def test_missing_draws_or_wrong_round_size_raise(self):
+        amps = random_state(4, 6).amps[None]
+        tables = branch_rows(amps, MeasBasis.Z, [(0,), (1,)])
+        with pytest.raises(ValueError):
+            sample_branches(tables, np.array([0]), [np.array([0.5])])
+        with pytest.raises(ValueError):
+            branch_rows(amps, MeasBasis.BELL, [(0, 1), (2,)])
+        with pytest.raises(ValueError):
+            branch_rows(amps, MeasBasis.BELL, [(0, 1), (1, 2)])
 
 
 class StubDraw:
