@@ -15,7 +15,10 @@ the GHZ-sample and the decoy checks alike: Eve acts on the transmitted
 particle, then every particle is measured in the check's basis. Each trial
 then draws its check, Eve's choice and its outcome from those exact Born
 tables, so 1e5 trials stay fast without approximating anything. The tables
-model Eve independently of apply_attack, which the session runs.
+model Eve independently of apply_attack, which the session runs: there
+Eve's measurement collapses the particle, here it is modelled as a copy of
+the particle's basis outcome onto an ancilla that nobody measures, which
+leaves the check the same mixture of collapsed states.
 
 Trials are drawn a block at a time in numpy (qcore.StreamBlock). The
 streams are counter-based, so draw i of trial t's stream is a pure function
@@ -192,30 +195,37 @@ def _eve_choices(cfg: AttackConfig) -> list:
     return [None]
 
 
+@lru_cache(maxsize=None)
+def _copy_unitary(basis: MeasBasis) -> np.ndarray:
+    """Eve's measurement in basis as a copy onto an ancilla prepared in |0>,
+    on (target, ancilla), as a shared read-only matrix: the sum over the
+    basis vectors v_j of |v_j><v_j| (x) X**j maps |v_j, 0> to |v_j, j>."""
+    (_, v0), (_, v1) = qcore.basis_outcomes(basis)
+    u = np.kron(np.outer(v0, v0.conj()), qcore.I.matrix) + \
+        np.kron(np.outer(v1, v1.conj()), qcore.SX.matrix)
+    u.setflags(write=False)
+    return u
+
+
 def _outcome_table(cfg: AttackConfig, state: StateVector, role: int, basis: MeasBasis,
                    choice, allowed) -> list[tuple[float, bool]]:
     """Exact (probability, is_error) rows of a check that measures every
     particle of state in basis, one at a time, after Eve's choice on the
-    particle at role; an outcome tuple outside allowed is an error."""
+    particle at role; an outcome tuple outside allowed is an error. Eve's
+    ancilla, if she couples one, stays unmeasured."""
     n = state.num_qubits
     groups = [(q,) for q in range(n)]
     if cfg.strategy == "intercept_resend":
         # Eve keeps the genuine particle unmeasured; the check measures her fake
         state = qcore.tensor(state, decoy_state(choice))
         groups[role] = (n,)
-    elif cfg.strategy == "entangle_measure":
+    elif cfg.strategy != "none":
+        coupling = (_copy_unitary(MeasBasis(choice)) if cfg.strategy == "measure_resend"
+                    else eavesdrop_unitary(cfg.beta_squared))
         state = qcore.apply_unitary(qcore.tensor(state, qcore.make_basis_state("0")),
-                                    eavesdrop_unitary(cfg.beta_squared), (role, n))
-    if cfg.strategy == "measure_resend":
-        branches = [(p_e, collapsed) for _, p_e, collapsed
-                    in qcore.measurement_branches(state, MeasBasis(choice), (role,))]
-    else:
-        branches = [(1.0, state)]
-    dist = {}
-    for p_e, branch in branches:
-        for outs, p in qcore.joint_distribution(branch, basis, groups).items():
-            dist[outs] = dist.get(outs, 0.0) + p_e * p
-    return [(p, outs not in allowed) for outs, p in dist.items()]
+                                    coupling, (role, n))
+    return [(p, outs not in allowed)
+            for outs, p in qcore.joint_distribution(state, basis, groups).items()]
 
 
 def _decoy_axis(template: CheckTemplate) -> list[str]:

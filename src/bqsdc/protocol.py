@@ -285,13 +285,14 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 # S_C, of every GHZ sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
-# Groups (twice as many triples), samples or decoys per block. The block
-# buffers of Bob's GHZ identification and of the swap are the session's
-# peak heap: a 1000-group session (bench/run.py, seeds 3-5) peaks at
-# 0.81-0.83 MB clean, in the swap, and at 1.18-1.19 MB under an entangling
-# attack on S_A, in bob_encode. The swap's buffers are a block's pair keys
-# (about 420 bytes a group) and the joined states of at most _SWAP_CHUNK
-# new pairs with their branch expansion; its table, about 190 KB at the 170
+# Groups (twice as many triples), samples or decoys per block. The swap's
+# block buffers are the session's peak heap: a 1000-group session
+# (bench/run.py, seeds 3-5) peaks at 0.83 MB clean and at 1.17-1.18 MB
+# under an entangling attack on S_A. bob_encode, which frees each triple
+# block as it consumes it, peaks about 0.29 MB lower (tracemalloc around
+# each step). The swap's buffers are a block's pair keys (about 420 bytes
+# a group) and the joined states of at most _SWAP_CHUNK new pairs with
+# their branch expansion; its table, about 190 KB at the 170
 # pairs of such a session, grows with the distinct pairs, not with N. At
 # 256 the session peaks at 0.87-0.90 and 1.25-1.27 MB, 1.07x as much, for
 # about 1.08x and 1.15x as many groups/s.
@@ -522,8 +523,10 @@ class Session:
         rebuild it fresh, and encode Bob's bits on it."""
         groups = self.transcript.groups
         ops = np.array(self.bob_ops, dtype=np.intp)
-        triples, self.triples = self.triples, []
-        for block, (start, stop, rng) in zip(triples, self._blocks(_BOB_GHZ, self.cfg.n_groups)):
+        # popped in order, so each block is freed once its rows are consumed
+        triples, self.triples = self.triples[::-1], []
+        for start, stop, rng in self._blocks(_BOB_GHZ, self.cfg.n_groups):
+            block = triples.pop()
             found, = measure_particles(MeasBasis.GHZ, Block(block.amps[1::2], block.at),
                                        [(0, 1, 2)], [rng.random()])
             even, k = Block(ghz_rows()[found]), ops[start:stop]

@@ -31,6 +31,13 @@ collapsed state is expanded once, at the end, and only when it is kept.
 branch_rows follows every outcome of those rounds instead of one, with the
 same arithmetic, so walking its probability tables (sample_branches) draws
 the outcomes measure_rows would, for any number of draws of each row.
+
+These are the two Born kernels, and the only callers of _project:
+measure_rows samples one path and can collapse, branch_rows expands every
+path and never collapses. Every exact table reads branch_rows:
+born_distribution is its one-round table, and joint_distribution
+multiplies the entries along its live paths, which the chart derivations,
+the consistency sets and the detection harness's Born tables read.
 """
 
 from __future__ import annotations
@@ -414,38 +421,14 @@ def _project(vecs: np.ndarray, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return projs, (projs * projs).sum(axis=2)
 
 
-def _born(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]):
-    """The Born projection of every row of amps (rows, 2**n) onto every
-    outcome of basis: one real matmul and one vector operation. Returns
-    (labels, vecs, inverse, projs, probs) as _project, outcomes in basis
-    order."""
-    labels, vecs = _basis_matrices(basis)
-    qs = tuple(qubits)
-    if 1 << len(qs) != len(labels):
-        raise ValueError(f"{basis.value} basis measures {basis.arity} qubits, got {len(qs)}")
-    rem, inverse = _gather(amps, qs)
-    projs, probs = _project(vecs, rem)
-    return labels, vecs, inverse, projs, probs
-
-
 def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
                j: np.ndarray) -> np.ndarray:
     """The remainder of row src[i] in outcome j[i], normalized, as complex
     rows (a complex-by-real division, in place on the gathered rows, which
-    every collapse shares)."""
+    measure_rows and branch_rows share)."""
     rem = projs[src, j].view(np.complex128)
     rem /= np.sqrt(probs[src, j])[:, None]
     return rem
-
-
-def _collapse(vecs: np.ndarray, projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
-              j: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Post-measurement amplitudes: row i is row src[i] of _born's input
-    collapsed to outcome j[i]. The basis vectors are real, so each amplitude
-    is a real multiple of the normalized remainder."""
-    post = _remainder(projs, probs, src, j)
-    out = vecs[j][:, :, None] * post.view(np.float64)[:, None, :]
-    return out.view(np.complex128).reshape(j.size, -1).take(inverse, axis=1)
 
 
 def _pick(probs: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -464,12 +447,14 @@ def _pick(probs: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> dict:
-    """Exact outcome probabilities for a projective measurement.
+    """Exact outcome probabilities for a projective measurement: the
+    one-round table of branch_rows.
 
     Returns the full map over basis labels; probabilities sum to one.
+    Raises ValueError as branch_rows does.
     """
-    labels, _, _, _, probs = _born(s.amps[None], basis, qubits)
-    return dict(zip(labels, probs[0].tolist()))
+    (table,) = branch_rows(s.amps[None], basis, [qubits])
+    return dict(zip(basis_labels(basis), table[0, 0].tolist()))
 
 
 def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
@@ -578,32 +563,23 @@ def sample_branches(tables: Sequence[np.ndarray], rows: np.ndarray,
     return js
 
 
-def measurement_branches(s: StateVector, basis: MeasBasis,
-                         qubits: Sequence[int]) -> list[tuple]:
-    """All (label, probability, collapsed state) branches of one projective
-    measurement, zero-probability outcomes dropped."""
-    labels, vecs, inverse, projs, probs = _born(s.amps[None], basis, qubits)
-    js = np.flatnonzero(probs[0] > ZERO_TOL)
-    post = _collapse(vecs, projs, probs, np.zeros_like(js), js, inverse)
-    return [(labels[j], p, state)
-            for j, p, state in zip(js.tolist(), probs[0, js].tolist(), rows_as_states(post))]
-
-
 def joint_distribution(s: StateVector, basis: MeasBasis,
                        groups: Iterable[Sequence[int]]) -> dict[tuple, float]:
     """Joint distribution of the same-basis measurement applied to several
-    disjoint qubit groups, by exact branch expansion: the branches are the
-    rows of one array, each group's measurement splits every row into its
-    nonzero outcomes.
+    disjoint qubit groups, read off the branch_rows tables of s: a path's
+    probability is the product of its rounds' entries, left to right.
 
-    Keys are outcome tuples in group order; zero-probability branches are
-    dropped, so the keys are exactly the support.
+    Keys are outcome tuples in group order, lexicographic in basis order;
+    a path with a round at or below ZERO_TOL is dropped, so the keys are
+    exactly the support. Raises ValueError as branch_rows does.
     """
-    outs, weights, amps = [()], np.ones(1), s.amps[None]
-    for qs in groups:
-        labels, vecs, inverse, projs, probs = _born(amps, basis, qs)
+    tables = branch_rows(s.amps[None], basis, list(groups))
+    labels = basis_labels(basis)
+    outs, weights, path = [()], np.ones(1), np.zeros(1, dtype=np.intp)
+    for table in tables:
+        probs = table[0, path]
         src, js = np.nonzero(probs > ZERO_TOL)
         outs = [outs[b] + (labels[j],) for b, j in zip(src.tolist(), js.tolist())]
         weights = weights[src] * probs[src, js]
-        amps = _collapse(vecs, projs, probs, src, js, inverse)
+        path = path[src] * len(labels) + js
     return dict(zip(outs, weights.tolist()))

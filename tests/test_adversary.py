@@ -16,8 +16,8 @@ from bqsdc.codebook import ghz_rows, ghz_state
 from bqsdc.labels import GhzLabel
 from bqsdc.particles import Block
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
-                         joint_distribution)
+from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, StateVector, StreamBlock, basis_labels,
+                         born_distribution, joint_distribution)
 
 
 class TestAttackConfig:
@@ -179,24 +179,57 @@ CROSS_ATTACKS = (
     [AttackConfig("none")]
     + [AttackConfig("intercept_resend", fake_state=f) for f in DECOY_TOKENS]
     + [AttackConfig.entangling(b2) for b2 in (0.0, 0.1, 0.25, 0.5, 1.0)]
+    + [AttackConfig("measure_resend", eve_basis=b) for b in ("Z", "X")]
 )
-CROSS_IDS = [f"{c.strategy}-{c.fake_state or c.beta_squared}" for c in CROSS_ATTACKS]
+CROSS_IDS = [f"{c.strategy}-{c.fake_state or c.eve_basis or c.beta_squared}"
+             for c in CROSS_ATTACKS]
+
+
+class StubStream:
+    """A one-lane stream for apply_attack whose every draw is r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return np.array([self.r])
 
 
 class TestHarnessMatchesSessionAttack:
     """The harness's Born tables (_TrialSampler) and the session's attack
     (apply_attack) model Eve independently; on every attack without a random
-    choice they must give the same check outcome distribution."""
+    choice they must give the same check outcome distribution. The session's
+    measure-resend, a projective collapse, is run once per live outcome of
+    Eve's measurement, with a draw that picks it, and weighted by its Born
+    probability."""
 
     @staticmethod
-    def session_rows(cfg, pristine, role, basis, is_error):
-        block = Block(pristine.amps[None].copy())
-        rng = StreamBlock(0, 1)
-        rng.key(0, 1)
-        apply_attack(block, role, cfg, rng)
-        dist = joint_distribution(StateVector(block.amps[0]), basis,
-                                  [(q,) for q in block.at])
-        return [(p, is_error(outs)) for outs, p in dist.items()]
+    def eve_draws(cfg, pristine, role):
+        """(weight, stream) pairs whose attacks, weighted, make up Eve's."""
+        if cfg.strategy != "measure_resend":
+            rng = StreamBlock(0, 1)
+            rng.key(0, 1)
+            return [(1.0, rng)]
+        draws, below = [], 0.0
+        for p in born_distribution(pristine, MeasBasis(cfg.eve_basis), [role]).values():
+            if p > ZERO_TOL:
+                draws.append((p, StubStream(below + p / 2)))
+            below += p
+        return draws
+
+    @classmethod
+    def session_rows(cls, cfg, pristine, role, basis, is_error):
+        dist = {}
+        for weight, rng in cls.eve_draws(cfg, pristine, role):
+            block = Block(pristine.amps[None].copy())
+            apply_attack(block, role, cfg, rng)
+            for outs, p in joint_distribution(StateVector(block.amps[0]), basis,
+                                              [(q,) for q in block.at]).items():
+                dist[outs] = dist.get(outs, 0.0) + weight * p
+        # the harness's keys come in lexicographic basis order
+        order = basis_labels(basis)
+        return [(dist[outs], is_error(outs))
+                for outs in sorted(dist, key=lambda outs: [order.index(o) for o in outs])]
 
     @staticmethod
     def assert_same_rows(sampler, key, rows):

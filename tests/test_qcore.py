@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import amplitude, equal_up_to_global_phase
 
 from bqsdc import qcore
-from bqsdc.adversary import eavesdrop_unitary
+from bqsdc.adversary import _copy_unitary, eavesdrop_unitary
 from bqsdc.checks import decoy_state
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
@@ -19,8 +19,7 @@ from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
                          joint_distribution, make_basis_state, measure,
-                         measure_rows, measurement_branches, sample_branches, tensor,
-                         tensor_rows)
+                         measure_rows, sample_branches, tensor, tensor_rows)
 
 INV = 2 ** -0.5
 
@@ -299,24 +298,53 @@ def reference_apply_unitary(s, matrix, qubits):
     return reference_ungrouped(matrix @ mat, n, perm)
 
 
-def reference_measure(s, basis, qubits, rng):
-    """Reference for measure: one projection per outcome, each in its own
-    loop pass; returns (label, collapsed amplitudes)."""
-    n = s.num_qubits
-    mat, perm = reference_grouped(s.amps, n, list(qubits))
+def reference_branches(amps, n, basis, qubits):
+    """Every (label, probability, collapsed amplitudes) of one measurement,
+    one projection per outcome, each in its own loop pass; the collapsed
+    amplitudes are None at or below ZERO_TOL."""
+    mat, perm = reference_grouped(amps, n, list(qubits))
     rows = []
     for label, vec in basis_outcomes(basis):
         proj = vec.conj() @ mat
-        rows.append((label, float(np.vdot(proj, proj).real), vec, proj))
+        prob = float(np.vdot(proj, proj).real)
+        post = (reference_ungrouped(np.outer(vec, proj / np.sqrt(prob)), n, perm)
+                if prob > qcore.ZERO_TOL else None)
+        rows.append((label, prob, post))
+    return rows
+
+
+def reference_measure(s, basis, qubits, rng):
+    """Reference for measure: returns (label, collapsed amplitudes)."""
+    rows = reference_branches(s.amps, s.num_qubits, basis, qubits)
     r = rng.random()
     acc = 0.0
-    for label, prob, vec, proj in rows:
+    for label, prob, post in rows:
         acc += prob
         if r < acc and prob > qcore.ZERO_TOL:
             break
     else:  # the draw passed the total: the largest outcome
-        label, prob, vec, proj = max(rows, key=lambda row: row[1])
-    return label, reference_ungrouped(np.outer(vec, proj / np.sqrt(prob)), n, perm)
+        label, prob, post = max(rows, key=lambda row: row[1])
+    return label, post
+
+
+def reference_joint(amps, basis, groups):
+    """Reference for joint_distribution: each group measured on the dense
+    state the group before collapsed, following every outcome above
+    ZERO_TOL; keys in lexicographic basis order, weights multiplied left
+    to right."""
+    n = amps.size.bit_length() - 1
+    paths = {(): (1.0, amps)}
+    for qs in groups:
+        paths = {outs + (label,): (p * q, post)
+                 for outs, (p, state) in paths.items()
+                 for label, q, post in reference_branches(state, n, basis, qs)
+                 if q > qcore.ZERO_TOL}
+    return {outs: p for outs, (p, _) in paths.items()}
+
+
+def assert_matches_reference(got, ref):
+    assert list(got) == list(ref)
+    assert all(abs(got[key] - ref[key]) < 1e-12 for key in ref)
 
 
 def random_unitary(dim, seed):
@@ -344,11 +372,10 @@ class TestAgainstReference:
                     ref_label, ref_amps = reference_measure(s, basis, qs, Rng(n, stream))
                     assert label == ref_label, (qs, basis)
                     assert np.max(np.abs(post.amps - ref_amps)) < 1e-12, (qs, basis)
-                    dist = born_distribution(s, basis, qs)
-                    for lab, p, branch in measurement_branches(s, basis, qs):
-                        assert p == dist[lab]
-                        if lab == label:
-                            assert np.array_equal(branch.amps, post.amps)
+                    ref = {lab: p for lab, p, _ in reference_branches(s.amps, n, basis, qs)}
+                    assert_matches_reference(born_distribution(s, basis, qs), ref)
+                    assert_matches_reference(joint_distribution(s, basis, [qs]),
+                                             reference_joint(s.amps, basis, [qs]))
 
     def test_non_unitary_or_nan_matrix_raises(self):
         s = random_state(3, 8)
@@ -585,10 +612,10 @@ class TestBranchTables:
         for table in tables:
             assert np.isfinite(table).all()
         # the probability of a path is the product along it, and the paths
-        # whose every round is above ZERO_TOL are joint_distribution's support
+        # whose every round is above ZERO_TOL are the dense reference's support
         outcomes = len(basis_labels(basis))
         for i, row in enumerate(amps):
-            joint = joint_distribution(qcore._unchecked_state(row), basis, rounds)
+            joint = reference_joint(row, basis, rounds)
             paths = {}
             for path in product(range(outcomes), repeat=len(rounds)):
                 probs, prefix = [], 0
@@ -599,6 +626,19 @@ class TestBranchTables:
                     paths[tuple(basis_labels(basis)[j] for j in path)] = math.prod(probs)
             assert paths.keys() == joint.keys()
             assert all(abs(paths[key] - joint[key]) < 1e-12 for key in joint)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_distributions_equal_dense_reference(self, data):
+        basis = data.draw(st.sampled_from(list(MeasBasis)))
+        amps, rounds, _ = data.draw(rounds_case([basis]))
+        for row in amps:
+            s = StateVector(row)
+            assert_matches_reference(joint_distribution(s, basis, rounds),
+                                     reference_joint(row, basis, rounds))
+            ref = reference_branches(row, s.num_qubits, basis, rounds[0])
+            assert_matches_reference(born_distribution(s, basis, rounds[0]),
+                                     {label: p for label, p, _ in ref})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("amps", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0]])
@@ -650,6 +690,10 @@ class TestMeasureGuards:
         s = qcore._unchecked_state(np.array(amps, dtype=np.complex128))
         with pytest.raises(ValueError):
             measure(s, MeasBasis.Z, [0], Rng(1))
+        with pytest.raises(ValueError):
+            born_distribution(s, MeasBasis.Z, [0])
+        with pytest.raises(ValueError):
+            joint_distribution(s, MeasBasis.Z, [(0,)])
 
 
 class TestSharedStates:
@@ -658,7 +702,9 @@ class TestSharedStates:
             assert ghz_state(label) is ghz_state(label)
         assert make_basis_state("0") is make_basis_state("0")
         assert eavesdrop_unitary(0.25) is eavesdrop_unitary(0.25)
+        assert _copy_unitary(MeasBasis.X) is _copy_unitary(MeasBasis.X)
         for arr in (ghz_state(GhzLabel.PSI0).amps, decoy_state("+").amps,
-                    make_basis_state("0").amps, eavesdrop_unitary(0.25)):
+                    make_basis_state("0").amps, eavesdrop_unitary(0.25),
+                    _copy_unitary(MeasBasis.X)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
