@@ -6,7 +6,9 @@ collapsed particle (measure-resend), or couple a one-qubit ancilla through
 a unitary that flips the target with probability beta**2
 (entangle-measure). Eve treats every particle of a sequence alike, so an
 attack runs on a block of registers at once, each drawing from its own
-keyed stream.
+keyed stream. What travels on stays at the attacked particle's qubit: the
+fake takes the place of the genuine particle, which Eve keeps as the
+register's last qubit, as she does her ancilla.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
 one keyed random stream per trial. Every (check, Eve choice) pair is
@@ -39,7 +41,7 @@ from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from .codebook import ghz_state
 from .labels import GhzLabel
-from .particles import Block, append_ancilla, measure_in_bases, measure_particles
+from .particles import append_ancilla, measure_particles
 from .qcore import MeasBasis, StateVector, StreamBlock
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
@@ -47,6 +49,11 @@ TARGETS = ("S_C", "S_B", "S_A")
 
 _BASIS_TOKENS = ("Z", "X")
 _EVE_BASES = tuple(MeasBasis(token) for token in _BASIS_TOKENS)
+
+# SWAP on (particle, fake): intercept-resend's fake takes the particle's
+# qubit, and the genuine particle moves to the fake's, the last.
+_SWAP = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
+_SWAP.setflags(write=False)
 
 # Trials drawn together by estimate_detection: large enough to amortise
 # numpy's per-call cost, small enough that the buffers stay a few KB
@@ -119,27 +126,29 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     return u
 
 
-def apply_attack(block: Block, role: int, cfg: AttackConfig, rng: StreamBlock) -> None:
-    """Run the particle at role of every register of the block, in flight,
-    through the configured strategy, row i drawing from lane i of rng
-    (keyed to its stream). The block changes in place."""
+def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, rng: StreamBlock) -> np.ndarray:
+    """Run qubit role of every register of the block amps, the particle in
+    flight, through the configured strategy, row i drawing from lane i of
+    rng (keyed to its stream). Returns the attacked block."""
     if cfg.strategy == "intercept_resend":
-        # keep the genuine particle (stored, never measured), inject a fake
+        # inject a fake in the particle's place; the genuine particle goes
+        # last, stored and never measured
         fakes = (decoy_state(cfg.fake_state).amps if cfg.fake_state is not None
                  else decoy_rows()[rng.randrange(len(DECOY_TOKENS))])
-        block.at[role] = append_ancilla(block, fakes)
-    elif cfg.strategy == "measure_resend":
+        return append_ancilla(amps, fakes, coupling=(role, _SWAP))
+    if cfg.strategy == "measure_resend":
         # measure the particle in Eve's basis and forward it collapsed
         if cfg.eve_basis is not None:
-            measure_particles(MeasBasis(cfg.eve_basis), block, [(role,)], [rng.random()],
-                              keep=True)
+            basis, which = MeasBasis(cfg.eve_basis), None
         else:
-            which = rng.randrange(len(_EVE_BASES))
-            measure_in_bases(_EVE_BASES, which, block, [(role,)], [rng.random()], keep=True)
-    elif cfg.strategy == "entangle_measure":
+            basis, which = _EVE_BASES, rng.randrange(len(_EVE_BASES))
+        _, post = measure_particles(amps, basis, [(role,)], [rng.random()], which=which)
+        return post
+    if cfg.strategy == "entangle_measure":
         # couple a fresh ancilla to the particle in flight
-        append_ancilla(block, qcore.make_basis_state("0").amps,
-                       coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
+        return append_ancilla(amps, qcore.make_basis_state("0").amps,
+                              coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
+    return amps
 
 
 @lru_cache(maxsize=None)

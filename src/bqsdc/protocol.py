@@ -13,15 +13,18 @@ outcome collection occurred. Each side then infers the other's operation
 from the announcement and its own operation alone: the announcement depends
 only on the two operations (swap.announcement), not on the prepared state.
 
-The triples, samples and decoys of a sequence are held in blocks
-(particles.Block) of up to _BLOCK groups, samples or decoys, built by
+The triples, samples and decoys of a sequence are held in blocks, the rows
+of one amplitude array for up to _BLOCK groups, samples or decoys, built by
 indexing a table of the GHZ or the decoy states, and a step runs once per
-block, not once per particle. The two triples of a group meet only at
-Bob's swap, and are joined only when the session has not met their pair
-of states before (SwapTable): the swap expands each distinct pair's three
-Bell rounds once into a table of branch probabilities and draws every
-group's outcomes from its pair's table. No state is wider than two
-triples plus one attack qubit (7 qubits).
+block, not once per particle. A register's roles are its qubits: a triple's
+first, second and third particle (those of S_A, S_B and S_C) are qubits 0,
+1 and 2, and a decoy is qubit 0; an attack appends what it leaves behind
+after them. The two triples of a group meet only at Bob's swap, and are
+joined only when the session has not met their pair of states before
+(SwapTable): the swap expands each distinct pair's three Bell rounds once
+into a table of branch probabilities and draws every group's outcomes from
+its pair's table. No state is wider than two triples plus one attack qubit
+(7 qubits).
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so a position would
@@ -50,7 +53,7 @@ from .adversary import AttackConfig, apply_attack, decoy_rows
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
 from .codebook import CompositeOp, ghz_rows, invert_transform, transform_label  # noqa: F401
 from .labels import CollectionLabel, GhzLabel
-from .particles import Block, apply_op, measure_in_bases, measure_particles
+from .particles import apply_op, measure_particles
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
 from .swap import BellTriple, announcement, collection_of, collection_table  # noqa: F401
 
@@ -281,8 +284,8 @@ _SWAP = 9                                         # unit: group n
 _EVE_TRIPLES = {"S_C": 10, "S_B": 11, "S_A": 12}  # unit: triple t (2n odd, 2n+1 even)
 _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in flight
 
-# Each sequence carries the particle at this role of every triple (and, in
-# S_C, of every GHZ sample).
+# Each sequence carries this qubit of every triple (and, in S_C, of every
+# GHZ sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Groups (twice as many triples), samples or decoys per block. The swap's
@@ -327,38 +330,33 @@ def _pair_keys(odd: np.ndarray, even: np.ndarray) -> list[bytes]:
 class SwapTable:
     """The Bell branches of the swap, one entry per distinct (odd row, even
     row) pair of a session: the qcore.branch_rows tables of the pair's joint
-    state, whose three rounds measure the cross pairs (r, r + 3).
+    state, whose three rounds measure the cross pairs (r, w + r), w the odd
+    row's qubit count.
 
     A pair is keyed by the exact bytes of its odd row followed by those of
-    its even row. Every block of a session has one layout (the odd rows'
-    width and both role maps), so those bytes fix the joint state and the
-    qubits measured; entries_of raises if a block brings another layout.
-    The table is bounded by the distinct pairs a session reaches, not by N.
+    its even row, a fresh triple. Those bytes fix the joint state, and
+    their length fixes w, so they fix the qubits measured too. The table is
+    bounded by the distinct pairs a session reaches, not by N.
     """
 
     def __init__(self):
         self.entries: dict[bytes, int] = {}
         self.probs: list[np.ndarray] = []  # per round, (entries, 4**k, 4)
-        self.layout: tuple | None = None
 
-    def entries_of(self, odd: Block, even: Block) -> np.ndarray:
+    def entries_of(self, odd: np.ndarray, even: np.ndarray) -> np.ndarray:
         """The entry of every row pair of the two blocks. The pairs not seen
         before are joined (particles.merge, once per pair) and expanded."""
-        layout = (odd.num_qubits, odd.at, even.at)
-        if self.layout not in (None, layout):
-            raise AssertionError("the blocks of a session changed their role layout")
-        self.layout = layout
-        keys = _pair_keys(odd.amps, even.amps)
+        keys = _pair_keys(odd, even)
         entries = self.entries
         # a row of each pair not seen before; equal bytes, so any row will do
         missing = {key: row for row, key in enumerate(keys) if key not in entries}
         rows = list(missing.values())
+        w = odd.shape[1].bit_length() - 1
         for at in range(0, len(rows), _SWAP_CHUNK):
             part = rows[at:at + _SWAP_CHUNK]
             # merge is looked up on the module, where bench/tracer.py counts it
-            joint = particles.merge(Block(odd.amps[part], odd.at), Block(even.amps[part], even.at))
-            new = qcore.branch_rows(joint.amps, MeasBasis.BELL,
-                                    [(joint.at[r], joint.at[r + 3]) for r in range(3)])
+            new = qcore.branch_rows(particles.merge(odd[part], even[part]), MeasBasis.BELL,
+                                    [(r, w + r) for r in range(3)])
             self.probs = [np.concatenate(pair) for pair in zip(self.probs, new)] or new
         entries.update(zip(missing, range(len(entries), len(entries) + len(rows))))
         return np.array([entries[key] for key in keys])
@@ -370,11 +368,10 @@ class Session:
     Use run_session for the whole pipeline; the step methods exist so tests
     and experiments can drive or inspect intermediate states.
 
-    A transmitted sequence is the particle at its role of every triple plus
-    its samples or decoys, in no particular order: positions are not
-    simulated (see the module docstring). Each draw comes from the stream
-    of its place and unit, so no step depends on how many draws an earlier
-    one made.
+    A transmitted sequence is its qubit of every triple plus its samples
+    or decoys, in no particular order: positions are not simulated (see the
+    module docstring). Each draw comes from the stream of its place and
+    unit, so no step depends on how many draws an earlier one made.
 
     Each step runs once per block as one batched operation of particles,
     with the units' draws taken side by side from their keyed streams
@@ -387,15 +384,15 @@ class Session:
         self.bob_ops = message_ops(bob_bits, cfg.n_groups)
         self.transcript = SessionTranscript(config=cfg)
         # Triple t at row t of the blocks in order (group n's odd triple at
-        # 2n, its even one at 2n + 1), roles 0, 1, 2 sent in S_A, S_B, S_C;
+        # 2n, its even one at 2n + 1), qubits 0, 1, 2 sent in S_A, S_B, S_C;
         # bob_encode splits each block into its odd and even rows (pairs).
-        self.triples: list[Block] = []
-        self.pairs: list[tuple[Block, Block]] = []
+        self.triples: list[np.ndarray] = []
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
         # GHZ samples (labels, block), whose third particles travel in S_C,
         # and decoys (kinds indexing DECOY_TOKENS, block) in S_B and S_A,
         # each held from its draw until its check.
-        self.samples: list[tuple[np.ndarray, Block]] = []
-        self.decoys: dict[str, list[tuple[np.ndarray, Block]]] = {}
+        self.samples: list[tuple[np.ndarray, np.ndarray]] = []
+        self.decoys: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a triple block's rows
         self.swap_table = SwapTable()
 
@@ -427,26 +424,26 @@ class Session:
                                 range(_BLOCK, cfg.n_groups, _BLOCK)))
         self.transcript.groups.extend(GroupRecord(index=n + 1, prepared_label=_GHZ[k])
                                       for n, k in enumerate(np.concatenate(labels).tolist()))
-        self.triples = [Block(rows[k.repeat(2)]) for k in labels]
-        self.samples = [(k, Block(rows[k])) for k in
+        self.triples = [rows[k.repeat(2)] for k in labels]
+        self.samples = [(k, rows[k]) for k in
                         self._randrange(_SAMPLE_LABEL, cfg.resolved_decoys(), 8)]
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
-        """Eve's pass over one sequence: the particle at its role of every
-        triple, then its samples (S_C) or decoys (S_B, S_A)."""
+        """Eve's pass over one sequence: its qubit of every triple, then its
+        samples (S_C) or decoys (S_B, S_A)."""
         attack = self.cfg.attack
         if attack is None or attack.target != name:
             return
         role = _ROLES[name]
         keyed = self._blocks(_EVE_TRIPLES[name], 2 * self.cfg.n_groups, 2 * _BLOCK)
-        for block, (_, _, rng) in zip(self.triples, keyed):
-            apply_attack(block, role, attack, rng)
-        # a decoy is a single particle, at role 0 of its register
+        self.triples = [apply_attack(block, role, attack, rng)
+                        for block, (_, _, rng) in zip(self.triples, keyed)]
+        # a decoy is a single particle, qubit 0 of its register
         extras, extra_role = (self.samples, role) if name == "S_C" else (self.decoys[name], 0)
         keyed = self._blocks(_EVE_EXTRAS[name], self.cfg.resolved_decoys())
-        for (_, block), (_, _, rng) in zip(extras, keyed):
-            apply_attack(block, extra_role, attack, rng)
+        extras[:] = [(units, apply_attack(block, extra_role, attack, rng))
+                     for (units, block), (_, _, rng) in zip(extras, keyed)]
 
     # -- step 2 ----------------------------------------------------------
 
@@ -460,7 +457,8 @@ class Session:
         for (labels, block), (_, _, rng) in zip(samples, self._blocks(_CHECK["S_C"], count)):
             which = rng.randrange(len(_CHECK_BASES))
             draws = [rng.random() for _ in range(3)]  # for C, then A, then B
-            c, a, b = measure_in_bases(_CHECK_BASES, which, block, [(2,), (0,), (1,)], draws)
+            (c, a, b), _ = measure_particles(block, _CHECK_BASES, [(2,), (0,), (1,)], draws,
+                                             collapse=False, which=which)
             errors += int(np.count_nonzero(~ok[labels, which, 4 * a + 2 * b + c]))
         return self._record_check(2, count, errors)
 
@@ -479,9 +477,8 @@ class Session:
         second-particle sequence with fresh single-particle decoys."""
         ops = np.array(self.alice_ops, dtype=np.intp)
         for start, block in zip(range(0, self.cfg.n_groups, _BLOCK), self.triples):
-            odd, k = Block(block.amps[0::2], block.at), ops[start:start + _BLOCK]
-            apply_op(odd, [(0, _FIRST[k]), (1, _SECOND[k])])
-            block.amps[0::2] = odd.amps
+            k = ops[start:start + _BLOCK]
+            block[0::2] = apply_op(block[0::2], [(0, _FIRST[k]), (1, _SECOND[k])])
         for rec, op in zip(self.transcript.groups, self.alice_ops):
             rec.a_op = op
         self._draw_decoys("S_B")
@@ -489,7 +486,7 @@ class Session:
 
     def _draw_decoys(self, name: str) -> None:
         """Fresh single-particle decoys to travel in the named sequence."""
-        self.decoys[name] = [(k, Block(decoy_rows()[k])) for k in
+        self.decoys[name] = [(k, decoy_rows()[k]) for k in
                              self._randrange(_DECOY_TOKEN[name], self.cfg.resolved_decoys(), 4)]
 
     # -- steps 4 and 5 ---------------------------------------------------
@@ -511,8 +508,8 @@ class Session:
         count = self.cfg.resolved_decoys()
         errors = 0
         for (kinds, block), (_, _, rng) in zip(decoys, self._blocks(_CHECK[name], count)):
-            out, = measure_in_bases(_CHECK_BASES, _DECOY_BASIS[kinds], block, [(0,)],
-                                    [rng.random()])
+            (out,), _ = measure_particles(block, _CHECK_BASES, [(0,)], [rng.random()],
+                                          collapse=False, which=_DECOY_BASIS[kinds])
             errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
         return self._record_check(step, count, errors)
 
@@ -527,12 +524,12 @@ class Session:
         triples, self.triples = self.triples[::-1], []
         for start, stop, rng in self._blocks(_BOB_GHZ, self.cfg.n_groups):
             block = triples.pop()
-            found, = measure_particles(MeasBasis.GHZ, Block(block.amps[1::2], block.at),
-                                       [(0, 1, 2)], [rng.random()])
-            even, k = Block(ghz_rows()[found]), ops[start:stop]
-            apply_op(even, [(0, _FIRST[k]), (1, _SECOND[k])])
+            (found,), _ = measure_particles(block[1::2], MeasBasis.GHZ, [(0, 1, 2)],
+                                            [rng.random()], collapse=False)
+            k = ops[start:stop]
+            even = apply_op(ghz_rows()[found], [(0, _FIRST[k]), (1, _SECOND[k])])
             # a copy, so that the measured even rows are freed with the block
-            self.pairs.append((Block(block.amps[0::2].copy(), block.at), even))
+            self.pairs.append((block[0::2].copy(), even))
             for rec, j, op in zip(groups[start:stop], found.tolist(), self.bob_ops[start:stop]):
                 rec.p_label = _GHZ[j]
                 rec.b_op = op

@@ -535,7 +535,7 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis,
     for k in range(len(rounds)):
         projs, probs = _project(vecs, rem)
         del rem  # off the heap before the next round's remainders are built
-        _require_unit_norms(probs.cumsum(axis=1)[:, -1], "measured state")
+        _require_unit_norms(probs.sum(axis=1), "measured state")
         table = np.zeros((len(amps) * outcomes ** k, outcomes))
         table[live] = probs
         tables.append(table.reshape(len(amps), -1, outcomes))

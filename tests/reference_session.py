@@ -10,7 +10,7 @@ reads one table of operations that never sees a label. Only the loops,
 the draws, the blocks and the decoding path differ from Session, so both
 must write the same transcripts, byte for byte. Each triple, sample and
 decoy is its own Register here, where Session holds a sequence's units as
-the rows of particles.Block arrays.
+the rows of plain amplitude arrays.
 """
 
 from bqsdc import qcore

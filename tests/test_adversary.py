@@ -14,10 +14,9 @@ from bqsdc.adversary import (_BLOCK, AttackConfig, CheckTemplate, _TrialSampler,
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import ghz_rows, ghz_state
 from bqsdc.labels import GhzLabel
-from bqsdc.particles import Block
 from bqsdc.protocol import SessionConfig, run_session
 from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, StateVector, StreamBlock, basis_labels,
-                         born_distribution, joint_distribution)
+                         born_distribution, joint_distribution, tensor)
 
 
 class TestAttackConfig:
@@ -65,35 +64,37 @@ class TestEavesdropUnitary:
         assert np.allclose(eavesdrop_unitary(0.0), np.eye(4))
 
 
-def attacked_block(cfg, count=3):
-    """A block of GHZ triples with Eve's strategy run on their third
-    particles, row j drawing from the keyed stream (1, j), and the array the
-    block held before."""
-    block = Block(ghz_rows()[[GhzLabel.PSI0] * count])
-    before = block.amps
+def attacked_block(cfg, count=3, role=2):
+    """A block of GHZ triples with Eve's strategy run on qubit role of each,
+    row j drawing from the keyed stream (1, j), and the block before."""
+    before = ghz_rows()[[GhzLabel.PSI0] * count]
     rng = StreamBlock(1, count)
     rng.key(0, count)
-    apply_attack(block, 2, cfg, rng)
-    return block, before
+    return apply_attack(before, role, cfg, rng), before
 
 
 def row_states(block):
-    return [StateVector(row) for row in block.amps]
+    return [StateVector(row) for row in block]
 
 
 class TestAttackApplication:
-    def test_intercept_returns_fresh_particle(self):
-        block, _ = attacked_block(AttackConfig("intercept_resend", fake_state="0"))
-        # the fake is appended and takes the role; the genuine particle
-        # stays in the register, still entangled with the other two
-        assert block.at == [0, 1, 3] and block.num_qubits == 4
-        for state in row_states(block):
-            assert born_distribution(state, MeasBasis.Z, [3])[0] == pytest.approx(1.0)
-            assert born_distribution(state, MeasBasis.Z, [2])[0] == pytest.approx(0.5)
+    @pytest.mark.parametrize("role", [0, 1, 2])
+    def test_intercept_returns_fresh_particle(self, role):
+        # the fake takes the particle's qubit; the genuine particle stays in
+        # the register as its last qubit, still entangled with the other two.
+        # Equal as numbers: the SWAP's sums turn a -0.0 of the product into 0.0
+        for token in DECOY_TOKENS:
+            block, before = attacked_block(AttackConfig("intercept_resend", fake_state=token),
+                                           role=role)
+            assert block.shape == (3, 16)
+            for row, prior in zip(block, before):
+                joined = tensor(StateVector(prior), decoy_state(token)).amps
+                expect = joined.reshape((2,) * 4).swapaxes(role, 3).reshape(-1)
+                assert np.array_equal(row, expect), (role, token)
 
     def test_measure_resend_collapses(self):
         block, _ = attacked_block(AttackConfig("measure_resend", eve_basis="Z"))
-        assert block.at == [0, 1, 2]
+        assert block.shape == (3, 8)
         for state in row_states(block):
             # the whole triple collapsed to a definite computational state
             probs = np.abs(state.amps) ** 2
@@ -101,13 +102,13 @@ class TestAttackApplication:
 
     def test_entangle_appends_ancilla(self):
         block, _ = attacked_block(AttackConfig.entangling(0.25))
-        assert block.at == [0, 1, 2] and block.num_qubits == 4
+        assert block.shape == (3, 16)
         assert len(row_states(block)) == 3
 
     def test_none_is_identity(self):
         block, before = attacked_block(AttackConfig("none"))
-        assert block.amps is before and block.at == [0, 1, 2]
-        assert all(np.array_equal(row, ghz_state(GhzLabel.PSI0).amps) for row in block.amps)
+        assert block is before
+        assert all(np.array_equal(row, ghz_state(GhzLabel.PSI0).amps) for row in block)
 
 
 # Exact Born-rule detection rates for the GHZ-sample check. Where the
@@ -221,10 +222,10 @@ class TestHarnessMatchesSessionAttack:
     def session_rows(cls, cfg, pristine, role, basis, is_error):
         dist = {}
         for weight, rng in cls.eve_draws(cfg, pristine, role):
-            block = Block(pristine.amps[None].copy())
-            apply_attack(block, role, cfg, rng)
-            for outs, p in joint_distribution(StateVector(block.amps[0]), basis,
-                                              [(q,) for q in block.at]).items():
+            block = apply_attack(pristine.amps[None].copy(), role, cfg, rng)
+            # the checked particles keep their qubits; Eve's is the last
+            for outs, p in joint_distribution(StateVector(block[0]), basis,
+                                              [(q,) for q in range(pristine.num_qubits)]).items():
                 dist[outs] = dist.get(outs, 0.0) + weight * p
         # the harness's keys come in lexicographic basis order
         order = basis_labels(basis)

@@ -10,15 +10,16 @@ from helpers import equal_up_to_global_phase
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
 from bqsdc import particles, qcore
-from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, decoy_rows
+from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack, decoy_rows
 from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
-from bqsdc.particles import Block, append_ancilla, measure_in_bases, measure_particles, merge
+from bqsdc.particles import append_ancilla, measure_particles, merge
 from bqsdc.protocol import (_BLOCK, Session, SessionConfig, SessionTranscript, SwapTable,
                             _decoded, _invert_announcements, default_decoy_count, message_ops,
                             random_message_bits, run_session)
-from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, make_basis_state
+from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
+                         make_basis_state)
 from bqsdc.swap import collection_members, collection_table
 
 
@@ -29,52 +30,60 @@ def quiet_cfg(n, seed=0, **kw):
 
 def ghz_block(*labels):
     """A block of GHZ triples, one row per label."""
-    return Block(ghz_rows()[list(labels)])
+    return ghz_rows()[list(labels)]
 
 
 def row_state(block, row):
     """Row row of the block as a checked state."""
-    return StateVector(block.amps[row])
+    return StateVector(block[row])
+
+
+def num_qubits(block):
+    return block.shape[1].bit_length() - 1
 
 
 class TestRegister:
     def test_merge_puts_b_roles_after_a(self):
         a = ghz_block(GhzLabel.PSI0, GhzLabel.PSI2)
-        b = ghz_block(GhzLabel.PSI1, GhzLabel.PSI3)
-        b.at[2] = append_ancilla(b, make_basis_state("0").amps)
-        before = a.amps
+        b = append_ancilla(ghz_block(GhzLabel.PSI1, GhzLabel.PSI3), make_basis_state("1").amps)
+        before = a.copy()
         joint = merge(a, b)
-        assert joint.num_qubits == 7
-        assert joint.at == [0, 1, 2, 3, 4, 6]
-        assert a.num_qubits == 3 and a.amps is before  # the inputs are left as they were
+        assert num_qubits(joint) == 7
+        # the inputs are left as they were
+        assert num_qubits(a) == 3 and np.array_equal(a, before)
         for row in range(2):
             expect = qcore.tensor(row_state(a, row), row_state(b, row))
-            assert np.array_equal(joint.amps[row], expect.amps)
+            assert np.array_equal(joint[row], expect.amps)
+            # b's ancilla, its last qubit, is the joint state's last
+            assert born_distribution(expect, MeasBasis.Z, [6])[1] == pytest.approx(1.0)
 
-    def test_measurement_collapses_in_place(self):
+    def test_measurement_collapses(self):
         a = ghz_block(GhzLabel.PSI0)
-        outs = [measure_particles(MeasBasis.Z, a, [(role,)], [np.array([Rng(seed).random()])],
-                                  keep=True)[0][0]
-                for role, seed in ((0, 1), (1, 2), (2, 3))]
+        outs = []
+        for role, seed in ((0, 1), (1, 2), (2, 3)):
+            draw = np.array([Rng(seed).random()])
+            (j,), a = measure_particles(a, MeasBasis.Z, [(role,)], [draw])
+            outs.append(j[0])
         # remaining particles are perfectly correlated with the outcome
         assert outs[0] == outs[1] == outs[2]
 
     def test_rounds_collapse_and_keep(self):
-        # three Z rounds on GHZ triples agree within each row; without keep
-        # the block's array is left as it was
+        # three Z rounds on GHZ triples agree within each row; without
+        # collapse no state is returned and the block is left as it was
         block = ghz_block(*[GhzLabel.PSI0] * 5)
-        before = block.amps.copy()
+        before = block.copy()
         draws = [np.array([Rng(seed, stream=k).random() for seed in range(5)]) for k in range(3)]
-        a, b, c = measure_particles(MeasBasis.Z, block, [(0,), (1,), (2,)], draws)
+        (a, b, c), post = measure_particles(block, MeasBasis.Z, [(0,), (1,), (2,)], draws,
+                                            collapse=False)
         assert (a == b).all() and (b == c).all() and 0 < a.sum() < 5
-        assert np.array_equal(block.amps, before)
+        assert post is None and np.array_equal(block, before)
 
     def test_basis_per_register(self):
         # |0> in Z and |+> in X are certain; each row gets its own basis
-        block = Block(decoy_rows()[[DECOY_TOKENS.index("0"), DECOY_TOKENS.index("+")]])
+        block = decoy_rows()[[DECOY_TOKENS.index("0"), DECOY_TOKENS.index("+")]]
         which = np.array([0, 1])
-        out, = measure_in_bases((MeasBasis.Z, MeasBasis.X), which, block, [(0,)],
-                                [np.array([0.99, 0.99])])
+        (out,), _ = measure_particles(block, (MeasBasis.Z, MeasBasis.X), [(0,)],
+                                      [np.array([0.99, 0.99])], collapse=False, which=which)
         assert out.tolist() == [0, 0]
 
 
@@ -106,7 +115,7 @@ class TestPrepare:
         s = Session(quiet_cfg(1, seed=4), "000", "000")
         s.prepare()
         [block] = s.triples
-        assert block.amps.shape == (2, 8) and s.samples == []
+        assert block.shape == (2, 8) and s.samples == []
         # both triples of the group carry the same prepared label
         from bqsdc.codebook import classify_ghz
         odd = classify_ghz(row_state(block, 0))
@@ -119,9 +128,9 @@ class TestPrepare:
         s.prepare()
         [block] = s.triples
         [(labels, samples)] = s.samples
-        assert block.amps.shape == (8, 8) and len(labels) == 2
+        assert block.shape == (8, 8) and len(labels) == 2
         # each sample is one GHZ triple in the state of its label
-        assert samples.at == [0, 1, 2]
+        assert samples.shape == (2, 8)
         for row, label in enumerate(labels):
             assert equal_up_to_global_phase(row_state(samples, row), ghz_state(GhzLabel(label)))
 
@@ -590,12 +599,12 @@ class TestSwapTable:
         for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
             step()
         distinct = {(odd_row.tobytes(), even_row.tobytes())
-                    for odd, even in s.pairs for odd_row, even_row in zip(odd.amps, even.amps)}
+                    for odd, even in s.pairs for odd_row, even_row in zip(odd, even)}
         joined = []
         real_merge = particles.merge
 
         def counting_merge(a, b):
-            joined.append(len(a.amps))
+            joined.append(len(a))
             return real_merge(a, b)
 
         monkeypatch.setattr(particles, "merge", counting_merge)
@@ -604,14 +613,28 @@ class TestSwapTable:
         assert sum(joined) == len(distinct) == len(s.swap_table.entries)
         assert len(distinct) <= self.BOUND
 
-    def test_another_layout_raises(self):
-        # the same bytes under another role map are another joint state
+    def test_each_width_gets_its_own_bell_tables(self):
+        # odd rows of 3 qubits, then of 4 (a fake at qubit 2, the genuine
+        # third particle at 3): each entry holds the Bell tables of its own
+        # joint state, whose cross pairs are (r, w + r)
         table = SwapTable()
-        odd = ghz_block(GhzLabel.PSI0, GhzLabel.PSI0)
         even = ghz_block(GhzLabel.PSI1, GhzLabel.PSI2)
-        assert table.entries_of(odd, even).tolist() == [0, 1]
-        with pytest.raises(AssertionError):
-            table.entries_of(Block(odd.amps, [1, 0, 2]), even)
+        narrow = ghz_block(GhzLabel.PSI0, GhzLabel.PSI5)
+        rng = StreamBlock(0, 2)
+        rng.key(0, 2)
+        wide = apply_attack(ghz_block(GhzLabel.PSI0, GhzLabel.PSI5), 2,
+                            AttackConfig("intercept_resend", fake_state="+"), rng)
+        assert table.entries_of(narrow, even).tolist() == [0, 1]
+        assert table.entries_of(wide, even).tolist() == [2, 3]
+        assert table.entries_of(narrow, even).tolist() == [0, 1]
+        for odd, entries in ((narrow, [0, 1]), (wide, [2, 3])):
+            w = num_qubits(odd)
+            for row, entry in enumerate(entries):
+                joint = qcore.tensor(row_state(odd, row), row_state(even, row))
+                expect = qcore.branch_rows(joint.amps[None], MeasBasis.BELL,
+                                           [(r, w + r) for r in range(3)])
+                for got, want in zip(table.probs, expect, strict=True):
+                    assert np.array_equal(got[entry], want[0])
 
 
 class TestStepMemory:

@@ -695,6 +695,25 @@ class TestMeasureGuards:
         with pytest.raises(ValueError):
             joint_distribution(s, MeasBasis.Z, [(0,)])
 
+    @pytest.mark.parametrize("basis", list(MeasBasis))
+    @pytest.mark.parametrize("scale", [1 - 2 * ATOL, 1 - 0.5 * ATOL, 1 + 0.5 * ATOL,
+                                       1 + 2 * ATOL])
+    def test_both_born_kernels_judge_a_norm_alike(self, basis, scale):
+        # rows off norm 1 by half the tolerance pass in both kernels, rows
+        # off by twice it raise in both
+        amps = np.stack([random_state(3, seed).amps for seed in range(4)]) * scale
+        rounds = [tuple(range(basis.arity))]
+        kernels = (lambda: measure_rows(amps, basis, rounds, [np.full(4, 0.5)], collapse=False),
+                   lambda: branch_rows(amps, basis, rounds))
+        verdicts = []
+        for kernel in kernels:
+            try:
+                kernel()
+                verdicts.append(True)
+            except ValueError:
+                verdicts.append(False)
+        assert verdicts == [abs(scale - 1) < ATOL] * 2
+
 
 class TestSharedStates:
     def test_constants_are_shared_and_read_only(self):
