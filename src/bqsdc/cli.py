@@ -161,6 +161,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.random_messages:
+        if args.alice is not None or args.bob is not None:
+            raise UsageError("--random-messages draws both messages; drop --alice and --bob")
         msg_rng = Rng(seed, stream=2)
         alice = random_message_bits(args.N, msg_rng)
         bob = random_message_bits(args.N, msg_rng)

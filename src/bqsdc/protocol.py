@@ -16,7 +16,9 @@ only on the two operations (swap.announcement), not on the prepared state.
 The triples, samples and decoys of a sequence are held in blocks, the rows
 of one amplitude array for up to _BLOCK groups, samples or decoys, built by
 indexing a table of the GHZ or the decoy states, and a step runs once per
-block, not once per particle. A register's roles are its qubits: a triple's
+block, not once per particle. The samples and decoys serve one check each:
+the check draws them, lets Eve at them and measures them a block at a time,
+so none outlives its block. A register's roles are its qubits: a triple's
 first, second and third particle (those of S_A, S_B and S_C) are qubits 0,
 1 and 2, and a decoy is qubit 0; an attack appends what it leaves behind
 after them. The two triples of a group meet only at Bob's swap, and are
@@ -276,8 +278,7 @@ def _swap_outcomes() -> tuple[tuple[BellTriple, CollectionLabel], ...]:
 # cli and analysis draw from. Draws within one stream keep a fixed order.
 _UNIT_BITS = 56
 _GROUP_LABEL = 1                                  # unit: group n
-_SAMPLE_LABEL = 2                                 # unit: GHZ sample i
-_DECOY_TOKEN = {"S_B": 3, "S_A": 4}               # unit: decoy i of that sequence
+_UNITS = {"S_C": 2, "S_B": 3, "S_A": 4}           # unit: GHZ sample or decoy i drawn
 _CHECK = {"S_C": 5, "S_B": 6, "S_A": 7}           # unit: sample or decoy i measured
 _BOB_GHZ = 8                                      # unit: group n
 _SWAP = 9                                         # unit: group n
@@ -375,7 +376,9 @@ class Session:
 
     Each step runs once per block as one batched operation of particles,
     with the units' draws taken side by side from their keyed streams
-    (_blocks); memory for a step's buffers does not grow with N.
+    (_blocks); memory for a step's buffers does not grow with N. A check
+    draws, attacks and measures its own samples or decoys a block at a time
+    (_checked_units), so the session holds none of them between steps.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
@@ -388,81 +391,80 @@ class Session:
         # bob_encode splits each block into its odd and even rows (pairs).
         self.triples: list[np.ndarray] = []
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        # GHZ samples (labels, block), whose third particles travel in S_C,
-        # and decoys (kinds indexing DECOY_TOKENS, block) in S_B and S_A,
-        # each held from its draw until its check.
-        self.samples: list[tuple[np.ndarray, np.ndarray]] = []
-        self.decoys: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a triple block's rows
         self.swap_table = SwapTable()
 
+    def _key(self, place: int, start: int, stop: int) -> StreamBlock:
+        """The session's lanes, lane j keyed to the stream
+        Rng(seed, place << _UNIT_BITS | start + j) of unit start + j < stop."""
+        self._streams.key(place << _UNIT_BITS | start, stop - start)
+        return self._streams
+
     def _blocks(self, place: int, count: int, size: int | None = None):
         """The count units at place in consecutive blocks of at most size
-        (default _BLOCK): yields (start, stop, rng), lane j of rng keyed to
-        the stream Rng(seed, place << _UNIT_BITS | start + j) of unit
-        start + j."""
+        (default _BLOCK): yields (start, stop, rng), rng keyed to the units
+        start, ..., stop - 1 (_key)."""
         size = size or _BLOCK
-        rng = self._streams
         for start in range(0, count, size):
             stop = min(start + size, count)
-            rng.key(place << _UNIT_BITS | start, stop - start)
-            yield start, stop, rng
-
-    def _randrange(self, place: int, count: int, n: int) -> list[np.ndarray]:
-        """randrange(n) drawn first from the stream of each of count units,
-        one array per block."""
-        return [rng.randrange(n) for _, _, rng in self._blocks(place, count)]
+            yield start, stop, self._key(place, start, stop)
 
     # -- step 1 ----------------------------------------------------------
 
     def prepare(self) -> None:
-        """Draw labels, build two identical GHZ triples per group and the
-        GHZ samples, and transmit the third-particle sequence."""
+        """Draw labels, build two identical GHZ triples per group, and
+        transmit the third-particle sequence."""
         cfg, rows = self.cfg, ghz_rows()
-        labels = (self._randrange(_GROUP_LABEL, cfg.n_groups, 8) if cfg.initial_label is None
+        labels = ([rng.randrange(8) for _, _, rng in self._blocks(_GROUP_LABEL, cfg.n_groups)]
+                  if cfg.initial_label is None
                   else np.split(np.full(cfg.n_groups, cfg.initial_label),
                                 range(_BLOCK, cfg.n_groups, _BLOCK)))
         self.transcript.groups.extend(GroupRecord(index=n + 1, prepared_label=_GHZ[k])
                                       for n, k in enumerate(np.concatenate(labels).tolist()))
         self.triples = [rows[k.repeat(2)] for k in labels]
-        self.samples = [(k, rows[k]) for k in
-                        self._randrange(_SAMPLE_LABEL, cfg.resolved_decoys(), 8)]
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
-        """Eve's pass over one sequence: its qubit of every triple, then its
-        samples (S_C) or decoys (S_B, S_A)."""
+        """Eve's pass over the named sequence's qubit of every triple; its
+        samples or decoys pass her in their check (_checked_units)."""
         attack = self.cfg.attack
         if attack is None or attack.target != name:
             return
-        role = _ROLES[name]
         keyed = self._blocks(_EVE_TRIPLES[name], 2 * self.cfg.n_groups, 2 * _BLOCK)
-        self.triples = [apply_attack(block, role, attack, rng)
+        self.triples = [apply_attack(block, _ROLES[name], attack, rng)
                         for block, (_, _, rng) in zip(self.triples, keyed)]
-        # a decoy is a single particle, qubit 0 of its register
-        extras, extra_role = (self.samples, role) if name == "S_C" else (self.decoys[name], 0)
-        keyed = self._blocks(_EVE_EXTRAS[name], self.cfg.resolved_decoys())
-        extras[:] = [(units, apply_attack(block, extra_role, attack, rng))
-                     for (units, block), (_, _, rng) in zip(extras, keyed)]
+
+    def _checked_units(self, name: str, rows: np.ndarray, role: int):
+        """The GHZ samples (rows ghz_rows(), role 2) or single-particle decoys
+        (decoy_rows(), role 0) that travel in the named sequence, a block at
+        a time: yields (units, block, rng), units the drawn indices into rows,
+        block their registers after Eve's pass over the qubit role when she
+        targets the sequence, and rng keyed to the units' check streams."""
+        attack = self.cfg.attack
+        attacked = attack is not None and attack.target == name
+        for start, stop, rng in self._blocks(_UNITS[name], self.cfg.resolved_decoys()):
+            units = rng.randrange(len(rows))
+            block = rows[units]
+            if attacked:
+                block = apply_attack(block, role, attack, self._key(_EVE_EXTRAS[name], start, stop))
+            yield units, block, self._key(_CHECK[name], start, stop)
 
     # -- step 2 ----------------------------------------------------------
 
     def check1(self) -> CheckRecord:
-        """GHZ-sample correlation check on the delivered third particles. The
-        samples are released: nothing reads them once their errors count."""
-        samples, self.samples = self.samples, []
-        count = self.cfg.resolved_decoys()
+        """GHZ-sample correlation check on the delivered third particles."""
         ok = _sample_ok()
         errors = 0
-        for (labels, block), (_, _, rng) in zip(samples, self._blocks(_CHECK["S_C"], count)):
+        for labels, block, rng in self._checked_units("S_C", ghz_rows(), _ROLES["S_C"]):
             which = rng.randrange(len(_CHECK_BASES))
             draws = [rng.random() for _ in range(3)]  # for C, then A, then B
             (c, a, b), _ = measure_particles(block, _CHECK_BASES, [(2,), (0,), (1,)], draws,
                                              collapse=False, which=which)
             errors += int(np.count_nonzero(~ok[labels, which, 4 * a + 2 * b + c]))
-        return self._record_check(2, count, errors)
+        return self._record_check(2, errors)
 
-    def _record_check(self, step: int, samples: int, errors: int) -> CheckRecord:
+    def _record_check(self, step: int, errors: int) -> CheckRecord:
+        samples = self.cfg.resolved_decoys()
         rate = errors / samples if samples else 0.0
         rec = CheckRecord(step, samples, errors, rate, rate > self.cfg.check_threshold)
         self.transcript.checks.append(rec)
@@ -474,20 +476,14 @@ class Session:
 
     def alice_encode(self) -> None:
         """Encode Alice's bits on the odd triples, then send the
-        second-particle sequence with fresh single-particle decoys."""
+        second-particle sequence."""
         ops = np.array(self.alice_ops, dtype=np.intp)
         for start, block in zip(range(0, self.cfg.n_groups, _BLOCK), self.triples):
             k = ops[start:start + _BLOCK]
             block[0::2] = apply_op(block[0::2], [(0, _FIRST[k]), (1, _SECOND[k])])
         for rec, op in zip(self.transcript.groups, self.alice_ops):
             rec.a_op = op
-        self._draw_decoys("S_B")
         self._transmit("S_B")
-
-    def _draw_decoys(self, name: str) -> None:
-        """Fresh single-particle decoys to travel in the named sequence."""
-        self.decoys[name] = [(k, decoy_rows()[k]) for k in
-                             self._randrange(_DECOY_TOKEN[name], self.cfg.resolved_decoys(), 4)]
 
     # -- steps 4 and 5 ---------------------------------------------------
 
@@ -496,22 +492,19 @@ class Session:
         return self._decoy_check(4, "S_B")
 
     def check3(self) -> CheckRecord:
-        """Send the first-particle sequence with fresh decoys, then check."""
-        self._draw_decoys("S_A")
+        """Send the first-particle sequence, then check its decoys."""
         self._transmit("S_A")
         return self._decoy_check(5, "S_A")
 
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
-        """Measure the named sequence's decoys and release them, as check1
-        does its samples."""
-        decoys = self.decoys.pop(name)
-        count = self.cfg.resolved_decoys()
+        """Measure each decoy of the named sequence in the basis of its
+        state; an outcome other than that state is an error."""
         errors = 0
-        for (kinds, block), (_, _, rng) in zip(decoys, self._blocks(_CHECK[name], count)):
+        for kinds, block, rng in self._checked_units(name, decoy_rows(), 0):
             (out,), _ = measure_particles(block, _CHECK_BASES, [(0,)], [rng.random()],
                                           collapse=False, which=_DECOY_BASIS[kinds])
             errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
-        return self._record_check(step, count, errors)
+        return self._record_check(step, errors)
 
     # -- step 6 ----------------------------------------------------------
 

@@ -10,7 +10,11 @@ reads one table of operations that never sees a label. Only the loops,
 the draws, the blocks and the decoding path differ from Session, so both
 must write the same transcripts, byte for byte. Each triple, sample and
 decoy is its own Register here, where Session holds a sequence's units as
-the rows of plain amplitude arrays.
+the rows of plain amplitude arrays. The samples and decoys are drawn up
+front, each set as its sequence is sent, and held until their check, where
+Session draws, attacks and measures them a block at a time within the
+check: equal transcripts show that the order of those draws does not
+matter.
 """
 
 from bqsdc import qcore
@@ -18,9 +22,8 @@ from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import ghz_state, invert_transform, transform_label
 from bqsdc.labels import GhzLabel
-from bqsdc.protocol import (_BOB_GHZ, _CHECK, _DECOY_TOKEN, _EVE_EXTRAS, _EVE_TRIPLES,
-                            _GROUP_LABEL, _ROLES, _SAMPLE_LABEL, _SWAP, _UNIT_BITS,
-                            GroupRecord, Session)
+from bqsdc.protocol import (_BOB_GHZ, _CHECK, _EVE_EXTRAS, _EVE_TRIPLES, _GROUP_LABEL,
+                            _ROLES, _SWAP, _UNIT_BITS, _UNITS, GroupRecord, Session)
 from bqsdc.qcore import MeasBasis, Rng
 from bqsdc.swap import BellTriple, collection_of, collection_table
 
@@ -90,6 +93,11 @@ def apply_attack(reg, role, cfg, rng):
 
 
 class ReferenceSession(Session):
+    def __init__(self, cfg, alice_bits, bob_bits):
+        super().__init__(cfg, alice_bits, bob_bits)
+        self.samples = []  # (label, register) per GHZ sample
+        self.decoys = {}   # sequence name: (token, register) per decoy
+
     def _rng(self, place, unit):
         return Rng(self.cfg.seed, stream=place << _UNIT_BITS | unit)
 
@@ -102,7 +110,7 @@ class ReferenceSession(Session):
             self.triples.append(Register(ghz_state(label)))
             self.triples.append(Register(ghz_state(label)))
         for i in range(cfg.resolved_decoys()):
-            label = GhzLabel(self._rng(_SAMPLE_LABEL, i).randrange(8))
+            label = GhzLabel(self._rng(_UNITS["S_C"], i).randrange(8))
             self.samples.append((label, Register(ghz_state(label))))
         self._transmit("S_C")
 
@@ -126,7 +134,7 @@ class ReferenceSession(Session):
             a_out = measure_particles(basis, reg, [0], rng)
             b_out = measure_particles(basis, reg, [1], rng)
             errors += not ghz_sample_ok(label, basis, (a_out, b_out, c_out))
-        return self._record_check(2, len(self.samples), errors)
+        return self._record_check(2, errors)
 
     def alice_encode(self):
         for n, op in enumerate(self.alice_ops):
@@ -137,9 +145,14 @@ class ReferenceSession(Session):
         self._transmit("S_B")
 
     def _draw_decoys(self, name):
-        tokens = [DECOY_TOKENS[self._rng(_DECOY_TOKEN[name], i).randrange(4)]
+        tokens = [DECOY_TOKENS[self._rng(_UNITS[name], i).randrange(4)]
                   for i in range(self.cfg.resolved_decoys())]
         self.decoys[name] = [(token, Register(decoy_state(token))) for token in tokens]
+
+    def check3(self):
+        self._draw_decoys("S_A")
+        self._transmit("S_A")
+        return self._decoy_check(5, "S_A")
 
     def _decoy_check(self, step, name):
         errors = 0
@@ -147,7 +160,7 @@ class ReferenceSession(Session):
             prep = DECOY_STATES[token]
             out = measure_particles(prep.basis, reg, [0], self._rng(_CHECK[name], i))
             errors += out != prep.expected
-        return self._record_check(step, len(self.decoys[name]), errors)
+        return self._record_check(step, errors)
 
     def bob_encode(self):
         for n, op in enumerate(self.bob_ops):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,14 @@ from hypothesis import strategies as st
 from bqsdc import cli
 
 CMD = [sys.executable, "-m", "bqsdc"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
+    """The CLI in a child interpreter that imports this checkout's package:
+    its src first on PYTHONPATH, ahead of any value already there."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(CMD + list(args), capture_output=True, text=True, env=env)
 
 
@@ -118,6 +124,8 @@ def test_usage_errors_exit_two(tmp_path):
         ("attack", "--strategy", "warp", "--seed", "1"),
         ("attack", "--strategy", "entangle", "--beta2", "1.5", "--seed", "1"),
         ("run", "--N", "1", "--random-messages", "--seed", "1", "--out", missing),
+        ("run", "--N", "1", "--random-messages", "--alice", "010", "--seed", "1"),
+        ("run", "--N", "1", "--random-messages", "--bob", "101", "--seed", "1"),
         ("verify", "--out", missing),
         ("attack", "--strategy", "none", "--trials", "10", "--seed", "1", "--out", missing),
         ("analyze", "--seed", "1", "--out", missing),

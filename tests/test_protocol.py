@@ -115,7 +115,7 @@ class TestPrepare:
         s = Session(quiet_cfg(1, seed=4), "000", "000")
         s.prepare()
         [block] = s.triples
-        assert block.shape == (2, 8) and s.samples == []
+        assert block.shape == (2, 8)
         # both triples of the group carry the same prepared label
         from bqsdc.codebook import classify_ghz
         odd = classify_ghz(row_state(block, 0))
@@ -127,8 +127,10 @@ class TestPrepare:
         s = Session(cfg, "0" * 12, "0" * 12)
         s.prepare()
         [block] = s.triples
-        [(labels, samples)] = s.samples
-        assert block.shape == (8, 8) and len(labels) == 2
+        assert block.shape == (8, 8)
+        # check1 draws its samples: read the rows it measures
+        [(labels, samples, _)] = list(s._checked_units("S_C", ghz_rows(), 2))
+        assert len(labels) == 2
         # each sample is one GHZ triple in the state of its label
         assert samples.shape == (2, 8)
         for row, label in enumerate(labels):
@@ -235,17 +237,18 @@ class TestEncoding:
     def test_decoy_states_drawn_uniformly(self):
         cfg = SessionConfig(n_groups=1, seed=14, decoys=400)
         s = Session(cfg, "010", "101")
-        # the checks release their decoys, so read the tokens as they are drawn
+        # each check draws its own decoys, so count them as the checks read them
         counts = {tok: 0 for tok in "01+-"}
-        draw = s._draw_decoys
+        units = s._checked_units
 
-        def draw_and_count(name):
-            draw(name)
-            for kinds, _ in s.decoys[name]:
-                for k in kinds.tolist():
-                    counts[DECOY_TOKENS[k]] += 1
+        def count_decoys(name, rows, role):
+            for kinds, block, rng in units(name, rows, role):
+                if name != "S_C":
+                    for k in kinds.tolist():
+                        counts[DECOY_TOKENS[k]] += 1
+                yield kinds, block, rng
 
-        s._draw_decoys = draw_and_count
+        s._checked_units = count_decoys
         s.prepare()
         s.check1()
         s.alice_encode()
@@ -690,11 +693,12 @@ class TestStepMemory:
 
     def test_checked_units_released_before_the_swap(self):
         # the heap a session holds entering the swap, at a fixed group
-        # count, does not grow with the decoy count: each check releases the
-        # samples or decoys it has counted (kept, 1024 of each hold about
-        # 0.7 MB more than 16). The interpreter's free lists keep up to some
-        # 25 KB of freed floats and tuples that tracemalloc counts as held;
-        # a full collection empties them, and a few hundred bytes remain.
+        # count, does not grow with the decoy count: no step holds a sample
+        # or decoy once the block it was drawn in is measured (held to the
+        # swap, 1024 of each would take about 0.7 MB more than 16). The
+        # interpreter's free lists keep up to some 25 KB of freed floats and
+        # tuples that tracemalloc counts as held; a full collection empties
+        # them, and a few hundred bytes remain.
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def held(decoys):
@@ -714,6 +718,30 @@ class TestStepMemory:
 
         held(1024)  # warm the caches
         assert held(1024) - held(16) <= 8 * 1024
+
+    @pytest.mark.parametrize("target", ["S_C", "S_B", "S_A"])
+    def test_session_peak_does_not_grow_with_decoys(self, target):
+        # each check draws, attacks and measures its samples or decoys a
+        # block at a time, so a session's peak heap is the same at 8 blocks
+        # of them as at one. Units held from their draw to their check would
+        # raise it by 110-315 KB; the few KB that remain are the
+        # interpreter's free lists and numpy's buffer cache.
+        attack = AttackConfig.entangling(0.25, target=target)
+
+        def peak(decoys):
+            cfg = SessionConfig(n_groups=8, seed=4, decoys=decoys, check_threshold=0.99,
+                                attack=attack)
+            tracemalloc.start()
+            try:
+                t = run_session(cfg, "101" * 8, "011" * 8)
+                high = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not t.aborted
+            return high
+
+        peak(_BLOCK)  # warm the caches
+        assert peak(8 * _BLOCK) - peak(_BLOCK) <= 32 * 1024
 
 
 class TestAborts:
