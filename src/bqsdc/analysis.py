@@ -107,10 +107,10 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
     alice_bits = random_message_bits(n_groups, rng)
     bob_bits = random_message_bits(n_groups, rng)
     cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=0)
-    transcript = run_session(cfg, alice_bits, bob_bits)
+    groups = run_session(cfg, alice_bits, bob_bits).groups  # built on each read
     h_cond = _entropy_given_announcement(
-        Counter((rec.announcement, (rec.a_op, rec.b_op)) for rec in transcript.groups))
-    m_counts = Counter(rec.announcement for rec in transcript.groups)
+        Counter((rec.announcement, (rec.a_op, rec.b_op)) for rec in groups))
+    m_counts = Counter(rec.announcement for rec in groups)
     exhaustive = conditional_entropy_given_announcement(uniform_op_pair_prior())
     return {
         "groups": n_groups,

@@ -28,6 +28,12 @@ into a table of branch probabilities and draws every group's outcomes from
 its pair's table. No state is wider than two triples plus one attack qubit
 (7 qubits).
 
+A transcript keeps its groups as integer columns, one entry per group
+(SessionTranscript.columns): every label, operation and outcome it records
+is an index below 64. Each step writes its block's slice of them, and the
+records of SessionTranscript.groups and the JSON text are built from the
+columns when read.
+
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so a position would
 change nothing but the order of the random draws, and positions are not
@@ -122,61 +128,90 @@ class CheckRecord:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupRecord:
-    """Everything the transcript keeps about one message group."""
+    """Everything the transcript keeps about one message group, None where
+    the session stopped before the step that sets it: a read view of the
+    transcript's columns (SessionTranscript.groups)."""
 
     index: int
     prepared_label: GhzLabel
-    a_op: CompositeOp | None = None
-    p_label: GhzLabel | None = None
-    b_op: CompositeOp | None = None
-    bell_triple: BellTriple | None = None
-    announcement: CollectionLabel | None = None
-    decoded_by_alice: str | None = None
-    decoded_by_bob: str | None = None
+    a_op: CompositeOp | None
+    p_label: GhzLabel | None
+    b_op: CompositeOp | None
+    bell_triple: BellTriple | None
+    announcement: CollectionLabel | None
+    decoded_by_alice: str | None
+    decoded_by_bob: str | None
 
 
-@dataclass
+# The rows of SessionTranscript.columns, one entry per group: the prepared
+# label, Alice's op, the label Bob measures, Bob's op, the swap's Bell
+# outcome indices a, b, c as 16a + 4b + c, and the op Alice decodes and the
+# op Bob decodes. An entry is -1 where the session stopped before the step
+# that sets it.
+_PREPARED, _A_OP, _P_LABEL, _B_OP, _BELL, _BY_ALICE, _BY_BOB = range(7)
+# The row behind each GroupRecord field after index, which is also each
+# _GROUP_JSON field after "n": the Bell index gives both the triple and
+# its collection.
+_FIELD_ROWS = (_PREPARED, _A_OP, _P_LABEL, _B_OP, _BELL, _BELL, _BY_ALICE, _BY_BOB)
+
+
+def _columns(n_groups: int) -> np.ndarray:
+    """The columns of n_groups groups that no step has reached."""
+    return np.full((7, n_groups), -1, dtype=np.int8)
+
+
+@dataclass(eq=False)
 class SessionTranscript:
-    """Deterministic record of one session."""
+    """Deterministic record of one session. Its groups are integer columns,
+    a row of columns per field (_PREPARED, ...) with an entry per group,
+    which the steps fill a block at a time; the records of groups and the
+    JSON text are built from them when read. Compare transcripts by their
+    to_json text."""
 
     config: SessionConfig
-    groups: list[GroupRecord] = field(default_factory=list)
     checks: list[CheckRecord] = field(default_factory=list)
     abort_step: int | None = None
+    columns: np.ndarray = field(default_factory=lambda: _columns(0))
 
     @property
     def aborted(self) -> bool:
         return self.abort_step is not None
 
+    @property
+    def groups(self) -> list[GroupRecord]:
+        """A record per group, built from the columns on every read."""
+        return [GroupRecord(*fields) for fields in self._fields(_field_values())]
+
+    def _fields(self, tables) -> zip:
+        """Each group's number from 1, then its fields in GroupRecord order:
+        field i's column entry looked up in tables[i], where entry -1 is a
+        step the session did not reach."""
+        rows = self.columns.tolist()
+        return zip(range(1, self.columns.shape[1] + 1),
+                   *([table[k] for k in rows[row]] for row, table in zip(_FIELD_ROWS, tables)))
+
     def alice_message_bits(self) -> str | None:
         """Bob's secrets as decoded by Alice, concatenated; None on abort."""
-        if self.aborted:
-            return None
-        return "".join(g.decoded_by_alice for g in self.groups)
+        return None if self.aborted else "".join(
+            [_BITS[k] for k in self.columns[_BY_ALICE].tolist()])
 
     def bob_message_bits(self) -> str | None:
-        if self.aborted:
-            return None
-        return "".join(g.decoded_by_bob for g in self.groups)
+        return None if self.aborted else "".join([_BITS[k] for k in self.columns[_BY_BOB].tolist()])
 
     def to_json(self) -> str:
         """The transcript as json.dumps(..., indent=2) would write it, plus a
         newline: json.dumps formats the header (version and config) and the
         footer (checks and abort), and each group is one _GROUP_JSON template
-        filled with the JSON text of its fields (_field_json)."""
+        filled with the JSON text of its column entries (_field_json)."""
         from . import __version__
         head = json.dumps({"version": __version__, "config": self.config.to_json_dict()},
                           indent=2)
         tail = json.dumps({"checks": [c.to_json_dict() for c in self.checks],
                            "abort": {"aborted": self.aborted, "step": self.abort_step}},
                           indent=2)
-        ghz, ops, bell, coll, bits = _field_json()
-        groups = ",\n".join([_GROUP_JSON % (
-            g.index, ghz[g.prepared_label], ops[g.a_op], ghz[g.p_label], ops[g.b_op],
-            bell[g.bell_triple], coll[g.announcement], bits[g.decoded_by_alice],
-            bits[g.decoded_by_bob]) for g in self.groups])
+        groups = ",\n".join([_GROUP_JSON % fields for fields in self._fields(_field_json())])
         groups = f"[\n{groups}\n  ]" if groups else "[]"
         # head ends in "\n}" and tail starts with "{\n": splice the groups between
         return f'{head[:-2]},\n  "groups": {groups},\n{tail[2:]}\n'
@@ -199,52 +234,57 @@ _GROUP_JSON = """\
 
 
 @lru_cache(maxsize=None)
-def _field_json() -> tuple[dict, ...]:
-    """The JSON text of every value a group field can take, None as null: one
-    table per field type (GHZ labels, composite ops, Bell triples, collections
-    and 3-bit strings). The label types are IntEnums that compare equal to
-    each other, so they cannot share a table."""
-    def table(values, text=lambda v: v.token):
-        return {None: "null", **{v: json.dumps(text(v)) for v in values}}
-    return (table(GhzLabel), table(CompositeOp), table(t for t, _ in _swap_outcomes()),
-            table(CollectionLabel), table((f"{k:03b}" for k in range(8)), str))
+def _field_values() -> tuple[tuple, ...]:
+    """Per GroupRecord field after index, the value of each entry its column
+    can hold, indexed by the entry: labels, ops, Bell triples, collections
+    and 3-bit strings, with None last, at entry -1."""
+    return tuple((*values, None) for values in (
+        GhzLabel, CompositeOp, GhzLabel, CompositeOp, *_swap_outcomes(), _BITS, _BITS))
 
 
-def message_ops(bits: str, n_groups: int) -> list[CompositeOp]:
-    """The composite operation of every group, its three message bits read
-    as a binary number (message_to_op), the whole string validated at once."""
+@lru_cache(maxsize=None)
+def _field_json() -> tuple[tuple[str, ...], ...]:
+    """The JSON text of every _field_values() value, None as null."""
+    return tuple(tuple("null" if v is None else json.dumps(v if isinstance(v, str) else v.token)
+                       for v in values) for values in _field_values())
+
+
+def message_ops(bits: str, n_groups: int) -> np.ndarray:
+    """The composite operation index of every group, its three message bits
+    read as a binary number (message_to_op), the whole string validated at
+    once."""
     digits = np.frombuffer(bits.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     if len(bits) != 3 * n_groups or digits.size != len(bits) or (digits > 1).any():
         raise ValueError(f"need exactly {3 * n_groups} message bits of 0/1")
-    return [_OPS[k] for k in (digits.reshape(-1, 3) @ _BIT_WEIGHTS).tolist()]
+    return digits.reshape(-1, 3) @ _BIT_WEIGHTS
 
 
 def random_message_bits(n_groups: int, rng: Rng) -> str:
     return "".join(str(rng.randrange(2)) for _ in range(3 * n_groups))
 
 
-def _invert_announcements(announced) -> tuple:
-    """decoded[side][own op][announcement] from announced[a][b]: the bits
+def _invert_announcements(announced) -> np.ndarray:
+    """decoded[side, own op, announcement] from announced[a][b]: the index
     of Bob's operation that Alice (side 0) reads along her row a, and of
-    Alice's that Bob (side 1) reads down his column b, as 0/1 strings.
-    Raises unless every row and column is a permutation of the collections."""
-    bits = [f"{k:03b}" for k in range(8)]  # one string per op, shared by every group
-    decoded = ([[None] * 8 for _ in _OPS], [[None] * 8 for _ in _OPS])
-    for a in _OPS:
-        for b in _OPS:
+    Alice's that Bob (side 1) reads down his column b. Raises unless every
+    row and column is a permutation of the collections."""
+    decoded = np.full((2, 8, 8), -1, dtype=np.int8)
+    for a in CompositeOp:
+        for b in CompositeOp:
             m = announced[a][b]
             for side, own, other in ((0, a, b), (1, b, a)):
-                if decoded[side][own][m] is not None:
+                if decoded[side, own, m] >= 0:
                     raise AssertionError(f"announcement {m.token} repeats for {own.token} "
                                          f"on side {side}; it cannot be decoded")
-                decoded[side][own][m] = bits[other]
-    return tuple(tuple(map(tuple, rows)) for rows in decoded)
+                decoded[side, own, m] = other
+    return decoded
 
 
 @lru_cache(maxsize=None)
-def _decoded() -> tuple:
+def _decoded() -> np.ndarray:
     """The decode table of the announcement chart (_invert_announcements)."""
-    return _invert_announcements([[announcement(a, b) for b in _OPS] for a in _OPS])
+    return _invert_announcements([[announcement(a, b) for b in CompositeOp]
+                                  for a in CompositeOp])
 
 
 @lru_cache(maxsize=None)
@@ -263,12 +303,12 @@ def _sample_ok() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _swap_outcomes() -> tuple[tuple[BellTriple, CollectionLabel], ...]:
-    """(Bell triple, its collection) for the Bell outcome indices a, b, c of
-    the three cross pairs, at index 16a + 4b + c."""
+def _swap_outcomes() -> tuple[tuple[BellTriple, ...], tuple[CollectionLabel, ...]]:
+    """The Bell triples and their collections, for the Bell outcome indices
+    a, b, c of the three cross pairs at index 16a + 4b + c."""
     bell = basis_labels(MeasBasis.BELL)
-    triples = [BellTriple(bell[k >> 4], bell[k >> 2 & 3], bell[k & 3]) for k in range(64)]
-    return tuple((t, collection_of(t)) for t in triples)
+    triples = tuple(BellTriple(bell[k >> 4], bell[k >> 2 & 3], bell[k & 3]) for k in range(64))
+    return triples, tuple(map(collection_of, triples))
 
 
 # Stream ids. Every draw of a session comes from Rng(cfg.seed, stream=id),
@@ -291,23 +331,22 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Groups (twice as many triples), samples or decoys per block. The swap's
 # block buffers are the session's peak heap: a 1000-group session
-# (bench/run.py, seeds 3-5) peaks at 0.83 MB clean and at 1.17-1.18 MB
+# (bench/run.py, seeds 3-5) peaks at 0.64 MB clean and at 0.98-0.99 MB
 # under an entangling attack on S_A. bob_encode, which frees each triple
 # block as it consumes it, peaks about 0.29 MB lower (tracemalloc around
 # each step). The swap's buffers are a block's pair keys (about 420 bytes
 # a group) and the joined states of at most _SWAP_CHUNK new pairs with
 # their branch expansion; its table, about 190 KB at the 170
 # pairs of such a session, grows with the distinct pairs, not with N. At
-# 256 the session peaks at 0.87-0.90 and 1.25-1.27 MB, 1.07x as much, for
-# about 1.08x and 1.15x as many groups/s.
+# 256 the session peaks at 0.70-0.71 and 1.07-1.10 MB, 1.1x as much, for
+# about 1.12x and 1.15x as many groups/s.
 _BLOCK = 128
 # The swap joins and expands at most this many new pairs at once, so the
 # first block, where most of a session's pairs are new, holds a quarter of
 # the joint states that one merge of the whole block would.
 _SWAP_CHUNK = 32
 
-_GHZ = tuple(GhzLabel)
-_OPS = tuple(CompositeOp)
+_BITS = tuple(f"{k:03b}" for k in range(8))  # the message of op k
 _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.intp)
 # The first and second factor of every composite op, stacked in op order.
 _FIRST = np.stack([op.first.matrix for op in CompositeOp])
@@ -415,13 +454,13 @@ class Session:
         """Draw labels, build two identical GHZ triples per group, and
         transmit the third-particle sequence."""
         cfg, rows = self.cfg, ghz_rows()
-        labels = ([rng.randrange(8) for _, _, rng in self._blocks(_GROUP_LABEL, cfg.n_groups)]
-                  if cfg.initial_label is None
-                  else np.split(np.full(cfg.n_groups, cfg.initial_label),
-                                range(_BLOCK, cfg.n_groups, _BLOCK)))
-        self.transcript.groups.extend(GroupRecord(index=n + 1, prepared_label=_GHZ[k])
-                                      for n, k in enumerate(np.concatenate(labels).tolist()))
-        self.triples = [rows[k.repeat(2)] for k in labels]
+        labels = (np.concatenate([rng.randrange(8) for _, _, rng
+                                  in self._blocks(_GROUP_LABEL, cfg.n_groups)])
+                  if cfg.initial_label is None else np.full(cfg.n_groups, cfg.initial_label))
+        self.transcript.columns = _columns(cfg.n_groups)
+        self.transcript.columns[_PREPARED] = labels
+        self.triples = [rows[labels[start:start + _BLOCK].repeat(2)]
+                        for start in range(0, cfg.n_groups, _BLOCK)]
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
@@ -477,12 +516,10 @@ class Session:
     def alice_encode(self) -> None:
         """Encode Alice's bits on the odd triples, then send the
         second-particle sequence."""
-        ops = np.array(self.alice_ops, dtype=np.intp)
         for start, block in zip(range(0, self.cfg.n_groups, _BLOCK), self.triples):
-            k = ops[start:start + _BLOCK]
+            k = self.alice_ops[start:start + _BLOCK]
             block[0::2] = apply_op(block[0::2], [(0, _FIRST[k]), (1, _SECOND[k])])
-        for rec, op in zip(self.transcript.groups, self.alice_ops):
-            rec.a_op = op
+        self.transcript.columns[_A_OP] = self.alice_ops
         self._transmit("S_B")
 
     # -- steps 4 and 5 ---------------------------------------------------
@@ -511,8 +548,7 @@ class Session:
     def bob_encode(self) -> None:
         """Identify each group's prepared state from the even triple,
         rebuild it fresh, and encode Bob's bits on it."""
-        groups = self.transcript.groups
-        ops = np.array(self.bob_ops, dtype=np.intp)
+        columns, ops = self.transcript.columns, self.bob_ops
         # popped in order, so each block is freed once its rows are consumed
         triples, self.triples = self.triples[::-1], []
         for start, stop, rng in self._blocks(_BOB_GHZ, self.cfg.n_groups):
@@ -523,33 +559,30 @@ class Session:
             even = apply_op(ghz_rows()[found], [(0, _FIRST[k]), (1, _SECOND[k])])
             # a copy, so that the measured even rows are freed with the block
             self.pairs.append((block[0::2].copy(), even))
-            for rec, j, op in zip(groups[start:stop], found.tolist(), self.bob_ops[start:stop]):
-                rec.p_label = _GHZ[j]
-                rec.b_op = op
+            columns[_P_LABEL, start:stop] = found
+        columns[_B_OP] = ops
 
     # -- step 7 ----------------------------------------------------------
 
     def swap_and_announce(self) -> None:
         """Bell-measure the three cross pairs of each group and announce the
         outcome collection over the (ideal) classical channel."""
-        outcomes = _swap_outcomes()
-        groups = self.transcript.groups
         table = self.swap_table
         for (odd, even), (start, stop, rng) in zip(self.pairs,
                                                    self._blocks(_SWAP, self.cfg.n_groups)):
             entries = table.entries_of(odd, even)
             draws = [rng.random() for _ in range(3)]
             a, b, c = qcore.sample_branches(table.probs, entries, draws)
-            for rec, k in zip(groups[start:stop], (16 * a + 4 * b + c).tolist()):
-                rec.bell_triple, rec.announcement = outcomes[k]
+            self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
 
     def decode(self) -> None:
-        """Each side reads the other's bits off the announcement and its own
-        operation (_decoded); neither needs the prepared state."""
+        """Each side reads the other's operation off the announcement and its
+        own operation (_decoded); neither needs the prepared state."""
         alice, bob = _decoded()
-        for rec in self.transcript.groups:
-            rec.decoded_by_alice = alice[rec.a_op][rec.announcement]
-            rec.decoded_by_bob = bob[rec.b_op][rec.announcement]
+        columns = self.transcript.columns
+        announced = np.array(_swap_outcomes()[1])[columns[_BELL]]
+        columns[_BY_ALICE] = alice[columns[_A_OP], announced]
+        columns[_BY_BOB] = bob[columns[_B_OP], announced]
 
     # ---------------------------------------------------------------------
 

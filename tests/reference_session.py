@@ -10,21 +10,24 @@ reads one table of operations that never sees a label. Only the loops,
 the draws, the blocks and the decoding path differ from Session, so both
 must write the same transcripts, byte for byte. Each triple, sample and
 decoy is its own Register here, where Session holds a sequence's units as
-the rows of plain amplitude arrays. The samples and decoys are drawn up
-front, each set as its sequence is sent, and held until their check, where
-Session draws, attacks and measures them a block at a time within the
-check: equal transcripts show that the order of those draws does not
-matter.
+the rows of plain amplitude arrays, and each group writes its own entries
+of the transcript's columns, where Session writes a block's slice. The
+samples and decoys are drawn up front, each set as its sequence is sent,
+and held until their check, where Session draws, attacks and measures them
+a block at a time within the check: equal transcripts show that the order
+of those draws does not matter.
 """
 
 from bqsdc import qcore
 from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
-from bqsdc.codebook import ghz_state, invert_transform, transform_label
+from bqsdc.codebook import (CompositeOp, ghz_state, invert_transform, message_to_op,
+                            transform_label)
 from bqsdc.labels import GhzLabel
-from bqsdc.protocol import (_BOB_GHZ, _CHECK, _EVE_EXTRAS, _EVE_TRIPLES, _GROUP_LABEL,
-                            _ROLES, _SWAP, _UNIT_BITS, _UNITS, GroupRecord, Session)
-from bqsdc.qcore import MeasBasis, Rng
+from bqsdc.protocol import (_A_OP, _B_OP, _BELL, _BOB_GHZ, _BY_ALICE, _BY_BOB, _CHECK,
+                            _EVE_EXTRAS, _EVE_TRIPLES, _GROUP_LABEL, _P_LABEL, _PREPARED,
+                            _ROLES, _SWAP, _UNIT_BITS, _UNITS, Session, _columns)
+from bqsdc.qcore import MeasBasis, Rng, basis_labels
 from bqsdc.swap import BellTriple, collection_of, collection_table
 
 
@@ -97,16 +100,18 @@ class ReferenceSession(Session):
         super().__init__(cfg, alice_bits, bob_bits)
         self.samples = []  # (label, register) per GHZ sample
         self.decoys = {}   # sequence name: (token, register) per decoy
+        self.announced = []  # the collection of each group's Bell triple
 
     def _rng(self, place, unit):
         return Rng(self.cfg.seed, stream=place << _UNIT_BITS | unit)
 
     def prepare(self):
         cfg = self.cfg
+        self.transcript.columns = _columns(cfg.n_groups)
         for n in range(cfg.n_groups):
             label = cfg.initial_label if cfg.initial_label is not None \
                 else GhzLabel(self._rng(_GROUP_LABEL, n).randrange(8))
-            self.transcript.groups.append(GroupRecord(index=n + 1, prepared_label=label))
+            self.transcript.columns[_PREPARED, n] = label
             self.triples.append(Register(ghz_state(label)))
             self.triples.append(Register(ghz_state(label)))
         for i in range(cfg.resolved_decoys()):
@@ -137,10 +142,11 @@ class ReferenceSession(Session):
         return self._record_check(2, errors)
 
     def alice_encode(self):
-        for n, op in enumerate(self.alice_ops):
+        for n, k in enumerate(self.alice_ops.tolist()):
+            op = CompositeOp(k)
             apply_op(self.triples[2 * n], 0, op.first)
             apply_op(self.triples[2 * n], 1, op.second)
-            self.transcript.groups[n].a_op = op
+            self.transcript.columns[_A_OP, n] = op
         self._draw_decoys("S_B")
         self._transmit("S_B")
 
@@ -163,7 +169,8 @@ class ReferenceSession(Session):
         return self._record_check(step, errors)
 
     def bob_encode(self):
-        for n, op in enumerate(self.bob_ops):
+        for n, k in enumerate(self.bob_ops.tolist()):
+            op = CompositeOp(k)
             i = 2 * n + 1
             p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2],
                                         self._rng(_BOB_GHZ, n))
@@ -171,22 +178,26 @@ class ReferenceSession(Session):
             apply_op(fresh, 0, op.first)
             apply_op(fresh, 1, op.second)
             self.triples[i] = fresh
-            self.transcript.groups[n].p_label = p_label
-            self.transcript.groups[n].b_op = op
+            self.transcript.columns[_P_LABEL, n] = p_label
+            self.transcript.columns[_B_OP, n] = op
 
     def swap_and_announce(self):
+        bell = basis_labels(MeasBasis.BELL)
         for n in range(self.cfg.n_groups):
             joint = merge(self.triples[2 * n], self.triples[2 * n + 1])
             rng = self._rng(_SWAP, n)
             triple = BellTriple(*(measure_particles(MeasBasis.BELL, joint, [r, r + 3], rng)
                                   for r in range(3)))
-            rec = self.transcript.groups[n]
-            rec.bell_triple = triple
-            rec.announcement = collection_of(triple)
+            a, b, c = map(bell.index, triple)
+            self.transcript.columns[_BELL, n] = 16 * a + 4 * b + c
+            self.announced.append(collection_of(triple))
 
     def decode(self):
-        for rec in self.transcript.groups:
-            a_bits = alice_decode(rec.prepared_label, rec.a_op, rec.announcement)
-            b_bits = bob_decode(rec.p_label, rec.b_op, rec.announcement)
-            rec.decoded_by_alice = "".join(map(str, a_bits))
-            rec.decoded_by_bob = "".join(map(str, b_bits))
+        columns = self.transcript.columns
+        known = [_PREPARED, _A_OP, _P_LABEL, _B_OP]
+        for n, m in enumerate(self.announced):
+            prepared, a_op, p_label, b_op = columns[known, n].tolist()
+            a_bits = alice_decode(GhzLabel(prepared), CompositeOp(a_op), m)
+            b_bits = bob_decode(GhzLabel(p_label), CompositeOp(b_op), m)
+            columns[_BY_ALICE, n] = message_to_op(a_bits)
+            columns[_BY_BOB, n] = message_to_op(b_bits)

@@ -65,6 +65,27 @@ def test_run_writes_transcript_as_json_dumps(tmp_path, capsys):
     assert stdout[stdout.index("{\n"):] == written
 
 
+@pytest.mark.parametrize("attack", [[], ["--attack", "entangle:S_A", "--beta2", "0.25",
+                                         "--threshold", "0.99"]], ids=["clean", "entangle-S_A"])
+def test_run_builds_no_group_record(attack, tmp_path, capsys, monkeypatch):
+    # run writes its transcript and decoded lines from the session's
+    # columns: with GroupRecord unconstructible it prints and writes what
+    # it does with it
+    argv = ["run", "--N", "300", "--random-messages", "--seed", "7", *attack]
+    expected = tmp_path / "expected.json"
+    assert cli.main([*argv, "--out", str(expected)]) == 0
+    stdout = capsys.readouterr().out
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a GroupRecord was built")
+
+    monkeypatch.setattr("bqsdc.protocol.GroupRecord", no_record)
+    out = tmp_path / "t.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_run_attack_aborts(tmp_path):
     out = tmp_path / "t.json"
     res = run_cli("run", "--N", "1", "--alice", "010", "--bob", "101",

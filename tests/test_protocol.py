@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -15,9 +16,9 @@ from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import append_ancilla, measure_particles, merge
-from bqsdc.protocol import (_BLOCK, Session, SessionConfig, SessionTranscript, SwapTable,
-                            _decoded, _invert_announcements, default_decoy_count, message_ops,
-                            random_message_bits, run_session)
+from bqsdc.protocol import (_BLOCK, GroupRecord, Session, SessionConfig, SessionTranscript,
+                            SwapTable, _decoded, _invert_announcements, default_decoy_count,
+                            message_ops, random_message_bits, run_session)
 from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
                          make_basis_state)
 from bqsdc.swap import collection_members, collection_table
@@ -105,9 +106,9 @@ class TestConfig:
         for bits in ("0101", "01x", "01/", "01\u00e9", "0 1"):
             with pytest.raises(ValueError):
                 message_ops(bits, 1)
-        assert message_ops("010101", 2) == [CompositeOp.U2, CompositeOp.U5]
+        assert message_ops("010101", 2).tolist() == [CompositeOp.U2, CompositeOp.U5]
         for op in CompositeOp:
-            assert message_ops("".join(map(str, op.bits)) * 2, 2) == [op, op]
+            assert message_ops("".join(map(str, op.bits)) * 2, 2).tolist() == [op, op]
 
 
 class TestPrepare:
@@ -305,9 +306,10 @@ class TestDecode:
     def test_worked_example(self):
         assert alice_decode(GhzLabel.PSI0, CompositeOp.U2, CollectionLabel.C7) == (1, 0, 1)
         assert bob_decode(GhzLabel.PSI0, CompositeOp.U5, CollectionLabel.C7) == (0, 1, 0)
+        # the table holds op indices: Bob's U5 is "101", Alice's U2 is "010"
         alice, bob = _decoded()
-        assert alice[CompositeOp.U2][CollectionLabel.C7] == "101"
-        assert bob[CompositeOp.U5][CollectionLabel.C7] == "010"
+        assert alice[CompositeOp.U2, CollectionLabel.C7] == 5 == int("101", 2)
+        assert bob[CompositeOp.U5, CollectionLabel.C7] == 2 == int("010", 2)
 
     def test_chart_level_roundtrip_all_512(self):
         # the session's table and chart composition from the label agree
@@ -318,8 +320,8 @@ class TestDecode:
                     m = collection_table(transform_label(p, a), transform_label(p, b))
                     assert alice_decode(p, a, m) == b.bits
                     assert bob_decode(p, b, m) == a.bits
-                    assert alice[a][m] == "".join(map(str, b.bits))
-                    assert bob[b][m] == "".join(map(str, a.bits))
+                    assert alice[a, m] == b
+                    assert bob[b, m] == a
 
     def test_table_rejects_an_undecodable_chart(self):
         # a collection repeated along a row leaves Alice two candidates for
@@ -328,7 +330,7 @@ class TestDecode:
         def xor_chart():
             return [[CollectionLabel(a ^ b) for b in range(8)] for a in range(8)]
 
-        assert _invert_announcements(xor_chart()) == _decoded()
+        assert np.array_equal(_invert_announcements(xor_chart()), _decoded())
         bad_row = xor_chart()
         bad_row[3][5] = bad_row[3][6]
         bad_column = xor_chart()
@@ -502,6 +504,52 @@ class TestTranscriptWriter:
         assert_written_as_json_dumps(text)
 
 
+def reader_sessions():
+    """Transcripts of every attack, of the three aborted sessions of
+    TestTranscriptWriter and of group counts at a block edge."""
+    for attack in ATTACKS:
+        cfg = SessionConfig(n_groups=3, seed=11, decoys=4, check_threshold=0.99, attack=attack)
+        yield run_session(cfg, "010110011", "101001100")
+    for target in ("S_C", "S_B", "S_A"):
+        cfg = SessionConfig(n_groups=2, seed=3, decoys=64,
+                            attack=AttackConfig("intercept_resend", target=target))
+        yield run_session(cfg, "010110", "101001")
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+        msg_rng = Rng(n, stream=2)
+        alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
+        yield run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
+
+
+def record_json(value):
+    return None if value is None else value if isinstance(value, str) else value.token
+
+
+def test_group_view_and_json_read_the_same_columns():
+    # t.groups and t.to_json() each build a group's fields from the
+    # columns; so do the decoded message strings
+    aborted = []
+    for t in reader_sessions():
+        doc = json.loads(t.to_json())["groups"]
+        records = t.groups
+        assert len(records) == len(doc) == t.config.n_groups
+        names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
+        for rec, obj in zip(records, doc):
+            assert obj == {"n": rec.index, **{k: record_json(getattr(rec, k)) for k in names}}
+        aborted.append(t.aborted)
+        if t.aborted:
+            assert t.alice_message_bits() is None and t.bob_message_bits() is None
+        else:
+            assert t.alice_message_bits() == "".join(r.decoded_by_alice for r in records)
+            assert t.bob_message_bits() == "".join(r.decoded_by_bob for r in records)
+    assert aborted.count(True) == 3
+
+
+def test_group_records_are_read_only():
+    t = run_session(quiet_cfg(1, seed=2), "010", "101")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.groups[0].a_op = CompositeOp.U0
+
+
 # Uniform and fixed attack parameters: Eve's fake state and basis drawn per
 # particle or fixed, and two values of beta squared.
 BOUNDARY_ATTACKS = [None, *(
@@ -643,9 +691,9 @@ class TestSwapTable:
 class TestStepMemory:
     def test_swap_buffers_do_not_grow_with_groups(self, monkeypatch):
         # transient peak of the swap (peak minus the heap before it) at 4B
-        # groups against B: the records it fills take some 30 bytes a group,
-        # its block buffers must not grow at all; one block of all 4B groups
-        # grows them by about 2 MB at B = 64
+        # groups against B: it writes its Bell indices into columns that
+        # prepare allocated, and its block buffers must not grow at all; one
+        # block of all 4B groups grows them by about 2 MB at B = 64
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def transient(n):
@@ -671,8 +719,9 @@ class TestStepMemory:
         # the heap a session holds entering the swap grows by at most 800
         # bytes a group from 64 to 4096 groups: after an entangling attack on
         # S_A, a group's odd triple takes 256 bytes of amplitudes and its
-        # even one 128, plus its record and message operations. One
-        # register object per triple held about 1500 bytes a group.
+        # even one 128, plus its seven column entries and two message
+        # operations. One register object per triple held about 1500 bytes
+        # a group.
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def held(n):
@@ -718,6 +767,23 @@ class TestStepMemory:
 
         held(1024)  # warm the caches
         assert held(1024) - held(16) <= 8 * 1024
+
+    def test_finished_transcript_per_group(self):
+        # a finished transcript holds at most 16 bytes a group: seven int8
+        # column entries (_PREPARED, ...). A record object per group, with
+        # its decoded strings, held about 190 bytes a group.
+        def held(n):
+            tracemalloc.start()
+            try:
+                t = run_session(SessionConfig(n, seed=4, decoys=0), "101" * n, "011" * n)
+                gc.collect()
+                assert not t.aborted
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held(_BLOCK)  # warm the caches
+        assert held(8 * _BLOCK) - held(_BLOCK) <= 16 * 7 * _BLOCK
 
     @pytest.mark.parametrize("target", ["S_C", "S_B", "S_A"])
     def test_session_peak_does_not_grow_with_decoys(self, target):
