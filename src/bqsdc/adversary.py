@@ -5,10 +5,11 @@ a fresh fake particle (intercept-resend), measure in flight and forward the
 collapsed particle (measure-resend), or couple a one-qubit ancilla through
 a unitary that flips the target with probability beta**2
 (entangle-measure). Eve treats every particle of a sequence alike, so an
-attack runs on a block of registers at once, each drawing from its own
-keyed stream. What travels on stays at the attacked particle's qubit: the
-fake takes the place of the genuine particle, which Eve keeps as the
-register's last qubit, as she does her ancilla.
+attack runs on many registers at once, each with Eve's own choice for it,
+which the session draws from the particle's keyed stream. What travels on
+stays at the attacked particle's qubit: the fake takes the place of the
+genuine particle, which Eve keeps as the register's last qubit, as she
+does her ancilla.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
 one keyed random stream per trial. Every (check, Eve choice) pair is
@@ -41,7 +42,9 @@ from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from .codebook import ghz_state
 from .labels import GhzLabel
-from .particles import append_ancilla, measure_particles
+# measure_particles has no caller here: bench/tracer.py wraps it in this
+# namespace, so it stays imported until the tracer no longer names it.
+from .particles import append_ancilla, measure_particles  # noqa: F401
 from .qcore import MeasBasis, StateVector, StreamBlock
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
@@ -126,24 +129,21 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     return u
 
 
-def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, rng: StreamBlock) -> np.ndarray:
+def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.ndarray:
     """Run qubit role of every register of the block amps, the particle in
-    flight, through the configured strategy, row i drawing from lane i of
-    rng (keyed to its stream). Returns the attacked block."""
+    flight, through the configured strategy, row i taking Eve's choice
+    choices[i] (or one choice for all rows): the index of her fake in
+    DECOY_TOKENS under intercept-resend, and under measure-resend 2 * the
+    index of her basis in (Z, X) + the index of her outcome in that basis,
+    which must have a nonzero probability. Returns the attacked block."""
     if cfg.strategy == "intercept_resend":
         # inject a fake in the particle's place; the genuine particle goes
         # last, stored and never measured
-        fakes = (decoy_state(cfg.fake_state).amps if cfg.fake_state is not None
-                 else decoy_rows()[rng.randrange(len(DECOY_TOKENS))])
-        return append_ancilla(amps, fakes, coupling=(role, _SWAP))
+        return append_ancilla(amps, decoy_rows()[choices], coupling=(role, _SWAP))
     if cfg.strategy == "measure_resend":
-        # measure the particle in Eve's basis and forward it collapsed
-        if cfg.eve_basis is not None:
-            basis, which = MeasBasis(cfg.eve_basis), None
-        else:
-            basis, which = _EVE_BASES, rng.randrange(len(_EVE_BASES))
-        _, post = measure_particles(amps, basis, [(role,)], [rng.random()], which=which)
-        return post
+        # forward the particle collapsed onto Eve's outcome
+        basis, outcome = np.divmod(np.broadcast_to(choices, len(amps)), 2)
+        return qcore.collapse_rows(amps, _EVE_BASES, [(role,)], [outcome], which=basis)
     if cfg.strategy == "entangle_measure":
         # couple a fresh ancilla to the particle in flight
         return append_ancilla(amps, qcore.make_basis_state("0").amps,

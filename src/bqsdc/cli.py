@@ -176,11 +176,6 @@ def cmd_run(args) -> int:
         raise UsageError(str(exc)) from None
     with _open_outputs(args.out) as (out,):
         transcript = session.run()
-        # the session's blocks are garbage now; freeing them before the
-        # transcript is serialised keeps the two, which both grow with N, off
-        # the heap together: a clean 1000-group run peaks at 0.64 MB with
-        # this del and at 1.06 MB without it (tracemalloc around main)
-        del session
         for check in transcript.checks:
             print(f"check at step {check.step}: {check.errors}/{check.samples} errors "
                   f"(rate {check.error_rate:.4f})")

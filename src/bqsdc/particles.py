@@ -1,14 +1,12 @@
-"""Batched operations on blocks of few-qubit registers. A register holds one
-GHZ triple, one GHZ sample or one decoy, and a block holds the registers of
-one sequence as the rows of one (rows, 2**n) amplitude array, because every
-step treats them alike. A register's roles are its qubits: the first,
-second and third particle of a triple are qubits 0, 1 and 2, and a decoy is
-qubit 0. Whatever an attack leaves behind, the genuine particle Eve keeps
-or her ancilla, is appended after them. Every operation runs one qcore row
-kernel over a block and returns the new array; a measurement of several
-rounds, such as the GHZ-sample check's three single-particle measurements,
-is one kernel pass. Bob's swap alone joins two blocks (merge), and only the
-rows of the pairs of states it has not met before.
+"""Row operations on few-qubit registers, the kernels a session's
+transitions run on the states it has not met before (protocol.StateTable).
+A register holds one GHZ triple, one GHZ sample or one decoy, and several
+registers of one layout are the rows of one (rows, 2**n) amplitude array.
+A register's roles are its qubits: the first, second and third particle of
+a triple are qubits 0, 1 and 2, and a decoy is qubit 0. Whatever an attack
+leaves behind, the genuine particle Eve keeps or her ancilla, is appended
+after them. Every operation runs one qcore row kernel over the rows and
+returns the new array; Bob's swap alone joins two registers (merge).
 """
 
 from __future__ import annotations
@@ -23,15 +21,14 @@ from . import qcore
 def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows a[i] (x) b[i], a's qubits first.
 
-    Each joined row is built as a checked state (qcore.tensor) from views
-    of the rows (qcore.rows_as_states, which leaves a and b read-only),
+    Each joined row is returned as a checked state (qcore.StateVector),
     because the traced benchmark reads the widest state from the checked
     constructions; one tensor_rows would do once it reads widths elsewhere.
     The per-row cost is paid once per distinct pair of states a session
     reaches, a few hundred at most, not once per group (protocol.SwapTable).
     """
-    return np.stack([qcore.tensor(x, y).amps
-                     for x, y in zip(qcore.rows_as_states(a), qcore.rows_as_states(b))])
+    joint = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+    return np.stack([qcore.StateVector(row).amps for row in joint])
 
 
 def append_ancilla(amps: np.ndarray, states: np.ndarray,

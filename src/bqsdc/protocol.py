@@ -13,20 +13,17 @@ outcome collection occurred. Each side then infers the other's operation
 from the announcement and its own operation alone: the announcement depends
 only on the two operations (swap.announcement), not on the prepared state.
 
-The triples, samples and decoys of a sequence are held in blocks, the rows
-of one amplitude array for up to _BLOCK groups, samples or decoys, built by
-indexing a table of the GHZ or the decoy states, and a step runs once per
-block, not once per particle. The samples and decoys serve one check each:
-the check draws them, lets Eve at them and measures them a block at a time,
-so none outlives its block. A register's roles are its qubits: a triple's
-first, second and third particle (those of S_A, S_B and S_C) are qubits 0,
-1 and 2, and a decoy is qubit 0; an attack appends what it leaves behind
-after them. The two triples of a group meet only at Bob's swap, and are
-joined only when the session has not met their pair of states before
-(SwapTable): the swap expands each distinct pair's three Bell rounds once
-into a table of branch probabilities and draws every group's outcomes from
-its pair's table. No state is wider than two triples plus one attack qubit
-(7 qubits).
+A session reaches a few dozen distinct states whatever N is, because every
+unit starts as one of 8 GHZ states or 4 decoys and every operation, choice
+of Eve's and outcome is one of a handful. So it holds each triple, sample
+and decoy as an integer id into its StateTable, and each step is a
+memoized transition on ids or a walk of the Born tables of the ids' states
+(Branches): the dense kernels run once per distinct state, not per unit.
+A register's roles are its qubits: a triple's first, second and third
+particle (those of S_A, S_B and S_C) are qubits 0, 1 and 2, and a decoy is
+qubit 0; an attack appends what it leaves behind after them. The two
+triples of a group meet only at Bob's swap, joined once per distinct pair
+(SwapTable), so no state is wider than two triples plus one attack qubit.
 
 A transcript keeps its groups as integer columns, one entry per group
 (SessionTranscript.columns): every label, operation and outcome it records
@@ -55,13 +52,13 @@ import numpy as np
 
 from . import particles, qcore
 from .adversary import AttackConfig, apply_attack, decoy_rows
-# decoy_state, transform_label, invert_transform and collection_table have
-# no caller here: bench/tracer.py wraps them in this namespace, so they stay
-# imported until the tracer no longer names them.
+# decoy_state, transform_label, invert_transform, collection_table and
+# measure_particles have no caller here: bench/tracer.py wraps them in this
+# namespace, so they stay imported until the tracer no longer names them.
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
 from .codebook import CompositeOp, ghz_rows, invert_transform, transform_label  # noqa: F401
 from .labels import CollectionLabel, GhzLabel
-from .particles import apply_op, measure_particles
+from .particles import apply_op, measure_particles  # noqa: F401
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
 from .swap import BellTriple, announcement, collection_of, collection_table  # noqa: F401
 
@@ -329,25 +326,23 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 # GHZ sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
-# Groups (twice as many triples), samples or decoys per block. The swap's
-# block buffers are the session's peak heap: a 1000-group session
-# (bench/run.py, seeds 3-5) peaks at 0.64 MB clean and at 0.98-0.99 MB
-# under an entangling attack on S_A. bob_encode, which frees each triple
-# block as it consumes it, peaks about 0.29 MB lower (tracemalloc around
-# each step). The swap's buffers are a block's pair keys (about 420 bytes
-# a group) and the joined states of at most _SWAP_CHUNK new pairs with
-# their branch expansion; its table, about 190 KB at the 170
-# pairs of such a session, grows with the distinct pairs, not with N. At
-# 256 the session peaks at 0.70-0.71 and 1.07-1.10 MB, 1.1x as much, for
-# about 1.12x and 1.15x as many groups/s.
+# Groups (twice as many triples), samples or decoys per block of draws. A
+# block's buffers hold a few ids, draws and outcomes a unit: the swap's take
+# about 110 bytes a group (tracemalloc, one block of 2048 groups).
 _BLOCK = 128
-# The swap joins and expands at most this many new pairs at once, so the
-# first block, where most of a session's pairs are new, holds a quarter of
-# the joint states that one merge of the whole block would.
-_SWAP_CHUNK = 32
+# A table expands at most this many new keys at once. In the swap's first
+# block, where most of a session's ~170 pairs are new, the joint states and
+# their expansion then take up to 0.37 MB clean and 0.77 MB under an
+# entangling attack on S_A (7 qubits). A 1000-group session (bench/run.py)
+# peaks at 0.64 MB clean, in to_json, and at 0.89 MB entangled, in the swap.
+_SWAP_CHUNK = 64
+# Choices per transition (StateTable.move): the eight composite ops.
+_CHOICES = 8
+# A swap key holds the odd id above this many bits and the even id below.
+_PAIR = 32
 
 _BITS = tuple(f"{k:03b}" for k in range(8))  # the message of op k
-_BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.intp)
+_BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
 # The first and second factor of every composite op, stacked in op order.
 _FIRST = np.stack([op.first.matrix for op in CompositeOp])
 _SECOND = np.stack([op.second.matrix for op in CompositeOp])
@@ -359,47 +354,140 @@ _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STAT
                             for t in DECOY_TOKENS])
 
 
-def _pair_keys(odd: np.ndarray, even: np.ndarray) -> list[bytes]:
-    """The exact bytes of every odd row followed by those of its even row;
-    the block-sized copies are freed on return, before any pair is joined."""
-    pairs = np.concatenate([odd, even], axis=1)
-    buf, width = pairs.tobytes(), pairs.shape[1] * pairs.itemsize
-    return [buf[at:at + width] for at in range(0, len(buf), width)]
+class StateTable:
+    """The distinct states of one session, each an integer id: its dense
+    amplitudes are interned by their exact bytes, which also fix its width.
+    The eight GHZ states take ids 0-7 in label order and the four decoys
+    8-11 in DECOY_TOKENS order.
 
-
-class SwapTable:
-    """The Bell branches of the swap, one entry per distinct (odd row, even
-    row) pair of a session: the qcore.branch_rows tables of the pair's joint
-    state, whose three rounds measure the cross pairs (r, w + r), w the odd
-    row's qubit count.
-
-    A pair is keyed by the exact bytes of its odd row followed by those of
-    its even row, a fresh triple. Those bytes fix the joint state, and
-    their length fixes w, so they fix the qubits measured too. The table is
-    bounded by the distinct pairs a session reaches, not by N.
+    A transition (move) is memoized per kind as next[id, choice], -1 where
+    not yet known. A miss runs its row kernel once over the missing
+    distinct (id, choice) pairs, so no transition is computed twice.
     """
 
     def __init__(self):
-        self.entries: dict[bytes, int] = {}
-        self.probs: list[np.ndarray] = []  # per round, (entries, 4**k, 4)
+        self.ids: dict[bytes, int] = {}
+        self.rows: list[np.ndarray] = []
+        self.moves: dict[object, np.ndarray] = {}
+        self.intern(ghz_rows())
+        self.intern(decoy_rows())
 
-    def entries_of(self, odd: np.ndarray, even: np.ndarray) -> np.ndarray:
-        """The entry of every row pair of the two blocks. The pairs not seen
-        before are joined (particles.merge, once per pair) and expanded."""
-        keys = _pair_keys(odd, even)
-        entries = self.entries
-        # a row of each pair not seen before; equal bytes, so any row will do
-        missing = {key: row for row, key in enumerate(keys) if key not in entries}
-        rows = list(missing.values())
+    def intern(self, amps: np.ndarray) -> np.ndarray:
+        """The id of every row of amps, the rows not met before added."""
+        out = []
+        for row in amps:
+            i = self.ids.setdefault(row.tobytes(), len(self.rows))
+            if i == len(self.rows):
+                self.rows.append(row)
+            out.append(i)
+        return np.array(out, dtype=np.intp)
+
+    def amps(self, ids: np.ndarray) -> np.ndarray:
+        """The states of ids, one width, as the rows of one array."""
+        return np.array([self.rows[i] for i in ids.tolist()])
+
+    def move(self, kind, ids: np.ndarray, choices, build) -> np.ndarray:
+        """The ids after the transition kind, unit i taking choices[i] (or
+        one choice for all) below _CHOICES. build(amps, choices) is the row
+        kernel, run on the missing distinct pairs."""
+        table = self.moves.get(kind)
+        if table is None or len(table) < len(self.rows):
+            grown = np.full((2 * len(self.rows), _CHOICES), -1, dtype=np.intp)
+            if table is not None:
+                grown[:len(table)] = table
+            table = self.moves[kind] = grown
+        out = table[ids, choices]
+        miss = out < 0
+        if miss.any():
+            codes = ids[miss] * _CHOICES + (choices[miss] if np.ndim(choices) else choices)
+            codes = np.array(list(dict.fromkeys(codes.tolist())), dtype=np.intp)
+            src, picked = np.divmod(codes, _CHOICES)
+            table[src, picked] = self.intern(build(self.amps(src), picked))
+            out = table[ids, choices]
+        return out
+
+
+def _certain(tables: list[np.ndarray]) -> np.ndarray:
+    """Per row of branch_rows tables, each round's outcome where every round
+    on its path has exactly one outcome above ZERO_TOL, which _pick takes
+    for any draw; -1 in every round of the other rows. Every branch below a
+    live one holds a live outcome, so such a row is one with a single live
+    entry in its last table, at the index of its path."""
+    live = tables[-1].reshape(len(tables[-1]), -1) > qcore.ZERO_TOL
+    paths = (tables[-1].shape[-1],) * len(tables)
+    fixed = np.stack(np.unravel_index(live.argmax(axis=1), paths), axis=1)
+    fixed[live.sum(axis=1) != 1] = -1
+    return fixed
+
+
+class Branches:
+    """The Born tables of one measurement over a session's states: the
+    qcore.branch_rows tables of each distinct key, an entry per key, built
+    in chunks of at most _SWAP_CHUNK keys. A key is 2 * id + the index of
+    the state's basis in bases; rounds are the qubits measured."""
+
+    def __init__(self, bases, rounds):
+        self.bases, self.rounds = bases, rounds
+        self.entries: dict[int, int] = {}
+        self.probs: list[np.ndarray] = []  # per round, (entries, d**k, d)
+        self.fixed = np.empty((0, 0), dtype=np.intp)  # per entry, _certain
+
+    def build(self, states: StateTable, keys: np.ndarray) -> list[np.ndarray]:
+        """The branch_rows tables of the keys' states, each in its basis."""
+        return qcore.branch_rows(states.amps(keys >> 1), self.bases, self.rounds, which=keys & 1)
+
+    def entries_of(self, states: StateTable, keys: np.ndarray) -> np.ndarray:
+        """The entry of every key; the keys not met before are expanded."""
+        keys, entries = keys.tolist(), self.entries
+        missing = sorted(set(keys).difference(entries))
+        for start in range(0, len(missing), _SWAP_CHUNK):
+            new, old = self.build(states, np.array(missing[start:start + _SWAP_CHUNK])), self.probs
+            self.probs = [np.concatenate(pair) for pair in zip(old, new)] or new
+            self.fixed = np.concatenate([self.fixed, _certain(new)]) if old else _certain(new)
+        entries.update(zip(missing, range(len(entries), len(entries) + len(missing))))
+        return np.fromiter(map(entries.__getitem__, keys), np.intp, len(keys))
+
+    def sample(self, states: StateTable, keys: np.ndarray, lanes) -> list[np.ndarray]:
+        """Each round's outcome index for every key, drawn as measure_rows
+        draws it, one random() per round from the lanes that lanes() keys
+        to the keys' streams; neither keyed nor drawn when every key's
+        outcomes are certain (_certain)."""
+        entries = self.entries_of(states, keys)
+        fixed = self.fixed[entries]
+        if (fixed >= 0).all():
+            return list(fixed.T)
+        return qcore.sample_branches(self.probs, entries, lanes().random(len(self.probs)))
+
+
+class SwapTable(Branches):
+    """The Bell branches of the swap, one entry per distinct (odd id, even
+    id) pair of a session, keyed odd << _PAIR | even: the tables of the
+    pair's joint state, whose three rounds measure the cross pairs (r,
+    w + r), w the odd state's qubit count. The pairs are joined only here
+    (particles.merge), once each, so the table is bounded by the distinct
+    pairs a session reaches, not by N."""
+
+    def __init__(self):
+        super().__init__(MeasBasis.BELL, None)
+
+    def build(self, states: StateTable, keys: np.ndarray) -> list[np.ndarray]:
+        odd, even = states.amps(keys >> _PAIR), states.amps(keys & (1 << _PAIR) - 1)
         w = odd.shape[1].bit_length() - 1
-        for at in range(0, len(rows), _SWAP_CHUNK):
-            part = rows[at:at + _SWAP_CHUNK]
-            # merge is looked up on the module, where bench/tracer.py counts it
-            new = qcore.branch_rows(particles.merge(odd[part], even[part]), MeasBasis.BELL,
-                                    [(r, w + r) for r in range(3)])
-            self.probs = [np.concatenate(pair) for pair in zip(self.probs, new)] or new
-        entries.update(zip(missing, range(len(entries), len(entries) + len(rows))))
-        return np.array([entries[key] for key in keys])
+        # merge is looked up on the module, where bench/tracer.py counts it
+        return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
+                                 [(r, w + r) for r in range(3)])
+
+
+def _spans(count: int, size: int | None = None):
+    """(start, stop) of count units in consecutive blocks of at most size
+    (default _BLOCK)."""
+    size = size or _BLOCK
+    return ((start, min(start + size, count)) for start in range(0, count, size))
+
+
+def _encode(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Composite op ops[i] on the first and second particle of row i."""
+    return apply_op(amps, [(0, _FIRST[ops]), (1, _SECOND[ops])])
 
 
 class Session:
@@ -413,11 +501,11 @@ class Session:
     module docstring). Each draw comes from the stream of its place and
     unit, so no step depends on how many draws an earlier one made.
 
-    Each step runs once per block as one batched operation of particles,
-    with the units' draws taken side by side from their keyed streams
-    (_blocks); memory for a step's buffers does not grow with N. A check
-    draws, attacks and measures its own samples or decoys a block at a time
-    (_checked_units), so the session holds none of them between steps.
+    triples holds the ids of each group's odd and even triple, and the
+    units' draws are taken a block at a time. A check draws, attacks and
+    measures its own samples or decoys a block at a time (_checked_units),
+    so the session holds none of them between steps. The swap, the last
+    step that reads the states, releases the ids and every table.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
@@ -425,13 +513,11 @@ class Session:
         self.alice_ops = message_ops(alice_bits, cfg.n_groups)
         self.bob_ops = message_ops(bob_bits, cfg.n_groups)
         self.transcript = SessionTranscript(config=cfg)
-        # Triple t at row t of the blocks in order (group n's odd triple at
-        # 2n, its even one at 2n + 1), qubits 0, 1, 2 sent in S_A, S_B, S_C;
-        # bob_encode splits each block into its odd and even rows (pairs).
-        self.triples: list[np.ndarray] = []
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a triple block's rows
+        self.triples: np.ndarray | None = None  # (n_groups, 2) ids, set by prepare
+        self.states = StateTable()
+        self.tables: dict[tuple, Branches] = {}  # by (bases, rounds); _table
         self.swap_table = SwapTable()
+        self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:
         """The session's lanes, lane j keyed to the stream
@@ -439,28 +525,26 @@ class Session:
         self._streams.key(place << _UNIT_BITS | start, stop - start)
         return self._streams
 
-    def _blocks(self, place: int, count: int, size: int | None = None):
-        """The count units at place in consecutive blocks of at most size
-        (default _BLOCK): yields (start, stop, rng), rng keyed to the units
-        start, ..., stop - 1 (_key)."""
-        size = size or _BLOCK
-        for start in range(0, count, size):
-            stop = min(start + size, count)
-            yield start, stop, self._key(place, start, stop)
+    def _table(self, bases, rounds) -> Branches:
+        """The session's Branches of one measurement."""
+        table = self.tables.get((bases, rounds))
+        if table is None:
+            table = self.tables[bases, rounds] = Branches(bases, rounds)
+        return table
 
     # -- step 1 ----------------------------------------------------------
 
     def prepare(self) -> None:
         """Draw labels, build two identical GHZ triples per group, and
         transmit the third-particle sequence."""
-        cfg, rows = self.cfg, ghz_rows()
-        labels = (np.concatenate([rng.randrange(8) for _, _, rng
-                                  in self._blocks(_GROUP_LABEL, cfg.n_groups)])
-                  if cfg.initial_label is None else np.full(cfg.n_groups, cfg.initial_label))
+        cfg = self.cfg
+        labels = (np.concatenate([self._key(_GROUP_LABEL, start, stop).randrange(8)
+                                  for start, stop in _spans(cfg.n_groups)])
+                  if cfg.initial_label is None else np.full(cfg.n_groups, int(cfg.initial_label)))
         self.transcript.columns = _columns(cfg.n_groups)
         self.transcript.columns[_PREPARED] = labels
-        self.triples = [rows[labels[start:start + _BLOCK].repeat(2)]
-                        for start in range(0, cfg.n_groups, _BLOCK)]
+        # GHZ label k is state k; triple t of the sequence is triples.flat[t]
+        self.triples = np.repeat(labels, 2).reshape(-1, 2).astype(np.intp)
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
@@ -469,36 +553,61 @@ class Session:
         attack = self.cfg.attack
         if attack is None or attack.target != name:
             return
-        keyed = self._blocks(_EVE_TRIPLES[name], 2 * self.cfg.n_groups, 2 * _BLOCK)
-        self.triples = [apply_attack(block, _ROLES[name], attack, rng)
-                        for block, (_, _, rng) in zip(self.triples, keyed)]
+        flat = self.triples.reshape(-1)
+        for start, stop in _spans(len(flat), 2 * _BLOCK):
+            flat[start:stop] = self._attack(flat[start:stop], _ROLES[name],
+                                            _EVE_TRIPLES[name], start)
 
-    def _checked_units(self, name: str, rows: np.ndarray, role: int):
-        """The GHZ samples (rows ghz_rows(), role 2) or single-particle decoys
-        (decoy_rows(), role 0) that travel in the named sequence, a block at
-        a time: yields (units, block, rng), units the drawn indices into rows,
-        block their registers after Eve's pass over the qubit role when she
-        targets the sequence, and rng keyed to the units' check streams."""
+    def _attack(self, ids: np.ndarray, role: int, place: int, start: int) -> np.ndarray:
+        """The ids after Eve's pass over qubit role of the units start, ...,
+        each drawing her choice from its stream at place (apply_attack)."""
+        attack, stop = self.cfg.attack, start + len(ids)
+        if attack.strategy == "intercept_resend":
+            choices = (self._key(place, start, stop).randrange(len(DECOY_TOKENS))
+                       if attack.fake_state is None else DECOY_TOKENS.index(attack.fake_state))
+        elif attack.strategy == "measure_resend":
+            # a unit's stream gives Eve's basis, then her outcome
+            if attack.eve_basis is None:
+                rng = self._key(place, start, stop)
+                basis = rng.randrange(len(_CHECK_BASES))
+            else:
+                rng, basis = None, _CHECK_BASES.index(MeasBasis(attack.eve_basis))
+            (outcome,) = self._table(_CHECK_BASES, ((role,),)).sample(
+                self.states, 2 * ids + basis,
+                lambda: self._key(place, start, stop) if rng is None else rng)
+            choices = 2 * basis + outcome
+        else:
+            choices = 0
+        return self.states.move(("attack", role), ids, choices,
+                                lambda amps, picked: apply_attack(amps, role, attack, picked))
+
+    def _checked_units(self, name: str, kinds: int, first: int, role: int):
+        """The GHZ samples (kinds 8 from state 0, role 2) or single-particle
+        decoys (kinds 4 from state 8, role 0) that travel in the named
+        sequence, a block at a time: yields (units, ids, lanes), units the
+        drawn kinds, ids their states after Eve's pass over the qubit role
+        when she targets the sequence, and lanes() the units' check streams,
+        keyed."""
         attack = self.cfg.attack
         attacked = attack is not None and attack.target == name
-        for start, stop, rng in self._blocks(_UNITS[name], self.cfg.resolved_decoys()):
-            units = rng.randrange(len(rows))
-            block = rows[units]
+        for start, stop in _spans(self.cfg.resolved_decoys()):
+            units = self._key(_UNITS[name], start, stop).randrange(kinds)
+            ids = units + first
             if attacked:
-                block = apply_attack(block, role, attack, self._key(_EVE_EXTRAS[name], start, stop))
-            yield units, block, self._key(_CHECK[name], start, stop)
+                ids = self._attack(ids, role, _EVE_EXTRAS[name], start)
+            yield units, ids, lambda: self._key(_CHECK[name], start, stop)
 
     # -- step 2 ----------------------------------------------------------
 
     def check1(self) -> CheckRecord:
         """GHZ-sample correlation check on the delivered third particles."""
         ok = _sample_ok()
+        table = self._table(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         errors = 0
-        for labels, block, rng in self._checked_units("S_C", ghz_rows(), _ROLES["S_C"]):
+        for labels, ids, lanes in self._checked_units("S_C", len(GhzLabel), 0, _ROLES["S_C"]):
+            rng = lanes()
             which = rng.randrange(len(_CHECK_BASES))
-            draws = [rng.random() for _ in range(3)]  # for C, then A, then B
-            (c, a, b), _ = measure_particles(block, _CHECK_BASES, [(2,), (0,), (1,)], draws,
-                                             collapse=False, which=which)
+            c, a, b = table.sample(self.states, 2 * ids + which, lambda: rng)
             errors += int(np.count_nonzero(~ok[labels, which, 4 * a + 2 * b + c]))
         return self._record_check(2, errors)
 
@@ -516,9 +625,8 @@ class Session:
     def alice_encode(self) -> None:
         """Encode Alice's bits on the odd triples, then send the
         second-particle sequence."""
-        for start, block in zip(range(0, self.cfg.n_groups, _BLOCK), self.triples):
-            k = self.alice_ops[start:start + _BLOCK]
-            block[0::2] = apply_op(block[0::2], [(0, _FIRST[k]), (1, _SECOND[k])])
+        odd = self.triples[:, 0]
+        odd[:] = self.states.move("op", odd, self.alice_ops, _encode)
         self.transcript.columns[_A_OP] = self.alice_ops
         self._transmit("S_B")
 
@@ -536,10 +644,10 @@ class Session:
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
         """Measure each decoy of the named sequence in the basis of its
         state; an outcome other than that state is an error."""
+        table = self._table(_CHECK_BASES, ((0,),))
         errors = 0
-        for kinds, block, rng in self._checked_units(name, decoy_rows(), 0):
-            (out,), _ = measure_particles(block, _CHECK_BASES, [(0,)], [rng.random()],
-                                          collapse=False, which=_DECOY_BASIS[kinds])
+        for kinds, ids, lanes in self._checked_units(name, len(DECOY_TOKENS), len(GhzLabel), 0):
+            (out,) = table.sample(self.states, 2 * ids + _DECOY_BASIS[kinds], lanes)
             errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
         return self._record_check(step, errors)
 
@@ -548,32 +656,39 @@ class Session:
     def bob_encode(self) -> None:
         """Identify each group's prepared state from the even triple,
         rebuild it fresh, and encode Bob's bits on it."""
-        columns, ops = self.transcript.columns, self.bob_ops
-        # popped in order, so each block is freed once its rows are consumed
-        triples, self.triples = self.triples[::-1], []
-        for start, stop, rng in self._blocks(_BOB_GHZ, self.cfg.n_groups):
-            block = triples.pop()
-            (found,), _ = measure_particles(block[1::2], MeasBasis.GHZ, [(0, 1, 2)],
-                                            [rng.random()], collapse=False)
-            k = ops[start:stop]
-            even = apply_op(ghz_rows()[found], [(0, _FIRST[k]), (1, _SECOND[k])])
-            # a copy, so that the measured even rows are freed with the block
-            self.pairs.append((block[0::2].copy(), even))
+        columns, even = self.transcript.columns, self.triples[:, 1]
+        table = self._table((MeasBasis.GHZ,), ((0, 1, 2),))
+        for start, stop in _spans(self.cfg.n_groups):
+            (found,) = table.sample(self.states, 2 * even[start:stop],
+                                    lambda: self._key(_BOB_GHZ, start, stop))
             columns[_P_LABEL, start:stop] = found
-        columns[_B_OP] = ops
+        # the found label is the fresh state's id
+        even[:] = self.states.move("op", columns[_P_LABEL].astype(np.intp), self.bob_ops, _encode)
+        columns[_B_OP] = self.bob_ops
 
     # -- step 7 ----------------------------------------------------------
 
     def swap_and_announce(self) -> None:
         """Bell-measure the three cross pairs of each group and announce the
         outcome collection over the (ideal) classical channel."""
-        table = self.swap_table
-        for (odd, even), (start, stop, rng) in zip(self.pairs,
-                                                   self._blocks(_SWAP, self.cfg.n_groups)):
-            entries = table.entries_of(odd, even)
-            draws = [rng.random() for _ in range(3)]
-            a, b, c = qcore.sample_branches(table.probs, entries, draws)
+        odd, even = self.triples.T
+
+        def pairs(start, stop):
+            return odd[start:stop] << _PAIR | even[start:stop]
+
+        # the distinct pairs first, so that the new ones are joined in full
+        # chunks; a set of them grows with the distinct pairs, not with N
+        distinct = set()
+        for start, stop in _spans(len(odd)):
+            distinct.update(pairs(start, stop).tolist())
+        self.swap_table.entries_of(self.states, np.array(sorted(distinct)))
+        for start, stop in _spans(len(odd)):
+            a, b, c = self.swap_table.sample(self.states, pairs(start, stop),
+                                             lambda: self._key(_SWAP, start, stop))
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
+        # no later step draws or reads the states, so they go with the swap
+        self.triples = self.states = self.tables = self.swap_table = self._streams = None
+        self.alice_ops = self.bob_ops = None  # in the columns now
 
     def decode(self) -> None:
         """Each side reads the other's operation off the announcement and its

@@ -24,20 +24,20 @@ to each row (tensor_rows checks each row as StateVector(...) does). The
 one-state functions are the one-row case of the same code. The index work
 of grouping k qubits is computed once per (n, qubits) as a gather plan.
 Every basis vector is real, so a measurement projects onto all of them in
-one real matmul on the float64 view of the amplitudes. measure_rows takes
-several rounds of disjoint qubits in one pass: it gathers them once, each
-round projects the normalized remainder the round before it left, and the
-collapsed state is expanded once, at the end, and only when it is kept.
-branch_rows follows every outcome of those rounds instead of one, with the
-same arithmetic, so walking its probability tables (sample_branches) draws
-the outcomes measure_rows would, for any number of draws of each row.
+one real matmul on the float64 view of the amplitudes.
 
-These are the two Born kernels, and the only callers of _project:
-measure_rows samples one path and can collapse, branch_rows expands every
-path and never collapses. Every exact table reads branch_rows:
-born_distribution is its one-round table, and joint_distribution
-multiplies the entries along its live paths, which the chart derivations,
-the consistency sets and the detection harness's Born tables read.
+measure_rows and branch_rows are the two Born kernels, and the only
+callers of _project. measure_rows takes several rounds of disjoint qubits
+in one pass: it gathers them once, each round projects the normalized
+remainder the round before it left, and the collapsed state is expanded
+once, at the end, and only when it is kept; collapse_rows is that pass with
+the outcomes given. branch_rows follows every outcome of those rounds
+instead of one, with the same arithmetic, so walking its probability
+tables (sample_branches) draws the outcomes measure_rows would, for any
+number of draws of each row. Every table reads branch_rows: a session's
+measurements, born_distribution (its one-round table) and
+joint_distribution, which multiplies the entries along its live paths for
+the chart derivations, the consistency sets and the detection harness.
 """
 
 from __future__ import annotations
@@ -102,18 +102,30 @@ class Rng:
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(map(np.uint64, (30, 27, 31)))
+# Below this many elements _mix64_inplace mixes Python ints (_mix64), with
+# the same values: n elements take about 7 us through its nine numpy calls
+# (11 us for one) and about 1 + 0.85 n us through ints (timeit, one process),
+# so ints are faster up to 6 and tie at 7. A one-group session keys and
+# draws lanes of one.
+_NUMPY_LANES = 8
 
 
 def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
-    """_mix64 on every element of the uint64 array x, using tmp as scratch;
-    numpy's uint64 arithmetic wraps modulo 2**64 as the masks do."""
-    np.right_shift(x, np.uint64(30), out=tmp)
+    """_mix64 on every element of the uint64 array x, using tmp (of x's
+    shape) as scratch; numpy's uint64 arithmetic wraps modulo 2**64 as the
+    masks do."""
+    if x.size < _NUMPY_LANES:
+        flat = x.reshape(-1)
+        flat[:] = [_mix64(v) for v in flat.tolist()]
+        return
+    np.right_shift(x, _SHIFTS[0], out=tmp)
     x ^= tmp
     x *= _MIX1
-    np.right_shift(x, np.uint64(27), out=tmp)
+    np.right_shift(x, _SHIFTS[1], out=tmp)
     x ^= tmp
     x *= _MIX2
-    np.right_shift(x, np.uint64(31), out=tmp)
+    np.right_shift(x, _SHIFTS[2], out=tmp)
     x ^= tmp
 
 
@@ -125,7 +137,7 @@ class StreamBlock:
     stream's state after i + 1 draws is its key plus (i + 1) golden-ratio
     increments, so any draw of any stream is computed without the ones
     before it. u64, random and randrange take the lanes' next draw, as the
-    Rng methods of the same names do for one stream.
+    Rng methods of the same names do for one stream; random(k) the next k.
     """
 
     __slots__ = ("size", "n", "drawn", "_base", "_lanes", "_keys", "_out", "_tmp")
@@ -163,9 +175,17 @@ class StreamBlock:
         self.drawn += 1
         return self.draw(self.drawn - 1)
 
-    def random(self) -> np.ndarray:
-        """Rng.random of every lane: (u >> 11) * 2**-53, exact in float64."""
-        u = self.u64()
+    def random(self, k: int | None = None) -> np.ndarray:
+        """Rng.random of every lane: (u >> 11) * 2**-53, exact in float64.
+        With k, the lanes' next k draws as the rows of a (k, n) array,
+        mixed in one pass."""
+        if k is None:
+            u = self.u64()
+        else:
+            steps = [(self.drawn + d) * _GOLDEN & _MASK64 for d in range(1, k + 1)]
+            self.drawn += k
+            u = self._keys[:self.n] + np.array(steps, dtype=np.uint64)[:, None]
+            _mix64_inplace(u, np.empty_like(u))
         u >>= np.uint64(11)
         return u * 2.0 ** -53
 
@@ -488,18 +508,34 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     """
     if len(draws) != len(rounds):
         raise ValueError(f"{len(rounds)} rounds need as many draws, got {len(draws)}")
+    return _measure(amps, basis, rounds, which, collapse,
+                    lambda k, probs, cum: _pick(probs, cum, draws[k]))
+
+
+def collapse_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
+                  rounds: Sequence[Sequence[int]], js: Sequence[np.ndarray],
+                  which: np.ndarray | None = None) -> np.ndarray:
+    """The rows of amps collapsed as measure_rows collapses them when row i
+    takes outcome js[k][i] in round k: the same pass, so the same bits.
+    Every outcome taken must have a probability above ZERO_TOL."""
+    return _measure(amps, basis, rounds, which, True, lambda k, probs, cum: js[k])[1]
+
+
+def _measure(amps, basis, rounds, which, collapse, choose):
+    """The pass of measure_rows, round k taking outcomes choose(k, probs,
+    cum) from its outcome probabilities and their running sums."""
     vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))
     rem, inverse = _gather_rounds(amps, vecs.shape[-1], rounds)
     if which is not None:
         vecs = vecs[which]
     rows = np.arange(len(amps))
     js = []
-    for k, r in enumerate(draws):
+    for k in range(len(rounds)):
         projs, probs = _project(vecs, rem)
         cum = probs.cumsum(axis=1)
         _require_unit_norms(cum[:, -1], "measured state")
-        js.append(_pick(probs, cum, r))
-        if collapse or k + 1 < len(draws):
+        js.append(choose(k, probs, cum))
+        if collapse or k + 1 < len(rounds):
             rem = _remainder(projs, probs, rows, js[-1]).view(np.float64)
     if not collapse:
         return js, None
@@ -511,11 +547,12 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     return js, rem.view(np.complex128).take(inverse, axis=1)
 
 
-def branch_rows(amps: np.ndarray, basis: MeasBasis,
-                rounds: Sequence[Sequence[int]]) -> list[np.ndarray]:
+def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
+                rounds: Sequence[Sequence[int]],
+                which: np.ndarray | None = None) -> list[np.ndarray]:
     """The Born tree of measure_rows without collapse, for every row of amps
     (rows, 2**n): every outcome of every round on every path, where
-    measure_rows follows one path per row.
+    measure_rows follows one path per row. basis and which are as there.
 
     Returns one array per round: tables[k][i, p, j] the probability of
     outcome j in round k of row i after outcomes j_0, ..., j_(k-1) in the
@@ -526,8 +563,8 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis,
     so it is never divided: the entries below it are 0. Raises ValueError
     as measure_rows does, the unit-norm guard running on every live branch.
     """
-    vecs = _basis_matrices(basis)[1]
-    outcomes = len(vecs)
+    vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))[which]
+    outcomes = vecs.shape[-1]
     rem, _ = _gather_rounds(amps, outcomes, rounds)
     # live[b]: the index i * d**k + p of live branch b, one per row of rem
     live = np.arange(len(amps))
@@ -543,6 +580,8 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis,
             src, j = np.nonzero(probs > ZERO_TOL)
             rem = _remainder(projs, probs, src, j).view(np.float64)
             live = live[src] * outcomes + j
+            if which is not None:
+                vecs = vecs[src]
     return tables
 
 

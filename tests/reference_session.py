@@ -9,8 +9,9 @@ the prepared or measured label (alice_decode, bob_decode), where Session
 reads one table of operations that never sees a label. Only the loops,
 the draws, the blocks and the decoding path differ from Session, so both
 must write the same transcripts, byte for byte. Each triple, sample and
-decoy is its own Register here, where Session holds a sequence's units as
-the rows of plain amplitude arrays, and each group writes its own entries
+decoy is its own Register here, computed for itself, where Session holds
+each as the id of its state in a table of the distinct states it has met
+and computes each distinct state once. Each group writes its own entries
 of the transcript's columns, where Session writes a block's slice. The
 samples and decoys are drawn up front, each set as its sequence is sent,
 and held until their check, where Session draws, attacks and measures them
@@ -98,6 +99,7 @@ def apply_attack(reg, role, cfg, rng):
 class ReferenceSession(Session):
     def __init__(self, cfg, alice_bits, bob_bits):
         super().__init__(cfg, alice_bits, bob_bits)
+        self.triples = []  # one Register per triple
         self.samples = []  # (label, register) per GHZ sample
         self.decoys = {}   # sequence name: (token, register) per decoy
         self.announced = []  # the collection of each group's Bell triple

@@ -15,8 +15,8 @@ from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import ghz_rows, ghz_state
 from bqsdc.labels import GhzLabel
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, StateVector, StreamBlock, basis_labels,
-                         born_distribution, joint_distribution, tensor)
+from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, StateVector, basis_labels, born_distribution,
+                         joint_distribution, tensor)
 
 
 class TestAttackConfig:
@@ -64,13 +64,12 @@ class TestEavesdropUnitary:
         assert np.allclose(eavesdrop_unitary(0.0), np.eye(4))
 
 
-def attacked_block(cfg, count=3, role=2):
+def attacked_block(cfg, choices=0, count=3, role=2):
     """A block of GHZ triples with Eve's strategy run on qubit role of each,
-    row j drawing from the keyed stream (1, j), and the block before."""
+    row j taking her choice choices[j] (or one choice for all), and the
+    block before."""
     before = ghz_rows()[[GhzLabel.PSI0] * count]
-    rng = StreamBlock(1, count)
-    rng.key(0, count)
-    return apply_attack(before, role, cfg, rng), before
+    return apply_attack(before, role, cfg, choices), before
 
 
 def row_states(block):
@@ -85,7 +84,7 @@ class TestAttackApplication:
         # Equal as numbers: the SWAP's sums turn a -0.0 of the product into 0.0
         for token in DECOY_TOKENS:
             block, before = attacked_block(AttackConfig("intercept_resend", fake_state=token),
-                                           role=role)
+                                           DECOY_TOKENS.index(token), role=role)
             assert block.shape == (3, 16)
             for row, prior in zip(block, before):
                 joined = tensor(StateVector(prior), decoy_state(token)).amps
@@ -93,12 +92,16 @@ class TestAttackApplication:
                 assert np.array_equal(row, expect), (role, token)
 
     def test_measure_resend_collapses(self):
-        block, _ = attacked_block(AttackConfig("measure_resend", eve_basis="Z"))
+        # Z-basis outcomes 0, 1, 0 (choices 2 * basis + outcome, basis Z = 0)
+        block, _ = attacked_block(AttackConfig("measure_resend", eve_basis="Z"),
+                                  np.array([0, 1, 0]))
         assert block.shape == (3, 8)
-        for state in row_states(block):
-            # the whole triple collapsed to a definite computational state
+        for state, outcome in zip(row_states(block), (0, 1, 0)):
+            # the whole triple collapsed to a definite computational state,
+            # the one of Eve's outcome
             probs = np.abs(state.amps) ** 2
             assert max(probs) == pytest.approx(1.0)
+            assert probs[7 * outcome] == pytest.approx(1.0)
 
     def test_entangle_appends_ancilla(self):
         block, _ = attacked_block(AttackConfig.entangling(0.25))
@@ -186,43 +189,31 @@ CROSS_IDS = [f"{c.strategy}-{c.fake_state or c.eve_basis or c.beta_squared}"
              for c in CROSS_ATTACKS]
 
 
-class StubStream:
-    """A one-lane stream for apply_attack whose every draw is r."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def random(self):
-        return np.array([self.r])
-
-
 class TestHarnessMatchesSessionAttack:
     """The harness's Born tables (_TrialSampler) and the session's attack
     (apply_attack) model Eve independently; on every attack without a random
     choice they must give the same check outcome distribution. The session's
     measure-resend, a projective collapse, is run once per live outcome of
-    Eve's measurement, with a draw that picks it, and weighted by its Born
-    probability."""
+    Eve's measurement, with that outcome as her choice, and weighted by its
+    Born probability."""
 
     @staticmethod
-    def eve_draws(cfg, pristine, role):
-        """(weight, stream) pairs whose attacks, weighted, make up Eve's."""
+    def eve_choices(cfg, pristine, role):
+        """(weight, choice) pairs whose attacks, weighted, make up Eve's."""
+        if cfg.strategy == "intercept_resend":
+            return [(1.0, DECOY_TOKENS.index(cfg.fake_state))]
         if cfg.strategy != "measure_resend":
-            rng = StreamBlock(0, 1)
-            rng.key(0, 1)
-            return [(1.0, rng)]
-        draws, below = [], 0.0
-        for p in born_distribution(pristine, MeasBasis(cfg.eve_basis), [role]).values():
-            if p > ZERO_TOL:
-                draws.append((p, StubStream(below + p / 2)))
-            below += p
-        return draws
+            return [(1.0, 0)]
+        basis = ("Z", "X").index(cfg.eve_basis)
+        return [(p, 2 * basis + j) for j, p in enumerate(
+            born_distribution(pristine, MeasBasis(cfg.eve_basis), [role]).values())
+            if p > ZERO_TOL]
 
     @classmethod
     def session_rows(cls, cfg, pristine, role, basis, is_error):
         dist = {}
-        for weight, rng in cls.eve_draws(cfg, pristine, role):
-            block = apply_attack(pristine.amps[None].copy(), role, cfg, rng)
+        for weight, choice in cls.eve_choices(cfg, pristine, role):
+            block = apply_attack(pristine.amps[None].copy(), role, cfg, choice)
             # the checked particles keep their qubits; Eve's is the last
             for outs, p in joint_distribution(StateVector(block[0]), basis,
                                               [(q,) for q in range(pristine.num_qubits)]).items():

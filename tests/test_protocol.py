@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from helpers import equal_up_to_global_phase
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
-from bqsdc import particles, qcore
+from bqsdc import particles, protocol, qcore
 from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack, decoy_rows
 from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import append_ancilla, measure_particles, merge
-from bqsdc.protocol import (_BLOCK, GroupRecord, Session, SessionConfig, SessionTranscript,
-                            SwapTable, _decoded, _invert_announcements, default_decoy_count,
-                            message_ops, random_message_bits, run_session)
+from bqsdc.protocol import (_BLOCK, _CHECK_BASES, _PAIR, Branches, GroupRecord, Session,
+                            SessionConfig, SessionTranscript, StateTable, SwapTable, _decoded,
+                            _invert_announcements, default_decoy_count, message_ops,
+                            random_message_bits, run_session)
 from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
                          make_basis_state)
 from bqsdc.swap import collection_members, collection_table
@@ -41,6 +42,12 @@ def row_state(block, row):
 
 def num_qubits(block):
     return block.shape[1].bit_length() - 1
+
+
+def triple_state(s, n, side):
+    """Group n's odd (side 0) or even (side 1) triple as a checked state,
+    read from the session's state table."""
+    return StateVector(s.states.rows[s.triples[n, side]])
 
 
 class TestRegister:
@@ -115,7 +122,8 @@ class TestPrepare:
     def test_minimal_session_shape(self):
         s = Session(quiet_cfg(1, seed=4), "000", "000")
         s.prepare()
-        [block] = s.triples
+        assert s.triples.shape == (1, 2)
+        block = s.states.amps(s.triples.reshape(-1))
         assert block.shape == (2, 8)
         # both triples of the group carry the same prepared label
         from bqsdc.codebook import classify_ghz
@@ -127,11 +135,11 @@ class TestPrepare:
         cfg = SessionConfig(n_groups=4, seed=9, decoys=2)
         s = Session(cfg, "0" * 12, "0" * 12)
         s.prepare()
-        [block] = s.triples
-        assert block.shape == (8, 8)
-        # check1 draws its samples: read the rows it measures
-        [(labels, samples, _)] = list(s._checked_units("S_C", ghz_rows(), 2))
+        assert s.states.amps(s.triples.reshape(-1)).shape == (8, 8)
+        # check1 draws its samples: read the states it measures
+        [(labels, ids, _)] = list(s._checked_units("S_C", len(GhzLabel), 0, 2))
         assert len(labels) == 2
+        samples = s.states.amps(ids)
         # each sample is one GHZ triple in the state of its label
         assert samples.shape == (2, 8)
         for row, label in enumerate(labels):
@@ -212,7 +220,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
-        assert equal_up_to_global_phase(row_state(s.triples[0], 0), expect)
+        assert equal_up_to_global_phase(triple_state(s, 0, 0), expect)
 
     def test_identity_op_leaves_label(self):
         # U0 keeps every label fixed, though not always with phase +1: on
@@ -221,7 +229,7 @@ class TestEncoding:
         s.prepare()
         s.check1()
         s.alice_encode()
-        out = row_state(s.triples[0], 0)
+        out = triple_state(s, 0, 0)
         assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI3))
         assert np.allclose(out.amps, -ghz_state(GhzLabel.PSI3).amps)
 
@@ -233,7 +241,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
-        assert equal_up_to_global_phase(row_state(s.triples[0], 0), expect)
+        assert equal_up_to_global_phase(triple_state(s, 0, 0), expect)
 
     def test_decoy_states_drawn_uniformly(self):
         cfg = SessionConfig(n_groups=1, seed=14, decoys=400)
@@ -242,12 +250,12 @@ class TestEncoding:
         counts = {tok: 0 for tok in "01+-"}
         units = s._checked_units
 
-        def count_decoys(name, rows, role):
-            for kinds, block, rng in units(name, rows, role):
+        def count_decoys(name, kinds, first, role):
+            for units_drawn, ids, lanes in units(name, kinds, first, role):
                 if name != "S_C":
-                    for k in kinds.tolist():
+                    for k in units_drawn.tolist():
                         counts[DECOY_TOKENS[k]] += 1
-                yield kinds, block, rng
+                yield units_drawn, ids, lanes
 
         s._checked_units = count_decoys
         s.prepare()
@@ -279,8 +287,8 @@ class TestEncoding:
         s.check2()
         s.check3()
         s.bob_encode()
-        [(_, even)] = s.pairs
-        even_state = row_state(even, 0)
+        assert s.triples.shape == (1, 2)
+        even_state = triple_state(s, 0, 1)
         assert equal_up_to_global_phase(even_state, ghz_state(GhzLabel.PSI5))
 
 
@@ -636,7 +644,7 @@ class TestDifferential:
 
 
 class TestSwapTable:
-    """The swap expands each distinct (odd row, even row) pair of a session
+    """The swap expands each distinct (odd id, even id) pair of a session
     once, and the pairs a session reaches stay few as N grows."""
 
     BOUND = 1024
@@ -649,8 +657,8 @@ class TestSwapTable:
                     random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
         for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
             step()
-        distinct = {(odd_row.tobytes(), even_row.tobytes())
-                    for odd, even in s.pairs for odd_row, even_row in zip(odd, even)}
+        distinct = set(zip(*s.triples.T.tolist()))  # (odd id, even id)
+        table = s.swap_table  # the swap releases it
         joined = []
         real_merge = particles.merge
 
@@ -661,39 +669,117 @@ class TestSwapTable:
         monkeypatch.setattr(particles, "merge", counting_merge)
         s.swap_and_announce()
         assert s.transcript.groups[-1].announcement is not None
-        assert sum(joined) == len(distinct) == len(s.swap_table.entries)
+        assert sum(joined) == len(distinct) == len(table.entries)
+        assert set(table.entries) == {odd << _PAIR | even for odd, even in distinct}
         assert len(distinct) <= self.BOUND
 
     def test_each_width_gets_its_own_bell_tables(self):
-        # odd rows of 3 qubits, then of 4 (a fake at qubit 2, the genuine
+        # odd states of 3 qubits, then of 4 (a fake at qubit 2, the genuine
         # third particle at 3): each entry holds the Bell tables of its own
         # joint state, whose cross pairs are (r, w + r)
-        table = SwapTable()
-        even = ghz_block(GhzLabel.PSI1, GhzLabel.PSI2)
-        narrow = ghz_block(GhzLabel.PSI0, GhzLabel.PSI5)
-        rng = StreamBlock(0, 2)
-        rng.key(0, 2)
-        wide = apply_attack(ghz_block(GhzLabel.PSI0, GhzLabel.PSI5), 2,
-                            AttackConfig("intercept_resend", fake_state="+"), rng)
-        assert table.entries_of(narrow, even).tolist() == [0, 1]
-        assert table.entries_of(wide, even).tolist() == [2, 3]
-        assert table.entries_of(narrow, even).tolist() == [0, 1]
+        states, table = StateTable(), SwapTable()
+        even = np.array([GhzLabel.PSI1, GhzLabel.PSI2])  # GHZ label k is state k
+        narrow = np.array([GhzLabel.PSI0, GhzLabel.PSI5])
+        wide = states.intern(apply_attack(ghz_block(GhzLabel.PSI0, GhzLabel.PSI5), 2,
+                                          AttackConfig("intercept_resend", fake_state="+"),
+                                          DECOY_TOKENS.index("+")))
+
+        def entries_of(odd):
+            return table.entries_of(states, odd << _PAIR | even).tolist()
+
+        assert entries_of(narrow) == [0, 1]
+        assert entries_of(wide) == [2, 3]
+        assert entries_of(narrow) == [0, 1]
         for odd, entries in ((narrow, [0, 1]), (wide, [2, 3])):
-            w = num_qubits(odd)
+            w = num_qubits(states.amps(odd))
             for row, entry in enumerate(entries):
-                joint = qcore.tensor(row_state(odd, row), row_state(even, row))
+                joint = qcore.tensor(StateVector(states.rows[odd[row]]),
+                                     StateVector(states.rows[even[row]]))
                 expect = qcore.branch_rows(joint.amps[None], MeasBasis.BELL,
                                            [(r, w + r) for r in range(3)])
                 for got, want in zip(table.probs, expect, strict=True):
                     assert np.array_equal(got[entry], want[0])
 
 
+class TestInterning:
+    """A session runs each distinct transition of its states, each entry of
+    its measurement tables and each swap pair through the dense kernels
+    once, and its tables stay within a bound per strategy as N grows."""
+
+    # (states, entries of the check, identification and Eve tables, swap
+    # pairs) under uniform attack parameters. At 10**4 groups the sessions
+    # below reach at most 18, 28 and 172 without an attack, 90, 100 and 784
+    # under intercept-resend, 59, 92 and 434 under measure-resend and 36, 32
+    # and 188 under the entangling attack; at 10**3 as many states and
+    # entries, and fewer pairs.
+    BOUNDS = {"none": (24, 32, 192), "intercept_resend": (96, 112, 800),
+              "measure_resend": (64, 96, 448), "entangle_measure": (40, 40, 192)}
+
+    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
+    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
+    def test_each_state_built_once_and_tables_bounded(self, monkeypatch, strategy, target, n):
+        built = {"moves": 0, "entries": 0, "pairs": 0}
+        widths = []
+
+        def counting(kind, kernel):
+            def wrapper(amps, *args, **kwargs):
+                built[kind] += len(amps)
+                out = kernel(amps, *args, **kwargs)
+                if kind == "pairs":
+                    widths.append(num_qubits(out))
+                return out
+            return wrapper
+
+        run_session(quiet_cfg(1), "000", "000")  # derive the cached charts uncounted
+        # the kernels of the misses, at the names the session looks up
+        monkeypatch.setattr(protocol, "apply_op", counting("moves", protocol.apply_op))
+        monkeypatch.setattr(protocol, "apply_attack", counting("moves", protocol.apply_attack))
+        monkeypatch.setattr(qcore, "branch_rows", counting("entries", qcore.branch_rows))
+        monkeypatch.setattr(particles, "merge", counting("pairs", particles.merge))
+        attack = AttackConfig.entangling(0.25, target=target) \
+            if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
+        msg_rng = Rng(n, stream=2)
+        s = Session(SessionConfig(n_groups=n, seed=n, check_threshold=0.99, attack=attack),
+                    random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
+        states, tables, swap = s.states, s.tables, s.swap_table  # the swap releases them
+        t = s.run()
+        assert not t.aborted and t.groups[-1].decoded_by_bob is not None
+        entries = sum(len(table.entries) for table in tables.values())
+        assert len({row.tobytes() for row in states.rows}) == len(states.rows)
+        assert built["moves"] == sum(int((moves >= 0).sum()) for moves in states.moves.values())
+        assert built["entries"] == entries + len(swap.entries)
+        assert built["pairs"] == len(swap.entries)
+        bounds = self.BOUNDS[strategy]
+        assert len(states.rows) <= bounds[0] and entries <= bounds[1]
+        assert len(swap.entries) <= bounds[2]
+        assert max(widths) == TestWidth.WIDEST[strategy]
+
+    def test_certain_outcomes_are_neither_keyed_nor_drawn(self):
+        # a Z measurement of |0> (state 8) or of |1> (9) has one live
+        # outcome, of |+> (10) two: only a block that reaches |+> keys its
+        # lanes and draws, and its |0> and |1> keep their outcomes
+        states, table = StateTable(), Branches(_CHECK_BASES, ((0,),))
+        keyed = []
+
+        def lanes():
+            keyed.append(True)
+            rng = StreamBlock(0, 3)
+            rng.key(0, 3)
+            return rng
+
+        (out,) = table.sample(states, 2 * np.array([8, 9, 9]), lanes)
+        assert out.tolist() == [0, 1, 1] and not keyed
+        (out,) = table.sample(states, 2 * np.array([9, 10, 8]), lanes)
+        assert keyed and out[[0, 2]].tolist() == [1, 0]
+        assert table.fixed[:, 0].tolist() == [0, 1, -1]
+
+
 class TestStepMemory:
     def test_swap_buffers_do_not_grow_with_groups(self, monkeypatch):
-        # transient peak of the swap (peak minus the heap before it) at 4B
+        # transient peak of the swap (peak minus the heap before it) at 16B
         # groups against B: it writes its Bell indices into columns that
         # prepare allocated, and its block buffers must not grow at all; one
-        # block of all 4B groups grows them by about 2 MB at B = 64
+        # block of all 16B groups grows them by about 210 KB
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def transient(n):
@@ -710,18 +796,18 @@ class TestStepMemory:
                 tracemalloc.stop()
 
         transient(_BLOCK)  # warm the caches
-        growth = transient(4 * _BLOCK) - transient(_BLOCK)
+        growth = transient(16 * _BLOCK) - transient(_BLOCK)
         assert growth <= 8 * 1024
-        monkeypatch.setattr("bqsdc.protocol._BLOCK", 4 * _BLOCK)
-        assert transient(4 * _BLOCK) - transient(_BLOCK) > 100 * 1024 + growth
+        monkeypatch.setattr("bqsdc.protocol._BLOCK", 16 * _BLOCK)
+        assert transient(16 * _BLOCK) - transient(_BLOCK) > 100 * 1024 + growth
 
     def test_held_state_per_group(self):
-        # the heap a session holds entering the swap grows by at most 800
-        # bytes a group from 64 to 4096 groups: after an entangling attack on
-        # S_A, a group's odd triple takes 256 bytes of amplitudes and its
-        # even one 128, plus its seven column entries and two message
-        # operations. One register object per triple held about 1500 bytes
-        # a group.
+        # the heap a session holds entering the swap grows by at most 32
+        # bytes a group from 64 to 4096 groups (about 25 measured): after an
+        # entangling attack on S_A, a group's two triple ids take 16 bytes,
+        # its seven column entries 7 and its two message operations 2. Its
+        # two triples' amplitudes took about 384 bytes a group, and one
+        # register object per triple about 1500.
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def held(n):
@@ -738,7 +824,7 @@ class TestStepMemory:
                 tracemalloc.stop()
 
         held(64)  # warm the caches
-        assert held(4096) - held(64) <= 800 * (4096 - 64)
+        assert held(4096) - held(64) <= 32 * (4096 - 64)
 
     def test_checked_units_released_before_the_swap(self):
         # the heap a session holds entering the swap, at a fixed group
@@ -879,16 +965,15 @@ class TestWidth:
                 return out
             return wrapper
 
-        # particles measures through qcore.measure_rows, looked up on the
-        # module, which returns (outcome indices, collapsed rows or None)
+        # the session collapses a state only under measure-resend, through
+        # qcore.collapse_rows, looked up on the module
         measured, branched = [], []
         monkeypatch.setattr(StateVector, "__post_init__", record)
         monkeypatch.setattr(qcore, "tensor_rows", recording(qcore.tensor_rows))
         monkeypatch.setattr(qcore, "apply_unitary_rows", recording(qcore.apply_unitary_rows))
-        monkeypatch.setattr(qcore, "measure_rows",
-                            recording(qcore.measure_rows, lambda out: out[1], measured))
-        # the swap expands its pairs through qcore.branch_rows, which returns
-        # probability tables, no states
+        monkeypatch.setattr(qcore, "collapse_rows", recording(qcore.collapse_rows, calls=measured))
+        # every measurement, the swap's too, expands its states through
+        # qcore.branch_rows, which returns probability tables, no states
         monkeypatch.setattr(qcore, "branch_rows",
                             recording(qcore.branch_rows, lambda out: None, branched))
         attack = AttackConfig.entangling(0.25, target=target) \
@@ -897,6 +982,6 @@ class TestWidth:
         t = run_session(cfg, "010110", "101001")
         assert t.groups[-1].announcement is not None
         assert kernels, "no row kernel input or result was recorded"
-        assert measured, "no measurement kernel call was recorded"
+        assert bool(measured) == (strategy == "measure_resend"), "collapses recorded"
         assert branched, "no branch expansion was recorded"
         assert max(widths + kernels) == self.WIDEST[strategy]

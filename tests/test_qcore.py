@@ -15,10 +15,10 @@ from bqsdc.checks import decoy_state
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.protocol import _BLOCK
-from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
+from bqsdc.qcore import (_NUMPY_LANES, ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
-                         joint_distribution, make_basis_state, measure,
+                         collapse_rows, joint_distribution, make_basis_state, measure,
                          measure_rows, sample_branches, tensor, tensor_rows)
 
 INV = 2 ** -0.5
@@ -261,6 +261,20 @@ class TestStreamBlock:
                 rng = Rng(seed, stream=start + j)
                 assert [got[i][j] for i in range(draws)] == \
                     [rng.u64() for _ in range(draws)], (seed, start + j)
+
+    @pytest.mark.parametrize("n", [1, _NUMPY_LANES - 1, _NUMPY_LANES, 2 * _NUMPY_LANES + 1])
+    def test_lanes_on_both_sides_of_the_int_cutover(self, n):
+        # fewer than _NUMPY_LANES values are mixed as Python ints, more in
+        # numpy; random(k) mixes k * n values at once, on either side too
+        block = StreamBlock(101, size=64)
+        start = 2 ** 64 - 5  # across the wrap of the stream id
+        block.key(start, n)
+        first, rest, last = block.u64().tolist(), block.random(3), block.randrange(7)
+        for j in range(n):
+            rng = Rng(101, stream=start + j)
+            assert first[j] == rng.u64()
+            assert rest[:, j].tolist() == [rng.random() for _ in range(3)]
+            assert last[j] == rng.randrange(7)
 
     def test_part_block_and_reuse(self):
         block = StreamBlock(7, size=8)
@@ -521,6 +535,19 @@ class TestRoundsKernel:
                     assert np.array_equal(j[sel], part_j)
                 assert np.array_equal(post[sel], part)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_collapse_onto_the_drawn_outcomes_equals_measure(self, data):
+        # collapse_rows is measure_rows's pass with the outcomes given, one
+        # basis for all rows or one per row: the same bits
+        bases = (MeasBasis.Z, MeasBasis.X)
+        amps, rounds, draws = data.draw(rounds_case(bases))
+        which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
+                                            max_size=len(amps))))
+        for basis, per_row in ((bases[0], None), (bases, which)):
+            js, post = measure_rows(amps, basis, rounds, draws, which=per_row)
+            assert np.array_equal(collapse_rows(amps, basis, rounds, js, which=per_row), post)
+
     def test_overlapping_rounds_raise(self):
         amps = random_state(5, 3).amps[None]
         with pytest.raises(ValueError):
@@ -571,6 +598,24 @@ class TestBranchTables:
         js, _ = measure_rows(amps[rows], basis, rounds, r, collapse=False)
         for j, got in zip(js, sample_branches(tables, rows, r)):
             assert np.array_equal(got, j), (rounds, basis)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_basis_per_row_walk_equals_measure_rows(self, data):
+        bases = (MeasBasis.Z, MeasBasis.X)
+        amps, rounds, draws = data.draw(rounds_case(bases))
+        which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
+                                            max_size=len(amps))))
+        tables = branch_rows(amps, bases, rounds, which=which)
+        js, _ = measure_rows(amps, bases, rounds, draws, collapse=False, which=which)
+        walked = sample_branches(tables, np.arange(len(amps)), draws)
+        for j, got in zip(js, walked):
+            assert np.array_equal(got, j), rounds
+        for b, basis in enumerate(bases):
+            sel = np.flatnonzero(which == b)
+            if sel.size:
+                for got, want in zip(tables, branch_rows(amps[sel], basis, rounds)):
+                    assert np.array_equal(got[sel], want)
 
     @pytest.mark.parametrize("r", [0.0, 1.0 - 2.0 ** -53])
     @pytest.mark.parametrize("basis", list(MeasBasis))
