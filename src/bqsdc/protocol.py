@@ -330,11 +330,12 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 # block's buffers hold a few ids, draws and outcomes a unit: the swap's take
 # about 110 bytes a group (tracemalloc, one block of 2048 groups).
 _BLOCK = 128
-# A table expands at most this many new keys at once. In the swap's first
-# block, where most of a session's ~170 pairs are new, the joint states and
-# their expansion then take up to 0.37 MB clean and 0.77 MB under an
-# entangling attack on S_A (7 qubits). A 1000-group session (bench/run.py)
-# peaks at 0.64 MB clean, in to_json, and at 0.89 MB entangled, in the swap.
+# A table expands at most this many new keys at once. The swap expands a
+# session's ~170 pairs before its first draw; its joint states, their
+# expansion and the table then take up to 0.44 MB clean and 0.83 MB under
+# an entangling attack on S_A (7 qubits; tracemalloc around the swap). A
+# 1000-group session (bench/run.py) peaks at 0.63 MB clean, in to_json, and
+# at 0.93 MB entangled, in the swap.
 _SWAP_CHUNK = 64
 # Choices per transition (StateTable.move): the eight composite ops.
 _CHOICES = 8
