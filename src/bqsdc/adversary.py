@@ -5,29 +5,19 @@ a fresh fake particle (intercept-resend), measure in flight and forward the
 collapsed particle (measure-resend), or couple a one-qubit ancilla through
 a unitary that flips the target with probability beta**2
 (entangle-measure). Eve treats every particle of a sequence alike, so an
-attack runs on many registers at once, each with Eve's own choice for it,
-which the session draws from the particle's keyed stream. What travels on
-stays at the attacked particle's qubit: the fake takes the place of the
-genuine particle, which Eve keeps as the register's last qubit, as she
-does her ancilla.
+attack runs on many registers at once, each with her own choice for it
+(attack_choices). The fake or the forwarded particle keeps the attacked
+qubit; the genuine particle Eve keeps, or her ancilla, goes last.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
 one keyed random stream per trial. Every (check, Eve choice) pair is
-expanded exactly once with the state-vector engine, by one expansion for
-the GHZ-sample and the decoy checks alike: Eve acts on the transmitted
-particle, then every particle is measured in the check's basis. Each trial
-then draws its check, Eve's choice and its outcome from those exact Born
-tables, so 1e5 trials stay fast without approximating anything. The tables
-model Eve independently of apply_attack, which the session runs: there
-Eve's measurement collapses the particle, here it is modelled as a copy of
-the particle's basis outcome onto an ancilla that nobody measures, which
+expanded once into exact Born tables: Eve acts on the transmitted particle,
+then every particle is measured in the check's basis. Each trial draws its
+check, Eve's choice and its outcome from those tables, a block of trials at
+a time (qcore.StreamBlock), with the counts of one scalar Rng per trial.
+The tables model Eve independently of apply_attack: her measurement is a
+copy of the particle's basis outcome onto an ancilla nobody measures, which
 leaves the check the same mixture of collapsed states.
-
-Trials are drawn a block at a time in numpy (qcore.StreamBlock). The
-streams are counter-based, so draw i of trial t's stream is a pure function
-of (seed, t, i) that uint64 arithmetic computes for a whole block at once,
-and one sorted search looks up every trial's outcome in the Born tables.
-The counts are those of drawing each trial from its own scalar Rng.
 """
 
 from __future__ import annotations
@@ -51,16 +41,15 @@ STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
 TARGETS = ("S_C", "S_B", "S_A")
 
 _BASIS_TOKENS = ("Z", "X")
-_EVE_BASES = tuple(MeasBasis(token) for token in _BASIS_TOKENS)
+EVE_BASES = tuple(MeasBasis(token) for token in _BASIS_TOKENS)
 
 # SWAP on (particle, fake): intercept-resend's fake takes the particle's
 # qubit, and the genuine particle moves to the fake's, the last.
 _SWAP = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
 _SWAP.setflags(write=False)
 
-# Trials drawn together by estimate_detection: large enough to amortise
-# numpy's per-call cost, small enough that the buffers stay a few KB
-# whatever the trial count.
+# Trials drawn together by estimate_detection: enough to amortise numpy's
+# per-call cost, few enough that the buffers stay a few KB.
 _BLOCK = 512
 # Low bits of each table row's last edge: above every outcome draw m < 2**53
 # and every scaled edge, below the next row.
@@ -108,12 +97,10 @@ class AttackConfig:
 @lru_cache(maxsize=16)
 def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     """Two-qubit coupling on (target, ancilla), ancilla prepared in |0>,
-    as a shared read-only matrix.
-
-    Maps |i,0> to alpha|i,0> + i*beta|i^1,1>, with beta = sqrt(beta_squared)
-    and alpha = sqrt(1 - beta_squared): the ancilla records whether a flip
-    occurred. The flipped branch carries a phase i, which makes the matrix
-    exactly unitary and is unobservable in the detection statistic.
+    as a shared read-only matrix: |i,0> -> alpha|i,0> + i*beta|i^1,1>, beta
+    = sqrt(beta_squared), alpha = sqrt(1 - beta_squared), so the ancilla
+    records a flip. The phase i makes the matrix exactly unitary and is
+    unobservable in the detection statistic.
     """
     if not 0.0 <= beta_squared <= 1.0:
         raise ValueError("beta_squared must lie in [0, 1]")
@@ -129,13 +116,29 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     return u
 
 
+def attack_choices(cfg: AttackConfig, lanes, outcomes):
+    """Eve's choice per unit of a block, as apply_attack takes it: her
+    fake's index in DECOY_TOKENS (intercept-resend), 2 * her basis's index
+    in EVE_BASES + her outcome (measure-resend), else 0. lanes() keys the
+    units' streams, drawn for a uniform fake or basis only; outcomes(basis,
+    lanes) draws each unit's outcome in EVE_BASES[basis] after the basis."""
+    if cfg.strategy == "intercept_resend":
+        return (lanes().randrange(len(DECOY_TOKENS)) if cfg.fake_state is None
+                else DECOY_TOKENS.index(cfg.fake_state))
+    if cfg.strategy != "measure_resend":
+        return 0
+    if cfg.eve_basis is None:
+        rng = lanes()
+        basis, lanes = rng.randrange(len(EVE_BASES)), lambda: rng
+    else:
+        basis = _BASIS_TOKENS.index(cfg.eve_basis)
+    return 2 * basis + outcomes(basis, lanes)
+
+
 def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.ndarray:
-    """Run qubit role of every register of the block amps, the particle in
-    flight, through the configured strategy, row i taking Eve's choice
-    choices[i] (or one choice for all rows): the index of her fake in
-    DECOY_TOKENS under intercept-resend, and under measure-resend 2 * the
-    index of her basis in (Z, X) + the index of her outcome in that basis,
-    which must have a nonzero probability. Returns the attacked block."""
+    """The rows of amps after Eve's strategy on qubit role, the particle in
+    flight, row i taking choices[i] (or one choice for all; attack_choices),
+    an outcome of nonzero probability under measure-resend."""
     if cfg.strategy == "intercept_resend":
         # inject a fake in the particle's place; the genuine particle goes
         # last, stored and never measured
@@ -143,7 +146,7 @@ def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.
     if cfg.strategy == "measure_resend":
         # forward the particle collapsed onto Eve's outcome
         basis, outcome = np.divmod(np.broadcast_to(choices, len(amps)), 2)
-        return qcore.collapse_rows(amps, _EVE_BASES, [(role,)], [outcome], which=basis)
+        return qcore.collapse_rows(amps, EVE_BASES, [(role,)], [outcome], which=basis)
     if cfg.strategy == "entangle_measure":
         # couple a fresh ancilla to the particle in flight
         return append_ancilla(amps, qcore.make_basis_state("0").amps,
@@ -162,12 +165,10 @@ def decoy_rows() -> np.ndarray:
 
 @dataclass(frozen=True)
 class CheckTemplate:
-    """Single-decoy check experiment repeated by the detection harness.
-
-    For the GHZ-sample check (target S_C): the sample label and Bob's
-    verification basis, None meaning a uniform per-trial choice. For the
-    single-particle decoy checks (S_B, S_A): which basis the decoys are
-    drawn from, None meaning uniform over all four decoy states.
+    """Single-decoy check experiment repeated by the detection harness: for
+    the GHZ-sample check (S_C) the sample label and Bob's basis, None a
+    uniform per-trial choice; for the decoy checks (S_B, S_A) the decoys'
+    basis, None uniform over all four decoy states.
     """
 
     sample_label: GhzLabel = GhzLabel.PSI0
@@ -195,8 +196,7 @@ class DetectionEstimate:
 
 
 def _eve_choices(cfg: AttackConfig) -> list:
-    """Eve's per-particle choice axis; a trial draws from it when it has
-    more than one value."""
+    """Eve's per-particle choice axis, drawn when it has several values."""
     if cfg.strategy == "intercept_resend":
         return list(DECOY_TOKENS) if cfg.fake_state is None else [cfg.fake_state]
     if cfg.strategy == "measure_resend":
@@ -285,9 +285,8 @@ class _TrialSampler:
                 self.tables[(lead, choice)] = (cum, flags)
 
         # Row k = lead index * n_eve + choice index of every table, flattened
-        # into one sorted edge array: edge e of row k becomes
-        # k << 54 | ceil(e * 2**53), and each row ends in one more edge,
-        # above any draw, and one more copy of its last flag.
+        # into one sorted edge array: edge e of row k becomes k << 54 |
+        # ceil(e * 2**53), and each row ends in one more edge and flag.
         edges, all_flags = [], []
         for k, (cum, flags) in enumerate(self.tables.values()):
             edges.extend(k << 54 | math.ceil(e * 2.0 ** 53) for e in cum)
@@ -297,17 +296,14 @@ class _TrialSampler:
         self._flags = np.array(all_flags, dtype=bool)
 
     def count_detections(self, seed: int, trials: int) -> int:
-        """Detections among trials 0, ..., trials - 1, trial t drawing from
-        the keyed stream (seed, t), in blocks of _BLOCK trials.
-
-        Trial t draws, in this order: the lead index u64 % n_lead when
-        n_lead > 1, Eve's choice u64 % n_eve when n_eve > 1, then the
+        """Detections among trials 0, ..., trials - 1, in blocks of _BLOCK.
+        Trial t draws from the stream (seed, t): the lead index u64 % n_lead
+        when n_lead > 1, Eve's choice u64 % n_eve when n_eve > 1, then the
         outcome m = u64 >> 11, whose flag is that of the first edge e of its
         row's table with m * 2**-53 < e. Scaling by 2**53 is exact in
         binary64, so that edge is the first with ceil(e * 2**53) > m, and
         one searchsorted of k << 54 | m over all rows finds it for every
-        trial of a block. The row-end edge makes the flag index the same
-        count, and its flag serves an m past the row's last edge.
+        trial of a block; the row-end edge serves an m past the last edge.
         """
         streams = StreamBlock(seed, min(trials, _BLOCK))
         rows = np.empty(streams.size, dtype=np.uint64)
@@ -397,13 +393,9 @@ def claimed_detection_rate(cfg: AttackConfig,
 
 def estimate_detection(cfg: AttackConfig, template: CheckTemplate = CheckTemplate(),
                        trials: int = 100_000, seed: int = 0) -> DetectionEstimate:
-    """Monte Carlo per-decoy detection estimate over independent trials.
-
-    Trial t draws from the stream (seed, t); the result is reproducible and
-    independent of trial ordering. The trials run in blocks of _BLOCK, each
-    drawn at once from its keyed streams, so memory does not grow with the
-    trial count, and the count equals that of one Rng(seed, t) per trial
-    (_TrialSampler.count_detections says why).
+    """Monte Carlo per-decoy detection estimate over independent trials,
+    trial t drawing from the stream (seed, t), in blocks of _BLOCK whose
+    memory does not grow with the trial count (_TrialSampler).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -421,14 +413,7 @@ def estimate_detection(cfg: AttackConfig, template: CheckTemplate = CheckTemplat
         "seed": seed,
     }
     return DetectionEstimate(
-        strategy=cfg.strategy,
-        target=cfg.target,
-        params=params,
-        trials=trials,
-        detections=detections,
-        rate=rate,
+        cfg.strategy, cfg.target, params, trials, detections, rate,
         ci95=1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials),
-        exact_value=sampler.exact_rate(),
-        claimed_value=claimed,
-        abs_error=None if claimed is None else abs(rate - claimed),
-    )
+        exact_value=sampler.exact_rate(), claimed_value=claimed,
+        abs_error=None if claimed is None else abs(rate - claimed))

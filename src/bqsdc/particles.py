@@ -1,12 +1,8 @@
-"""Row operations on few-qubit registers, the kernels a session's
+"""Row operations on few-qubit registers: the kernels a session's
 transitions run on the states it has not met before (protocol.StateTable).
-A register holds one GHZ triple, one GHZ sample or one decoy, and several
-registers of one layout are the rows of one (rows, 2**n) amplitude array.
-A register's roles are its qubits: the first, second and third particle of
-a triple are qubits 0, 1 and 2, and a decoy is qubit 0. Whatever an attack
-leaves behind, the genuine particle Eve keeps or her ancilla, is appended
-after them. Every operation runs one qcore row kernel over the rows and
-returns the new array; Bob's swap alone joins two registers (merge).
+The registers of one layout are the rows of one (rows, 2**n) amplitude
+array, a register's roles are its qubits (see protocol), and every
+operation runs qcore row kernels and returns a new array.
 """
 
 from __future__ import annotations
@@ -19,24 +15,19 @@ from . import qcore
 
 
 def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows a[i] (x) b[i], a's qubits first.
-
-    Each joined row is returned as a checked state (qcore.StateVector),
-    because the traced benchmark reads the widest state from the checked
-    constructions; one tensor_rows would do once it reads widths elsewhere.
-    The per-row cost is paid once per distinct pair of states a session
-    reaches, a few hundred at most, not once per group (protocol.SwapTable).
-    """
+    """The rows a[i] (x) b[i], a's qubits first, each checked as a
+    qcore.StateVector: the traced benchmark reads the widest state from the
+    checked constructions (one tensor_rows would do once it reads widths
+    elsewhere). A session joins each distinct pair once (SwapTable)."""
     joint = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
     return np.stack([qcore.StateVector(row).amps for row in joint])
 
 
 def append_ancilla(amps: np.ndarray, states: np.ndarray,
                    coupling: tuple[int, np.ndarray] | None = None) -> np.ndarray:
-    """Tensor a fresh one-qubit state onto every register, as its last
-    qubit: states[i] onto row i, or one state (2,) onto all. With coupling
-    = (qubit, matrix), the two-qubit unitary then acts on that qubit and the
-    new one."""
+    """Tensor a fresh one-qubit state onto every register as its last
+    qubit, states[i] onto row i or one state (2,) onto all; with coupling =
+    (qubit, matrix), the unitary then acts on that qubit and the new one."""
     out = qcore.tensor_rows(amps, states)
     if coupling is not None:
         qubit, matrix = coupling

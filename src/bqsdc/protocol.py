@@ -1,45 +1,35 @@
 """The seven-step bidirectional secure direct communication session.
 
-One session: Alice prepares N groups of two identical GHZ triples and
-distributes the particles into three sequences; the third-particle sequence
-travels first, guarded by GHZ samples (step 2 check). Alice encodes her
-three bits per group on the first triple, then ships the second-particle
-sequence and finally the first-particle sequence, each guarded by
-single-particle decoys (step 4 and step 5 checks). Bob identifies the
-prepared state of each group by a GHZ measurement on the untouched second
-triple, rebuilds it, encodes his own three bits on it, swaps entanglement
-between the two triples with three Bell measurements, and announces which
-outcome collection occurred. Each side then infers the other's operation
-from the announcement and its own operation alone: the announcement depends
-only on the two operations (swap.announcement), not on the prepared state.
+Alice prepares N groups of two identical GHZ triples and distributes the
+particles into three sequences; the third-particle sequence travels first,
+guarded by GHZ samples (step 2 check). Alice encodes her three bits per
+group on the first triple, then ships the second-particle and finally the
+first-particle sequence, each guarded by single-particle decoys (steps 4
+and 5). Bob identifies each group's prepared state by a GHZ measurement on
+the untouched second triple, rebuilds it, encodes his own three bits on it,
+swaps entanglement between the two triples with three Bell measurements,
+and announces the outcome collection. Each side infers the other's
+operation from the announcement and its own operation alone: the
+announcement depends on the two operations only (swap.announcement).
 
-A session reaches a few dozen distinct states whatever N is, because every
-unit starts as one of 8 GHZ states or 4 decoys and every operation, choice
-of Eve's and outcome is one of a handful. So it holds each triple, sample
-and decoy as an integer id into its StateTable, and each step is a
-memoized transition on ids or a walk of the Born tables of the ids' states
-(Branches): the dense kernels run once per distinct state, not per unit.
-A register's roles are its qubits: a triple's first, second and third
-particle (those of S_A, S_B and S_C) are qubits 0, 1 and 2, and a decoy is
-qubit 0; an attack appends what it leaves behind after them. The two
-triples of a group meet only at Bob's swap, joined once per distinct pair
-(SwapTable), so no state is wider than two triples plus one attack qubit.
-
-A transcript keeps its groups as integer columns, one entry per group
-(SessionTranscript.columns): every label, operation and outcome it records
-is an index below 64. Each step writes its block's slice of them, and the
-records of SessionTranscript.groups and the JSON text are built from the
-columns when read.
+Every unit starts as one of 8 GHZ states or 4 decoys, and every operation,
+choice of Eve's and outcome is one of a handful, so a session reaches a few
+dozen distinct states whatever N is. It holds each triple, sample and decoy
+as an id into its StateTable, and each step is a memoized transition on
+ids or a walk of the Born tables of the ids' states (Branches): the dense
+kernels run once per distinct state, not per unit. A register's roles are
+its qubits: a triple's particles of S_A, S_B and S_C are qubits 0, 1 and 2,
+a decoy is qubit 0, and an attack appends what it leaves behind. Only the
+swap joins two triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
-sequence. Eve treats every particle of a sequence alike, so a position would
-change nothing but the order of the random draws, and positions are not
-simulated. Instead every draw comes from a stream keyed by its place in the
-protocol and the group, triple, sample or decoy it concerns (the stream ids
-above Session). A transcript is therefore a pure function of the
-configuration and the messages (byte-identical across runs), and group n's
-record depends only on the seed, the attack, the initial state and group
-n's own messages: not on N, the decoy count or the other groups.
+sequence. Eve treats every particle of a sequence alike, so positions are
+not simulated: every draw comes from a stream keyed by its place in the
+protocol and the unit it concerns (the stream ids above Session). A
+transcript is therefore a pure function of the configuration and the
+messages, and group n's record depends only on the seed, the attack, the
+initial state and group n's own messages: not on N, the decoy count or the
+other groups.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import particles, qcore
-from .adversary import AttackConfig, apply_attack, decoy_rows
+from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices, decoy_rows
 # decoy_state, transform_label, invert_transform, collection_table and
 # measure_particles have no caller here: bench/tracer.py wraps them in this
 # namespace, so they stay imported until the tracer no longer names them.
@@ -142,15 +132,13 @@ class GroupRecord:
     decoded_by_bob: str | None
 
 
-# The rows of SessionTranscript.columns, one entry per group: the prepared
-# label, Alice's op, the label Bob measures, Bob's op, the swap's Bell
-# outcome indices a, b, c as 16a + 4b + c, and the op Alice decodes and the
-# op Bob decodes. An entry is -1 where the session stopped before the step
-# that sets it.
+# The rows of SessionTranscript.columns, an entry per group, -1 before the
+# step that sets it: the prepared label, Alice's op, the label Bob measures,
+# Bob's op, the swap's Bell indices a, b, c as 16a + 4b + c, and the ops
+# Alice and Bob decode.
 _PREPARED, _A_OP, _P_LABEL, _B_OP, _BELL, _BY_ALICE, _BY_BOB = range(7)
-# The row behind each GroupRecord field after index, which is also each
-# _GROUP_JSON field after "n": the Bell index gives both the triple and
-# its collection.
+# The row behind each GroupRecord (and _GROUP_JSON) field after the index:
+# the Bell index gives both the triple and its collection.
 _FIELD_ROWS = (_PREPARED, _A_OP, _P_LABEL, _B_OP, _BELL, _BELL, _BY_ALICE, _BY_BOB)
 
 
@@ -161,11 +149,9 @@ def _columns(n_groups: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class SessionTranscript:
-    """Deterministic record of one session. Its groups are integer columns,
-    a row of columns per field (_PREPARED, ...) with an entry per group,
-    which the steps fill a block at a time; the records of groups and the
-    JSON text are built from them when read. Compare transcripts by their
-    to_json text."""
+    """Deterministic record of one session. Its groups are integer columns
+    (_PREPARED, ...), from which the records of groups and the JSON text are
+    built when read. Compare transcripts by their to_json text."""
 
     config: SessionConfig
     checks: list[CheckRecord] = field(default_factory=list)
@@ -183,8 +169,7 @@ class SessionTranscript:
 
     def _fields(self, tables) -> zip:
         """Each group's number from 1, then its fields in GroupRecord order:
-        field i's column entry looked up in tables[i], where entry -1 is a
-        step the session did not reach."""
+        field i's column entry looked up in tables[i]."""
         rows = self.columns.tolist()
         return zip(range(1, self.columns.shape[1] + 1),
                    *([table[k] for k in rows[row]] for row, table in zip(_FIELD_ROWS, tables)))
@@ -199,9 +184,8 @@ class SessionTranscript:
 
     def to_json(self) -> str:
         """The transcript as json.dumps(..., indent=2) would write it, plus a
-        newline: json.dumps formats the header (version and config) and the
-        footer (checks and abort), and each group is one _GROUP_JSON template
-        filled with the JSON text of its column entries (_field_json)."""
+        newline: json.dumps writes the header and footer, and each group is a
+        _GROUP_JSON template filled from its column entries (_field_json)."""
         from . import __version__
         head = json.dumps({"version": __version__, "config": self.config.to_json_dict()},
                           indent=2)
@@ -214,8 +198,7 @@ class SessionTranscript:
         return f'{head[:-2]},\n  "groups": {groups},\n{tail[2:]}\n'
 
 
-# One group of the transcript, at the indentation json.dumps(indent=2) gives
-# it; the fields in GroupRecord order.
+# One group as json.dumps(indent=2) writes it, the fields in GroupRecord order.
 _GROUP_JSON = """\
     {
       "n": %d,
@@ -233,8 +216,8 @@ _GROUP_JSON = """\
 @lru_cache(maxsize=None)
 def _field_values() -> tuple[tuple, ...]:
     """Per GroupRecord field after index, the value of each entry its column
-    can hold, indexed by the entry: labels, ops, Bell triples, collections
-    and 3-bit strings, with None last, at entry -1."""
+    can hold, by entry: labels, ops, Bell triples, collections and 3-bit
+    strings, with None last, at entry -1."""
     return tuple((*values, None) for values in (
         GhzLabel, CompositeOp, GhzLabel, CompositeOp, *_swap_outcomes(), _BITS, _BITS))
 
@@ -247,9 +230,8 @@ def _field_json() -> tuple[tuple[str, ...], ...]:
 
 
 def message_ops(bits: str, n_groups: int) -> np.ndarray:
-    """The composite operation index of every group, its three message bits
-    read as a binary number (message_to_op), the whole string validated at
-    once."""
+    """The composite operation index of every group: its three message bits
+    read as a binary number (message_to_op)."""
     digits = np.frombuffer(bits.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     if len(bits) != 3 * n_groups or digits.size != len(bits) or (digits > 1).any():
         raise ValueError(f"need exactly {3 * n_groups} message bits of 0/1")
@@ -261,10 +243,9 @@ def random_message_bits(n_groups: int, rng: Rng) -> str:
 
 
 def _invert_announcements(announced) -> np.ndarray:
-    """decoded[side, own op, announcement] from announced[a][b]: the index
-    of Bob's operation that Alice (side 0) reads along her row a, and of
-    Alice's that Bob (side 1) reads down his column b. Raises unless every
-    row and column is a permutation of the collections."""
+    """decoded[side, own op, announcement] from announced[a][b]: Bob's op as
+    Alice (side 0) reads it along her row a, Alice's as Bob (side 1) reads
+    it down his column b. Raises unless each row and column is a permutation."""
     decoded = np.full((2, 8, 8), -1, dtype=np.int8)
     for a in CompositeOp:
         for b in CompositeOp:
@@ -322,20 +303,15 @@ _SWAP = 9                                         # unit: group n
 _EVE_TRIPLES = {"S_C": 10, "S_B": 11, "S_A": 12}  # unit: triple t (2n odd, 2n+1 even)
 _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in flight
 
-# Each sequence carries this qubit of every triple (and, in S_C, of every
-# GHZ sample).
+# Each sequence carries this qubit of every triple (and S_C of every sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
-# Groups (twice as many triples), samples or decoys per block of draws. A
-# block's buffers hold a few ids, draws and outcomes a unit: the swap's take
-# about 110 bytes a group (tracemalloc, one block of 2048 groups).
+# Groups (twice as many triples), samples or decoys per block of draws; the
+# swap's block buffers take about 110 bytes a group (tracemalloc).
 _BLOCK = 128
-# A table expands at most this many new keys at once. The swap expands a
-# session's ~170 pairs before its first draw; its joint states, their
-# expansion and the table then take up to 0.44 MB clean and 0.83 MB under
-# an entangling attack on S_A (7 qubits; tracemalloc around the swap). A
-# 1000-group session (bench/run.py) peaks at 0.63 MB clean, in to_json, and
-# at 0.93 MB entangled, in the swap.
+# A table expands at most this many new keys at once, which bounds what the
+# swap holds: its joint states, their expansion and the table take up to
+# 0.44 MB clean and 0.83 MB under an entangling attack on S_A (tracemalloc).
 _SWAP_CHUNK = 64
 # Choices per transition (StateTable.move): the eight composite ops.
 _CHOICES = 8
@@ -356,15 +332,10 @@ _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STAT
 
 
 class StateTable:
-    """The distinct states of one session, each an integer id: its dense
-    amplitudes are interned by their exact bytes, which also fix its width.
-    The eight GHZ states take ids 0-7 in label order and the four decoys
-    8-11 in DECOY_TOKENS order.
-
-    A transition (move) is memoized per kind as next[id, choice], -1 where
-    not yet known. A miss runs its row kernel once over the missing
-    distinct (id, choice) pairs, so no transition is computed twice.
-    """
+    """A session's distinct states, each an integer id, interned by the
+    exact bytes of its amplitudes: the GHZ states are ids 0-7 in label
+    order, the decoys 8-11 in DECOY_TOKENS order. Transitions are memoized
+    per kind as moves[kind][id, choice], -1 where not yet known."""
 
     def __init__(self):
         self.ids: dict[bytes, int] = {}
@@ -388,15 +359,13 @@ class StateTable:
         return np.array([self.rows[i] for i in ids.tolist()])
 
     def move(self, kind, ids: np.ndarray, choices, build) -> np.ndarray:
-        """The ids after the transition kind, unit i taking choices[i] (or
-        one choice for all) below _CHOICES. build(amps, choices) is the row
-        kernel, run on the missing distinct pairs."""
-        table = self.moves.get(kind)
-        if table is None or len(table) < len(self.rows):
-            grown = np.full((2 * len(self.rows), _CHOICES), -1, dtype=np.intp)
-            if table is not None:
-                grown[:len(table)] = table
-            table = self.moves[kind] = grown
+        """The ids after transition kind, unit i taking choices[i] (or one
+        choice for all) below _CHOICES; build(amps, choices), the row
+        kernel, runs once over the missing distinct (id, choice) pairs."""
+        table = self.moves.setdefault(kind, np.empty((0, _CHOICES), dtype=np.intp))
+        if len(table) < len(self.rows):
+            unknown = np.full((2 * len(self.rows) - len(table), _CHOICES), -1, dtype=np.intp)
+            table = self.moves[kind] = np.concatenate([table, unknown])
         out = table[ids, choices]
         miss = out < 0
         if miss.any():
@@ -410,10 +379,8 @@ class StateTable:
 
 def _certain(tables: list[np.ndarray]) -> np.ndarray:
     """Per row of branch_rows tables, each round's outcome where every round
-    on its path has exactly one outcome above ZERO_TOL, which _pick takes
-    for any draw; -1 in every round of the other rows. Every branch below a
-    live one holds a live outcome, so such a row is one with a single live
-    entry in its last table, at the index of its path."""
+    on its path has one live outcome, which _pick takes for any draw, and
+    -1 otherwise: a row with a single live entry in its last table."""
     live = tables[-1].reshape(len(tables[-1]), -1) > qcore.ZERO_TOL
     paths = (tables[-1].shape[-1],) * len(tables)
     fixed = np.stack(np.unravel_index(live.argmax(axis=1), paths), axis=1)
@@ -422,10 +389,9 @@ def _certain(tables: list[np.ndarray]) -> np.ndarray:
 
 
 class Branches:
-    """The Born tables of one measurement over a session's states: the
-    qcore.branch_rows tables of each distinct key, an entry per key, built
-    in chunks of at most _SWAP_CHUNK keys. A key is 2 * id + the index of
-    the state's basis in bases; rounds are the qubits measured."""
+    """The Born tables of one measurement: the branch_rows tables of each
+    distinct key 2 * id + the index of the state's basis in bases, built
+    _SWAP_CHUNK keys at a time."""
 
     def __init__(self, bases, rounds):
         self.bases, self.rounds = bases, rounds
@@ -449,10 +415,9 @@ class Branches:
         return np.fromiter(map(entries.__getitem__, keys), np.intp, len(keys))
 
     def sample(self, states: StateTable, keys: np.ndarray, lanes) -> list[np.ndarray]:
-        """Each round's outcome index for every key, drawn as measure_rows
-        draws it, one random() per round from the lanes that lanes() keys
-        to the keys' streams; neither keyed nor drawn when every key's
-        outcomes are certain (_certain)."""
+        """Each round's outcome index for every key, as measure_rows draws
+        it, from the keys' streams that lanes() keys; neither keyed nor
+        drawn when every outcome is certain (_certain)."""
         entries = self.entries_of(states, keys)
         fixed = self.fixed[entries]
         if (fixed >= 0).all():
@@ -461,12 +426,10 @@ class Branches:
 
 
 class SwapTable(Branches):
-    """The Bell branches of the swap, one entry per distinct (odd id, even
-    id) pair of a session, keyed odd << _PAIR | even: the tables of the
-    pair's joint state, whose three rounds measure the cross pairs (r,
-    w + r), w the odd state's qubit count. The pairs are joined only here
-    (particles.merge), once each, so the table is bounded by the distinct
-    pairs a session reaches, not by N."""
+    """The swap's Bell branches, one entry per distinct (odd id, even id)
+    pair, keyed odd << _PAIR | even: the tables of the pair's joint state
+    (particles.merge, once per pair), whose three rounds measure the cross
+    pairs (r, w + r), w the odd state's qubit count."""
 
     def __init__(self):
         super().__init__(MeasBasis.BELL, None)
@@ -492,21 +455,12 @@ def _encode(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 class Session:
-    """Single-threaded deterministic run of the seven protocol steps.
-
-    Use run_session for the whole pipeline; the step methods exist so tests
-    and experiments can drive or inspect intermediate states.
-
-    A transmitted sequence is its qubit of every triple plus its samples
-    or decoys, in no particular order: positions are not simulated (see the
-    module docstring). Each draw comes from the stream of its place and
-    unit, so no step depends on how many draws an earlier one made.
-
-    triples holds the ids of each group's odd and even triple, and the
-    units' draws are taken a block at a time. A check draws, attacks and
+    """Single-threaded deterministic run of the seven protocol steps; the
+    step methods drive or inspect intermediate states. triples holds the
+    ids of each group's odd and even triple. A check draws, attacks and
     measures its own samples or decoys a block at a time (_checked_units),
-    so the session holds none of them between steps. The swap, the last
-    step that reads the states, releases the ids and every table.
+    so none is held between steps. The swap, the last step that reads the
+    states, releases the ids and every table.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
@@ -533,11 +487,9 @@ class Session:
             table = self.tables[bases, rounds] = Branches(bases, rounds)
         return table
 
-    # -- step 1 ----------------------------------------------------------
-
     def prepare(self) -> None:
-        """Draw labels, build two identical GHZ triples per group, and
-        transmit the third-particle sequence."""
+        """Step 1: draw labels, build two identical GHZ triples per group,
+        and transmit the third-particle sequence."""
         cfg = self.cfg
         labels = (np.concatenate([self._key(_GROUP_LABEL, start, stop).randrange(8)
                                   for start, stop in _spans(cfg.n_groups)])
@@ -549,8 +501,7 @@ class Session:
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
-        """Eve's pass over the named sequence's qubit of every triple; its
-        samples or decoys pass her in their check (_checked_units)."""
+        """Eve's pass over the named sequence's qubit of every triple."""
         attack = self.cfg.attack
         if attack is None or attack.target != name:
             return
@@ -561,34 +512,22 @@ class Session:
 
     def _attack(self, ids: np.ndarray, role: int, place: int, start: int) -> np.ndarray:
         """The ids after Eve's pass over qubit role of the units start, ...,
-        each drawing her choice from its stream at place (apply_attack)."""
+        each drawing her choice from its stream at place (attack_choices)."""
         attack, stop = self.cfg.attack, start + len(ids)
-        if attack.strategy == "intercept_resend":
-            choices = (self._key(place, start, stop).randrange(len(DECOY_TOKENS))
-                       if attack.fake_state is None else DECOY_TOKENS.index(attack.fake_state))
-        elif attack.strategy == "measure_resend":
-            # a unit's stream gives Eve's basis, then her outcome
-            if attack.eve_basis is None:
-                rng = self._key(place, start, stop)
-                basis = rng.randrange(len(_CHECK_BASES))
-            else:
-                rng, basis = None, _CHECK_BASES.index(MeasBasis(attack.eve_basis))
-            (outcome,) = self._table(_CHECK_BASES, ((role,),)).sample(
-                self.states, 2 * ids + basis,
-                lambda: self._key(place, start, stop) if rng is None else rng)
-            choices = 2 * basis + outcome
-        else:
-            choices = 0
+
+        def outcomes(basis, lanes):
+            table = self._table(EVE_BASES, ((role,),))
+            return table.sample(self.states, 2 * ids + basis, lanes)[0]
+
+        choices = attack_choices(attack, lambda: self._key(place, start, stop), outcomes)
         return self.states.move(("attack", role), ids, choices,
                                 lambda amps, picked: apply_attack(amps, role, attack, picked))
 
     def _checked_units(self, name: str, kinds: int, first: int, role: int):
-        """The GHZ samples (kinds 8 from state 0, role 2) or single-particle
-        decoys (kinds 4 from state 8, role 0) that travel in the named
-        sequence, a block at a time: yields (units, ids, lanes), units the
-        drawn kinds, ids their states after Eve's pass over the qubit role
-        when she targets the sequence, and lanes() the units' check streams,
-        keyed."""
+        """The GHZ samples (kinds 8 from state 0, role 2) or decoys (kinds 4
+        from state 8, role 0) of the named sequence, a block at a time:
+        yields (units, ids, lanes), the drawn kinds, their ids after Eve's
+        pass when she targets the sequence, and lanes() keying their checks."""
         attack = self.cfg.attack
         attacked = attack is not None and attack.target == name
         for start, stop in _spans(self.cfg.resolved_decoys()):
@@ -598,10 +537,8 @@ class Session:
                 ids = self._attack(ids, role, _EVE_EXTRAS[name], start)
             yield units, ids, lambda: self._key(_CHECK[name], start, stop)
 
-    # -- step 2 ----------------------------------------------------------
-
     def check1(self) -> CheckRecord:
-        """GHZ-sample correlation check on the delivered third particles."""
+        """Step 2: GHZ-sample correlation check on the third particles."""
         ok = _sample_ok()
         table = self._table(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         errors = 0
@@ -621,24 +558,20 @@ class Session:
             self.transcript.abort_step = step
         return rec
 
-    # -- step 3 ----------------------------------------------------------
-
     def alice_encode(self) -> None:
-        """Encode Alice's bits on the odd triples, then send the
+        """Step 3: encode Alice's bits on the odd triples, then send the
         second-particle sequence."""
         odd = self.triples[:, 0]
         odd[:] = self.states.move("op", odd, self.alice_ops, _encode)
         self.transcript.columns[_A_OP] = self.alice_ops
         self._transmit("S_B")
 
-    # -- steps 4 and 5 ---------------------------------------------------
-
     def check2(self) -> CheckRecord:
-        """Decoy check on the delivered second-particle sequence."""
+        """Step 4: decoy check on the delivered second-particle sequence."""
         return self._decoy_check(4, "S_B")
 
     def check3(self) -> CheckRecord:
-        """Send the first-particle sequence, then check its decoys."""
+        """Step 5: send the first-particle sequence, then check its decoys."""
         self._transmit("S_A")
         return self._decoy_check(5, "S_A")
 
@@ -652,11 +585,9 @@ class Session:
             errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
         return self._record_check(step, errors)
 
-    # -- step 6 ----------------------------------------------------------
-
     def bob_encode(self) -> None:
-        """Identify each group's prepared state from the even triple,
-        rebuild it fresh, and encode Bob's bits on it."""
+        """Step 6: identify each group's prepared state from the even
+        triple, rebuild it fresh, and encode Bob's bits on it."""
         columns, even = self.transcript.columns, self.triples[:, 1]
         table = self._table((MeasBasis.GHZ,), ((0, 1, 2),))
         for start, stop in _spans(self.cfg.n_groups):
@@ -667,18 +598,15 @@ class Session:
         even[:] = self.states.move("op", columns[_P_LABEL].astype(np.intp), self.bob_ops, _encode)
         columns[_B_OP] = self.bob_ops
 
-    # -- step 7 ----------------------------------------------------------
-
     def swap_and_announce(self) -> None:
-        """Bell-measure the three cross pairs of each group and announce the
-        outcome collection over the (ideal) classical channel."""
+        """Step 7: Bell-measure the three cross pairs of each group and
+        announce the outcome collection over the (ideal) classical channel."""
         odd, even = self.triples.T
 
         def pairs(start, stop):
             return odd[start:stop] << _PAIR | even[start:stop]
 
-        # the distinct pairs first, so that the new ones are joined in full
-        # chunks; a set of them grows with the distinct pairs, not with N
+        # the distinct pairs first, so that the new ones are joined in full chunks
         distinct = set()
         for start, stop in _spans(len(odd)):
             distinct.update(pairs(start, stop).tolist())
@@ -700,16 +628,12 @@ class Session:
         columns[_BY_ALICE] = alice[columns[_A_OP], announced]
         columns[_BY_BOB] = bob[columns[_B_OP], announced]
 
-    # ---------------------------------------------------------------------
-
     def run(self) -> SessionTranscript:
         self.prepare()
         if self.check1().aborted:
             return self.transcript
         self.alice_encode()
-        if self.check2().aborted:
-            return self.transcript
-        if self.check3().aborted:
+        if self.check2().aborted or self.check3().aborted:
             return self.transcript
         self.bob_encode()
         self.swap_and_announce()

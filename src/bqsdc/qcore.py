@@ -1,43 +1,30 @@
 """Dense state-vector engine for few-qubit protocol simulation.
 
 A state is an immutable vector of complex amplitudes indexed by bitstring,
-with qubit 0 in the leftmost (most significant) position so kets transcribe
-left to right. All operations are pure functions of their inputs; sampling
-randomness enters only through an explicit Rng argument, never through
-ambient state.
+qubit 0 the most significant, so kets transcribe left to right. Operations
+are pure functions; randomness enters only through an explicit Rng.
 
-A state is validated where it enters the engine: StateVector(...) copies
-its amplitudes and checks their length, finiteness and norm, and tensor,
-which builds the widest states, goes through it. The results of
-apply_unitary and of the measurement collapses skip that copy and those
-checks, because a unitary and a normalized projection keep the norm by
-construction. Two cheap guards, which fail on NaN as well, stand in for
-them: apply_unitary checks the norm of its result, which catches a matrix
-that is not unitary on the state, and measure checks that the outcome
-probabilities of each round, which sum to the squared norm of what it
-measures, total 1.
+StateVector(...) copies a state where it enters the engine and checks its
+length, finiteness and norm. Unitaries and normalized projections keep the
+norm by construction, so their results skip that copy and stand on two
+cheap guards, which fail on NaN too: apply_unitary checks the norm of its
+result, and a measurement checks that each round's probabilities total 1.
 
-Every kernel works on rows: the *_rows functions take the states of many
-registers of one layout stacked as the rows of one (rows, 2**n) array and
-run one numpy pass over all of them, with every check and guard applied
-to each row (tensor_rows checks each row as StateVector(...) does). The
-one-state functions are the one-row case of the same code. The index work
-of grouping k qubits is computed once per (n, qubits) as a gather plan.
-Every basis vector is real, so a measurement projects onto all of them in
-one real matmul on the float64 view of the amplitudes.
+Every kernel works on rows: the *_rows functions run one numpy pass over
+the states of many registers of one layout, stacked as the rows of one
+(rows, 2**n) array, with every check and guard applied to each row; the
+one-state functions are their one-row case. Grouping k qubits is a gather
+plan computed once per (n, qubits), and every basis vector is real, so a
+measurement projects onto all of them in one real matmul.
 
 measure_rows and branch_rows are the two Born kernels, and the only
 callers of _project. measure_rows takes several rounds of disjoint qubits
 in one pass: it gathers them once, each round projects the normalized
 remainder the round before it left, and the collapsed state is expanded
-once, at the end, and only when it is kept; collapse_rows is that pass with
-the outcomes given. branch_rows follows every outcome of those rounds
-instead of one, with the same arithmetic, so walking its probability
-tables (sample_branches) draws the outcomes measure_rows would, for any
-number of draws of each row. Every table reads branch_rows: a session's
-measurements, born_distribution (its one-round table) and
-joint_distribution, which multiplies the entries along its live paths for
-the chart derivations, the consistency sets and the detection harness.
+once, at the end, and only when it is kept (collapse_rows: the same pass
+with the outcomes given). branch_rows follows every outcome instead of one,
+with the same arithmetic, so walking its tables (sample_branches) draws the
+outcomes measure_rows would. Every Born table reads branch_rows.
 """
 
 from __future__ import annotations
@@ -70,12 +57,9 @@ def _mix64(x: int) -> int:
 
 
 class Rng:
-    """Counter-based keyed random stream (SplitMix64).
-
-    Draw i of the stream keyed by (seed, stream) is a pure function of
-    (seed, stream, i): two instances with the same key replay identical
-    sequences, and distinct stream ids give independent sequences, so
-    parallel Monte Carlo trials can each take stream = trial index.
+    """Counter-based keyed random stream (SplitMix64): draw i of the stream
+    keyed by (seed, stream) is a pure function of (seed, stream, i), so
+    equal keys replay equal sequences and distinct streams are independent.
     """
 
     __slots__ = ("seed", "stream", "_state")
@@ -102,41 +86,27 @@ class Rng:
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFTS = tuple(map(np.uint64, (30, 27, 31)))
-# Below this many elements _mix64_inplace mixes Python ints (_mix64), with
-# the same values: n elements take about 7 us through its nine numpy calls
-# (11 us for one) and about 1 + 0.85 n us through ints (timeit, one process),
-# so ints are faster up to 6 and tie at 7. A one-group session keys and
-# draws lanes of one.
-_NUMPY_LANES = 8
 
 
 def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
-    """_mix64 on every element of the uint64 array x, using tmp (of x's
-    shape) as scratch; numpy's uint64 arithmetic wraps modulo 2**64 as the
-    masks do."""
-    if x.size < _NUMPY_LANES:
-        flat = x.reshape(-1)
-        flat[:] = [_mix64(v) for v in flat.tolist()]
-        return
-    np.right_shift(x, _SHIFTS[0], out=tmp)
+    """_mix64 on every element of the uint64 array x, using tmp as scratch;
+    numpy's uint64 arithmetic wraps modulo 2**64 as the masks do."""
+    np.right_shift(x, np.uint64(30), out=tmp)
     x ^= tmp
     x *= _MIX1
-    np.right_shift(x, _SHIFTS[1], out=tmp)
+    np.right_shift(x, np.uint64(27), out=tmp)
     x ^= tmp
     x *= _MIX2
-    np.right_shift(x, _SHIFTS[2], out=tmp)
+    np.right_shift(x, np.uint64(31), out=tmp)
     x ^= tmp
 
 
 class StreamBlock:
     """The keyed streams (seed, start), ..., (seed, start + n - 1) drawn side
     by side in numpy uint64 buffers of `size` lanes, reused block after block.
-
     Lane j of draw(i) equals draw i (0-based) of Rng(seed, start + j): a
     stream's state after i + 1 draws is its key plus (i + 1) golden-ratio
-    increments, so any draw of any stream is computed without the ones
-    before it. u64, random and randrange take the lanes' next draw, as the
+    increments. u64, random and randrange take the lanes' next draw, as the
     Rng methods of the same names do for one stream; random(k) the next k.
     """
 
@@ -176,9 +146,8 @@ class StreamBlock:
         return self.draw(self.drawn - 1)
 
     def random(self, k: int | None = None) -> np.ndarray:
-        """Rng.random of every lane: (u >> 11) * 2**-53, exact in float64.
-        With k, the lanes' next k draws as the rows of a (k, n) array,
-        mixed in one pass."""
+        """Rng.random of every lane, (u >> 11) * 2**-53 exact in float64;
+        with k, the lanes' next k draws as the rows of a (k, n) array."""
         if k is None:
             u = self.u64()
         else:
@@ -316,8 +285,7 @@ def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = (a[:, :, None] * b[..., None, :]).reshape(len(a), -1)
     flat = out.view(np.float64)
     norm2 = (flat * flat).sum(axis=1)
-    # as in StateVector, a row's squared norm is finite exactly when its
-    # amplitudes are
+    # as in StateVector, a row's squared norm is finite exactly when it is
     if not np.isfinite(norm2).all() and not np.isfinite(flat).all():
         raise ValueError("amplitudes must be finite")
     _require_unit_norms(norm2, "state")
@@ -368,10 +336,9 @@ def apply_unitary_rows(amps: np.ndarray, matrix: np.ndarray,
 @lru_cache(maxsize=None)
 def _plan(n: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Gather plans that bring the given qubits of an n-qubit state to the
-    front and back: amps[..., plan].reshape(2**k, -1) has one row per bit
-    pattern of the qubits (qubits[0] most significant) and one column per
-    pattern of the others, in order; mat.reshape(-1)[..., inverse] puts a
-    matrix of that shape back in state order."""
+    front and back: amps[..., plan].reshape(2**k, -1) has a row per bit
+    pattern of the qubits (qubits[0] most significant) and a column per
+    pattern of the others; mat.reshape(-1)[..., inverse] undoes it."""
     qs = list(qubits)
     if len(set(qs)) != len(qs):
         raise ValueError("qubit indices must be distinct")
@@ -423,9 +390,9 @@ def _gather(amps: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.n
 
 def _gather_rounds(amps: np.ndarray, outcomes: int,
                    rounds: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """_gather of the qubits of every round in turn, each round as many
-    qubits as a basis of that many outcomes measures; raises ValueError when
-    a round has another size or two rounds share a qubit (_plan)."""
+    """_gather of every round's qubits in turn; raises ValueError when a
+    round is not the size a basis of that many outcomes measures, or two
+    rounds share a qubit (_plan)."""
     for qs in rounds:
         if 1 << len(qs) != outcomes:
             raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
@@ -443,9 +410,8 @@ def _project(vecs: np.ndarray, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
                j: np.ndarray) -> np.ndarray:
-    """The remainder of row src[i] in outcome j[i], normalized, as complex
-    rows (a complex-by-real division, in place on the gathered rows, which
-    measure_rows and branch_rows share)."""
+    """The normalized remainder of row src[i] in outcome j[i], as complex
+    rows, divided in place (measure_rows and branch_rows share it)."""
     rem = projs[src, j].view(np.complex128)
     rem /= np.sqrt(probs[src, j])[:, None]
     return rem
@@ -467,22 +433,17 @@ def _pick(probs: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> dict:
-    """Exact outcome probabilities for a projective measurement: the
-    one-round table of branch_rows.
-
-    Returns the full map over basis labels; probabilities sum to one.
-    Raises ValueError as branch_rows does.
+    """Exact outcome probabilities of a projective measurement, over every
+    basis label: the one-round table of branch_rows, which raises as there.
     """
     (table,) = branch_rows(s.amps[None], basis, [qubits])
     return dict(zip(basis_labels(basis), table[0, 0].tolist()))
 
 
 def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
-    """Sample one outcome by the Born rule and collapse.
-
-    Returns (outcome label, collapsed StateVector). Re-measuring the same
-    qubits in the same basis then reproduces the outcome with certainty.
-    Raises ValueError when the outcome probabilities do not total 1.
+    """Sample one outcome by the Born rule and collapse: (outcome label,
+    collapsed StateVector). Raises ValueError when the outcome probabilities
+    do not total 1.
     """
     (j,), post = measure_rows(s.amps[None], basis, [qubits], [np.array([rng.random()])])
     return basis_labels(basis)[j[0]], rows_as_states(post)[0]
@@ -497,9 +458,7 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     basis does. basis is one MeasBasis for all rows or, with which, a
     sequence of bases of one arity: row i is measured in basis[which[i]].
 
-    One pass: the qubits of every round are gathered once, and each round
-    projects the normalized remainder of the round before it, never the
-    re-expanded state. Returns (js, post): js[k][i] the index of row i's
+    Returns (js, post): js[k][i] the index of row i's
     outcome in round k, in its basis order (basis_labels), post the
     collapsed rows as a fresh array, or None without collapse, for a
     measurement nothing reads again. Raises ValueError when two rounds
@@ -516,14 +475,12 @@ def collapse_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
                   rounds: Sequence[Sequence[int]], js: Sequence[np.ndarray],
                   which: np.ndarray | None = None) -> np.ndarray:
     """The rows of amps collapsed as measure_rows collapses them when row i
-    takes outcome js[k][i] in round k: the same pass, so the same bits.
-    Every outcome taken must have a probability above ZERO_TOL."""
+    takes outcome js[k][i], of probability above ZERO_TOL, in round k."""
     return _measure(amps, basis, rounds, which, True, lambda k, probs, cum: js[k])[1]
 
 
 def _measure(amps, basis, rounds, which, collapse, choose):
-    """The pass of measure_rows, round k taking outcomes choose(k, probs,
-    cum) from its outcome probabilities and their running sums."""
+    """measure_rows' pass, round k taking the outcomes choose(k, probs, cum)."""
     vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))
     rem, inverse = _gather_rounds(amps, vecs.shape[-1], rounds)
     if which is not None:
@@ -555,13 +512,11 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     measure_rows follows one path per row. basis and which are as there.
 
     Returns one array per round: tables[k][i, p, j] the probability of
-    outcome j in round k of row i after outcomes j_0, ..., j_(k-1) in the
-    rounds before it, p = j_0 d**(k-1) + ... + j_(k-1) with d outcomes per
-    round. It is computed as measure_rows computes it on that path, one
-    gather, then _project and _remainder round after round, so it is the
-    same number bit for bit. A branch at or below ZERO_TOL is never taken,
-    so it is never divided: the entries below it are 0. Raises ValueError
-    as measure_rows does, the unit-norm guard running on every live branch.
+    outcome j in round k of row i after outcomes j_0, ..., j_(k-1) before
+    it, p = j_0 d**(k-1) + ... + j_(k-1) with d outcomes per round, computed
+    as measure_rows computes it on that path, so bit for bit the same. A
+    branch at or below ZERO_TOL is never taken or divided: the entries below
+    it are 0. Raises ValueError as measure_rows does, on every live branch.
     """
     vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))[which]
     outcomes = vecs.shape[-1]
@@ -604,13 +559,10 @@ def sample_branches(tables: Sequence[np.ndarray], rows: np.ndarray,
 
 def joint_distribution(s: StateVector, basis: MeasBasis,
                        groups: Iterable[Sequence[int]]) -> dict[tuple, float]:
-    """Joint distribution of the same-basis measurement applied to several
-    disjoint qubit groups, read off the branch_rows tables of s: a path's
-    probability is the product of its rounds' entries, left to right.
-
-    Keys are outcome tuples in group order, lexicographic in basis order;
-    a path with a round at or below ZERO_TOL is dropped, so the keys are
-    exactly the support. Raises ValueError as branch_rows does.
+    """Joint distribution of the same-basis measurement of several disjoint
+    qubit groups: a path's probability is the product of its rounds' entries
+    in the branch_rows tables of s, which raises as there. Keys are outcome
+    tuples in group order, lexicographic in basis order, exactly the support.
     """
     tables = branch_rows(s.amps[None], basis, list(groups))
     labels = basis_labels(basis)

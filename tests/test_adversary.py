@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqsdc.adversary import (_BLOCK, AttackConfig, CheckTemplate, _TrialSampler,
-                             apply_attack, claimed_detection_rate, eavesdrop_unitary,
-                             estimate_detection, exact_detection_probability)
+                             apply_attack, attack_choices, claimed_detection_rate,
+                             eavesdrop_unitary, estimate_detection,
+                             exact_detection_probability)
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import ghz_rows, ghz_state
 from bqsdc.labels import GhzLabel
@@ -83,8 +84,8 @@ class TestAttackApplication:
         # the register as its last qubit, still entangled with the other two.
         # Equal as numbers: the SWAP's sums turn a -0.0 of the product into 0.0
         for token in DECOY_TOKENS:
-            block, before = attacked_block(AttackConfig("intercept_resend", fake_state=token),
-                                           DECOY_TOKENS.index(token), role=role)
+            cfg = AttackConfig("intercept_resend", fake_state=token)
+            block, before = attacked_block(cfg, attack_choices(cfg, None, None), role=role)
             assert block.shape == (3, 16)
             for row, prior in zip(block, before):
                 joined = tensor(StateVector(prior), decoy_state(token)).amps
@@ -92,9 +93,10 @@ class TestAttackApplication:
                 assert np.array_equal(row, expect), (role, token)
 
     def test_measure_resend_collapses(self):
-        # Z-basis outcomes 0, 1, 0 (choices 2 * basis + outcome, basis Z = 0)
-        block, _ = attacked_block(AttackConfig("measure_resend", eve_basis="Z"),
-                                  np.array([0, 1, 0]))
+        # Z-basis outcomes 0, 1, 0
+        cfg = AttackConfig("measure_resend", eve_basis="Z")
+        outcomes = np.array([0, 1, 0])
+        block, _ = attacked_block(cfg, attack_choices(cfg, None, lambda basis, lanes: outcomes))
         assert block.shape == (3, 8)
         for state, outcome in zip(row_states(block), (0, 1, 0)):
             # the whole triple collapsed to a definite computational state,
@@ -199,15 +201,14 @@ class TestHarnessMatchesSessionAttack:
 
     @staticmethod
     def eve_choices(cfg, pristine, role):
-        """(weight, choice) pairs whose attacks, weighted, make up Eve's."""
-        if cfg.strategy == "intercept_resend":
-            return [(1.0, DECOY_TOKENS.index(cfg.fake_state))]
+        """(weight, choice) pairs whose attacks, weighted, make up Eve's:
+        under measure-resend the choice attack_choices makes for each live
+        outcome j of her measurement, weighted by its Born probability."""
         if cfg.strategy != "measure_resend":
-            return [(1.0, 0)]
-        basis = ("Z", "X").index(cfg.eve_basis)
-        return [(p, 2 * basis + j) for j, p in enumerate(
-            born_distribution(pristine, MeasBasis(cfg.eve_basis), [role]).values())
-            if p > ZERO_TOL]
+            return [(1.0, attack_choices(cfg, None, None))]
+        dist = born_distribution(pristine, MeasBasis(cfg.eve_basis), [role])
+        return [(p, attack_choices(cfg, None, lambda basis, lanes: j))
+                for j, p in enumerate(dist.values()) if p > ZERO_TOL]
 
     @classmethod
     def session_rows(cls, cfg, pristine, role, basis, is_error):

@@ -15,7 +15,7 @@ from bqsdc.checks import decoy_state
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.protocol import _BLOCK
-from bqsdc.qcore import (_NUMPY_LANES, ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
+from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
                          collapse_rows, joint_distribution, make_basis_state, measure,
@@ -262,10 +262,9 @@ class TestStreamBlock:
                 assert [got[i][j] for i in range(draws)] == \
                     [rng.u64() for _ in range(draws)], (seed, start + j)
 
-    @pytest.mark.parametrize("n", [1, _NUMPY_LANES - 1, _NUMPY_LANES, 2 * _NUMPY_LANES + 1])
-    def test_lanes_on_both_sides_of_the_int_cutover(self, n):
-        # fewer than _NUMPY_LANES values are mixed as Python ints, more in
-        # numpy; random(k) mixes k * n values at once, on either side too
+    @pytest.mark.parametrize("n", [1, 7, 17])
+    def test_draws_of_k_rounds_equal_scalar_streams(self, n):
+        # random(k) mixes k * n values at once
         block = StreamBlock(101, size=64)
         start = 2 ** 64 - 5  # across the wrap of the stream id
         block.key(start, n)
