@@ -18,7 +18,8 @@ def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows a[i] (x) b[i], a's qubits first, each checked as a
     qcore.StateVector: the traced benchmark reads the widest state from the
     checked constructions (one tensor_rows would do once it reads widths
-    elsewhere). A session joins each distinct pair once (SwapTable)."""
+    elsewhere). The swap joins each distinct pair once per process and
+    attack (SwapTable), so a session on warm tables joins none."""
     joint = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
     return np.stack([qcore.StateVector(row).amps for row in joint])
 

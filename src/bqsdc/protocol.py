@@ -13,14 +13,16 @@ operation from the announcement and its own operation alone: the
 announcement depends on the two operations only (swap.announcement).
 
 Every unit starts as one of 8 GHZ states or 4 decoys, and every operation,
-choice of Eve's and outcome is one of a handful, so a session reaches a few
-dozen distinct states whatever N is. It holds each triple, sample and decoy
-as an id into its StateTable, and each step is a memoized transition on
-ids or a walk of the Born tables of the ids' states (Branches): the dense
-kernels run once per distinct state, not per unit. A register's roles are
-its qubits: a triple's particles of S_A, S_B and S_C are qubits 0, 1 and 2,
-a decoy is qubit 0, and an attack appends what it leaves behind. Only the
-swap joins two triples, so no state is wider than 7 qubits.
+choice of Eve's and outcome is one of a handful, so the sessions under one
+attack reach a few dozen distinct states whatever N is. A session holds each
+triple, sample and decoy as an id into its attack's StateTable, and each
+step is a memoized transition on ids or a walk of the Born tables of the
+ids' states (Branches). The tables live per process and per attack
+(_tables), so the dense kernels run once per distinct state of the process,
+not per unit or per session. A register's roles are its qubits: a triple's
+particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0, and
+an attack appends what it leaves behind. Only the swap joins two triples, so
+no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
@@ -34,6 +36,7 @@ other groups.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -167,11 +170,11 @@ class SessionTranscript:
         """A record per group, built from the columns on every read."""
         return [GroupRecord(*fields) for fields in self._fields(_field_values())]
 
-    def _fields(self, tables) -> zip:
+    def _fields(self, tables, start: int = 0, stop: int | None = None) -> zip:
         """Each group's number from 1, then its fields in GroupRecord order:
-        field i's column entry looked up in tables[i]."""
-        rows = self.columns.tolist()
-        return zip(range(1, self.columns.shape[1] + 1),
+        field i's column entry looked up in tables[i]; groups start to stop."""
+        rows = self.columns[:, start:stop].tolist()
+        return zip(range(start + 1, start + len(rows[0]) + 1),
                    *([table[k] for k in rows[row]] for row, table in zip(_FIELD_ROWS, tables)))
 
     def alice_message_bits(self) -> str | None:
@@ -182,20 +185,29 @@ class SessionTranscript:
     def bob_message_bits(self) -> str | None:
         return None if self.aborted else "".join([_BITS[k] for k in self.columns[_BY_BOB].tolist()])
 
-    def to_json(self) -> str:
-        """The transcript as json.dumps(..., indent=2) would write it, plus a
+    def write(self, fh) -> None:
+        """Write the transcript as json.dumps(..., indent=2) would, plus a
         newline: json.dumps writes the header and footer, and each group is a
-        _GROUP_JSON template filled from its column entries (_field_json)."""
+        _GROUP_JSON template filled from its column entries (_field_json),
+        _BLOCK groups at a time, so no text of the whole transcript is held."""
         from . import __version__
         head = json.dumps({"version": __version__, "config": self.config.to_json_dict()},
                           indent=2)
         tail = json.dumps({"checks": [c.to_json_dict() for c in self.checks],
                            "abort": {"aborted": self.aborted, "step": self.abort_step}},
                           indent=2)
-        groups = ",\n".join([_GROUP_JSON % fields for fields in self._fields(_field_json())])
-        groups = f"[\n{groups}\n  ]" if groups else "[]"
-        # head ends in "\n}" and tail starts with "{\n": splice the groups between
-        return f'{head[:-2]},\n  "groups": {groups},\n{tail[2:]}\n'
+        # head ends in "\n}" and tail starts with "{\n": write the groups between
+        fh.write(f'{head[:-2]},\n  "groups": [')
+        for start, stop in _spans(self.columns.shape[1]):
+            groups = self._fields(_field_json(), start, stop)
+            fh.write((",\n" if start else "\n") + ",\n".join([_GROUP_JSON % f for f in groups]))
+        fh.write(("\n  ]," if self.columns.shape[1] else "],") + f"\n{tail[2:]}\n")
+
+    def to_json(self) -> str:
+        """The text write() writes."""
+        text = io.StringIO()
+        self.write(text)
+        return text.getvalue()
 
 
 # One group as json.dumps(indent=2) writes it, the fields in GroupRecord order.
@@ -306,12 +318,14 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 # Each sequence carries this qubit of every triple (and S_C of every sample).
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
-# Groups (twice as many triples), samples or decoys per block of draws; the
-# swap's block buffers take about 110 bytes a group (tracemalloc).
+# Groups (twice as many triples), samples or decoys per block of draws, and
+# groups per chunk of written transcript: the swap's block buffers take about
+# 110 bytes a group, and write() holds under 0.1 MB at any N (tracemalloc).
 _BLOCK = 128
 # A table expands at most this many new keys at once, which bounds what the
-# swap holds: its joint states, their expansion and the table take up to
-# 0.44 MB clean and 0.83 MB under an entangling attack on S_A (tracemalloc).
+# swap holds: on its attack's cold tables, its joint states, their expansion
+# and the tables' growth take up to 0.44 MB clean and 0.83 MB under an
+# entangling attack on S_A; on warm tables 0.05 MB (tracemalloc, N = 1000).
 _SWAP_CHUNK = 64
 # Choices per transition (StateTable.move): the eight composite ops.
 _CHOICES = 8
@@ -332,10 +346,11 @@ _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STAT
 
 
 class StateTable:
-    """A session's distinct states, each an integer id, interned by the
-    exact bytes of its amplitudes: the GHZ states are ids 0-7 in label
-    order, the decoys 8-11 in DECOY_TOKENS order. Transitions are memoized
-    per kind as moves[kind][id, choice], -1 where not yet known."""
+    """The distinct states of the sessions under one attack (_tables), each
+    an integer id, interned by the exact bytes of its amplitudes: the GHZ
+    states are ids 0-7 in label order, the decoys 8-11 in DECOY_TOKENS
+    order. Transitions are memoized per kind as moves[kind][id, choice], -1
+    where not yet known."""
 
     def __init__(self):
         self.ids: dict[bytes, int] = {}
@@ -404,13 +419,16 @@ class Branches:
         return qcore.branch_rows(states.amps(keys >> 1), self.bases, self.rounds, which=keys & 1)
 
     def entries_of(self, states: StateTable, keys: np.ndarray) -> np.ndarray:
-        """The entry of every key; the keys not met before are expanded."""
+        """The entry of every key; the keys not met before are expanded, and
+        entered once all are, so a build that raises leaves the table as it was."""
         keys, entries = keys.tolist(), self.entries
         missing = sorted(set(keys).difference(entries))
+        probs, fixed = self.probs, self.fixed
         for start in range(0, len(missing), _SWAP_CHUNK):
-            new, old = self.build(states, np.array(missing[start:start + _SWAP_CHUNK])), self.probs
-            self.probs = [np.concatenate(pair) for pair in zip(old, new)] or new
-            self.fixed = np.concatenate([self.fixed, _certain(new)]) if old else _certain(new)
+            new = self.build(states, np.array(missing[start:start + _SWAP_CHUNK]))
+            fixed = np.concatenate([fixed, _certain(new)]) if probs else _certain(new)
+            probs = [np.concatenate(pair) for pair in zip(probs, new)] or new
+        self.probs, self.fixed = probs, fixed
         entries.update(zip(missing, range(len(entries), len(entries) + len(missing))))
         return np.fromiter(map(entries.__getitem__, keys), np.intp, len(keys))
 
@@ -426,10 +444,11 @@ class Branches:
 
 
 class SwapTable(Branches):
-    """The swap's Bell branches, one entry per distinct (odd id, even id)
-    pair, keyed odd << _PAIR | even: the tables of the pair's joint state
-    (particles.merge, once per pair), whose three rounds measure the cross
-    pairs (r, w + r), w the odd state's qubit count."""
+    """The swap's Bell branches under one attack (_tables), one entry per
+    distinct (odd id, even id) pair, keyed odd << _PAIR | even: the tables
+    of the pair's joint state (particles.merge, once per pair), whose three
+    rounds measure the cross pairs (r, w + r), w the odd state's qubit
+    count."""
 
     def __init__(self):
         super().__init__(MeasBasis.BELL, None)
@@ -440,6 +459,14 @@ class SwapTable(Branches):
         # merge is looked up on the module, where bench/tracer.py counts it
         return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
                                  [(r, w + r) for r in range(3)])
+
+
+@lru_cache(maxsize=4)
+def _tables(attack: AttackConfig | None) -> tuple[StateTable, dict, SwapTable]:
+    """The states, measurement tables by (bases, rounds) and swap table of
+    every session under attack (None when clean): what a session reaches
+    depends on its attack alone, so they outlive it, warm for the next."""
+    return StateTable(), {}, SwapTable()
 
 
 def _spans(count: int, size: int | None = None):
@@ -459,8 +486,10 @@ class Session:
     step methods drive or inspect intermediate states. triples holds the
     ids of each group's odd and even triple. A check draws, attacks and
     measures its own samples or decoys a block at a time (_checked_units),
-    so none is held between steps. The swap, the last step that reads the
-    states, releases the ids and every table.
+    so none is held between steps. Its states and tables are its attack's
+    (_tables), shared by every session of the process under that attack.
+    The swap, the last step that reads the states, releases the ids and the
+    session's references to the tables.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
@@ -469,9 +498,7 @@ class Session:
         self.bob_ops = message_ops(bob_bits, cfg.n_groups)
         self.transcript = SessionTranscript(config=cfg)
         self.triples: np.ndarray | None = None  # (n_groups, 2) ids, set by prepare
-        self.states = StateTable()
-        self.tables: dict[tuple, Branches] = {}  # by (bases, rounds); _table
-        self.swap_table = SwapTable()
+        self.states, self.tables, self.swap_table = _tables(cfg.attack)
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:
@@ -481,7 +508,7 @@ class Session:
         return self._streams
 
     def _table(self, bases, rounds) -> Branches:
-        """The session's Branches of one measurement."""
+        """The attack's Branches of one measurement."""
         table = self.tables.get((bases, rounds))
         if table is None:
             table = self.tables[bases, rounds] = Branches(bases, rounds)
@@ -615,7 +642,7 @@ class Session:
             a, b, c = self.swap_table.sample(self.states, pairs(start, stop),
                                              lambda: self._key(_SWAP, start, stop))
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
-        # no later step draws or reads the states, so they go with the swap
+        # no later step draws or reads the states; the attack's tables stay cached
         self.triples = self.states = self.tables = self.swap_table = self._streams = None
         self.alice_ops = self.bob_ops = None  # in the columns now
 
