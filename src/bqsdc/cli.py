@@ -184,7 +184,7 @@ def cmd_run(args) -> int:
         else:
             print(f"alice decoded: {transcript.alice_message_bits()}")
             print(f"bob decoded:   {transcript.bob_message_bits()}")
-        transcript.write(out or sys.stdout)
+        transcript.to_json(out or sys.stdout)
     return 0
 
 

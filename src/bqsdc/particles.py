@@ -15,13 +15,13 @@ from . import qcore
 
 
 def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows a[i] (x) b[i], a's qubits first, each checked as a
-    qcore.StateVector: the traced benchmark reads the widest state from the
-    checked constructions (one tensor_rows would do once it reads widths
-    elsewhere). The swap joins each distinct pair once per process and
-    attack (SwapTable), so a session on warm tables joins none."""
-    joint = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
-    return np.stack([qcore.StateVector(row).amps for row in joint])
+    """The rows a[i] (x) b[i], a's qubits first, each checked by
+    qcore.tensor_rows. The first is also built as a qcore.StateVector, the
+    construction where the traced benchmark reads the widest state. A
+    session joins each distinct pair once (SwapTable)."""
+    joint = qcore.tensor_rows(a, b)
+    qcore.StateVector(joint[0])
+    return joint
 
 
 def append_ancilla(amps: np.ndarray, states: np.ndarray,

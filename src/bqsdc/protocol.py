@@ -13,16 +13,14 @@ operation from the announcement and its own operation alone: the
 announcement depends on the two operations only (swap.announcement).
 
 Every unit starts as one of 8 GHZ states or 4 decoys, and every operation,
-choice of Eve's and outcome is one of a handful, so the sessions under one
-attack reach a few dozen distinct states whatever N is. A session holds each
-triple, sample and decoy as an id into its attack's StateTable, and each
-step is a memoized transition on ids or a walk of the Born tables of the
-ids' states (Branches). The tables live per process and per attack
-(_tables), so the dense kernels run once per distinct state of the process,
-not per unit or per session. A register's roles are its qubits: a triple's
-particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0, and
-an attack appends what it leaves behind. Only the swap joins two triples, so
-no state is wider than 7 qubits.
+choice of Eve's and outcome is one of a handful, so a session reaches a few
+dozen distinct states whatever N is. It holds each triple, sample and decoy
+as an id into its StateTable, and each step is a memoized transition on
+ids or a walk of the Born tables of the ids' states (Branches): the dense
+kernels run once per distinct state, not per unit. A register's roles are
+its qubits: a triple's particles of S_A, S_B and S_C are qubits 0, 1 and 2,
+a decoy is qubit 0, and an attack appends what it leaves behind. Only the
+swap joins two triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
@@ -185,11 +183,16 @@ class SessionTranscript:
     def bob_message_bits(self) -> str | None:
         return None if self.aborted else "".join([_BITS[k] for k in self.columns[_BY_BOB].tolist()])
 
-    def write(self, fh) -> None:
-        """Write the transcript as json.dumps(..., indent=2) would, plus a
+    def to_json(self, fh=None) -> str | None:
+        """The transcript as json.dumps(..., indent=2) would write it, plus a
         newline: json.dumps writes the header and footer, and each group is a
-        _GROUP_JSON template filled from its column entries (_field_json),
-        _BLOCK groups at a time, so no text of the whole transcript is held."""
+        _GROUP_JSON template filled from its column entries (_field_json).
+        With fh, the text goes to fh _BLOCK groups at a time and is not
+        returned, so no text of the whole transcript is held."""
+        if fh is None:
+            text = io.StringIO()
+            self.to_json(text)
+            return text.getvalue()
         from . import __version__
         head = json.dumps({"version": __version__, "config": self.config.to_json_dict()},
                           indent=2)
@@ -202,12 +205,6 @@ class SessionTranscript:
             groups = self._fields(_field_json(), start, stop)
             fh.write((",\n" if start else "\n") + ",\n".join([_GROUP_JSON % f for f in groups]))
         fh.write(("\n  ]," if self.columns.shape[1] else "],") + f"\n{tail[2:]}\n")
-
-    def to_json(self) -> str:
-        """The text write() writes."""
-        text = io.StringIO()
-        self.write(text)
-        return text.getvalue()
 
 
 # One group as json.dumps(indent=2) writes it, the fields in GroupRecord order.
@@ -320,12 +317,12 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Groups (twice as many triples), samples or decoys per block of draws, and
 # groups per chunk of written transcript: the swap's block buffers take about
-# 110 bytes a group, and write() holds under 0.1 MB at any N (tracemalloc).
+# 110 bytes a group, and writing a transcript to a file about 0.1 MB at any
+# N (tracemalloc).
 _BLOCK = 128
 # A table expands at most this many new keys at once, which bounds what the
-# swap holds: on its attack's cold tables, its joint states, their expansion
-# and the tables' growth take up to 0.44 MB clean and 0.83 MB under an
-# entangling attack on S_A; on warm tables 0.05 MB (tracemalloc, N = 1000).
+# swap holds: its joint states, their expansion and the table take up to
+# 0.44 MB clean and 0.83 MB under an entangling attack on S_A (tracemalloc).
 _SWAP_CHUNK = 64
 # Choices per transition (StateTable.move): the eight composite ops.
 _CHOICES = 8
@@ -346,11 +343,10 @@ _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STAT
 
 
 class StateTable:
-    """The distinct states of the sessions under one attack (_tables), each
-    an integer id, interned by the exact bytes of its amplitudes: the GHZ
-    states are ids 0-7 in label order, the decoys 8-11 in DECOY_TOKENS
-    order. Transitions are memoized per kind as moves[kind][id, choice], -1
-    where not yet known."""
+    """A session's distinct states, each an integer id, interned by the
+    exact bytes of its amplitudes: the GHZ states are ids 0-7 in label
+    order, the decoys 8-11 in DECOY_TOKENS order. Transitions are memoized
+    per kind as moves[kind][id, choice], -1 where not yet known."""
 
     def __init__(self):
         self.ids: dict[bytes, int] = {}
@@ -393,10 +389,11 @@ class StateTable:
 
 
 def _certain(tables: list[np.ndarray]) -> np.ndarray:
-    """Per row of branch_rows tables, each round's outcome where every round
-    on its path has one live outcome, which _pick takes for any draw, and
-    -1 otherwise: a row with a single live entry in its last table."""
-    live = tables[-1].reshape(len(tables[-1]), -1) > qcore.ZERO_TOL
+    """Per row of branch_thresholds tables, each round's outcome where every
+    round on its path has one live outcome, which sample_branches takes for
+    any draw, and -1 otherwise: a row with a single live entry in its last
+    table."""
+    live = tables[-1].reshape(len(tables[-1]), -1) >= 0
     paths = (tables[-1].shape[-1],) * len(tables)
     fixed = np.stack(np.unravel_index(live.argmax(axis=1), paths), axis=1)
     fixed[live.sum(axis=1) != 1] = -1
@@ -406,12 +403,12 @@ def _certain(tables: list[np.ndarray]) -> np.ndarray:
 class Branches:
     """The Born tables of one measurement: the branch_rows tables of each
     distinct key 2 * id + the index of the state's basis in bases, built
-    _SWAP_CHUNK keys at a time."""
+    _SWAP_CHUNK keys at a time and held as branch_thresholds."""
 
     def __init__(self, bases, rounds):
         self.bases, self.rounds = bases, rounds
         self.entries: dict[int, int] = {}
-        self.probs: list[np.ndarray] = []  # per round, (entries, d**k, d)
+        self.thresholds: list[np.ndarray] = []  # per round, (entries, d**k, d)
         self.fixed = np.empty((0, 0), dtype=np.intp)  # per entry, _certain
 
     def build(self, states: StateTable, keys: np.ndarray) -> list[np.ndarray]:
@@ -419,16 +416,14 @@ class Branches:
         return qcore.branch_rows(states.amps(keys >> 1), self.bases, self.rounds, which=keys & 1)
 
     def entries_of(self, states: StateTable, keys: np.ndarray) -> np.ndarray:
-        """The entry of every key; the keys not met before are expanded, and
-        entered once all are, so a build that raises leaves the table as it was."""
+        """The entry of every key; the keys not met before are expanded."""
         keys, entries = keys.tolist(), self.entries
         missing = sorted(set(keys).difference(entries))
-        probs, fixed = self.probs, self.fixed
         for start in range(0, len(missing), _SWAP_CHUNK):
-            new = self.build(states, np.array(missing[start:start + _SWAP_CHUNK]))
-            fixed = np.concatenate([fixed, _certain(new)]) if probs else _certain(new)
-            probs = [np.concatenate(pair) for pair in zip(probs, new)] or new
-        self.probs, self.fixed = probs, fixed
+            chunk = np.array(missing[start:start + _SWAP_CHUNK])
+            new, old = qcore.branch_thresholds(self.build(states, chunk)), self.thresholds
+            self.thresholds = [np.concatenate(pair) for pair in zip(old, new)] or new
+            self.fixed = np.concatenate([self.fixed, _certain(new)]) if old else _certain(new)
         entries.update(zip(missing, range(len(entries), len(entries) + len(missing))))
         return np.fromiter(map(entries.__getitem__, keys), np.intp, len(keys))
 
@@ -440,15 +435,15 @@ class Branches:
         fixed = self.fixed[entries]
         if (fixed >= 0).all():
             return list(fixed.T)
-        return qcore.sample_branches(self.probs, entries, lanes().random(len(self.probs)))
+        return qcore.sample_branches(self.thresholds, entries,
+                                     lanes().random(len(self.thresholds)))
 
 
 class SwapTable(Branches):
-    """The swap's Bell branches under one attack (_tables), one entry per
-    distinct (odd id, even id) pair, keyed odd << _PAIR | even: the tables
-    of the pair's joint state (particles.merge, once per pair), whose three
-    rounds measure the cross pairs (r, w + r), w the odd state's qubit
-    count."""
+    """The swap's Bell branches, one entry per distinct (odd id, even id)
+    pair, keyed odd << _PAIR | even: the tables of the pair's joint state
+    (particles.merge, once per pair), whose three rounds measure the cross
+    pairs (r, w + r), w the odd state's qubit count."""
 
     def __init__(self):
         super().__init__(MeasBasis.BELL, None)
@@ -459,14 +454,6 @@ class SwapTable(Branches):
         # merge is looked up on the module, where bench/tracer.py counts it
         return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
                                  [(r, w + r) for r in range(3)])
-
-
-@lru_cache(maxsize=4)
-def _tables(attack: AttackConfig | None) -> tuple[StateTable, dict, SwapTable]:
-    """The states, measurement tables by (bases, rounds) and swap table of
-    every session under attack (None when clean): what a session reaches
-    depends on its attack alone, so they outlive it, warm for the next."""
-    return StateTable(), {}, SwapTable()
 
 
 def _spans(count: int, size: int | None = None):
@@ -486,10 +473,8 @@ class Session:
     step methods drive or inspect intermediate states. triples holds the
     ids of each group's odd and even triple. A check draws, attacks and
     measures its own samples or decoys a block at a time (_checked_units),
-    so none is held between steps. Its states and tables are its attack's
-    (_tables), shared by every session of the process under that attack.
-    The swap, the last step that reads the states, releases the ids and the
-    session's references to the tables.
+    so none is held between steps. The swap, the last step that reads the
+    states, releases the ids and every table.
     """
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
@@ -498,7 +483,9 @@ class Session:
         self.bob_ops = message_ops(bob_bits, cfg.n_groups)
         self.transcript = SessionTranscript(config=cfg)
         self.triples: np.ndarray | None = None  # (n_groups, 2) ids, set by prepare
-        self.states, self.tables, self.swap_table = _tables(cfg.attack)
+        self.states = StateTable()
+        self.tables: dict[tuple, Branches] = {}  # by (bases, rounds); _table
+        self.swap_table = SwapTable()
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:
@@ -508,7 +495,7 @@ class Session:
         return self._streams
 
     def _table(self, bases, rounds) -> Branches:
-        """The attack's Branches of one measurement."""
+        """The session's Branches of one measurement."""
         table = self.tables.get((bases, rounds))
         if table is None:
             table = self.tables[bases, rounds] = Branches(bases, rounds)
@@ -642,7 +629,7 @@ class Session:
             a, b, c = self.swap_table.sample(self.states, pairs(start, stop),
                                              lambda: self._key(_SWAP, start, stop))
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
-        # no later step draws or reads the states; the attack's tables stay cached
+        # no later step draws or reads the states, so they go with the swap
         self.triples = self.states = self.tables = self.swap_table = self._streams = None
         self.alice_ops = self.bob_ops = None  # in the columns now
 

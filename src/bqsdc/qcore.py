@@ -23,8 +23,9 @@ in one pass: it gathers them once, each round projects the normalized
 remainder the round before it left, and the collapsed state is expanded
 once, at the end, and only when it is kept (collapse_rows: the same pass
 with the outcomes given). branch_rows follows every outcome instead of one,
-with the same arithmetic, so walking its tables (sample_branches) draws the
-outcomes measure_rows would. Every Born table reads branch_rows.
+with the same arithmetic, so walking its tables (branch_thresholds,
+sample_branches) draws the outcomes measure_rows would. Every Born table
+reads branch_rows.
 """
 
 from __future__ import annotations
@@ -417,18 +418,23 @@ def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
     return rem
 
 
-def _pick(probs: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per row i, the first outcome j with r[i] < cum[i, j] = probs[i, 0] +
-    ... + probs[i, j] (summed left to right) and probs[i, j] above ZERO_TOL.
-    Where rounding left the total at or below r[i] < 1, the last outcome
-    with nonzero probability, which exact arithmetic would take."""
-    live = probs > ZERO_TOL
-    hit = (r[:, None] < cum) & live
+def _thresholds(probs: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """cum = probs summed left to right along the last axis, with -1 where
+    probs is at or below ZERO_TOL: no draw in [0, 1) takes that outcome."""
+    return np.where(probs > ZERO_TOL, cum, -1.0)
+
+
+def _pick(thresholds: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row i, the first outcome j with r[i] < thresholds[i, j]
+    (_thresholds). Where rounding left the total at or below r[i] < 1, the
+    last outcome with nonzero probability, which exact arithmetic would
+    take."""
+    hit = r[:, None] < thresholds
     j = hit.argmax(axis=1)
     found = hit.any(axis=1)
     if not found.all():
         short = ~found
-        j[short] = probs.shape[1] - 1 - live[short, ::-1].argmax(axis=1)
+        j[short] = thresholds.shape[1] - 1 - (thresholds[short, ::-1] >= 0).argmax(axis=1)
     return j
 
 
@@ -468,7 +474,7 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     if len(draws) != len(rounds):
         raise ValueError(f"{len(rounds)} rounds need as many draws, got {len(draws)}")
     return _measure(amps, basis, rounds, which, collapse,
-                    lambda k, probs, cum: _pick(probs, cum, draws[k]))
+                    lambda k, probs, cum: _pick(_thresholds(probs, cum), draws[k]))
 
 
 def collapse_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
@@ -540,19 +546,27 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     return tables
 
 
-def sample_branches(tables: Sequence[np.ndarray], rows: np.ndarray,
+def branch_thresholds(tables: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """branch_rows' tables as sample_branches walks them: each entry the
+    running total of its outcomes up to it, summed left to right as
+    measure_rows sums them, or -1 where its probability is at or below
+    ZERO_TOL."""
+    return [_thresholds(table, table.cumsum(axis=-1)) for table in tables]
+
+
+def sample_branches(thresholds: Sequence[np.ndarray], rows: np.ndarray,
                     draws: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Walk branch_rows' tables: sample i follows row rows[i] of the tables,
-    drawing with draws[k][i] in round k. Returns each round's outcome
-    indices, which measure_rows(..., collapse=False) returns for the rows
-    of the tables' input and these draws."""
-    if len(draws) != len(tables):
-        raise ValueError(f"{len(tables)} rounds need as many draws, got {len(draws)}")
+    """Walk branch_rows' tables in their branch_thresholds form: sample i
+    follows row rows[i] of the tables, drawing with draws[k][i] in round k.
+    Returns each round's outcome indices, which measure_rows(...,
+    collapse=False) returns for the rows of the tables' input and these
+    draws."""
+    if len(draws) != len(thresholds):
+        raise ValueError(f"{len(thresholds)} rounds need as many draws, got {len(draws)}")
     path = np.zeros(len(rows), dtype=np.intp)
     js = []
-    for table, r in zip(tables, draws):
-        probs = table[rows, path]
-        js.append(_pick(probs, probs.cumsum(axis=1), r))
+    for table, r in zip(thresholds, draws):
+        js.append(_pick(table[rows, path], r))
         path = path * table.shape[-1] + js[-1]
     return js
 

@@ -18,7 +18,7 @@ def load_tracer_module():
     return module
 
 
-def test_tracer_installs_traces_and_uninstalls(cold_tables, tmp_path, capsys):
+def test_tracer_installs_traces_and_uninstalls(tmp_path, capsys):
     bench_tracer = load_tracer_module()
     tracer = bench_tracer.Tracer()
     bench_tracer.install_bqsdc(tracer)

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import json
-import random
 import tracemalloc
 
 import numpy as np
@@ -664,7 +663,6 @@ class TestDifferential:
         assert run_session(cfg, alice, bob).to_json() == reference_transcript(cfg, alice, bob)
 
 
-@pytest.mark.usefixtures("cold_tables")
 class TestSwapTable:
     """The swap expands each distinct (odd id, even id) pair of a session
     once, and the pairs a session reaches stay few as N grows."""
@@ -719,11 +717,11 @@ class TestSwapTable:
                                      StateVector(states.rows[even[row]]))
                 expect = qcore.branch_rows(joint.amps[None], MeasBasis.BELL,
                                            [(r, w + r) for r in range(3)])
-                for got, want in zip(table.probs, expect, strict=True):
+                for got, want in zip(table.thresholds, qcore.branch_thresholds(expect),
+                                     strict=True):
                     assert np.array_equal(got[entry], want[0])
 
 
-@pytest.mark.usefixtures("cold_tables")
 class TestInterning:
     """A session runs each distinct transition of its states, each entry of
     its measurement tables and each swap pair through the dense kernels
@@ -753,6 +751,7 @@ class TestInterning:
                 return out
             return wrapper
 
+        run_session(quiet_cfg(1), "000", "000")  # derive the cached charts uncounted
         # the kernels of the misses, at the names the session looks up
         monkeypatch.setattr(protocol, "apply_op", counting("moves", protocol.apply_op))
         monkeypatch.setattr(protocol, "apply_attack", counting("moves", protocol.apply_attack))
@@ -794,125 +793,6 @@ class TestInterning:
         (out,) = table.sample(states, 2 * np.array([9, 10, 8]), lanes)
         assert keyed and out[[0, 2]].tolist() == [1, 0]
         assert table.fixed[:, 0].tolist() == [0, 1, -1]
-
-
-def strategy_attack(strategy, target):
-    """The attack of a STRATEGY_TARGETS entry: uniform parameters, beta
-    squared 0.25."""
-    return AttackConfig.entangling(0.25, target=target) \
-        if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
-
-
-def message_bits(cfg):
-    """Alice's and Bob's message bits for cfg, drawn from its seed."""
-    r, n = random.Random(cfg.seed), 3 * cfg.n_groups
-    return format(r.getrandbits(n), f"0{n}b"), format(r.getrandbits(n), f"0{n}b")
-
-
-def random_session(cfg):
-    return run_session(cfg, *message_bits(cfg))
-
-
-@pytest.mark.usefixtures("cold_tables")
-class TestSharedTables:
-    """The sessions under one attack share its states and tables
-    (protocol._tables): a session writes on warm tables the transcript it
-    writes on cold ones, runs no kernel on what a session before it met,
-    and the cache holds a few attacks, each within a stated heap."""
-
-    # Heap one cached attack retains after a session of 10**4 groups and
-    # 2 * _BLOCK decoys per check, which reach as many states and pairs as
-    # 10**4 decoys (tracemalloc after a full collection), about 1 KB per
-    # swap pair: at most 159 KB without an attack, 761, 417 and 195 KB
-    # under intercept-resend, measure-resend and the entangling attack.
-    RETAINED_KB = {"none": 192, "intercept_resend": 800, "measure_resend": 448,
-                   "entangle_measure": 224}
-
-    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
-    def test_warm_tables_write_the_cold_transcript(self, strategy, target):
-        attack = strategy_attack(strategy, target)
-        cfg = SessionConfig(n_groups=2 * _BLOCK + 3, seed=3, check_threshold=0.99, attack=attack)
-        cold = random_session(cfg).to_json()
-        protocol._tables.cache_clear()
-        for n, seed, label in ((_BLOCK + 1, 4, None), (5, 6, GhzLabel.PSI3), (700, 7, None)):
-            random_session(SessionConfig(n_groups=n, seed=seed, check_threshold=0.99,
-                                         attack=attack, initial_label=label))
-        assert random_session(cfg).to_json() == cold
-
-    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
-    def test_second_session_runs_no_kernel(self, monkeypatch, strategy, target):
-        cfg = SessionConfig(n_groups=300, seed=8, check_threshold=0.99,
-                            attack=strategy_attack(strategy, target))
-        first = random_session(cfg).to_json()
-        rows = []
-
-        def counting(kernel):
-            def wrapper(amps, *args, **kwargs):
-                rows.append(len(amps))
-                return kernel(amps, *args, **kwargs)
-            return wrapper
-
-        # the kernels of the misses, at the names the session looks up
-        for owner, name in ((protocol, "apply_op"), (protocol, "apply_attack"),
-                            (qcore, "branch_rows"), (particles, "merge")):
-            monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
-        assert random_session(cfg).to_json() == first
-        assert rows == []
-
-    def test_cache_holds_at_most_maxsize_attacks(self):
-        maxsize = protocol._tables.cache_parameters()["maxsize"]
-        attacks = [None, AttackConfig.entangling(0.5),
-                   *(AttackConfig("intercept_resend", target=t) for t in TARGETS)]
-        assert len(attacks) > maxsize
-        for attack in attacks:
-            run_session(quiet_cfg(2, attack=attack), "010110", "101001")
-            assert protocol._tables.cache_info().currsize <= maxsize
-        assert protocol._tables.cache_info().currsize == maxsize
-        # a session takes the tables of an equal attack
-        equal = AttackConfig("intercept_resend", target=TARGETS[-1])
-        session = Session(quiet_cfg(1, attack=equal), "000", "000")
-        assert session.states is protocol._tables(attacks[-1])[0]
-
-    def test_a_failed_build_leaves_the_table_consistent(self, monkeypatch):
-        # a build that raises after a chunk was entered: every entry still
-        # points at its own key's tables
-        monkeypatch.setattr(protocol, "_SWAP_CHUNK", 4)
-        states, keys = StateTable(), np.arange(16)  # the GHZ states in both bases
-        rounds = ((2,), (0,), (1,))  # check1's
-        want, table = Branches(_CHECK_BASES, rounds), Branches(_CHECK_BASES, rounds)
-        build, calls = table.build, []
-
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise MemoryError
-            return build(*args)
-
-        table.build = failing
-        with pytest.raises(MemoryError):
-            table.entries_of(states, keys)
-        got, expect = table.entries_of(states, keys), want.entries_of(states, keys)
-        assert np.array_equal(table.fixed[got], want.fixed[expect])
-        for probs, want_probs in zip(table.probs, want.probs, strict=True):
-            assert np.array_equal(probs[got], want_probs[expect])
-
-    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
-    def test_retained_heap_per_attack(self, strategy, target):
-        n = 10 ** 4
-        cfg = SessionConfig(n_groups=n, seed=n, decoys=2 * _BLOCK, check_threshold=0.99,
-                            attack=strategy_attack(strategy, target))
-        alice, bob = message_bits(cfg)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            t = run_session(cfg, alice, bob)
-            assert not t.aborted
-            del t
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held <= self.RETAINED_KB[strategy] * 1024
 
 
 class TestStepMemory:
@@ -1075,7 +955,6 @@ class TestAborts:
         assert not t.aborted
 
 
-@pytest.mark.usefixtures("cold_tables")
 class TestWidth:
     # widest state per strategy: two triples joined at the swap, plus the
     # fake or ancilla an attack on one transmission leaves in a triple

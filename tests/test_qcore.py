@@ -18,6 +18,7 @@ from bqsdc.protocol import _BLOCK
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
+                         branch_thresholds,
                          collapse_rows, joint_distribution, make_basis_state, measure,
                          measure_rows, sample_branches, tensor, tensor_rows)
 
@@ -579,7 +580,7 @@ class TestBranchTables:
     def assert_walk_equals_measure_rows(amps, basis, rounds, draws):
         tables = branch_rows(amps, basis, rounds)
         js, _ = measure_rows(amps, basis, rounds, draws, collapse=False)
-        walked = sample_branches(tables, np.arange(len(amps)), draws)
+        walked = sample_branches(branch_thresholds(tables), np.arange(len(amps)), draws)
         for j, got in zip(js, walked):
             assert np.array_equal(got, j), (rounds, basis)
         return tables
@@ -595,7 +596,7 @@ class TestBranchTables:
                                            max_size=8)))
         r = [np.resize(d, len(rows)) for d in draws]
         js, _ = measure_rows(amps[rows], basis, rounds, r, collapse=False)
-        for j, got in zip(js, sample_branches(tables, rows, r)):
+        for j, got in zip(js, sample_branches(branch_thresholds(tables), rows, r)):
             assert np.array_equal(got, j), (rounds, basis)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -607,7 +608,7 @@ class TestBranchTables:
                                             max_size=len(amps))))
         tables = branch_rows(amps, bases, rounds, which=which)
         js, _ = measure_rows(amps, bases, rounds, draws, collapse=False, which=which)
-        walked = sample_branches(tables, np.arange(len(amps)), draws)
+        walked = sample_branches(branch_thresholds(tables), np.arange(len(amps)), draws)
         for j, got in zip(js, walked):
             assert np.array_equal(got, j), rounds
         for b, basis in enumerate(bases):
@@ -631,7 +632,7 @@ class TestBranchTables:
         r = np.array([1.0 - 2.0 ** -53])
         (table,) = branch_rows(short, MeasBasis.Z, [(0,)])
         assert table.sum() < r[0]
-        (j,) = sample_branches([table], np.array([0]), [r])
+        (j,) = sample_branches(branch_thresholds([table]), np.array([0]), [r])
         assert j.tolist() == [1]
         self.assert_walk_equals_measure_rows(short, MeasBasis.Z, [(0,)], [r])
 
@@ -695,7 +696,7 @@ class TestBranchTables:
         amps = random_state(4, 6).amps[None]
         tables = branch_rows(amps, MeasBasis.Z, [(0,), (1,)])
         with pytest.raises(ValueError):
-            sample_branches(tables, np.array([0]), [np.array([0.5])])
+            sample_branches(branch_thresholds(tables), np.array([0]), [np.array([0.5])])
         with pytest.raises(ValueError):
             branch_rows(amps, MeasBasis.BELL, [(0, 1), (2,)])
         with pytest.raises(ValueError):
