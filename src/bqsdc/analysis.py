@@ -16,7 +16,8 @@ from typing import Hashable, Mapping
 
 from .codebook import CompositeOp
 from .labels import CollectionLabel
-from .protocol import SessionConfig, run_session, random_message_bits
+from .protocol import (_A_OP, _B_OP, _BELL, SessionConfig, _swap_outcomes, random_message_bits,
+                       run_session)
 from .qcore import Rng
 from .swap import announcement
 
@@ -107,10 +108,12 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
     alice_bits = random_message_bits(n_groups, rng)
     bob_bits = random_message_bits(n_groups, rng)
     cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=0)
-    groups = run_session(cfg, alice_bits, bob_bits).groups  # built on each read
-    h_cond = _entropy_given_announcement(
-        Counter((rec.announcement, (rec.a_op, rec.b_op)) for rec in groups))
-    m_counts = Counter(rec.announcement for rec in groups)
+    columns = run_session(cfg, alice_bits, bob_bits).columns
+    announced = list(map(_swap_outcomes()[1].__getitem__, columns[_BELL].tolist()))
+    # counted in order of first occurrence, the order in which the entropy sums
+    counts = Counter(zip(announced, columns[_A_OP].tolist(), columns[_B_OP].tolist()))
+    h_cond = _entropy_given_announcement({(m, (a, b)): w for (m, a, b), w in counts.items()})
+    m_counts = Counter(announced)
     exhaustive = conditional_entropy_given_announcement(uniform_op_pair_prior())
     return {
         "groups": n_groups,

@@ -147,7 +147,8 @@ def cmd_verify(args) -> int:
 
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
-    attack = _attack_config(args.attack, "S_C", args) if args.attack else None
+    # without --attack, the attack flags go to "none", which takes none of them
+    attack = _attack_config(args.attack or "none", "S_C", args)
     try:
         initial = GhzLabel.from_token(args.initial) if args.initial else None
         cfg = SessionConfig(

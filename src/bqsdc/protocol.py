@@ -15,12 +15,15 @@ announcement depends on the two operations only (swap.announcement).
 Every unit starts as one of 8 GHZ states or 4 decoys, and every operation,
 choice of Eve's and outcome is one of a handful, so a session reaches a few
 dozen distinct states whatever N is. It holds each triple, sample and decoy
-as an id into its StateTable, and each step is a memoized transition on
-ids or a walk of the Born tables of the ids' states (Branches): the dense
-kernels run once per distinct state, not per unit. A register's roles are
-its qubits: a triple's particles of S_A, S_B and S_C are qubits 0, 1 and 2,
-a decoy is qubit 0, and an attack appends what it leaves behind. Only the
-swap joins two triples, so no state is wider than 7 qubits.
+as an id into its StateTable, whose one memo is a dense array per kind
+over (id, second index), a miss built once over the distinct missing pairs
+(StateTable.lookup): an op or Eve's choice maps (id, choice) to an id, a
+measurement (id, basis) and the swap (odd id, even id) to an entry of
+their Born tables (Branches). So the dense kernels run once per distinct
+state, not per unit. A register's roles are its qubits: a triple's
+particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0,
+and an attack appends what it leaves behind. Only the swap joins two
+triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
@@ -320,14 +323,12 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 # 110 bytes a group, and writing a transcript to a file about 0.1 MB at any
 # N (tracemalloc).
 _BLOCK = 128
-# A table expands at most this many new keys at once, which bounds what the
+# A table expands at most this many new pairs at once, which bounds what the
 # swap holds: its joint states, their expansion and the table take up to
 # 0.44 MB clean and 0.83 MB under an entangling attack on S_A (tracemalloc).
 _SWAP_CHUNK = 64
 # Choices per transition (StateTable.move): the eight composite ops.
 _CHOICES = 8
-# A swap key holds the odd id above this many bits and the even id below.
-_PAIR = 32
 
 _BITS = tuple(f"{k:03b}" for k in range(8))  # the message of op k
 _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
@@ -345,15 +346,13 @@ _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STAT
 class StateTable:
     """A session's distinct states, each an integer id, interned by the
     exact bytes of its amplitudes: the GHZ states are ids 0-7 in label
-    order, the decoys 8-11 in DECOY_TOKENS order. Transitions are memoized
-    per kind as moves[kind][id, choice], -1 where not yet known."""
+    order, the decoys 8-11 in DECOY_TOKENS order. Everything the session
+    memoizes over its states is a dense int32 array per kind (lookup)."""
 
     def __init__(self):
-        self.ids: dict[bytes, int] = {}
-        self.rows: list[np.ndarray] = []
-        self.moves: dict[object, np.ndarray] = {}
-        self.intern(ghz_rows())
-        self.intern(decoy_rows())
+        self.rows: list[np.ndarray] = [*ghz_rows(), *decoy_rows()]
+        self.ids = {row.tobytes(): i for i, row in enumerate(self.rows)}
+        self.memos: dict[object, np.ndarray] = {}  # by kind, (ids, width)
 
     def intern(self, amps: np.ndarray) -> np.ndarray:
         """The id of every row of amps, the rows not met before added."""
@@ -369,23 +368,30 @@ class StateTable:
         """The states of ids, one width, as the rows of one array."""
         return np.array([self.rows[i] for i in ids.tolist()])
 
-    def move(self, kind, ids: np.ndarray, choices, build) -> np.ndarray:
-        """The ids after transition kind, unit i taking choices[i] (or one
-        choice for all) below _CHOICES; build(amps, choices), the row
-        kernel, runs once over the missing distinct (id, choice) pairs."""
-        table = self.moves.setdefault(kind, np.empty((0, _CHOICES), dtype=np.intp))
-        if len(table) < len(self.rows):
-            unknown = np.full((2 * len(self.rows) - len(table), _CHOICES), -1, dtype=np.intp)
-            table = self.moves[kind] = np.concatenate([table, unknown])
-        out = table[ids, choices]
-        miss = out < 0
-        if miss.any():
-            codes = ids[miss] * _CHOICES + (choices[miss] if np.ndim(choices) else choices)
-            codes = np.array(list(dict.fromkeys(codes.tolist())), dtype=np.intp)
-            src, picked = np.divmod(codes, _CHOICES)
-            table[src, picked] = self.intern(build(self.amps(src), picked))
-            out = table[ids, choices]
+    def lookup(self, kind, ids: np.ndarray, other, width: int, build) -> np.ndarray:
+        """memos[kind][ids[i], other[i]] (or one other for all), each other
+        below width, -1 in the memo where not yet known: build(states, src,
+        other), states this table, gives the values of the missing distinct
+        pairs, once per call."""
+        memo = self.memos.get(kind)
+        if memo is None or len(memo) < len(self.rows):
+            grown = np.full((2 * len(self.rows), width), -1, dtype=np.int32)
+            if memo is not None:
+                grown[:len(memo)] = memo
+            memo = self.memos[kind] = grown
+        out = memo[ids, other]
+        if out.min() < 0:
+            codes = list(dict.fromkeys((ids * width + other)[out < 0].tolist()))
+            src, picked = np.divmod(np.array(codes, dtype=np.intp), width)
+            memo[src, picked] = build(self, src, picked)
+            out = memo[ids, other]
         return out
+
+    def move(self, kind, ids: np.ndarray, choices, kernel) -> np.ndarray:
+        """The ids after transition kind, unit i taking choices[i] (or one for
+        all) below _CHOICES; the row kernel(amps, choices) builds the misses."""
+        return self.lookup(kind, ids, choices, _CHOICES, lambda states, src, picked:
+                           states.intern(kernel(states.amps(src), picked)))
 
 
 def _certain(tables: list[np.ndarray]) -> np.ndarray:
@@ -395,65 +401,64 @@ def _certain(tables: list[np.ndarray]) -> np.ndarray:
     table."""
     live = tables[-1].reshape(len(tables[-1]), -1) >= 0
     paths = (tables[-1].shape[-1],) * len(tables)
-    fixed = np.stack(np.unravel_index(live.argmax(axis=1), paths), axis=1)
+    fixed = np.array(np.unravel_index(live.argmax(axis=1), paths)).T
     fixed[live.sum(axis=1) != 1] = -1
     return fixed
 
 
 class Branches:
-    """The Born tables of one measurement: the branch_rows tables of each
-    distinct key 2 * id + the index of the state's basis in bases, built
-    _SWAP_CHUNK keys at a time and held as branch_thresholds."""
+    """The Born tables of one measurement as branch_thresholds, an entry per
+    distinct pair (id, k), k below width, that its memo (StateTable.lookup,
+    kind the Branches itself) maps to the entry. tables(states, ids, k) are
+    the pairs' branch_rows tables, built _SWAP_CHUNK pairs at a time."""
 
-    def __init__(self, bases, rounds):
-        self.bases, self.rounds = bases, rounds
-        self.entries: dict[int, int] = {}
+    def __init__(self, width: int, tables):
+        self.width, self.tables = width, tables
         self.thresholds: list[np.ndarray] = []  # per round, (entries, d**k, d)
         self.fixed = np.empty((0, 0), dtype=np.intp)  # per entry, _certain
 
-    def build(self, states: StateTable, keys: np.ndarray) -> list[np.ndarray]:
-        """The branch_rows tables of the keys' states, each in its basis."""
-        return qcore.branch_rows(states.amps(keys >> 1), self.bases, self.rounds, which=keys & 1)
+    @classmethod
+    def measuring(cls, bases, rounds) -> Branches:
+        """The tables of each state measured in bases[k] (branch_rows)."""
+        return cls(len(bases), lambda states, ids, which: qcore.branch_rows(
+            states.amps(ids), bases, rounds, which=which))
 
-    def entries_of(self, states: StateTable, keys: np.ndarray) -> np.ndarray:
-        """The entry of every key; the keys not met before are expanded."""
-        keys, entries = keys.tolist(), self.entries
-        missing = sorted(set(keys).difference(entries))
-        for start in range(0, len(missing), _SWAP_CHUNK):
-            chunk = np.array(missing[start:start + _SWAP_CHUNK])
-            new, old = qcore.branch_thresholds(self.build(states, chunk)), self.thresholds
-            self.thresholds = [np.concatenate(pair) for pair in zip(old, new)] or new
-            self.fixed = np.concatenate([self.fixed, _certain(new)]) if old else _certain(new)
-        entries.update(zip(missing, range(len(entries), len(entries) + len(missing))))
-        return np.fromiter(map(entries.__getitem__, keys), np.intp, len(keys))
+    @classmethod
+    def swapping(cls, width: int) -> Branches:
+        """The swap's tables of each pair (odd id, even id), even ids below
+        width: the Bell tables of the cross pairs (r, w + r) of the pair's
+        joint state (particles.merge), w the odd state's qubit count."""
+        def joint(states, odd, even):
+            odd, even = states.amps(odd), states.amps(even)
+            w = odd.shape[1].bit_length() - 1
+            # merge is looked up on the module, where bench/tracer.py counts it
+            return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
+                                     [(r, w + r) for r in range(3)])
+        return cls(width, joint)
 
-    def sample(self, states: StateTable, keys: np.ndarray, lanes) -> list[np.ndarray]:
-        """Each round's outcome index for every key, as measure_rows draws
-        it, from the keys' streams that lanes() keys; neither keyed nor
+    def _append(self, states: StateTable, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """The entries of new pairs, their tables appended."""
+        for start in range(0, len(ids), _SWAP_CHUNK):
+            part = slice(start, start + _SWAP_CHUNK)
+            new = qcore.branch_thresholds(self.tables(states, ids[part], other[part]))
+            self.thresholds = [np.concatenate(pair) for pair in zip(self.thresholds, new)] or new
+        self.fixed = _certain(self.thresholds)
+        return np.arange(len(self.fixed) - len(ids), len(self.fixed))
+
+    def lookup(self, states: StateTable, ids: np.ndarray, other) -> np.ndarray:
+        """The entry of every pair (ids[i], other[i]), or (ids[i], other)."""
+        return states.lookup(self, ids, other, self.width, self._append)
+
+    def sample(self, states: StateTable, ids: np.ndarray, other, lanes) -> list[np.ndarray]:
+        """Each round's outcome index for every pair, as measure_rows draws
+        it, from the units' streams that lanes() keys; neither keyed nor
         drawn when every outcome is certain (_certain)."""
-        entries = self.entries_of(states, keys)
+        entries = self.lookup(states, ids, other)
         fixed = self.fixed[entries]
-        if (fixed >= 0).all():
+        if fixed.min() >= 0:
             return list(fixed.T)
         return qcore.sample_branches(self.thresholds, entries,
                                      lanes().random(len(self.thresholds)))
-
-
-class SwapTable(Branches):
-    """The swap's Bell branches, one entry per distinct (odd id, even id)
-    pair, keyed odd << _PAIR | even: the tables of the pair's joint state
-    (particles.merge, once per pair), whose three rounds measure the cross
-    pairs (r, w + r), w the odd state's qubit count."""
-
-    def __init__(self):
-        super().__init__(MeasBasis.BELL, None)
-
-    def build(self, states: StateTable, keys: np.ndarray) -> list[np.ndarray]:
-        odd, even = states.amps(keys >> _PAIR), states.amps(keys & (1 << _PAIR) - 1)
-        w = odd.shape[1].bit_length() - 1
-        # merge is looked up on the module, where bench/tracer.py counts it
-        return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
-                                 [(r, w + r) for r in range(3)])
 
 
 def _spans(count: int, size: int | None = None):
@@ -474,8 +479,7 @@ class Session:
     ids of each group's odd and even triple. A check draws, attacks and
     measures its own samples or decoys a block at a time (_checked_units),
     so none is held between steps. The swap, the last step that reads the
-    states, releases the ids and every table.
-    """
+    states, releases the ids and every table."""
 
     def __init__(self, cfg: SessionConfig, alice_bits: str, bob_bits: str):
         self.cfg = cfg
@@ -484,8 +488,11 @@ class Session:
         self.transcript = SessionTranscript(config=cfg)
         self.triples: np.ndarray | None = None  # (n_groups, 2) ids, set by prepare
         self.states = StateTable()
-        self.tables: dict[tuple, Branches] = {}  # by (bases, rounds); _table
-        self.swap_table = SwapTable()
+        # Born tables: Eve's measurement of each qubit, the checks, Bob's identification
+        self.eve = [Branches.measuring(EVE_BASES, ((role,),)) for role in range(3)]
+        self.samples = Branches.measuring(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
+        self.decoys = Branches.measuring(_CHECK_BASES, ((0,),))
+        self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:
@@ -493,13 +500,6 @@ class Session:
         Rng(seed, place << _UNIT_BITS | start + j) of unit start + j < stop."""
         self._streams.key(place << _UNIT_BITS | start, stop - start)
         return self._streams
-
-    def _table(self, bases, rounds) -> Branches:
-        """The session's Branches of one measurement."""
-        table = self.tables.get((bases, rounds))
-        if table is None:
-            table = self.tables[bases, rounds] = Branches(bases, rounds)
-        return table
 
     def prepare(self) -> None:
         """Step 1: draw labels, build two identical GHZ triples per group,
@@ -529,11 +529,9 @@ class Session:
         each drawing her choice from its stream at place (attack_choices)."""
         attack, stop = self.cfg.attack, start + len(ids)
 
-        def outcomes(basis, lanes):
-            table = self._table(EVE_BASES, ((role,),))
-            return table.sample(self.states, 2 * ids + basis, lanes)[0]
-
-        choices = attack_choices(attack, lambda: self._key(place, start, stop), outcomes)
+        choices = attack_choices(attack, lambda: self._key(place, start, stop),
+                                 lambda basis, lanes: self.eve[role].sample(
+                                     self.states, ids, basis, lanes)[0])
         return self.states.move(("attack", role), ids, choices,
                                 lambda amps, picked: apply_attack(amps, role, attack, picked))
 
@@ -554,12 +552,11 @@ class Session:
     def check1(self) -> CheckRecord:
         """Step 2: GHZ-sample correlation check on the third particles."""
         ok = _sample_ok()
-        table = self._table(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         errors = 0
         for labels, ids, lanes in self._checked_units("S_C", len(GhzLabel), 0, _ROLES["S_C"]):
             rng = lanes()
             which = rng.randrange(len(_CHECK_BASES))
-            c, a, b = table.sample(self.states, 2 * ids + which, lambda: rng)
+            c, a, b = self.samples.sample(self.states, ids, which, lambda: rng)
             errors += int(np.count_nonzero(~ok[labels, which, 4 * a + 2 * b + c]))
         return self._record_check(2, errors)
 
@@ -592,10 +589,9 @@ class Session:
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
         """Measure each decoy of the named sequence in the basis of its
         state; an outcome other than that state is an error."""
-        table = self._table(_CHECK_BASES, ((0,),))
         errors = 0
         for kinds, ids, lanes in self._checked_units(name, len(DECOY_TOKENS), len(GhzLabel), 0):
-            (out,) = table.sample(self.states, 2 * ids + _DECOY_BASIS[kinds], lanes)
+            (out,) = self.decoys.sample(self.states, ids, _DECOY_BASIS[kinds], lanes)
             errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
         return self._record_check(step, errors)
 
@@ -603,10 +599,9 @@ class Session:
         """Step 6: identify each group's prepared state from the even
         triple, rebuild it fresh, and encode Bob's bits on it."""
         columns, even = self.transcript.columns, self.triples[:, 1]
-        table = self._table((MeasBasis.GHZ,), ((0, 1, 2),))
         for start, stop in _spans(self.cfg.n_groups):
-            (found,) = table.sample(self.states, 2 * even[start:stop],
-                                    lambda: self._key(_BOB_GHZ, start, stop))
+            (found,) = self.identify.sample(self.states, even[start:stop], 0,
+                                            lambda: self._key(_BOB_GHZ, start, stop))
             columns[_P_LABEL, start:stop] = found
         # the found label is the fresh state's id
         even[:] = self.states.move("op", columns[_P_LABEL].astype(np.intp), self.bob_ops, _encode)
@@ -615,23 +610,20 @@ class Session:
     def swap_and_announce(self) -> None:
         """Step 7: Bell-measure the three cross pairs of each group and
         announce the outcome collection over the (ideal) classical channel."""
-        odd, even = self.triples.T
-
-        def pairs(start, stop):
-            return odd[start:stop] << _PAIR | even[start:stop]
-
-        # the distinct pairs first, so that the new ones are joined in full chunks
-        distinct = set()
+        states, (odd, even) = self.states, self.triples.T
+        swap = Branches.swapping(int(even.max()) + 1)
+        if len(odd) > _BLOCK:  # the distinct pairs first, to join the new ones in full chunks
+            distinct = set()
+            for start, stop in _spans(len(odd)):
+                distinct.update((odd[start:stop] * swap.width + even[start:stop]).tolist())
+            swap.lookup(states, *np.divmod(np.array(sorted(distinct)), swap.width))
         for start, stop in _spans(len(odd)):
-            distinct.update(pairs(start, stop).tolist())
-        self.swap_table.entries_of(self.states, np.array(sorted(distinct)))
-        for start, stop in _spans(len(odd)):
-            a, b, c = self.swap_table.sample(self.states, pairs(start, stop),
-                                             lambda: self._key(_SWAP, start, stop))
+            a, b, c = swap.sample(states, odd[start:stop], even[start:stop],
+                                  lambda: self._key(_SWAP, start, stop))
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
-        # no later step draws or reads the states, so they go with the swap
-        self.triples = self.states = self.tables = self.swap_table = self._streams = None
-        self.alice_ops = self.bob_ops = None  # in the columns now
+        # no later step draws or reads the states, and the ops are in the columns
+        self.triples = self.states = self._streams = self.alice_ops = self.bob_ops = None
+        self.eve = self.samples = self.decoys = self.identify = None
 
     def decode(self) -> None:
         """Each side reads the other's operation off the announcement and its

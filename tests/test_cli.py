@@ -285,6 +285,14 @@ def test_bad_attack_spellings_exit_two(command, spec, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", ["--fake 1", "--eve-basis X", "--beta2 0.3"])
+def test_attack_flags_without_attack_exit_two(flags, capsys):
+    # no --attack means no attack, which takes none of the attack flags
+    assert cli.main(["run", "--N", "2", "--random-messages", "--seed", "1", *flags.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_seed_env_var(tmp_path):
     import os
     env = dict(os.environ, BQSDC_SEED="4242")

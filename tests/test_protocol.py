@@ -16,8 +16,8 @@ from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import append_ancilla, measure_particles, merge
-from bqsdc.protocol import (_BLOCK, _CHECK_BASES, _PAIR, Branches, GroupRecord, Session,
-                            SessionConfig, SessionTranscript, StateTable, SwapTable, _decoded,
+from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, GroupRecord, Session,
+                            SessionConfig, SessionTranscript, StateTable, _decoded,
                             _invert_announcements, default_decoy_count, message_ops,
                             random_message_bits, run_session)
 from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
@@ -663,6 +663,20 @@ class TestDifferential:
         assert run_session(cfg, alice, bob).to_json() == reference_transcript(cfg, alice, bob)
 
 
+def measured(s):
+    """The session's Branches of Eve's measurements, the checks and Bob's
+    identification; the swap releases them."""
+    return [*s.eve, s.samples, s.decoys, s.identify]
+
+
+def swap_memo(states, measurements):
+    """The swap's Branches, the one Branches among the kinds of states'
+    memos that is not in measurements, and its memo."""
+    (swap,) = [kind for kind in states.memos
+               if isinstance(kind, Branches) and kind not in measurements]
+    return swap, states.memos[swap]
+
+
 class TestSwapTable:
     """The swap expands each distinct (odd id, even id) pair of a session
     once, and the pairs a session reaches stay few as N grows."""
@@ -670,15 +684,14 @@ class TestSwapTable:
     BOUND = 1024
 
     @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
-    def test_each_pair_built_once_and_table_bounded(self, monkeypatch, attack):
-        n = 20 * _BLOCK
+    def test_each_pair_built_once_and_table_bounded(self, monkeypatch, attack, n=20 * _BLOCK):
         msg_rng = Rng(n, stream=2)
         s = Session(quiet_cfg(n, seed=11, attack=attack),
                     random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
         for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
             step()
         distinct = set(zip(*s.triples.T.tolist()))  # (odd id, even id)
-        table = s.swap_table  # the swap releases it
+        states, measurements = s.states, measured(s)  # the swap releases them
         joined = []
         real_merge = particles.merge
 
@@ -689,15 +702,21 @@ class TestSwapTable:
         monkeypatch.setattr(particles, "merge", counting_merge)
         s.swap_and_announce()
         assert s.transcript.groups[-1].announcement is not None
-        assert sum(joined) == len(distinct) == len(table.entries)
-        assert set(table.entries) == {odd << _PAIR | even for odd, even in distinct}
+        table, memo = swap_memo(states, measurements)
+        assert sum(joined) == len(distinct) == len(table.fixed) == np.count_nonzero(memo >= 0)
+        assert set(zip(*np.nonzero(memo >= 0))) == distinct
         assert len(distinct) <= self.BOUND
+
+    @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
+    def test_one_block_builds_each_pair_once(self, monkeypatch, attack):
+        # one block skips the pass over the distinct pairs: its lookup builds them
+        self.test_each_pair_built_once_and_table_bounded(monkeypatch, attack, _BLOCK)
 
     def test_each_width_gets_its_own_bell_tables(self):
         # odd states of 3 qubits, then of 4 (a fake at qubit 2, the genuine
         # third particle at 3): each entry holds the Bell tables of its own
         # joint state, whose cross pairs are (r, w + r)
-        states, table = StateTable(), SwapTable()
+        states, table = StateTable(), Branches.swapping(8)
         even = np.array([GhzLabel.PSI1, GhzLabel.PSI2])  # GHZ label k is state k
         narrow = np.array([GhzLabel.PSI0, GhzLabel.PSI5])
         wide = states.intern(apply_attack(ghz_block(GhzLabel.PSI0, GhzLabel.PSI5), 2,
@@ -705,7 +724,7 @@ class TestSwapTable:
                                           DECOY_TOKENS.index("+")))
 
         def entries_of(odd):
-            return table.entries_of(states, odd << _PAIR | even).tolist()
+            return table.lookup(states, odd, even).tolist()
 
         assert entries_of(narrow) == [0, 1]
         assert entries_of(wide) == [2, 3]
@@ -735,6 +754,14 @@ class TestInterning:
     # entries, and fewer pairs.
     BOUNDS = {"none": (24, 32, 192), "intercept_resend": (96, 112, 800),
               "measure_resend": (64, 96, 448), "entangle_measure": (40, 40, 192)}
+    # Total bytes of the int32 memo arrays (StateTable.memos). The swap's
+    # is dense over (odd id, even id), so it grows with the square of the
+    # state count: at 10**4 groups the sessions below hold at most 3984
+    # without an attack, 51776 under intercept-resend (43 KB of it a 148 by
+    # 74 swap memo on S_C), 34880 under measure-resend and 11744 under the
+    # entangling attack.
+    MEMO_BYTES = {"none": 5 * 1024, "intercept_resend": 64 * 1024,
+                  "measure_resend": 40 * 1024, "entangle_measure": 16 * 1024}
 
     @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
     @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
@@ -762,24 +789,29 @@ class TestInterning:
         msg_rng = Rng(n, stream=2)
         s = Session(SessionConfig(n_groups=n, seed=n, check_threshold=0.99, attack=attack),
                     random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
-        states, tables, swap = s.states, s.tables, s.swap_table  # the swap releases them
+        states, measurements = s.states, measured(s)  # the swap releases them
         t = s.run()
         assert not t.aborted and t.groups[-1].decoded_by_bob is not None
-        entries = sum(len(table.entries) for table in tables.values())
+        swap, _ = swap_memo(states, measurements)
+        known = {kind: int((memo >= 0).sum()) for kind, memo in states.memos.items()}
+        entries = sum(len(table.fixed) for table in measurements)
+        assert entries == sum(known.get(table, 0) for table in measurements)
         assert len({row.tobytes() for row in states.rows}) == len(states.rows)
-        assert built["moves"] == sum(int((moves >= 0).sum()) for moves in states.moves.values())
-        assert built["entries"] == entries + len(swap.entries)
-        assert built["pairs"] == len(swap.entries)
+        assert built["moves"] == sum(n for kind, n in known.items()
+                                     if not isinstance(kind, Branches))
+        assert built["entries"] == entries + len(swap.fixed)
+        assert built["pairs"] == len(swap.fixed) == known[swap]
         bounds = self.BOUNDS[strategy]
         assert len(states.rows) <= bounds[0] and entries <= bounds[1]
-        assert len(swap.entries) <= bounds[2]
+        assert len(swap.fixed) <= bounds[2]
+        assert sum(memo.nbytes for memo in states.memos.values()) <= self.MEMO_BYTES[strategy]
         assert max(widths) == TestWidth.WIDEST[strategy]
 
     def test_certain_outcomes_are_neither_keyed_nor_drawn(self):
         # a Z measurement of |0> (state 8) or of |1> (9) has one live
         # outcome, of |+> (10) two: only a block that reaches |+> keys its
         # lanes and draws, and its |0> and |1> keep their outcomes
-        states, table = StateTable(), Branches(_CHECK_BASES, ((0,),))
+        states, table = StateTable(), Branches.measuring(_CHECK_BASES, ((0,),))
         keyed = []
 
         def lanes():
@@ -788,9 +820,9 @@ class TestInterning:
             rng.key(0, 3)
             return rng
 
-        (out,) = table.sample(states, 2 * np.array([8, 9, 9]), lanes)
+        (out,) = table.sample(states, np.array([8, 9, 9]), 0, lanes)
         assert out.tolist() == [0, 1, 1] and not keyed
-        (out,) = table.sample(states, 2 * np.array([9, 10, 8]), lanes)
+        (out,) = table.sample(states, np.array([9, 10, 8]), 0, lanes)
         assert keyed and out[[0, 2]].tolist() == [1, 0]
         assert table.fixed[:, 0].tolist() == [0, 1, -1]
 
