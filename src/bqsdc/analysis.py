@@ -16,8 +16,7 @@ from typing import Hashable, Mapping
 
 from .codebook import CompositeOp
 from .labels import CollectionLabel
-from .protocol import (_A_OP, _B_OP, _BELL, SessionConfig, _swap_outcomes, random_message_bits,
-                       run_session)
+from .protocol import SessionConfig, run_session, random_message_bits
 from .qcore import Rng
 from .swap import announcement
 
@@ -108,11 +107,11 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
     alice_bits = random_message_bits(n_groups, rng)
     bob_bits = random_message_bits(n_groups, rng)
     cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=0)
-    columns = run_session(cfg, alice_bits, bob_bits).columns
-    announced = list(map(_swap_outcomes()[1].__getitem__, columns[_BELL].tolist()))
+    transcript = run_session(cfg, alice_bits, bob_bits)
+    announced = transcript.field_values("announcement")
     # counted in order of first occurrence, the order in which the entropy sums
-    counts = Counter(zip(announced, columns[_A_OP].tolist(), columns[_B_OP].tolist()))
-    h_cond = _entropy_given_announcement({(m, (a, b)): w for (m, a, b), w in counts.items()})
+    ops = zip(transcript.field_values("a_op"), transcript.field_values("b_op"))
+    h_cond = _entropy_given_announcement(Counter(zip(announced, ops)))
     m_counts = Counter(announced)
     exhaustive = conditional_entropy_given_announcement(uniform_op_pair_prior())
     return {

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -169,7 +169,12 @@ class SessionTranscript:
     @property
     def groups(self) -> list[GroupRecord]:
         """A record per group, built from the columns on every read."""
-        return [GroupRecord(*fields) for fields in self._fields(_field_values())]
+        return [GroupRecord(*row) for row in self._fields(_field_values())]
+
+    def field_values(self, name: str) -> list:
+        """Every group's GroupRecord field name, read off its column."""
+        i = [f.name for f in fields(GroupRecord)].index(name) - 1
+        return list(map(_field_values()[i].__getitem__, self.columns[_FIELD_ROWS[i]].tolist()))
 
     def _fields(self, tables, start: int = 0, stop: int | None = None) -> zip:
         """Each group's number from 1, then its fields in GroupRecord order:
@@ -612,11 +617,10 @@ class Session:
         announce the outcome collection over the (ideal) classical channel."""
         states, (odd, even) = self.states, self.triples.T
         swap = Branches.swapping(int(even.max()) + 1)
-        if len(odd) > _BLOCK:  # the distinct pairs first, to join the new ones in full chunks
-            distinct = set()
-            for start, stop in _spans(len(odd)):
-                distinct.update((odd[start:stop] * swap.width + even[start:stop]).tolist())
-            swap.lookup(states, *np.divmod(np.array(sorted(distinct)), swap.width))
+        distinct = set()  # the distinct pairs first, to join the new ones in full chunks
+        for start, stop in _spans(len(odd)):
+            distinct.update((odd[start:stop] * swap.width + even[start:stop]).tolist())
+        swap.lookup(states, *np.divmod(np.array(sorted(distinct)), swap.width))
         for start, stop in _spans(len(odd)):
             a, b, c = swap.sample(states, odd[start:stop], even[start:stop],
                                   lambda: self._key(_SWAP, start, stop))

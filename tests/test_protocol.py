@@ -553,8 +553,8 @@ def record_json(value):
 
 
 def test_group_view_and_json_read_the_same_columns():
-    # t.groups and t.to_json() each build a group's fields from the
-    # columns; so do the decoded message strings
+    # t.groups, t.field_values and t.to_json() each build a group's fields
+    # from the columns; so do the decoded message strings
     aborted = []
     for t in reader_sessions():
         doc = json.loads(t.to_json())["groups"]
@@ -563,6 +563,8 @@ def test_group_view_and_json_read_the_same_columns():
         names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
         for rec, obj in zip(records, doc):
             assert obj == {"n": rec.index, **{k: record_json(getattr(rec, k)) for k in names}}
+        for k in names:
+            assert t.field_values(k) == [getattr(rec, k) for rec in records]
         aborted.append(t.aborted)
         if t.aborted:
             assert t.alice_message_bits() is None and t.bob_message_bits() is None
@@ -706,11 +708,6 @@ class TestSwapTable:
         assert sum(joined) == len(distinct) == len(table.fixed) == np.count_nonzero(memo >= 0)
         assert set(zip(*np.nonzero(memo >= 0))) == distinct
         assert len(distinct) <= self.BOUND
-
-    @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
-    def test_one_block_builds_each_pair_once(self, monkeypatch, attack):
-        # one block skips the pass over the distinct pairs: its lookup builds them
-        self.test_each_pair_built_once_and_table_bounded(monkeypatch, attack, _BLOCK)
 
     def test_each_width_gets_its_own_bell_tables(self):
         # odd states of 3 qubits, then of 4 (a fake at qubit 2, the genuine
