@@ -130,28 +130,25 @@ def _derive_transform(initial: GhzLabel, op: CompositeOp) -> tuple[GhzLabel, flo
 
 
 @lru_cache(maxsize=None)
-def _transform_data() -> dict[tuple[GhzLabel, CompositeOp], GhzLabel]:
-    return {(p, k): _derive_transform(p, k)[0] for p in GhzLabel for k in CompositeOp}
+def transform_chart() -> np.ndarray:
+    """The chart as a read-only integer array: entry [p, k] is the label
+    of op k acting on GHZ state p. Raises unless each row is a
+    permutation, so that every transform can be inverted."""
+    chart = np.array([[_derive_transform(p, k)[0] for k in CompositeOp] for p in GhzLabel])
+    if (np.sort(chart, axis=1) != np.arange(len(GhzLabel))).any():
+        raise AssertionError("transform rows are not permutations")
+    chart.setflags(write=False)
+    return chart
 
 
 def transform_label(initial: GhzLabel, op: CompositeOp) -> GhzLabel:
     """Label of the GHZ state produced by the composite operation."""
-    return _transform_data()[(initial, op)]
-
-
-@lru_cache(maxsize=None)
-def _inverse_data() -> dict[tuple[GhzLabel, GhzLabel], CompositeOp]:
-    inv = {}
-    for (p, k), q in _transform_data().items():
-        if (p, q) in inv:
-            raise AssertionError("transform rows are not permutations")
-        inv[(p, q)] = k
-    return inv
+    return GhzLabel(transform_chart()[initial, op])
 
 
 def invert_transform(initial: GhzLabel, result: GhzLabel) -> CompositeOp:
     """The unique operation carrying one GHZ label to another."""
-    return _inverse_data()[(initial, result)]
+    return CompositeOp(transform_chart()[initial].tolist().index(result))
 
 
 def verify_transform_table() -> dict:

@@ -18,7 +18,8 @@ def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows a[i] (x) b[i], a's qubits first, each checked by
     qcore.tensor_rows. The first is also built as a qcore.StateVector, the
     construction where the traced benchmark reads the widest state. A
-    session joins each distinct (odd id, even id) pair once (Branches.swapping)."""
+    session joins each distinct pair of an odd triple's id and an even
+    triple's GHZ label once (Branches.swapping)."""
     joint = qcore.tensor_rows(a, b)
     qcore.StateVector(joint[0])
     return joint

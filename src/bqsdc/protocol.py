@@ -20,10 +20,12 @@ over (id, second index), a miss built once over the distinct missing pairs
 (StateTable.lookup): an op or Eve's choice maps (id, choice) to an id, a
 measurement (id, basis) and the swap (odd id, even id) to an entry of
 their Born tables (Branches). So the dense kernels run once per distinct
-state, not per unit. A register's roles are its qubits: a triple's
-particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0,
-and an attack appends what it leaves behind. Only the swap joins two
-triples, so no state is wider than 7 qubits.
+state, not per unit. Bob's rebuilt triple is never sent, so his op needs
+no kernel: the triple is the GHZ state of its transform-chart label, whose
+id is the label, and the swap's memo is 8 wide. A register's roles are
+its qubits: a triple's particles of S_A, S_B and S_C are qubits 0, 1 and
+2, a decoy is qubit 0, and an attack appends what it leaves behind. Only
+the swap joins two triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
@@ -50,7 +52,8 @@ from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices, de
 # measure_particles have no caller here: bench/tracer.py wraps them in this
 # namespace, so they stay imported until the tracer no longer names them.
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
-from .codebook import CompositeOp, ghz_rows, invert_transform, transform_label  # noqa: F401
+from .codebook import (CompositeOp, ghz_rows, invert_transform, transform_chart,  # noqa: F401
+                       transform_label)
 from .labels import CollectionLabel, GhzLabel
 from .particles import apply_op, measure_particles  # noqa: F401
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
@@ -88,15 +91,8 @@ class SessionConfig:
         return self.decoys if self.decoys is not None else default_decoy_count(self.n_groups)
 
     def to_json_dict(self) -> dict:
-        attack = None
-        if self.attack is not None:
-            attack = {
-                "strategy": self.attack.strategy,
-                "target": self.attack.target,
-                "fake_state": self.attack.fake_state,
-                "eve_basis": self.attack.eve_basis,
-                "beta_squared": round(self.attack.beta_squared, 12),
-            }
+        attack = None if self.attack is None else {
+            **asdict(self.attack), "beta_squared": round(self.attack.beta_squared, 12)}
         return {
             "n_groups": self.n_groups,
             "seed": self.seed,
@@ -429,17 +425,18 @@ class Branches:
             states.amps(ids), bases, rounds, which=which))
 
     @classmethod
-    def swapping(cls, width: int) -> Branches:
-        """The swap's tables of each pair (odd id, even id), even ids below
-        width: the Bell tables of the cross pairs (r, w + r) of the pair's
-        joint state (particles.merge), w the odd state's qubit count."""
+    def swapping(cls) -> Branches:
+        """The swap's tables of each pair (odd id, even id), the even triple
+        a GHZ state, so its id is its label (Session.bob_encode): the Bell
+        tables of the cross pairs (r, w + r) of the pair's joint state
+        (particles.merge), w the odd state's qubit count."""
         def joint(states, odd, even):
             odd, even = states.amps(odd), states.amps(even)
             w = odd.shape[1].bit_length() - 1
             # merge is looked up on the module, where bench/tracer.py counts it
             return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
                                      [(r, w + r) for r in range(3)])
-        return cls(width, joint)
+        return cls(len(GhzLabel), joint)
 
     def _append(self, states: StateTable, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
         """The entries of new pairs, their tables appended."""
@@ -498,6 +495,7 @@ class Session:
         self.samples = Branches.measuring(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         self.decoys = Branches.measuring(_CHECK_BASES, ((0,),))
         self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
+        self.swap = Branches.swapping()
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:
@@ -608,15 +606,15 @@ class Session:
             (found,) = self.identify.sample(self.states, even[start:stop], 0,
                                             lambda: self._key(_BOB_GHZ, start, stop))
             columns[_P_LABEL, start:stop] = found
-        # the found label is the fresh state's id
-        even[:] = self.states.move("op", columns[_P_LABEL].astype(np.intp), self.bob_ops, _encode)
+        # the fresh triple is never sent, so Bob's op only relabels it
+        # (transform_chart), its sign unseen by any measurement
+        even[:] = transform_chart()[columns[_P_LABEL], self.bob_ops]
         columns[_B_OP] = self.bob_ops
 
     def swap_and_announce(self) -> None:
         """Step 7: Bell-measure the three cross pairs of each group and
         announce the outcome collection over the (ideal) classical channel."""
-        states, (odd, even) = self.states, self.triples.T
-        swap = Branches.swapping(int(even.max()) + 1)
+        states, swap, (odd, even) = self.states, self.swap, self.triples.T
         distinct = set()  # the distinct pairs first, to join the new ones in full chunks
         for start, stop in _spans(len(odd)):
             distinct.update((odd[start:stop] * swap.width + even[start:stop]).tolist())
@@ -627,7 +625,7 @@ class Session:
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
         # no later step draws or reads the states, and the ops are in the columns
         self.triples = self.states = self._streams = self.alice_ops = self.bob_ops = None
-        self.eve = self.samples = self.decoys = self.identify = None
+        self.eve = self.samples = self.decoys = self.identify = self.swap = None
 
     def decode(self) -> None:
         """Each side reads the other's operation off the announcement and its

@@ -107,8 +107,8 @@ class StreamBlock:
     by side in numpy uint64 buffers of `size` lanes, reused block after block.
     Lane j of draw(i) equals draw i (0-based) of Rng(seed, start + j): a
     stream's state after i + 1 draws is its key plus (i + 1) golden-ratio
-    increments. u64, random and randrange take the lanes' next draw, as the
-    Rng methods of the same names do for one stream; random(k) the next k.
+    increments. u64 and randrange take the lanes' next draw, as the Rng
+    methods of the same names do for one stream; random(k) the next k.
     """
 
     __slots__ = ("size", "n", "drawn", "_base", "_lanes", "_keys", "_out", "_tmp")
@@ -146,16 +146,13 @@ class StreamBlock:
         self.drawn += 1
         return self.draw(self.drawn - 1)
 
-    def random(self, k: int | None = None) -> np.ndarray:
-        """Rng.random of every lane, (u >> 11) * 2**-53 exact in float64;
-        with k, the lanes' next k draws as the rows of a (k, n) array."""
-        if k is None:
-            u = self.u64()
-        else:
-            steps = [(self.drawn + d) * _GOLDEN & _MASK64 for d in range(1, k + 1)]
-            self.drawn += k
-            u = self._keys[:self.n] + np.array(steps, dtype=np.uint64)[:, None]
-            _mix64_inplace(u, np.empty_like(u))
+    def random(self, k: int) -> np.ndarray:
+        """Rng.random of every lane's next k draws, (u >> 11) * 2**-53 exact
+        in float64, as the rows of a (k, n) array."""
+        steps = [(self.drawn + d) * _GOLDEN & _MASK64 for d in range(1, k + 1)]
+        self.drawn += k
+        u = self._keys[:self.n] + np.array(steps, dtype=np.uint64)[:, None]
+        _mix64_inplace(u, np.empty_like(u))
         u >>= np.uint64(11)
         return u * 2.0 ** -53
 

@@ -13,7 +13,7 @@ from reference_session import ReferenceSession, alice_decode, bob_decode
 from bqsdc import cli, particles, protocol, qcore
 from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack, decoy_rows
 from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
-from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_label
+from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_chart, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
 from bqsdc.particles import append_ancilla, measure_particles, merge
 from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, GroupRecord, Session,
@@ -671,12 +671,29 @@ def measured(s):
     return [*s.eve, s.samples, s.decoys, s.identify]
 
 
-def swap_memo(states, measurements):
-    """The swap's Branches, the one Branches among the kinds of states'
-    memos that is not in measurements, and its memo."""
-    (swap,) = [kind for kind in states.memos
-               if isinstance(kind, Branches) and kind not in measurements]
-    return swap, states.memos[swap]
+class TestBobLabels:
+    """Bob's rebuilt triple is never sent, so after bob_encode each even id
+    is the transform-chart label of the label Bob found and his op: the
+    sign his op may leave is not interned as a state of its own."""
+
+    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
+    def test_even_id_is_chart_label(self, strategy, target):
+        attack = AttackConfig.entangling(0.25, target=target) \
+            if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
+        bob = "".join(f"{k:03b}" for k in range(8))  # group k takes op k
+        for initial in GhzLabel:
+            s = Session(quiet_cfg(8, seed=int(initial), check_threshold=0.99, attack=attack,
+                                  initial_label=initial), "011" * 8, bob)
+            for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
+                step()
+            columns, even = s.transcript.columns, s.triples[:, 1]
+            assert columns[protocol._B_OP].tolist() == list(range(8))
+            assert even.tolist() == transform_chart()[columns[protocol._P_LABEL],
+                                                      columns[protocol._B_OP]].tolist()
+            assert even.max() <= 7
+            assert np.array_equal(s.states.amps(even), ghz_rows()[even])
+            if strategy == "none":
+                assert (columns[protocol._P_LABEL] == initial).all()
 
 
 class TestSwapTable:
@@ -693,7 +710,7 @@ class TestSwapTable:
         for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
             step()
         distinct = set(zip(*s.triples.T.tolist()))  # (odd id, even id)
-        states, measurements = s.states, measured(s)  # the swap releases them
+        states, table = s.states, s.swap  # the swap releases them
         joined = []
         real_merge = particles.merge
 
@@ -704,7 +721,8 @@ class TestSwapTable:
         monkeypatch.setattr(particles, "merge", counting_merge)
         s.swap_and_announce()
         assert s.transcript.groups[-1].announcement is not None
-        table, memo = swap_memo(states, measurements)
+        memo = states.memos[table]
+        assert memo.shape[1] == len(GhzLabel)
         assert sum(joined) == len(distinct) == len(table.fixed) == np.count_nonzero(memo >= 0)
         assert set(zip(*np.nonzero(memo >= 0))) == distinct
         assert len(distinct) <= self.BOUND
@@ -713,7 +731,7 @@ class TestSwapTable:
         # odd states of 3 qubits, then of 4 (a fake at qubit 2, the genuine
         # third particle at 3): each entry holds the Bell tables of its own
         # joint state, whose cross pairs are (r, w + r)
-        states, table = StateTable(), Branches.swapping(8)
+        states, table = StateTable(), Branches.swapping()
         even = np.array([GhzLabel.PSI1, GhzLabel.PSI2])  # GHZ label k is state k
         narrow = np.array([GhzLabel.PSI0, GhzLabel.PSI5])
         wide = states.intern(apply_attack(ghz_block(GhzLabel.PSI0, GhzLabel.PSI5), 2,
@@ -745,20 +763,19 @@ class TestInterning:
 
     # (states, entries of the check, identification and Eve tables, swap
     # pairs) under uniform attack parameters. At 10**4 groups the sessions
-    # below reach at most 18, 28 and 172 without an attack, 90, 100 and 784
-    # under intercept-resend, 59, 92 and 434 under measure-resend and 36, 32
-    # and 188 under the entangling attack; at 10**3 as many states and
-    # entries, and fewer pairs.
-    BOUNDS = {"none": (24, 32, 192), "intercept_resend": (96, 112, 800),
-              "measure_resend": (64, 96, 448), "entangle_measure": (40, 40, 192)}
-    # Total bytes of the int32 memo arrays (StateTable.memos). The swap's
-    # is dense over (odd id, even id), so it grows with the square of the
-    # state count: at 10**4 groups the sessions below hold at most 3984
-    # without an attack, 51776 under intercept-resend (43 KB of it a 148 by
-    # 74 swap memo on S_C), 34880 under measure-resend and 11744 under the
-    # entangling attack.
-    MEMO_BYTES = {"none": 5 * 1024, "intercept_resend": 64 * 1024,
-                  "measure_resend": 40 * 1024, "entangle_measure": 16 * 1024}
+    # below reach at most 18, 28 and 112 without an attack, 90, 100 and 448
+    # under intercept-resend, 53, 92 and 248 under measure-resend and 36, 32
+    # and 112 under the entangling attack; at 10**3 as many states and
+    # entries, and fewer pairs. Bob's triple is its chart label, so the pair
+    # bounds are the maxima measured.
+    BOUNDS = {"none": (24, 32, 112), "intercept_resend": (96, 112, 448),
+              "measure_resend": (64, 96, 248), "entangle_measure": (40, 40, 112)}
+    # Total bytes of the int32 memo arrays (StateTable.memos), the maxima
+    # at 10**4 groups of the sessions below. The swap's memo is 8 wide, one
+    # column per GHZ label, so it grows with the odd triples' states only:
+    # under intercept-resend on S_C, a 136 by 8 memo of 4352 bytes.
+    MEMO_BYTES = {"none": 2544, "intercept_resend": 18096,
+                  "measure_resend": 13376, "entangle_measure": 7328}
 
     @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
     @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
@@ -786,10 +803,9 @@ class TestInterning:
         msg_rng = Rng(n, stream=2)
         s = Session(SessionConfig(n_groups=n, seed=n, check_threshold=0.99, attack=attack),
                     random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
-        states, measurements = s.states, measured(s)  # the swap releases them
+        states, measurements, swap = s.states, measured(s), s.swap  # the swap releases them
         t = s.run()
         assert not t.aborted and t.groups[-1].decoded_by_bob is not None
-        swap, _ = swap_memo(states, measurements)
         known = {kind: int((memo >= 0).sum()) for kind, memo in states.memos.items()}
         entries = sum(len(table.fixed) for table in measurements)
         assert entries == sum(known.get(table, 0) for table in measurements)

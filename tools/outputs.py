@@ -1,0 +1,63 @@
+"""Print a fingerprint of the CLI's outputs over a fixed matrix of commands,
+one line per case: the exit code, the sha256 of what it printed and the
+sha256 of the JSON it wrote to --out, which every case is given. Each case
+runs bqsdc.cli.main in process, on the src/bqsdc of this checkout.
+
+    python tools/outputs.py > outputs.txt
+
+Two checkouts print the same lines exactly when every case gives the same
+exit code, the same text and the same file, so comparing them is a diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from bqsdc import cli  # noqa: E402
+from bqsdc.adversary import STRATEGIES, TARGETS  # noqa: E402
+
+# The entangling attack needs a flip probability and no other attack takes one.
+_BETA = {"entangle_measure": ["--beta2", "0.25"]}
+
+
+def cases() -> list[list[str]]:
+    """Each case's arguments, but for --out."""
+    out = [["verify"]]
+    out += [["analyze", "--monte-carlo", "10000", "--seed", str(seed)] for seed in (0, 1, 11)]
+    for strategy in STRATEGIES:
+        for target in TARGETS:
+            beta = _BETA.get(strategy, [])
+            out.append(["attack", "--strategy", strategy, "--target", target,
+                        "--trials", "10000", "--seed", "0", *beta])
+            out.append(["run", "--N", "300", "--random-messages", "--seed", "0",
+                        "--attack", f"{strategy}:{target}", *beta])
+    out.append(["run", "--N", "100000", "--random-messages", "--decoys", "16", "--seed", "3"])
+    return out
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        for args in cases():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([*args, "--out", str(path)])
+            written = sha(path.read_bytes()) if path.exists() else "-"
+            path.unlink(missing_ok=True)
+            print(f"{code} {sha(stdout.getvalue().encode())} {written}  {' '.join(args)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
