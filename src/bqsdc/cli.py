@@ -2,14 +2,15 @@
 sweeps, and analysis reports.
 
 Every command is deterministic under --seed (when omitted, a seed is drawn
-from system entropy and recorded in the output). Exit codes: 0 success,
-1 verification or assertion failure, 2 usage error.
+from system entropy and recorded in the output). Exit codes: 0 success, 1
+verification or assertion failure or stdout closed, 2 usage or write error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import secrets
@@ -42,6 +43,20 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return secrets.randbits(63)
 
 
+class _File(io.FileIO):
+    """An output file whose failed writes, on close too, are usage errors."""
+
+    def write(self, data) -> int:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.name}: {exc.strerror}") from None
+
+    def text(self) -> io.TextIOWrapper:
+        """The file as open(name, "w", newline="") wraps it, buffered by its block size."""
+        return io.TextIOWrapper(io.BufferedWriter(self, self._blksize), newline="")
+
+
 @contextmanager
 def _open_outputs(*paths: str | None):
     """One open file per output path, None where a path is unset. Every path
@@ -67,7 +82,7 @@ def _open_outputs(*paths: str | None):
             os.remove(p)
         raise
     with ExitStack() as stack:
-        yield [stack.enter_context(open(p, "w", newline="")) if p else None for p in paths]
+        yield [stack.enter_context(_File(p, "w").text()) if p else None for p in paths]
 
 
 def _csv_path(args, default: str) -> str | None:
@@ -324,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader left (`| head`): the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ the untouched second triple, rebuilds it, encodes his own three bits on it,
 swaps entanglement between the two triples with three Bell measurements,
 and announces the outcome collection. Each side infers the other's
 operation from the announcement and its own operation alone: the
-announcement depends on the two operations only (swap.announcement).
+announcement depends on the two operations only (swap.announcement_chart).
 
 Every unit starts as one of 8 GHZ states or 4 decoys, and every operation,
 choice of Eve's and outcome is one of a handful, so a session reaches a few
@@ -48,8 +48,8 @@ import numpy as np
 
 from . import particles, qcore
 from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices, decoy_rows
-# decoy_state, transform_label, invert_transform, collection_table and
-# measure_particles have no caller here: bench/tracer.py wraps them in this
+# decoy_state, transform_label, invert_transform, collection_of, collection_table
+# and measure_particles have no caller here: bench/tracer.py wraps them in this
 # namespace, so they stay imported until the tracer no longer names them.
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
 from .codebook import (CompositeOp, ghz_rows, invert_transform, transform_chart,  # noqa: F401
@@ -57,7 +57,8 @@ from .codebook import (CompositeOp, ghz_rows, invert_transform, transform_chart,
 from .labels import CollectionLabel, GhzLabel
 from .particles import apply_op, measure_particles  # noqa: F401
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
-from .swap import BellTriple, announcement, collection_of, collection_table  # noqa: F401
+from .swap import (BellTriple, announcement_chart, bell_triples, collection_of,  # noqa: F401
+                   collection_table, swap_chart)
 
 def default_decoy_count(n_groups: int) -> int:
     """Per-check decoy count used when the config leaves it unset: enough to
@@ -232,7 +233,8 @@ def _field_values() -> tuple[tuple, ...]:
     can hold, by entry: labels, ops, Bell triples, collections and 3-bit
     strings, with None last, at entry -1."""
     return tuple((*values, None) for values in (
-        GhzLabel, CompositeOp, GhzLabel, CompositeOp, *_swap_outcomes(), _BITS, _BITS))
+        GhzLabel, CompositeOp, GhzLabel, CompositeOp, bell_triples(),
+        map(CollectionLabel, swap_chart()[1].tolist()), _BITS, _BITS))
 
 
 @lru_cache(maxsize=None)
@@ -256,33 +258,28 @@ def random_message_bits(n_groups: int, rng: Rng) -> str:
 
 
 def _invert_announcements(announced) -> np.ndarray:
-    """decoded[side, own op, announcement] from announced[a][b]: Bob's op as
-    Alice (side 0) reads it along her row a, Alice's as Bob (side 1) reads
-    it down his column b. Raises unless each row and column is a permutation."""
-    decoded = np.full((2, 8, 8), -1, dtype=np.int8)
-    for a in CompositeOp:
-        for b in CompositeOp:
-            m = announced[a][b]
-            for side, own, other in ((0, a, b), (1, b, a)):
-                if decoded[side, own, m] >= 0:
-                    raise AssertionError(f"announcement {m.token} repeats for {own.token} "
-                                         f"on side {side}; it cannot be decoded")
-                decoded[side, own, m] = other
+    """The read-only decoded[side, own op, announcement] of announced[a][b]:
+    Bob's op as Alice (side 0) reads it along her row a, Alice's as Bob (side
+    1) reads it down his column b. Raises unless each row and column is a permutation."""
+    sides = np.stack([announced, np.transpose(announced)])  # [side, own op, other op]
+    if (np.sort(sides, axis=2) != np.arange(len(CompositeOp))).any():
+        raise AssertionError("an announcement repeats in a row or column; it cannot be decoded")
+    decoded = np.argsort(sides, axis=2).astype(np.int8)
+    decoded.setflags(write=False)
     return decoded
 
 
 @lru_cache(maxsize=None)
 def _decoded() -> np.ndarray:
     """The decode table of the announcement chart (_invert_announcements)."""
-    return _invert_announcements([[announcement(a, b) for b in CompositeOp]
-                                  for a in CompositeOp])
+    return _invert_announcements(announcement_chart())
 
 
 @lru_cache(maxsize=None)
 def _sample_ok() -> np.ndarray:
-    """ok[label, w, 4a + 2b + c]: whether the outcome indices a, b, c of the
-    first, second and third particle pass the check of a GHZ sample in state
-    label measured in _CHECK_BASES[w] (ghz_sample_ok)."""
+    """ok[label, w, 4a + 2b + c], read-only: whether the outcome indices a,
+    b, c of the first, second and third particle pass the check of a GHZ
+    sample in state label measured in _CHECK_BASES[w] (ghz_sample_ok)."""
     ok = np.empty((len(GhzLabel), len(_CHECK_BASES), 8), dtype=bool)
     for label in GhzLabel:
         for w, basis in enumerate(_CHECK_BASES):
@@ -290,16 +287,8 @@ def _sample_ok() -> np.ndarray:
             for k in range(8):
                 ok[label, w, k] = ghz_sample_ok(
                     label, basis, (names[k >> 2], names[k >> 1 & 1], names[k & 1]))
+    ok.setflags(write=False)
     return ok
-
-
-@lru_cache(maxsize=None)
-def _swap_outcomes() -> tuple[tuple[BellTriple, ...], tuple[CollectionLabel, ...]]:
-    """The Bell triples and their collections, for the Bell outcome indices
-    a, b, c of the three cross pairs at index 16a + 4b + c."""
-    bell = basis_labels(MeasBasis.BELL)
-    triples = tuple(BellTriple(bell[k >> 4], bell[k >> 2 & 3], bell[k & 3]) for k in range(64))
-    return triples, tuple(map(collection_of, triples))
 
 
 # Stream ids. Every draw of a session comes from Rng(cfg.seed, stream=id),
@@ -632,7 +621,7 @@ class Session:
         own operation (_decoded); neither needs the prepared state."""
         alice, bob = _decoded()
         columns = self.transcript.columns
-        announced = np.array(_swap_outcomes()[1])[columns[_BELL]]
+        announced = swap_chart()[1][columns[_BELL]]
         columns[_BY_ALICE] = alice[columns[_A_OP], announced]
         columns[_BY_BOB] = bob[columns[_B_OP], announced]
 

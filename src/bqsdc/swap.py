@@ -5,25 +5,29 @@ eight equally likely joint outcomes. The eight possible support sets, the
 outcome collections, partition the 64 Bell triples; which collection occurs
 identifies the relation between the two input states.
 
-Collection membership is derived from the state-vector engine (support of
-the swap distribution against the reference input), never hand-typed. The
-independently hand-enumerated sets in REFERENCE_COLLECTIONS exist only as a
-verification fixture for :func:`verify_swap_table`.
+The chart is derived once from the state-vector engine (the swap support
+of every pair of GHZ states), never hand-typed, as two integer arrays
+(:func:`swap_chart`). The independently hand-enumerated sets in
+REFERENCE_COLLECTIONS exist only as a verification fixture for
+:func:`verify_swap_table`.
 
-The collection chart composed with the transform chart gives the
-announcement for a pair of encoding operations (:func:`announcement`), the
-same for every prepared state.
+The swap chart indexed by the transform chart gives the announcement for a
+pair of encoding operations (:func:`announcement_chart`), the same for
+every prepared state.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from . import qcore
-from .codebook import CompositeOp, ghz_state, transform_label
+from .codebook import CompositeOp, ghz_state, transform_chart
 from .labels import BellLabel, CollectionLabel, GhzLabel
-from .qcore import MeasBasis
+from .qcore import MeasBasis, basis_labels
 
 # Bell pairs are measured across the first/second/third particles of the
 # two triples; with the first triple's qubits in front of the tensor the
@@ -59,78 +63,71 @@ def swap_distribution(g1: GhzLabel, g2: GhzLabel) -> dict[BellTriple, float]:
 
 
 @lru_cache(maxsize=None)
-def _collection_members() -> tuple[frozenset[BellTriple], ...]:
-    """Collection m is the support of swapping the reference state with the
-    m-th GHZ state; the eight sets must partition all 64 triples."""
-    members = tuple(
-        frozenset(swap_distribution(GhzLabel.PSI0, GhzLabel(m)))
-        for m in range(8)
-    )
-    seen: set[BellTriple] = set()
-    for ms in members:
-        if len(ms) != 8 or seen & ms:
-            raise AssertionError("outcome collections do not partition the Bell triples")
-        seen |= ms
-    if len(seen) != 64:
-        raise AssertionError("outcome collections do not cover all Bell triples")
-    return members
+def bell_triples() -> tuple[BellTriple, ...]:
+    """The 64 Bell triples, triple 16a + 4b + c the outcome indices a, b, c
+    of the three cross pairs in basis order (basis_labels)."""
+    return tuple(BellTriple(*t) for t in itertools.product(basis_labels(MeasBasis.BELL), repeat=3))
+
+
+@lru_cache(maxsize=None)
+def swap_chart() -> tuple[np.ndarray, np.ndarray]:
+    """The chart, entry [g1, g2] the collection holding the pair's whole swap
+    support, and the collection of every triple of bell_triples(), as
+    read-only integer arrays. Collection m is the support of psi0 with psi_m;
+    raises unless these partition the 64 triples and no support is split."""
+    index = {t: k for k, t in enumerate(bell_triples())}
+    support = np.zeros((len(GhzLabel), len(GhzLabel), len(index)), dtype=bool)
+    for g1, g2 in itertools.product(GhzLabel, repeat=2):
+        support[g1, g2, [index[t] for t in swap_distribution(g1, g2)]] = True
+    members = support[GhzLabel.PSI0]
+    if (members.sum(axis=1) != 8).any() or (members.sum(axis=0) != 1).any():
+        raise AssertionError("outcome collections do not partition the Bell triples")
+    of_triple = members.argmax(axis=0)
+    chart = of_triple[support.argmax(axis=2)]
+    split = np.argwhere((support & (of_triple != chart[..., None])).any(axis=2))
+    if len(split):
+        g1, g2 = map(GhzLabel, split[0])
+        raise AssertionError(f"swap support of ({g1.token}, {g2.token}) spans multiple collections")
+    chart.setflags(write=False)
+    of_triple.setflags(write=False)
+    return chart, of_triple
 
 
 def collection_members(m: CollectionLabel) -> frozenset[BellTriple]:
     """The eight Bell triples making up one collection."""
-    return _collection_members()[int(m)]
-
-
-@lru_cache(maxsize=None)
-def _collection_index() -> dict[BellTriple, CollectionLabel]:
-    return {
-        t: CollectionLabel(m)
-        for m, ms in enumerate(_collection_members())
-        for t in ms
-    }
+    return frozenset(itertools.compress(bell_triples(), swap_chart()[1] == m))
 
 
 def collection_of(t: BellTriple) -> CollectionLabel:
     """The unique collection containing a Bell triple."""
-    return _collection_index()[t]
-
-
-@lru_cache(maxsize=None)
-def _collection_table() -> dict[tuple[GhzLabel, GhzLabel], CollectionLabel]:
-    table = {}
-    for g1 in GhzLabel:
-        for g2 in GhzLabel:
-            ms = {collection_of(t) for t in swap_distribution(g1, g2)}
-            if len(ms) != 1:
-                raise AssertionError(f"swap support of ({g1.token}, {g2.token}) "
-                                     "spans multiple collections")
-            table[(g1, g2)] = ms.pop()
-    return table
+    return CollectionLabel(swap_chart()[1][bell_triples().index(t)])
 
 
 def collection_table(g1: GhzLabel, g2: GhzLabel) -> CollectionLabel:
     """Collection containing the entire swap support of the labelled pair."""
-    return _collection_table()[(g1, g2)]
+    return CollectionLabel(swap_chart()[0][g1, g2])
 
 
 @lru_cache(maxsize=None)
-def _announcement_table() -> tuple[tuple[CollectionLabel, ...], ...]:
-    """announced[a][b]: the collection announced for a group whose first
-    triple carries operation a and second triple b, composed from the two
-    charts for every prepared state; all eight must give the same one."""
-    def composed(a: CompositeOp, b: CompositeOp) -> CollectionLabel:
-        ms = {collection_table(transform_label(p, a), transform_label(p, b)) for p in GhzLabel}
-        if len(ms) != 1:
-            raise AssertionError(f"announcement for ({a.token}, {b.token}) "
-                                 "depends on the prepared state")
-        return ms.pop()
-    return tuple(tuple(composed(a, b) for b in CompositeOp) for a in CompositeOp)
+def announcement_chart() -> np.ndarray:
+    """Entry [a, b], read-only: the collection announced when the first triple
+    carries op a and the second op b, the swap chart indexed by the transform
+    chart for all eight prepared states at once. Raises unless they agree."""
+    ops = transform_chart()
+    per_state = swap_chart()[0][ops[:, :, None], ops[:, None, :]]  # [p, a, b]
+    split = np.argwhere((per_state != per_state[0]).any(axis=0))
+    if len(split):
+        a, b = map(CompositeOp, split[0])
+        raise AssertionError(f"announcement for ({a.token}, {b.token}) "
+                             "depends on the prepared state")
+    per_state.setflags(write=False)
+    return per_state[0]
 
 
 def announcement(a_op: CompositeOp, b_op: CompositeOp) -> CollectionLabel:
     """Collection announced when Alice applied a_op and Bob b_op, whatever
     the prepared state."""
-    return _announcement_table()[a_op][b_op]
+    return CollectionLabel(announcement_chart()[a_op, b_op])
 
 
 def _ref(*tokens: str) -> frozenset[BellTriple]:
@@ -189,7 +186,7 @@ def verify_swap_table() -> dict:
         collection_members(CollectionLabel(m)) == REFERENCE_COLLECTIONS[m]
         for m in range(8)
     )
-    sizes = [len(ms) for ms in _collection_members()]
+    sizes = np.bincount(swap_chart()[1], minlength=len(CollectionLabel)).tolist()
     return {
         "entries": entries,
         "mismatches": mismatches,

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -16,12 +17,17 @@ CMD = [sys.executable, "-m", "bqsdc"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env=None):
-    """The CLI in a child interpreter that imports this checkout's package:
-    its src first on PYTHONPATH, ahead of any value already there."""
+def child_env(env=None):
+    """An environment whose child interpreter imports this checkout's
+    package: its src first on PYTHONPATH, ahead of any value already there."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=env)
+    return env
+
+
+def run_cli(*args, env=None):
+    """The CLI in a child interpreter (child_env)."""
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=child_env(env))
 
 
 def test_verify_exits_zero(tmp_path):
@@ -187,6 +193,34 @@ def test_outputs_naming_one_file_exit_two(command, tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error:"), argv
     assert kept.read_bytes() == b'{"kept": 1}\n'
     assert [p.name for p in (tmp_path / "dir").iterdir()] == ["x"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    # the transcript fits the file's buffer, so the write fails on close
+    ["run", "--N", "1", "--alice", "000", "--bob", "000", "--seed", "1", "--out", "/dev/full"],
+    # the transcript overflows it, so a write fails
+    ["run", "--N", "300", "--random-messages", "--seed", "1", "--out", "/dev/full"],
+    ["verify", "--emit", "csv", "--csv-out", "/dev/full"],
+])
+def test_output_failing_while_written_exits_two(argv, capsys):
+    # /dev/full opens, so the check before the work passes; every write fails
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_stdout_closed_by_its_reader_exits_without_traceback():
+    # as `bqsdc run ... | head -1`: the transcript is far larger than the
+    # pipe's buffer, so the CLI is still writing when its reader leaves
+    proc = subprocess.Popen(CMD + ["run", "--N", "20000", "--random-messages", "--seed", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert proc.stdout.readline().startswith(b"check at step 2")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def recorded_attack(argv, tmp_path):

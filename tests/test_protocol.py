@@ -22,7 +22,7 @@ from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, GroupRecord, Session
                             random_message_bits, run_session)
 from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
                          make_basis_state)
-from bqsdc.swap import collection_members, collection_table
+from bqsdc.swap import announcement_chart, collection_members, collection_table, swap_chart
 
 
 def quiet_cfg(n, seed=0, **kw):
@@ -177,6 +177,20 @@ class TestRowTables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0
+
+    def test_cached_charts_are_read_only(self):
+        # every session reads these, so a write into one would reach all
+        # later sessions of the process
+        charts = {"transform": transform_chart, "swap": lambda: swap_chart()[0],
+                  "triple collections": lambda: swap_chart()[1],
+                  "announcement": announcement_chart, "decoded": protocol._decoded,
+                  "sample ok": protocol._sample_ok}
+        for name, chart in charts.items():
+            table = chart()
+            assert table is chart(), name
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
 
 
 class TestChecks:

@@ -1,13 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from bqsdc import cli, swap
-from bqsdc.codebook import CompositeOp, transform_label
+from bqsdc.codebook import CompositeOp, transform_chart, transform_label
 from bqsdc.labels import BellLabel, CollectionLabel, GhzLabel
 from bqsdc.qcore import ATOL
-from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, announcement, collection_members,
-                        collection_of, collection_table, swap_distribution, verify_swap_table)
+from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, announcement, bell_triples,
+                        collection_members, collection_of, collection_table, swap_chart,
+                        swap_distribution, verify_swap_table)
 
 # Independent reference chart: cell [g1][g2] = collection index.
 REFERENCE_SWAP_CHART = [
@@ -68,6 +70,12 @@ class TestCollections:
         t = BellTriple(BellLabel.PHI_MINUS, BellLabel.PHI_MINUS, BellLabel.PSI_MINUS)
         assert collection_of(t) == CollectionLabel.C7
 
+    def test_bell_triples_by_index(self):
+        # triple 16a + 4b + c holds the Bell outcome indices a, b, c
+        for k, t in enumerate(bell_triples()):
+            assert t == BellTriple(BellLabel(k >> 4), BellLabel(k >> 2 & 3), BellLabel(k & 3))
+            assert collection_of(t) == swap_chart()[1][k]
+
     def test_collection_of_total(self):
         for labels in itertools.product(BellLabel, repeat=3):
             assert collection_of(BellTriple(*labels)) in CollectionLabel
@@ -83,6 +91,7 @@ class TestCollectionTable:
         for g1 in GhzLabel:
             for g2 in GhzLabel:
                 assert collection_table(g1, g2) == CollectionLabel(REFERENCE_SWAP_CHART[g1][g2])
+        assert np.array_equal(swap_chart()[0], REFERENCE_SWAP_CHART)
 
     def test_examples(self):
         assert collection_table(GhzLabel.PSI0, GhzLabel.PSI0) == CollectionLabel.C0
@@ -122,15 +131,49 @@ class TestAnnouncement:
     def test_raises_if_the_prepared_state_matters(self, monkeypatch):
         # a fake transform chart under which psi3 ignores the operation:
         # the derivation must notice that p no longer cancels
-        real = swap.transform_label
-        monkeypatch.setattr(swap, "transform_label",
-                            lambda p, op: p if p == GhzLabel.PSI3 else real(p, op))
-        swap._announcement_table.cache_clear()
+        fake = transform_chart().copy()
+        fake[GhzLabel.PSI3] = GhzLabel.PSI3
+        monkeypatch.setattr(swap, "transform_chart", lambda: fake)
+        swap.announcement_chart.cache_clear()
         try:
             with pytest.raises(AssertionError, match=r"\(U0, U1\) depends on the prepared"):
                 announcement(CompositeOp.U0, CompositeOp.U1)
         finally:
-            swap._announcement_table.cache_clear()
+            swap.announcement_chart.cache_clear()
+
+
+class TestChartGuards:
+    """A fake swap_distribution patched into swap; the chart's cache is
+    cleared before and after, so the real chart is derived again."""
+
+    def raises(self, monkeypatch, fake, match):
+        monkeypatch.setattr(swap, "swap_distribution", fake)
+        swap.swap_chart.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=match):
+                collection_table(GhzLabel.PSI0, GhzLabel.PSI0)
+        finally:
+            swap.swap_chart.cache_clear()
+
+    def test_raises_unless_collections_partition_the_triples(self, monkeypatch):
+        # psi0 with psi_m gives the support of psi0 with psi_(m & ~1): each
+        # odd collection repeats the even one below it, and no collection
+        # holds the odd ones' triples
+        real = swap_distribution
+
+        def fake(g1, g2):
+            return real(g1, GhzLabel(g2 & ~1) if g1 == GhzLabel.PSI0 else g2)
+        self.raises(monkeypatch, fake, "do not partition the Bell triples")
+
+    def test_raises_if_a_support_spans_two_collections(self, monkeypatch):
+        # one triple of collection 1 added to the support of (psi5, psi6)
+        real = swap_distribution
+        stray = next(iter(REFERENCE_COLLECTIONS[1]))
+
+        def fake(g1, g2):
+            dist = real(g1, g2)
+            return {**dist, stray: 0.0} if (g1, g2) == (GhzLabel.PSI5, GhzLabel.PSI6) else dist
+        self.raises(monkeypatch, fake, r"\(psi5, psi6\) spans multiple collections")
 
 
 def test_verify_swap_table_report():

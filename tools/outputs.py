@@ -1,7 +1,10 @@
 """Print a fingerprint of the CLI's outputs over a fixed matrix of commands,
-one line per case: the exit code, the sha256 of what it printed and the
-sha256 of the JSON it wrote to --out, which every case is given. Each case
-runs bqsdc.cli.main in process, on the src/bqsdc of this checkout.
+one line per case: the exit code, the sha256 of what it printed, the sha256
+of the JSON it wrote to --out, which every case is given, and for the
+--emit csv cases the sha256 of their --csv-out file. Each case runs
+bqsdc.cli.main in process, on the src/bqsdc of this checkout, inside a
+temporary directory: the output paths are relative, so the directory's
+name is not in the printed text (`wrote PATH`).
 
     python tools/outputs.py > outputs.txt
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +29,7 @@ from bqsdc.adversary import STRATEGIES, TARGETS  # noqa: E402
 
 # The entangling attack needs a flip probability and no other attack takes one.
 _BETA = {"entangle_measure": ["--beta2", "0.25"]}
+_OUT, _CSV = "out.json", "table.csv"
 
 
 def cases() -> list[list[str]]:
@@ -39,6 +44,7 @@ def cases() -> list[list[str]]:
             out.append(["run", "--N", "300", "--random-messages", "--seed", "0",
                         "--attack", f"{strategy}:{target}", *beta])
     out.append(["run", "--N", "100000", "--random-messages", "--decoys", "16", "--seed", "3"])
+    out += [[command, "--emit", "csv", "--csv-out", _CSV] for command in ("verify", "analyze")]
     return out
 
 
@@ -48,13 +54,15 @@ def sha(data: bytes) -> str:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out.json"
+        os.chdir(tmp)
         for args in cases():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = cli.main([*args, "--out", str(path)])
-            written = sha(path.read_bytes()) if path.exists() else "-"
-            path.unlink(missing_ok=True)
+                code = cli.main([*args, "--out", _OUT])
+            paths = [Path(_OUT), *([Path(_CSV)] if _CSV in args else [])]
+            written = " ".join(sha(p.read_bytes()) if p.exists() else "-" for p in paths)
+            for p in paths:
+                p.unlink(missing_ok=True)
             print(f"{code} {sha(stdout.getvalue().encode())} {written}  {' '.join(args)}")
     return 0
 
