@@ -3,7 +3,8 @@ sweeps, and analysis reports.
 
 Every command is deterministic under --seed (when omitted, a seed is drawn
 from system entropy and recorded in the output). Exit codes: 0 success, 1
-verification or assertion failure or stdout closed, 2 usage or write error.
+verification or assertion failure or stdout closed, 2 usage or write error
+(stdout's included), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -335,13 +336,23 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed flush is a failed write
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # stdout's reader left (`| head`): the rest goes nowhere
+    except KeyboardInterrupt:  # an --out file is left as written so far
+        print("interrupted", file=sys.stderr)
+        return 130
+    except OSError as exc:
+        # every other output is a _File, so this is stdout, which the flush
+        # at exit then finds pointed at the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):  # its reader left (`| head`)
+            return 1
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

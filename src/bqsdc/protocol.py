@@ -325,9 +325,10 @@ _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
 # The first and second factor of every composite op, stacked in op order.
 _FIRST = np.stack([op.first.matrix for op in CompositeOp])
 _SECOND = np.stack([op.second.matrix for op in CompositeOp])
-# The check bases, drawn Z for 0 and X for 1; each decoy token's basis in
-# that order, and the index of the outcome a clean channel gives it.
-_CHECK_BASES = (MeasBasis.Z, MeasBasis.X)
+# The check bases, drawn Z for 0 and X for 1, are Eve's, so a decoy check
+# reads her table of qubit 0; each decoy token's basis in that order, and
+# the index of the outcome a clean channel gives it.
+_CHECK_BASES = EVE_BASES
 _DECOY_BASIS = np.array([_CHECK_BASES.index(DECOY_STATES[t].basis) for t in DECOY_TOKENS])
 _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STATES[t].expected)
                             for t in DECOY_TOKENS])
@@ -479,10 +480,10 @@ class Session:
         self.transcript = SessionTranscript(config=cfg)
         self.triples: np.ndarray | None = None  # (n_groups, 2) ids, set by prepare
         self.states = StateTable()
-        # Born tables: Eve's measurement of each qubit, the checks, Bob's identification
+        # Born tables: Eve's measurement of each qubit (eve[0] the decoy check's
+        # too), the sample check, Bob's identification
         self.eve = [Branches.measuring(EVE_BASES, ((role,),)) for role in range(3)]
         self.samples = Branches.measuring(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
-        self.decoys = Branches.measuring(_CHECK_BASES, ((0,),))
         self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
         self.swap = Branches.swapping()
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
@@ -583,7 +584,7 @@ class Session:
         state; an outcome other than that state is an error."""
         errors = 0
         for kinds, ids, lanes in self._checked_units(name, len(DECOY_TOKENS), len(GhzLabel), 0):
-            (out,) = self.decoys.sample(self.states, ids, _DECOY_BASIS[kinds], lanes)
+            (out,) = self.eve[0].sample(self.states, ids, _DECOY_BASIS[kinds], lanes)
             errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
         return self._record_check(step, errors)
 
@@ -614,7 +615,7 @@ class Session:
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
         # no later step draws or reads the states, and the ops are in the columns
         self.triples = self.states = self._streams = self.alice_ops = self.bob_ops = None
-        self.eve = self.samples = self.decoys = self.identify = self.swap = None
+        self.eve = self.samples = self.identify = self.swap = None
 
     def decode(self) -> None:
         """Each side reads the other's operation off the announcement and its

@@ -17,15 +17,14 @@ one-state functions are their one-row case. Grouping k qubits is a gather
 plan computed once per (n, qubits), and every basis vector is real, so a
 measurement projects onto all of them in one real matmul.
 
-measure_rows and branch_rows are the two Born kernels, and the only
-callers of _project. measure_rows takes several rounds of disjoint qubits
-in one pass: it gathers them once, each round projects the normalized
-remainder the round before it left, and the collapsed state is expanded
-once, at the end, and only when it is kept (collapse_rows: the same pass
-with the outcomes given). branch_rows follows every outcome instead of one,
-with the same arithmetic, so walking its tables (branch_thresholds,
-sample_branches) draws the outcomes measure_rows would. Every Born table
-reads branch_rows.
+branch_rows is the one Born expansion: it gathers several rounds of
+disjoint qubits once, each round projects the normalized remainders the
+round before it left, and it follows every outcome, so its tables hold the
+probability of every outcome on every path. Every Born table reads it.
+sample_branches is the one sampler: it walks those tables in their
+branch_thresholds form, one draw per row and round. collapse_rows is the
+one collapse, the same pass along given outcomes, expanded once at the
+end. measure_rows is the three in turn.
 """
 
 from __future__ import annotations
@@ -409,23 +408,17 @@ def _project(vecs: np.ndarray, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
                j: np.ndarray) -> np.ndarray:
     """The normalized remainder of row src[i] in outcome j[i], as complex
-    rows, divided in place (measure_rows and branch_rows share it)."""
+    rows, divided in place (collapse_rows and branch_rows share it)."""
     rem = projs[src, j].view(np.complex128)
     rem /= np.sqrt(probs[src, j])[:, None]
     return rem
 
 
-def _thresholds(probs: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """cum = probs summed left to right along the last axis, with -1 where
-    probs is at or below ZERO_TOL: no draw in [0, 1) takes that outcome."""
-    return np.where(probs > ZERO_TOL, cum, -1.0)
-
-
 def _pick(thresholds: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per row i, the first outcome j with r[i] < thresholds[i, j]
-    (_thresholds). Where rounding left the total at or below r[i] < 1, the
-    last outcome with nonzero probability, which exact arithmetic would
-    take."""
+    (branch_thresholds). Where rounding left the total at or below
+    r[i] < 1, the last outcome with nonzero probability, which exact
+    arithmetic would take."""
     hit = r[:, None] < thresholds
     j = hit.argmax(axis=1)
     found = hit.any(axis=1)
@@ -461,65 +454,55 @@ def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
     basis does. basis is one MeasBasis for all rows or, with which, a
     sequence of bases of one arity: row i is measured in basis[which[i]].
 
-    Returns (js, post): js[k][i] the index of row i's
-    outcome in round k, in its basis order (basis_labels), post the
-    collapsed rows as a fresh array, or None without collapse, for a
-    measurement nothing reads again. Raises ValueError when two rounds
-    share a qubit, a round's size is not the basis's arity, or any row's
-    outcome probabilities in any round do not total 1.
+    Returns (js, post): js[k][i] the index of row i's outcome in round k,
+    in its basis order (basis_labels), post the collapsed rows as a fresh
+    array, or None without collapse, for a measurement nothing reads
+    again. Raises ValueError when two rounds share a qubit, a round's size
+    is not the basis's arity, any row's outcome probabilities in any round
+    do not total 1, or the draws are not one per round.
     """
-    if len(draws) != len(rounds):
-        raise ValueError(f"{len(rounds)} rounds need as many draws, got {len(draws)}")
-    return _measure(amps, basis, rounds, which, collapse,
-                    lambda k, probs, cum: _pick(_thresholds(probs, cum), draws[k]))
+    thresholds = branch_thresholds(branch_rows(amps, basis, rounds, which))
+    js = sample_branches(thresholds, np.arange(len(amps)), draws)
+    return js, collapse_rows(amps, basis, rounds, js, which) if collapse else None
 
 
 def collapse_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
                   rounds: Sequence[Sequence[int]], js: Sequence[np.ndarray],
                   which: np.ndarray | None = None) -> np.ndarray:
-    """The rows of amps collapsed as measure_rows collapses them when row i
-    takes outcome js[k][i], of probability above ZERO_TOL, in round k."""
-    return _measure(amps, basis, rounds, which, True, lambda k, probs, cum: js[k])[1]
-
-
-def _measure(amps, basis, rounds, which, collapse, choose):
-    """measure_rows' pass, round k taking the outcomes choose(k, probs, cum)."""
-    vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))
+    """The rows of amps collapsed when row i takes outcome js[k][i], of
+    probability above ZERO_TOL, in round k (basis and which as in
+    measure_rows): each round projects the normalized remainder the round
+    before it left, and the state is expanded once, at the end. Raises
+    ValueError as branch_rows does, on the path taken."""
+    vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))[which]
     rem, inverse = _gather_rounds(amps, vecs.shape[-1], rounds)
-    if which is not None:
-        vecs = vecs[which]
     rows = np.arange(len(amps))
-    js = []
-    for k in range(len(rounds)):
+    for j in js:
         projs, probs = _project(vecs, rem)
-        cum = probs.cumsum(axis=1)
-        _require_unit_norms(cum[:, -1], "measured state")
-        js.append(choose(k, probs, cum))
-        if collapse or k + 1 < len(rounds):
-            rem = _remainder(projs, probs, rows, js[-1]).view(np.float64)
-    if not collapse:
-        return js, None
+        _require_unit_norms(probs.sum(axis=1), "measured state")
+        rem = _remainder(projs, probs, rows, j).view(np.float64)
     # the collapsed state, vecs[j_1] (x) ... (x) the last remainder, as
     # float pairs: real basis vectors scale both parts of an amplitude alike
     for j in reversed(js):
         vec = vecs[j] if which is None else vecs[rows, j]
         rem = (vec[:, :, None] * rem[:, None, :]).reshape(len(rem), -1)
-    return js, rem.view(np.complex128).take(inverse, axis=1)
+    return rem.view(np.complex128).take(inverse, axis=1)
 
 
 def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
                 rounds: Sequence[Sequence[int]],
                 which: np.ndarray | None = None) -> list[np.ndarray]:
-    """The Born tree of measure_rows without collapse, for every row of amps
-    (rows, 2**n): every outcome of every round on every path, where
-    measure_rows follows one path per row. basis and which are as there.
+    """The Born tree of measuring the rounds of qubits in turn, for every
+    row of amps (rows, 2**n): every outcome of every round on every path.
+    basis and which are as in measure_rows.
 
     Returns one array per round: tables[k][i, p, j] the probability of
     outcome j in round k of row i after outcomes j_0, ..., j_(k-1) before
-    it, p = j_0 d**(k-1) + ... + j_(k-1) with d outcomes per round, computed
-    as measure_rows computes it on that path, so bit for bit the same. A
+    it, p = j_0 d**(k-1) + ... + j_(k-1) with d outcomes per round. A
     branch at or below ZERO_TOL is never taken or divided: the entries below
-    it are 0. Raises ValueError as measure_rows does, on every live branch.
+    it are 0. Raises ValueError when two rounds share a qubit, a round's
+    size is not the basis's arity, or the outcome probabilities of a live
+    branch do not total 1.
     """
     vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))[which]
     outcomes = vecs.shape[-1]
@@ -545,19 +528,18 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
 
 def branch_thresholds(tables: Sequence[np.ndarray]) -> list[np.ndarray]:
     """branch_rows' tables as sample_branches walks them: each entry the
-    running total of its outcomes up to it, summed left to right as
-    measure_rows sums them, or -1 where its probability is at or below
-    ZERO_TOL."""
-    return [_thresholds(table, table.cumsum(axis=-1)) for table in tables]
+    running total of its outcomes up to it, summed left to right, or -1
+    where its probability is at or below ZERO_TOL: no draw in [0, 1) takes
+    that outcome."""
+    return [np.where(table > ZERO_TOL, table.cumsum(axis=-1), -1.0) for table in tables]
 
 
 def sample_branches(thresholds: Sequence[np.ndarray], rows: np.ndarray,
                     draws: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Walk branch_rows' tables in their branch_thresholds form: sample i
     follows row rows[i] of the tables, drawing with draws[k][i] in round k.
-    Returns each round's outcome indices, which measure_rows(...,
-    collapse=False) returns for the rows of the tables' input and these
-    draws."""
+    Returns each round's outcome indices; raises ValueError unless there
+    is one draw per round."""
     if len(draws) != len(thresholds):
         raise ValueError(f"{len(thresholds)} rounds need as many draws, got {len(draws)}")
     path = np.zeros(len(rows), dtype=np.intp)

@@ -2,13 +2,18 @@
 Session is held to in test_protocol.py.
 
 Every step is a loop over triples, groups, samples or decoys. Each unit
-draws from its own scalar Rng(seed, place << 56 | unit) and goes through
-the one-state qcore functions (measure, apply_single, apply_unitary,
-tensor). Each side decodes its group by composing the two charts from
-the prepared or measured label (alice_decode, bob_decode), where Session
-reads one table of operations that never sees a label. Only the loops,
-the draws, the blocks and the decoding path differ from Session, so both
-must write the same transcripts, byte for byte. Each triple, sample and
+draws from its own scalar Rng(seed, place << 56 | unit), and its state is
+a plain amplitude vector that runs on the dense engine of
+reference_engine.py: np.kron joins registers, the engine's apply_unitary
+applies each op and Eve's coupling, and the engine's measure draws each
+outcome, sharing no code with qcore's row kernels or its sampler. Each
+side decodes its group by composing the two charts from the prepared or
+measured label (alice_decode, bob_decode), where Session reads one table
+of operations that never sees a label. Only the loops, the draws, the
+blocks, the engine and the decoding path differ from Session, so both must
+write the same transcripts, byte for byte, but for a draw that falls
+between the two engines' roundings of one running total (about 2**-50 a
+draw). Each triple, sample and
 decoy is its own Register here, computed for itself, where Session holds
 each as the id of its state in a table of the distinct states it has met
 and computes each distinct state once. Each group writes its own entries
@@ -19,16 +24,18 @@ a block at a time within the check: equal transcripts show that the order
 of those draws does not matter.
 """
 
-from bqsdc import qcore
+import numpy as np
+import reference_engine as engine
+
 from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
 from bqsdc.codebook import (CompositeOp, ghz_state, invert_transform, message_to_op,
                             transform_label)
-from bqsdc.labels import GhzLabel
+from bqsdc.labels import BellLabel, GhzLabel
 from bqsdc.protocol import (_A_OP, _B_OP, _BELL, _BOB_GHZ, _BY_ALICE, _BY_BOB, _CHECK,
                             _EVE_EXTRAS, _EVE_TRIPLES, _GROUP_LABEL, _P_LABEL, _PREPARED,
                             _ROLES, _SWAP, _UNIT_BITS, _UNITS, Session, _columns)
-from bqsdc.qcore import MeasBasis, Rng, basis_labels
+from bqsdc.qcore import MeasBasis, Rng
 from bqsdc.swap import BellTriple, collection_of, collection_table
 
 
@@ -50,35 +57,41 @@ def bob_decode(measured, b_op, announcement):
     return invert_transform(measured, other).bits
 
 
-class Register:
-    """One state vector plus a map from roles to qubits."""
+def width(amps):
+    return amps.size.bit_length() - 1
 
-    def __init__(self, state):
-        self.state = state
-        self.at = list(range(state.num_qubits))
+
+class Register:
+    """One amplitude vector plus a map from roles to qubits."""
+
+    def __init__(self, amps):
+        self.amps = amps
+        self.at = list(range(width(amps)))
 
 
 def merge(a, b):
-    """A new register with a's qubits first, then b's; b's roles follow a's."""
-    reg = Register(qcore.tensor(a.state, b.state))
-    offset = a.state.num_qubits
-    reg.at = a.at + [q + offset for q in b.at]
+    """A new register with a's qubits first, then b's; b's roles follow a's,
+    offset by a's width, which counts the qubits of a fake or an ancilla
+    that are no role's."""
+    reg = Register(np.kron(a.amps, b.amps))
+    reg.at = a.at + [q + width(a.amps) for q in b.at]
     return reg
 
 
 def measure_particles(basis, reg, roles, rng):
     """Projective measurement of the given roles; reg collapses in place."""
-    outcome, reg.state = qcore.measure(reg.state, basis, [reg.at[r] for r in roles], rng)
+    outcome, reg.amps = engine.measure(reg.amps, basis, [reg.at[r] for r in roles],
+                                       rng.random())
     return outcome
 
 
 def apply_op(reg, role, op):
-    reg.state = qcore.apply_single(reg.state, op, reg.at[role])
+    reg.amps = engine.apply_unitary(reg.amps, op.matrix, [reg.at[role]])
 
 
-def append_ancilla(reg, state):
-    qubit = reg.state.num_qubits
-    reg.state = qcore.tensor(reg.state, state)
+def append_ancilla(reg, amps):
+    qubit = width(reg.amps)
+    reg.amps = np.kron(reg.amps, amps)
     return qubit
 
 
@@ -86,14 +99,14 @@ def apply_attack(reg, role, cfg, rng):
     """Eve's strategy on the particle at reg's role."""
     if cfg.strategy == "intercept_resend":
         token = cfg.fake_state if cfg.fake_state is not None else DECOY_TOKENS[rng.randrange(4)]
-        reg.at[role] = append_ancilla(reg, decoy_state(token))
+        reg.at[role] = append_ancilla(reg, decoy_state(token).amps)
     elif cfg.strategy == "measure_resend":
         basis = cfg.eve_basis if cfg.eve_basis is not None else ("Z", "X")[rng.randrange(2)]
         measure_particles(MeasBasis(basis), reg, [role], rng)
     elif cfg.strategy == "entangle_measure":
-        ancilla = append_ancilla(reg, qcore.make_basis_state("0"))
-        reg.state = qcore.apply_unitary(reg.state, eavesdrop_unitary(cfg.beta_squared),
-                                        (reg.at[role], ancilla))
+        ancilla = append_ancilla(reg, np.array([1, 0], dtype=np.complex128))
+        reg.amps = engine.apply_unitary(reg.amps, eavesdrop_unitary(cfg.beta_squared),
+                                        [reg.at[role], ancilla])
 
 
 class ReferenceSession(Session):
@@ -114,11 +127,11 @@ class ReferenceSession(Session):
             label = cfg.initial_label if cfg.initial_label is not None \
                 else GhzLabel(self._rng(_GROUP_LABEL, n).randrange(8))
             self.transcript.columns[_PREPARED, n] = label
-            self.triples.append(Register(ghz_state(label)))
-            self.triples.append(Register(ghz_state(label)))
+            self.triples.append(Register(ghz_state(label).amps))
+            self.triples.append(Register(ghz_state(label).amps))
         for i in range(cfg.resolved_decoys()):
             label = GhzLabel(self._rng(_UNITS["S_C"], i).randrange(8))
-            self.samples.append((label, Register(ghz_state(label))))
+            self.samples.append((label, Register(ghz_state(label).amps)))
         self._transmit("S_C")
 
     def _transmit(self, name):
@@ -155,7 +168,7 @@ class ReferenceSession(Session):
     def _draw_decoys(self, name):
         tokens = [DECOY_TOKENS[self._rng(_UNITS[name], i).randrange(4)]
                   for i in range(self.cfg.resolved_decoys())]
-        self.decoys[name] = [(token, Register(decoy_state(token))) for token in tokens]
+        self.decoys[name] = [(token, Register(decoy_state(token).amps)) for token in tokens]
 
     def check3(self):
         self._draw_decoys("S_A")
@@ -176,7 +189,7 @@ class ReferenceSession(Session):
             i = 2 * n + 1
             p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2],
                                         self._rng(_BOB_GHZ, n))
-            fresh = Register(ghz_state(p_label))
+            fresh = Register(ghz_state(p_label).amps)
             apply_op(fresh, 0, op.first)
             apply_op(fresh, 1, op.second)
             self.triples[i] = fresh
@@ -184,7 +197,7 @@ class ReferenceSession(Session):
             self.transcript.columns[_B_OP, n] = op
 
     def swap_and_announce(self):
-        bell = basis_labels(MeasBasis.BELL)
+        bell = list(BellLabel)  # in basis order
         for n in range(self.cfg.n_groups):
             joint = merge(self.triples[2 * n], self.triples[2 * n + 1])
             rng = self._rng(_SWAP, n)

@@ -223,6 +223,44 @@ def test_stdout_closed_by_its_reader_exits_without_traceback():
     assert err == b""
 
 
+# One short case of each command, and a function that each one calls.
+COMMANDS = {
+    "run": (["run", "--N", "1", "--alice", "000", "--bob", "000", "--seed", "1"],
+            (cli.Session, "run")),
+    "verify": (["verify"], (cli.codebook, "verify_transform_table")),
+    "analyze": (["analyze"], (cli.analysis, "leakage_report")),
+    "attack": (["attack", "--strategy", "intercept", "--trials", "100", "--seed", "1"],
+               (cli.adversary, "estimate_detection")),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_stdout_failing_while_written_exits_two(command, buffered):
+    # unbuffered, the first print fails; buffered, the flush before main
+    # returns, and the flush at exit then finds nothing left to fail on
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(CMD + COMMANDS[command][0], stdout=full, stderr=subprocess.PIPE,
+                             text=True, env=child_env(env))
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_interrupt_exits_130_without_traceback(command, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(*COMMANDS[command][1], interrupted)
+    assert cli.main(COMMANDS[command][0]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 def recorded_attack(argv, tmp_path):
     """The attack that `run` or `attack` made of argv, as its output records it."""
     out = tmp_path / "out.json"

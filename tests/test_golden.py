@@ -8,11 +8,16 @@ A second hash pins what the command line makes of its attack spellings:
 `bqsdc run` transcripts under each strategy, and `bqsdc attack` estimates
 for the fifteen acceptance detection cases as the benchmark spells them.
 
+A third check pins every output of tools/outputs.py's command matrix:
+each case's exit code, and the hashes of what it printed and of the files
+it wrote, CSVs included, against tests/cli_outputs.txt.
+
 A deliberate format change bumps the transcript version, in the package
 and in pyproject.toml alike, and records the new hash in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import json
 import tomllib
 from pathlib import Path
@@ -103,7 +108,22 @@ def test_golden_cli_outputs(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == CLI_GOLDEN_SHA256
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_cli_output_matches_golden_file(monkeypatch, tmp_path):
+    """tools/outputs.py's lines equal tests/cli_outputs.txt. The file
+    follows the rule of the golden hashes: it changes only in a deliberate
+    format break, which bumps the version and is recorded, with the lines
+    that changed, in CHANGES.md; a mismatch after a refactor is a defect of
+    the refactor, never a reason to re-record."""
+    spec = importlib.util.spec_from_file_location("outputs", ROOT / "tools" / "outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    monkeypatch.chdir(tmp_path)
+    assert outputs.lines() == (ROOT / "tests" / "cli_outputs.txt").read_text().splitlines()
+
+
 def test_version_matches_pyproject():
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    with pyproject.open("rb") as fh:
+    with (ROOT / "pyproject.toml").open("rb") as fh:
         assert bqsdc.__version__ == tomllib.load(fh)["project"]["version"]

@@ -680,9 +680,10 @@ class TestDifferential:
 
 
 def measured(s):
-    """The session's Branches of Eve's measurements, the checks and Bob's
-    identification; the swap releases them."""
-    return [*s.eve, s.samples, s.decoys, s.identify]
+    """The session's Branches of Eve's measurements, the decoy check's
+    among them, the sample check and Bob's identification; the swap
+    releases them."""
+    return [*s.eve, s.samples, s.identify]
 
 
 class TestBobLabels:
@@ -787,9 +788,11 @@ class TestInterning:
     # Total bytes of the int32 memo arrays (StateTable.memos), the maxima
     # at 10**4 groups of the sessions below. The swap's memo is 8 wide, one
     # column per GHZ label, so it grows with the odd triples' states only:
-    # under intercept-resend on S_C, a 136 by 8 memo of 4352 bytes.
+    # under intercept-resend on S_C, a 136 by 8 memo of 4352 bytes. The decoy
+    # check reads Eve's table of qubit 0, so measure-resend on S_B, at 12544
+    # bytes, builds no second table of the same decoys.
     MEMO_BYTES = {"none": 2544, "intercept_resend": 18096,
-                  "measure_resend": 13376, "entangle_measure": 7328}
+                  "measure_resend": 12544, "entangle_measure": 7328}
 
     @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
     @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)

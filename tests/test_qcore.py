@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_engine as reference
 from helpers import amplitude, equal_up_to_global_phase
 
 from bqsdc import qcore
@@ -205,9 +206,14 @@ class TestMeasure:
         s = StateVector([0.6, 0.8])
         dist = born_distribution(s, MeasBasis.Z, [0])
         assert dist == pytest.approx({0: 0.36, 1: 0.64})
+        # trial t draws the first draw of Rng(11, stream=t): lane t of the
+        # block keyed at stream 0 (TestStreamBlock)
         trials = 100_000
-        ones = sum(measure(s, MeasBasis.Z, [0], Rng(11, stream=t))[0] for t in range(trials))
-        assert abs(ones / trials - dist[1]) < 0.01
+        block = StreamBlock(11, trials)
+        block.key(0, trials)
+        amps = np.broadcast_to(s.amps, (trials, 2))
+        (j,), _ = measure_rows(amps, MeasBasis.Z, [[0]], list(block.random(1)), collapse=False)
+        assert abs(j.sum() / trials - dist[1]) < 0.01
 
 
 class TestGlobalPhase:
@@ -294,68 +300,6 @@ def test_apply_unitary_two_qubit():
     assert amplitude(s, "01") == 1
 
 
-def reference_grouped(amps, n, qs):
-    """Amplitudes as a (2**k, rest) matrix with the qubits qs in front,
-    by transposing the (2,) * n tensor."""
-    perm = qs + [i for i in range(n) if i not in qs]
-    return amps.reshape((2,) * n).transpose(perm).reshape(1 << len(qs), -1), perm
-
-
-def reference_ungrouped(mat, n, perm):
-    return mat.reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
-
-
-def reference_apply_unitary(s, matrix, qubits):
-    """Reference for apply_unitary: transpose, matmul, transpose back."""
-    n = s.num_qubits
-    mat, perm = reference_grouped(s.amps, n, list(qubits))
-    return reference_ungrouped(matrix @ mat, n, perm)
-
-
-def reference_branches(amps, n, basis, qubits):
-    """Every (label, probability, collapsed amplitudes) of one measurement,
-    one projection per outcome, each in its own loop pass; the collapsed
-    amplitudes are None at or below ZERO_TOL."""
-    mat, perm = reference_grouped(amps, n, list(qubits))
-    rows = []
-    for label, vec in basis_outcomes(basis):
-        proj = vec.conj() @ mat
-        prob = float(np.vdot(proj, proj).real)
-        post = (reference_ungrouped(np.outer(vec, proj / np.sqrt(prob)), n, perm)
-                if prob > qcore.ZERO_TOL else None)
-        rows.append((label, prob, post))
-    return rows
-
-
-def reference_measure(s, basis, qubits, rng):
-    """Reference for measure: returns (label, collapsed amplitudes)."""
-    rows = reference_branches(s.amps, s.num_qubits, basis, qubits)
-    r = rng.random()
-    acc = 0.0
-    for label, prob, post in rows:
-        acc += prob
-        if r < acc and prob > qcore.ZERO_TOL:
-            break
-    else:  # the draw passed the total: the largest outcome
-        label, prob, post = max(rows, key=lambda row: row[1])
-    return label, post
-
-
-def reference_joint(amps, basis, groups):
-    """Reference for joint_distribution: each group measured on the dense
-    state the group before collapsed, following every outcome above
-    ZERO_TOL; keys in lexicographic basis order, weights multiplied left
-    to right."""
-    n = amps.size.bit_length() - 1
-    paths = {(): (1.0, amps)}
-    for qs in groups:
-        paths = {outs + (label,): (p * q, post)
-                 for outs, (p, state) in paths.items()
-                 for label, q, post in reference_branches(state, n, basis, qs)
-                 if q > qcore.ZERO_TOL}
-    return {outs: p for outs, (p, _) in paths.items()}
-
-
 def assert_matches_reference(got, ref):
     assert list(got) == list(ref)
     assert all(abs(got[key] - ref[key]) < 1e-12 for key in ref)
@@ -379,17 +323,18 @@ class TestAgainstReference:
                 s = random_state(n, 1000 * n + stream)
                 u = random_unitary(1 << k, stream)
                 got = apply_unitary(s, u, qs).amps
-                assert np.max(np.abs(got - reference_apply_unitary(s, u, qs))) < 1e-12, qs
+                assert np.max(np.abs(got - reference.apply_unitary(s.amps, u, qs))) < 1e-12, qs
                 for basis in BASES_BY_ARITY[k]:
                     stream += 1
                     label, post = measure(s, basis, qs, Rng(n, stream))
-                    ref_label, ref_amps = reference_measure(s, basis, qs, Rng(n, stream))
+                    ref_label, ref_amps = reference.measure(s.amps, basis, qs,
+                                                            Rng(n, stream).random())
                     assert label == ref_label, (qs, basis)
                     assert np.max(np.abs(post.amps - ref_amps)) < 1e-12, (qs, basis)
-                    ref = {lab: p for lab, p, _ in reference_branches(s.amps, n, basis, qs)}
+                    ref = {lab: p for lab, p, _ in reference.branches(s.amps, basis, qs)}
                     assert_matches_reference(born_distribution(s, basis, qs), ref)
                     assert_matches_reference(joint_distribution(s, basis, [qs]),
-                                             reference_joint(s.amps, basis, [qs]))
+                                             reference.joint(s.amps, basis, [qs]))
 
     def test_non_unitary_or_nan_matrix_raises(self):
         s = random_state(3, 8)
@@ -422,7 +367,7 @@ class TestRowKernels:
                 for i, s in enumerate(states):
                     assert np.array_equal(got[i], apply_unitary(s, u, qs).amps)
                     assert np.array_equal(got_each[i], apply_unitary(s, per_row[i], qs).amps)
-                    assert np.max(np.abs(got[i] - reference_apply_unitary(s, u, qs))) < 1e-12
+                    assert np.max(np.abs(got[i] - reference.apply_unitary(s.amps, u, qs))) < 1e-12
                 for basis in BASES_BY_ARITY[k]:
                     r = np.array([Rng(n, 50 * stream + i).random() for i in range(rows)])
                     (j,), post = measure_rows(amps, basis, [qs], [r])
@@ -430,7 +375,7 @@ class TestRowKernels:
                     assert none is None and np.array_equal(j, j_only)
                     for i, s in enumerate(states):
                         label, one = measure(s, basis, qs, StubDraw(r[i]))
-                        ref_label, ref_amps = reference_measure(s, basis, qs, StubDraw(r[i]))
+                        ref_label, ref_amps = reference.measure(s.amps, basis, qs, r[i])
                         assert basis_labels(basis)[j[i]] == label == ref_label, (qs, basis)
                         assert np.array_equal(post[i], one.amps), (qs, basis)
                         assert np.max(np.abs(post[i] - ref_amps)) < 1e-12, (qs, basis)
@@ -538,8 +483,8 @@ class TestRoundsKernel:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_collapse_onto_the_drawn_outcomes_equals_measure(self, data):
-        # collapse_rows is measure_rows's pass with the outcomes given, one
-        # basis for all rows or one per row: the same bits
+        # collapse_rows onto the outcomes measure_rows drew, one basis for
+        # all rows or one per row, gives the states measure_rows returns
         bases = (MeasBasis.Z, MeasBasis.X)
         amps, rounds, draws = data.draw(rounds_case(bases))
         which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
@@ -660,7 +605,7 @@ class TestBranchTables:
         # whose every round is above ZERO_TOL are the dense reference's support
         outcomes = len(basis_labels(basis))
         for i, row in enumerate(amps):
-            joint = reference_joint(row, basis, rounds)
+            joint = reference.joint(row, basis, rounds)
             paths = {}
             for path in product(range(outcomes), repeat=len(rounds)):
                 probs, prefix = [], 0
@@ -680,8 +625,8 @@ class TestBranchTables:
         for row in amps:
             s = StateVector(row)
             assert_matches_reference(joint_distribution(s, basis, rounds),
-                                     reference_joint(row, basis, rounds))
-            ref = reference_branches(row, s.num_qubits, basis, rounds[0])
+                                     reference.joint(row, basis, rounds))
+            ref = reference.branches(row, basis, rounds[0])
             assert_matches_reference(born_distribution(s, basis, rounds[0]),
                                      {label: p for label, p, _ in ref})
 
@@ -740,16 +685,30 @@ class TestMeasureGuards:
         with pytest.raises(ValueError):
             joint_distribution(s, MeasBasis.Z, [(0,)])
 
+    def test_reference_takes_the_same_outcome_past_a_rounded_total(self):
+        # the states and draw of the two tests above: the dense reference
+        # takes the last outcome above ZERO_TOL, as qcore does, not the largest
+        r = 1.0 - 2.0 ** -53
+        cases = [([math.sqrt(0.7), math.sqrt(0.3 - 4e-16)], MeasBasis.Z, [0], 1),
+                 (np.array([1, 0, 0, 1 - 8e-16]) * INV, MeasBasis.BELL, [0, 1],
+                  BellLabel.PHI_PLUS)]
+        for amps, basis, qubits, want in cases:
+            amps = np.array(amps, dtype=np.complex128)
+            label, post = measure(qcore._unchecked_state(amps), basis, qubits, StubDraw(r))
+            ref_label, ref_post = reference.measure(amps, basis, qubits, r)
+            assert label == ref_label == want, basis
+            assert np.max(np.abs(post.amps - ref_post)) < 1e-12, basis
+
     @pytest.mark.parametrize("basis", list(MeasBasis))
     @pytest.mark.parametrize("scale", [1 - 2 * ATOL, 1 - 0.5 * ATOL, 1 + 0.5 * ATOL,
                                        1 + 2 * ATOL])
-    def test_both_born_kernels_judge_a_norm_alike(self, basis, scale):
-        # rows off norm 1 by half the tolerance pass in both kernels, rows
-        # off by twice it raise in both
+    def test_expansion_and_collapse_judge_a_norm_alike(self, basis, scale):
+        # rows off norm 1 by half the tolerance pass both guards, rows off
+        # by twice it raise in both
         amps = np.stack([random_state(3, seed).amps for seed in range(4)]) * scale
         rounds = [tuple(range(basis.arity))]
-        kernels = (lambda: measure_rows(amps, basis, rounds, [np.full(4, 0.5)], collapse=False),
-                   lambda: branch_rows(amps, basis, rounds))
+        kernels = (lambda: branch_rows(amps, basis, rounds),
+                   lambda: collapse_rows(amps, basis, rounds, [np.zeros(4, dtype=np.intp)]))
         verdicts = []
         for kernel in kernels:
             try:

@@ -8,6 +8,9 @@ name is not in the printed text (`wrote PATH`).
 
     python tools/outputs.py > outputs.txt
 
+tests/cli_outputs.txt holds these lines as committed, and tests/test_golden.py
+compares lines() against it.
+
 Two checkouts print the same lines exactly when every case gives the same
 exit code, the same text and the same file, so comparing them is a diff.
 """
@@ -52,18 +55,29 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def lines() -> list[str]:
+    """One line per case, each run in the current directory, which is left
+    as it was found: the cases' output files are removed."""
+    out = []
+    for args in cases():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([*args, "--out", _OUT])
+        paths = [Path(_OUT), *([Path(_CSV)] if _CSV in args else [])]
+        written = " ".join(sha(p.read_bytes()) if p.exists() else "-" for p in paths)
+        for p in paths:
+            p.unlink(missing_ok=True)
+        out.append(f"{code} {sha(stdout.getvalue().encode())} {written}  {' '.join(args)}")
+    return out
+
+
 def main() -> int:
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for args in cases():
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main([*args, "--out", _OUT])
-            paths = [Path(_OUT), *([Path(_CSV)] if _CSV in args else [])]
-            written = " ".join(sha(p.read_bytes()) if p.exists() else "-" for p in paths)
-            for p in paths:
-                p.unlink(missing_ok=True)
-            print(f"{code} {sha(stdout.getvalue().encode())} {written}  {' '.join(args)}")
+        found = lines()
+        os.chdir(home)
+    print(*found, sep="\n")
     return 0
 
 
