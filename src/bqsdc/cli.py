@@ -63,9 +63,11 @@ def _open_outputs(*paths: str | None):
     """One open file per output path, None where a path is unset. Every path
     is opened, without truncation, before any file is truncated and before
     the work it records: an unwritable path, or two paths naming one file,
-    fails at once and leaves the other outputs as they were."""
+    fails at once and leaves the other outputs as they were. An interrupt
+    removes the files this call created; one that existed is left as
+    written so far."""
     named = [p for p in paths if p]
-    made = []
+    made = []  # the paths this call created
     try:
         for i, path in enumerate(named):
             new = not os.path.exists(path)
@@ -78,12 +80,17 @@ def _open_outputs(*paths: str | None):
             for other in named[:i]:
                 if os.path.samefile(path, other):
                     raise UsageError(f"{other} and {path} are the same file")
-    except UsageError:
+    except (UsageError, KeyboardInterrupt):
         for p in made:
             os.remove(p)
         raise
-    with ExitStack() as stack:
-        yield [stack.enter_context(_File(p, "w").text()) if p else None for p in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(_File(p, "w").text()) if p else None for p in paths]
+    except KeyboardInterrupt:
+        for p in made:
+            os.remove(p)
+        raise
 
 
 def _csv_path(args, default: str) -> str | None:
@@ -342,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:  # an --out file is left as written so far
+    except KeyboardInterrupt:  # _open_outputs removed the outputs it created
         print("interrupted", file=sys.stderr)
         return 130
     except OSError as exc:

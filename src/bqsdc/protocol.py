@@ -166,19 +166,19 @@ class SessionTranscript:
     @property
     def groups(self) -> list[GroupRecord]:
         """A record per group, built from the columns on every read."""
-        return [GroupRecord(*row) for row in self._fields(_field_values())]
+        return [GroupRecord(*row) for row in self._fields()]
 
     def field_values(self, name: str) -> list:
         """Every group's GroupRecord field name, read off its column."""
         i = [f.name for f in fields(GroupRecord)].index(name) - 1
         return list(map(_field_values()[i].__getitem__, self.columns[_FIELD_ROWS[i]].tolist()))
 
-    def _fields(self, tables, start: int = 0, stop: int | None = None) -> zip:
+    def _fields(self) -> zip:
         """Each group's number from 1, then its fields in GroupRecord order:
-        field i's column entry looked up in tables[i]; groups start to stop."""
-        rows = self.columns[:, start:stop].tolist()
-        return zip(range(start + 1, start + len(rows[0]) + 1),
-                   *([table[k] for k in rows[row]] for row, table in zip(_FIELD_ROWS, tables)))
+        field i's column entry looked up in _field_values()[i]."""
+        rows, values = self.columns.tolist(), _field_values()
+        return zip(range(1, len(rows[0]) + 1),
+                   *([values[i][k] for k in rows[row]] for i, row in enumerate(_FIELD_ROWS)))
 
     def alice_message_bits(self) -> str | None:
         """Bob's secrets as decoded by Alice, concatenated; None on abort."""
@@ -190,10 +190,11 @@ class SessionTranscript:
 
     def to_json(self, fh=None) -> str | None:
         """The transcript as json.dumps(..., indent=2) would write it, plus a
-        newline: json.dumps writes the header and footer, and each group is a
-        _GROUP_JSON template filled from its column entries (_field_json).
-        With fh, the text goes to fh _BLOCK groups at a time and is not
-        returned, so no text of the whole transcript is held."""
+        newline: json.dumps writes the header and footer, and each group is
+        its number between the template's first two pieces, then one entry of
+        each of the four _group_tables, indexed by its column entries. With
+        fh, the text goes to fh _BLOCK groups at a time and is not returned,
+        so no text of the whole transcript is held."""
         if fh is None:
             text = io.StringIO()
             self.to_json(text)
@@ -206,9 +207,13 @@ class SessionTranscript:
                           indent=2)
         # head ends in "\n}" and tail starts with "{\n": write the groups between
         fh.write(f'{head[:-2]},\n  "groups": [')
+        tables, (before, after) = _group_tables(), _GROUP_JSON.split("%s")[0].split("%d")
         for start, stop in _spans(self.columns.shape[1]):
-            groups = self._fields(_field_json(), start, stop)
-            fh.write((",\n" if start else "\n") + ",\n".join([_GROUP_JSON % f for f in groups]))
+            columns = self.columns[:, start:stop]
+            texts = [table[tuple(columns[rows])].tolist() for table, rows in tables]
+            fh.write((",\n" if start else "\n") + ",\n".join(
+                [f"{before}{n}{after}{a}{b}{c}{d}"
+                 for n, a, b, c, d in zip(range(start + 1, stop + 1), *texts)]))
         fh.write(("\n  ]," if self.columns.shape[1] else "],") + f"\n{tail[2:]}\n")
 
 
@@ -242,6 +247,24 @@ def _field_json() -> tuple[tuple[str, ...], ...]:
     """The JSON text of every _field_values() value, None as null."""
     return tuple(tuple("null" if v is None else json.dumps(v if isinstance(v, str) else v.token)
                        for v in values) for values in _field_values())
+
+
+@lru_cache(maxsize=None)
+def _group_tables() -> tuple[tuple[np.ndarray, list[int]], ...]:
+    """The text of a group after its prepared_label key, as four read-only
+    tables of strings, each with the column rows that index it: (prepared,
+    a_op) 9 by 9, (p_label, b_op) 9 by 9, the Bell index, which gives both
+    the triple and its collection, 65, and (decoded by Alice, by Bob) 9 by
+    9. An entry is its fields' JSON (_field_json), each followed by the
+    _GROUP_JSON text up to the next field; entry -1 of a row is null."""
+    texts = [np.array([value + after for value in values], dtype=object)
+             for values, after in zip(_field_json(), _GROUP_JSON.split("%s")[1:])]
+    tables = (np.add.outer(texts[0], texts[1]), np.add.outer(texts[2], texts[3]),
+              texts[4] + texts[5], np.add.outer(texts[6], texts[7]))
+    for table in tables:
+        table.setflags(write=False)
+    return tuple(zip(tables, ([_PREPARED, _A_OP], [_P_LABEL, _B_OP], [_BELL],
+                              [_BY_ALICE, _BY_BOB])))
 
 
 def message_ops(bits: str, n_groups: int) -> np.ndarray:
@@ -309,10 +332,13 @@ _EVE_EXTRAS = {"S_C": 13, "S_B": 14, "S_A": 15}   # unit: sample or decoy i in f
 _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Groups (twice as many triples), samples or decoys per block of draws, and
-# groups per chunk of written transcript: the swap's block buffers take about
-# 110 bytes a group, and writing a transcript to a file about 0.1 MB at any
-# N (tracemalloc).
-_BLOCK = 128
+# groups per chunk of written transcript. Each block costs a fixed count of
+# numpy calls (memo lookups, keyed draws, sample_branches), so larger blocks
+# run faster, and cost memory: the swap's block buffers take about 105 bytes
+# a group, 54 KB a block, and writing a transcript to a file about 0.32 MB
+# at any N (tracemalloc). At 1024, a run of 1000 clean groups peaked 12-48 %
+# higher than at 128.
+_BLOCK = 512
 # A table expands at most this many new pairs at once, which bounds what the
 # swap holds: its joint states, their expansion and the table take up to
 # 0.44 MB clean and 0.83 MB under an entangling attack on S_A (tracemalloc).

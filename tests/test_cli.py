@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqsdc import cli
+from bqsdc.protocol import Session, SessionTranscript
 
 CMD = [sys.executable, "-m", "bqsdc"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -259,6 +260,39 @@ def test_interrupt_exits_130_without_traceback(command, monkeypatch, capsys):
     monkeypatch.setattr(*COMMANDS[command][1], interrupted)
     assert cli.main(COMMANDS[command][0]) == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["created", "existed"])
+@pytest.mark.parametrize("where", ["session", "writer"])
+def test_interrupt_removes_only_the_out_file_it_created(tmp_path, monkeypatch, capsys, where,
+                                                        existed):
+    # interrupted in the session, with F opened and truncated, or partway
+    # through writing the transcript: a new F goes, an old one is left as
+    # written by then
+    path = tmp_path / "t.json"
+    if existed:
+        path.write_text("before\n")
+    write = SessionTranscript.to_json
+
+    def interrupted(self, fh=None):
+        if where == "writer":
+            text = io.StringIO()
+            write(self, text)
+            fh.write(text.getvalue()[:100])
+            fh.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(*((Session, "run") if where == "session" else (SessionTranscript,
+                                                                       "to_json")), interrupted)
+    argv = ["run", "--N", "4", "--random-messages", "--seed", "1", "--out", str(path)]
+    assert cli.main(argv) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    if existed:
+        text = path.read_text()
+        assert len(text) == (100 if where == "writer" else 0)
+        assert text == "" or text.startswith('{\n  "version"')
+    else:
+        assert not path.exists()
 
 
 def recorded_attack(argv, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import equal_up_to_global_phase
+from helpers import TEST_BLOCK, equal_up_to_global_phase, session_block
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
 from bqsdc import cli, particles, protocol, qcore
@@ -28,6 +28,11 @@ from bqsdc.swap import announcement_chart, collection_members, collection_table,
 def quiet_cfg(n, seed=0, **kw):
     kw.setdefault("decoys", 0)
     return SessionConfig(n_groups=n, seed=seed, **kw)
+
+
+def boundary_sizes(block):
+    """Unit counts on both sides of the edges of blocks of block units."""
+    return (1, block - 1, block, block + 1, 2 * block + 3)
 
 
 def ghz_block(*labels):
@@ -425,6 +430,12 @@ ATTACKS = [None, *(AttackConfig.entangling(0.25, target=target)
 ATTACK_IDS = ["none" if a is None else f"{a.strategy}-{a.target}" for a in ATTACKS]
 
 
+# Every strategy on every target; the draws below fix Eve's fake state or
+# basis or draw it per particle, and pick beta squared.
+STRATEGY_TARGETS = [("none", "S_C"), *((strategy, target) for strategy in STRATEGIES[1:]
+                                       for target in TARGETS)]
+
+
 class TestKeyedStreams:
     @pytest.mark.parametrize("attack", ATTACKS, ids=ATTACK_IDS)
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 3),
@@ -498,24 +509,26 @@ class TestTranscriptWriter:
         assert t.abort_step == step
         assert_written_as_json_dumps(t.to_json())
 
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("n", boundary_sizes(TEST_BLOCK))
     def test_group_counts_at_block_edges(self, n):
         msg_rng = Rng(n, stream=2)
         alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
-        t = run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
-        assert len(t.groups) == n and not t.aborted
-        assert_written_as_json_dumps(t.to_json())
+        with session_block():
+            t = run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
+            assert len(t.groups) == n and not t.aborted
+            assert_written_as_json_dumps(t.to_json())
 
     @pytest.mark.parametrize("attack, step", [(None, None), ("intercept:S_B", 4)])
     def test_cli_writes_every_block(self, tmp_path, capsys, attack, step):
         # the writer's chunks cover every group once: a slip at a chunk edge
         # drops or repeats a group of a session longer than one chunk
-        n = 2 * _BLOCK + 3
+        n = 2 * TEST_BLOCK + 3
         alice, bob = "011" * n, "110" * n
         path = tmp_path / "t.json"
         argv = ["run", "--N", str(n), "--alice", alice, "--bob", bob, "--seed", "5",
                 "--decoys", "64", *(["--attack", attack] if attack else []), "--out", str(path)]
-        assert cli.main(argv) == 0
+        with session_block():
+            assert cli.main(argv) == 0
         capsys.readouterr()
         cfg = SessionConfig(n_groups=n, seed=5, decoys=64,
                             attack=attack and AttackConfig("intercept_resend", target="S_B"))
@@ -545,10 +558,83 @@ class TestTranscriptWriter:
         assert json.loads(text)["groups"] == []
         assert_written_as_json_dumps(text)
 
+    def test_group_tables_are_json_dumps_of_each_entry(self):
+        # every entry of the four tables, null entries included, in a group
+        # whose other fields take their tables' first entries, against the
+        # group json.dumps writes
+        values, tables = protocol._field_values(), protocol._group_tables()
+        names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
+        before, after = protocol._GROUP_JSON.split("%s")[0].split("%d")
+        checked = 0
+        for i, (table, _) in enumerate(tables):
+            for index in np.ndindex(table.shape):
+                entries = [0] * len(names)
+                # table i holds fields 2i and 2i + 1; the Bell table one index for both
+                entries[2 * i:2 * i + 2] = index if len(index) == 2 else index * 2
+                group = {"n": 1, **{name: record_json(values[k][entry])
+                                    for k, (name, entry) in enumerate(zip(names, entries))}}
+                texts = [other[index if j == i else (0,) * other.ndim]
+                         for j, (other, _) in enumerate(tables)]
+                doc = json.dumps({"groups": [group]}, indent=2)
+                assert doc == '{\n  "groups": [\n' + before + "1" + after + "".join(texts) + \
+                    "\n  ]\n}", (names[2 * i], index)
+                checked += 1
+        assert checked == 9 * 9 + 9 * 9 + 65 + 9 * 9 == 308
+
+    def test_writer_holds_one_chunk(self):
+        # to_json(fh) holds the text of one chunk of _BLOCK groups at a time
+        # (about 0.32 MB), so 16 chunks peak as one does; the text of a whole
+        # transcript of 16 * 512 groups would take some 2 MB
+        class Sink:
+            def write(self, text):
+                pass
+
+        def peak(n):
+            t = run_session(quiet_cfg(n, seed=4), "101" * n, "011" * n)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                t.to_json(Sink())
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        peak(_BLOCK)  # warm the caches
+        assert peak(16 * _BLOCK) - peak(_BLOCK) <= 8 * 1024
+
+
+class TestBlockInvariance:
+    """Every draw is keyed by its place and unit, so the block size changes
+    no byte of a transcript: not what the steps draw and measure, nor how
+    the writer cuts its chunks, null entries of aborted sessions included.
+    Group and decoy counts cross several blocks of each size."""
+
+    CASES = [*((strategy, target, 0.99, None) for strategy, target in STRATEGY_TARGETS),
+             ("intercept_resend", "S_C", 0.0, 2), ("intercept_resend", "S_B", 0.0, 4),
+             ("intercept_resend", "S_A", 0.0, 5)]
+
+    @pytest.mark.parametrize("strategy, target, threshold, step", CASES)
+    def test_transcript_equal_at_every_block(self, strategy, target, threshold, step):
+        n = 2 * _BLOCK + 3
+        attack = AttackConfig.entangling(0.25, target=target) \
+            if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
+        cfg = SessionConfig(n_groups=n, seed=n, decoys=_BLOCK + 5, check_threshold=threshold,
+                            attack=attack)
+        msg_rng = Rng(n, stream=2)
+        alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
+        texts = set()
+        for block in (TEST_BLOCK, 128, _BLOCK):
+            with session_block(block):
+                t = run_session(cfg, alice, bob)
+                texts.add(t.to_json())
+            assert t.abort_step == step
+        assert len(texts) == 1
+
 
 def reader_sessions():
     """Transcripts of every attack, of the three aborted sessions of
-    TestTranscriptWriter and of group counts at a block edge."""
+    TestTranscriptWriter and of group counts at an edge of TEST_BLOCK, which
+    the caller runs at (session_block)."""
     for attack in ATTACKS:
         cfg = SessionConfig(n_groups=3, seed=11, decoys=4, check_threshold=0.99, attack=attack)
         yield run_session(cfg, "010110011", "101001100")
@@ -556,7 +642,7 @@ def reader_sessions():
         cfg = SessionConfig(n_groups=2, seed=3, decoys=64,
                             attack=AttackConfig("intercept_resend", target=target))
         yield run_session(cfg, "010110", "101001")
-    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+    for n in (TEST_BLOCK - 1, TEST_BLOCK, TEST_BLOCK + 1):
         msg_rng = Rng(n, stream=2)
         alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
         yield run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
@@ -570,21 +656,22 @@ def test_group_view_and_json_read_the_same_columns():
     # t.groups, t.field_values and t.to_json() each build a group's fields
     # from the columns; so do the decoded message strings
     aborted = []
-    for t in reader_sessions():
-        doc = json.loads(t.to_json())["groups"]
-        records = t.groups
-        assert len(records) == len(doc) == t.config.n_groups
-        names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
-        for rec, obj in zip(records, doc):
-            assert obj == {"n": rec.index, **{k: record_json(getattr(rec, k)) for k in names}}
-        for k in names:
-            assert t.field_values(k) == [getattr(rec, k) for rec in records]
-        aborted.append(t.aborted)
-        if t.aborted:
-            assert t.alice_message_bits() is None and t.bob_message_bits() is None
-        else:
-            assert t.alice_message_bits() == "".join(r.decoded_by_alice for r in records)
-            assert t.bob_message_bits() == "".join(r.decoded_by_bob for r in records)
+    with session_block():
+        for t in reader_sessions():
+            doc = json.loads(t.to_json())["groups"]
+            records = t.groups
+            assert len(records) == len(doc) == t.config.n_groups
+            names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
+            for rec, obj in zip(records, doc):
+                assert obj == {"n": rec.index, **{k: record_json(getattr(rec, k)) for k in names}}
+            for k in names:
+                assert t.field_values(k) == [getattr(rec, k) for rec in records]
+            aborted.append(t.aborted)
+            if t.aborted:
+                assert t.alice_message_bits() is None and t.bob_message_bits() is None
+            else:
+                assert t.alice_message_bits() == "".join(r.decoded_by_alice for r in records)
+                assert t.bob_message_bits() == "".join(r.decoded_by_bob for r in records)
     assert aborted.count(True) == 3
 
 
@@ -606,9 +693,12 @@ BOUNDARY_ATTACKS = [None, *(
 BOUNDARY_IDS = ["none" if a is None else
                 f"{a.strategy}-{a.target}-{a.fake_state or a.eve_basis or a.beta_squared or 'uniform'}"
                 for a in BOUNDARY_ATTACKS]
-# unit counts on both sides of the block edges, each taken by the group
-# count and by the decoy count
-BOUNDARY_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+# One attack of each strategy, uniform where it draws a parameter, each
+# on a target of its own: the boundary cases that also run at the
+# production block.
+PRODUCTION_ATTACKS = [None, AttackConfig("intercept_resend", target="S_C"),
+                      AttackConfig("measure_resend", target="S_B"),
+                      AttackConfig.entangling(0.25, target="S_A")]
 
 
 def reference_transcript(cfg, alice, bob):
@@ -618,52 +708,62 @@ def reference_transcript(cfg, alice, bob):
 class TestBlockBoundaries:
     """The batched session writes the transcript of the session run one
     register at a time (reference_session.py), for group and decoy counts
-    on both sides of every block edge. Threshold 0 aborts at the first
+    on both sides of every block edge: at TEST_BLOCK, and for one attack of
+    each strategy at the production _BLOCK. Threshold 0 aborts at the first
     check an attack disturbs; 0.99 lets most sessions run every step."""
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.99])
-    @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
-    def test_batched_equals_per_register(self, attack, threshold):
-        aborted = set()  # whether each session aborted
-        for i, (n, decoys) in enumerate(zip(BOUNDARY_SIZES, reversed(BOUNDARY_SIZES))):
+    @staticmethod
+    def aborts(attack, threshold, block):
+        """Whether each session at the edges of block aborted."""
+        aborted = set()
+        sizes = boundary_sizes(block)
+        for i, (n, decoys) in enumerate(zip(sizes, reversed(sizes))):
             cfg = SessionConfig(n_groups=n, seed=1000 * i + 7, decoys=decoys,
                                 check_threshold=threshold, attack=attack)
             msg_rng = Rng(cfg.seed, stream=2)
             alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
-            got = run_session(cfg, alice, bob).to_json()
+            with session_block(block):
+                got = run_session(cfg, alice, bob).to_json()
             assert got == reference_transcript(cfg, alice, bob), (n, decoys)
             aborted.add(json.loads(got)["abort"]["aborted"])
+        return aborted
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.99])
+    @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
+    def test_batched_equals_per_register(self, attack, threshold):
+        aborted = self.aborts(attack, threshold, TEST_BLOCK)
         # an attack is caught at threshold 0; at 0.99 sessions run to the end
         if attack is None:
             assert aborted == {False}
         else:
             assert (threshold == 0.0) in aborted
 
+    @pytest.mark.parametrize("attack", PRODUCTION_ATTACKS,
+                             ids=["none", "intercept_resend-S_C", "measure_resend-S_B",
+                                  "entangle_measure-S_A"])
+    def test_batched_equals_per_register_at_production_block(self, attack):
+        assert False in self.aborts(attack, 0.99, _BLOCK)
+
     @pytest.mark.parametrize("attack", [None, AttackConfig("measure_resend", target="S_A")],
                              ids=["none", "measure_resend-S_A"])
     def test_forced_initial_label(self, attack):
-        for n in BOUNDARY_SIZES:
+        for n in boundary_sizes(TEST_BLOCK):
             cfg = SessionConfig(n_groups=n, seed=n, decoys=n, check_threshold=0.99,
                                 attack=attack, initial_label=GhzLabel.PSI5)
             alice, bob = "011" * n, "110" * n
-            got = run_session(cfg, alice, bob).to_json()
+            with session_block():
+                got = run_session(cfg, alice, bob).to_json()
             assert got == reference_transcript(cfg, alice, bob), n
-
-
-# Every strategy on every target; the draws below fix Eve's fake state or
-# basis or draw it per particle, and pick beta squared.
-STRATEGY_TARGETS = [("none", "S_C"), *((strategy, target) for strategy in STRATEGIES[1:]
-                                       for target in TARGETS)]
 
 
 class TestDifferential:
     """The batched session against the reference at sizes TestBlockBoundaries
-    does not list: an index slip in the interleaved triple blocks (2 *
-    _BLOCK rows) or at bob_encode's odd/even split changes some group's
-    transcript."""
+    does not list, at TEST_BLOCK: an index slip in the interleaved triple
+    blocks (2 * _BLOCK rows) or at bob_encode's odd/even split changes some
+    group's transcript."""
 
     @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
-    @given(n=st.integers(1, 2 * _BLOCK + 3), decoys=st.integers(0, _BLOCK + 1),
+    @given(n=st.integers(1, 2 * TEST_BLOCK + 3), decoys=st.integers(0, TEST_BLOCK + 1),
            fake=st.sampled_from([None, *DECOY_TOKENS]), basis=st.sampled_from([None, "Z", "X"]),
            beta_squared=st.floats(0.0, 1.0), threshold=st.sampled_from([0.0, 0.99]),
            seed=st.integers(0, 2 ** 64 - 1))
@@ -676,7 +776,9 @@ class TestDifferential:
                             attack=AttackConfig(strategy, target=target, **params))
         msg_rng = Rng(seed, stream=2)
         alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
-        assert run_session(cfg, alice, bob).to_json() == reference_transcript(cfg, alice, bob)
+        with session_block():
+            got = run_session(cfg, alice, bob).to_json()
+        assert got == reference_transcript(cfg, alice, bob)
 
 
 def measured(s):
@@ -785,14 +887,15 @@ class TestInterning:
     # bounds are the maxima measured.
     BOUNDS = {"none": (24, 32, 112), "intercept_resend": (96, 112, 448),
               "measure_resend": (64, 96, 248), "entangle_measure": (40, 40, 112)}
-    # Total bytes of the int32 memo arrays (StateTable.memos), the maxima
-    # at 10**4 groups of the sessions below. The swap's memo is 8 wide, one
-    # column per GHZ label, so it grows with the odd triples' states only:
-    # under intercept-resend on S_C, a 136 by 8 memo of 4352 bytes. The decoy
-    # check reads Eve's table of qubit 0, so measure-resend on S_B, at 12544
-    # bytes, builds no second table of the same decoys.
-    MEMO_BYTES = {"none": 2544, "intercept_resend": 18096,
-                  "measure_resend": 12544, "entangle_measure": 7328}
+    # The memos (StateTable.memos) are int32 arrays of (id, second index),
+    # regrown to twice the state count when a lookup meets an id beyond
+    # them: each has at most 2 * len(states.rows) rows, so together they
+    # take at most 4 * 2 * BOUNDS[strategy][0] bytes per column of their
+    # summed width. How many states a session has met at each regrowth
+    # depends on which units share a block, so their measured bytes move
+    # with _BLOCK. The swap's memo is 8 wide, one column per GHZ label, and
+    # the decoy check reads Eve's table of qubit 0, building no second table
+    # of the same decoys.
 
     @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
     @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
@@ -834,7 +937,10 @@ class TestInterning:
         bounds = self.BOUNDS[strategy]
         assert len(states.rows) <= bounds[0] and entries <= bounds[1]
         assert len(swap.fixed) <= bounds[2]
-        assert sum(memo.nbytes for memo in states.memos.values()) <= self.MEMO_BYTES[strategy]
+        memos = states.memos.values()
+        assert all(memo.dtype == np.int32 and len(memo) <= 2 * len(states.rows) for memo in memos)
+        assert sum(memo.nbytes for memo in memos) <= \
+            4 * 2 * bounds[0] * sum(memo.shape[1] for memo in memos)
         assert max(widths) == TestWidth.WIDEST[strategy]
 
     def test_certain_outcomes_are_neither_keyed_nor_drawn(self):
@@ -862,7 +968,7 @@ class TestStepMemory:
         # transient peak of the swap (peak minus the heap before it) at 16B
         # groups against B: it writes its Bell indices into columns that
         # prepare allocated, and its block buffers must not grow at all; one
-        # block of all 16B groups grows them by about 210 KB
+        # block of all 16B groups grows them by about 810 KB (at B = 512)
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def transient(n):
@@ -914,9 +1020,9 @@ class TestStepMemory:
         # count, does not grow with the decoy count: no step holds a sample
         # or decoy once the block it was drawn in is measured (held to the
         # swap, 1024 of each would take about 0.7 MB more than 16). The
-        # interpreter's free lists keep up to some 25 KB of freed floats and
-        # tuples that tracemalloc counts as held; a full collection empties
-        # them, and a few hundred bytes remain.
+        # interpreter's free lists keep a few KB of freed floats and tuples
+        # (2.3 KB measured) that tracemalloc counts as held; a full
+        # collection empties them, and about 1.1 KB remains.
         attack = AttackConfig.entangling(0.25, target="S_A")
 
         def held(decoys):
@@ -958,8 +1064,8 @@ class TestStepMemory:
     def test_session_peak_does_not_grow_with_decoys(self, target):
         # each check draws, attacks and measures its samples or decoys a
         # block at a time, so a session's peak heap is the same at 8 blocks
-        # of them as at one. Units held from their draw to their check would
-        # raise it by 110-315 KB; the few KB that remain are the
+        # of them as at one. One block of all 8B of them raises it by 430-450
+        # KB (at B = 512); the few hundred bytes that remain are the
         # interpreter's free lists and numpy's buffer cache.
         attack = AttackConfig.entangling(0.25, target=target)
 

@@ -15,7 +15,6 @@ from bqsdc.adversary import _copy_unitary, eavesdrop_unitary
 from bqsdc.checks import decoy_state
 from bqsdc.codebook import ghz_state
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
-from bqsdc.protocol import _BLOCK
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
@@ -350,7 +349,7 @@ class TestRowKernels:
     """An M-row call equals M one-row calls exactly (they are one code path)
     and the transpose/matmul reference within 1e-12."""
 
-    @pytest.mark.parametrize("rows", [1, 3, _BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, 3, 129])
     @pytest.mark.parametrize("n", [3, 4])
     def test_rows_equal_one_row_calls_and_reference(self, rows, n):
         stream = 0
@@ -392,8 +391,8 @@ class TestRowKernels:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0], [math.inf, 0.0]])
     def test_one_bad_row_in_a_block_raises(self, bad):
-        amps = np.stack([random_state(1, i).amps for i in range(_BLOCK + 1)])
-        amps[_BLOCK // 2] = bad
+        amps = np.stack([random_state(1, i).amps for i in range(129)])
+        amps[64] = bad
         r = np.full(len(amps), 0.5)
         with pytest.raises(ValueError):
             measure_rows(amps, MeasBasis.Z, [[0]], [r])
