@@ -26,10 +26,22 @@ from .protocol import Session, SessionConfig, random_message_bits
 from .qcore import Rng
 
 SEED_ENV_VAR = "BQSDC_SEED"
+# The most groups whose messages a command draws (run --random-messages,
+# analyze --monte-carlo). The scalar draws hold three one-character strings
+# of about 57 bytes a group while they are joined (182 bytes a group peak,
+# tracemalloc at 10**5), so a command at the ceiling peaks near 0.18 GB.
+MAX_DRAWN_GROUPS = 10 ** 6
 
 
 class UsageError(Exception):
     pass
+
+
+def _require_drawable(groups: int, flag: str) -> None:
+    """Raise UsageError unless a command may draw the messages of groups."""
+    if groups > MAX_DRAWN_GROUPS:
+        raise UsageError(f"{flag} draws the messages of at most {MAX_DRAWN_GROUPS} groups, "
+                         f"got {groups}")
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
@@ -187,6 +199,7 @@ def cmd_run(args) -> int:
     if args.random_messages:
         if args.alice is not None or args.bob is not None:
             raise UsageError("--random-messages draws both messages; drop --alice and --bob")
+        _require_drawable(args.N, "--random-messages")
         msg_rng = Rng(seed, stream=2)
         alice = random_message_bits(args.N, msg_rng)
         bob = random_message_bits(args.N, msg_rng)
@@ -240,6 +253,7 @@ def cmd_analyze(args) -> int:
     if args.monte_carlo is not None:
         if args.monte_carlo < 1:
             raise UsageError("--monte-carlo needs at least one group")
+        _require_drawable(args.monte_carlo, "--monte-carlo")
         seed = _resolve_seed(args.seed)
     csv_path = _csv_path(args, "comparison.csv")
     with _open_outputs(args.out, csv_path) as (out, csv_fh):

@@ -19,7 +19,8 @@ def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     qcore.tensor_rows. The first is also built as a qcore.StateVector, the
     construction where the traced benchmark reads the widest state. A
     session joins each distinct pair of an odd triple's id and an even
-    triple's GHZ label once (Branches.swapping)."""
+    triple's GHZ label once (Branches.swapping), but for the pairs of two
+    GHZ states, whose tables it starts with (swap.ghz_swap_tables)."""
     joint = qcore.tensor_rows(a, b)
     qcore.StateVector(joint[0])
     return joint

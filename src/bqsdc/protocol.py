@@ -15,17 +15,21 @@ announcement depends on the two operations only (swap.announcement_chart).
 Every unit starts as one of 8 GHZ states or 4 decoys, and every operation,
 choice of Eve's and outcome is one of a handful, so a session reaches a few
 dozen distinct states whatever N is. It holds each triple, sample and decoy
-as an id into its StateTable, whose one memo is a dense array per kind
-over (id, second index), a miss built once over the distinct missing pairs
-(StateTable.lookup): an op or Eve's choice maps (id, choice) to an id, a
-measurement (id, basis) and the swap (odd id, even id) to an entry of
-their Born tables (Branches). So the dense kernels run once per distinct
-state, not per unit. Bob's rebuilt triple is never sent, so his op needs
-no kernel: the triple is the GHZ state of its transform-chart label, whose
-id is the label, and the swap's memo is 8 wide. A register's roles are
-its qubits: a triple's particles of S_A, S_B and S_C are qubits 0, 1 and
-2, a decoy is qubit 0, and an attack appends what it leaves behind. Only
-the swap joins two triples, so no state is wider than 7 qubits.
+as an id into its StateTable, which interns states up to sign, and whose
+one memo is a dense array per kind over (id, second index), a miss built
+once over the distinct missing pairs (StateTable.lookup): an op or Eve's
+choice maps (id, choice) to an id, a measurement (id, basis) and the swap
+(odd id, even id) to an entry of their Born tables (Branches). So the
+dense kernels run once per distinct state, not per unit. Bob's rebuilt
+triple is never sent, so his op needs no kernel: the triple is the GHZ
+state of its transform-chart label, whose id is the label, and the swap's
+memo is 8 wide. The two charts are the GHZ states' tables: a session
+starts its op memo from the transform chart and its swap from the tables
+the swap chart is read off (swap.ghz_swap_tables), so it builds no op on
+a GHZ state and joins no pair of them. A register's roles are its qubits:
+a triple's particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is
+qubit 0, and an attack appends what it leaves behind. Only the swap joins
+two triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
@@ -43,6 +47,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from .labels import CollectionLabel, GhzLabel
 from .particles import apply_op, measure_particles  # noqa: F401
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
 from .swap import (BellTriple, announcement_chart, bell_triples, collection_of,  # noqa: F401
-                   collection_table, swap_chart)
+                   collection_table, ghz_swap_tables, swap_chart)
 
 def default_decoy_count(n_groups: int) -> int:
     """Per-check decoy count used when the config leaves it unset: enough to
@@ -341,7 +346,8 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 _BLOCK = 512
 # A table expands at most this many new pairs at once, which bounds what the
 # swap holds: its joint states, their expansion and the table take up to
-# 0.44 MB clean and 0.83 MB under an entangling attack on S_A (tracemalloc).
+# 0.77 MB under an entangling attack on S_A at 1000 groups (tracemalloc). A
+# clean session joins no pair, and its swap peaks at 0.09 MB.
 _SWAP_CHUNK = 64
 # Choices per transition (StateTable.move): the eight composite ops.
 _CHOICES = 8
@@ -360,26 +366,48 @@ _DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STAT
                             for t in DECOY_TOKENS])
 
 
+def _keys(amps: np.ndarray) -> list[bytes]:
+    """The key of every row of the C-contiguous amps (rows, 2**n), computed
+    in one pass: its float pairs times the sign of its first nonzero float,
+    plus 0.0 so that -0.0 is 0.0, as bytes. x and -x get one key; x and
+    i x do not."""
+    flat = amps.view(np.float64)
+    sign = np.sign(flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)])
+    keyed = flat * sign[:, None] + 0.0
+    return keyed.view(f"V{keyed.itemsize * keyed.shape[1]}").ravel().tolist()
+
+
+@lru_cache(maxsize=None)
+def _seed_ids() -> tuple[tuple[bytes, int], ...]:
+    """(key, id) of the states every StateTable starts with (_keys)."""
+    return tuple((key, i) for i, key in enumerate(_keys(ghz_rows()) + _keys(decoy_rows())))
+
+
 class StateTable:
-    """A session's distinct states, each an integer id, interned by the
-    exact bytes of its amplitudes: the GHZ states are ids 0-7 in label
-    order, the decoys 8-11 in DECOY_TOKENS order. Everything the session
-    memoizes over its states is a dense int32 array per kind (lookup)."""
+    """A session's distinct states, each an integer id, interned up to sign
+    (_keys): the GHZ states are ids 0-7 in label order, the decoys 8-11 in
+    DECOY_TOKENS order, and a state and its negative share an id. That
+    moves no byte of a transcript. Under round-to-nearest, negating a row
+    negates exactly what every row kernel makes of it (an op, an attack, a
+    join, a collapse), and every Born table squares amplitudes, so x and -x
+    get the same tables, and their moves lead to states that again differ
+    only in sign. A phase of i is not folded: it swaps a row's real and
+    imaginary floats, so the Born sums add the same terms in another order.
+    Everything the session memoizes over its states is a dense int32 array
+    per kind (lookup)."""
 
     def __init__(self):
         self.rows: list[np.ndarray] = [*ghz_rows(), *decoy_rows()]
-        self.ids = {row.tobytes(): i for i, row in enumerate(self.rows)}
+        self.ids = dict(_seed_ids())
         self.memos: dict[object, np.ndarray] = {}  # by kind, (ids, width)
 
     def intern(self, amps: np.ndarray) -> np.ndarray:
-        """The id of every row of amps, the rows not met before added."""
-        out = []
-        for row in amps:
-            i = self.ids.setdefault(row.tobytes(), len(self.rows))
-            if i == len(self.rows):
+        """The id of every row of amps, the rows of keys not met before added."""
+        ids = [self.ids.setdefault(key, len(self.ids)) for key in _keys(amps)]
+        for row, i in zip(amps, ids):
+            if i == len(self.rows):  # the first row keyed to a new id
                 self.rows.append(row)
-            out.append(i)
-        return np.array(out, dtype=np.intp)
+        return np.array(ids, dtype=np.intp)
 
     def amps(self, ids: np.ndarray) -> np.ndarray:
         """The states of ids, one width, as the rows of one array."""
@@ -423,6 +451,14 @@ def _certain(tables: list[np.ndarray]) -> np.ndarray:
     return fixed
 
 
+@lru_cache(maxsize=None)
+def _ghz_certain() -> np.ndarray:
+    """The _certain outcomes of swap.ghz_swap_tables(), read-only."""
+    fixed = _certain(ghz_swap_tables())
+    fixed.setflags(write=False)
+    return fixed
+
+
 class Branches:
     """The Born tables of one measurement as branch_thresholds, an entry per
     distinct pair (id, k), k below width, that its memo (StateTable.lookup,
@@ -431,7 +467,7 @@ class Branches:
 
     def __init__(self, width: int, tables):
         self.width, self.tables = width, tables
-        self.thresholds: list[np.ndarray] = []  # per round, (entries, d**k, d)
+        self.thresholds: Sequence[np.ndarray] = []  # per round, (entries, d**k, d)
         self.fixed = np.empty((0, 0), dtype=np.intp)  # per entry, _certain
 
     @classmethod
@@ -441,18 +477,25 @@ class Branches:
             states.amps(ids), bases, rounds, which=which))
 
     @classmethod
-    def swapping(cls) -> Branches:
+    def swapping(cls, states: StateTable) -> Branches:
         """The swap's tables of each pair (odd id, even id), the even triple
         a GHZ state, so its id is its label (Session.bob_encode): the Bell
         tables of the cross pairs (r, w + r) of the pair's joint state
-        (particles.merge), w the odd state's qubit count."""
+        (particles.merge), w the odd state's qubit count. Its entries start
+        as the 64 pairs of GHZ states, entry 8 g1 + g2 the pair (g1, g2) in
+        the memo of states (swap.ghz_swap_tables): the entries a session
+        would build for them, bit for bit, as the kernels treat each row
+        alone."""
         def joint(states, odd, even):
             odd, even = states.amps(odd), states.amps(even)
             w = odd.shape[1].bit_length() - 1
             # merge is looked up on the module, where bench/tracer.py counts it
             return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
                                      [(r, w + r) for r in range(3)])
-        return cls(len(GhzLabel), joint)
+        swap = cls(len(GhzLabel), joint)
+        swap.thresholds, swap.fixed = ghz_swap_tables(), _ghz_certain()
+        states.memos[swap] = np.arange(len(swap.fixed), dtype=np.int32).reshape(-1, swap.width)
+        return swap
 
     def _append(self, states: StateTable, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
         """The entries of new pairs, their tables appended."""
@@ -460,7 +503,8 @@ class Branches:
             part = slice(start, start + _SWAP_CHUNK)
             new = qcore.branch_thresholds(self.tables(states, ids[part], other[part]))
             self.thresholds = [np.concatenate(pair) for pair in zip(self.thresholds, new)] or new
-        self.fixed = _certain(self.thresholds)
+            # _certain is per row; an empty fixed is (0, 0) until the first append
+            self.fixed = np.concatenate([self.fixed.reshape(-1, len(new)), _certain(new)])
         return np.arange(len(self.fixed) - len(ids), len(self.fixed))
 
     def lookup(self, states: StateTable, ids: np.ndarray, other) -> np.ndarray:
@@ -506,12 +550,15 @@ class Session:
         self.transcript = SessionTranscript(config=cfg)
         self.triples: np.ndarray | None = None  # (n_groups, 2) ids, set by prepare
         self.states = StateTable()
+        # op k moves GHZ state p to plus or minus GHZ state transform_chart()[p, k]
+        # (the ops hold 0 and +-1 only), whose id is that label
+        self.states.memos["op"] = transform_chart().astype(np.int32)
         # Born tables: Eve's measurement of each qubit (eve[0] the decoy check's
         # too), the sample check, Bob's identification
         self.eve = [Branches.measuring(EVE_BASES, ((role,),)) for role in range(3)]
         self.samples = Branches.measuring(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
-        self.swap = Branches.swapping()
+        self.swap = Branches.swapping(self.states)
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:

@@ -5,11 +5,14 @@ eight equally likely joint outcomes. The eight possible support sets, the
 outcome collections, partition the 64 Bell triples; which collection occurs
 identifies the relation between the two input states.
 
-The chart is derived once from the state-vector engine (the swap support
-of every pair of GHZ states), never hand-typed, as two integer arrays
-(:func:`swap_chart`). The independently hand-enumerated sets in
-REFERENCE_COLLECTIONS exist only as a verification fixture for
-:func:`verify_swap_table`.
+The chart is derived once from the state-vector engine, never hand-typed,
+as two integer arrays (:func:`swap_chart`): the swap support of every pair
+of GHZ states, read off one batched Born expansion of the 64 joined pairs
+(:func:`ghz_swap_tables`), whose tables a session's swap also starts from.
+:func:`verify_swap_table` checks the chart against a second derivation,
+one pair at a time (:func:`swap_distribution`), and against the
+independently hand-enumerated sets in REFERENCE_COLLECTIONS, which exist
+only as a verification fixture.
 
 The swap chart indexed by the transform chart gives the announcement for a
 pair of encoding operations (:func:`announcement_chart`), the same for
@@ -25,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qcore
-from .codebook import CompositeOp, ghz_state, transform_chart
+from .codebook import CompositeOp, ghz_rows, ghz_state, transform_chart
 from .labels import BellLabel, CollectionLabel, GhzLabel
 from .qcore import MeasBasis, basis_labels
 
@@ -56,7 +59,8 @@ class BellTriple(NamedTuple):
 
 def swap_distribution(g1: GhzLabel, g2: GhzLabel) -> dict[BellTriple, float]:
     """Exact joint Bell-outcome distribution (support only) for swapping
-    between the two labelled GHZ states."""
+    between the two labelled GHZ states, expanded on its own: the second
+    derivation that verify_swap_table checks the chart against."""
     joint = qcore.joint_distribution(
         qcore.tensor(ghz_state(g1), ghz_state(g2)), MeasBasis.BELL, _CROSS_PAIRS)
     return {BellTriple(*outs): p for outs, p in joint.items()}
@@ -70,15 +74,35 @@ def bell_triples() -> tuple[BellTriple, ...]:
 
 
 @lru_cache(maxsize=None)
+def ghz_swap_tables() -> tuple[np.ndarray, ...]:
+    """The Bell tables of the three cross pairs of every pair of GHZ states,
+    read-only, in the form a session samples them: qcore.branch_thresholds
+    of qcore.branch_rows of the joint states g1 (x) g2 (qcore.tensor_rows,
+    g1's qubits first), row 8 g1 + g2, expanded in one call. Table k's path
+    p and outcome j continue to path 4p + j, so the last table's path p and
+    outcome j is Bell triple 4p + j; an entry is -1 where the outcome's
+    probability is at or below ZERO_TOL."""
+    ghz = ghz_rows()
+    g1, g2 = np.divmod(np.arange(len(GhzLabel) ** 2), len(GhzLabel))
+    tables = qcore.branch_thresholds(qcore.branch_rows(
+        qcore.tensor_rows(ghz[g1], ghz[g2]), MeasBasis.BELL, _CROSS_PAIRS))
+    for table in tables:
+        table.setflags(write=False)
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
 def swap_chart() -> tuple[np.ndarray, np.ndarray]:
     """The chart, entry [g1, g2] the collection holding the pair's whole swap
     support, and the collection of every triple of bell_triples(), as
-    read-only integer arrays. Collection m is the support of psi0 with psi_m;
+    read-only integer arrays. The support is every triple whose path has
+    an outcome of probability above ZERO_TOL in each round of
+    ghz_swap_tables(). Collection m is the support of psi0 with psi_m;
     raises unless these partition the 64 triples and no support is split."""
-    index = {t: k for k, t in enumerate(bell_triples())}
-    support = np.zeros((len(GhzLabel), len(GhzLabel), len(index)), dtype=bool)
-    for g1, g2 in itertools.product(GhzLabel, repeat=2):
-        support[g1, g2, [index[t] for t in swap_distribution(g1, g2)]] = True
+    live = np.ones((len(GhzLabel) ** 2, 1), dtype=bool)
+    for table in ghz_swap_tables():
+        live = (live[:, :, None] & (table >= 0)).reshape(len(live), -1)
+    support = live.reshape(len(GhzLabel), len(GhzLabel), -1)
     members = support[GhzLabel.PSI0]
     if (members.sum(axis=1) != 8).any() or (members.sum(axis=0) != 1).any():
         raise AssertionError("outcome collections do not partition the Bell triples")

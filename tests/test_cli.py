@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqsdc import cli
+from bqsdc import analysis, cli
 from bqsdc.protocol import Session, SessionTranscript
 
 CMD = [sys.executable, "-m", "bqsdc"]
@@ -136,6 +136,39 @@ def test_analyze_command(tmp_path):
     assert doc["leakage"]["computed"]["entropy_bits"] == 6.0
     assert len(doc["comparison"]) == 19
     assert len(csv_out.read_text().strip().splitlines()) == 20
+
+
+class Drew(Exception):
+    """Raised by a patched message draw once a command reaches it."""
+
+
+def no_draws(*args):
+    raise Drew
+
+
+# (the flag that draws messages, its command at a group count, the module
+# whose random_message_bits the command calls)
+DRAWING = [("--random-messages", ["run", "--N", "{}", "--random-messages", "--seed", "1"], cli),
+           ("--monte-carlo", ["analyze", "--monte-carlo", "{}", "--seed", "1"], analysis)]
+
+
+@pytest.mark.parametrize("flag, argv, drawer", DRAWING, ids=["run", "analyze"])
+def test_draws_above_the_ceiling_exit_two_before_any_work(flag, argv, drawer, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(drawer, "random_message_bits", no_draws)
+    out = tmp_path / "out.json"
+    assert cli.main([*(a.format(10 ** 12) for a in argv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {flag} draws the messages of at most "
+                                       f"{cli.MAX_DRAWN_GROUPS} groups, got {10 ** 12}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, argv, drawer", DRAWING, ids=["run", "analyze"])
+def test_draws_at_the_ceiling_are_made(flag, argv, drawer, tmp_path, monkeypatch):
+    monkeypatch.setattr(drawer, "random_message_bits", no_draws)
+    with pytest.raises(Drew):
+        cli.main([*(a.format(cli.MAX_DRAWN_GROUPS) for a in argv),
+                  "--out", str(tmp_path / "out.json")])
 
 
 def test_usage_errors_exit_two(tmp_path):

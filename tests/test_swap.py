@@ -8,8 +8,8 @@ from bqsdc.codebook import CompositeOp, transform_chart, transform_label
 from bqsdc.labels import BellLabel, CollectionLabel, GhzLabel
 from bqsdc.qcore import ATOL
 from bqsdc.swap import (REFERENCE_COLLECTIONS, BellTriple, announcement, bell_triples,
-                        collection_members, collection_of, collection_table, swap_chart,
-                        swap_distribution, verify_swap_table)
+                        collection_members, collection_of, collection_table, ghz_swap_tables,
+                        swap_chart, swap_distribution, verify_swap_table)
 
 # Independent reference chart: cell [g1][g2] = collection index.
 REFERENCE_SWAP_CHART = [
@@ -143,11 +143,11 @@ class TestAnnouncement:
 
 
 class TestChartGuards:
-    """A fake swap_distribution patched into swap; the chart's cache is
-    cleared before and after, so the real chart is derived again."""
+    """Fake GHZ swap tables patched into swap; the chart's cache is cleared
+    before and after, so the real chart is derived again."""
 
     def raises(self, monkeypatch, fake, match):
-        monkeypatch.setattr(swap, "swap_distribution", fake)
+        monkeypatch.setattr(swap, "ghz_swap_tables", fake)
         swap.swap_chart.cache_clear()
         try:
             with pytest.raises(AssertionError, match=match):
@@ -156,24 +156,40 @@ class TestChartGuards:
             swap.swap_chart.cache_clear()
 
     def test_raises_unless_collections_partition_the_triples(self, monkeypatch):
-        # psi0 with psi_m gives the support of psi0 with psi_(m & ~1): each
+        # psi0 with psi_m gives the tables of psi0 with psi_(m & ~1): each
         # odd collection repeats the even one below it, and no collection
         # holds the odd ones' triples
-        real = swap_distribution
-
-        def fake(g1, g2):
-            return real(g1, GhzLabel(g2 & ~1) if g1 == GhzLabel.PSI0 else g2)
-        self.raises(monkeypatch, fake, "do not partition the Bell triples")
+        real = ghz_swap_tables()
+        rows = np.arange(len(real[0]))
+        rows[:8] &= ~1
+        self.raises(monkeypatch, lambda: tuple(table[rows] for table in real),
+                    "do not partition the Bell triples")
 
     def test_raises_if_a_support_spans_two_collections(self, monkeypatch):
-        # one triple of collection 1 added to the support of (psi5, psi6)
-        real = swap_distribution
-        stray = next(iter(REFERENCE_COLLECTIONS[1]))
+        # one triple of collection 1 made live in the tables of (psi5, psi6):
+        # a nonzero entry on each round of its path
+        tables = [table.copy() for table in ghz_swap_tables()]
+        stray = bell_triples().index(next(iter(REFERENCE_COLLECTIONS[1])))
+        path = 0
+        for table, j in zip(tables, (stray >> 4, stray >> 2 & 3, stray & 3)):
+            table[8 * GhzLabel.PSI5 + GhzLabel.PSI6, path, j] = 0.125
+            path = 4 * path + j
+        self.raises(monkeypatch, lambda: tuple(tables),
+                    r"\(psi5, psi6\) spans multiple collections")
 
-        def fake(g1, g2):
-            dist = real(g1, g2)
-            return {**dist, stray: 0.0} if (g1, g2) == (GhzLabel.PSI5, GhzLabel.PSI6) else dist
-        self.raises(monkeypatch, fake, r"\(psi5, psi6\) spans multiple collections")
+
+def test_chart_equals_the_one_state_supports():
+    # the chart read off the batched tables is the chart of the 64 supports
+    # that swap_distribution expands one pair at a time
+    index = {t: k for k, t in enumerate(bell_triples())}
+    support = np.zeros((8, 8, 64), dtype=bool)
+    for g1, g2 in itertools.product(GhzLabel, repeat=2):
+        support[g1, g2, [index[t] for t in swap_distribution(g1, g2)]] = True
+    of_triple = support[GhzLabel.PSI0].argmax(axis=0)
+    assert np.array_equal(swap_chart()[1], of_triple)
+    assert np.array_equal(swap_chart()[0], of_triple[support.argmax(axis=2)])
+    for table in ghz_swap_tables():
+        assert not table.flags.writeable
 
 
 def test_verify_swap_table_report():
