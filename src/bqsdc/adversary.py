@@ -32,10 +32,10 @@ from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from .codebook import ghz_state
 from .labels import GhzLabel
+from .qcore import MeasBasis, StateVector, StreamBlock
 # measure_particles has no caller here: bench/tracer.py wraps it in this
 # namespace, so it stays imported until the tracer no longer names it.
-from .particles import append_ancilla, measure_particles  # noqa: F401
-from .qcore import MeasBasis, StateVector, StreamBlock
+from .qcore import measure_rows as measure_particles  # noqa: F401
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
 TARGETS = ("S_C", "S_B", "S_A")
@@ -133,6 +133,16 @@ def attack_choices(cfg: AttackConfig, lanes, outcomes):
     else:
         basis = _BASIS_TOKENS.index(cfg.eve_basis)
     return 2 * basis + outcomes(basis, lanes)
+
+
+def append_ancilla(amps: np.ndarray, states: np.ndarray,
+                   coupling: tuple[int, np.ndarray]) -> np.ndarray:
+    """Tensor a fresh one-qubit state onto every register as its last
+    qubit, states[i] onto row i or one state (2,) onto all; coupling =
+    (qubit, matrix) then acts on that qubit and the new one."""
+    qubit, matrix = coupling
+    return qcore.apply_unitary_rows(qcore.tensor_rows(amps, states), matrix,
+                                    (qubit, amps.shape[1].bit_length() - 1))
 
 
 def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.ndarray:

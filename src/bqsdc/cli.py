@@ -27,9 +27,9 @@ from .qcore import Rng
 
 SEED_ENV_VAR = "BQSDC_SEED"
 # The most groups whose messages a command draws (run --random-messages,
-# analyze --monte-carlo). The scalar draws hold three one-character strings
-# of about 57 bytes a group while they are joined (182 bytes a group peak,
-# tracemalloc at 10**5), so a command at the ceiling peaks near 0.18 GB.
+# analyze --monte-carlo), which bounds their run time and memory: the draws
+# are joined from a list of three shared one-character strings a group, 29
+# bytes a group at the peak (tracemalloc at 10**5), near 29 MB at the ceiling.
 MAX_DRAWN_GROUPS = 10 ** 6
 
 

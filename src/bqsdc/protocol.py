@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import particles, qcore
+from . import qcore
 from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices, decoy_rows
 # decoy_state, transform_label, invert_transform, collection_of, collection_table
 # and measure_particles have no caller here: bench/tracer.py wraps them in this
@@ -60,10 +60,10 @@ from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # no
 from .codebook import (CompositeOp, ghz_rows, invert_transform, transform_chart,  # noqa: F401
                        transform_label)
 from .labels import CollectionLabel, GhzLabel
-from .particles import apply_op, measure_particles  # noqa: F401
 from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
-from .swap import (BellTriple, announcement_chart, bell_triples, collection_of,  # noqa: F401
-                   collection_table, ghz_swap_tables, swap_chart)
+from .qcore import measure_rows as measure_particles  # noqa: F401
+from .swap import (BellTriple, announcement_chart, bell_tables, bell_triples,  # noqa: F401
+                   collection_of, collection_table, ghz_swap_tables, swap_chart)
 
 def default_decoy_count(n_groups: int) -> int:
     """Per-check decoy count used when the config leaves it unset: enough to
@@ -171,19 +171,13 @@ class SessionTranscript:
     @property
     def groups(self) -> list[GroupRecord]:
         """A record per group, built from the columns on every read."""
-        return [GroupRecord(*row) for row in self._fields()]
+        return list(map(GroupRecord, range(1, self.columns.shape[1] + 1),
+                        *map(self.field_values, [f.name for f in fields(GroupRecord)[1:]])))
 
     def field_values(self, name: str) -> list:
         """Every group's GroupRecord field name, read off its column."""
         i = [f.name for f in fields(GroupRecord)].index(name) - 1
         return list(map(_field_values()[i].__getitem__, self.columns[_FIELD_ROWS[i]].tolist()))
-
-    def _fields(self) -> zip:
-        """Each group's number from 1, then its fields in GroupRecord order:
-        field i's column entry looked up in _field_values()[i]."""
-        rows, values = self.columns.tolist(), _field_values()
-        return zip(range(1, len(rows[0]) + 1),
-                   *([values[i][k] for k in rows[row]] for i, row in enumerate(_FIELD_ROWS)))
 
     def alice_message_bits(self) -> str | None:
         """Bob's secrets as decoded by Alice, concatenated; None on abort."""
@@ -248,22 +242,16 @@ def _field_values() -> tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=None)
-def _field_json() -> tuple[tuple[str, ...], ...]:
-    """The JSON text of every _field_values() value, None as null."""
-    return tuple(tuple("null" if v is None else json.dumps(v if isinstance(v, str) else v.token)
-                       for v in values) for values in _field_values())
-
-
-@lru_cache(maxsize=None)
 def _group_tables() -> tuple[tuple[np.ndarray, list[int]], ...]:
     """The text of a group after its prepared_label key, as four read-only
     tables of strings, each with the column rows that index it: (prepared,
     a_op) 9 by 9, (p_label, b_op) 9 by 9, the Bell index, which gives both
     the triple and its collection, 65, and (decoded by Alice, by Bob) 9 by
-    9. An entry is its fields' JSON (_field_json), each followed by the
-    _GROUP_JSON text up to the next field; entry -1 of a row is null."""
-    texts = [np.array([value + after for value in values], dtype=object)
-             for values, after in zip(_field_json(), _GROUP_JSON.split("%s")[1:])]
+    9. An entry is its fields' JSON (a token or string, None as null), each
+    followed by the _GROUP_JSON text up to the next field."""
+    texts = [np.array([("null" if v is None else json.dumps(v if isinstance(v, str) else v.token))
+                       + after for v in values], dtype=object)
+             for values, after in zip(_field_values(), _GROUP_JSON.split("%s")[1:])]
     tables = (np.add.outer(texts[0], texts[1]), np.add.outer(texts[2], texts[3]),
               texts[4] + texts[5], np.add.outer(texts[6], texts[7]))
     for table in tables:
@@ -282,7 +270,9 @@ def message_ops(bits: str, n_groups: int) -> np.ndarray:
 
 
 def random_message_bits(n_groups: int, rng: Rng) -> str:
-    return "".join(str(rng.randrange(2)) for _ in range(3 * n_groups))
+    """3 * n_groups message bits, one scalar draw each, joined from a list
+    of the shared strings "0" and "1", so that no bit holds its own string."""
+    return "".join(["01"[rng.randrange(2)] for _ in range(3 * n_groups)])
 
 
 def _invert_announcements(announced) -> np.ndarray:
@@ -479,20 +469,14 @@ class Branches:
     @classmethod
     def swapping(cls, states: StateTable) -> Branches:
         """The swap's tables of each pair (odd id, even id), the even triple
-        a GHZ state, so its id is its label (Session.bob_encode): the Bell
-        tables of the cross pairs (r, w + r) of the pair's joint state
-        (particles.merge), w the odd state's qubit count. Its entries start
-        as the 64 pairs of GHZ states, entry 8 g1 + g2 the pair (g1, g2) in
-        the memo of states (swap.ghz_swap_tables): the entries a session
-        would build for them, bit for bit, as the kernels treat each row
-        alone."""
-        def joint(states, odd, even):
-            odd, even = states.amps(odd), states.amps(even)
-            w = odd.shape[1].bit_length() - 1
-            # merge is looked up on the module, where bench/tracer.py counts it
-            return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
-                                     [(r, w + r) for r in range(3)])
-        swap = cls(len(GhzLabel), joint)
+        a GHZ state, so its id is its label (Session.bob_encode): the
+        swap.bell_tables of the pair. Its entries start as the 64 pairs of
+        GHZ states, entry 8 g1 + g2 the pair (g1, g2) in the memo of states
+        (swap.ghz_swap_tables, built by the same function): the entries a
+        session would build for them, bit for bit, as the kernels treat
+        each row alone."""
+        swap = cls(len(GhzLabel), lambda states, odd, even: bell_tables(
+            states.amps(odd), states.amps(even)))
         swap.thresholds, swap.fixed = ghz_swap_tables(), _ghz_certain()
         states.memos[swap] = np.arange(len(swap.fixed), dtype=np.int32).reshape(-1, swap.width)
         return swap
@@ -528,6 +512,14 @@ def _spans(count: int, size: int | None = None):
     (default _BLOCK)."""
     size = size or _BLOCK
     return ((start, min(start + size, count)) for start in range(0, count, size))
+
+
+def apply_op(amps: np.ndarray, ops: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Apply single-qubit unitaries in order: each (qubit, matrices) puts
+    matrices[i] on that qubit of row i."""
+    for qubit, matrices in ops:
+        amps = qcore.apply_unitary_rows(amps, matrices, (qubit,))
+    return amps
 
 
 def _encode(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -678,7 +670,11 @@ class Session:
         """Step 7: Bell-measure the three cross pairs of each group and
         announce the outcome collection over the (ideal) classical channel."""
         states, swap, (odd, even) = self.states, self.swap, self.triples.T
-        distinct = set()  # the distinct pairs first, to join the new ones in full chunks
+        # The distinct pairs first, to join the new ones in full chunks. Built
+        # a block at a time, they split into more kernel calls: the swap of
+        # 1000 groups at seed 11 took 1.17-1.52 ms, not 0.99, under entangle:S_A
+        # and 2.97-4.02, not 2.28-2.34, under uniform intercept-resend on S_C.
+        distinct = set()
         for start, stop in _spans(len(odd)):
             distinct.update((odd[start:stop] * swap.width + even[start:stop]).tolist())
         swap.lookup(states, *np.divmod(np.array(sorted(distinct)), swap.width))

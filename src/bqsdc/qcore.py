@@ -377,24 +377,19 @@ def basis_labels(basis: MeasBasis) -> tuple:
     return _basis_matrices(basis)[0]
 
 
-def _gather(amps: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of amps (rows, 2**n) with the given (distinct) qubits brought
-    to the front, in order, as float64 pairs (real, imaginary), and the plan
-    that puts them back."""
-    idx, inverse = _plan(amps.shape[1].bit_length() - 1, qubits)
-    return amps.take(idx, axis=1).view(np.float64), inverse
-
-
 def _gather_rounds(amps: np.ndarray, outcomes: int,
                    rounds: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """_gather of every round's qubits in turn; raises ValueError when a
-    round is not the size a basis of that many outcomes measures, or two
-    rounds share a qubit (_plan)."""
+    """The rows of amps (rows, 2**n) with every round's qubits brought to
+    the front, round by round, as float64 pairs (real, imaginary), and the
+    plan that puts them back; raises ValueError when a round is not the
+    size a basis of that many outcomes measures, or two rounds share a
+    qubit (_plan)."""
     for qs in rounds:
         if 1 << len(qs) != outcomes:
             raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
                              f"got {len(qs)}")
-    return _gather(amps, sum(map(tuple, rounds), ()))
+    idx, inverse = _plan(amps.shape[1].bit_length() - 1, sum(map(tuple, rounds), ()))
+    return amps.take(idx, axis=1).view(np.float64), inverse
 
 
 def _project(vecs: np.ndarray, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

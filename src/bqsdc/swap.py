@@ -9,6 +9,7 @@ The chart is derived once from the state-vector engine, never hand-typed,
 as two integer arrays (:func:`swap_chart`): the swap support of every pair
 of GHZ states, read off one batched Born expansion of the 64 joined pairs
 (:func:`ghz_swap_tables`), whose tables a session's swap also starts from.
+Both build a pair's Bell tables by one function (:func:`bell_tables`).
 :func:`verify_swap_table` checks the chart against a second derivation,
 one pair at a time (:func:`swap_distribution`), and against the
 independently hand-enumerated sets in REFERENCE_COLLECTIONS, which exist
@@ -27,14 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qcore
+from . import particles, qcore
 from .codebook import CompositeOp, ghz_rows, ghz_state, transform_chart
 from .labels import BellLabel, CollectionLabel, GhzLabel
 from .qcore import MeasBasis, basis_labels
 
 # Bell pairs are measured across the first/second/third particles of the
-# two triples; with the first triple's qubits in front of the tensor the
-# cross pairs sit at these index pairs.
+# two triples; with the first triple's qubits in front of the tensor, the
+# cross pairs of two bare triples sit at these index pairs (swap_distribution).
 _CROSS_PAIRS = ((0, 3), (1, 4), (2, 5))
 
 
@@ -73,19 +74,28 @@ def bell_triples() -> tuple[BellTriple, ...]:
     return tuple(BellTriple(*t) for t in itertools.product(basis_labels(MeasBasis.BELL), repeat=3))
 
 
+def bell_tables(odd: np.ndarray, even: np.ndarray) -> list[np.ndarray]:
+    """The qcore.branch_rows Bell tables of the cross pairs (r, w + r) of
+    every joint state odd[i] (x) even[i] (particles.merge), w the odd
+    registers' qubit count: a triple's particles are qubits 0-2, and what
+    an attack left behind follows them. Each row is expanded alone."""
+    w = odd.shape[1].bit_length() - 1
+    # merge is looked up on its module, where bench/tracer.py counts it
+    return qcore.branch_rows(particles.merge(odd, even), MeasBasis.BELL,
+                             [(r, w + r) for r in range(3)])
+
+
 @lru_cache(maxsize=None)
 def ghz_swap_tables() -> tuple[np.ndarray, ...]:
     """The Bell tables of the three cross pairs of every pair of GHZ states,
     read-only, in the form a session samples them: qcore.branch_thresholds
-    of qcore.branch_rows of the joint states g1 (x) g2 (qcore.tensor_rows,
-    g1's qubits first), row 8 g1 + g2, expanded in one call. Table k's path
-    p and outcome j continue to path 4p + j, so the last table's path p and
-    outcome j is Bell triple 4p + j; an entry is -1 where the outcome's
-    probability is at or below ZERO_TOL."""
+    of the bell_tables of the pairs (g1, g2), row 8 g1 + g2, expanded in one
+    call. Table k's path p and outcome j continue to path 4p + j, so the
+    last table's path p and outcome j is Bell triple 4p + j; an entry is -1
+    where the outcome's probability is at or below ZERO_TOL."""
     ghz = ghz_rows()
     g1, g2 = np.divmod(np.arange(len(GhzLabel) ** 2), len(GhzLabel))
-    tables = qcore.branch_thresholds(qcore.branch_rows(
-        qcore.tensor_rows(ghz[g1], ghz[g2]), MeasBasis.BELL, _CROSS_PAIRS))
+    tables = qcore.branch_thresholds(bell_tables(ghz[g1], ghz[g2]))
     for table in tables:
         table.setflags(write=False)
     return tuple(tables)

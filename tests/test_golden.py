@@ -81,8 +81,10 @@ ATTACK_SPELLINGS = [
       for b2 in ("0.1", "0.25", "0.5")),
 ]
 
-# Derived from beta**2 and the Born tables by float arithmetic whose last
-# digits are not part of what the command line promises.
+# Derived from beta**2 and the Born tables by float arithmetic.
+# CLI_GOLDEN_SHA256 leaves these fields out, but tests/cli_outputs.txt pins
+# the whole --out JSON, every digit of them included: a refactor that
+# reorders the float arithmetic of an exact rate must keep them.
 FLOAT_DERIVED = ("exact_value", "claimed_value", "abs_error")
 
 

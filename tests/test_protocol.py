@@ -16,13 +16,13 @@ from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack, dec
 from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_chart, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel
-from bqsdc.particles import append_ancilla, measure_particles, merge
+from bqsdc.particles import merge
 from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, GroupRecord, Session,
                             SessionConfig, SessionTranscript, StateTable, _decoded,
                             _invert_announcements, default_decoy_count, message_ops,
                             random_message_bits, run_session)
 from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
-                         make_basis_state)
+                         make_basis_state, measure_rows)
 from bqsdc.swap import (announcement_chart, collection_members, collection_table, ghz_swap_tables,
                         swap_chart)
 
@@ -60,7 +60,7 @@ def triple_state(s, n, side):
 class TestRegister:
     def test_merge_puts_b_roles_after_a(self):
         a = ghz_block(GhzLabel.PSI0, GhzLabel.PSI2)
-        b = append_ancilla(ghz_block(GhzLabel.PSI1, GhzLabel.PSI3), make_basis_state("1").amps)
+        b = qcore.tensor_rows(ghz_block(GhzLabel.PSI1, GhzLabel.PSI3), make_basis_state("1").amps)
         before = a.copy()
         joint = merge(a, b)
         assert num_qubits(joint) == 7
@@ -77,7 +77,7 @@ class TestRegister:
         outs = []
         for role, seed in ((0, 1), (1, 2), (2, 3)):
             draw = np.array([Rng(seed).random()])
-            (j,), a = measure_particles(a, MeasBasis.Z, [(role,)], [draw])
+            (j,), a = measure_rows(a, MeasBasis.Z, [(role,)], [draw])
             outs.append(j[0])
         # remaining particles are perfectly correlated with the outcome
         assert outs[0] == outs[1] == outs[2]
@@ -88,8 +88,8 @@ class TestRegister:
         block = ghz_block(*[GhzLabel.PSI0] * 5)
         before = block.copy()
         draws = [np.array([Rng(seed, stream=k).random() for seed in range(5)]) for k in range(3)]
-        (a, b, c), post = measure_particles(block, MeasBasis.Z, [(0,), (1,), (2,)], draws,
-                                            collapse=False)
+        (a, b, c), post = measure_rows(block, MeasBasis.Z, [(0,), (1,), (2,)], draws,
+                                       collapse=False)
         assert (a == b).all() and (b == c).all() and 0 < a.sum() < 5
         assert post is None and np.array_equal(block, before)
 
@@ -97,8 +97,8 @@ class TestRegister:
         # |0> in Z and |+> in X are certain; each row gets its own basis
         block = decoy_rows()[[DECOY_TOKENS.index("0"), DECOY_TOKENS.index("+")]]
         which = np.array([0, 1])
-        (out,), _ = measure_particles(block, (MeasBasis.Z, MeasBasis.X), [(0,)],
-                                      [np.array([0.99, 0.99])], collapse=False, which=which)
+        (out,), _ = measure_rows(block, (MeasBasis.Z, MeasBasis.X), [(0,)],
+                                 [np.array([0.99, 0.99])], collapse=False, which=which)
         assert out.tolist() == [0, 0]
 
 
@@ -123,6 +123,19 @@ class TestConfig:
         assert message_ops("010101", 2).tolist() == [CompositeOp.U2, CompositeOp.U5]
         for op in CompositeOp:
             assert message_ops("".join(map(str, op.bits)) * 2, 2).tolist() == [op, op]
+
+    def test_random_message_draws_hold_no_string_per_bit(self):
+        # 3 * 10**4 bits: a list of shared one-character strings and the
+        # joined text peak near 0.28 MB; a new string per bit took 1.78 MB
+        random_message_bits(1, Rng(3, 2))  # warm the interpreter's caches
+        tracemalloc.start()
+        try:
+            bits = random_message_bits(10 ** 4, Rng(3, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bits) == 3 * 10 ** 4 and set(bits) <= {"0", "1"}
+        assert peak < 0.5 * 2 ** 20
 
 
 class TestPrepare:
