@@ -4,9 +4,8 @@ entanglement swapping between GHZ states."""
 
 from .adversary import (AttackConfig, CheckTemplate, DetectionEstimate,
                         estimate_detection, exact_detection_probability)
-from .codebook import (CompositeOp, apply_composite, classify_ghz, ghz_state,
-                       invert_transform, message_to_op, transform_label,
-                       verify_transform_table)
+from .codebook import (CompositeOp, ghz_state, invert_transform, message_to_op,
+                       transform_label, verify_transform_table)
 from .labels import BellLabel, CollectionLabel, GhzLabel
 from .protocol import (Session, SessionConfig, SessionTranscript, run_session)
 from .qcore import (MeasBasis, Rng, StateVector, born_distribution, make_basis_state,

@@ -10,18 +10,19 @@ attack runs on many registers at once, each with her own choice for it
 qubit; the genuine particle Eve keeps, or her ancilla, goes last.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
-one keyed random stream per trial. Every (check, Eve choice) pair is
-expanded once into exact Born tables: Eve acts on the transmitted particle,
-then every particle is measured in the check's basis. Each trial draws its
-check, Eve's choice and its outcome from those tables, a block of trials at
-a time (qcore.StreamBlock), with the counts of one scalar Rng per trial.
-The tables model Eve independently of apply_attack: her measurement is a
-copy of the particle's basis outcome onto an ancilla nobody measures, which
-leaves the check the same mixture of collapsed states.
+one keyed random stream per trial. Every (check, Eve choice) pair is a row
+of one exact Born expansion (qcore.branch_rows): Eve acts on the particle
+in flight, then every particle is measured in the check's basis. Each trial
+draws its check, Eve's choice and its outcome from those tables, a block of
+trials at a time (qcore.StreamBlock), with the counts of one scalar Rng per
+trial. The rows model Eve independently of apply_attack: her measurement is
+a copy of the particle's basis outcome onto an ancilla nobody measures,
+which leaves the check the same mixture of collapsed states.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import qcore
 from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
-from .codebook import ghz_state
+from .codebook import ghz_rows
 from .labels import GhzLabel
-from .qcore import MeasBasis, StateVector, StreamBlock
+from .qcore import ZERO_TOL, MeasBasis, StreamBlock, basis_labels
 # measure_particles has no caller here: bench/tracer.py wraps it in this
 # namespace, so it stays imported until the tracer no longer names it.
 from .qcore import measure_rows as measure_particles  # noqa: F401
@@ -226,27 +227,6 @@ def _copy_unitary(basis: MeasBasis) -> np.ndarray:
     return u
 
 
-def _outcome_table(cfg: AttackConfig, state: StateVector, role: int, basis: MeasBasis,
-                   choice, allowed) -> list[tuple[float, bool]]:
-    """Exact (probability, is_error) rows of a check that measures every
-    particle of state in basis, one at a time, after Eve's choice on the
-    particle at role; an outcome tuple outside allowed is an error. Eve's
-    ancilla, if she couples one, stays unmeasured."""
-    n = state.num_qubits
-    groups = [(q,) for q in range(n)]
-    if cfg.strategy == "intercept_resend":
-        # Eve keeps the genuine particle unmeasured; the check measures her fake
-        state = qcore.tensor(state, decoy_state(choice))
-        groups[role] = (n,)
-    elif cfg.strategy != "none":
-        coupling = (_copy_unitary(MeasBasis(choice)) if cfg.strategy == "measure_resend"
-                    else eavesdrop_unitary(cfg.beta_squared))
-        state = qcore.apply_unitary(qcore.tensor(state, qcore.make_basis_state("0")),
-                                    coupling, (role, n))
-    return [(p, outs not in allowed)
-            for outs, p in qcore.joint_distribution(state, basis, groups).items()]
-
-
 def _decoy_axis(template: CheckTemplate) -> list[str]:
     if template.decoy_basis is None:
         return list(DECOY_TOKENS)
@@ -265,45 +245,58 @@ def _basis_axis(template: CheckTemplate) -> list[MeasBasis]:
 
 
 class _TrialSampler:
-    """Check trials sampled from exactly expanded branch tables."""
+    """Check trials sampled from exactly expanded branch tables. Row k = lead
+    index * n_eve + choice index is a check on the lead's state after Eve's
+    choice, every particle measured in the lead's basis: weights[k, p] the
+    probability of outcome path p (lexicographic in basis order), 0 where a
+    round on the path has probability at or below ZERO_TOL, and errors[k, p]
+    whether that path fails the check."""
 
     def __init__(self, cfg: AttackConfig, template: CheckTemplate):
         self.eve_values = _eve_choices(cfg)
         if cfg.target == "S_C":
-            self.lead_values = _basis_axis(template)
+            self.lead_values, role = _basis_axis(template), 2
             label = template.sample_label
-
-            def check(basis):
-                return ghz_state(label), 2, basis, consistent_ghz_outcomes(label, basis)
+            checks = [(ghz_rows()[label], basis, consistent_ghz_outcomes(label, basis))
+                      for basis in self.lead_values]
         else:
-            self.lead_values = _decoy_axis(template)
-
-            def check(token):
-                prep = DECOY_STATES[token]
-                return decoy_state(token), 0, prep.basis, {(prep.expected,)}
-
+            self.lead_values, role = _decoy_axis(template), 0
+            checks = [(decoy_rows()[DECOY_TOKENS.index(token)], DECOY_STATES[token].basis,
+                       {(DECOY_STATES[token].expected,)}) for token in self.lead_values]
         self.n_lead, self.n_eve = len(self.lead_values), len(self.eve_values)
-        self.tables = {}
-        for lead in self.lead_values:
-            state, role, basis, allowed = check(lead)
-            for choice in self.eve_values:
-                cum, flags, acc = [], [], 0.0
-                for p, is_err in _outcome_table(cfg, state, role, basis, choice, allowed):
-                    acc += p
-                    cum.append(acc)
-                    flags.append(is_err)
-                self.tables[(lead, choice)] = (cum, flags)
-
-        # Row k = lead index * n_eve + choice index of every table, flattened
-        # into one sorted edge array: edge e of row k becomes k << 54 |
-        # ceil(e * 2**53), and each row ends in one more edge and flag.
-        edges, all_flags = [], []
-        for k, (cum, flags) in enumerate(self.tables.values()):
-            edges.extend(k << 54 | math.ceil(e * 2.0 ** 53) for e in cum)
-            edges.append(k << 54 | _ROW_END)
-            all_flags.extend(flags + flags[-1:])
-        self._edges = np.array(edges, dtype=np.uint64)
-        self._flags = np.array(all_flags, dtype=bool)
+        lead, choice = np.divmod(np.arange(self.n_lead * self.n_eve), self.n_eve)
+        pristine, bases, allowed = zip(*checks)
+        states = np.stack(pristine)[lead]
+        n = states.shape[1].bit_length() - 1
+        rounds = [(q,) for q in range(n)]
+        if cfg.strategy == "intercept_resend":
+            # Eve keeps the genuine particle unmeasured; the check measures her fake
+            fakes = decoy_rows()[[DECOY_TOKENS.index(token) for token in self.eve_values]]
+            states = qcore.tensor_rows(states, fakes[choice])
+            rounds[role] = (n,)
+        elif cfg.strategy != "none":
+            coupling = (np.stack([_copy_unitary(MeasBasis(b)) for b in self.eve_values])[choice]
+                        if cfg.strategy == "measure_resend" else eavesdrop_unitary(cfg.beta_squared))
+            states = append_ancilla(states, qcore.make_basis_state("0").amps, (role, coupling))
+        which = np.array([EVE_BASES.index(basis) for basis in bases])[lead]
+        # a path's weight is its rounds' entries multiplied left to right, as
+        # joint_distribution multiplies them
+        weights = np.ones((len(states), 1))
+        for table in qcore.branch_rows(states, EVE_BASES, rounds, which):
+            weights = (weights[:, :, None] * np.where(table > ZERO_TOL, table, 0.0)).reshape(
+                len(states), -1)
+        self.weights = weights
+        self.errors = np.array([[outs not in ok for outs in itertools.product(
+            basis_labels(basis), repeat=n)] for basis, ok in zip(bases, allowed)])[lead]
+        # Row k's live edges, each the running total e of its row up to it, as
+        # k << 54 | ceil(e * 2**53), in one sorted array. The last is the row
+        # end, so that an m past the total, where it rounded below 1, takes
+        # the row's last live outcome.
+        live = weights > 0
+        edges = np.ceil(weights.cumsum(axis=1) * 2.0 ** 53).astype(np.uint64)
+        edges[np.arange(len(edges)), live.shape[1] - 1 - live[:, ::-1].argmax(axis=1)] = _ROW_END
+        edges |= np.arange(len(edges), dtype=np.uint64)[:, None] << np.uint64(54)
+        self._edges, self._flags = edges[live], self.errors[live]
 
     def count_detections(self, seed: int, trials: int) -> int:
         """Detections among trials 0, ..., trials - 1, in blocks of _BLOCK.
@@ -313,7 +306,7 @@ class _TrialSampler:
         row's table with m * 2**-53 < e. Scaling by 2**53 is exact in
         binary64, so that edge is the first with ceil(e * 2**53) > m, and
         one searchsorted of k << 54 | m over all rows finds it for every
-        trial of a block; the row-end edge serves an m past the last edge.
+        trial of a block.
         """
         streams = StreamBlock(seed, min(trials, _BLOCK))
         rows = np.empty(streams.size, dtype=np.uint64)
@@ -339,14 +332,12 @@ class _TrialSampler:
         return detections
 
     def exact_rate(self) -> float:
+        # each error path's weight as the difference of the running totals
+        # around it, added one at a time in row order
+        steps = np.diff(self.weights.cumsum(axis=1), axis=1, prepend=0.0)
         total = 0.0
-        weight = 1.0 / (self.n_lead * self.n_eve)
-        for cum, flags in self.tables.values():
-            prev = 0.0
-            for edge, is_err in zip(cum, flags):
-                if is_err:
-                    total += weight * (edge - prev)
-                prev = edge
+        for step in (1.0 / (self.n_lead * self.n_eve) * steps[self.errors]).tolist():
+            total += step
         # the cumulative sums leave float error in the last digits; the
         # rate is reported Born-exact, as beta_squared is, to 12 decimals
         return round(total, 12)

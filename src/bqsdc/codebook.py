@@ -3,9 +3,8 @@ eight composite encoding operations, the three-bit message code, and the
 GHZ transformation chart.
 
 The transformation chart is never hand-typed. It is derived once from the
-state-vector engine (apply the composite operation, classify the result up
-to global phase) and can be re-derived on demand by
-:func:`verify_transform_table`.
+row kernels, for all 64 (state, op) pairs in one pass (_derive_chart), and
+can be re-derived on demand by :func:`verify_transform_table`.
 """
 
 from __future__ import annotations
@@ -67,6 +66,12 @@ _OP_FACTORS = {
     CompositeOp.U6: (SX, SX),
     CompositeOp.U7: (ISY, SX),
 }
+# The first and the second factor of every op, stacked in op order: the
+# matrices the chart is derived with and a session encodes with.
+FIRST_FACTORS = np.stack([first.matrix for first, _ in _OP_FACTORS.values()])
+SECOND_FACTORS = np.stack([second.matrix for _, second in _OP_FACTORS.values()])
+FIRST_FACTORS.setflags(write=False)
+SECOND_FACTORS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -93,50 +98,41 @@ def message_to_op(bits: MessageTriple) -> CompositeOp:
     return CompositeOp((b2 << 2) | (b1 << 1) | b0)
 
 
-def apply_composite(s: StateVector, op: CompositeOp, q1: int, q2: int) -> StateVector:
-    """Apply the first factor at qubit q1 and the second at qubit q2."""
-    if q1 == q2:
-        raise ValueError("composite operation needs two distinct particles")
-    return qcore.apply_single(qcore.apply_single(s, op.first, q1), op.second, q2)
-
-
-def classify_ghz(s: StateVector):
-    """Identify a 3-qubit state as a GHZ basis state up to global phase.
-
-    Returns (label, phase) with s equal to phase times the basis state, or
-    None when the state is not in the GHZ basis. The phase has unit modulus.
-    """
-    if s.num_qubits != 3:
-        raise ValueError("classify_ghz expects a 3-qubit state")
-    for label in GhzLabel:
-        ov = complex(np.vdot(ghz_amplitudes(label), s.amps))
-        if abs(ov) > 1.0 - qcore.ATOL:
-            return label, ov / abs(ov)
-    return None
-
-
-def _derive_transform(initial: GhzLabel, op: CompositeOp) -> tuple[GhzLabel, float]:
-    """State-vector oracle: result label and real phase of op acting on the
-    first and second particles of a GHZ state."""
-    result = apply_composite(ghz_state(initial), op, 0, 1)
-    hit = classify_ghz(result)
-    if hit is None:
-        raise AssertionError(
-            f"codebook closure violated: {op.token} on {initial.token} left the GHZ basis")
-    label, phase = hit
-    if abs(phase.imag) > qcore.ATOL:
-        raise AssertionError(f"unexpected complex phase {phase} for {initial.token}, {op.token}")
-    return label, float(np.sign(phase.real))
+def _derive_chart() -> tuple[np.ndarray, np.ndarray]:
+    """The label and the real sign of op k on the first and second particles
+    of GHZ state p, as arrays [p, k]: both factors of every op act on the 64
+    rows (p, k), and one overlap product against the GHZ states classifies
+    the results. Raises unless every result is plus or minus a GHZ state and
+    each row of labels is a permutation, so that every transform can be
+    inverted."""
+    ghz = ghz_rows()
+    p, k = np.divmod(np.arange(len(GhzLabel) * len(CompositeOp)), len(CompositeOp))
+    overlaps = qcore.apply_op(ghz[p], [(0, FIRST_FACTORS[k]), (1, SECOND_FACTORS[k])]) @ ghz.T
+    # the GHZ states are orthonormal, so at most one overlap nears modulus 1
+    labels = np.abs(overlaps).argmax(axis=1)
+    phases = overlaps[np.arange(len(labels)), labels]
+    missed = np.abs(phases) <= 1.0 - qcore.ATOL
+    if missed.any():
+        r = missed.argmax()
+        raise AssertionError(f"codebook closure violated: {CompositeOp(k[r]).token} on "
+                             f"{GhzLabel(p[r]).token} left the GHZ basis")
+    phases /= np.abs(phases)
+    complex_phase = np.abs(phases.imag) > qcore.ATOL
+    if complex_phase.any():
+        r = complex_phase.argmax()
+        raise AssertionError(f"unexpected complex phase {complex(phases[r])} for "
+                             f"{GhzLabel(p[r]).token}, {CompositeOp(k[r]).token}")
+    labels = labels.reshape(len(GhzLabel), -1)
+    if (np.sort(labels, axis=1) != np.arange(len(GhzLabel))).any():
+        raise AssertionError("transform rows are not permutations")
+    return labels, np.sign(phases.real).reshape(labels.shape)
 
 
 @lru_cache(maxsize=None)
 def transform_chart() -> np.ndarray:
     """The chart as a read-only integer array: entry [p, k] is the label
-    of op k acting on GHZ state p. Raises unless each row is a
-    permutation, so that every transform can be inverted."""
-    chart = np.array([[_derive_transform(p, k)[0] for k in CompositeOp] for p in GhzLabel])
-    if (np.sort(chart, axis=1) != np.arange(len(GhzLabel))).any():
-        raise AssertionError("transform rows are not permutations")
+    of op k acting on GHZ state p (_derive_chart)."""
+    chart = _derive_chart()[0]
     chart.setflags(write=False)
     return chart
 
@@ -152,13 +148,14 @@ def invert_transform(initial: GhzLabel, result: GhzLabel) -> CompositeOp:
 
 
 def verify_transform_table() -> dict:
-    """Re-derive every (initial, op) entry from the state vectors and check
-    it against the cached chart. Returns a JSON-ready report."""
+    """Re-derive every (initial, op) entry (_derive_chart) and check it
+    against the cached chart. Returns a JSON-ready report."""
+    labels, signs = _derive_chart()
     entries = []
     mismatches = 0
     for p in GhzLabel:
         for k in CompositeOp:
-            got, phase = _derive_transform(p, k)
+            got, phase = GhzLabel(labels[p, k]), float(signs[p, k])
             expected = transform_label(p, k)
             ok = got == expected and phase in (1.0, -1.0)
             mismatches += not ok

@@ -57,10 +57,10 @@ from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices, de
 # and measure_particles have no caller here: bench/tracer.py wraps them in this
 # namespace, so they stay imported until the tracer no longer names them.
 from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
-from .codebook import (CompositeOp, ghz_rows, invert_transform, transform_chart,  # noqa: F401
-                       transform_label)
+from .codebook import (FIRST_FACTORS, SECOND_FACTORS, CompositeOp, ghz_rows,  # noqa: F401
+                       invert_transform, transform_chart, transform_label)
 from .labels import CollectionLabel, GhzLabel
-from .qcore import MeasBasis, Rng, StreamBlock, basis_labels
+from .qcore import MeasBasis, Rng, StreamBlock, apply_op, basis_labels
 from .qcore import measure_rows as measure_particles  # noqa: F401
 from .swap import (BellTriple, announcement_chart, bell_tables, bell_triples,  # noqa: F401
                    collection_of, collection_table, ghz_swap_tables, swap_chart)
@@ -344,9 +344,6 @@ _CHOICES = 8
 
 _BITS = tuple(f"{k:03b}" for k in range(8))  # the message of op k
 _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
-# The first and second factor of every composite op, stacked in op order.
-_FIRST = np.stack([op.first.matrix for op in CompositeOp])
-_SECOND = np.stack([op.second.matrix for op in CompositeOp])
 # The check bases, drawn Z for 0 and X for 1, are Eve's, so a decoy check
 # reads her table of qubit 0; each decoy token's basis in that order, and
 # the index of the outcome a clean channel gives it.
@@ -507,24 +504,14 @@ class Branches:
                                      lanes().random(len(self.thresholds)))
 
 
-def _spans(count: int, size: int | None = None):
-    """(start, stop) of count units in consecutive blocks of at most size
-    (default _BLOCK)."""
-    size = size or _BLOCK
-    return ((start, min(start + size, count)) for start in range(0, count, size))
-
-
-def apply_op(amps: np.ndarray, ops: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Apply single-qubit unitaries in order: each (qubit, matrices) puts
-    matrices[i] on that qubit of row i."""
-    for qubit, matrices in ops:
-        amps = qcore.apply_unitary_rows(amps, matrices, (qubit,))
-    return amps
+def _spans(count: int):
+    """(start, stop) of count units in consecutive blocks of at most _BLOCK."""
+    return ((start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
 
 
 def _encode(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Composite op ops[i] on the first and second particle of row i."""
-    return apply_op(amps, [(0, _FIRST[ops]), (1, _SECOND[ops])])
+    return apply_op(amps, [(0, FIRST_FACTORS[ops]), (1, SECOND_FACTORS[ops])])
 
 
 class Session:
@@ -573,14 +560,15 @@ class Session:
         self._transmit("S_C")
 
     def _transmit(self, name: str) -> None:
-        """Eve's pass over the named sequence's qubit of every triple."""
+        """Eve's pass over the named sequence's qubit of every triple, a block
+        of groups at a time: group n's triples are units 2n and 2n + 1."""
         attack = self.cfg.attack
         if attack is None or attack.target != name:
             return
-        flat = self.triples.reshape(-1)
-        for start, stop in _spans(len(flat), 2 * _BLOCK):
-            flat[start:stop] = self._attack(flat[start:stop], _ROLES[name],
-                                            _EVE_TRIPLES[name], start)
+        for start, stop in _spans(self.cfg.n_groups):
+            block = self.triples[start:stop]
+            block[:] = self._attack(block.reshape(-1), _ROLES[name], _EVE_TRIPLES[name],
+                                    2 * start).reshape(block.shape)
 
     def _attack(self, ids: np.ndarray, role: int, place: int, start: int) -> np.ndarray:
         """The ids after Eve's pass over qubit role of the units start, ...,
@@ -670,14 +658,6 @@ class Session:
         """Step 7: Bell-measure the three cross pairs of each group and
         announce the outcome collection over the (ideal) classical channel."""
         states, swap, (odd, even) = self.states, self.swap, self.triples.T
-        # The distinct pairs first, to join the new ones in full chunks. Built
-        # a block at a time, they split into more kernel calls: the swap of
-        # 1000 groups at seed 11 took 1.17-1.52 ms, not 0.99, under entangle:S_A
-        # and 2.97-4.02, not 2.28-2.34, under uniform intercept-resend on S_C.
-        distinct = set()
-        for start, stop in _spans(len(odd)):
-            distinct.update((odd[start:stop] * swap.width + even[start:stop]).tolist())
-        swap.lookup(states, *np.divmod(np.array(sorted(distinct)), swap.width))
         for start, stop in _spans(len(odd)):
             a, b, c = swap.sample(states, odd[start:stop], even[start:stop],
                                   lambda: self._key(_SWAP, start, stop))

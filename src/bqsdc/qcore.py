@@ -29,7 +29,6 @@ end. measure_rows is the three in turn.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -172,14 +171,7 @@ class StateVector:
         a = np.array(self.amps, dtype=np.complex128)
         if a.ndim != 1 or a.size < 2 or a.size & (a.size - 1):
             raise ValueError("amplitude vector length must be a power of two >= 2")
-        # one pass for both checks: the squared norm is finite exactly when
-        # every amplitude is, since it sums their nonnegative squares
-        norm2 = np.vdot(a, a).real
-        if not math.isfinite(norm2) and not np.isfinite(a.view(np.float64)).all():
-            raise ValueError("amplitudes must be finite")
-        norm = math.sqrt(norm2)
-        if not abs(norm - 1.0) <= ATOL:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        _check_rows(a[None])
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
@@ -207,6 +199,19 @@ def _require_unit_norms(norm2: np.ndarray, what: str) -> None:
         row = int(np.flatnonzero(~(err <= ATOL))[0])
         raise ValueError(f"{what} not normalized: |norm - 1| = {err[row]:.3e}"
                          + (f" in row {row}" if err.size > 1 else ""))
+
+
+def _check_rows(amps: np.ndarray) -> None:
+    """Raise unless every row of the C-contiguous amps (rows, 2**n) is
+    finite, then unless each is normalized, as a state entering the engine
+    must be."""
+    flat = amps.view(np.float64)
+    norm2 = (flat * flat).sum(axis=1)
+    # one pass for both checks: a row's squared norm is finite exactly when
+    # every amplitude is, since it sums their nonnegative squares
+    if not np.isfinite(norm2).all() and not np.isfinite(flat).all():
+        raise ValueError("amplitudes must be finite")
+    _require_unit_norms(norm2, "state")
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,14 +283,9 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tensor on every row: row i of the result is a[i] (x) b[i], with b
     one row for all rows or one per row. Each row is checked as
-    StateVector(...) checks a state: finite and normalized."""
+    StateVector(...) checks a state (_check_rows)."""
     out = (a[:, :, None] * b[..., None, :]).reshape(len(a), -1)
-    flat = out.view(np.float64)
-    norm2 = (flat * flat).sum(axis=1)
-    # as in StateVector, a row's squared norm is finite exactly when it is
-    if not np.isfinite(norm2).all() and not np.isfinite(flat).all():
-        raise ValueError("amplitudes must be finite")
-    _require_unit_norms(norm2, "state")
+    _check_rows(out)
     return out
 
 
@@ -328,6 +328,14 @@ def apply_unitary_rows(amps: np.ndarray, matrix: np.ndarray,
     flat = out.view(np.float64)
     _require_unit_norms((flat * flat).sum(axis=1), "apply_unitary result")
     return out
+
+
+def apply_op(amps: np.ndarray, ops: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Apply single-qubit unitaries in order: each (qubit, matrices) puts
+    matrices[i] on that qubit of row i."""
+    for qubit, matrices in ops:
+        amps = apply_unitary_rows(amps, matrices, (qubit,))
+    return amps
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqsdc.adversary import (_BLOCK, AttackConfig, CheckTemplate, _TrialSampler,
+from bqsdc import qcore
+from bqsdc.adversary import (_BLOCK, _ROW_END, AttackConfig, CheckTemplate, _TrialSampler,
                              apply_attack, attack_choices, claimed_detection_rate,
                              eavesdrop_unitary, estimate_detection,
                              exact_detection_probability)
@@ -175,10 +176,44 @@ class TestExactRates:
             est = estimate_detection(cfg, template, trials=trials, seed=17)
             assert abs(est.rate - est.exact_value) <= bound, (cfg.target, est.rate)
 
+    @pytest.mark.parametrize("target", ["S_A", "S_B", "S_C"])
+    def test_no_attack_rate_is_a_float_zero(self, target):
+        # no row has an error path: the report writes 0.0, never the int 0
+        rate = exact_detection_probability(AttackConfig("none", target), CheckTemplate())
+        assert type(rate) is float and rate == 0.0
+
     def test_entangle_invisible_to_x_decoys(self):
         rate = exact_detection_probability(
             AttackConfig.entangling(0.5, target="S_B"), CheckTemplate(decoy_basis="X"))
         assert rate == pytest.approx(0.0, abs=1e-12)
+
+
+def sampler_keys(sampler):
+    """The (lead, choice) pair of every row of a _TrialSampler, in row order."""
+    return list(itertools.product(sampler.lead_values, sampler.eve_values))
+
+
+def sampler_table(sampler, lead, choice):
+    """(cum, flags) of the row of (lead, choice): the running totals of its
+    live outcome paths' probabilities and their error flags, in path order."""
+    k = sampler.lead_values.index(lead) * sampler.n_eve + sampler.eve_values.index(choice)
+    live = sampler.weights[k] > 0
+    return sampler.weights[k].cumsum()[live].tolist(), sampler.errors[k][live].tolist()
+
+
+def test_sampler_expands_every_row_in_one_call(monkeypatch):
+    # uniform intercept-resend on S_B draws both the decoy and Eve's fake
+    calls = []
+    branch_rows = qcore.branch_rows
+
+    def counted(amps, *args, **kwargs):
+        calls.append(len(amps))
+        return branch_rows(amps, *args, **kwargs)
+
+    monkeypatch.setattr(qcore, "branch_rows", counted)
+    sampler = _TrialSampler(AttackConfig("intercept_resend", "S_B"), CheckTemplate())
+    assert (sampler.n_lead, sampler.n_eve) == (4, 4)
+    assert calls == [16]
 
 
 CROSS_ATTACKS = (
@@ -189,6 +224,23 @@ CROSS_ATTACKS = (
 )
 CROSS_IDS = [f"{c.strategy}-{c.fake_state or c.eve_basis or c.beta_squared}"
              for c in CROSS_ATTACKS]
+
+
+@pytest.mark.parametrize("target", ["S_A", "S_B", "S_C"])
+def test_each_row_ends_in_its_last_live_outcome(target):
+    # a row's edges are its live paths', in one ascending array, and the
+    # row-end edge carries the flag of the row's last live path
+    for cfg in CROSS_ATTACKS + [AttackConfig("intercept_resend"), AttackConfig("measure_resend")]:
+        sampler = _TrialSampler(dataclasses.replace(cfg, target=target), CheckTemplate())
+        edges = sampler._edges
+        assert (edges[1:] > edges[:-1]).all()
+        rows, low = edges >> np.uint64(54), edges & np.uint64(_ROW_END)
+        for k, (weights, errors) in enumerate(zip(sampler.weights, sampler.errors)):
+            live = weights > 0
+            mine = rows == k
+            assert mine.sum() == live.sum()
+            assert low[mine][-1] == _ROW_END and (low[mine][:-1] < _ROW_END).all()
+            assert sampler._flags[mine].tolist() == errors[live].tolist()
 
 
 class TestHarnessMatchesSessionAttack:
@@ -226,7 +278,7 @@ class TestHarnessMatchesSessionAttack:
 
     @staticmethod
     def assert_same_rows(sampler, key, rows):
-        cum, flags = sampler.tables[key]
+        cum, flags = sampler_table(sampler, *key)
         probs = np.diff([0.0, *cum])
         assert flags == [e for _, e in rows], key
         assert np.abs(probs - [p for p, _ in rows]).max() <= 1e-12, key
@@ -235,7 +287,7 @@ class TestHarnessMatchesSessionAttack:
     def test_sample_check(self, cfg):
         for label in GhzLabel:
             sampler = _TrialSampler(cfg, CheckTemplate(sample_label=label))
-            for basis, choice in sampler.tables:
+            for basis, choice in sampler_keys(sampler):
                 rows = self.session_rows(cfg, ghz_state(label), 2, basis,
                                          lambda outs: not ghz_sample_ok(label, basis, outs))
                 self.assert_same_rows(sampler, (basis, choice), rows)
@@ -245,7 +297,7 @@ class TestHarnessMatchesSessionAttack:
     def test_decoy_check(self, cfg, target):
         cfg = dataclasses.replace(cfg, target=target)
         sampler = _TrialSampler(cfg, CheckTemplate())
-        for token, choice in sampler.tables:
+        for token, choice in sampler_keys(sampler):
             prep = DECOY_STATES[token]
             rows = self.session_rows(cfg, decoy_state(token), 0, prep.basis,
                                      lambda outs: outs != (prep.expected,))
@@ -286,7 +338,7 @@ def scalar_detections(sampler, seed, trials):
             if sampler.n_lead > 1 else sampler.lead_values[0]
         choice = sampler.eve_values[rng.randrange(sampler.n_eve)] \
             if sampler.n_eve > 1 else sampler.eve_values[0]
-        cum, flags = sampler.tables[(lead, choice)]
+        cum, flags = sampler_table(sampler, lead, choice)
         detections += flags[min(bisect_right(cum, rng.random()), len(flags) - 1)]
     return detections
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import amplitude, equal_up_to_global_phase
 
-from bqsdc.codebook import (CompositeOp, apply_composite, classify_ghz, ghz_state,
-                            invert_transform, message_to_op, transform_label,
-                            verify_transform_table)
+from bqsdc import codebook
+from bqsdc.codebook import (CompositeOp, ghz_rows, ghz_state, invert_transform, message_to_op,
+                            transform_label, verify_transform_table)
 from bqsdc.labels import BellLabel, GhzLabel, bell_amplitudes
+from bqsdc.protocol import _encode
 from bqsdc.qcore import ISY, SX, SZ, I, StateVector
 
 
@@ -105,23 +106,25 @@ class TestMessageCode:
         assert (CompositeOp.U7.first, CompositeOp.U7.second) == (ISY, SX)
 
 
+def apply_composite(label: GhzLabel, op: CompositeOp) -> StateVector:
+    """Op on the first and second particles of the GHZ state of label,
+    through the factor stacks that a session encodes with."""
+    return StateVector(_encode(ghz_rows()[[label]], np.array([op]))[0])
+
+
 class TestApplyComposite:
     def test_u0_fixes_reference_state_exactly(self):
         s = ghz_state(GhzLabel.PSI0)
-        assert np.allclose(apply_composite(s, CompositeOp.U0, 0, 1).amps, s.amps)
+        assert np.allclose(apply_composite(GhzLabel.PSI0, CompositeOp.U0).amps, s.amps)
 
     def test_u2_gives_sign_flipped_psi2(self):
-        out = apply_composite(ghz_state(GhzLabel.PSI0), CompositeOp.U2, 0, 1)
+        out = apply_composite(GhzLabel.PSI0, CompositeOp.U2)
         assert np.allclose(out.amps, -ghz_state(GhzLabel.PSI2).amps)
         assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI2))
 
     def test_u5_gives_psi5(self):
-        out = apply_composite(ghz_state(GhzLabel.PSI0), CompositeOp.U5, 0, 1)
+        out = apply_composite(GhzLabel.PSI0, CompositeOp.U5)
         assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI5))
-
-    def test_rejects_same_particle(self):
-        with pytest.raises(ValueError):
-            apply_composite(ghz_state(GhzLabel.PSI0), CompositeOp.U1, 1, 1)
 
 
 class TestTransformChart:
@@ -181,36 +184,32 @@ class TestTransformChart:
                     assert transform_label(mid, l) == transform_label(p, compose[(k, l)])
 
 
-class TestClassify:
-    def test_direct_hit(self):
-        amps = np.zeros(8, complex)
-        amps[0b110] = INV
-        amps[0b001] = -INV
-        label, phase = classify_ghz(StateVector(amps))
-        assert label == GhzLabel.PSI7 and phase == pytest.approx(1.0)
+class TestDerivationGuards:
+    """The chart's derivation raises its own message for each way the factor
+    matrices it reads could break the chart."""
 
-    def test_negated_state(self):
-        s = StateVector(-ghz_state(GhzLabel.PSI2).amps)
-        label, phase = classify_ghz(s)
-        assert label == GhzLabel.PSI2 and phase == pytest.approx(-1.0)
+    @staticmethod
+    def patch(monkeypatch, stack: str, k: int, matrix):
+        factors = getattr(codebook, stack).copy()
+        factors[k] = matrix
+        monkeypatch.setattr(codebook, stack, factors)
 
-    def test_non_ghz_state(self):
-        amps = np.zeros(8, complex)
-        amps[0b000] = INV
-        amps[0b110] = INV
-        assert classify_ghz(StateVector(amps)) is None
+    def test_result_outside_the_ghz_basis(self, monkeypatch):
+        self.patch(monkeypatch, "FIRST_FACTORS", 3, INV * np.array([[1, 1], [1, -1]]))
+        with pytest.raises(AssertionError,
+                           match="codebook closure violated: U3 on psi0 left the GHZ basis"):
+            verify_transform_table()
 
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            classify_ghz(StateVector([1, 0]))
+    def test_complex_phase(self, monkeypatch):
+        self.patch(monkeypatch, "SECOND_FACTORS", 5, 1j * SX.matrix)
+        with pytest.raises(AssertionError, match=r"unexpected complex phase -?1j for psi0, U5"):
+            verify_transform_table()
 
-    @given(st.sampled_from(list(GhzLabel)), st.floats(0, 6.28))
-    @settings(max_examples=30, deadline=None)
-    def test_unit_phase(self, label, theta):
-        s = StateVector(np.exp(1j * theta) * ghz_state(label).amps)
-        got, phase = classify_ghz(s)
-        assert got == label
-        assert abs(abs(phase) - 1.0) < 1e-9
+    def test_repeated_label_in_a_row(self, monkeypatch):
+        # U1 = (I, SZ) becomes U0 = (SZ, SZ)
+        self.patch(monkeypatch, "FIRST_FACTORS", 1, SZ.matrix)
+        with pytest.raises(AssertionError, match="transform rows are not permutations"):
+            verify_transform_table()
 
 
 def test_verify_transform_table_report():
@@ -222,7 +221,10 @@ def test_verify_transform_table_report():
 
 
 def test_closure_under_all_ops():
-    for p in GhzLabel:
-        for k in CompositeOp:
-            out = apply_composite(ghz_state(p), k, 0, 1)
-            assert classify_ghz(out) is not None
+    # every op on every GHZ state, encoded in one call, is plus or minus a
+    # GHZ state
+    p, k = np.divmod(np.arange(64), 8)
+    out = _encode(ghz_rows()[p], k)
+    for row in out:
+        assert min(min(np.abs(row - g).max(), np.abs(row + g).max())
+                   for g in ghz_rows()) < 1e-12

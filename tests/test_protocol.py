@@ -145,11 +145,10 @@ class TestPrepare:
         assert s.triples.shape == (1, 2)
         block = s.states.amps(s.triples.reshape(-1))
         assert block.shape == (2, 8)
-        # both triples of the group carry the same prepared label
-        from bqsdc.codebook import classify_ghz
-        odd = classify_ghz(row_state(block, 0))
-        even = classify_ghz(row_state(block, 1))
-        assert odd[0] == even[0] == s.transcript.groups[0].prepared_label
+        # both triples of the group carry the same prepared label: a GHZ
+        # state's id is its label
+        assert np.array_equal(block, ghz_rows()[s.triples[0]])
+        assert s.triples.tolist() == [[s.transcript.groups[0].prepared_label] * 2]
 
     def test_sample_insertion_and_alignment(self):
         cfg = SessionConfig(n_groups=4, seed=9, decoys=2)

@@ -52,6 +52,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([0.5, 0.5, 0.5])  # not a power-of-two length
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]])
+    def test_same_message_as_tensor_rows(self, bad):
+        # one validator: a state and a tensored row fail with one message
+        with pytest.raises(ValueError) as state:
+            StateVector(bad)
+        with pytest.raises(ValueError) as row:
+            tensor_rows(np.array([bad], dtype=complex), make_basis_state("0").amps)
+        assert str(state.value) == str(row.value)
+
     def test_amps_are_frozen(self):
         s = make_basis_state("0")
         with pytest.raises(ValueError):
