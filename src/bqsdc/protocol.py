@@ -23,13 +23,17 @@ choice maps (id, choice) to an id, a measurement (id, basis) and the swap
 dense kernels run once per distinct state, not per unit. Bob's rebuilt
 triple is never sent, so his op needs no kernel: the triple is the GHZ
 state of its transform-chart label, whose id is the label, and the swap's
-memo is 8 wide. The two charts are the GHZ states' tables: a session
-starts its op memo from the transform chart and its swap from the tables
-the swap chart is read off (swap.ghz_swap_tables), so it builds no op on
-a GHZ state and joins no pair of them. A register's roles are its qubits:
-a triple's particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is
-qubit 0, and an attack appends what it leaves behind. Only the swap joins
-two triples, so no state is wider than 7 qubits.
+memo is 8 wide. Every memo starts from the tables of the states each
+StateTable starts with: the op memo from the transform chart, the swap
+from the tables the swap chart is read off (swap.ghz_swap_tables), and
+each measurement from seed tables derived once per process on its first
+use (_seed_tables): every measurement of a GHZ state, and the decoys' in
+Eve's table of qubit 0, which the decoy check reads. So a clean session
+runs no dense kernel; what a session builds is the tables of the states
+an attack creates. A register's roles are its qubits: a triple's
+particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0,
+and an attack appends what it leaves behind. Only the swap joins two
+triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
@@ -118,7 +122,8 @@ class CheckRecord:
     aborted: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"step": self.step, "samples": self.samples, "errors": self.errors,
+                "error_rate": self.error_rate, "aborted": self.aborted}
 
 
 @dataclass(frozen=True)
@@ -181,11 +186,10 @@ class SessionTranscript:
 
     def alice_message_bits(self) -> str | None:
         """Bob's secrets as decoded by Alice, concatenated; None on abort."""
-        return None if self.aborted else "".join(
-            [_BITS[k] for k in self.columns[_BY_ALICE].tolist()])
+        return None if self.aborted else _BIT_TEXT[self.columns[_BY_ALICE]].tobytes().decode()
 
     def bob_message_bits(self) -> str | None:
-        return None if self.aborted else "".join([_BITS[k] for k in self.columns[_BY_BOB].tolist()])
+        return None if self.aborted else _BIT_TEXT[self.columns[_BY_BOB]].tobytes().decode()
 
     def to_json(self, fh=None) -> str | None:
         """The transcript as json.dumps(..., indent=2) would write it, plus a
@@ -343,6 +347,7 @@ _SWAP_CHUNK = 64
 _CHOICES = 8
 
 _BITS = tuple(f"{k:03b}" for k in range(8))  # the message of op k
+_BIT_TEXT = np.frombuffer("".join(_BITS).encode(), dtype=np.uint8).reshape(len(_BITS), 3)
 _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
 # The check bases, drawn Z for 0 and X for 1, are Eve's, so a decoy check
 # reads her table of qubit 0; each decoy token's basis in that order, and
@@ -414,6 +419,7 @@ class StateTable:
         out = memo[ids, other]
         if out.min() < 0:
             codes = list(dict.fromkeys((ids * width + other)[out < 0].tolist()))
+            del out  # off the heap while the misses are built
             src, picked = np.divmod(np.array(codes, dtype=np.intp), width)
             memo[src, picked] = build(self, src, picked)
             out = memo[ids, other]
@@ -446,37 +452,67 @@ def _ghz_certain() -> np.ndarray:
     return fixed
 
 
+# The swap's memo of the 64 pairs of GHZ states: entry 8 g1 + g2 is (g1, g2).
+_GHZ_PAIRS = np.arange(len(GhzLabel) ** 2, dtype=np.int32).reshape(len(GhzLabel), -1)
+_GHZ_PAIRS.setflags(write=False)
+
+
+def _measuring(bases, rounds):
+    """The tables(states, ids, k) of a measurement in bases[k] (Branches)."""
+    return lambda states, ids, which: qcore.branch_rows(states.amps(ids), bases, rounds,
+                                                        which=which)
+
+
+@lru_cache(maxsize=None)
+def _seed_tables(bases: tuple[MeasBasis, ...], rounds: tuple[tuple[int, ...], ...]):
+    """The seed of Branches.measuring(bases, rounds): (thresholds, fixed,
+    memo), read-only, of the GHZ states measured in every basis, and of the
+    decoys too where the measurement is of qubit 0 alone, a decoy's only
+    qubit. Built as a session builds its misses (StateTable.lookup over a
+    fresh table, Branches._append), so each entry is bit for bit the one a
+    session would build, the kernels treating each row alone."""
+    seed, states = Branches(len(bases), _measuring(bases, rounds), None), StateTable()
+    # the GHZ states, then the decoys, one width per lookup (StateTable.amps)
+    spans = [(0, len(GhzLabel)), (len(GhzLabel), len(states.rows))]
+    for start, stop in spans[:2 if rounds == ((0,),) else 1]:
+        ids, k = np.divmod(np.arange(start * seed.width, stop * seed.width), seed.width)
+        states.lookup(seed, ids, k, seed.width, seed._append)
+    memo = states.memos[seed][:len(states.rows)]
+    for table in (*seed.thresholds, seed.fixed, memo):
+        table.setflags(write=False)
+    return tuple(seed.thresholds), seed.fixed, memo
+
+
 class Branches:
     """The Born tables of one measurement as branch_thresholds, an entry per
     distinct pair (id, k), k below width, that its memo (StateTable.lookup,
     kind the Branches itself) maps to the entry. tables(states, ids, k) are
-    the pairs' branch_rows tables, built _SWAP_CHUNK pairs at a time."""
+    the pairs' branch_rows tables, built _SWAP_CHUNK pairs at a time. The
+    first lookup starts the tables and the memo from seed(), the read-only
+    entries of states that every StateTable starts with, derived once per
+    process by the same tables function."""
 
-    def __init__(self, width: int, tables):
-        self.width, self.tables = width, tables
+    def __init__(self, width: int, tables, seed):
+        self.width, self.tables, self.seed = width, tables, seed
         self.thresholds: Sequence[np.ndarray] = []  # per round, (entries, d**k, d)
         self.fixed = np.empty((0, 0), dtype=np.intp)  # per entry, _certain
 
     @classmethod
     def measuring(cls, bases, rounds) -> Branches:
-        """The tables of each state measured in bases[k] (branch_rows)."""
-        return cls(len(bases), lambda states, ids, which: qcore.branch_rows(
-            states.amps(ids), bases, rounds, which=which))
+        """The tables of each state measured in bases[k] (branch_rows),
+        seeded by _seed_tables."""
+        return cls(len(bases), _measuring(bases, rounds), lambda: _seed_tables(bases, rounds))
 
     @classmethod
-    def swapping(cls, states: StateTable) -> Branches:
+    def swapping(cls) -> Branches:
         """The swap's tables of each pair (odd id, even id), the even triple
         a GHZ state, so its id is its label (Session.bob_encode): the
-        swap.bell_tables of the pair. Its entries start as the 64 pairs of
-        GHZ states, entry 8 g1 + g2 the pair (g1, g2) in the memo of states
-        (swap.ghz_swap_tables, built by the same function): the entries a
-        session would build for them, bit for bit, as the kernels treat
-        each row alone."""
-        swap = cls(len(GhzLabel), lambda states, odd, even: bell_tables(
-            states.amps(odd), states.amps(even)))
-        swap.thresholds, swap.fixed = ghz_swap_tables(), _ghz_certain()
-        states.memos[swap] = np.arange(len(swap.fixed), dtype=np.int32).reshape(-1, swap.width)
-        return swap
+        swap.bell_tables of the pair. It is seeded with the 64 pairs of GHZ
+        states, entry 8 g1 + g2 the pair (g1, g2) (swap.ghz_swap_tables,
+        built by the same function)."""
+        return cls(len(GhzLabel), lambda states, odd, even: bell_tables(
+            states.amps(odd), states.amps(even)),
+            lambda: (ghz_swap_tables(), _ghz_certain(), _GHZ_PAIRS))
 
     def _append(self, states: StateTable, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
         """The entries of new pairs, their tables appended."""
@@ -490,6 +526,9 @@ class Branches:
 
     def lookup(self, states: StateTable, ids: np.ndarray, other) -> np.ndarray:
         """The entry of every pair (ids[i], other[i]), or (ids[i], other)."""
+        if self not in states.memos:
+            self.thresholds, self.fixed, memo = self.seed()
+            states.memos[self] = memo.copy()
         return states.lookup(self, ids, other, self.width, self._append)
 
     def sample(self, states: StateTable, ids: np.ndarray, other, lanes) -> list[np.ndarray]:
@@ -533,11 +572,12 @@ class Session:
         # (the ops hold 0 and +-1 only), whose id is that label
         self.states.memos["op"] = transform_chart().astype(np.int32)
         # Born tables: Eve's measurement of each qubit (eve[0] the decoy check's
-        # too), the sample check, Bob's identification
+        # too), the sample check, Bob's identification, each seeded on its
+        # first lookup
         self.eve = [Branches.measuring(EVE_BASES, ((role,),)) for role in range(3)]
         self.samples = Branches.measuring(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
-        self.swap = Branches.swapping(self.states)
+        self.swap = Branches.swapping()
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
 
     def _key(self, place: int, start: int, stop: int) -> StreamBlock:
@@ -658,6 +698,9 @@ class Session:
         """Step 7: Bell-measure the three cross pairs of each group and
         announce the outcome collection over the (ideal) classical channel."""
         states, swap, (odd, even) = self.states, self.swap, self.triples.T
+        # one lookup over the session builds its new pairs _SWAP_CHUNK at a
+        # time across blocks; the blocks then only read the memo
+        swap.lookup(states, odd, even)
         for start, stop in _spans(len(odd)):
             a, b, c = swap.sample(states, odd[start:stop], even[start:stop],
                                   lambda: self._key(_SWAP, start, stop))

@@ -804,6 +804,13 @@ def measured(s):
     return [*s.eve, s.samples, s.identify]
 
 
+def derive_charts_and_seeds():
+    """Derive the cached charts and every measurement's seed table."""
+    run_session(quiet_cfg(1), "000", "000")
+    for table in measured(Session(quiet_cfg(1), "000", "000")):
+        table.seed()
+
+
 class TestBobLabels:
     """Bob's rebuilt triple is never sent, so after bob_encode each even id
     is the transform-chart label of the label Bob found and his op: the
@@ -830,9 +837,10 @@ class TestBobLabels:
 
 
 def assert_seeded_entries_are_built(states, swap):
-    """The entries a session starts with (Session.__init__) are the ones its
-    kernels would build: op k on GHZ state p, interned in a fresh table,
-    and the swap's tables of each pair of GHZ states, joined by merge."""
+    """The entries a session starts with (Session.__init__ and the swap's
+    seed) are the ones its kernels would build: op k on GHZ state p,
+    interned in a fresh table, and the swap's tables of each pair of GHZ
+    states, joined by merge."""
     fresh = StateTable()
     p, k = np.divmod(np.arange(len(GhzLabel) ** 2), len(GhzLabel))
     assert np.array_equal(states.memos["op"][:len(GhzLabel)].reshape(-1),
@@ -857,6 +865,7 @@ class TestSwapTable:
 
     @pytest.mark.parametrize("attack", BOUNDARY_ATTACKS, ids=BOUNDARY_IDS)
     def test_each_pair_built_once_and_table_bounded(self, monkeypatch, attack, n=20 * _BLOCK):
+        swap_chart()  # derive the swap's seed uncounted
         msg_rng = Rng(n, stream=2)
         s = Session(quiet_cfg(n, seed=11, attack=attack),
                     random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
@@ -887,7 +896,7 @@ class TestSwapTable:
         # joint state, whose cross pairs are (r, w + r)
         # wide pairs are built after the 64 of GHZ states, entry 8 g1 + g2
         states = StateTable()
-        table = Branches.swapping(states)
+        table = Branches.swapping()
         even = np.array([GhzLabel.PSI1, GhzLabel.PSI2])  # GHZ label k is state k
         narrow = np.array([GhzLabel.PSI0, GhzLabel.PSI5])
         wide = states.intern(apply_attack(ghz_block(GhzLabel.PSI0, GhzLabel.PSI5), 2,
@@ -911,21 +920,49 @@ class TestSwapTable:
                                      strict=True):
                     assert np.array_equal(got[entry], want[0])
 
+    def test_new_pairs_fill_chunks_across_blocks(self, monkeypatch):
+        # uniform intercept-resend on S_C spreads new pairs over the three
+        # blocks of 2B + 3 groups: the swap joins them all _SWAP_CHUNK at a
+        # time, before its first block, not a block's at a time
+        n = 2 * _BLOCK + 3
+        swap_chart()  # derive the swap's seed uncounted
+        s = Session(quiet_cfg(n, seed=11, attack=AttackConfig("intercept_resend", target="S_C")),
+                    "011" * n, "101" * n)
+        for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode):
+            step()
+        new = set(zip(*s.triples.T.tolist())) - GHZ_PAIRS
+        joined = []
+        real_merge = particles.merge
+
+        def counting_merge(a, b):
+            joined.append(len(a))
+            return real_merge(a, b)
+
+        monkeypatch.setattr(particles, "merge", counting_merge)
+        s.swap_and_announce()
+        full, last = divmod(len(new), protocol._SWAP_CHUNK)
+        assert full >= 2
+        assert joined == [protocol._SWAP_CHUNK] * full + ([last] if last else [])
+
 
 class TestInterning:
-    """A session starts its op memo and its swap from the charts, runs each
-    other distinct transition of its states, each entry of its measurement
-    tables and each other swap pair through the dense kernels once, and its
-    tables stay within a bound per strategy as N grows."""
+    """A session starts its op memo and its swap from the charts and each
+    measurement table from its seed, runs each other distinct transition
+    of its states, each other entry of its measurement tables and each
+    other swap pair through the dense kernels once, and its tables stay
+    within a bound per strategy as N grows."""
 
-    # (states, entries of the check, identification and Eve tables, swap
-    # pairs built) under uniform attack parameters, each the maximum
-    # measured at 10**3 and 10**4 groups over the targets: 12, 28 and 0
-    # without an attack, 60, 100 and 256 under intercept-resend, 28, 68 and
-    # 128 under measure-resend and 24, 32 and 64 under the entangling
-    # attack. The 64 pairs of GHZ states come from the charts and are not
-    # built. States are interned up to sign, and Bob's triple is its chart
-    # label.
+    # (states, entries of the check, identification and Eve tables built,
+    # swap pairs built) under uniform attack parameters, each the maximum
+    # measured at 10**3 and 10**4 groups over the targets before the
+    # measurement tables were seeded, when a session built every entry it
+    # reached: 12, 28 and 0 without an attack, 60, 100 and 256 under
+    # intercept-resend, 28, 68 and 128 under measure-resend and 24, 32 and
+    # 64 under the entangling attack. The 64 pairs of GHZ states come from
+    # the charts and the measurements of the 12 seed states from their
+    # seeds (at most 80 entries over the five tables), derived once per
+    # process, and none of them is built. States are interned up to sign,
+    # and Bob's triple is its chart label.
     BOUNDS = {"none": (12, 28, 0), "intercept_resend": (60, 100, 256),
               "measure_resend": (28, 68, 128), "entangle_measure": (24, 32, 64)}
     # The memos (StateTable.memos) are int32 arrays of (id, second index),
@@ -953,7 +990,7 @@ class TestInterning:
                 return out
             return wrapper
 
-        run_session(quiet_cfg(1), "000", "000")  # derive the cached charts uncounted
+        derive_charts_and_seeds()  # uncounted
         # the kernels of the misses, at the names the session looks up
         monkeypatch.setattr(protocol, "apply_op", counting("moves", protocol.apply_op))
         monkeypatch.setattr(protocol, "apply_attack", counting("moves", protocol.apply_attack))
@@ -969,10 +1006,15 @@ class TestInterning:
         assert not t.aborted and t.groups[-1].decoded_by_bob is not None
         known = {kind: int((memo >= 0).sum()) for kind, memo in states.memos.items()}
         # the entries the session started with: op k on each GHZ state, and
-        # the swap of each pair of GHZ states
-        seeded = {"op": len(GHZ_PAIRS), swap: len(GHZ_PAIRS)}
-        entries = sum(len(table.fixed) for table in measurements)
-        assert entries == sum(known.get(table, 0) for table in measurements)
+        # the seed of each table it looked up, the swap's the 64 pairs of
+        # GHZ states
+        seeded = {"op": len(GHZ_PAIRS), **{table: len(table.seed()[1])
+                                           for table in [*measurements, swap]
+                                           if table in states.memos}}
+        assert seeded[swap] == len(GHZ_PAIRS)
+        entries = sum(len(table.fixed) - seeded.get(table, 0) for table in measurements)
+        assert entries + sum(seeded.get(table, 0) for table in measurements) == \
+            sum(known.get(table, 0) for table in measurements)
         keys = [protocol._keys(row[None])[0] for row in states.rows]
         assert len(set(keys)) == len(states.rows)
         assert built["moves"] == sum(n - seeded.get(kind, 0) for kind, n in known.items()
@@ -1008,7 +1050,7 @@ class TestInterning:
         assert out.tolist() == [0, 1, 1] and not keyed
         (out,) = table.sample(states, np.array([9, 10, 8]), 0, lanes)
         assert keyed and out[[0, 2]].tolist() == [1, 0]
-        assert table.fixed[:, 0].tolist() == [0, 1, -1]
+        assert table.fixed[table.lookup(states, np.array([8, 9, 10]), 0), 0].tolist() == [0, 1, -1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1109,7 +1151,7 @@ class TestSeededEntries:
         # the swap's kernel path, over all 64 pairs at once and one at a
         # time, against one Born expansion of the 64 joint states
         states = StateTable()
-        swap = Branches.swapping(states)
+        swap = Branches.swapping()
         g1, g2 = np.divmod(np.arange(64), 8)
         expanded = qcore.branch_rows(qcore.tensor_rows(ghz_rows()[g1], ghz_rows()[g2]),
                                      MeasBasis.BELL, [(r, 3 + r) for r in range(3)])
@@ -1121,7 +1163,61 @@ class TestSeededEntries:
             for got, want in zip(built, ghz_swap_tables(), strict=True):
                 assert np.array_equal(got, want[rows])
             assert np.array_equal(protocol._certain(built), protocol._ghz_certain()[rows])
-        assert len(swap.fixed) == 64 and swap.lookup(states, g1, g2).tolist() == list(range(64))
+        assert swap.lookup(states, g1, g2).tolist() == list(range(64)) and len(swap.fixed) == 64
+
+
+class TestSeedTables:
+    """Each measurement table starts, on its first lookup, from the seed of
+    its kind (protocol._seed_tables): the entries a session would build for
+    the states every StateTable starts with, derived once per process."""
+
+    @pytest.mark.parametrize("decoys", [0, 16])
+    @pytest.mark.parametrize("n", [1, 600, 1100])
+    def test_clean_session_runs_no_dense_kernel(self, monkeypatch, n, decoys):
+        derive_charts_and_seeds()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean session ran a dense kernel")
+
+        for name in ("branch_rows", "apply_unitary_rows", "tensor_rows", "collapse_rows"):
+            monkeypatch.setattr(qcore, name, refuse)
+        t = run_session(quiet_cfg(n, seed=n, decoys=decoys), "011" * n, "101" * n)
+        assert not t.aborted and t.bob_message_bits() == "011" * n
+
+    def test_each_seed_is_a_fresh_append_of_its_pairs(self):
+        # each seeded pair (id, k), appended alone to a fresh table by the
+        # session's own tables function, gives its seed entry bit for bit;
+        # the GHZ states are seeded in every basis, the decoys only where
+        # the measurement is of qubit 0 alone; every seed array is read-only
+        s = Session(quiet_cfg(1), "000", "000")
+        for table in measured(s):
+            thresholds, fixed, memo = table.seed()
+            ids, k = np.nonzero(memo >= 0)
+            decoys = table is s.eve[0]
+            assert len(memo) == 12 and (memo[:8] >= 0).all()
+            assert (memo[8:] >= 0).all() if decoys else (memo[8:] < 0).all()
+            assert sorted(memo[ids, k].tolist()) == list(range(len(fixed)))
+            for i, k_i in zip(ids.tolist(), k.tolist()):
+                fresh = Branches(table.width, table.tables, None)
+                (entry,) = fresh._append(StateTable(), np.array([i]), np.array([k_i]))
+                for got, want in zip(thresholds, fresh.thresholds, strict=True):
+                    assert np.array_equal(got[memo[i, k_i]], want[entry])
+                assert np.array_equal(fixed[memo[i, k_i]], fresh.fixed[entry])
+        for table in [*measured(s), s.swap]:
+            assert not any(a.flags.writeable for a in (*table.seed()[0], *table.seed()[1:]))
+
+    def test_clean_session_without_decoys_derives_only_bobs_seed(self, monkeypatch):
+        derived = []
+        real_seed = protocol._seed_tables
+
+        def recording(bases, rounds):
+            derived.append((bases, rounds))
+            return real_seed(bases, rounds)
+
+        monkeypatch.setattr(protocol, "_seed_tables", recording)
+        t = run_session(quiet_cfg(1000, seed=3), "011" * 1000, "101" * 1000)
+        assert not t.aborted
+        assert derived == [((MeasBasis.GHZ,), ((0, 1, 2),))]
 
 
 class TestStepMemory:
