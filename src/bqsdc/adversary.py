@@ -48,6 +48,9 @@ EVE_BASES = tuple(MeasBasis(token) for token in _BASIS_TOKENS)
 # qubit, and the genuine particle moves to the fake's, the last.
 _SWAP = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
 _SWAP.setflags(write=False)
+# |0>, the state Eve prepares each ancilla in.
+_ZERO = np.array([1, 0], dtype=np.complex128)
+_ZERO.setflags(write=False)
 
 # Trials drawn together by estimate_detection: enough to amortise numpy's
 # per-call cost, few enough that the buffers stay a few KB.
@@ -160,8 +163,7 @@ def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.
         return qcore.collapse_rows(amps, EVE_BASES, [(role,)], [outcome], which=basis)
     if cfg.strategy == "entangle_measure":
         # couple a fresh ancilla to the particle in flight
-        return append_ancilla(amps, qcore.make_basis_state("0").amps,
-                              coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
+        return append_ancilla(amps, _ZERO, coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
     return amps
 
 
@@ -221,8 +223,7 @@ def _copy_unitary(basis: MeasBasis) -> np.ndarray:
     on (target, ancilla), as a shared read-only matrix: the sum over the
     basis vectors v_j of |v_j><v_j| (x) X**j maps |v_j, 0> to |v_j, j>."""
     (_, v0), (_, v1) = qcore.basis_outcomes(basis)
-    u = np.kron(np.outer(v0, v0.conj()), qcore.I.matrix) + \
-        np.kron(np.outer(v1, v1.conj()), qcore.SX.matrix)
+    u = np.kron(np.outer(v0, v0.conj()), qcore.I) + np.kron(np.outer(v1, v1.conj()), qcore.SX)
     u.setflags(write=False)
     return u
 
@@ -277,7 +278,7 @@ class _TrialSampler:
         elif cfg.strategy != "none":
             coupling = (np.stack([_copy_unitary(MeasBasis(b)) for b in self.eve_values])[choice]
                         if cfg.strategy == "measure_resend" else eavesdrop_unitary(cfg.beta_squared))
-            states = append_ancilla(states, qcore.make_basis_state("0").amps, (role, coupling))
+            states = append_ancilla(states, _ZERO, (role, coupling))
         which = np.array([EVE_BASES.index(basis) for basis in bases])[lead]
         # a path's weight is its rounds' entries multiplied left to right, as
         # joint_distribution multiplies them

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Hashable
 
 from . import qcore
-from .codebook import ghz_state
+from .codebook import ghz_rows
 from .labels import GhzLabel
 from .qcore import MeasBasis, StateVector
 
@@ -54,7 +54,7 @@ def consistent_ghz_outcomes(label: GhzLabel, basis: MeasBasis) -> frozenset[tupl
     all three particles of a pristine GHZ sample are measured in one basis."""
     if basis not in (MeasBasis.Z, MeasBasis.X):
         raise ValueError("sample check uses the Z or X basis")
-    joint = qcore.joint_distribution(ghz_state(label), basis, [(0,), (1,), (2,)])
+    joint = qcore.joint_distribution(ghz_rows()[label], basis, [(0,), (1,), (2,)])
     return frozenset(joint)
 
 

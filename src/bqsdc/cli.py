@@ -72,13 +72,13 @@ class _File(io.FileIO):
 
 @contextmanager
 def _open_outputs(*paths: str | None):
-    """One open file per output path, None where a path is unset. Every path
-    is opened, without truncation, before any file is truncated and before
-    the work it records: an unwritable path, or two paths naming one file,
-    fails at once and leaves the other outputs as they were. An interrupt
-    removes the files this call created; one that existed is left as
-    written so far."""
-    named = [p for p in paths if p]
+    """One open file per output path, None where a path is None (unset).
+    Every path, "" too, is opened, without truncation, before any file is
+    truncated and before the work it records: an unwritable path, or two
+    paths naming one file, fails at once and leaves the other outputs as
+    they were. An interrupt removes the files this call created; one that
+    existed is left as written so far."""
+    named = [p for p in paths if p is not None]
     made = []  # the paths this call created
     try:
         for i, path in enumerate(named):
@@ -98,7 +98,7 @@ def _open_outputs(*paths: str | None):
         raise
     try:
         with ExitStack() as stack:
-            yield [stack.enter_context(_File(p, "w").text()) if p else None for p in paths]
+            yield [None if p is None else stack.enter_context(_File(p, "w").text()) for p in paths]
     except KeyboardInterrupt:
         for p in made:
             os.remove(p)
@@ -108,10 +108,10 @@ def _open_outputs(*paths: str | None):
 def _csv_path(args, default: str) -> str | None:
     """Where --emit csv writes its table; --csv-out alone is a usage error."""
     if args.emit != "csv":
-        if args.csv_out:
+        if args.csv_out is not None:
             raise UsageError("--csv-out needs --emit csv")
         return None
-    return args.csv_out or default
+    return default if args.csv_out is None else args.csv_out
 
 
 def _write_json(fh, payload: dict) -> None:
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
             for e in swap_rep["entries"]:
                 writer.writerow([e["g1"], e["g2"], e["collection"],
                                  ";".join(e["support"]), f"{e['max_prob_deviation']:.3e}"])
-    if csv_path:
+    if csv_path is not None:
         print(f"wrote {csv_path}")
     failed = (transform["mismatches"] or swap_rep["mismatches"]
               or swap_rep["reference_set_matches"] != 8)
@@ -221,7 +221,7 @@ def cmd_run(args) -> int:
         else:
             print(f"alice decoded: {transcript.alice_message_bits()}")
             print(f"bob decoded:   {transcript.bob_message_bits()}")
-        transcript.to_json(out or sys.stdout)
+        transcript.to_json(sys.stdout if out is None else out)
     return 0
 
 
@@ -286,7 +286,7 @@ def cmd_analyze(args) -> int:
             for r in rows:
                 writer.writerow([r.protocol, r.bits_per_round, r.leaked_bits,
                                  "" if r.efficiency is None else f"{r.efficiency:.4f}", r.note])
-    if csv_path:
+    if csv_path is not None:
         print(f"wrote {csv_path}")
     return 0
 

@@ -1,5 +1,5 @@
-"""Discrete algebra of the protocol: GHZ and Bell state constructors, the
-eight composite encoding operations, the three-bit message code, and the
+"""Discrete algebra of the protocol: the GHZ states as rows, the eight
+composite encoding operations, the three-bit message code, and the
 GHZ transformation chart.
 
 The transformation chart is never hand-typed. It is derived once from the
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qcore
 from .labels import GhzLabel, ghz_amplitudes
-from .qcore import ISY, SX, SZ, I, SingleQubitOp, StateVector
+from .qcore import ISY, SX, SZ, I
 
 MessageTriple = tuple[int, int, int]
 
@@ -39,11 +39,11 @@ class CompositeOp(IntEnum):
     U7 = 7
 
     @property
-    def first(self) -> SingleQubitOp:
+    def first(self) -> np.ndarray:
         return _OP_FACTORS[self][0]
 
     @property
-    def second(self) -> SingleQubitOp:
+    def second(self) -> np.ndarray:
         return _OP_FACTORS[self][1]
 
     @property
@@ -68,24 +68,19 @@ _OP_FACTORS = {
 }
 # The first and the second factor of every op, stacked in op order: the
 # matrices the chart is derived with and a session encodes with.
-FIRST_FACTORS = np.stack([first.matrix for first, _ in _OP_FACTORS.values()])
-SECOND_FACTORS = np.stack([second.matrix for _, second in _OP_FACTORS.values()])
+FIRST_FACTORS = np.stack([first for first, _ in _OP_FACTORS.values()])
+SECOND_FACTORS = np.stack([second for _, second in _OP_FACTORS.values()])
 FIRST_FACTORS.setflags(write=False)
 SECOND_FACTORS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
-def ghz_state(label: GhzLabel) -> StateVector:
-    """The three-qubit GHZ basis state for a label, exact amplitudes
-    (shared: the result is immutable)."""
-    return StateVector(ghz_amplitudes(label))
-
-
-@lru_cache(maxsize=None)
 def ghz_rows() -> np.ndarray:
     """The eight GHZ states as the read-only rows of one array, row k the
-    amplitudes of ghz_state(GhzLabel(k))."""
-    rows = np.stack([ghz_state(label).amps for label in GhzLabel])
+    exact amplitudes of GhzLabel(k), each checked as a state entering the
+    engine (qcore._check_rows)."""
+    rows = np.stack([ghz_amplitudes(label) for label in GhzLabel])
+    qcore._check_rows(rows)
     rows.setflags(write=False)
     return rows
 

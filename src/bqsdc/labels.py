@@ -34,9 +34,9 @@ class GhzLabel(IntEnum):
     @classmethod
     def from_token(cls, text: str) -> "GhzLabel":
         t = text.strip().lower()
-        if not t.startswith("psi") or not t[3:].isdigit():
+        if len(t) != 4 or t[:3] != "psi" or t[3] not in "01234567":
             raise ValueError(f"not a GHZ label: {text!r}")
-        return cls(int(t[3:]))
+        return cls(int(t[3]))
 
 
 class BellLabel(IntEnum):

@@ -1,20 +1,16 @@
 """Dense state-vector engine for few-qubit protocol simulation.
 
-A state is an immutable vector of complex amplitudes indexed by bitstring,
-qubit 0 the most significant, so kets transcribe left to right. Operations
-are pure functions; randomness enters only through an explicit Rng.
-
-StateVector(...) copies a state where it enters the engine and checks its
-length, finiteness and norm. Unitaries and normalized projections keep the
-norm by construction, so their results skip that copy and stand on two
-cheap guards, which fail on NaN too: apply_unitary checks the norm of its
-result, and a measurement checks that each round's probabilities total 1.
-
-Every kernel works on rows: the *_rows functions run one numpy pass over
-the states of many registers of one layout, stacked as the rows of one
-(rows, 2**n) array, with every check and guard applied to each row; the
-one-state functions are their one-row case. Grouping k qubits is a gather
-plan computed once per (n, qubits), and every basis vector is real, so a
+A state is a row of complex amplitudes indexed by bitstring, qubit 0 the
+most significant, so kets transcribe left to right, and an operation is a
+read-only matrix. Every kernel is a pure function on the states of many
+registers of one layout, stacked as the rows of one (rows, 2**n) array,
+with every check and guard applied to each row; randomness enters only
+through explicit draws. _check_rows checks rows entering the engine.
+Unitaries and normalized projections keep the norm by construction, so
+their results stand on two cheap guards, which fail on NaN too:
+apply_unitary_rows checks the norm of its result, and a measurement checks
+that each round's probabilities total 1. Grouping k qubits is a gather plan
+computed once per (n, qubits), and every basis vector is real, so a
 measurement projects onto all of them in one real matmul.
 
 branch_rows is the one Born expansion: it gathers several rounds of
@@ -24,7 +20,8 @@ probability of every outcome on every path. Every Born table reads it.
 sample_branches is the one sampler: it walks those tables in their
 branch_thresholds form, one draw per row and round. collapse_rows is the
 one collapse, the same pass along given outcomes, expanded once at the
-end. measure_rows is the three in turn.
+end. measure_rows is the three in turn. StateVector and the functions on
+one (tensor, apply_single, apply_unitary, measure) are their one-row case.
 """
 
 from __future__ import annotations
@@ -180,20 +177,12 @@ class StateVector:
         return self.amps.size.bit_length() - 1
 
 
-def _unchecked_state(amps: np.ndarray) -> StateVector:
-    """A StateVector around a read-only complex128 vector, without the copy
-    and checks of StateVector(...): only for the rows of rows_as_states."""
-    s = object.__new__(StateVector)
-    object.__setattr__(s, "amps", amps)
-    return s
-
-
 _NORM2_LO, _NORM2_HI = (1.0 - ATOL) ** 2, (1.0 + ATOL) ** 2
 
 
 def _require_unit_norms(norm2: np.ndarray, what: str) -> None:
-    """Raise unless every norm sqrt(norm2[i]) lies within ATOL of 1, as
-    StateVector requires; NaN fails the comparisons and raises too."""
+    """Raise unless every norm sqrt(norm2[i]) lies within ATOL of 1; NaN
+    fails the comparisons and raises too."""
     if not (_NORM2_LO <= norm2.min() and norm2.max() <= _NORM2_HI):
         err = np.abs(np.sqrt(norm2) - 1.0)
         row = int(np.flatnonzero(~(err <= ATOL))[0])
@@ -214,24 +203,13 @@ def _check_rows(amps: np.ndarray) -> None:
     _require_unit_norms(norm2, "state")
 
 
-@dataclass(frozen=True, eq=False)
-class SingleQubitOp:
-    """Named 2x2 unitary acting on a single particle."""
-
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-I = SingleQubitOp("I", [[1, 0], [0, 1]])
-SZ = SingleQubitOp("SZ", [[1, 0], [0, -1]])
-SX = SingleQubitOp("SX", [[0, 1], [1, 0]])
-# i*sigma_y maps |0> to -|1> and |1> to |0>; real-valued like the other three.
-ISY = SingleQubitOp("ISY", [[0, 1], [-1, 0]])
+# The single-particle operations, read-only 2x2 matrices: views of one
+# read-only array. i*sigma_y maps |0> to -|1> and |1> to |0>; real-valued
+# like the other three.
+_SINGLE = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+                   dtype=np.complex128)
+_SINGLE.setflags(write=False)
+I, SZ, SX, ISY = _SINGLE
 
 
 class MeasBasis(Enum):
@@ -265,16 +243,6 @@ def basis_outcomes(basis: MeasBasis) -> tuple[tuple[Hashable, np.ndarray], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def make_basis_state(bits: str) -> StateVector:
-    """Computational basis state |bits> (shared: the result is immutable)."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
-    amps = np.zeros(1 << len(bits), dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(amps)
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product with a's qubits first (most significant)."""
     return StateVector((a.amps[:, None] * b.amps).reshape(-1))
@@ -282,24 +250,16 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tensor on every row: row i of the result is a[i] (x) b[i], with b
-    one row for all rows or one per row. Each row is checked as
-    StateVector(...) checks a state (_check_rows)."""
+    one row for all rows or one per row. Each row is checked as a state
+    entering the engine (_check_rows)."""
     out = (a[:, :, None] * b[..., None, :]).reshape(len(a), -1)
     _check_rows(out)
     return out
 
 
-def rows_as_states(amps: np.ndarray) -> list[StateVector]:
-    """The rows of a row kernel's result as states, without the copy and
-    checks of StateVector(...): the kernel's guards have checked each row.
-    The array becomes read-only, and each state holds a view of its row."""
-    amps.setflags(write=False)
-    return [_unchecked_state(row) for row in amps]
-
-
-def apply_single(s: StateVector, op: SingleQubitOp, q: int) -> StateVector:
+def apply_single(s: StateVector, matrix: np.ndarray, q: int) -> StateVector:
     """Apply a single-qubit unitary at qubit index q."""
-    return apply_unitary(s, op.matrix, (q,))
+    return apply_unitary(s, matrix, (q,))
 
 
 def apply_unitary(s: StateVector, matrix: np.ndarray, qubits: Sequence[int]) -> StateVector:
@@ -308,7 +268,7 @@ def apply_unitary(s: StateVector, matrix: np.ndarray, qubits: Sequence[int]) -> 
     Raises ValueError when the result is not normalized (the matrix is not
     unitary on this state) or not finite.
     """
-    return rows_as_states(apply_unitary_rows(s.amps[None], matrix, qubits))[0]
+    return StateVector(apply_unitary_rows(s.amps[None], matrix, qubits)[0])
 
 
 def apply_unitary_rows(amps: np.ndarray, matrix: np.ndarray,
@@ -390,13 +350,16 @@ def _gather_rounds(amps: np.ndarray, outcomes: int,
     """The rows of amps (rows, 2**n) with every round's qubits brought to
     the front, round by round, as float64 pairs (real, imaginary), and the
     plan that puts them back; raises ValueError when a round is not the
-    size a basis of that many outcomes measures, or two rounds share a
-    qubit (_plan)."""
+    size a basis of that many outcomes measures, two rounds share a qubit
+    (_plan), or the rows' length is not a power of two >= 2."""
+    size = amps.shape[1]
+    if size < 2 or size & (size - 1):
+        raise ValueError("amplitude vector length must be a power of two >= 2")
     for qs in rounds:
         if 1 << len(qs) != outcomes:
             raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
                              f"got {len(qs)}")
-    idx, inverse = _plan(amps.shape[1].bit_length() - 1, sum(map(tuple, rounds), ()))
+    idx, inverse = _plan(size.bit_length() - 1, sum(map(tuple, rounds), ()))
     return amps.take(idx, axis=1).view(np.float64), inverse
 
 
@@ -431,11 +394,12 @@ def _pick(thresholds: np.ndarray, r: np.ndarray) -> np.ndarray:
     return j
 
 
-def born_distribution(s: StateVector, basis: MeasBasis, qubits: Sequence[int]) -> dict:
-    """Exact outcome probabilities of a projective measurement, over every
-    basis label: the one-round table of branch_rows, which raises as there.
-    """
-    (table,) = branch_rows(s.amps[None], basis, [qubits])
+def born_distribution(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]) -> dict:
+    """Exact outcome probabilities of a projective measurement of the
+    amplitude row amps, over every basis label: the one-round table of
+    branch_rows, which raises as there."""
+    row = np.asarray(amps, dtype=np.complex128).reshape(1, -1)
+    (table,) = branch_rows(row, basis, [qubits])
     return dict(zip(basis_labels(basis), table[0, 0].tolist()))
 
 
@@ -445,28 +409,25 @@ def measure(s: StateVector, basis: MeasBasis, qubits: Sequence[int], rng: Rng):
     do not total 1.
     """
     (j,), post = measure_rows(s.amps[None], basis, [qubits], [np.array([rng.random()])])
-    return basis_labels(basis)[j[0]], rows_as_states(post)[0]
+    return basis_labels(basis)[j[0]], StateVector(post[0])
 
 
-def measure_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
-                 rounds: Sequence[Sequence[int]], draws: Sequence[np.ndarray],
-                 collapse: bool = True, which: np.ndarray | None = None):
+def measure_rows(amps: np.ndarray, basis: MeasBasis, rounds: Sequence[Sequence[int]],
+                 draws: Sequence[np.ndarray]):
     """measure on every row of amps (rows, 2**n), for each round of qubits
     in turn, row i drawing with the uniform draws[k][i] in [0, 1) in round
     k. The rounds are disjoint, and each measures as many qubits as the
-    basis does. basis is one MeasBasis for all rows or, with which, a
-    sequence of bases of one arity: row i is measured in basis[which[i]].
+    basis does.
 
     Returns (js, post): js[k][i] the index of row i's outcome in round k,
-    in its basis order (basis_labels), post the collapsed rows as a fresh
-    array, or None without collapse, for a measurement nothing reads
-    again. Raises ValueError when two rounds share a qubit, a round's size
+    in basis order (basis_labels), post the collapsed rows as a fresh
+    array. Raises ValueError when two rounds share a qubit, a round's size
     is not the basis's arity, any row's outcome probabilities in any round
     do not total 1, or the draws are not one per round.
     """
-    thresholds = branch_thresholds(branch_rows(amps, basis, rounds, which))
+    thresholds = branch_thresholds(branch_rows(amps, basis, rounds))
     js = sample_branches(thresholds, np.arange(len(amps)), draws)
-    return js, collapse_rows(amps, basis, rounds, js, which) if collapse else None
+    return js, collapse_rows(amps, basis, rounds, js)
 
 
 def collapse_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
@@ -474,7 +435,7 @@ def collapse_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
                   which: np.ndarray | None = None) -> np.ndarray:
     """The rows of amps collapsed when row i takes outcome js[k][i], of
     probability above ZERO_TOL, in round k (basis and which as in
-    measure_rows): each round projects the normalized remainder the round
+    branch_rows): each round projects the normalized remainder the round
     before it left, and the state is expanded once, at the end. Raises
     ValueError as branch_rows does, on the path taken."""
     vecs = _basis_matrices(basis)[1] if which is None else _stacked_matrices(tuple(basis))[which]
@@ -497,7 +458,8 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
                 which: np.ndarray | None = None) -> list[np.ndarray]:
     """The Born tree of measuring the rounds of qubits in turn, for every
     row of amps (rows, 2**n): every outcome of every round on every path.
-    basis and which are as in measure_rows.
+    basis is one MeasBasis for all rows or, with which, a sequence of bases
+    of one arity: row i is measured in basis[which[i]].
 
     Returns one array per round: tables[k][i, p, j] the probability of
     outcome j in round k of row i after outcomes j_0, ..., j_(k-1) before
@@ -553,14 +515,16 @@ def sample_branches(thresholds: Sequence[np.ndarray], rows: np.ndarray,
     return js
 
 
-def joint_distribution(s: StateVector, basis: MeasBasis,
+def joint_distribution(amps: np.ndarray, basis: MeasBasis,
                        groups: Iterable[Sequence[int]]) -> dict[tuple, float]:
     """Joint distribution of the same-basis measurement of several disjoint
-    qubit groups: a path's probability is the product of its rounds' entries
-    in the branch_rows tables of s, which raises as there. Keys are outcome
-    tuples in group order, lexicographic in basis order, exactly the support.
+    qubit groups of the amplitude row amps: a path's probability is the
+    product of its rounds' entries in the branch_rows tables of amps, which
+    raises as there. Keys are outcome tuples in group order, lexicographic
+    in basis order, exactly the support.
     """
-    tables = branch_rows(s.amps[None], basis, list(groups))
+    row = np.asarray(amps, dtype=np.complex128).reshape(1, -1)
+    tables = branch_rows(row, basis, list(groups))
     labels = basis_labels(basis)
     outs, weights, path = [()], np.ones(1), np.zeros(1, dtype=np.intp)
     for table in tables:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import particles, qcore
-from .codebook import CompositeOp, ghz_rows, ghz_state, transform_chart
+from .codebook import CompositeOp, ghz_rows, transform_chart
 from .labels import BellLabel, CollectionLabel, GhzLabel
 from .qcore import MeasBasis, basis_labels
 
@@ -62,8 +62,9 @@ def swap_distribution(g1: GhzLabel, g2: GhzLabel) -> dict[BellTriple, float]:
     """Exact joint Bell-outcome distribution (support only) for swapping
     between the two labelled GHZ states, expanded on its own: the second
     derivation that verify_swap_table checks the chart against."""
+    ghz = ghz_rows()
     joint = qcore.joint_distribution(
-        qcore.tensor(ghz_state(g1), ghz_state(g2)), MeasBasis.BELL, _CROSS_PAIRS)
+        qcore.tensor_rows(ghz[None, g1], ghz[g2])[0], MeasBasis.BELL, _CROSS_PAIRS)
     return {BellTriple(*outs): p for outs, p in joint.items()}
 
 

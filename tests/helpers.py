@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bqsdc import protocol
-from bqsdc.qcore import ATOL, StateVector
+from bqsdc.qcore import ATOL
 
 # The session block that the block-edge tests run at: their sizes sit on
 # both sides of its edges, as they would of the production block's.
@@ -23,18 +23,27 @@ def session_block(size: int = TEST_BLOCK):
         yield
 
 
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) -> bool:
-    """True iff a = c * b for some unit-modulus scalar c, within tol."""
-    if a.num_qubits != b.num_qubits:
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
+    """True iff the amplitude rows satisfy a = c * b for some unit-modulus
+    scalar c, within tol."""
+    if a.shape != b.shape:
         raise ValueError("qubit count mismatch")
-    ov = np.vdot(b.amps, a.amps)
+    ov = np.vdot(b, a)
     c = ov / abs(ov) if abs(ov) > 0 else 1.0
-    return float(np.linalg.norm(a.amps - c * b.amps)) <= tol
+    return float(np.linalg.norm(a - c * b)) <= tol
 
 
-def amplitude(s: StateVector, bits: str) -> complex:
-    """The amplitude of s at the basis state written as a bitstring, qubit 0
-    leftmost."""
-    if len(bits) != s.num_qubits:
+def amplitude(amps: np.ndarray, bits: str) -> complex:
+    """The amplitude of the row amps at the basis state written as a
+    bitstring, qubit 0 leftmost."""
+    if len(bits) != amps.size.bit_length() - 1:
         raise ValueError("bitstring length mismatch")
-    return complex(s.amps[int(bits, 2)])
+    return complex(amps[int(bits, 2)])
+
+
+def basis_row(bits: str) -> np.ndarray:
+    """The amplitude row of the computational basis state |bits>, qubit 0
+    leftmost."""
+    amps = np.zeros(1 << len(bits), dtype=np.complex128)
+    amps[int(bits, 2)] = 1.0
+    return amps

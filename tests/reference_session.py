@@ -29,9 +29,8 @@ import reference_engine as engine
 
 from bqsdc.adversary import eavesdrop_unitary
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
-from bqsdc.codebook import (CompositeOp, ghz_state, invert_transform, message_to_op,
-                            transform_label)
-from bqsdc.labels import BellLabel, GhzLabel
+from bqsdc.codebook import CompositeOp, invert_transform, message_to_op, transform_label
+from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.protocol import (_A_OP, _B_OP, _BELL, _BOB_GHZ, _BY_ALICE, _BY_BOB, _CHECK,
                             _EVE_EXTRAS, _EVE_TRIPLES, _GROUP_LABEL, _P_LABEL, _PREPARED,
                             _ROLES, _SWAP, _UNIT_BITS, _UNITS, Session, _columns)
@@ -85,8 +84,8 @@ def measure_particles(basis, reg, roles, rng):
     return outcome
 
 
-def apply_op(reg, role, op):
-    reg.amps = engine.apply_unitary(reg.amps, op.matrix, [reg.at[role]])
+def apply_op(reg, role, matrix):
+    reg.amps = engine.apply_unitary(reg.amps, matrix, [reg.at[role]])
 
 
 def append_ancilla(reg, amps):
@@ -127,11 +126,11 @@ class ReferenceSession(Session):
             label = cfg.initial_label if cfg.initial_label is not None \
                 else GhzLabel(self._rng(_GROUP_LABEL, n).randrange(8))
             self.transcript.columns[_PREPARED, n] = label
-            self.triples.append(Register(ghz_state(label).amps))
-            self.triples.append(Register(ghz_state(label).amps))
+            self.triples.append(Register(ghz_amplitudes(label)))
+            self.triples.append(Register(ghz_amplitudes(label)))
         for i in range(cfg.resolved_decoys()):
             label = GhzLabel(self._rng(_UNITS["S_C"], i).randrange(8))
-            self.samples.append((label, Register(ghz_state(label).amps)))
+            self.samples.append((label, Register(ghz_amplitudes(label))))
         self._transmit("S_C")
 
     def _transmit(self, name):
@@ -189,7 +188,7 @@ class ReferenceSession(Session):
             i = 2 * n + 1
             p_label = measure_particles(MeasBasis.GHZ, self.triples[i], [0, 1, 2],
                                         self._rng(_BOB_GHZ, n))
-            fresh = Register(ghz_state(p_label).amps)
+            fresh = Register(ghz_amplitudes(p_label))
             apply_op(fresh, 0, op.first)
             apply_op(fresh, 1, op.second)
             self.triples[i] = fresh

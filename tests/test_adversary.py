@@ -14,11 +14,11 @@ from bqsdc.adversary import (_BLOCK, _ROW_END, AttackConfig, CheckTemplate, _Tri
                              eavesdrop_unitary, estimate_detection,
                              exact_detection_probability)
 from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
-from bqsdc.codebook import ghz_rows, ghz_state
+from bqsdc.codebook import ghz_rows
 from bqsdc.labels import GhzLabel
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, StateVector, basis_labels, born_distribution,
-                         joint_distribution, tensor)
+from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, basis_labels, born_distribution,
+                         joint_distribution)
 
 
 class TestAttackConfig:
@@ -74,10 +74,6 @@ def attacked_block(cfg, choices=0, count=3, role=2):
     return apply_attack(before, role, cfg, choices), before
 
 
-def row_states(block):
-    return [StateVector(row) for row in block]
-
-
 class TestAttackApplication:
     @pytest.mark.parametrize("role", [0, 1, 2])
     def test_intercept_returns_fresh_particle(self, role):
@@ -89,7 +85,7 @@ class TestAttackApplication:
             block, before = attacked_block(cfg, attack_choices(cfg, None, None), role=role)
             assert block.shape == (3, 16)
             for row, prior in zip(block, before):
-                joined = tensor(StateVector(prior), decoy_state(token)).amps
+                joined = np.kron(prior, decoy_state(token).amps)
                 expect = joined.reshape((2,) * 4).swapaxes(role, 3).reshape(-1)
                 assert np.array_equal(row, expect), (role, token)
 
@@ -99,22 +95,22 @@ class TestAttackApplication:
         outcomes = np.array([0, 1, 0])
         block, _ = attacked_block(cfg, attack_choices(cfg, None, lambda basis, lanes: outcomes))
         assert block.shape == (3, 8)
-        for state, outcome in zip(row_states(block), (0, 1, 0)):
+        for row, outcome in zip(block, (0, 1, 0)):
             # the whole triple collapsed to a definite computational state,
             # the one of Eve's outcome
-            probs = np.abs(state.amps) ** 2
+            probs = np.abs(row) ** 2
             assert max(probs) == pytest.approx(1.0)
             assert probs[7 * outcome] == pytest.approx(1.0)
 
     def test_entangle_appends_ancilla(self):
         block, _ = attacked_block(AttackConfig.entangling(0.25))
         assert block.shape == (3, 16)
-        assert len(row_states(block)) == 3
+        assert np.allclose(np.linalg.norm(block, axis=1), 1.0)
 
     def test_none_is_identity(self):
         block, before = attacked_block(AttackConfig("none"))
         assert block is before
-        assert all(np.array_equal(row, ghz_state(GhzLabel.PSI0).amps) for row in block)
+        assert all(np.array_equal(row, ghz_rows()[GhzLabel.PSI0]) for row in block)
 
 
 # Exact Born-rule detection rates for the GHZ-sample check. Where the
@@ -266,10 +262,10 @@ class TestHarnessMatchesSessionAttack:
     def session_rows(cls, cfg, pristine, role, basis, is_error):
         dist = {}
         for weight, choice in cls.eve_choices(cfg, pristine, role):
-            block = apply_attack(pristine.amps[None].copy(), role, cfg, choice)
+            block = apply_attack(pristine[None].copy(), role, cfg, choice)
             # the checked particles keep their qubits; Eve's is the last
-            for outs, p in joint_distribution(StateVector(block[0]), basis,
-                                              [(q,) for q in range(pristine.num_qubits)]).items():
+            qubits = [(q,) for q in range(pristine.size.bit_length() - 1)]
+            for outs, p in joint_distribution(block[0], basis, qubits).items():
                 dist[outs] = dist.get(outs, 0.0) + weight * p
         # the harness's keys come in lexicographic basis order
         order = basis_labels(basis)
@@ -288,7 +284,7 @@ class TestHarnessMatchesSessionAttack:
         for label in GhzLabel:
             sampler = _TrialSampler(cfg, CheckTemplate(sample_label=label))
             for basis, choice in sampler_keys(sampler):
-                rows = self.session_rows(cfg, ghz_state(label), 2, basis,
+                rows = self.session_rows(cfg, ghz_rows()[label], 2, basis,
                                          lambda outs: not ghz_sample_ok(label, basis, outs))
                 self.assert_same_rows(sampler, (basis, choice), rows)
 
@@ -299,7 +295,7 @@ class TestHarnessMatchesSessionAttack:
         sampler = _TrialSampler(cfg, CheckTemplate())
         for token, choice in sampler_keys(sampler):
             prep = DECOY_STATES[token]
-            rows = self.session_rows(cfg, decoy_state(token), 0, prep.basis,
+            rows = self.session_rows(cfg, decoy_state(token).amps, 0, prep.basis,
                                      lambda outs: outs != (prep.expected,))
             self.assert_same_rows(sampler, (token, choice), rows)
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqsdc import analysis, cli
+from bqsdc import analysis, cli, particles
 from bqsdc.protocol import Session, SessionTranscript
+from bqsdc.qcore import StateVector
 
 CMD = [sys.executable, "-m", "bqsdc"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -93,6 +94,53 @@ def test_run_builds_no_group_record(attack, tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """From now until the test ends, calls[0] counts the calls of
+    owner.name."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+ATTACK_STRATEGIES = [["--strategy", name, *(["--beta2", "0.25"] if name == "entangle" else [])]
+                     for name in ("none", "intercept-resend", "measure-resend", "entangle")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    *(["attack", *strategy, "--target", target, "--trials", "500", "--seed", "1"]
+      for strategy in ATTACK_STRATEGIES for target in ("S_C", "S_B", "S_A")),
+    ["analyze", "--monte-carlo", "100", "--seed", "1"],
+    ["run", "--N", "50", "--random-messages", "--seed", "1"],
+], ids=" ".join)
+def test_commands_build_no_state_vector(argv, capsys, monkeypatch):
+    # a state is a row: on warm caches, no command builds a StateVector
+    assert cli.main(argv) == 0
+    built = count_calls(monkeypatch, StateVector, "__post_init__")
+    assert cli.main(argv) == 0
+    assert built[0] == 0
+
+
+@pytest.mark.parametrize("attack", [["entangle:S_A", "--beta2", "0.25"], ["intercept:S_C"],
+                                    ["measure-resend:S_B"]], ids=lambda attack: attack[0])
+def test_attacked_run_builds_one_state_vector_per_merge(attack, capsys, monkeypatch):
+    # the one StateVector of a run is the first row of each particles.merge,
+    # where the traced benchmark reads the widest state
+    argv = ["run", "--N", "50", "--random-messages", "--seed", "1", "--threshold", "0.99",
+            "--attack", *attack]
+    assert cli.main(argv) == 0
+    built = count_calls(monkeypatch, StateVector, "__post_init__")
+    merges = count_calls(monkeypatch, particles, "merge")
+    assert cli.main(argv) == 0
+    assert merges[0] > 0 and built[0] == merges[0]
+
+
 def test_run_attack_aborts(tmp_path):
     out = tmp_path / "t.json"
     res = run_cli("run", "--N", "1", "--alice", "010", "--bob", "101",
@@ -171,17 +219,21 @@ def test_draws_at_the_ceiling_are_made(flag, argv, drawer, tmp_path, monkeypatch
                   "--out", str(tmp_path / "out.json")])
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "missing" / "x.json")
     # when one output fails, an existing output keeps its bytes and no new
-    # file is left behind
+    # file is left behind, a default CSV path in the working directory
+    # included
+    monkeypatch.chdir(tmp_path)
     kept = {tmp_path / "a.json": b'{"kept": 1}\n', tmp_path / "t.csv": b"kept,1\n"}
     for path, data in kept.items():
         path.write_bytes(data)
     cases = [
         ("run", "--N", "2", "--alice", "010", "--bob", "101", "--seed", "1"),
-        ("run", "--N", "1", "--alice", "010", "--bob", "101", "--initial", "psi9",
-         "--seed", "1"),
+        *(("run", "--N", "1", "--alice", "010", "--bob", "101", "--initial", label,
+           "--seed", "1") for label in ("psi9", "psi07", "psi\u0663", "psi\u00b3")),
+        *(("attack", "--strategy", "none", "--sample", label, "--seed", "1")
+          for label in ("psi8", "psi\u0663", "psi\u00b3")),
         ("attack", "--strategy", "warp", "--seed", "1"),
         ("attack", "--strategy", "entangle", "--beta2", "1.5", "--seed", "1"),
         ("run", "--N", "1", "--random-messages", "--seed", "1", "--out", missing),
@@ -198,17 +250,27 @@ def test_usage_errors_exit_two(tmp_path):
         ("verify", "--out", missing, "--emit", "csv", "--csv-out", str(tmp_path / "t.csv")),
         ("verify", "--csv-out", str(tmp_path / "t.csv")),
         ("analyze", "--csv-out", str(tmp_path / "t.csv")),
+        # an empty path is a path, which no file can have, not an unset one
+        ("run", "--N", "1", "--random-messages", "--seed", "1", "--out", ""),
+        ("verify", "--out", ""),
+        ("attack", "--strategy", "none", "--trials", "10", "--seed", "1", "--out", ""),
+        ("analyze", "--seed", "1", "--out", ""),
+        ("verify", "--emit", "csv", "--csv-out", ""),
+        ("analyze", "--seed", "1", "--emit", "csv", "--csv-out", ""),
+        ("verify", "--csv-out", ""),
     ]
     for args in cases:
-        res = run_cli(*args)
-        assert res.returncode == 2, args
-        assert "error:" in res.stderr and "Traceback" not in res.stderr, args
+        assert cli.main(list(args)) == 2, args
+        captured = capsys.readouterr()
         # every check, the writability of --out included, comes before any output
-        assert res.stdout == "", args
+        assert captured.err.startswith("error:") and captured.out == "", args
     for path, data in kept.items():
         assert path.read_bytes() == data, path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "t.csv"]
-    assert run_cli("nonsense").returncode == 2
+    # the entry point, argparse's exit included, in a child interpreter
+    res = run_cli("nonsense")
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "Traceback" not in res.stderr and res.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze"])

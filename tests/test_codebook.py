@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from helpers import amplitude, equal_up_to_global_phase
 
 from bqsdc import codebook
-from bqsdc.codebook import (CompositeOp, ghz_rows, ghz_state, invert_transform, message_to_op,
+from bqsdc.codebook import (CompositeOp, ghz_rows, invert_transform, message_to_op,
                             transform_label, verify_transform_table)
 from bqsdc.labels import BellLabel, GhzLabel, bell_amplitudes
 from bqsdc.protocol import _encode
-from bqsdc.qcore import ISY, SX, SZ, I, StateVector
+from bqsdc.qcore import ISY, SX, SZ, I
 
 
 def transform_phases() -> dict[tuple[str, str], float]:
@@ -51,26 +51,32 @@ class TestGhzStates:
     @pytest.mark.parametrize("label,expect", GHZ_KETS.items())
     def test_amplitudes(self, label, expect):
         hi, lo, sign = expect
-        s = ghz_state(label)
+        s = ghz_rows()[label]
         assert amplitude(s, hi) == pytest.approx(INV)
         assert amplitude(s, lo) == pytest.approx(sign * INV)
-        assert np.count_nonzero(s.amps) == 2
+        assert np.count_nonzero(s) == 2
+
+    def test_tokens(self):
+        # psi0 to psi7 exactly, in any case, surrounding spaces ignored
+        for label in GhzLabel:
+            assert GhzLabel.from_token(f" {label.token.upper()}\t") is label
+        for text in ("psi8", "psi07", "psi\u0663", "psi\u00b3", "psi", "phi0", ""):
+            with pytest.raises(ValueError, match="not a GHZ label"):
+                GhzLabel.from_token(text)
 
     def test_pairwise_orthogonal(self):
-        for a in GhzLabel:
-            for b in GhzLabel:
-                ov = np.vdot(ghz_state(a).amps, ghz_state(b).amps)
-                assert ov == pytest.approx(1.0 if a == b else 0.0)
+        ghz = ghz_rows()
+        assert np.allclose(ghz.conj() @ ghz.T, np.eye(len(GhzLabel)))
 
 
 class TestBellStates:
     def test_phi_plus(self):
-        s = StateVector(bell_amplitudes(BellLabel.PHI_PLUS))
+        s = bell_amplitudes(BellLabel.PHI_PLUS)
         assert amplitude(s, "00") == pytest.approx(INV)
         assert amplitude(s, "11") == pytest.approx(INV)
 
     def test_psi_minus(self):
-        s = StateVector(bell_amplitudes(BellLabel.PSI_MINUS))
+        s = bell_amplitudes(BellLabel.PSI_MINUS)
         assert amplitude(s, "01") == pytest.approx(INV)
         assert amplitude(s, "10") == pytest.approx(-INV)
 
@@ -96,35 +102,32 @@ class TestMessageCode:
         assert message_to_op((b2, b1, b0)).bits == (b2, b1, b0)
 
     def test_factor_table(self):
-        assert (CompositeOp.U0.first, CompositeOp.U0.second) == (SZ, SZ)
-        assert (CompositeOp.U1.first, CompositeOp.U1.second) == (I, SZ)
-        assert (CompositeOp.U2.first, CompositeOp.U2.second) == (ISY, SZ)
-        assert (CompositeOp.U3.first, CompositeOp.U3.second) == (SX, SZ)
-        assert (CompositeOp.U4.first, CompositeOp.U4.second) == (I, SX)
-        assert (CompositeOp.U5.first, CompositeOp.U5.second) == (SZ, SX)
-        assert (CompositeOp.U6.first, CompositeOp.U6.second) == (SX, SX)
-        assert (CompositeOp.U7.first, CompositeOp.U7.second) == (ISY, SX)
+        factors = [(SZ, SZ), (I, SZ), (ISY, SZ), (SX, SZ), (I, SX), (SZ, SX), (SX, SX), (ISY, SX)]
+        for op, (first, second) in zip(CompositeOp, factors):
+            assert op.first is first and op.second is second, op.token
+        for stack, factor in ((codebook.FIRST_FACTORS, 0), (codebook.SECOND_FACTORS, 1)):
+            assert np.array_equal(stack, [pair[factor] for pair in factors])
 
 
-def apply_composite(label: GhzLabel, op: CompositeOp) -> StateVector:
+def apply_composite(label: GhzLabel, op: CompositeOp) -> np.ndarray:
     """Op on the first and second particles of the GHZ state of label,
     through the factor stacks that a session encodes with."""
-    return StateVector(_encode(ghz_rows()[[label]], np.array([op]))[0])
+    return _encode(ghz_rows()[[label]], np.array([op]))[0]
 
 
 class TestApplyComposite:
     def test_u0_fixes_reference_state_exactly(self):
-        s = ghz_state(GhzLabel.PSI0)
-        assert np.allclose(apply_composite(GhzLabel.PSI0, CompositeOp.U0).amps, s.amps)
+        s = ghz_rows()[GhzLabel.PSI0]
+        assert np.allclose(apply_composite(GhzLabel.PSI0, CompositeOp.U0), s)
 
     def test_u2_gives_sign_flipped_psi2(self):
         out = apply_composite(GhzLabel.PSI0, CompositeOp.U2)
-        assert np.allclose(out.amps, -ghz_state(GhzLabel.PSI2).amps)
-        assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI2))
+        assert np.allclose(out, -ghz_rows()[GhzLabel.PSI2])
+        assert equal_up_to_global_phase(out, ghz_rows()[GhzLabel.PSI2])
 
     def test_u5_gives_psi5(self):
         out = apply_composite(GhzLabel.PSI0, CompositeOp.U5)
-        assert equal_up_to_global_phase(out, ghz_state(GhzLabel.PSI5))
+        assert equal_up_to_global_phase(out, ghz_rows()[GhzLabel.PSI5])
 
 
 class TestTransformChart:
@@ -201,13 +204,13 @@ class TestDerivationGuards:
             verify_transform_table()
 
     def test_complex_phase(self, monkeypatch):
-        self.patch(monkeypatch, "SECOND_FACTORS", 5, 1j * SX.matrix)
+        self.patch(monkeypatch, "SECOND_FACTORS", 5, 1j * SX)
         with pytest.raises(AssertionError, match=r"unexpected complex phase -?1j for psi0, U5"):
             verify_transform_table()
 
     def test_repeated_label_in_a_row(self, monkeypatch):
         # U1 = (I, SZ) becomes U0 = (SZ, SZ)
-        self.patch(monkeypatch, "FIRST_FACTORS", 1, SZ.matrix)
+        self.patch(monkeypatch, "FIRST_FACTORS", 1, SZ)
         with pytest.raises(AssertionError, match="transform rows are not permutations"):
             verify_transform_table()
 

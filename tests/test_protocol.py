@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import TEST_BLOCK, equal_up_to_global_phase, session_block
+from helpers import TEST_BLOCK, basis_row, equal_up_to_global_phase, session_block
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
 from bqsdc import cli, particles, protocol, qcore
 from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack, decoy_rows
 from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
-from bqsdc.codebook import CompositeOp, ghz_rows, ghz_state, transform_chart, transform_label
-from bqsdc.labels import CollectionLabel, GhzLabel
+from bqsdc.codebook import CompositeOp, ghz_rows, transform_chart, transform_label
+from bqsdc.labels import CollectionLabel, GhzLabel, ghz_amplitudes
 from bqsdc.particles import merge
 from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, GroupRecord, Session,
                             SessionConfig, SessionTranscript, StateTable, _decoded,
                             _invert_announcements, default_decoy_count, message_ops,
                             random_message_bits, run_session)
-from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, born_distribution,
-                         make_basis_state, measure_rows)
+from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, born_distribution, measure_rows
 from bqsdc.swap import (announcement_chart, collection_members, collection_table, ghz_swap_tables,
                         swap_chart)
 
@@ -42,33 +41,28 @@ def ghz_block(*labels):
     return ghz_rows()[list(labels)]
 
 
-def row_state(block, row):
-    """Row row of the block as a checked state."""
-    return StateVector(block[row])
-
-
 def num_qubits(block):
     return block.shape[1].bit_length() - 1
 
 
 def triple_state(s, n, side):
-    """Group n's odd (side 0) or even (side 1) triple as a checked state,
-    read from the session's state table."""
-    return StateVector(s.states.rows[s.triples[n, side]])
+    """Group n's odd (side 0) or even (side 1) triple, read from the
+    session's state table."""
+    return s.states.rows[s.triples[n, side]]
 
 
 class TestRegister:
     def test_merge_puts_b_roles_after_a(self):
         a = ghz_block(GhzLabel.PSI0, GhzLabel.PSI2)
-        b = qcore.tensor_rows(ghz_block(GhzLabel.PSI1, GhzLabel.PSI3), make_basis_state("1").amps)
+        b = qcore.tensor_rows(ghz_block(GhzLabel.PSI1, GhzLabel.PSI3), basis_row("1"))
         before = a.copy()
         joint = merge(a, b)
         assert num_qubits(joint) == 7
         # the inputs are left as they were
         assert num_qubits(a) == 3 and np.array_equal(a, before)
         for row in range(2):
-            expect = qcore.tensor(row_state(a, row), row_state(b, row))
-            assert np.array_equal(joint[row], expect.amps)
+            expect = np.kron(a[row], b[row])
+            assert np.array_equal(joint[row], expect)
             # b's ancilla, its last qubit, is the joint state's last
             assert born_distribution(expect, MeasBasis.Z, [6])[1] == pytest.approx(1.0)
 
@@ -83,22 +77,22 @@ class TestRegister:
         assert outs[0] == outs[1] == outs[2]
 
     def test_rounds_collapse_and_keep(self):
-        # three Z rounds on GHZ triples agree within each row; without
-        # collapse no state is returned and the block is left as it was
+        # three Z rounds on GHZ triples agree within each row, each row
+        # collapses onto |000> or |111>, and the block is left as it was
         block = ghz_block(*[GhzLabel.PSI0] * 5)
         before = block.copy()
         draws = [np.array([Rng(seed, stream=k).random() for seed in range(5)]) for k in range(3)]
-        (a, b, c), post = measure_rows(block, MeasBasis.Z, [(0,), (1,), (2,)], draws,
-                                       collapse=False)
+        (a, b, c), post = measure_rows(block, MeasBasis.Z, [(0,), (1,), (2,)], draws)
         assert (a == b).all() and (b == c).all() and 0 < a.sum() < 5
-        assert post is None and np.array_equal(block, before)
+        assert np.array_equal(np.abs(post), np.eye(8)[7 * a])
+        assert np.array_equal(block, before)
 
     def test_basis_per_register(self):
         # |0> in Z and |+> in X are certain; each row gets its own basis
         block = decoy_rows()[[DECOY_TOKENS.index("0"), DECOY_TOKENS.index("+")]]
-        which = np.array([0, 1])
-        (out,), _ = measure_rows(block, (MeasBasis.Z, MeasBasis.X), [(0,)],
-                                 [np.array([0.99, 0.99])], collapse=False, which=which)
+        tables = qcore.branch_rows(block, (MeasBasis.Z, MeasBasis.X), [(0,)], np.array([0, 1]))
+        (out,) = qcore.sample_branches(qcore.branch_thresholds(tables), np.arange(2),
+                                       [np.array([0.99, 0.99])])
         assert out.tolist() == [0, 0]
 
 
@@ -162,7 +156,7 @@ class TestPrepare:
         # each sample is one GHZ triple in the state of its label
         assert samples.shape == (2, 8)
         for row, label in enumerate(labels):
-            assert equal_up_to_global_phase(row_state(samples, row), ghz_state(GhzLabel(label)))
+            assert equal_up_to_global_phase(samples[row], ghz_rows()[label])
 
     def test_forced_initial_label(self):
         s = Session(quiet_cfg(3, seed=1, initial_label=GhzLabel.PSI6), "0" * 9, "0" * 9)
@@ -188,7 +182,7 @@ class TestRowTables:
         ghz, decoys = ghz_rows(), decoy_rows()
         assert ghz.shape == (8, 8) and decoys.shape == (4, 2)
         for label in GhzLabel:
-            assert np.array_equal(ghz[label], ghz_state(label).amps)
+            assert np.array_equal(ghz[label], ghz_amplitudes(label))
         for k, token in enumerate(DECOY_TOKENS):
             assert np.array_equal(decoys[k], decoy_state(token).amps)
         for table, cached in ((ghz, ghz_rows()), (decoys, decoy_rows())):
@@ -252,7 +246,7 @@ class TestEncoding:
         s.prepare()
         s.check1()
         s.alice_encode()
-        expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
+        expect = ghz_rows()[transform_label(GhzLabel.PSI0, CompositeOp.U2)]
         assert equal_up_to_global_phase(triple_state(s, 0, 0), expect)
 
     def test_identity_op_leaves_label(self):
@@ -266,7 +260,7 @@ class TestEncoding:
         s.check1()
         s.alice_encode()
         assert s.triples[0, 0] == GhzLabel.PSI3
-        assert equal_up_to_global_phase(triple_state(s, 0, 0), ghz_state(GhzLabel.PSI3))
+        assert equal_up_to_global_phase(triple_state(s, 0, 0), ghz_rows()[GhzLabel.PSI3])
 
     def test_decoys_never_touch_data_states(self):
         # same encoding must come out whether or not decoys ride along
@@ -275,7 +269,7 @@ class TestEncoding:
         s.prepare()
         s.check1()
         s.alice_encode()
-        expect = ghz_state(transform_label(GhzLabel.PSI0, CompositeOp.U2))
+        expect = ghz_rows()[transform_label(GhzLabel.PSI0, CompositeOp.U2)]
         assert equal_up_to_global_phase(triple_state(s, 0, 0), expect)
 
     def test_decoy_states_drawn_uniformly(self):
@@ -324,7 +318,7 @@ class TestEncoding:
         s.bob_encode()
         assert s.triples.shape == (1, 2)
         even_state = triple_state(s, 0, 1)
-        assert equal_up_to_global_phase(even_state, ghz_state(GhzLabel.PSI5))
+        assert equal_up_to_global_phase(even_state, ghz_rows()[GhzLabel.PSI5])
 
 
 class TestSwapAnnounce:
@@ -912,9 +906,8 @@ class TestSwapTable:
         for odd, entries in ((narrow, [1, 42]), (wide, [64, 65])):
             w = num_qubits(states.amps(odd))
             for row, entry in enumerate(entries):
-                joint = qcore.tensor(StateVector(states.rows[odd[row]]),
-                                     StateVector(states.rows[even[row]]))
-                expect = qcore.branch_rows(joint.amps[None], MeasBasis.BELL,
+                joint = np.kron(states.rows[odd[row]], states.rows[even[row]])
+                expect = qcore.branch_rows(joint[None], MeasBasis.BELL,
                                            [(r, w + r) for r in range(3)])
                 for got, want in zip(table.thresholds, qcore.branch_thresholds(expect),
                                      strict=True):

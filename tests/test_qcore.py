@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine as reference
-from helpers import amplitude, equal_up_to_global_phase
+from helpers import amplitude, basis_row, equal_up_to_global_phase
 
-from bqsdc import qcore
+from bqsdc import adversary, codebook, qcore
 from bqsdc.adversary import _copy_unitary, eavesdrop_unitary
 from bqsdc.checks import decoy_state
-from bqsdc.codebook import ghz_state
+from bqsdc.codebook import ghz_rows
 from bqsdc.labels import BellLabel, GhzLabel, ghz_amplitudes
 from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
-                         branch_thresholds,
-                         collapse_rows, joint_distribution, make_basis_state, measure,
+                         branch_thresholds, collapse_rows, joint_distribution, measure,
                          measure_rows, sample_branches, tensor, tensor_rows)
 
 INV = 2 ** -0.5
@@ -33,18 +32,32 @@ def random_state(num_qubits: int, seed: int) -> StateVector:
     return StateVector(amps / np.linalg.norm(amps))
 
 
+def draw_outcomes(amps, basis, rounds, draws, which=None):
+    """Each round's outcome indices of measuring the rows of amps with the
+    draws, as measure_rows draws them, without the collapse: the walk of
+    their branch tables, with a basis per row when which is given."""
+    tables = branch_thresholds(branch_rows(amps, basis, rounds, which))
+    return sample_branches(tables, np.arange(len(amps)), draws)
+
+
 class TestStateVector:
     def test_basis_state_indexing(self):
-        assert make_basis_state("000").amps[0] == 1
-        assert make_basis_state("1").amps[1] == 1
         # index convention: qubit 0 is the most significant bit
-        assert make_basis_state("10").amps[2] == 1
+        flipped = apply_single(StateVector(basis_row("00")), SX, 0)
+        assert flipped.amps[2] == 1  # |10>
 
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            make_basis_state("")
-        with pytest.raises(ValueError):
-            make_basis_state("012")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[1.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0],
+                                     [math.nan, 0.0], [math.inf, 0.0]])
+    def test_distributions_reject_what_a_state_rejects(self, bad):
+        # a length that is not a power of two >= 2, non-finite or
+        # unnormalized amplitudes: the exact distributions take a row and
+        # reject it as StateVector does
+        for reject in (lambda: StateVector(bad),
+                       lambda: born_distribution(bad, MeasBasis.Z, [0]),
+                       lambda: joint_distribution(bad, MeasBasis.Z, [(0,)])):
+            with pytest.raises(ValueError):
+                reject()
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -59,18 +72,19 @@ class TestStateVector:
         with pytest.raises(ValueError) as state:
             StateVector(bad)
         with pytest.raises(ValueError) as row:
-            tensor_rows(np.array([bad], dtype=complex), make_basis_state("0").amps)
+            tensor_rows(np.array([bad], dtype=complex), basis_row("0"))
         assert str(state.value) == str(row.value)
 
     def test_amps_are_frozen(self):
-        s = make_basis_state("0")
+        s = StateVector(basis_row("0"))
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
 
 class TestTensor:
     def test_zero_one(self):
-        assert amplitude(tensor(make_basis_state("0"), make_basis_state("1")), "01") == 1
+        zero, one = StateVector(basis_row("0")), StateVector(basis_row("1"))
+        assert amplitude(tensor(zero, one).amps, "01") == 1
 
     def test_double_ghz_expansion(self):
         # hand expansion of the two-triple product: amplitude 1/2 at the
@@ -92,29 +106,30 @@ class TestTensor:
 
 class TestSingleQubitOps:
     def test_matrices_match_definitions(self):
-        assert np.array_equal(I.matrix, np.eye(2))
-        assert np.array_equal(SZ.matrix, [[1, 0], [0, -1]])
-        assert np.array_equal(SX.matrix, [[0, 1], [1, 0]])
-        assert np.array_equal(ISY.matrix, [[0, 1], [-1, 0]])
+        assert np.array_equal(I, np.eye(2))
+        assert np.array_equal(SZ, [[1, 0], [0, -1]])
+        assert np.array_equal(SX, [[0, 1], [1, 0]])
+        assert np.array_equal(ISY, [[0, 1], [-1, 0]])
 
     def test_all_real_and_unitary(self):
         for op in (I, SX, ISY, SZ):
-            assert np.allclose(op.matrix.imag, 0)
-            assert np.allclose(op.matrix.conj().T @ op.matrix, np.eye(2), atol=1e-12)
+            assert op.shape == (2, 2) and op.dtype == np.complex128
+            assert np.allclose(op.imag, 0)
+            assert np.allclose(op.conj().T @ op, np.eye(2), atol=1e-12)
 
     def test_isy_squared_is_minus_identity(self):
-        assert np.allclose(ISY.matrix @ ISY.matrix, -np.eye(2), atol=1e-12)
+        assert np.allclose(ISY @ ISY, -np.eye(2), atol=1e-12)
 
     def test_pauli_products(self):
-        assert np.allclose(SX.matrix @ SZ.matrix, -ISY.matrix, atol=1e-12)
-        assert np.allclose(SZ.matrix @ SX.matrix, ISY.matrix, atol=1e-12)
+        assert np.allclose(SX @ SZ, -ISY, atol=1e-12)
+        assert np.allclose(SZ @ SX, ISY, atol=1e-12)
 
     def test_sx_flips(self):
-        assert amplitude(apply_single(make_basis_state("0"), SX, 0), "1") == 1
+        assert amplitude(apply_single(StateVector(basis_row("0")), SX, 0).amps, "1") == 1
 
     def test_isy_on_zero_gives_minus_one(self):
-        s = apply_single(make_basis_state("0"), ISY, 0)
-        assert amplitude(s, "1") == -1
+        s = apply_single(StateVector(basis_row("0")), ISY, 0)
+        assert amplitude(s.amps, "1") == -1
 
     def test_szsz_fixes_ghz(self):
         ghz = StateVector(ghz_amplitudes(GhzLabel.PSI0))
@@ -123,7 +138,7 @@ class TestSingleQubitOps:
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            apply_single(make_basis_state("0"), SX, 1)
+            apply_single(StateVector(basis_row("0")), SX, 1)
 
     @given(st.integers(0, 2 ** 31), st.sampled_from([I, SX, ISY, SZ]), st.integers(0, 2))
     @settings(max_examples=50, deadline=None)
@@ -150,25 +165,22 @@ class TestBases:
 
 class TestBornDistribution:
     def test_z_on_plus(self):
-        plus = StateVector([INV, INV])
+        plus = [INV, INV]
         assert born_distribution(plus, MeasBasis.Z, [0]) == pytest.approx({0: 0.5, 1: 0.5})
 
     def test_ghz_eigenstate(self):
-        s = StateVector(ghz_amplitudes(GhzLabel.PSI3))
-        dist = born_distribution(s, MeasBasis.GHZ, [0, 1, 2])
+        dist = born_distribution(ghz_amplitudes(GhzLabel.PSI3), MeasBasis.GHZ, [0, 1, 2])
         assert dist[GhzLabel.PSI3] == pytest.approx(1.0)
         assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_bell_marginal_on_double_ghz(self):
-        s = tensor(StateVector(ghz_amplitudes(GhzLabel.PSI0)),
-                   StateVector(ghz_amplitudes(GhzLabel.PSI0)))
+        s = np.kron(ghz_amplitudes(GhzLabel.PSI0), ghz_amplitudes(GhzLabel.PSI0))
         dist = born_distribution(s, MeasBasis.BELL, [0, 3])
         for lab in BellLabel:
             assert dist[lab] == pytest.approx(0.25)
 
     def test_joint_bell_uniform_eighth(self):
-        s = tensor(StateVector(ghz_amplitudes(GhzLabel.PSI0)),
-                   StateVector(ghz_amplitudes(GhzLabel.PSI0)))
+        s = np.kron(ghz_amplitudes(GhzLabel.PSI0), ghz_amplitudes(GhzLabel.PSI0))
         joint = joint_distribution(s, MeasBasis.BELL, [(0, 3), (1, 4), (2, 5)])
         assert len(joint) == 8
         for p in joint.values():
@@ -176,26 +188,26 @@ class TestBornDistribution:
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            born_distribution(make_basis_state("00"), MeasBasis.BELL, [0])
+            born_distribution(basis_row("00"), MeasBasis.BELL, [0])
 
     @given(st.integers(0, 2 ** 31), st.sampled_from(list(MeasBasis)))
     @settings(max_examples=40, deadline=None)
     def test_sums_to_one(self, seed, basis):
         s = random_state(4, seed)
-        dist = born_distribution(s, basis, list(range(basis.arity)))
+        dist = born_distribution(s.amps, basis, list(range(basis.arity)))
         assert sum(dist.values()) == pytest.approx(1.0, abs=ATOL)
 
 
 class TestMeasure:
     def test_certain_outcome(self):
-        out, post = measure(make_basis_state("1"), MeasBasis.Z, [0], Rng(1))
-        assert out == 1 and amplitude(post, "1") == 1
+        out, post = measure(StateVector(basis_row("1")), MeasBasis.Z, [0], Rng(1))
+        assert out == 1 and amplitude(post.amps, "1") == 1
 
     def test_ghz_eigenstate_fixed(self):
         s = StateVector(ghz_amplitudes(GhzLabel.PSI5))
         out, post = measure(s, MeasBasis.GHZ, [0, 1, 2], Rng(9))
         assert out == GhzLabel.PSI5
-        assert equal_up_to_global_phase(post, s)
+        assert equal_up_to_global_phase(post.amps, s.amps)
 
     def test_repeat_reproduces(self):
         s = random_state(3, 77)
@@ -212,7 +224,7 @@ class TestMeasure:
 
     def test_empirical_frequencies_match_born(self):
         # frozen oracle: exact Born weights for this state are 0.36 / 0.64
-        s = StateVector([0.6, 0.8])
+        s = np.array([0.6, 0.8], dtype=np.complex128)
         dist = born_distribution(s, MeasBasis.Z, [0])
         assert dist == pytest.approx({0: 0.36, 1: 0.64})
         # trial t draws the first draw of Rng(11, stream=t): lane t of the
@@ -220,28 +232,26 @@ class TestMeasure:
         trials = 100_000
         block = StreamBlock(11, trials)
         block.key(0, trials)
-        amps = np.broadcast_to(s.amps, (trials, 2))
-        (j,), _ = measure_rows(amps, MeasBasis.Z, [[0]], list(block.random(1)), collapse=False)
+        amps = np.broadcast_to(s, (trials, 2))
+        (j,) = draw_outcomes(amps, MeasBasis.Z, [[0]], list(block.random(1)))
         assert abs(j.sum() / trials - dist[1]) < 0.01
 
 
 class TestGlobalPhase:
     def test_sign_flip_equal(self):
-        s = StateVector(ghz_amplitudes(GhzLabel.PSI2))
-        neg = StateVector(-ghz_amplitudes(GhzLabel.PSI2))
-        assert equal_up_to_global_phase(s, neg)
+        s = ghz_amplitudes(GhzLabel.PSI2)
+        assert equal_up_to_global_phase(s, -s)
 
     def test_orthogonal_not_equal(self):
-        a = StateVector(ghz_amplitudes(GhzLabel.PSI2))
-        b = StateVector(ghz_amplitudes(GhzLabel.PSI3))
+        a = ghz_amplitudes(GhzLabel.PSI2)
+        b = ghz_amplitudes(GhzLabel.PSI3)
         assert not equal_up_to_global_phase(a, b)
 
     @given(st.integers(0, 2 ** 31), st.floats(0, 2 * math.pi))
     @settings(max_examples=40, deadline=None)
     def test_any_phase_equal(self, seed, theta):
-        s = random_state(2, seed)
-        rotated = StateVector(np.exp(1j * theta) * s.amps)
-        assert equal_up_to_global_phase(s, rotated)
+        s = random_state(2, seed).amps
+        assert equal_up_to_global_phase(s, np.exp(1j * theta) * s)
 
 
 class TestRng:
@@ -305,8 +315,8 @@ class TestStreamBlock:
 
 def test_apply_unitary_two_qubit():
     swap_mat = np.eye(4)[[0, 2, 1, 3]]
-    s = apply_unitary(make_basis_state("10"), swap_mat, (0, 1))
-    assert amplitude(s, "01") == 1
+    s = apply_unitary(StateVector(basis_row("10")), swap_mat, (0, 1))
+    assert amplitude(s.amps, "01") == 1
 
 
 def assert_matches_reference(got, ref):
@@ -341,8 +351,8 @@ class TestAgainstReference:
                     assert label == ref_label, (qs, basis)
                     assert np.max(np.abs(post.amps - ref_amps)) < 1e-12, (qs, basis)
                     ref = {lab: p for lab, p, _ in reference.branches(s.amps, basis, qs)}
-                    assert_matches_reference(born_distribution(s, basis, qs), ref)
-                    assert_matches_reference(joint_distribution(s, basis, [qs]),
+                    assert_matches_reference(born_distribution(s.amps, basis, qs), ref)
+                    assert_matches_reference(joint_distribution(s.amps, basis, [qs]),
                                              reference.joint(s.amps, basis, [qs]))
 
     def test_non_unitary_or_nan_matrix_raises(self):
@@ -380,8 +390,6 @@ class TestRowKernels:
                 for basis in BASES_BY_ARITY[k]:
                     r = np.array([Rng(n, 50 * stream + i).random() for i in range(rows)])
                     (j,), post = measure_rows(amps, basis, [qs], [r])
-                    (j_only,), none = measure_rows(amps, basis, [qs], [r], collapse=False)
-                    assert none is None and np.array_equal(j, j_only)
                     for i, s in enumerate(states):
                         label, one = measure(s, basis, qs, StubDraw(r[i]))
                         ref_label, ref_amps = reference.measure(s.amps, basis, qs, r[i])
@@ -406,18 +414,23 @@ class TestRowKernels:
         r = np.full(len(amps), 0.5)
         with pytest.raises(ValueError):
             measure_rows(amps, MeasBasis.Z, [[0]], [r])
-        # the bad row, and a second qubit measured after it, in one call
-        two = (amps[:, :, None] * make_basis_state("0").amps).reshape(len(amps), -1)
-        for bases, which in ((MeasBasis.Z, None),
-                             ((MeasBasis.Z, MeasBasis.X), np.arange(len(amps)) % 2)):
-            with pytest.raises(ValueError):
-                measure_rows(two, bases, [[1], [0]], [r, r], which=which)
+        # the bad row, and a second qubit measured after it, in one call,
+        # in one basis or one per row
+        two = (amps[:, :, None] * basis_row("0")).reshape(len(amps), -1)
+        rounds, zero = [[1], [0]], np.zeros(len(amps), dtype=np.intp)
         with pytest.raises(ValueError):
-            tensor_rows(amps, make_basis_state("0").amps)
+            measure_rows(two, MeasBasis.Z, rounds, [r, r])
+        bases, which = (MeasBasis.Z, MeasBasis.X), np.arange(len(amps)) % 2
         with pytest.raises(ValueError):
-            tensor_rows(np.stack([make_basis_state("1").amps] * len(amps)), amps)
+            branch_rows(two, bases, rounds, which)
         with pytest.raises(ValueError):
-            apply_unitary_rows(amps, SX.matrix, [0])
+            collapse_rows(two, bases, rounds, [zero, zero], which)
+        with pytest.raises(ValueError):
+            tensor_rows(amps, basis_row("0"))
+        with pytest.raises(ValueError):
+            tensor_rows(np.stack([basis_row("1")] * len(amps)), amps)
+        with pytest.raises(ValueError):
+            apply_unitary_rows(amps, SX, [0])
 
     def test_short_row_takes_last_nonzero_outcome_others_unaffected(self):
         # row 2 has probabilities 0.7 and 0.3 - 4e-16; at a draw above their
@@ -465,12 +478,10 @@ class TestRoundsKernel:
         basis = data.draw(st.sampled_from(list(MeasBasis)))
         amps, rounds, draws = data.draw(rounds_case([basis]))
         js, post = measure_rows(amps, basis, rounds, draws)
-        js_only, none = measure_rows(amps, basis, rounds, draws, collapse=False)
-        assert none is None
         state = amps
-        for qs, r, j, j_only in zip(rounds, draws, js, js_only):
+        for qs, r, j in zip(rounds, draws, js):
             (one,), state = measure_rows(state, basis, [qs], [r])
-            assert np.array_equal(j, one) and np.array_equal(j_only, one), (rounds, basis)
+            assert np.array_equal(j, one), (rounds, basis)
         assert np.max(np.abs(post - state)) < 1e-12, (rounds, basis)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -480,7 +491,8 @@ class TestRoundsKernel:
         amps, rounds, draws = data.draw(rounds_case(bases))
         which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
                                             max_size=len(amps))))
-        js, post = measure_rows(amps, bases, rounds, draws, which=which)
+        js = draw_outcomes(amps, bases, rounds, draws, which)
+        post = collapse_rows(amps, bases, rounds, js, which)
         for b, basis in enumerate(bases):
             sel = np.flatnonzero(which == b)
             if sel.size:
@@ -492,23 +504,21 @@ class TestRoundsKernel:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_collapse_onto_the_drawn_outcomes_equals_measure(self, data):
-        # collapse_rows onto the outcomes measure_rows drew, one basis for
-        # all rows or one per row, gives the states measure_rows returns
-        bases = (MeasBasis.Z, MeasBasis.X)
-        amps, rounds, draws = data.draw(rounds_case(bases))
-        which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
-                                            max_size=len(amps))))
-        for basis, per_row in ((bases[0], None), (bases, which)):
-            js, post = measure_rows(amps, basis, rounds, draws, which=per_row)
-            assert np.array_equal(collapse_rows(amps, basis, rounds, js, which=per_row), post)
+        # collapse_rows onto the outcomes measure_rows drew gives the states
+        # measure_rows returns (a basis per row: the test above)
+        basis = data.draw(st.sampled_from(list(MeasBasis)))
+        amps, rounds, draws = data.draw(rounds_case([basis]))
+        js, post = measure_rows(amps, basis, rounds, draws)
+        assert np.array_equal(collapse_rows(amps, basis, rounds, js), post)
 
     def test_overlapping_rounds_raise(self):
         amps = random_state(5, 3).amps[None]
         with pytest.raises(ValueError):
             measure_rows(amps, MeasBasis.BELL, [(0, 3), (3, 4)], [np.array([0.5])] * 2)
         with pytest.raises(ValueError):
-            measure_rows(amps, MeasBasis.Z, [(1,), (1,)], [np.array([0.5])] * 2,
-                         collapse=False)
+            measure_rows(amps, MeasBasis.Z, [(1,), (1,)], [np.array([0.5])] * 2)
+        with pytest.raises(ValueError):
+            branch_rows(amps, MeasBasis.Z, [(1,), (1,)])
 
     @pytest.mark.parametrize("rounds", [[(0, 1), (2,)], [(0,), (1, 2)], [(0, 1, 2)]])
     def test_round_of_the_wrong_size_raises(self, rounds):
@@ -519,8 +529,7 @@ class TestRoundsKernel:
     def test_bases_of_two_arities_or_missing_draws_raise(self):
         amps = random_state(4, 6).amps[None]
         with pytest.raises(ValueError):
-            measure_rows(amps, (MeasBasis.Z, MeasBasis.BELL), [(0,)], [np.array([0.5])],
-                         which=np.array([0]))
+            branch_rows(amps, (MeasBasis.Z, MeasBasis.BELL), [(0,)], np.array([0]))
         with pytest.raises(ValueError):
             measure_rows(amps, MeasBasis.Z, [(0,), (1,)], [np.array([0.5])])
 
@@ -533,7 +542,7 @@ class TestBranchTables:
     @staticmethod
     def assert_walk_equals_measure_rows(amps, basis, rounds, draws):
         tables = branch_rows(amps, basis, rounds)
-        js, _ = measure_rows(amps, basis, rounds, draws, collapse=False)
+        js, _ = measure_rows(amps, basis, rounds, draws)
         walked = sample_branches(branch_thresholds(tables), np.arange(len(amps)), draws)
         for j, got in zip(js, walked):
             assert np.array_equal(got, j), (rounds, basis)
@@ -549,7 +558,7 @@ class TestBranchTables:
         rows = np.array(data.draw(st.lists(st.integers(0, len(amps) - 1), min_size=1,
                                            max_size=8)))
         r = [np.resize(d, len(rows)) for d in draws]
-        js, _ = measure_rows(amps[rows], basis, rounds, r, collapse=False)
+        js, _ = measure_rows(amps[rows], basis, rounds, r)
         for j, got in zip(js, sample_branches(branch_thresholds(tables), rows, r)):
             assert np.array_equal(got, j), (rounds, basis)
 
@@ -561,13 +570,13 @@ class TestBranchTables:
         which = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(amps),
                                             max_size=len(amps))))
         tables = branch_rows(amps, bases, rounds, which=which)
-        js, _ = measure_rows(amps, bases, rounds, draws, collapse=False, which=which)
         walked = sample_branches(branch_thresholds(tables), np.arange(len(amps)), draws)
-        for j, got in zip(js, walked):
-            assert np.array_equal(got, j), rounds
         for b, basis in enumerate(bases):
             sel = np.flatnonzero(which == b)
             if sel.size:
+                js, _ = measure_rows(amps[sel], basis, rounds, [r[sel] for r in draws])
+                for j, got in zip(js, walked):
+                    assert np.array_equal(got[sel], j), rounds
                 for got, want in zip(tables, branch_rows(amps[sel], basis, rounds)):
                     assert np.array_equal(got[sel], want)
 
@@ -597,8 +606,7 @@ class TestBranchTables:
         # GHZ triples and basis states (two triples each for the Bell rounds,
         # the swap's case): most branches have probability 0, and their
         # tables must hold 0, never a NaN from a division by zero
-        states = [ghz_state(label).amps for label in GhzLabel] + \
-                 [make_basis_state(f"{b:03b}").amps for b in range(8)]
+        states = list(ghz_rows()) + [basis_row(f"{b:03b}") for b in range(8)]
         if basis is MeasBasis.BELL:
             states = [np.kron(a, b) for a in states[::3] for b in states[1::3]]
         amps = np.stack(states)
@@ -632,11 +640,10 @@ class TestBranchTables:
         basis = data.draw(st.sampled_from(list(MeasBasis)))
         amps, rounds, _ = data.draw(rounds_case([basis]))
         for row in amps:
-            s = StateVector(row)
-            assert_matches_reference(joint_distribution(s, basis, rounds),
+            assert_matches_reference(joint_distribution(row, basis, rounds),
                                      reference.joint(row, basis, rounds))
             ref = reference.branches(row, basis, rounds[0])
-            assert_matches_reference(born_distribution(s, basis, rounds[0]),
+            assert_matches_reference(born_distribution(row, basis, rounds[0]),
                                      {label: p for label, p, _ in ref})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -669,30 +676,28 @@ class TestMeasureGuards:
     def test_draw_past_rounded_total_takes_last_nonzero_outcome(self):
         # probabilities 0.7 and 0.3 - 4e-16, then a draw above their total:
         # exact arithmetic has r < 1 and takes outcome 1, not the larger 0
-        s = qcore._unchecked_state(np.array([math.sqrt(0.7), math.sqrt(0.3 - 4e-16)],
-                                            dtype=np.complex128))
+        s = StateVector([math.sqrt(0.7), math.sqrt(0.3 - 4e-16)])
         r = 1.0 - 2.0 ** -53
-        assert sum(born_distribution(s, MeasBasis.Z, [0]).values()) < r
+        assert sum(born_distribution(s.amps, MeasBasis.Z, [0]).values()) < r
         label, post = measure(s, MeasBasis.Z, [0], StubDraw(r))
-        assert label == 1 and amplitude(post, "1") == 1
+        assert label == 1 and amplitude(post.amps, "1") == 1
 
     def test_last_nonzero_skips_zero_outcomes(self):
         # PHI_PLUS, the first Bell outcome, is the only one above ZERO_TOL,
         # and its probability falls short of the draw
         amps = np.array([1, 0, 0, 1 - 8e-16], dtype=np.complex128) * INV
-        s = qcore._unchecked_state(amps)
-        label, _ = measure(s, MeasBasis.BELL, [0, 1], StubDraw(1.0 - 2.0 ** -53))
+        label, _ = measure(StateVector(amps), MeasBasis.BELL, [0, 1], StubDraw(1.0 - 2.0 ** -53))
         assert label == BellLabel.PHI_PLUS
 
     @pytest.mark.parametrize("amps", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0]])
     def test_unnormalized_state_raises(self, amps):
-        s = qcore._unchecked_state(np.array(amps, dtype=np.complex128))
         with pytest.raises(ValueError):
-            measure(s, MeasBasis.Z, [0], Rng(1))
+            measure_rows(np.array([amps], dtype=np.complex128), MeasBasis.Z, [(0,)],
+                         [np.array([0.5])])
         with pytest.raises(ValueError):
-            born_distribution(s, MeasBasis.Z, [0])
+            born_distribution(amps, MeasBasis.Z, [0])
         with pytest.raises(ValueError):
-            joint_distribution(s, MeasBasis.Z, [(0,)])
+            joint_distribution(amps, MeasBasis.Z, [(0,)])
 
     def test_reference_takes_the_same_outcome_past_a_rounded_total(self):
         # the states and draw of the two tests above: the dense reference
@@ -703,7 +708,7 @@ class TestMeasureGuards:
                   BellLabel.PHI_PLUS)]
         for amps, basis, qubits, want in cases:
             amps = np.array(amps, dtype=np.complex128)
-            label, post = measure(qcore._unchecked_state(amps), basis, qubits, StubDraw(r))
+            label, post = measure(StateVector(amps), basis, qubits, StubDraw(r))
             ref_label, ref_post = reference.measure(amps, basis, qubits, r)
             assert label == ref_label == want, basis
             assert np.max(np.abs(post.amps - ref_post)) < 1e-12, basis
@@ -730,13 +735,14 @@ class TestMeasureGuards:
 
 class TestSharedStates:
     def test_constants_are_shared_and_read_only(self):
-        for label in GhzLabel:
-            assert ghz_state(label) is ghz_state(label)
-        assert make_basis_state("0") is make_basis_state("0")
+        assert ghz_rows() is ghz_rows()
         assert eavesdrop_unitary(0.25) is eavesdrop_unitary(0.25)
         assert _copy_unitary(MeasBasis.X) is _copy_unitary(MeasBasis.X)
-        for arr in (ghz_state(GhzLabel.PSI0).amps, decoy_state("+").amps,
-                    make_basis_state("0").amps, eavesdrop_unitary(0.25),
-                    _copy_unitary(MeasBasis.X)):
+        # no constant is a view of a writable array, through which it could
+        # still be written
+        for arr in (ghz_rows(), decoy_state("+").amps, adversary._ZERO,
+                    eavesdrop_unitary(0.25), _copy_unitary(MeasBasis.X), I, SZ, SX, ISY,
+                    codebook.FIRST_FACTORS, codebook.SECOND_FACTORS):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+            assert arr.base is None or not arr.base.flags.writeable
