@@ -183,9 +183,9 @@ def cmd_verify(args) -> int:
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     # without --attack, the attack flags go to "none", which takes none of them
-    attack = _attack_config(args.attack or "none", "S_C", args)
+    attack = _attack_config("none" if args.attack is None else args.attack, "S_C", args)
     try:
-        initial = GhzLabel.from_token(args.initial) if args.initial else None
+        initial = None if args.initial is None else GhzLabel.from_token(args.initial)
         cfg = SessionConfig(
             n_groups=args.N,
             seed=seed,

@@ -165,9 +165,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.amps, dtype=np.complex128)
-        if a.ndim != 1 or a.size < 2 or a.size & (a.size - 1):
-            raise ValueError("amplitude vector length must be a power of two >= 2")
+        a = _as_row(np.array(self.amps, dtype=np.complex128))
         _check_rows(a[None])
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
@@ -175,6 +173,16 @@ class StateVector:
     @property
     def num_qubits(self) -> int:
         return self.amps.size.bit_length() - 1
+
+
+def _as_row(amps) -> np.ndarray:
+    """amps as a complex128 amplitude row, not copied when it is one
+    already; raises ValueError unless it is one-dimensional with a length
+    that is a power of two >= 2."""
+    a = np.asarray(amps, dtype=np.complex128)
+    if a.ndim != 1 or a.size < 2 or a.size & (a.size - 1):
+        raise ValueError("amplitude vector length must be a power of two >= 2")
+    return a
 
 
 _NORM2_LO, _NORM2_HI = (1.0 - ATOL) ** 2, (1.0 + ATOL) ** 2
@@ -350,16 +358,13 @@ def _gather_rounds(amps: np.ndarray, outcomes: int,
     """The rows of amps (rows, 2**n) with every round's qubits brought to
     the front, round by round, as float64 pairs (real, imaginary), and the
     plan that puts them back; raises ValueError when a round is not the
-    size a basis of that many outcomes measures, two rounds share a qubit
-    (_plan), or the rows' length is not a power of two >= 2."""
-    size = amps.shape[1]
-    if size < 2 or size & (size - 1):
-        raise ValueError("amplitude vector length must be a power of two >= 2")
+    size a basis of that many outcomes measures, or two rounds share a
+    qubit (_plan)."""
     for qs in rounds:
         if 1 << len(qs) != outcomes:
             raise ValueError(f"the basis measures {outcomes.bit_length() - 1} qubits, "
                              f"got {len(qs)}")
-    idx, inverse = _plan(size.bit_length() - 1, sum(map(tuple, rounds), ()))
+    idx, inverse = _plan(amps.shape[1].bit_length() - 1, sum(map(tuple, rounds), ()))
     return amps.take(idx, axis=1).view(np.float64), inverse
 
 
@@ -397,9 +402,8 @@ def _pick(thresholds: np.ndarray, r: np.ndarray) -> np.ndarray:
 def born_distribution(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]) -> dict:
     """Exact outcome probabilities of a projective measurement of the
     amplitude row amps, over every basis label: the one-round table of
-    branch_rows, which raises as there."""
-    row = np.asarray(amps, dtype=np.complex128).reshape(1, -1)
-    (table,) = branch_rows(row, basis, [qubits])
+    branch_rows; raises ValueError as _as_row and branch_rows do."""
+    (table,) = branch_rows(_as_row(amps)[None], basis, [qubits])
     return dict(zip(basis_labels(basis), table[0, 0].tolist()))
 
 
@@ -519,12 +523,11 @@ def joint_distribution(amps: np.ndarray, basis: MeasBasis,
                        groups: Iterable[Sequence[int]]) -> dict[tuple, float]:
     """Joint distribution of the same-basis measurement of several disjoint
     qubit groups of the amplitude row amps: a path's probability is the
-    product of its rounds' entries in the branch_rows tables of amps, which
-    raises as there. Keys are outcome tuples in group order, lexicographic
+    product of its rounds' entries in the branch_rows tables of amps; raises
+    ValueError as _as_row and branch_rows do. Keys are outcome tuples in group order, lexicographic
     in basis order, exactly the support.
     """
-    row = np.asarray(amps, dtype=np.complex128).reshape(1, -1)
-    tables = branch_rows(row, basis, list(groups))
+    tables = branch_rows(_as_row(amps)[None], basis, list(groups))
     labels = basis_labels(basis)
     outs, weights, path = [()], np.ones(1), np.zeros(1, dtype=np.intp)
     for table in tables:

@@ -258,6 +258,9 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         ("verify", "--emit", "csv", "--csv-out", ""),
         ("analyze", "--seed", "1", "--emit", "csv", "--csv-out", ""),
         ("verify", "--csv-out", ""),
+        # an empty value is a value, not an unset flag
+        ("run", "--N", "1", "--alice", "010", "--bob", "101", "--seed", "1", "--attack", ""),
+        ("run", "--N", "1", "--alice", "010", "--bob", "101", "--seed", "1", "--initial", ""),
     ]
     for args in cases:
         assert cli.main(list(args)) == 2, args

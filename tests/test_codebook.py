@@ -66,7 +66,10 @@ class TestGhzStates:
 
     def test_pairwise_orthogonal(self):
         ghz = ghz_rows()
-        assert np.allclose(ghz.conj() @ ghz.T, np.eye(len(GhzLabel)))
+        gram = ghz.conj() @ ghz.T
+        for a in GhzLabel:
+            for b in GhzLabel:
+                assert gram[a, b] == pytest.approx(1.0 if a == b else 0.0)
 
 
 class TestBellStates:

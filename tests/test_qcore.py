@@ -48,11 +48,12 @@ class TestStateVector:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [[1.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0],
-                                     [math.nan, 0.0], [math.inf, 0.0]])
+                                     [math.nan, 0.0], [math.inf, 0.0],
+                                     [[0.5, 0.5], [0.5, 0.5]]])
     def test_distributions_reject_what_a_state_rejects(self, bad):
-        # a length that is not a power of two >= 2, non-finite or
-        # unnormalized amplitudes: the exact distributions take a row and
-        # reject it as StateVector does
+        # not one row of a length that is a power of two >= 2, non-finite
+        # or unnormalized amplitudes: the exact distributions take a row
+        # and reject it as StateVector does
         for reject in (lambda: StateVector(bad),
                        lambda: born_distribution(bad, MeasBasis.Z, [0]),
                        lambda: joint_distribution(bad, MeasBasis.Z, [(0,)])):
