@@ -30,12 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import qcore
-from .checks import DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
+# decoy_state and measure_particles have no caller here: bench/tracer.py wraps
+# them in this namespace, so they stay imported until the tracer drops them.
+from .checks import (DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes,  # noqa: F401
+                     decoy_rows, decoy_state)
 from .codebook import ghz_rows
 from .labels import GhzLabel
 from .qcore import ZERO_TOL, MeasBasis, StreamBlock, basis_labels
-# measure_particles has no caller here: bench/tracer.py wraps it in this
-# namespace, so it stays imported until the tracer no longer names it.
 from .qcore import measure_rows as measure_particles  # noqa: F401
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
@@ -165,15 +166,6 @@ def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.
         # couple a fresh ancilla to the particle in flight
         return append_ancilla(amps, _ZERO, coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
     return amps
-
-
-@lru_cache(maxsize=None)
-def decoy_rows() -> np.ndarray:
-    """The four decoy states, in DECOY_TOKENS order, as the read-only rows
-    of one array."""
-    rows = np.stack([decoy_state(token).amps for token in DECOY_TOKENS])
-    rows.setflags(write=False)
-    return rows
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from typing import Hashable, Mapping
 
 from .codebook import CompositeOp
 from .labels import CollectionLabel
-from .protocol import SessionConfig, run_session, random_message_bits
+from .protocol import _A_OP, _B_OP, _BELL, SessionConfig, random_message_bits, run_session
 from .qcore import Rng
-from .swap import announcement
+from .swap import announcement, swap_chart
 
 OpPair = tuple[CompositeOp, CompositeOp]
 
@@ -100,17 +100,17 @@ def leakage_monte_carlo(n_groups: int = 10_000, seed: int = 0) -> dict:
     """Empirical announcement-conditioned entropy from full protocol groups.
 
     Runs one session of n_groups with random messages and no decoys,
-    tabulates (announcement, operation pair) frequencies, and compares the
-    plug-in conditional entropy against the exhaustive enumeration.
+    tabulates (announcement, operation pair) frequencies off its columns,
+    and compares the plug-in conditional entropy with the exhaustive one.
     """
     rng = Rng(seed, stream=1)
     alice_bits = random_message_bits(n_groups, rng)
     bob_bits = random_message_bits(n_groups, rng)
     cfg = SessionConfig(n_groups=n_groups, seed=seed, decoys=0)
     transcript = run_session(cfg, alice_bits, bob_bits)
-    announced = transcript.field_values("announcement")
+    announced = list(map(CollectionLabel, swap_chart()[1][transcript.columns[_BELL]].tolist()))
     # counted in order of first occurrence, the order in which the entropy sums
-    ops = zip(transcript.field_values("a_op"), transcript.field_values("b_op"))
+    ops = zip(*(map(CompositeOp, transcript.columns[row].tolist()) for row in (_A_OP, _B_OP)))
     h_cond = _entropy_given_announcement(Counter(zip(announced, ops)))
     m_counts = Counter(announced)
     exhaustive = conditional_entropy_given_announcement(uniform_op_pair_prior())

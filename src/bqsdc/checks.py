@@ -1,6 +1,6 @@
 """Eavesdropping-check primitives shared by the session machine and the
-attack harness: the four single-particle decoy states and the
-correlation-consistency predicate for GHZ samples.
+attack harness: the four single-particle decoy states, as rows and as
+states, and the correlation-consistency predicate for GHZ samples.
 
 An outcome is an error exactly when it has zero Born probability under the
 pristine sample state (zero meaning below qcore.ZERO_TOL); any outcome a
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable
+
+import numpy as np
 
 from . import qcore
 from .codebook import ghz_rows
@@ -39,13 +41,22 @@ DECOY_TOKENS = tuple(DECOY_STATES)
 
 
 @lru_cache(maxsize=None)
+def decoy_rows() -> np.ndarray:
+    """The four decoy states, in DECOY_TOKENS order, as the read-only rows
+    of one array: each the basis vector of its expected outcome."""
+    rows = np.stack([dict(qcore.basis_outcomes(prep.basis))[prep.expected]
+                     for prep in DECOY_STATES.values()])
+    qcore._check_rows(rows)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
 def decoy_state(token: str) -> StateVector:
-    """Single-qubit state for a decoy token, the basis vector of its expected
-    outcome (shared: the result is immutable)."""
-    prep = DECOY_STATES.get(token)
-    if prep is None:
+    """Single-qubit state for a decoy token, its decoy_rows row (shared, immutable)."""
+    if token not in DECOY_STATES:
         raise ValueError(f"unknown decoy token {token!r}")
-    return StateVector(dict(qcore.basis_outcomes(prep.basis))[prep.expected])
+    return StateVector(decoy_rows()[DECOY_TOKENS.index(token)])
 
 
 @lru_cache(maxsize=None)

@@ -49,25 +49,26 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import qcore
-from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices, decoy_rows
+from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices
 # decoy_state, transform_label, invert_transform, collection_of, collection_table
 # and measure_particles have no caller here: bench/tracer.py wraps them in this
 # namespace, so they stay imported until the tracer no longer names them.
-from .checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok  # noqa: F401
+from .checks import (DECOY_STATES, DECOY_TOKENS, decoy_rows, decoy_state,  # noqa: F401
+                     ghz_sample_ok)
 from .codebook import (FIRST_FACTORS, SECOND_FACTORS, CompositeOp, ghz_rows,  # noqa: F401
                        invert_transform, transform_chart, transform_label)
 from .labels import CollectionLabel, GhzLabel
 from .qcore import MeasBasis, Rng, StreamBlock, apply_op, basis_labels
 from .qcore import measure_rows as measure_particles  # noqa: F401
-from .swap import (BellTriple, announcement_chart, bell_tables, bell_triples,  # noqa: F401
-                   collection_of, collection_table, ghz_swap_tables, swap_chart)
+from .swap import (announcement_chart, bell_tables, bell_triples, collection_of,  # noqa: F401
+                   collection_table, ghz_swap_tables, swap_chart)
 
 def default_decoy_count(n_groups: int) -> int:
     """Per-check decoy count used when the config leaves it unset: enough to
@@ -126,31 +127,11 @@ class CheckRecord:
                 "error_rate": self.error_rate, "aborted": self.aborted}
 
 
-@dataclass(frozen=True)
-class GroupRecord:
-    """Everything the transcript keeps about one message group, None where
-    the session stopped before the step that sets it: a read view of the
-    transcript's columns (SessionTranscript.groups)."""
-
-    index: int
-    prepared_label: GhzLabel
-    a_op: CompositeOp | None
-    p_label: GhzLabel | None
-    b_op: CompositeOp | None
-    bell_triple: BellTriple | None
-    announcement: CollectionLabel | None
-    decoded_by_alice: str | None
-    decoded_by_bob: str | None
-
-
 # The rows of SessionTranscript.columns, an entry per group, -1 before the
 # step that sets it: the prepared label, Alice's op, the label Bob measures,
 # Bob's op, the swap's Bell indices a, b, c as 16a + 4b + c, and the ops
 # Alice and Bob decode.
 _PREPARED, _A_OP, _P_LABEL, _B_OP, _BELL, _BY_ALICE, _BY_BOB = range(7)
-# The row behind each GroupRecord (and _GROUP_JSON) field after the index:
-# the Bell index gives both the triple and its collection.
-_FIELD_ROWS = (_PREPARED, _A_OP, _P_LABEL, _B_OP, _BELL, _BELL, _BY_ALICE, _BY_BOB)
 
 
 def _columns(n_groups: int) -> np.ndarray:
@@ -161,8 +142,8 @@ def _columns(n_groups: int) -> np.ndarray:
 @dataclass(eq=False)
 class SessionTranscript:
     """Deterministic record of one session. Its groups are integer columns
-    (_PREPARED, ...), from which the records of groups and the JSON text are
-    built when read. Compare transcripts by their to_json text."""
+    (_PREPARED, ...), from which the JSON text and the decoded message
+    strings are built when read. Compare transcripts by their to_json text."""
 
     config: SessionConfig
     checks: list[CheckRecord] = field(default_factory=list)
@@ -173,23 +154,15 @@ class SessionTranscript:
     def aborted(self) -> bool:
         return self.abort_step is not None
 
-    @property
-    def groups(self) -> list[GroupRecord]:
-        """A record per group, built from the columns on every read."""
-        return list(map(GroupRecord, range(1, self.columns.shape[1] + 1),
-                        *map(self.field_values, [f.name for f in fields(GroupRecord)[1:]])))
-
-    def field_values(self, name: str) -> list:
-        """Every group's GroupRecord field name, read off its column."""
-        i = [f.name for f in fields(GroupRecord)].index(name) - 1
-        return list(map(_field_values()[i].__getitem__, self.columns[_FIELD_ROWS[i]].tolist()))
-
     def alice_message_bits(self) -> str | None:
-        """Bob's secrets as decoded by Alice, concatenated; None on abort."""
-        return None if self.aborted else _BIT_TEXT[self.columns[_BY_ALICE]].tobytes().decode()
+        """Bob's secrets as decoded by Alice, concatenated; None until decode
+        has filled the column (-1 before), so on abort too."""
+        ops = self.columns[_BY_ALICE]
+        return None if not ops.size or ops.min() < 0 else _BIT_TEXT[ops].tobytes().decode()
 
     def bob_message_bits(self) -> str | None:
-        return None if self.aborted else _BIT_TEXT[self.columns[_BY_BOB]].tobytes().decode()
+        ops = self.columns[_BY_BOB]
+        return None if not ops.size or ops.min() < 0 else _BIT_TEXT[ops].tobytes().decode()
 
     def to_json(self, fh=None) -> str | None:
         """The transcript as json.dumps(..., indent=2) would write it, plus a
@@ -220,7 +193,8 @@ class SessionTranscript:
         fh.write(("\n  ]," if self.columns.shape[1] else "],") + f"\n{tail[2:]}\n")
 
 
-# One group as json.dumps(indent=2) writes it, the fields in GroupRecord order.
+# One group as json.dumps(indent=2) writes it, a field per column row in row
+# order, the Bell index giving both the triple and its collection.
 _GROUP_JSON = """\
     {
       "n": %d,
@@ -236,26 +210,18 @@ _GROUP_JSON = """\
 
 
 @lru_cache(maxsize=None)
-def _field_values() -> tuple[tuple, ...]:
-    """Per GroupRecord field after index, the value of each entry its column
-    can hold, by entry: labels, ops, Bell triples, collections and 3-bit
-    strings, with None last, at entry -1."""
-    return tuple((*values, None) for values in (
-        GhzLabel, CompositeOp, GhzLabel, CompositeOp, bell_triples(),
-        map(CollectionLabel, swap_chart()[1].tolist()), _BITS, _BITS))
-
-
-@lru_cache(maxsize=None)
 def _group_tables() -> tuple[tuple[np.ndarray, list[int]], ...]:
     """The text of a group after its prepared_label key, as four read-only
     tables of strings, each with the column rows that index it: (prepared,
     a_op) 9 by 9, (p_label, b_op) 9 by 9, the Bell index, which gives both
     the triple and its collection, 65, and (decoded by Alice, by Bob) 9 by
-    9. An entry is its fields' JSON (a token or string, None as null), each
-    followed by the _GROUP_JSON text up to the next field."""
-    texts = [np.array([("null" if v is None else json.dumps(v if isinstance(v, str) else v.token))
-                       + after for v in values], dtype=object)
-             for values, after in zip(_field_values(), _GROUP_JSON.split("%s")[1:])]
+    9. An entry is its fields' JSON, the token or 3-bit string of a column
+    entry (null at -1), each followed by the _GROUP_JSON text up to the
+    next field."""
+    values = (GhzLabel, CompositeOp, GhzLabel, CompositeOp, bell_triples(),
+              map(CollectionLabel, swap_chart()[1].tolist()), _BITS, _BITS)
+    texts = [np.array([*(json.dumps(getattr(v, "token", v)) for v in field), "null"], dtype=object)
+             + after for field, after in zip(values, _GROUP_JSON.split("%s")[1:])]
     tables = (np.add.outer(texts[0], texts[1]), np.add.outer(texts[2], texts[3]),
               texts[4] + texts[5], np.add.outer(texts[6], texts[7]))
     for table in tables:

@@ -1,5 +1,6 @@
 """Assertion helpers shared by the test modules."""
 
+import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,6 +22,13 @@ def session_block(size: int = TEST_BLOCK):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_BLOCK", size)
         yield
+
+
+def json_groups(transcript) -> list[dict]:
+    """The groups of a transcript as its JSON text writes them, one dict
+    per group: its number n and its fields, tokens and 3-bit strings, None
+    where the session stopped before the step that sets it."""
+    return json.loads(transcript.to_json())["groups"]
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:

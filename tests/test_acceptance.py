@@ -15,6 +15,7 @@ otherwise:
 """
 
 import pytest
+from helpers import json_groups
 
 from bqsdc import analysis, cli
 from bqsdc.adversary import AttackConfig, CheckTemplate, estimate_detection
@@ -55,10 +56,9 @@ def test_criterion_2_swap_collections():
 def test_criterion_3_worked_example():
     cfg = SessionConfig(n_groups=1, seed=7, initial_label=GhzLabel.PSI0)
     t = run_session(cfg, "010", "101")
-    g = t.groups[0]
-    ok = (g.announcement == CollectionLabel.C7
-          and g.decoded_by_alice == "101"
-          and g.decoded_by_bob == "010")
+    ok = (json_groups(t)[0]["announcement"] == CollectionLabel.C7.token
+          and t.alice_message_bits() == "101"
+          and t.bob_message_bits() == "010")
     report("3 worked example announces c7, decodes 101/010", ok)
     assert ok
 
@@ -70,12 +70,12 @@ def test_criterion_4_exhaustive_roundtrip_and_capacity():
             for b in CompositeOp:
                 cfg = SessionConfig(n_groups=1, seed=29, initial_label=p, decoys=0)
                 t = run_session(cfg, "".join(map(str, a.bits)), "".join(map(str, b.bits)))
-                g = t.groups[0]
-                if g.decoded_by_bob != "".join(map(str, a.bits)):
+                by_alice, by_bob = t.alice_message_bits(), t.bob_message_bits()
+                if by_bob != "".join(map(str, a.bits)):
                     failures += 1
-                if g.decoded_by_alice != "".join(map(str, b.bits)):
+                if by_alice != "".join(map(str, b.bits)):
                     failures += 1
-                if len(g.decoded_by_alice) + len(g.decoded_by_bob) != 6:
+                if len(by_alice) + len(by_bob) != 6:
                     failures += 1
     ok = failures == 0
     report("4 exhaustive 512-case roundtrip, 6 bits per group", ok,

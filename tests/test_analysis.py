@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import json_groups
 
 from bqsdc.analysis import (cabello_efficiency, capacity_report,
                             comparison_report, conditional_entropy_given_announcement,
@@ -58,9 +59,10 @@ class TestAnnouncement:
         for seed, (a_bits, b_bits) in enumerate([("010", "101"), ("111", "000"),
                                                  ("100", "110")]):
             cfg = SessionConfig(n_groups=1, seed=seed, decoys=0)
-            t = run_session(cfg, a_bits, b_bits)
-            g = t.groups[0]
-            assert g.announcement == announcement(g.a_op, g.b_op)
+            a, b = CompositeOp(int(a_bits, 2)), CompositeOp(int(b_bits, 2))
+            g = json_groups(run_session(cfg, a_bits, b_bits))[0]
+            assert (g["a_op"], g["b_op"]) == (a.token, b.token)
+            assert g["announcement"] == announcement(a, b).token
 
 
 class TestConditionalEntropy:

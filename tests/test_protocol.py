@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import json
@@ -8,22 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import TEST_BLOCK, basis_row, equal_up_to_global_phase, session_block
+from helpers import TEST_BLOCK, basis_row, equal_up_to_global_phase, json_groups, session_block
 from reference_session import ReferenceSession, alice_decode, bob_decode
 
-from bqsdc import cli, particles, protocol, qcore
-from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack, decoy_rows
-from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_state
+from bqsdc import checks, cli, particles, protocol, qcore
+from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack
+from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_rows, decoy_state
 from bqsdc.codebook import CompositeOp, ghz_rows, transform_chart, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel, ghz_amplitudes
 from bqsdc.particles import merge
-from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, GroupRecord, Session,
-                            SessionConfig, SessionTranscript, StateTable, _decoded,
-                            _invert_announcements, default_decoy_count, message_ops,
-                            random_message_bits, run_session)
+from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, Session, SessionConfig,
+                            SessionTranscript, StateTable, _decoded, _invert_announcements,
+                            default_decoy_count, message_ops, random_message_bits, run_session)
 from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, born_distribution, measure_rows
-from bqsdc.swap import (announcement_chart, collection_members, collection_table, ghz_swap_tables,
-                        swap_chart)
+from bqsdc.swap import (announcement_chart, bell_triples, collection_members, collection_table,
+                        ghz_swap_tables, swap_chart)
 
 
 def quiet_cfg(n, seed=0, **kw):
@@ -142,7 +140,8 @@ class TestPrepare:
         # both triples of the group carry the same prepared label: a GHZ
         # state's id is its label
         assert np.array_equal(block, ghz_rows()[s.triples[0]])
-        assert s.triples.tolist() == [[s.transcript.groups[0].prepared_label] * 2]
+        assert [GhzLabel(k).token for k in s.triples[0]] == \
+            [json_groups(s.transcript)[0]["prepared_label"]] * 2
 
     def test_sample_insertion_and_alignment(self):
         cfg = SessionConfig(n_groups=4, seed=9, decoys=2)
@@ -161,16 +160,16 @@ class TestPrepare:
     def test_forced_initial_label(self):
         s = Session(quiet_cfg(3, seed=1, initial_label=GhzLabel.PSI6), "0" * 9, "0" * 9)
         s.prepare()
-        assert [g.prepared_label for g in s.transcript.groups] == [GhzLabel.PSI6] * 3
+        assert [g["prepared_label"] for g in json_groups(s.transcript)] == ["psi6"] * 3
 
     def test_prepared_labels_uniform(self):
         # frequency of each of the eight labels over 1e4 groups within
         # 2 percentage points of 1/8
         s = Session(quiet_cfg(10_000, seed=123), "0" * 30_000, "0" * 30_000)
         s.prepare()
-        counts = {lab: 0 for lab in GhzLabel}
-        for g in s.transcript.groups:
-            counts[g.prepared_label] += 1
+        counts = {lab.token: 0 for lab in GhzLabel}
+        for g in json_groups(s.transcript):
+            counts[g["prepared_label"]] += 1
         for lab, c in counts.items():
             assert abs(c / 10_000 - 0.125) < 0.02
 
@@ -190,6 +189,24 @@ class TestRowTables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0
+
+    def test_decoy_rows_build_no_state_vector(self, monkeypatch):
+        # the rows come from DECOY_STATES and basis_outcomes, checked once
+        # as rows; a cold decoy_state builds the one state it returns
+        built = []
+        post_init = StateVector.__post_init__
+
+        def record(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", record)
+        rows = checks.decoy_rows.__wrapped__()  # as on a cold cache
+        assert not built
+        assert np.array_equal(rows, decoy_rows()) and not rows.flags.writeable
+        state = checks.decoy_state.__wrapped__("+")
+        assert len(built) == 1
+        assert np.array_equal(state.amps, rows[DECOY_TOKENS.index("+")])
 
     def test_cached_charts_are_read_only(self):
         # every session reads these, so a write into one would reach all
@@ -221,8 +238,8 @@ class TestChecks:
         assert x == {("+", "+", "+"), ("-", "-", "+"), ("+", "-", "-"), ("-", "+", "-")}
 
     def test_decoy_states_are_the_hand_written_vectors(self):
-        # decoy_state derives each state from its DECOY_STATES entry; these
-        # literals are the independent fixture
+        # decoy_rows derives each state from its DECOY_STATES entry, and
+        # decoy_state wraps its row; these literals are the independent fixture
         r = 2.0 ** -0.5
         expected = {"0": [1, 0], "1": [0, 1], "+": [r, r], "-": [r, -r]}
         assert tuple(expected) == DECOY_TOKENS
@@ -306,7 +323,7 @@ class TestEncoding:
             s.check2()
             s.check3()
             s.bob_encode()
-            assert all(g.p_label == g.prepared_label for g in s.transcript.groups)
+            assert all(g["p_label"] == g["prepared_label"] for g in json_groups(s.transcript))
 
     def test_bob_encode_label_change(self):
         s = Session(quiet_cfg(1, seed=3, initial_label=GhzLabel.PSI0), "000", "101")
@@ -325,18 +342,20 @@ class TestSwapAnnounce:
     def test_worked_example_announces_c7(self):
         cfg = quiet_cfg(1, seed=7, initial_label=GhzLabel.PSI0)
         t = run_session(cfg, "010", "101")
-        assert t.groups[0].announcement == CollectionLabel.C7
+        assert json_groups(t)[0]["announcement"] == "c7"
 
     def test_equal_ops_announce_c0(self):
         for seed in range(6):
             t = run_session(quiet_cfg(1, seed=seed), "011", "011")
-            assert t.groups[0].announcement == CollectionLabel.C0
+            assert json_groups(t)[0]["announcement"] == "c0"
 
     def test_measured_triple_in_announced_collection(self):
+        members = {m.token: {triple.token for triple in collection_members(m)}
+                   for m in CollectionLabel}
         for seed in range(8):
             t = run_session(quiet_cfg(1, seed=seed), "100", "001")
-            g = t.groups[0]
-            assert g.bell_triple in collection_members(g.announcement)
+            g = json_groups(t)[0]
+            assert g["bell_triple"] in members[g["announcement"]]
 
 
 class TestDecode:
@@ -392,8 +411,8 @@ class TestSessions:
         t = run_session(quiet_cfg(n, seed=1), "010" * n, "101" * n)
         assert len(t.alice_message_bits()) == 3 * n
         assert len(t.bob_message_bits()) == 3 * n
-        for g in t.groups:
-            assert len(g.decoded_by_alice) + len(g.decoded_by_bob) == 6
+        for g in json_groups(t):
+            assert len(g["decoded_by_alice"]) + len(g["decoded_by_bob"]) == 6
 
     def test_transcripts_byte_identical(self):
         cfg = SessionConfig(n_groups=3, seed=99)
@@ -428,8 +447,8 @@ class TestSessions:
                     cfg = quiet_cfg(1, seed=17, initial_label=p)
                     t = run_session(cfg, "".join(map(str, a.bits)),
                                     "".join(map(str, b.bits)))
-                    assert t.groups[0].decoded_by_bob == "".join(map(str, a.bits))
-                    assert t.groups[0].decoded_by_alice == "".join(map(str, b.bits))
+                    assert t.bob_message_bits() == "".join(map(str, a.bits))
+                    assert t.alice_message_bits() == "".join(map(str, b.bits))
 
 
 # No attack, then every strategy on every target.
@@ -464,7 +483,7 @@ class TestKeyedStreams:
                                     check_threshold=0.99, attack=attack)
                 t = run_session(cfg, alice[:3 * n_groups], bob[:3 * n_groups])
                 if not t.aborted:
-                    records.append(t.groups[:n])
+                    records.append(json_groups(t)[:n])
         assert len(records) >= 2  # sessions without decoys never abort
         assert all(r == records[0] for r in records)
 
@@ -525,7 +544,7 @@ class TestTranscriptWriter:
         alice, bob = random_message_bits(n, msg_rng), random_message_bits(n, msg_rng)
         with session_block():
             t = run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
-            assert len(t.groups) == n and not t.aborted
+            assert len(json_groups(t)) == n and not t.aborted
             assert_written_as_json_dumps(t.to_json())
 
     @pytest.mark.parametrize("attack, step", [(None, None), ("intercept:S_B", 4)])
@@ -543,7 +562,7 @@ class TestTranscriptWriter:
         cfg = SessionConfig(n_groups=n, seed=5, decoys=64,
                             attack=attack and AttackConfig("intercept_resend", target="S_B"))
         t = run_session(cfg, alice, bob)
-        assert t.abort_step == step and len(t.groups) == n
+        assert t.abort_step == step and len(json_groups(t)) == n
         text = path.read_text()
         assert text == t.to_json()
         assert_written_as_json_dumps(text)
@@ -571,9 +590,16 @@ class TestTranscriptWriter:
     def test_group_tables_are_json_dumps_of_each_entry(self):
         # every entry of the four tables, null entries included, in a group
         # whose other fields take their tables' first entries, against the
-        # group json.dumps writes
-        values, tables = protocol._field_values(), protocol._group_tables()
-        names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
+        # group json.dumps writes: each field's value by column entry, None
+        # last, at entry -1
+        bits = ["".join(map(str, op.bits)) for op in CompositeOp]
+        fields = {"prepared_label": GhzLabel, "a_op": CompositeOp, "p_label": GhzLabel,
+                  "b_op": CompositeOp, "bell_triple": bell_triples(),
+                  "announcement": map(CollectionLabel, swap_chart()[1].tolist()),
+                  "decoded_by_alice": bits, "decoded_by_bob": bits}
+        values = [[*(v if isinstance(v, str) else v.token for v in entries), None]
+                  for entries in fields.values()]
+        names, tables = list(fields), protocol._group_tables()
         before, after = protocol._GROUP_JSON.split("%s")[0].split("%d")
         checked = 0
         for i, (table, _) in enumerate(tables):
@@ -581,7 +607,7 @@ class TestTranscriptWriter:
                 entries = [0] * len(names)
                 # table i holds fields 2i and 2i + 1; the Bell table one index for both
                 entries[2 * i:2 * i + 2] = index if len(index) == 2 else index * 2
-                group = {"n": 1, **{name: record_json(values[k][entry])
+                group = {"n": 1, **{name: values[k][entry]
                                     for k, (name, entry) in enumerate(zip(names, entries))}}
                 texts = [other[index if j == i else (0,) * other.ndim]
                          for j, (other, _) in enumerate(tables)]
@@ -658,37 +684,40 @@ def reader_sessions():
         yield run_session(SessionConfig(n_groups=n, seed=n), alice, bob)
 
 
-def record_json(value):
-    return None if value is None else value if isinstance(value, str) else value.token
-
-
-def test_group_view_and_json_read_the_same_columns():
-    # t.groups, t.field_values and t.to_json() each build a group's fields
-    # from the columns; so do the decoded message strings
+def test_message_strings_and_json_read_the_same_columns():
+    # t.to_json() and the decoded message strings each read the groups'
+    # decoded columns: the strings join the JSON's decoded fields, and both
+    # are null where the session aborted
     aborted = []
     with session_block():
         for t in reader_sessions():
-            doc = json.loads(t.to_json())["groups"]
-            records = t.groups
-            assert len(records) == len(doc) == t.config.n_groups
-            names = [f.name for f in dataclasses.fields(GroupRecord)][1:]  # after index
-            for rec, obj in zip(records, doc):
-                assert obj == {"n": rec.index, **{k: record_json(getattr(rec, k)) for k in names}}
-            for k in names:
-                assert t.field_values(k) == [getattr(rec, k) for rec in records]
+            doc = json_groups(t)
+            assert [g["n"] for g in doc] == list(range(1, t.config.n_groups + 1))
             aborted.append(t.aborted)
+            by_alice, by_bob = ([g[k] for g in doc] for k in ("decoded_by_alice", "decoded_by_bob"))
             if t.aborted:
                 assert t.alice_message_bits() is None and t.bob_message_bits() is None
+                assert set(by_alice) == set(by_bob) == {None}
             else:
-                assert t.alice_message_bits() == "".join(r.decoded_by_alice for r in records)
-                assert t.bob_message_bits() == "".join(r.decoded_by_bob for r in records)
+                assert t.alice_message_bits() == "".join(by_alice)
+                assert t.bob_message_bits() == "".join(by_bob)
     assert aborted.count(True) == 3
 
 
-def test_group_records_are_read_only():
-    t = run_session(quiet_cfg(1, seed=2), "010", "101")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        t.groups[0].a_op = CompositeOp.U0
+def test_message_strings_are_none_until_decode():
+    # before decode the decoded columns hold -1, which is no op's message:
+    # the strings are None, as the JSON's decoded fields are null
+    s = Session(SessionConfig(2, seed=1, decoys=0), "010110", "101001")
+    t = s.transcript
+    for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3, s.bob_encode,
+                 s.swap_and_announce):
+        assert t.alice_message_bits() is None and t.bob_message_bits() is None
+        step()
+        assert not t.aborted
+    assert {g[k] for g in json_groups(t) for k in ("decoded_by_alice", "decoded_by_bob")} == {None}
+    assert t.alice_message_bits() is None and t.bob_message_bits() is None
+    s.decode()
+    assert t.alice_message_bits() == "101001" and t.bob_message_bits() == "010110"
 
 
 # Uniform and fixed attack parameters: Eve's fake state and basis drawn per
@@ -876,7 +905,7 @@ class TestSwapTable:
 
         monkeypatch.setattr(particles, "merge", counting_merge)
         s.swap_and_announce()
-        assert s.transcript.groups[-1].announcement is not None
+        assert '"announcement": null' not in s.transcript.to_json()
         memo = states.memos[table]
         assert memo.shape[1] == len(GhzLabel)
         assert sum(joined) == len(distinct - GHZ_PAIRS) == len(table.fixed) - len(GHZ_PAIRS)
@@ -996,7 +1025,7 @@ class TestInterning:
                     random_message_bits(n, msg_rng), random_message_bits(n, msg_rng))
         states, measurements, swap = s.states, measured(s), s.swap  # the swap releases them
         t = s.run()
-        assert not t.aborted and t.groups[-1].decoded_by_bob is not None
+        assert not t.aborted and t.bob_message_bits() is not None
         known = {kind: int((memo >= 0).sum()) for kind, memo in states.memos.items()}
         # the entries the session started with: op k on each GHZ state, and
         # the seed of each table it looked up, the swap's the 64 pairs of
@@ -1363,7 +1392,8 @@ class TestAborts:
         t = run_session(cfg, "010", "101")
         assert t.abort_step == 4
         assert [c.step for c in t.checks] == [2, 4]
-        assert t.groups[0].b_op is None and t.groups[0].announcement is None
+        g = json_groups(t)[0]
+        assert g["b_op"] is None and g["announcement"] is None
 
     def test_threshold_tolerates_errors(self):
         attack = AttackConfig("measure_resend", target="S_B")
@@ -1422,7 +1452,7 @@ class TestWidth:
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
         t = run_session(cfg, "010110", "101001")
-        assert t.groups[-1].announcement is not None
+        assert json_groups(t)[-1]["announcement"] is not None
         assert kernels, "no row kernel input or result was recorded"
         assert bool(measured) == (strategy == "measure_resend"), "collapses recorded"
         assert branched, "no branch expansion was recorded"
