@@ -1,17 +1,19 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import json_groups
 
-from bqsdc.analysis import (cabello_efficiency, capacity_report,
+from bqsdc.analysis import (_entropy_given_announcement, cabello_efficiency, capacity_report,
                             comparison_report, conditional_entropy_given_announcement,
                             leakage_monte_carlo, leakage_report, shannon_entropy,
                             uniform_op_pair_prior)
 from bqsdc.codebook import CompositeOp
 from bqsdc.labels import CollectionLabel
-from bqsdc.protocol import SessionConfig, run_session
+from bqsdc.protocol import SessionConfig, random_message_bits, run_session
+from bqsdc.qcore import Rng
 from bqsdc.swap import announcement
 
 
@@ -128,6 +130,20 @@ class TestLeakageMonteCarlo:
         a = leakage_monte_carlo(n_groups=500, seed=9)
         b = leakage_monte_carlo(n_groups=500, seed=9)
         assert a == b
+
+    def test_counts_what_the_json_writes(self):
+        # the columns it counts are the announcements and op pairs the
+        # session's JSON writes, counted in the same first-occurrence order
+        n, seed = 400, 5
+        rng = Rng(seed, stream=1)
+        bits = random_message_bits(n, rng), random_message_bits(n, rng)
+        groups = json_groups(run_session(SessionConfig(n_groups=n, seed=seed, decoys=0), *bits))
+        counts = Counter((g["announcement"], (g["a_op"], g["b_op"])) for g in groups)
+        announced = Counter(g["announcement"] for g in groups)
+        mc = leakage_monte_carlo(n_groups=n, seed=seed)
+        assert mc["empirical_conditional_entropy_bits"] == _entropy_given_announcement(counts)
+        assert mc["announcement_frequencies"] == {
+            m.token: announced[m.token] / n for m in CollectionLabel}
 
 
 class TestEfficiency:
