@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -197,7 +197,10 @@ class DetectionEstimate:
     abs_error: float | None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"strategy": self.strategy, "target": self.target, "params": dict(self.params),
+                "trials": self.trials, "detections": self.detections, "rate": self.rate,
+                "ci95": self.ci95, "exact_value": self.exact_value,
+                "claimed_value": self.claimed_value, "abs_error": self.abs_error}
 
 
 def _eve_choices(cfg: AttackConfig) -> list:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -102,8 +102,10 @@ class SessionConfig:
         return self.decoys if self.decoys is not None else default_decoy_count(self.n_groups)
 
     def to_json_dict(self) -> dict:
-        attack = None if self.attack is None else {
-            **asdict(self.attack), "beta_squared": round(self.attack.beta_squared, 12)}
+        a = self.attack
+        attack = None if a is None else {
+            "strategy": a.strategy, "target": a.target, "fake_state": a.fake_state,
+            "eve_basis": a.eve_basis, "beta_squared": round(a.beta_squared, 12)}
         return {
             "n_groups": self.n_groups,
             "seed": self.seed,
@@ -298,11 +300,11 @@ _ROLES = {"S_A": 0, "S_B": 1, "S_C": 2}
 
 # Groups (twice as many triples), samples or decoys per block of draws, and
 # groups per chunk of written transcript. Each block costs a fixed count of
-# numpy calls (memo lookups, keyed draws, sample_branches), so larger blocks
-# run faster, and cost memory: the swap's block buffers take about 105 bytes
-# a group, 54 KB a block, and writing a transcript to a file about 0.32 MB
-# at any N (tracemalloc). At 1024, a run of 1000 clean groups peaked 12-48 %
-# higher than at 128.
+# numpy calls (memo lookups, keyed draws, and sample_branches' one gather and
+# one comparison a round), so larger blocks run faster, and cost memory: the
+# swap's block buffers take about 105 bytes a group, 54 KB a block, and
+# writing a transcript to a file about 0.32 MB at any N (tracemalloc). At
+# 1024, a run of 1000 clean groups peaked 12-48 % higher than at 128.
 _BLOCK = 512
 # A table expands at most this many new pairs at once, which bounds what the
 # swap holds: its joint states, their expansion and the table take up to
@@ -401,8 +403,8 @@ class StateTable:
 def _certain(tables: list[np.ndarray]) -> np.ndarray:
     """Per row of branch_thresholds tables, each round's outcome where every
     round on its path has one live outcome, which sample_branches takes for
-    any draw, and -1 otherwise: a row with a single live entry in its last
-    table."""
+    any draw, and -1 otherwise: a row with a single live entry (>= 0, the
+    row end 1.0 where it is the only one) in its last table."""
     live = tables[-1].reshape(len(tables[-1]), -1) >= 0
     paths = (tables[-1].shape[-1],) * len(tables)
     fixed = np.array(np.unravel_index(live.argmax(axis=1), paths)).T
@@ -502,7 +504,7 @@ class Branches:
         it, from the units' streams that lanes() keys; neither keyed nor
         drawn when every outcome is certain (_certain)."""
         entries = self.lookup(states, ids, other)
-        fixed = self.fixed[entries]
+        fixed = self.fixed.take(entries, axis=0)
         if fixed.min() >= 0:
             return list(fixed.T)
         return qcore.sample_branches(self.thresholds, entries,
@@ -683,6 +685,11 @@ class Session:
         announced = swap_chart()[1][columns[_BELL]]
         columns[_BY_ALICE] = alice[columns[_A_OP], announced]
         columns[_BY_BOB] = bob[columns[_B_OP], announced]
+        # an entry no step has set (-1) would index triple 63's collection or
+        # op 7, so a side decodes to -1 where the announcement or its op is unset
+        unswapped = columns[_BELL] < 0
+        columns[_BY_ALICE, unswapped | (columns[_A_OP] < 0)] = -1
+        columns[_BY_BOB, unswapped | (columns[_B_OP] < 0)] = -1
 
     def run(self) -> SessionTranscript:
         self.prepare()

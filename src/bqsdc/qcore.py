@@ -18,9 +18,11 @@ disjoint qubits once, each round projects the normalized remainders the
 round before it left, and it follows every outcome, so its tables hold the
 probability of every outcome on every path. Every Born table reads it.
 sample_branches is the one sampler: it walks those tables in their
-branch_thresholds form, one draw per row and round. collapse_rows is the
-one collapse, the same pass along given outcomes, expanded once at the
-end. measure_rows is the three in turn. StateVector and the functions on
+branch_thresholds form, running totals with each row closed at 1.0, so a
+draw in [0, 1) always lands below an entry, and a round is one gather of
+rows and one comparison with the draws. collapse_rows is the one collapse,
+the same pass along given outcomes, expanded once at the end.
+measure_rows is the three in turn. StateVector and the functions on
 one (tensor, apply_single, apply_unitary, measure) are their one-row case.
 """
 
@@ -385,20 +387,6 @@ def _remainder(projs: np.ndarray, probs: np.ndarray, src: np.ndarray,
     return rem
 
 
-def _pick(thresholds: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per row i, the first outcome j with r[i] < thresholds[i, j]
-    (branch_thresholds). Where rounding left the total at or below
-    r[i] < 1, the last outcome with nonzero probability, which exact
-    arithmetic would take."""
-    hit = r[:, None] < thresholds
-    j = hit.argmax(axis=1)
-    found = hit.any(axis=1)
-    if not found.all():
-        short = ~found
-        j[short] = thresholds.shape[1] - 1 - (thresholds[short, ::-1] >= 0).argmax(axis=1)
-    return j
-
-
 def born_distribution(amps: np.ndarray, basis: MeasBasis, qubits: Sequence[int]) -> dict:
     """Exact outcome probabilities of a projective measurement of the
     amplitude row amps, over every basis label: the one-round table of
@@ -496,26 +484,41 @@ def branch_rows(amps: np.ndarray, basis: MeasBasis | Sequence[MeasBasis],
 
 
 def branch_thresholds(tables: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """branch_rows' tables as sample_branches walks them: each entry the
-    running total of its outcomes up to it, summed left to right, or -1
-    where its probability is at or below ZERO_TOL: no draw in [0, 1) takes
-    that outcome."""
-    return [np.where(table > ZERO_TOL, table.cumsum(axis=-1), -1.0) for table in tables]
+    """branch_rows' tables as sample_branches walks them. An entry whose
+    probability is above ZERO_TOL (live) holds the running total of its row
+    up to it, summed left to right, but a row's last live entry holds 1.0,
+    the row's end. Every other entry is -1, so a row with no live entry, a
+    path through a dead branch, is -1 throughout. A draw r in [0, 1) is
+    below the row end, so the first entry above r is the first running
+    total above r or, where rounding left the total at or below r, the last
+    live outcome, which exact arithmetic would take."""
+    out = []
+    for table in tables:
+        live = table > ZERO_TOL
+        closed = np.where(live, table.cumsum(axis=-1), -1.0)
+        # a row's last live entry is the one live entry counted from its end
+        closed[live & (live[..., ::-1].cumsum(axis=-1)[..., ::-1] == 1)] = 1.0
+        out.append(closed)
+    return out
 
 
 def sample_branches(thresholds: Sequence[np.ndarray], rows: np.ndarray,
                     draws: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Walk branch_rows' tables in their branch_thresholds form: sample i
-    follows row rows[i] of the tables, drawing with draws[k][i] in round k.
-    Returns each round's outcome indices; raises ValueError unless there
-    is one draw per round."""
+    follows row rows[i] of the tables, drawing with draws[k][i] in round k
+    and taking the first outcome whose entry is above the draw. Round k
+    reads the table as (entries * d**k, d), sample i's row at the flat
+    index rows[i] d**k + p of its path p so far. Returns each round's
+    outcome indices; raises ValueError unless there is one draw per
+    round."""
     if len(draws) != len(thresholds):
         raise ValueError(f"{len(thresholds)} rounds need as many draws, got {len(draws)}")
-    path = np.zeros(len(rows), dtype=np.intp)
+    flat = np.asarray(rows)
     js = []
     for table, r in zip(thresholds, draws):
-        js.append(_pick(table[rows, path], r))
-        path = path * table.shape[-1] + js[-1]
+        d = table.shape[-1]
+        js.append((r[:, None] < table.reshape(-1, d).take(flat, axis=0)).argmax(axis=1))
+        flat = flat * d + js[-1]
     return js
 
 

@@ -720,6 +720,30 @@ def test_message_strings_are_none_until_decode():
     assert t.alice_message_bits() == "101001" and t.bob_message_bits() == "010110"
 
 
+@pytest.mark.parametrize("skipped, unset", [
+    ("swap_and_announce", {"decoded_by_alice", "decoded_by_bob"}),
+    ("alice_encode", {"decoded_by_alice"}), ("bob_encode", {"decoded_by_bob"})])
+def test_decode_leaves_unset_what_it_cannot_read(skipped, unset):
+    # an entry no step has set (-1) must not wrap to triple 63's collection
+    # or op 7: a side decodes to -1 where the announcement or its own op is
+    # unset, so its string is None and its JSON field null
+    s = Session(SessionConfig(2, seed=1, decoys=0), "010110", "101001")
+    for step in ("prepare", "check1", "alice_encode", "check2", "check3", "bob_encode",
+                 "swap_and_announce", "decode"):
+        if step != skipped:
+            getattr(s, step)()
+    t, groups = s.transcript, json_groups(s.transcript)
+    if skipped == "swap_and_announce":
+        assert [g["announcement"] for g in groups] == [None, None]
+    for field, bits in (("decoded_by_alice", t.alice_message_bits()),
+                        ("decoded_by_bob", t.bob_message_bits())):
+        decoded = [g[field] for g in groups]
+        if field in unset:
+            assert bits is None and decoded == [None, None], field
+        else:
+            assert bits == "".join(decoded), field
+
+
 # Uniform and fixed attack parameters: Eve's fake state and basis drawn per
 # particle or fixed, and two values of beta squared.
 BOUNDARY_ATTACKS = [None, *(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference_engine as reference
 from helpers import amplitude, basis_row, equal_up_to_global_phase
 
-from bqsdc import adversary, codebook, qcore
+from bqsdc import adversary, codebook, qcore, swap
 from bqsdc.adversary import _copy_unitary, eavesdrop_unitary
 from bqsdc.checks import decoy_state
 from bqsdc.codebook import ghz_rows
@@ -599,6 +599,68 @@ class TestBranchTables:
         (j,) = sample_branches(branch_thresholds([table]), np.array([0]), [r])
         assert j.tolist() == [1]
         self.assert_walk_equals_measure_rows(short, MeasBasis.Z, [(0,)], [r])
+
+    @staticmethod
+    def assert_closed(tables, thresholds):
+        """Each row of thresholds against its row of branch_rows tables: the
+        running total at each live entry (above ZERO_TOL) but the last, 1.0
+        at the last, and -1 at every dead entry, so across a row with none
+        live."""
+        for table, closed in zip(tables, thresholds, strict=True):
+            assert closed.shape == table.shape
+            d = table.shape[-1]
+            for probs, got in zip(table.reshape(-1, d).tolist(), closed.reshape(-1, d).tolist()):
+                live = [j for j, p in enumerate(probs) if p > qcore.ZERO_TOL]
+                total, want = 0.0, []
+                for j, p in enumerate(probs):
+                    total += p
+                    want.append(total if j in live else -1.0)
+                if live:
+                    want[live[-1]] = 1.0
+                assert got == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_thresholds_close_each_live_row_at_one(self, data):
+        # a basis state beside the random rows gives dead entries, and dead
+        # rows in the rounds after the first
+        basis = data.draw(st.sampled_from(list(MeasBasis)))
+        amps, rounds, _ = data.draw(rounds_case([basis]))
+        index = data.draw(st.integers(0, amps.shape[1] - 1))
+        amps = np.concatenate([amps, np.eye(amps.shape[1], dtype=np.complex128)[index:index + 1]])
+        tables = branch_rows(amps, basis, rounds)
+        self.assert_closed(tables, branch_thresholds(tables))
+
+    def test_ghz_swap_tables_are_closed(self):
+        ghz = ghz_rows()
+        g1, g2 = np.divmod(np.arange(len(GhzLabel) ** 2), len(GhzLabel))
+        self.assert_closed(swap.bell_tables(ghz[g1], ghz[g2]), swap.ghz_swap_tables())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(basis=st.sampled_from(list(MeasBasis)), data=st.data())
+    def test_draw_at_a_running_total_takes_the_next_live_outcome(self, basis, data):
+        # a draw equal to a running total is not below it, so the walk goes
+        # on to the next live outcome, as the reference's r < total does.
+        # The ties are exact in both engines: each row's nonzero amplitudes
+        # are real and sit on basis states no basis vector joins (Z: both;
+        # X: |0> alone; Bell, GHZ: the first half, whose complements form the
+        # second), so every probability is one rounded product squared
+        k, d = basis.arity, len(basis_labels(basis))
+        support = 2 if basis is MeasBasis.Z else 1 << (k - 1)
+        values = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=support,
+                                             max_size=support).filter(any),
+                                    min_size=1, max_size=4))
+        amps = np.zeros((len(values), 1 << k), dtype=np.complex128)
+        amps[:, :support] = values
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        tables = branch_rows(amps, basis, [tuple(range(k))])
+        totals = tables[0][:, 0].cumsum(axis=1)
+        for c in range(d):
+            r = np.where(totals[:, c] < 1.0, totals[:, c], 0.0)
+            (j,) = sample_branches(branch_thresholds(tables), np.arange(len(amps)), [r])
+            for i, row in enumerate(amps):
+                label, _ = reference.measure(row, basis, range(k), r[i])
+                assert basis_labels(basis)[j[i]] == label, (values[i], c)
 
     @pytest.mark.parametrize("basis, rounds", [
         (MeasBasis.Z, [(0,), (1,), (2,)]), (MeasBasis.X, [(2,), (0,), (1,)]),
