@@ -17,12 +17,14 @@ draws its check, Eve's choice and its outcome from those tables, a block of
 trials at a time (qcore.StreamBlock), with the counts of one scalar Rng per
 trial. The rows model Eve independently of apply_attack: her measurement is
 a copy of the particle's basis outcome onto an ancilla nobody measures,
-which leaves the check the same mixture of collapsed states.
+which leaves the check the same mixture of collapsed states. A row's path
+weights are qcore.path_weights of its tables, and which paths are errors
+is read off the session's own error tables (checks.sample_errors,
+checks.DECOY_ERRORS).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,18 +34,17 @@ import numpy as np
 from . import qcore
 # decoy_state and measure_particles have no caller here: bench/tracer.py wraps
 # them in this namespace, so they stay imported until the tracer drops them.
-from .checks import (DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes,  # noqa: F401
-                     decoy_rows, decoy_state)
+from .checks import (CHECK_BASES, DECOY_BASIS, DECOY_ERRORS, DECOY_STATES,  # noqa: F401
+                     DECOY_TOKENS, decoy_rows, decoy_state, sample_errors)
 from .codebook import ghz_rows
 from .labels import GhzLabel
-from .qcore import ZERO_TOL, MeasBasis, StreamBlock, basis_labels
+from .qcore import MeasBasis, StreamBlock
 from .qcore import measure_rows as measure_particles  # noqa: F401
 
 STRATEGIES = ("none", "intercept_resend", "measure_resend", "entangle_measure")
 TARGETS = ("S_C", "S_B", "S_A")
 
-_BASIS_TOKENS = ("Z", "X")
-EVE_BASES = tuple(MeasBasis(token) for token in _BASIS_TOKENS)
+_BASIS_TOKENS = tuple(basis.value for basis in CHECK_BASES)
 
 # SWAP on (particle, fake): intercept-resend's fake takes the particle's
 # qubit, and the genuine particle moves to the fake's, the last.
@@ -124,9 +125,9 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
 def attack_choices(cfg: AttackConfig, lanes, outcomes):
     """Eve's choice per unit of a block, as apply_attack takes it: her
     fake's index in DECOY_TOKENS (intercept-resend), 2 * her basis's index
-    in EVE_BASES + her outcome (measure-resend), else 0. lanes() keys the
+    in CHECK_BASES + her outcome (measure-resend), else 0. lanes() keys the
     units' streams, drawn for a uniform fake or basis only; outcomes(basis,
-    lanes) draws each unit's outcome in EVE_BASES[basis] after the basis."""
+    lanes) draws each unit's outcome in CHECK_BASES[basis] after the basis."""
     if cfg.strategy == "intercept_resend":
         return (lanes().randrange(len(DECOY_TOKENS)) if cfg.fake_state is None
                 else DECOY_TOKENS.index(cfg.fake_state))
@@ -134,7 +135,7 @@ def attack_choices(cfg: AttackConfig, lanes, outcomes):
         return 0
     if cfg.eve_basis is None:
         rng = lanes()
-        basis, lanes = rng.randrange(len(EVE_BASES)), lambda: rng
+        basis, lanes = rng.randrange(len(CHECK_BASES)), lambda: rng
     else:
         basis = _BASIS_TOKENS.index(cfg.eve_basis)
     return 2 * basis + outcomes(basis, lanes)
@@ -161,7 +162,7 @@ def apply_attack(amps: np.ndarray, role: int, cfg: AttackConfig, choices) -> np.
     if cfg.strategy == "measure_resend":
         # forward the particle collapsed onto Eve's outcome
         basis, outcome = np.divmod(np.broadcast_to(choices, len(amps)), 2)
-        return qcore.collapse_rows(amps, EVE_BASES, [(role,)], [outcome], which=basis)
+        return qcore.collapse_rows(amps, CHECK_BASES, [(role,)], [outcome], which=basis)
     if cfg.strategy == "entangle_measure":
         # couple a fresh ancilla to the particle in flight
         return append_ancilla(amps, _ZERO, coupling=(role, eavesdrop_unitary(cfg.beta_squared)))
@@ -234,7 +235,7 @@ def _decoy_axis(template: CheckTemplate) -> list[str]:
 
 def _basis_axis(template: CheckTemplate) -> list[MeasBasis]:
     if template.bob_basis is None:
-        return [MeasBasis.Z, MeasBasis.X]
+        return list(CHECK_BASES)
     if template.bob_basis in _BASIS_TOKENS:
         return [MeasBasis(template.bob_basis)]
     raise ValueError("bob_basis must be 'Z', 'X', or None")
@@ -244,25 +245,24 @@ class _TrialSampler:
     """Check trials sampled from exactly expanded branch tables. Row k = lead
     index * n_eve + choice index is a check on the lead's state after Eve's
     choice, every particle measured in the lead's basis: weights[k, p] the
-    probability of outcome path p (lexicographic in basis order), 0 where a
-    round on the path has probability at or below ZERO_TOL, and errors[k, p]
-    whether that path fails the check."""
+    probability of outcome path p (qcore.path_weights), and errors[k, p]
+    whether that path fails the check, the row of the check's error table
+    (checks.sample_errors, checks.DECOY_ERRORS)."""
 
     def __init__(self, cfg: AttackConfig, template: CheckTemplate):
         self.eve_values = _eve_choices(cfg)
         if cfg.target == "S_C":
             self.lead_values, role = _basis_axis(template), 2
-            label = template.sample_label
-            checks = [(ghz_rows()[label], basis, consistent_ghz_outcomes(label, basis))
-                      for basis in self.lead_values]
+            bases = np.array([CHECK_BASES.index(basis) for basis in self.lead_values])
+            pristine = ghz_rows()[np.full(len(bases), template.sample_label)]
+            errors = sample_errors()[template.sample_label, bases]
         else:
             self.lead_values, role = _decoy_axis(template), 0
-            checks = [(decoy_rows()[DECOY_TOKENS.index(token)], DECOY_STATES[token].basis,
-                       {(DECOY_STATES[token].expected,)}) for token in self.lead_values]
+            kinds = [DECOY_TOKENS.index(token) for token in self.lead_values]
+            pristine, bases, errors = decoy_rows()[kinds], DECOY_BASIS[kinds], DECOY_ERRORS[kinds]
         self.n_lead, self.n_eve = len(self.lead_values), len(self.eve_values)
         lead, choice = np.divmod(np.arange(self.n_lead * self.n_eve), self.n_eve)
-        pristine, bases, allowed = zip(*checks)
-        states = np.stack(pristine)[lead]
+        states = pristine[lead]
         n = states.shape[1].bit_length() - 1
         rounds = [(q,) for q in range(n)]
         if cfg.strategy == "intercept_resend":
@@ -274,16 +274,8 @@ class _TrialSampler:
             coupling = (np.stack([_copy_unitary(MeasBasis(b)) for b in self.eve_values])[choice]
                         if cfg.strategy == "measure_resend" else eavesdrop_unitary(cfg.beta_squared))
             states = append_ancilla(states, _ZERO, (role, coupling))
-        which = np.array([EVE_BASES.index(basis) for basis in bases])[lead]
-        # a path's weight is its rounds' entries multiplied left to right, as
-        # joint_distribution multiplies them
-        weights = np.ones((len(states), 1))
-        for table in qcore.branch_rows(states, EVE_BASES, rounds, which):
-            weights = (weights[:, :, None] * np.where(table > ZERO_TOL, table, 0.0)).reshape(
-                len(states), -1)
-        self.weights = weights
-        self.errors = np.array([[outs not in ok for outs in itertools.product(
-            basis_labels(basis), repeat=n)] for basis, ok in zip(bases, allowed)])[lead]
+        weights = qcore.path_weights(qcore.branch_rows(states, CHECK_BASES, rounds, bases[lead]))
+        self.weights, self.errors = weights, errors[lead]
         # Row k's live edges, each the running total e of its row up to it, as
         # k << 54 | ceil(e * 2**53), in one sorted array. The last is the row
         # end, so that an m past the total, where it rounded below 1, takes

@@ -20,7 +20,7 @@ from contextlib import ExitStack, contextmanager
 
 from . import __version__, adversary, analysis, codebook, swap
 from .adversary import STRATEGIES, TARGETS, AttackConfig, CheckTemplate
-from .checks import DECOY_TOKENS
+from .checks import CHECK_BASES, DECOY_TOKENS
 from .labels import GhzLabel
 from .protocol import Session, SessionConfig, random_message_bits
 from .qcore import Rng
@@ -31,6 +31,8 @@ SEED_ENV_VAR = "BQSDC_SEED"
 # are joined from a list of three shared one-character strings a group, 29
 # bytes a group at the peak (tracemalloc at 10**5), near 29 MB at the ceiling.
 MAX_DRAWN_GROUPS = 10 ** 6
+# The bases a check or Eve measures in, as --eve-basis and the basis flags spell them.
+_BASES = [basis.value for basis in CHECK_BASES]
 
 
 class UsageError(Exception):
@@ -137,7 +139,7 @@ def _attack_config(spec: str, target: str, args) -> AttackConfig:
             target = arg
         elif name == "intercept_resend" and arg in DECOY_TOKENS:
             fake = arg
-        elif name == "measure_resend" and arg.upper() in ("Z", "X"):
+        elif name == "measure_resend" and arg.upper() in _BASES:
             eve_basis = arg.upper()
         else:
             raise UsageError(f"bad attack {spec!r}: ARG must be a target ({', '.join(TARGETS)}), "
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_flags = argparse.ArgumentParser(add_help=False)
     attack_flags.add_argument("--fake", choices=DECOY_TOKENS,
                               help="intercept fake state")
-    attack_flags.add_argument("--eve-basis", choices=["Z", "X"], help="measure-resend basis")
+    attack_flags.add_argument("--eve-basis", choices=_BASES, help="measure-resend basis")
     attack_flags.add_argument("--beta2", type=float, help="entangle attack flip probability")
 
     p = sub.add_parser("verify", help="re-derive and verify both codebook charts")
@@ -333,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--sample", default="psi0", help="GHZ sample state for S_C checks")
-    p.add_argument("--check-basis", choices=["Z", "X", "uniform"], default="uniform")
-    p.add_argument("--decoy-basis", choices=["Z", "X", "uniform"], default="uniform")
+    p.add_argument("--check-basis", choices=[*_BASES, "uniform"], default="uniform")
+    p.add_argument("--decoy-basis", choices=[*_BASES, "uniform"], default="uniform")
     p.add_argument("--out", help="write the estimate JSON here")
     p.set_defaults(func=cmd_attack)
 

@@ -56,16 +56,17 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .adversary import EVE_BASES, AttackConfig, apply_attack, attack_choices
-# decoy_state, transform_label, invert_transform, collection_of, collection_table
-# and measure_particles have no caller here: bench/tracer.py wraps them in this
-# namespace, so they stay imported until the tracer no longer names them.
-from .checks import (DECOY_STATES, DECOY_TOKENS, decoy_rows, decoy_state,  # noqa: F401
-                     ghz_sample_ok)
+from .adversary import AttackConfig, apply_attack, attack_choices
+# decoy_state, ghz_sample_ok, transform_label, invert_transform, collection_of,
+# collection_table and measure_particles have no caller here: bench/tracer.py
+# wraps them in this namespace, so they stay imported until the tracer no
+# longer names them.
+from .checks import (CHECK_BASES, DECOY_BASIS, DECOY_ERRORS, DECOY_TOKENS,  # noqa: F401
+                     decoy_rows, decoy_state, ghz_sample_ok, sample_errors)
 from .codebook import (FIRST_FACTORS, SECOND_FACTORS, CompositeOp, ghz_rows,  # noqa: F401
                        invert_transform, transform_chart, transform_label)
 from .labels import CollectionLabel, GhzLabel
-from .qcore import MeasBasis, Rng, StreamBlock, apply_op, basis_labels
+from .qcore import MeasBasis, Rng, StreamBlock, apply_op
 from .qcore import measure_rows as measure_particles  # noqa: F401
 from .swap import (announcement_chart, bell_tables, bell_triples, collection_of,  # noqa: F401
                    collection_table, ghz_swap_tables, swap_chart)
@@ -159,12 +160,10 @@ class SessionTranscript:
     def alice_message_bits(self) -> str | None:
         """Bob's secrets as decoded by Alice, concatenated; None until decode
         has filled the column (-1 before), so on abort too."""
-        ops = self.columns[_BY_ALICE]
-        return None if not ops.size or ops.min() < 0 else _BIT_TEXT[ops].tobytes().decode()
+        return _message_bits(self.columns[_BY_ALICE])
 
     def bob_message_bits(self) -> str | None:
-        ops = self.columns[_BY_BOB]
-        return None if not ops.size or ops.min() < 0 else _BIT_TEXT[ops].tobytes().decode()
+        return _message_bits(self.columns[_BY_BOB])
 
     def to_json(self, fh=None) -> str | None:
         """The transcript as json.dumps(..., indent=2) would write it, plus a
@@ -241,6 +240,12 @@ def message_ops(bits: str, n_groups: int) -> np.ndarray:
     return digits.reshape(-1, 3) @ _BIT_WEIGHTS
 
 
+def _message_bits(ops: np.ndarray) -> str | None:
+    """The messages of a decoded column of ops, concatenated; None where the
+    column is empty or holds an op not decoded (-1)."""
+    return None if not ops.size or ops.min() < 0 else _BIT_TEXT[ops].tobytes().decode()
+
+
 def random_message_bits(n_groups: int, rng: Rng) -> str:
     """3 * n_groups message bits, one scalar draw each, joined from a list
     of the shared strings "0" and "1", so that no bit holds its own string."""
@@ -263,22 +268,6 @@ def _invert_announcements(announced) -> np.ndarray:
 def _decoded() -> np.ndarray:
     """The decode table of the announcement chart (_invert_announcements)."""
     return _invert_announcements(announcement_chart())
-
-
-@lru_cache(maxsize=None)
-def _sample_ok() -> np.ndarray:
-    """ok[label, w, 4a + 2b + c], read-only: whether the outcome indices a,
-    b, c of the first, second and third particle pass the check of a GHZ
-    sample in state label measured in _CHECK_BASES[w] (ghz_sample_ok)."""
-    ok = np.empty((len(GhzLabel), len(_CHECK_BASES), 8), dtype=bool)
-    for label in GhzLabel:
-        for w, basis in enumerate(_CHECK_BASES):
-            names = basis_labels(basis)
-            for k in range(8):
-                ok[label, w, k] = ghz_sample_ok(
-                    label, basis, (names[k >> 2], names[k >> 1 & 1], names[k & 1]))
-    ok.setflags(write=False)
-    return ok
 
 
 # Stream ids. Every draw of a session comes from Rng(cfg.seed, stream=id),
@@ -317,13 +306,6 @@ _CHOICES = 8
 _BITS = tuple(f"{k:03b}" for k in range(8))  # the message of op k
 _BIT_TEXT = np.frombuffer("".join(_BITS).encode(), dtype=np.uint8).reshape(len(_BITS), 3)
 _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
-# The check bases, drawn Z for 0 and X for 1, are Eve's, so a decoy check
-# reads her table of qubit 0; each decoy token's basis in that order, and
-# the index of the outcome a clean channel gives it.
-_CHECK_BASES = EVE_BASES
-_DECOY_BASIS = np.array([_CHECK_BASES.index(DECOY_STATES[t].basis) for t in DECOY_TOKENS])
-_DECOY_EXPECTED = np.array([basis_labels(DECOY_STATES[t].basis).index(DECOY_STATES[t].expected)
-                            for t in DECOY_TOKENS])
 
 
 def _keys(amps: np.ndarray) -> list[bytes]:
@@ -542,8 +524,8 @@ class Session:
         # Born tables: Eve's measurement of each qubit (eve[0] the decoy check's
         # too), the sample check, Bob's identification, each seeded on its
         # first lookup
-        self.eve = [Branches.measuring(EVE_BASES, ((role,),)) for role in range(3)]
-        self.samples = Branches.measuring(_CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
+        self.eve = [Branches.measuring(CHECK_BASES, ((role,),)) for role in range(3)]
+        self.samples = Branches.measuring(CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
         self.swap = Branches.swapping()
         self._streams = StreamBlock(cfg.seed, 2 * _BLOCK)  # a block of triples
@@ -605,13 +587,12 @@ class Session:
 
     def check1(self) -> CheckRecord:
         """Step 2: GHZ-sample correlation check on the third particles."""
-        ok = _sample_ok()
         errors = 0
         for labels, ids, lanes in self._checked_units("S_C", len(GhzLabel), 0, _ROLES["S_C"]):
             rng = lanes()
-            which = rng.randrange(len(_CHECK_BASES))
+            which = rng.randrange(len(CHECK_BASES))
             c, a, b = self.samples.sample(self.states, ids, which, lambda: rng)
-            errors += int(np.count_nonzero(~ok[labels, which, 4 * a + 2 * b + c]))
+            errors += int(np.count_nonzero(sample_errors()[labels, which, 4 * a + 2 * b + c]))
         return self._record_check(2, errors)
 
     def _record_check(self, step: int, errors: int) -> CheckRecord:
@@ -642,11 +623,12 @@ class Session:
 
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
         """Measure each decoy of the named sequence in the basis of its
-        state; an outcome other than that state is an error."""
+        state; an outcome other than that state is an error. The check
+        bases are Eve's, so the check reads her table of qubit 0."""
         errors = 0
         for kinds, ids, lanes in self._checked_units(name, len(DECOY_TOKENS), len(GhzLabel), 0):
-            (out,) = self.eve[0].sample(self.states, ids, _DECOY_BASIS[kinds], lanes)
-            errors += int(np.count_nonzero(out != _DECOY_EXPECTED[kinds]))
+            (out,) = self.eve[0].sample(self.states, ids, DECOY_BASIS[kinds], lanes)
+            errors += int(np.count_nonzero(DECOY_ERRORS[kinds, out]))
         return self._record_check(step, errors)
 
     def bob_encode(self) -> None:

@@ -22,12 +22,15 @@ branch_thresholds form, running totals with each row closed at 1.0, so a
 draw in [0, 1) always lands below an entry, and a round is one gather of
 rows and one comparison with the draws. collapse_rows is the one collapse,
 the same pass along given outcomes, expanded once at the end.
-measure_rows is the three in turn. StateVector and the functions on
+measure_rows is the three in turn. path_weights is the one product of
+those tables into the probability of every path, which joint_distribution
+and the detection harness read. StateVector and the functions on
 one (tensor, apply_single, apply_unitary, measure) are their one-row case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -522,21 +525,27 @@ def sample_branches(thresholds: Sequence[np.ndarray], rows: np.ndarray,
     return js
 
 
+def path_weights(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The probability of every outcome path of branch_rows' tables, as an
+    array (rows, d**k), path p = j_0 d**(k-1) + ... + j_(k-1): the product of
+    the path's entries in each round, multiplied left to right, and 0 where
+    any of them is at or below ZERO_TOL. Every path weight is this one."""
+    weights = np.ones((len(tables[0]), 1))
+    for table in tables:
+        weights = (weights[:, :, None] * np.where(table > ZERO_TOL, table, 0.0)).reshape(
+            len(weights), -1)
+    return weights
+
+
 def joint_distribution(amps: np.ndarray, basis: MeasBasis,
                        groups: Iterable[Sequence[int]]) -> dict[tuple, float]:
     """Joint distribution of the same-basis measurement of several disjoint
-    qubit groups of the amplitude row amps: a path's probability is the
-    product of its rounds' entries in the branch_rows tables of amps; raises
-    ValueError as _as_row and branch_rows do. Keys are outcome tuples in group order, lexicographic
-    in basis order, exactly the support.
+    qubit groups of the amplitude row amps: the nonzero path_weights of its
+    branch_rows tables; raises ValueError as _as_row and branch_rows do.
+    Keys are outcome tuples in group order, lexicographic in basis order,
+    exactly the support.
     """
-    tables = branch_rows(_as_row(amps)[None], basis, list(groups))
-    labels = basis_labels(basis)
-    outs, weights, path = [()], np.ones(1), np.zeros(1, dtype=np.intp)
-    for table in tables:
-        probs = table[0, path]
-        src, js = np.nonzero(probs > ZERO_TOL)
-        outs = [outs[b] + (labels[j],) for b, j in zip(src.tolist(), js.tolist())]
-        weights = weights[src] * probs[src, js]
-        path = path[src] * len(labels) + js
-    return dict(zip(outs, weights.tolist()))
+    groups = list(groups)
+    (weights,) = path_weights(branch_rows(_as_row(amps)[None], basis, groups))
+    paths = itertools.product(basis_labels(basis), repeat=len(groups))
+    return {outs: w for outs, w in zip(paths, weights.tolist()) if w}

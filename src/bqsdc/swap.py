@@ -106,14 +106,12 @@ def ghz_swap_tables() -> tuple[np.ndarray, ...]:
 def swap_chart() -> tuple[np.ndarray, np.ndarray]:
     """The chart, entry [g1, g2] the collection holding the pair's whole swap
     support, and the collection of every triple of bell_triples(), as
-    read-only integer arrays. The support is every triple whose path has
-    an outcome of probability above ZERO_TOL in each round of
-    ghz_swap_tables(). Collection m is the support of psi0 with psi_m;
-    raises unless these partition the 64 triples and no support is split."""
-    live = np.ones((len(GhzLabel) ** 2, 1), dtype=bool)
-    for table in ghz_swap_tables():
-        live = (live[:, :, None] & (table >= 0)).reshape(len(live), -1)
-    support = live.reshape(len(GhzLabel), len(GhzLabel), -1)
+    read-only integer arrays. The support is every triple whose entry in
+    the last of ghz_swap_tables() is live (>= 0): a path through a dead
+    branch is -1 throughout (qcore.branch_thresholds). Collection m is the
+    support of psi0 with psi_m; raises unless these partition the 64
+    triples and no support is split."""
+    support = (ghz_swap_tables()[-1] >= 0).reshape(len(GhzLabel), len(GhzLabel), -1)
     members = support[GhzLabel.PSI0]
     if (members.sum(axis=1) != 8).any() or (members.sum(axis=0) != 1).any():
         raise AssertionError("outcome collections do not partition the Bell triples")

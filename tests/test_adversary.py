@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqsdc import qcore
-from bqsdc.adversary import (_BLOCK, _ROW_END, AttackConfig, CheckTemplate, _TrialSampler,
-                             apply_attack, attack_choices, claimed_detection_rate,
-                             eavesdrop_unitary, estimate_detection,
+from bqsdc.adversary import (_BLOCK, _ROW_END, TARGETS, AttackConfig, CheckTemplate,
+                             _TrialSampler, apply_attack, attack_choices,
+                             claimed_detection_rate, eavesdrop_unitary, estimate_detection,
                              exact_detection_probability)
-from bqsdc.checks import DECOY_STATES, DECOY_TOKENS, decoy_state, ghz_sample_ok
+from bqsdc.checks import (CHECK_BASES, DECOY_ERRORS, DECOY_STATES, DECOY_TOKENS, decoy_state,
+                          ghz_sample_ok, sample_errors)
 from bqsdc.codebook import ghz_rows
 from bqsdc.labels import GhzLabel
 from bqsdc.protocol import SessionConfig, run_session
@@ -237,6 +238,22 @@ def test_each_row_ends_in_its_last_live_outcome(target):
             assert mine.sum() == live.sum()
             assert low[mine][-1] == _ROW_END and (low[mine][:-1] < _ROW_END).all()
             assert sampler._flags[mine].tolist() == errors[live].tolist()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_sampler_errors_are_the_check_tables(target):
+    # every row of the harness flags the errors of its check's row in the
+    # session's tables, whatever Eve does
+    bases = (None, "Z", "X")
+    templates = ([CheckTemplate(label, bob_basis=b) for label in GhzLabel for b in bases]
+                 if target == "S_C" else [CheckTemplate(decoy_basis=b) for b in bases])
+    for cfg in CROSS_ATTACKS + [AttackConfig("intercept_resend"), AttackConfig("measure_resend")]:
+        for template in templates:
+            sampler = _TrialSampler(dataclasses.replace(cfg, target=target), template)
+            for k, (lead, _) in enumerate(sampler_keys(sampler)):
+                table = (sample_errors()[template.sample_label, CHECK_BASES.index(lead)]
+                         if target == "S_C" else DECOY_ERRORS[DECOY_TOKENS.index(lead)])
+                assert sampler.errors[k].tolist() == table.tolist(), (cfg, template, lead)
 
 
 class TestHarnessMatchesSessionAttack:

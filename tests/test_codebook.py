@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from helpers import amplitude, equal_up_to_global_phase
 
-from bqsdc import codebook
-from bqsdc.codebook import (CompositeOp, ghz_rows, invert_transform, message_to_op,
-                            transform_label, verify_transform_table)
+from bqsdc import cli, codebook
+from bqsdc.codebook import (REFERENCE_CHART, CompositeOp, ghz_rows, invert_transform,
+                            message_to_op, transform_label, verify_transform_table)
 from bqsdc.labels import BellLabel, GhzLabel, bell_amplitudes
 from bqsdc.protocol import _encode
 from bqsdc.qcore import ISY, SX, SZ, I
@@ -32,19 +32,6 @@ GHZ_KETS = {
     GhzLabel.PSI6: ("110", "001", +1),
     GhzLabel.PSI7: ("110", "001", -1),
 }
-
-# Independent reference chart, row = initial state, column = outcome state,
-# cell = index of the operation carrying row to column.
-REFERENCE_CHART = [
-    [0, 1, 2, 3, 4, 5, 6, 7],
-    [1, 0, 3, 2, 5, 4, 7, 6],
-    [2, 3, 0, 1, 6, 7, 4, 5],
-    [3, 2, 1, 0, 7, 6, 5, 4],
-    [4, 5, 6, 7, 0, 1, 2, 3],
-    [5, 4, 7, 6, 1, 0, 3, 2],
-    [6, 7, 4, 5, 2, 3, 0, 1],
-    [7, 6, 5, 4, 3, 2, 1, 0],
-]
 
 
 class TestGhzStates:
@@ -216,6 +203,23 @@ class TestDerivationGuards:
         self.patch(monkeypatch, "FIRST_FACTORS", 1, SZ)
         with pytest.raises(AssertionError, match="transform rows are not permutations"):
             verify_transform_table()
+
+
+def test_verify_fails_on_a_wrong_chart(monkeypatch, capsys):
+    # U1 and U2 trade first factors, so the chart derived in a fresh process
+    # is wrong yet agrees with every re-derivation: only the hand-enumerated
+    # chart can tell
+    swapped = codebook.FIRST_FACTORS[[0, 2, 1, 3, 4, 5, 6, 7]]
+    monkeypatch.setattr(codebook, "FIRST_FACTORS", swapped)
+    codebook.transform_chart.cache_clear()
+    try:
+        assert codebook.transform_chart()[0].tolist()[:4] == [0, 2, 1, 3]
+        assert verify_transform_table()["mismatches"] > 0
+        assert cli.main(["verify"]) == 1
+    finally:
+        monkeypatch.undo()
+        codebook.transform_chart.cache_clear()
+    assert "transform chart: 64/64 entries verified" not in capsys.readouterr().out
 
 
 def test_verify_transform_table_report():

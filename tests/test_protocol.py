@@ -12,14 +12,16 @@ from reference_session import ReferenceSession, alice_decode, bob_decode
 
 from bqsdc import checks, cli, particles, protocol, qcore
 from bqsdc.adversary import STRATEGIES, TARGETS, AttackConfig, apply_attack
-from bqsdc.checks import DECOY_TOKENS, consistent_ghz_outcomes, decoy_rows, decoy_state
+from bqsdc.checks import (CHECK_BASES, DECOY_STATES, DECOY_TOKENS, consistent_ghz_outcomes,
+                          decoy_rows, decoy_state, ghz_sample_ok)
 from bqsdc.codebook import CompositeOp, ghz_rows, transform_chart, transform_label
 from bqsdc.labels import CollectionLabel, GhzLabel, ghz_amplitudes
 from bqsdc.particles import merge
-from bqsdc.protocol import (_BLOCK, _CHECK_BASES, Branches, Session, SessionConfig,
-                            SessionTranscript, StateTable, _decoded, _invert_announcements,
-                            default_decoy_count, message_ops, random_message_bits, run_session)
-from bqsdc.qcore import MeasBasis, Rng, StateVector, StreamBlock, born_distribution, measure_rows
+from bqsdc.protocol import (_BLOCK, Branches, Session, SessionConfig, SessionTranscript,
+                            StateTable, _decoded, _invert_announcements, default_decoy_count,
+                            message_ops, random_message_bits, run_session)
+from bqsdc.qcore import (MeasBasis, Rng, StateVector, StreamBlock, basis_labels, born_distribution,
+                         measure_rows)
 from bqsdc.swap import (announcement_chart, bell_triples, collection_members, collection_table,
                         ghz_swap_tables, swap_chart)
 
@@ -214,7 +216,9 @@ class TestRowTables:
         charts = {"transform": transform_chart, "swap": lambda: swap_chart()[0],
                   "triple collections": lambda: swap_chart()[1],
                   "announcement": announcement_chart, "decoded": protocol._decoded,
-                  "sample ok": protocol._sample_ok}
+                  "sample errors": checks.sample_errors,
+                  "decoy errors": lambda: checks.DECOY_ERRORS,
+                  "decoy bases": lambda: checks.DECOY_BASIS}
         for name, chart in charts.items():
             table = chart()
             assert table is chart(), name
@@ -236,6 +240,24 @@ class TestChecks:
         assert z == {(0, 0, 0), (1, 1, 1)}
         x = consistent_ghz_outcomes(GhzLabel.PSI0, MeasBasis.X)
         assert x == {("+", "+", "+"), ("-", "-", "+"), ("+", "-", "-"), ("-", "+", "-")}
+
+    def test_error_tables_apply_the_check_rule(self):
+        # every sample entry is the predicate's verdict on its outcome
+        # triple; a decoy's entries flag every outcome of its basis but its own
+        sample = checks.sample_errors()
+        assert sample.shape == (len(GhzLabel), len(CHECK_BASES), 8)
+        for label in GhzLabel:
+            for w, basis in enumerate(CHECK_BASES):
+                names = basis_labels(basis)
+                for k in range(8):
+                    outs = (names[k >> 2], names[k >> 1 & 1], names[k & 1])
+                    assert sample[label, w, k] == (not ghz_sample_ok(label, basis, outs))
+        assert checks.DECOY_BASIS.tolist() == [0, 0, 1, 1]
+        assert checks.DECOY_ERRORS.tolist() == [[False, True], [True, False]] * 2
+        for k, prep in enumerate(DECOY_STATES.values()):
+            assert CHECK_BASES[checks.DECOY_BASIS[k]] is prep.basis
+            assert checks.DECOY_ERRORS[k].tolist() == [out != prep.expected
+                                                       for out in basis_labels(prep.basis)]
 
     def test_decoy_states_are_the_hand_written_vectors(self):
         # decoy_rows derives each state from its DECOY_STATES entry, and
@@ -1083,7 +1105,7 @@ class TestInterning:
         # a Z measurement of |0> (state 8) or of |1> (9) has one live
         # outcome, of |+> (10) two: only a block that reaches |+> keys its
         # lanes and draws, and its |0> and |1> keep their outcomes
-        states, table = StateTable(), Branches.measuring(_CHECK_BASES, ((0,),))
+        states, table = StateTable(), Branches.measuring(CHECK_BASES, ((0,),))
         keyed = []
 
         def lanes():
@@ -1127,10 +1149,10 @@ def born_tables(x):
     swap with each GHZ state."""
     n = num_qubits(x)
     both = np.array([0, 1])
-    out = [(f"qubit {q}", qcore.branch_rows(x[[0, 0]], _CHECK_BASES, ((q,),), which=both))
+    out = [(f"qubit {q}", qcore.branch_rows(x[[0, 0]], CHECK_BASES, ((q,),), which=both))
            for q in range(n)]
     if n >= 3:
-        out.append(("sample", qcore.branch_rows(x[[0, 0]], _CHECK_BASES, ((2,), (0,), (1,)),
+        out.append(("sample", qcore.branch_rows(x[[0, 0]], CHECK_BASES, ((2,), (0,), (1,)),
                                                 which=both)))
         out.append(("identify", qcore.branch_rows(x, MeasBasis.GHZ, ((0, 1, 2),))))
         out.append(("swap", qcore.branch_rows(merge(x[[0] * 8], ghz_rows()), MeasBasis.BELL,
@@ -1148,10 +1170,10 @@ def row_kernels(x):
         if n >= 2 else []
     out.append(("merge", lambda a: merge(a[[0] * 8], ghz_rows())))
     for q in range(n):
-        (table,) = qcore.branch_rows(x[[0, 0]], _CHECK_BASES, ((q,),), which=np.array([0, 1]))
+        (table,) = qcore.branch_rows(x[[0, 0]], CHECK_BASES, ((q,),), which=np.array([0, 1]))
         live = list(zip(*np.nonzero(table[:, 0] > qcore.ZERO_TOL)))  # (basis, outcome)
         out += [(f"collapse {q} {w} {j}", lambda a, q=q, w=w, j=j: qcore.collapse_rows(
-            a, _CHECK_BASES, [(q,)], [np.array([j])], which=np.array([w]))) for w, j in live]
+            a, CHECK_BASES, [(q,)], [np.array([j])], which=np.array([w]))) for w, j in live]
         out += [(f"measure_resend {q} {2 * w + j}", lambda a, q=q, c=2 * w + j: apply_attack(
             a, q, AttackConfig("measure_resend"), c)) for w, j in live]
         out += [(f"intercept {q} {c}", lambda a, q=q, c=c: apply_attack(

@@ -19,7 +19,7 @@ from bqsdc.qcore import (ATOL, ISY, SX, SZ, I, MeasBasis, Rng, StateVector,
                          StreamBlock, apply_single, apply_unitary, apply_unitary_rows,
                          basis_labels, basis_outcomes, born_distribution, branch_rows,
                          branch_thresholds, collapse_rows, joint_distribution, measure,
-                         measure_rows, sample_branches, tensor, tensor_rows)
+                         measure_rows, path_weights, sample_branches, tensor, tensor_rows)
 
 INV = 2 ** -0.5
 
@@ -708,6 +708,21 @@ class TestBranchTables:
             ref = reference.branches(row, basis, rounds[0])
             assert_matches_reference(born_distribution(row, basis, rounds[0]),
                                      {label: p for label, p, _ in ref})
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_path_weights_equal_joint_distribution(self, data):
+        # a block's path weights are each row's joint distribution on its
+        # support, float for float, and exactly 0 off it
+        basis = data.draw(st.sampled_from(list(MeasBasis)))
+        amps, rounds, _ = data.draw(rounds_case([basis]))
+        weights = path_weights(branch_rows(amps, basis, rounds))
+        paths = list(product(basis_labels(basis), repeat=len(rounds)))
+        assert weights.shape == (len(amps), len(paths))
+        for row, row_weights in zip(amps, weights):
+            joint = joint_distribution(row, basis, rounds)
+            assert dict(zip(paths, row_weights.tolist())) == {
+                outs: joint.get(outs, 0.0) for outs in paths}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("amps", [[1.0, 1.0], [0.5, 0.5], [math.nan, 0.0]])
