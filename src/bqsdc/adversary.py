@@ -7,7 +7,9 @@ a unitary that flips the target with probability beta**2
 (entangle-measure). Eve treats every particle of a sequence alike, so an
 attack runs on many registers at once, each with her own choice for it
 (attack_choices). The fake or the forwarded particle keeps the attacked
-qubit; the genuine particle Eve keeps, or her ancilla, goes last.
+qubit; the genuine particle Eve keeps, or her ancilla, goes last. What
+she may choose per particle is one index axis (_eve_axis), which the
+session and the harness both read.
 
 The Monte Carlo harness runs independent single-decoy check experiments,
 one keyed random stream per trial. Every (check, Eve choice) pair is a row
@@ -34,8 +36,8 @@ import numpy as np
 from . import qcore
 # decoy_state and measure_particles have no caller here: bench/tracer.py wraps
 # them in this namespace, so they stay imported until the tracer drops them.
-from .checks import (CHECK_BASES, DECOY_BASIS, DECOY_ERRORS, DECOY_STATES,  # noqa: F401
-                     DECOY_TOKENS, decoy_rows, decoy_state, sample_errors)
+from .checks import (CHECK_BASES, DECOY_BASIS, DECOY_ERRORS, DECOY_TOKENS,  # noqa: F401
+                     decoy_rows, decoy_state, sample_errors)
 from .codebook import ghz_rows
 from .labels import GhzLabel
 from .qcore import MeasBasis, StreamBlock
@@ -99,6 +101,31 @@ class AttackConfig:
     def entangling(cls, beta_squared: float, target: str = "S_C") -> "AttackConfig":
         return cls("entangle_measure", target=target, beta_squared=beta_squared)
 
+    def to_json_dict(self) -> dict:
+        """The attack as transcripts and detection estimates write it, beta
+        squared rounded to 12 decimals."""
+        return {"strategy": self.strategy, "target": self.target, "fake_state": self.fake_state,
+                "eve_basis": self.eve_basis, "beta_squared": round(self.beta_squared, 12)}
+
+
+def _axis(tokens: tuple[str, ...], token: str | None) -> tuple[int, ...]:
+    """Every index of tokens when token is None (a uniform choice), else the
+    index of token alone."""
+    return tuple(range(len(tokens))) if token is None else (tokens.index(token),)
+
+
+def _eve_axis(cfg: AttackConfig) -> tuple[int, ...]:
+    """Eve's per-particle choice axis, which the session (attack_choices) and
+    the harness (_TrialSampler) both read: the indices in DECOY_TOKENS of
+    her fakes (intercept-resend) or in CHECK_BASES of her bases
+    (measure-resend), every one when she draws uniformly, else the one she
+    fixes; (0,) for the other strategies."""
+    if cfg.strategy == "intercept_resend":
+        return _axis(DECOY_TOKENS, cfg.fake_state)
+    if cfg.strategy == "measure_resend":
+        return _axis(_BASIS_TOKENS, cfg.eve_basis)
+    return (0,)
+
 
 @lru_cache(maxsize=16)
 def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
@@ -123,22 +150,18 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
 
 
 def attack_choices(cfg: AttackConfig, lanes, outcomes):
-    """Eve's choice per unit of a block, as apply_attack takes it: her
-    fake's index in DECOY_TOKENS (intercept-resend), 2 * her basis's index
-    in CHECK_BASES + her outcome (measure-resend), else 0. lanes() keys the
-    units' streams, drawn for a uniform fake or basis only; outcomes(basis,
-    lanes) draws each unit's outcome in CHECK_BASES[basis] after the basis."""
-    if cfg.strategy == "intercept_resend":
-        return (lanes().randrange(len(DECOY_TOKENS)) if cfg.fake_state is None
-                else DECOY_TOKENS.index(cfg.fake_state))
-    if cfg.strategy != "measure_resend":
-        return 0
-    if cfg.eve_basis is None:
+    """Eve's choice per unit of a block, as apply_attack takes it: her pick
+    from _eve_axis(cfg), or 2 * pick + her outcome under measure-resend.
+    lanes() keys the units' streams, each drawing its pick where the axis
+    has several entries, every index, so the draw is the index; outcomes(
+    basis, lanes) draws each unit's outcome in CHECK_BASES[basis] after it."""
+    axis = _eve_axis(cfg)
+    if len(axis) > 1:
         rng = lanes()
-        basis, lanes = rng.randrange(len(CHECK_BASES)), lambda: rng
+        pick, lanes = rng.randrange(len(axis)), lambda: rng
     else:
-        basis = _BASIS_TOKENS.index(cfg.eve_basis)
-    return 2 * basis + outcomes(basis, lanes)
+        pick = axis[0]
+    return 2 * pick + outcomes(pick, lanes) if cfg.strategy == "measure_resend" else pick
 
 
 def append_ancilla(amps: np.ndarray, states: np.ndarray,
@@ -174,12 +197,19 @@ class CheckTemplate:
     """Single-decoy check experiment repeated by the detection harness: for
     the GHZ-sample check (S_C) the sample label and Bob's basis, None a
     uniform per-trial choice; for the decoy checks (S_B, S_A) the decoys'
-    basis, None uniform over all four decoy states.
+    basis, None uniform over all four decoy states. The label is coerced to
+    a GhzLabel, and each basis must be "Z", "X" or None.
     """
 
     sample_label: GhzLabel = GhzLabel.PSI0
     bob_basis: str | None = None
     decoy_basis: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "sample_label", GhzLabel(self.sample_label))
+        for name in ("bob_basis", "decoy_basis"):
+            if getattr(self, name) not in (*_BASIS_TOKENS, None):
+                raise ValueError(f"{name} must be 'Z', 'X', or None")
 
 
 @dataclass(frozen=True)
@@ -204,15 +234,6 @@ class DetectionEstimate:
                 "claimed_value": self.claimed_value, "abs_error": self.abs_error}
 
 
-def _eve_choices(cfg: AttackConfig) -> list:
-    """Eve's per-particle choice axis, drawn when it has several values."""
-    if cfg.strategy == "intercept_resend":
-        return list(DECOY_TOKENS) if cfg.fake_state is None else [cfg.fake_state]
-    if cfg.strategy == "measure_resend":
-        return list(_BASIS_TOKENS) if cfg.eve_basis is None else [cfg.eve_basis]
-    return [None]
-
-
 @lru_cache(maxsize=None)
 def _copy_unitary(basis: MeasBasis) -> np.ndarray:
     """Eve's measurement in basis as a copy onto an ancilla prepared in |0>,
@@ -224,41 +245,28 @@ def _copy_unitary(basis: MeasBasis) -> np.ndarray:
     return u
 
 
-def _decoy_axis(template: CheckTemplate) -> list[str]:
-    if template.decoy_basis is None:
-        return list(DECOY_TOKENS)
-    if template.decoy_basis in _BASIS_TOKENS:
-        return [token for token, prep in DECOY_STATES.items()
-                if prep.basis.value == template.decoy_basis]
-    raise ValueError("decoy_basis must be 'Z', 'X', or None")
-
-
-def _basis_axis(template: CheckTemplate) -> list[MeasBasis]:
-    if template.bob_basis is None:
-        return list(CHECK_BASES)
-    if template.bob_basis in _BASIS_TOKENS:
-        return [MeasBasis(template.bob_basis)]
-    raise ValueError("bob_basis must be 'Z', 'X', or None")
-
-
 class _TrialSampler:
-    """Check trials sampled from exactly expanded branch tables. Row k = lead
-    index * n_eve + choice index is a check on the lead's state after Eve's
-    choice, every particle measured in the lead's basis: weights[k, p] the
-    probability of outcome path p (qcore.path_weights), and errors[k, p]
-    whether that path fails the check, the row of the check's error table
-    (checks.sample_errors, checks.DECOY_ERRORS)."""
+    """Check trials sampled from exactly expanded branch tables. A trial
+    draws its lead, Bob's basis index in CHECK_BASES (S_C) or a decoy kind
+    that DECOY_BASIS allows (S_B, S_A), from lead_values, and Eve's choice
+    from eve_values, her _eve_axis. Row k = lead index * n_eve + choice
+    index is a check on the lead's state after Eve's choice, every particle
+    measured in the lead's basis: weights[k, p] the probability of outcome
+    path p (qcore.path_weights), and errors[k, p] whether that path fails
+    the check, the row of the check's error table (checks.sample_errors,
+    checks.DECOY_ERRORS)."""
 
     def __init__(self, cfg: AttackConfig, template: CheckTemplate):
-        self.eve_values = _eve_choices(cfg)
+        self.eve_values = _eve_axis(cfg)
         if cfg.target == "S_C":
-            self.lead_values, role = _basis_axis(template), 2
-            bases = np.array([CHECK_BASES.index(basis) for basis in self.lead_values])
+            self.lead_values, role = _axis(_BASIS_TOKENS, template.bob_basis), 2
+            bases = np.array(self.lead_values)
             pristine = ghz_rows()[np.full(len(bases), template.sample_label)]
             errors = sample_errors()[template.sample_label, bases]
         else:
-            self.lead_values, role = _decoy_axis(template), 0
-            kinds = [DECOY_TOKENS.index(token) for token in self.lead_values]
+            allowed = _axis(_BASIS_TOKENS, template.decoy_basis)
+            self.lead_values = tuple(k for k, w in enumerate(DECOY_BASIS.tolist()) if w in allowed)
+            kinds, role = np.array(self.lead_values), 0
             pristine, bases, errors = decoy_rows()[kinds], DECOY_BASIS[kinds], DECOY_ERRORS[kinds]
         self.n_lead, self.n_eve = len(self.lead_values), len(self.eve_values)
         lead, choice = np.divmod(np.arange(self.n_lead * self.n_eve), self.n_eve)
@@ -267,11 +275,10 @@ class _TrialSampler:
         rounds = [(q,) for q in range(n)]
         if cfg.strategy == "intercept_resend":
             # Eve keeps the genuine particle unmeasured; the check measures her fake
-            fakes = decoy_rows()[[DECOY_TOKENS.index(token) for token in self.eve_values]]
-            states = qcore.tensor_rows(states, fakes[choice])
+            states = qcore.tensor_rows(states, decoy_rows()[np.array(self.eve_values)[choice]])
             rounds[role] = (n,)
         elif cfg.strategy != "none":
-            coupling = (np.stack([_copy_unitary(MeasBasis(b)) for b in self.eve_values])[choice]
+            coupling = (np.stack([_copy_unitary(CHECK_BASES[b]) for b in self.eve_values])[choice]
                         if cfg.strategy == "measure_resend" else eavesdrop_unitary(cfg.beta_squared))
             states = append_ancilla(states, _ZERO, (role, coupling))
         weights = qcore.path_weights(qcore.branch_rows(states, CHECK_BASES, rounds, bases[lead]))
@@ -279,7 +286,12 @@ class _TrialSampler:
         # Row k's live edges, each the running total e of its row up to it, as
         # k << 54 | ceil(e * 2**53), in one sorted array. The last is the row
         # end, so that an m past the total, where it rounded below 1, takes
-        # the row's last live outcome.
+        # the row's last live outcome. The harness keeps this sampler rather
+        # than the session's qcore.sample_branches: a port onto that walk
+        # gave the same bytes in 10 fewer code lines, but bench/run.py's
+        # detection workload fell from 5.94-6.57M to 5.14-5.28M trials/s and
+        # its peak heap rose from 0.0438 to 0.0620 MB (4 alternating runs
+        # each, 2 vCPUs).
         live = weights > 0
         edges = np.ceil(weights.cumsum(axis=1) * 2.0 ** 53).astype(np.uint64)
         edges[np.arange(len(edges)), live.shape[1] - 1 - live[:, ::-1].argmax(axis=1)] = _ROW_END
@@ -392,15 +404,14 @@ def estimate_detection(cfg: AttackConfig, template: CheckTemplate = CheckTemplat
     detections = sampler.count_detections(seed, trials)
     rate = detections / trials
     claimed = claimed_detection_rate(cfg, template)
-    params = {
-        "fake_state": cfg.fake_state,
-        "eve_basis": cfg.eve_basis,
-        "beta_squared": round(cfg.beta_squared, 12),
+    params = {key: value for key, value in cfg.to_json_dict().items()
+              if key not in ("strategy", "target")}
+    params.update({
         "sample_label": template.sample_label.token if cfg.target == "S_C" else None,
         "bob_basis": template.bob_basis if cfg.target == "S_C" else None,
         "decoy_basis": template.decoy_basis if cfg.target != "S_C" else None,
         "seed": seed,
-    }
+    })
     return DetectionEstimate(
         cfg.strategy, cfg.target, params, trials, detections, rate,
         ci95=1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials),

@@ -24,15 +24,16 @@ dense kernels run once per distinct state, not per unit. Bob's rebuilt
 triple is never sent, so his op needs no kernel: the triple is the GHZ
 state of its transform-chart label, whose id is the label, and the swap's
 memo is 8 wide. Every memo starts from the tables of the states each
-StateTable starts with: the op memo from the transform chart, the swap
-from the tables the swap chart is read off (swap.ghz_swap_tables), and
-each measurement from seed tables derived once per process on its first
-use (_seed_tables): every measurement of a GHZ state, and the decoys' in
-Eve's table of qubit 0, which the decoy check reads. So a clean session
-runs no dense kernel; what a session builds is the tables of the states
-an attack creates. A register's roles are its qubits: a triple's
-particles of S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0,
-and an attack appends what it leaves behind. Only the swap joins two
+StateTable starts with: the op memo from the transform chart, and each
+Born table from its seed (_seeded), derived once per process on its first
+use: the swap's from the tables the swap chart is read off
+(swap.ghz_swap_tables), and each measurement's from every measurement of
+a GHZ state, and the decoys' in Eve's table of qubit 0, which the decoy
+check reads (_seed_tables). So a clean session runs no dense kernel; what
+a session builds is the tables of the states an attack creates. A
+register's roles are its qubits: a triple's particles of S_A, S_B and S_C
+are qubits 0, 1 and 2, a decoy is qubit 0, and an attack appends what it
+leaves behind. Only the swap joins two
 triples, so no state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
@@ -98,22 +99,20 @@ class SessionConfig:
         if self.attack is not None and self.attack.strategy == "none":
             # no attack, whatever target it names
             object.__setattr__(self, "attack", None)
+        if self.initial_label is not None:
+            object.__setattr__(self, "initial_label", GhzLabel(self.initial_label))
 
     def resolved_decoys(self) -> int:
         return self.decoys if self.decoys is not None else default_decoy_count(self.n_groups)
 
     def to_json_dict(self) -> dict:
-        a = self.attack
-        attack = None if a is None else {
-            "strategy": a.strategy, "target": a.target, "fake_state": a.fake_state,
-            "eve_basis": a.eve_basis, "beta_squared": round(a.beta_squared, 12)}
         return {
             "n_groups": self.n_groups,
             "seed": self.seed,
             "decoys": self.resolved_decoys(),
             "check_threshold": self.check_threshold,
-            "attack": attack,
-            "initial_label": self.initial_label.token if self.initial_label else None,
+            "attack": None if self.attack is None else self.attack.to_json_dict(),
+            "initial_label": None if self.initial_label is None else self.initial_label.token,
         }
 
 
@@ -394,43 +393,38 @@ def _certain(tables: list[np.ndarray]) -> np.ndarray:
     return fixed
 
 
+def _seeded(thresholds: Sequence[np.ndarray], width: int):
+    """A Branches seed of branch_thresholds tables, an entry per pair (i, k)
+    of the states i that every StateTable starts with, k below width:
+    (thresholds, their _certain outcomes, memo), read-only, the memo
+    mapping (i, k) to entry width * i + k."""
+    fixed = _certain(thresholds)
+    memo = np.arange(len(fixed), dtype=np.int32).reshape(-1, width)
+    for table in (*thresholds, fixed, memo):
+        table.setflags(write=False)
+    return tuple(thresholds), fixed, memo
+
+
 @lru_cache(maxsize=None)
-def _ghz_certain() -> np.ndarray:
-    """The _certain outcomes of swap.ghz_swap_tables(), read-only."""
-    fixed = _certain(ghz_swap_tables())
-    fixed.setflags(write=False)
-    return fixed
-
-
-# The swap's memo of the 64 pairs of GHZ states: entry 8 g1 + g2 is (g1, g2).
-_GHZ_PAIRS = np.arange(len(GhzLabel) ** 2, dtype=np.int32).reshape(len(GhzLabel), -1)
-_GHZ_PAIRS.setflags(write=False)
-
-
-def _measuring(bases, rounds):
-    """The tables(states, ids, k) of a measurement in bases[k] (Branches)."""
-    return lambda states, ids, which: qcore.branch_rows(states.amps(ids), bases, rounds,
-                                                        which=which)
+def _swap_seed():
+    """The swap's seed: the 64 pairs of GHZ states, entry 8 g1 + g2 the pair
+    (g1, g2) (swap.ghz_swap_tables)."""
+    return _seeded(ghz_swap_tables(), len(GhzLabel))
 
 
 @lru_cache(maxsize=None)
 def _seed_tables(bases: tuple[MeasBasis, ...], rounds: tuple[tuple[int, ...], ...]):
-    """The seed of Branches.measuring(bases, rounds): (thresholds, fixed,
-    memo), read-only, of the GHZ states measured in every basis, and of the
-    decoys too where the measurement is of qubit 0 alone, a decoy's only
-    qubit. Built as a session builds its misses (StateTable.lookup over a
-    fresh table, Branches._append), so each entry is bit for bit the one a
-    session would build, the kernels treating each row alone."""
-    seed, states = Branches(len(bases), _measuring(bases, rounds), None), StateTable()
-    # the GHZ states, then the decoys, one width per lookup (StateTable.amps)
-    spans = [(0, len(GhzLabel)), (len(GhzLabel), len(states.rows))]
-    for start, stop in spans[:2 if rounds == ((0,),) else 1]:
-        ids, k = np.divmod(np.arange(start * seed.width, stop * seed.width), seed.width)
-        states.lookup(seed, ids, k, seed.width, seed._append)
-    memo = states.memos[seed][:len(states.rows)]
-    for table in (*seed.thresholds, seed.fixed, memo):
-        table.setflags(write=False)
-    return tuple(seed.thresholds), seed.fixed, memo
+    """The seed of Branches.measuring(bases, rounds) (_seeded): the GHZ
+    states measured in every basis, and the decoys too where the measurement
+    is of qubit 0 alone, a decoy's only qubit. Each width's pairs are built
+    by one branch_rows call, as a session builds its misses (Branches
+    tables), so each entry is bit for bit the one a session would build,
+    the kernels treating each row alone."""
+    parts = []
+    for rows in (ghz_rows(), decoy_rows())[:2 if rounds == ((0,),) else 1]:
+        ids, k = np.divmod(np.arange(len(rows) * len(bases)), len(bases))
+        parts.append(qcore.branch_thresholds(qcore.branch_rows(rows[ids], bases, rounds, which=k)))
+    return _seeded([np.concatenate(tables) for tables in zip(*parts)], len(bases))
 
 
 class Branches:
@@ -439,39 +433,38 @@ class Branches:
     kind the Branches itself) maps to the entry. tables(states, ids, k) are
     the pairs' branch_rows tables, built _SWAP_CHUNK pairs at a time. The
     first lookup starts the tables and the memo from seed(), the read-only
-    entries of states that every StateTable starts with, derived once per
-    process by the same tables function."""
+    entries of states that every StateTable starts with (_seeded), derived
+    once per process by the same tables function."""
 
     def __init__(self, width: int, tables, seed):
         self.width, self.tables, self.seed = width, tables, seed
-        self.thresholds: Sequence[np.ndarray] = []  # per round, (entries, d**k, d)
-        self.fixed = np.empty((0, 0), dtype=np.intp)  # per entry, _certain
+        # set from seed() by the first lookup
+        self.thresholds: Sequence[np.ndarray]  # per round, (entries, d**k, d)
+        self.fixed: np.ndarray  # per entry, _certain
 
     @classmethod
     def measuring(cls, bases, rounds) -> Branches:
         """The tables of each state measured in bases[k] (branch_rows),
         seeded by _seed_tables."""
-        return cls(len(bases), _measuring(bases, rounds), lambda: _seed_tables(bases, rounds))
+        return cls(len(bases), lambda states, ids, k: qcore.branch_rows(
+            states.amps(ids), bases, rounds, which=k), lambda: _seed_tables(bases, rounds))
 
     @classmethod
     def swapping(cls) -> Branches:
         """The swap's tables of each pair (odd id, even id), the even triple
         a GHZ state, so its id is its label (Session.bob_encode): the
-        swap.bell_tables of the pair. It is seeded with the 64 pairs of GHZ
-        states, entry 8 g1 + g2 the pair (g1, g2) (swap.ghz_swap_tables,
-        built by the same function)."""
+        swap.bell_tables of the pair, seeded by _swap_seed, whose tables
+        are built by the same function."""
         return cls(len(GhzLabel), lambda states, odd, even: bell_tables(
-            states.amps(odd), states.amps(even)),
-            lambda: (ghz_swap_tables(), _ghz_certain(), _GHZ_PAIRS))
+            states.amps(odd), states.amps(even)), _swap_seed)
 
     def _append(self, states: StateTable, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
         """The entries of new pairs, their tables appended."""
         for start in range(0, len(ids), _SWAP_CHUNK):
             part = slice(start, start + _SWAP_CHUNK)
             new = qcore.branch_thresholds(self.tables(states, ids[part], other[part]))
-            self.thresholds = [np.concatenate(pair) for pair in zip(self.thresholds, new)] or new
-            # _certain is per row; an empty fixed is (0, 0) until the first append
-            self.fixed = np.concatenate([self.fixed.reshape(-1, len(new)), _certain(new)])
+            self.thresholds = [np.concatenate(pair) for pair in zip(self.thresholds, new)]
+            self.fixed = np.concatenate([self.fixed, _certain(new)])
         return np.arange(len(self.fixed) - len(ids), len(self.fixed))
 
     def lookup(self, states: StateTable, ids: np.ndarray, other) -> np.ndarray:

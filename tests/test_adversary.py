@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bqsdc import qcore
 from bqsdc.adversary import (_BLOCK, _ROW_END, TARGETS, AttackConfig, CheckTemplate,
-                             _TrialSampler, apply_attack, attack_choices,
+                             _eve_axis, _TrialSampler, apply_attack, attack_choices,
                              claimed_detection_rate, eavesdrop_unitary, estimate_detection,
                              exact_detection_probability)
 from bqsdc.checks import (CHECK_BASES, DECOY_ERRORS, DECOY_STATES, DECOY_TOKENS, decoy_state,
@@ -18,8 +18,8 @@ from bqsdc.checks import (CHECK_BASES, DECOY_ERRORS, DECOY_STATES, DECOY_TOKENS,
 from bqsdc.codebook import ghz_rows
 from bqsdc.labels import GhzLabel
 from bqsdc.protocol import SessionConfig, run_session
-from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, basis_labels, born_distribution,
-                         joint_distribution)
+from bqsdc.qcore import (ZERO_TOL, MeasBasis, Rng, StreamBlock, basis_labels,
+                         born_distribution, joint_distribution)
 
 
 class TestAttackConfig:
@@ -48,6 +48,69 @@ class TestAttackConfig:
     def test_entangling_constructor(self):
         cfg = AttackConfig.entangling(0.25, target="S_A")
         assert cfg == AttackConfig("entangle_measure", "S_A", beta_squared=0.25)
+
+    def test_one_writer_for_the_transcript_and_the_estimate(self):
+        cfg = AttackConfig.entangling(0.1 + 0.2, target="S_B")
+        doc = cfg.to_json_dict()
+        assert doc == {"strategy": "entangle_measure", "target": "S_B", "fake_state": None,
+                       "eve_basis": None, "beta_squared": 0.3}
+        assert list(doc) == ["strategy", "target", "fake_state", "eve_basis", "beta_squared"]
+        assert SessionConfig(n_groups=1, attack=cfg).to_json_dict()["attack"] == doc
+        params = estimate_detection(cfg, CheckTemplate(decoy_basis="Z"), trials=10).params
+        assert list(params)[:3] == list(doc)[2:]
+        assert all(params[key] == doc[key] for key in list(doc)[2:])
+
+
+class TestCheckTemplate:
+    def test_sample_label_is_a_label(self):
+        template = CheckTemplate(sample_label=3)
+        assert template.sample_label is GhzLabel.PSI3
+        est = estimate_detection(AttackConfig("none"), template, trials=1)
+        assert est.params["sample_label"] == "psi3"
+
+    def test_validation(self):
+        # -1 once measured psi7 silently, and 9 or "psi1" failed deep inside
+        for bad in (-1, 8, 9, 1.5, "psi1"):
+            with pytest.raises(ValueError):
+                CheckTemplate(sample_label=bad)
+        # a bad basis is refused whichever target would read it
+        for field in ("bob_basis", "decoy_basis"):
+            for bad in ("Y", "z", "", "uniform", MeasBasis.Z):
+                with pytest.raises(ValueError):
+                    CheckTemplate(**{field: bad})
+            for good in ("Z", "X", None):
+                assert getattr(CheckTemplate(**{field: good}), field) == good
+
+
+AXIS_CONFIGS = (
+    [AttackConfig("none"), AttackConfig.entangling(0.25), AttackConfig("intercept_resend"),
+     AttackConfig("measure_resend")]
+    + [AttackConfig("intercept_resend", fake_state=f) for f in DECOY_TOKENS]
+    + [AttackConfig("measure_resend", eve_basis=b) for b in ("Z", "X")]
+)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_session_and_harness_read_one_eve_axis(target):
+    # the harness's choice axis is _eve_axis, and the session keys its
+    # lanes, and draws Eve's pick from them, exactly when it has several
+    # entries; otherwise every unit takes the axis's one entry
+    for cfg in AXIS_CONFIGS:
+        cfg = dataclasses.replace(cfg, target=target)
+        axis = _eve_axis(cfg)
+        assert _TrialSampler(cfg, CheckTemplate()).eve_values == axis
+        keyed = []
+
+        def lanes():
+            keyed.append(True)
+            rng = StreamBlock(5, 64)
+            rng.key(0, 64)
+            return rng
+
+        choices = attack_choices(cfg, lanes, lambda basis, lanes: np.zeros(64, dtype=np.intp))
+        assert len(keyed) == (len(axis) > 1), cfg
+        picks = np.unique(np.asarray(choices) // (2 if cfg.strategy == "measure_resend" else 1))
+        assert picks.tolist() == list(axis), cfg
 
 
 class TestEavesdropUnitary:
@@ -186,7 +249,8 @@ class TestExactRates:
 
 
 def sampler_keys(sampler):
-    """The (lead, choice) pair of every row of a _TrialSampler, in row order."""
+    """The (lead, choice) pair of every row of a _TrialSampler, in row order:
+    a basis index in CHECK_BASES (S_C) or a decoy kind, and Eve's choice."""
     return list(itertools.product(sampler.lead_values, sampler.eve_values))
 
 
@@ -251,8 +315,8 @@ def test_sampler_errors_are_the_check_tables(target):
         for template in templates:
             sampler = _TrialSampler(dataclasses.replace(cfg, target=target), template)
             for k, (lead, _) in enumerate(sampler_keys(sampler)):
-                table = (sample_errors()[template.sample_label, CHECK_BASES.index(lead)]
-                         if target == "S_C" else DECOY_ERRORS[DECOY_TOKENS.index(lead)])
+                table = (sample_errors()[template.sample_label, lead]
+                         if target == "S_C" else DECOY_ERRORS[lead])
                 assert sampler.errors[k].tolist() == table.tolist(), (cfg, template, lead)
 
 
@@ -300,21 +364,22 @@ class TestHarnessMatchesSessionAttack:
     def test_sample_check(self, cfg):
         for label in GhzLabel:
             sampler = _TrialSampler(cfg, CheckTemplate(sample_label=label))
-            for basis, choice in sampler_keys(sampler):
+            for w, choice in sampler_keys(sampler):
+                basis = CHECK_BASES[w]
                 rows = self.session_rows(cfg, ghz_rows()[label], 2, basis,
                                          lambda outs: not ghz_sample_ok(label, basis, outs))
-                self.assert_same_rows(sampler, (basis, choice), rows)
+                self.assert_same_rows(sampler, (w, choice), rows)
 
     @pytest.mark.parametrize("target", ["S_B", "S_A"])
     @pytest.mark.parametrize("cfg", CROSS_ATTACKS, ids=CROSS_IDS)
     def test_decoy_check(self, cfg, target):
         cfg = dataclasses.replace(cfg, target=target)
         sampler = _TrialSampler(cfg, CheckTemplate())
-        for token, choice in sampler_keys(sampler):
-            prep = DECOY_STATES[token]
-            rows = self.session_rows(cfg, decoy_state(token).amps, 0, prep.basis,
+        for kind, choice in sampler_keys(sampler):
+            prep = DECOY_STATES[DECOY_TOKENS[kind]]
+            rows = self.session_rows(cfg, decoy_state(prep.token).amps, 0, prep.basis,
                                      lambda outs: outs != (prep.expected,))
-            self.assert_same_rows(sampler, (token, choice), rows)
+            self.assert_same_rows(sampler, (kind, choice), rows)
 
 
 class TestClaimedRates:

@@ -56,6 +56,8 @@ def test_run_worked_example(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["groups"][0]["announcement"] == "c7"
     assert doc["config"]["seed"] == 7
+    # psi0 is label 0, which is falsy: a run forced to it still records it
+    assert doc["config"]["initial_label"] == "psi0"
 
 
 def test_run_writes_transcript_as_json_dumps(tmp_path, capsys):

@@ -110,6 +110,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SessionConfig(n_groups=1, decoys=-1)
 
+    def test_initial_label_is_a_label_and_always_written(self):
+        # psi0 is label 0, which is falsy: a run forced to it still says so
+        for label in GhzLabel:
+            for given in (label, int(label)):
+                cfg = SessionConfig(n_groups=1, initial_label=given)
+                assert cfg.initial_label is label
+                assert cfg.to_json_dict()["initial_label"] == label.token
+        assert SessionConfig(n_groups=1).to_json_dict()["initial_label"] is None
+        for bad in (-1, 8, 9, 1.5, "psi1"):
+            with pytest.raises(ValueError):
+                SessionConfig(n_groups=1, initial_label=bad)
+
     def test_message_validation(self):
         for bits in ("0101", "01x", "01/", "01\u00e9", "0 1"):
             with pytest.raises(ValueError):
@@ -1072,17 +1084,18 @@ class TestInterning:
         states, measurements, swap = s.states, measured(s), s.swap  # the swap releases them
         t = s.run()
         assert not t.aborted and t.bob_message_bits() is not None
+        # a table that was never looked up has no entries, seeded or built
+        measurements = [table for table in measurements if table in states.memos]
         known = {kind: int((memo >= 0).sum()) for kind, memo in states.memos.items()}
         # the entries the session started with: op k on each GHZ state, and
         # the seed of each table it looked up, the swap's the 64 pairs of
         # GHZ states
         seeded = {"op": len(GHZ_PAIRS), **{table: len(table.seed()[1])
-                                           for table in [*measurements, swap]
-                                           if table in states.memos}}
+                                           for table in [*measurements, swap]}}
         assert seeded[swap] == len(GHZ_PAIRS)
-        entries = sum(len(table.fixed) - seeded.get(table, 0) for table in measurements)
-        assert entries + sum(seeded.get(table, 0) for table in measurements) == \
-            sum(known.get(table, 0) for table in measurements)
+        entries = sum(len(table.fixed) - seeded[table] for table in measurements)
+        assert entries + sum(seeded[table] for table in measurements) == \
+            sum(known[table] for table in measurements)
         keys = [protocol._keys(row[None])[0] for row in states.rows]
         assert len(set(keys)) == len(states.rows)
         assert built["moves"] == sum(n - seeded.get(kind, 0) for kind, n in known.items()
@@ -1230,7 +1243,7 @@ class TestSeededEntries:
             built = qcore.branch_thresholds(tables)
             for got, want in zip(built, ghz_swap_tables(), strict=True):
                 assert np.array_equal(got, want[rows])
-            assert np.array_equal(protocol._certain(built), protocol._ghz_certain()[rows])
+            assert np.array_equal(protocol._certain(built), protocol._swap_seed()[1][rows])
         assert swap.lookup(states, g1, g2).tolist() == list(range(64)) and len(swap.fixed) == 64
 
 
@@ -1262,15 +1275,16 @@ class TestSeedTables:
             thresholds, fixed, memo = table.seed()
             ids, k = np.nonzero(memo >= 0)
             decoys = table is s.eve[0]
-            assert len(memo) == 12 and (memo[:8] >= 0).all()
-            assert (memo[8:] >= 0).all() if decoys else (memo[8:] < 0).all()
+            # the 8 GHZ states, then the 4 decoys where they are seeded
+            assert len(memo) == (12 if decoys else 8) and (memo >= 0).all()
             assert sorted(memo[ids, k].tolist()) == list(range(len(fixed)))
             for i, k_i in zip(ids.tolist(), k.tolist()):
-                fresh = Branches(table.width, table.tables, None)
-                (entry,) = fresh._append(StateTable(), np.array([i]), np.array([k_i]))
-                for got, want in zip(thresholds, fresh.thresholds, strict=True):
-                    assert np.array_equal(got[memo[i, k_i]], want[entry])
-                assert np.array_equal(fixed[memo[i, k_i]], fresh.fixed[entry])
+                # the pair's entry as a miss appends it (Branches._append)
+                fresh = qcore.branch_thresholds(table.tables(StateTable(), np.array([i]),
+                                                             np.array([k_i])))
+                for got, want in zip(thresholds, fresh, strict=True):
+                    assert np.array_equal(got[memo[i, k_i]], want[0])
+                assert np.array_equal(fixed[memo[i, k_i]], protocol._certain(fresh)[0])
         for table in [*measured(s), s.swap]:
             assert not any(a.flags.writeable for a in (*table.seed()[0], *table.seed()[1:]))
 
@@ -1492,8 +1506,10 @@ class TestWidth:
         monkeypatch.setattr(qcore, "branch_rows",
                             recording(qcore.branch_rows, lambda out: None, branched))
         # a session starts the swap of each pair of GHZ states from their
-        # tables (ghz_swap_tables), derived once: derive them again here
+        # tables (ghz_swap_tables), derived once into its seed (_swap_seed):
+        # derive both again here
         monkeypatch.setattr(protocol, "ghz_swap_tables", ghz_swap_tables.__wrapped__)
+        monkeypatch.setattr(protocol, "_swap_seed", protocol._swap_seed.__wrapped__)
         attack = AttackConfig.entangling(0.25, target=target) \
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
