@@ -39,7 +39,7 @@ from . import qcore
 from .checks import (CHECK_BASES, DECOY_BASIS, DECOY_ERRORS, DECOY_TOKENS,  # noqa: F401
                      decoy_rows, decoy_state, sample_errors)
 from .codebook import ghz_rows
-from .labels import GhzLabel
+from .labels import GhzLabel, ghz_label, integer
 from .qcore import MeasBasis, StreamBlock
 from .qcore import measure_rows as measure_particles  # noqa: F401
 
@@ -149,19 +149,16 @@ def eavesdrop_unitary(beta_squared: float) -> np.ndarray:
     return u
 
 
-def attack_choices(cfg: AttackConfig, lanes, outcomes):
+def attack_choices(cfg: AttackConfig, rng: StreamBlock, outcomes):
     """Eve's choice per unit of a block, as apply_attack takes it: her pick
     from _eve_axis(cfg), or 2 * pick + her outcome under measure-resend.
-    lanes() keys the units' streams, each drawing its pick where the axis
-    has several entries, every index, so the draw is the index; outcomes(
-    basis, lanes) draws each unit's outcome in CHECK_BASES[basis] after it."""
+    rng holds the units' keyed streams, each drawing its pick where the
+    axis has several entries, every index, so the draw is the index;
+    outcomes(basis, rng) draws each unit's outcome in CHECK_BASES[basis]
+    after it."""
     axis = _eve_axis(cfg)
-    if len(axis) > 1:
-        rng = lanes()
-        pick, lanes = rng.randrange(len(axis)), lambda: rng
-    else:
-        pick = axis[0]
-    return 2 * pick + outcomes(pick, lanes) if cfg.strategy == "measure_resend" else pick
+    pick = rng.randrange(len(axis)) if len(axis) > 1 else axis[0]
+    return 2 * pick + outcomes(pick, rng) if cfg.strategy == "measure_resend" else pick
 
 
 def append_ancilla(amps: np.ndarray, states: np.ndarray,
@@ -198,7 +195,7 @@ class CheckTemplate:
     the GHZ-sample check (S_C) the sample label and Bob's basis, None a
     uniform per-trial choice; for the decoy checks (S_B, S_A) the decoys'
     basis, None uniform over all four decoy states. The label is coerced to
-    a GhzLabel, and each basis must be "Z", "X" or None.
+    a GhzLabel (ghz_label), and each basis must be "Z", "X" or None.
     """
 
     sample_label: GhzLabel = GhzLabel.PSI0
@@ -206,7 +203,7 @@ class CheckTemplate:
     decoy_basis: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_label", GhzLabel(self.sample_label))
+        object.__setattr__(self, "sample_label", ghz_label(self.sample_label, "sample_label"))
         for name in ("bob_basis", "decoy_basis"):
             if getattr(self, name) not in (*_BASIS_TOKENS, None):
                 raise ValueError(f"{name} must be 'Z', 'X', or None")
@@ -332,15 +329,9 @@ class _TrialSampler:
         return detections
 
     def exact_rate(self) -> float:
-        # each error path's weight as the difference of the running totals
-        # around it, added one at a time in row order
-        steps = np.diff(self.weights.cumsum(axis=1), axis=1, prepend=0.0)
-        total = 0.0
-        for step in (1.0 / (self.n_lead * self.n_eve) * steps[self.errors]).tolist():
-            total += step
-        # the cumulative sums leave float error in the last digits; the
-        # rate is reported Born-exact, as beta_squared is, to 12 decimals
-        return round(total, 12)
+        # the sum leaves float error in the last digits; the rate is
+        # reported Born-exact, as beta_squared is, to 12 decimals
+        return round(float(self.weights[self.errors].sum()) / (self.n_lead * self.n_eve), 12)
 
 
 def exact_detection_probability(cfg: AttackConfig,
@@ -396,8 +387,10 @@ def estimate_detection(cfg: AttackConfig, template: CheckTemplate = CheckTemplat
                        trials: int = 100_000, seed: int = 0) -> DetectionEstimate:
     """Monte Carlo per-decoy detection estimate over independent trials,
     trial t drawing from the stream (seed, t), in blocks of _BLOCK whose
-    memory does not grow with the trial count (_TrialSampler).
+    memory does not grow with the trial count (_TrialSampler). trials and
+    seed must be integers (labels.integer).
     """
+    trials, seed = integer(trials, "trials"), integer(seed, "seed")
     if trials < 1:
         raise ValueError("need at least one trial")
     sampler = _TrialSampler(cfg, template)

@@ -1,8 +1,10 @@
 """Discrete labels used throughout the protocol: GHZ basis states, Bell
-states, and the entanglement-swapping outcome collections."""
+states, and the entanglement-swapping outcome collections; and the checks
+that turn a configured integer or label into one (integer, ghz_label)."""
 
 from __future__ import annotations
 
+import operator
 from enum import IntEnum
 
 import numpy as np
@@ -37,6 +39,21 @@ class GhzLabel(IntEnum):
         if len(t) != 4 or t[:3] != "psi" or t[3] not in "01234567":
             raise ValueError(f"not a GHZ label: {text!r}")
         return cls(int(t[3]))
+
+
+def integer(value, name: str) -> int:
+    """value as an int (operator.index), or TypeError naming the field: a
+    bool, a float or any other value that is not an integer is refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def ghz_label(value, name: str) -> GhzLabel:
+    """value as a GhzLabel: a bool, an int but no label, is refused as
+    integer refuses it, and anything but one of the eight labels raises
+    ValueError."""
+    return GhzLabel(integer(value, name) if isinstance(value, bool) else value)
 
 
 class BellLabel(IntEnum):

@@ -23,27 +23,29 @@ choice maps (id, choice) to an id, a measurement (id, basis) and the swap
 dense kernels run once per distinct state, not per unit. Bob's rebuilt
 triple is never sent, so his op needs no kernel: the triple is the GHZ
 state of its transform-chart label, whose id is the label, and the swap's
-memo is 8 wide. Every memo starts from the tables of the states each
-StateTable starts with: the op memo from the transform chart, and each
-Born table from its seed (_seeded), derived once per process on its first
-use: the swap's from the tables the swap chart is read off
-(swap.ghz_swap_tables), and each measurement's from every measurement of
-a GHZ state, and the decoys' in Eve's table of qubit 0, which the decoy
-check reads (_seed_tables). So a clean session runs no dense kernel; what
-a session builds is the tables of the states an attack creates. A
-register's roles are its qubits: a triple's particles of S_A, S_B and S_C
-are qubits 0, 1 and 2, a decoy is qubit 0, and an attack appends what it
-leaves behind. Only the swap joins two
-triples, so no state is wider than 7 qubits.
+memo is 8 wide. The op memo starts from the transform chart and the swap
+from the tables the swap chart is read off (swap.ghz_swap_tables); the
+measurement tables start empty.
+
+A session simulates only what Eve touched. A pristine GHZ sample or decoy
+fails no check, so the check of a sequence she leaves alone records no
+error and draws nothing. She passes over every triple of the sequence she
+attacks, so without an attack each even triple is still the GHZ state of
+its prepared label, and Bob reads the label off it. So a clean session
+runs no dense kernel; what a session builds is the tables of the states an
+attack creates. A register's roles are its qubits: a triple's particles of
+S_A, S_B and S_C are qubits 0, 1 and 2, a decoy is qubit 0, and an attack
+appends what it leaves behind. Only the swap joins two triples, so no
+state is wider than 7 qubits.
 
 The paper hides the samples and decoys at random positions of each
 sequence. Eve treats every particle of a sequence alike, so positions are
 not simulated: every draw comes from a stream keyed by its place in the
-protocol and the unit it concerns (the stream ids above Session). A
-transcript is therefore a pure function of the configuration and the
-messages, and group n's record depends only on the seed, the attack, the
-initial state and group n's own messages: not on N, the decoy count or the
-other groups.
+protocol and the unit it concerns (the stream ids above Session), so a
+draw that is not taken moves no other. A transcript is therefore a pure
+function of the configuration and the messages, and group n's record
+depends only on the seed, the attack, the initial state and group n's own
+messages: not on N, the decoy count or the other groups.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .checks import (CHECK_BASES, DECOY_BASIS, DECOY_ERRORS, DECOY_TOKENS,  # no
                      decoy_rows, decoy_state, ghz_sample_ok, sample_errors)
 from .codebook import (FIRST_FACTORS, SECOND_FACTORS, CompositeOp, ghz_rows,  # noqa: F401
                        invert_transform, transform_chart, transform_label)
-from .labels import CollectionLabel, GhzLabel
+from .labels import CollectionLabel, GhzLabel, ghz_label, integer
 from .qcore import MeasBasis, Rng, StreamBlock, apply_op
 from .qcore import measure_rows as measure_particles  # noqa: F401
 from .swap import (announcement_chart, bell_tables, bell_triples, collection_of,  # noqa: F401
@@ -90,6 +92,9 @@ class SessionConfig:
     initial_label: GhzLabel | None = None  # force every group's prepared state
 
     def __post_init__(self):
+        for name in ("n_groups", "seed", "decoys"):
+            if name != "decoys" or self.decoys is not None:  # None: the default count
+                object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.n_groups < 1:
             raise ValueError("need at least one message group")
         if not 0.0 <= self.check_threshold < 1.0:
@@ -100,7 +105,8 @@ class SessionConfig:
             # no attack, whatever target it names
             object.__setattr__(self, "attack", None)
         if self.initial_label is not None:
-            object.__setattr__(self, "initial_label", GhzLabel(self.initial_label))
+            object.__setattr__(self, "initial_label",
+                               ghz_label(self.initial_label, "initial_label"))
 
     def resolved_decoys(self) -> int:
         return self.decoys if self.decoys is not None else default_decoy_count(self.n_groups)
@@ -381,109 +387,58 @@ class StateTable:
                            states.intern(kernel(states.amps(src), picked)))
 
 
-def _certain(tables: list[np.ndarray]) -> np.ndarray:
-    """Per row of branch_thresholds tables, each round's outcome where every
-    round on its path has one live outcome, which sample_branches takes for
-    any draw, and -1 otherwise: a row with a single live entry (>= 0, the
-    row end 1.0 where it is the only one) in its last table."""
-    live = tables[-1].reshape(len(tables[-1]), -1) >= 0
-    paths = (tables[-1].shape[-1],) * len(tables)
-    fixed = np.array(np.unravel_index(live.argmax(axis=1), paths)).T
-    fixed[live.sum(axis=1) != 1] = -1
-    return fixed
-
-
-def _seeded(thresholds: Sequence[np.ndarray], width: int):
-    """A Branches seed of branch_thresholds tables, an entry per pair (i, k)
-    of the states i that every StateTable starts with, k below width:
-    (thresholds, their _certain outcomes, memo), read-only, the memo
-    mapping (i, k) to entry width * i + k."""
-    fixed = _certain(thresholds)
-    memo = np.arange(len(fixed), dtype=np.int32).reshape(-1, width)
-    for table in (*thresholds, fixed, memo):
-        table.setflags(write=False)
-    return tuple(thresholds), fixed, memo
-
-
-@lru_cache(maxsize=None)
-def _swap_seed():
-    """The swap's seed: the 64 pairs of GHZ states, entry 8 g1 + g2 the pair
-    (g1, g2) (swap.ghz_swap_tables)."""
-    return _seeded(ghz_swap_tables(), len(GhzLabel))
-
-
-@lru_cache(maxsize=None)
-def _seed_tables(bases: tuple[MeasBasis, ...], rounds: tuple[tuple[int, ...], ...]):
-    """The seed of Branches.measuring(bases, rounds) (_seeded): the GHZ
-    states measured in every basis, and the decoys too where the measurement
-    is of qubit 0 alone, a decoy's only qubit. Each width's pairs are built
-    by one branch_rows call, as a session builds its misses (Branches
-    tables), so each entry is bit for bit the one a session would build,
-    the kernels treating each row alone."""
-    parts = []
-    for rows in (ghz_rows(), decoy_rows())[:2 if rounds == ((0,),) else 1]:
-        ids, k = np.divmod(np.arange(len(rows) * len(bases)), len(bases))
-        parts.append(qcore.branch_thresholds(qcore.branch_rows(rows[ids], bases, rounds, which=k)))
-    return _seeded([np.concatenate(tables) for tables in zip(*parts)], len(bases))
-
-
 class Branches:
     """The Born tables of one measurement as branch_thresholds, an entry per
     distinct pair (id, k), k below width, that its memo (StateTable.lookup,
     kind the Branches itself) maps to the entry. tables(states, ids, k) are
-    the pairs' branch_rows tables, built _SWAP_CHUNK pairs at a time. The
-    first lookup starts the tables and the memo from seed(), the read-only
-    entries of states that every StateTable starts with (_seeded), derived
-    once per process by the same tables function."""
+    the pairs' branch_rows tables, built _SWAP_CHUNK pairs at a time. A
+    measurement's tables start empty. The swap's first lookup starts its
+    tables from seed(), the read-only tables of the pairs (i, k) of the
+    states i that every StateTable starts with, entry width * i + k,
+    derived once per process by the same tables function."""
 
-    def __init__(self, width: int, tables, seed):
+    def __init__(self, width: int, tables, seed=None):
         self.width, self.tables, self.seed = width, tables, seed
-        # set from seed() by the first lookup
-        self.thresholds: Sequence[np.ndarray]  # per round, (entries, d**k, d)
-        self.fixed: np.ndarray  # per entry, _certain
+        self.thresholds: Sequence[np.ndarray] = ()  # per round, (entries, d**k, d)
 
     @classmethod
     def measuring(cls, bases, rounds) -> Branches:
-        """The tables of each state measured in bases[k] (branch_rows),
-        seeded by _seed_tables."""
+        """The tables of each state measured in bases[k] (branch_rows)."""
         return cls(len(bases), lambda states, ids, k: qcore.branch_rows(
-            states.amps(ids), bases, rounds, which=k), lambda: _seed_tables(bases, rounds))
+            states.amps(ids), bases, rounds, which=k))
 
     @classmethod
     def swapping(cls) -> Branches:
         """The swap's tables of each pair (odd id, even id), the even triple
         a GHZ state, so its id is its label (Session.bob_encode): the
-        swap.bell_tables of the pair, seeded by _swap_seed, whose tables
-        are built by the same function."""
+        swap.bell_tables of the pair, seeded by the 64 pairs of GHZ states
+        (swap.ghz_swap_tables)."""
         return cls(len(GhzLabel), lambda states, odd, even: bell_tables(
-            states.amps(odd), states.amps(even)), _swap_seed)
+            states.amps(odd), states.amps(even)), ghz_swap_tables)
 
     def _append(self, states: StateTable, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
         """The entries of new pairs, their tables appended."""
         for start in range(0, len(ids), _SWAP_CHUNK):
             part = slice(start, start + _SWAP_CHUNK)
             new = qcore.branch_thresholds(self.tables(states, ids[part], other[part]))
-            self.thresholds = [np.concatenate(pair) for pair in zip(self.thresholds, new)]
-            self.fixed = np.concatenate([self.fixed, _certain(new)])
-        return np.arange(len(self.fixed) - len(ids), len(self.fixed))
+            self.thresholds = ([np.concatenate(pair) for pair in zip(self.thresholds, new)]
+                               if self.thresholds else new)
+        return np.arange(len(self.thresholds[0]) - len(ids), len(self.thresholds[0]))
 
     def lookup(self, states: StateTable, ids: np.ndarray, other) -> np.ndarray:
         """The entry of every pair (ids[i], other[i]), or (ids[i], other)."""
-        if self not in states.memos:
-            self.thresholds, self.fixed, memo = self.seed()
-            states.memos[self] = memo.copy()
+        if self.seed is not None and self not in states.memos:
+            self.thresholds = self.seed()
+            states.memos[self] = np.arange(
+                len(self.thresholds[0]), dtype=np.int32).reshape(-1, self.width)
         return states.lookup(self, ids, other, self.width, self._append)
 
-    def sample(self, states: StateTable, ids: np.ndarray, other, lanes) -> list[np.ndarray]:
+    def sample(self, states: StateTable, ids: np.ndarray, other,
+               rng: StreamBlock) -> list[np.ndarray]:
         """Each round's outcome index for every pair, as measure_rows draws
-        it, from the units' streams that lanes() keys; neither keyed nor
-        drawn when every outcome is certain (_certain)."""
+        it, from the units' streams keyed in rng."""
         entries = self.lookup(states, ids, other)
-        fixed = self.fixed.take(entries, axis=0)
-        if fixed.min() >= 0:
-            return list(fixed.T)
-        return qcore.sample_branches(self.thresholds, entries,
-                                     lanes().random(len(self.thresholds)))
+        return qcore.sample_branches(self.thresholds, entries, rng.random(len(self.thresholds)))
 
 
 def _spans(count: int):
@@ -515,8 +470,7 @@ class Session:
         # (the ops hold 0 and +-1 only), whose id is that label
         self.states.memos["op"] = transform_chart().astype(np.int32)
         # Born tables: Eve's measurement of each qubit (eve[0] the decoy check's
-        # too), the sample check, Bob's identification, each seeded on its
-        # first lookup
+        # too), the sample check, Bob's identification, and the swap
         self.eve = [Branches.measuring(CHECK_BASES, ((role,),)) for role in range(3)]
         self.samples = Branches.measuring(CHECK_BASES, ((2,), (0,), (1,)))  # C, then A, then B
         self.identify = Branches.measuring((MeasBasis.GHZ,), ((0, 1, 2),))
@@ -542,11 +496,14 @@ class Session:
         self.triples = np.repeat(labels, 2).reshape(-1, 2).astype(np.intp)
         self._transmit("S_C")
 
+    def _attacked(self, name: str) -> bool:
+        """Whether Eve attacks the named sequence."""
+        return self.cfg.attack is not None and self.cfg.attack.target == name
+
     def _transmit(self, name: str) -> None:
         """Eve's pass over the named sequence's qubit of every triple, a block
         of groups at a time: group n's triples are units 2n and 2n + 1."""
-        attack = self.cfg.attack
-        if attack is None or attack.target != name:
+        if not self._attacked(name):
             return
         for start, stop in _spans(self.cfg.n_groups):
             block = self.triples[start:stop]
@@ -556,35 +513,36 @@ class Session:
     def _attack(self, ids: np.ndarray, role: int, place: int, start: int) -> np.ndarray:
         """The ids after Eve's pass over qubit role of the units start, ...,
         each drawing her choice from its stream at place (attack_choices)."""
-        attack, stop = self.cfg.attack, start + len(ids)
-
-        choices = attack_choices(attack, lambda: self._key(place, start, stop),
-                                 lambda basis, lanes: self.eve[role].sample(
-                                     self.states, ids, basis, lanes)[0])
+        attack = self.cfg.attack
+        choices = attack_choices(attack, self._key(place, start, start + len(ids)),
+                                 lambda basis, rng: self.eve[role].sample(
+                                     self.states, ids, basis, rng)[0])
         return self.states.move(("attack", role), ids, choices,
                                 lambda amps, picked: apply_attack(amps, role, attack, picked))
 
     def _checked_units(self, name: str, kinds: int, first: int, role: int):
         """The GHZ samples (kinds 8 from state 0, role 2) or decoys (kinds 4
         from state 8, role 0) of the named sequence, a block at a time:
-        yields (units, ids, lanes), the drawn kinds, their ids after Eve's
-        pass when she targets the sequence, and lanes() keying their checks."""
-        attack = self.cfg.attack
-        attacked = attack is not None and attack.target == name
+        yields (units, ids, rng), the drawn kinds, their ids after Eve's
+        pass when she targets the sequence, and the streams of their checks
+        keyed in rng."""
         for start, stop in _spans(self.cfg.resolved_decoys()):
             units = self._key(_UNITS[name], start, stop).randrange(kinds)
             ids = units + first
-            if attacked:
+            if self._attacked(name):
                 ids = self._attack(ids, role, _EVE_EXTRAS[name], start)
-            yield units, ids, lambda: self._key(_CHECK[name], start, stop)
+            yield units, ids, self._key(_CHECK[name], start, stop)
 
     def check1(self) -> CheckRecord:
-        """Step 2: GHZ-sample correlation check on the third particles."""
+        """Step 2: GHZ-sample correlation check on the third particles. A
+        pristine sample fails no check, so the check of a sequence Eve left
+        alone counts no error and draws nothing."""
+        if not self._attacked("S_C"):
+            return self._record_check(2, 0)
         errors = 0
-        for labels, ids, lanes in self._checked_units("S_C", len(GhzLabel), 0, _ROLES["S_C"]):
-            rng = lanes()
+        for labels, ids, rng in self._checked_units("S_C", len(GhzLabel), 0, _ROLES["S_C"]):
             which = rng.randrange(len(CHECK_BASES))
-            c, a, b = self.samples.sample(self.states, ids, which, lambda: rng)
+            c, a, b = self.samples.sample(self.states, ids, which, rng)
             errors += int(np.count_nonzero(sample_errors()[labels, which, 4 * a + 2 * b + c]))
         return self._record_check(2, errors)
 
@@ -617,21 +575,31 @@ class Session:
     def _decoy_check(self, step: int, name: str) -> CheckRecord:
         """Measure each decoy of the named sequence in the basis of its
         state; an outcome other than that state is an error. The check
-        bases are Eve's, so the check reads her table of qubit 0."""
+        bases are Eve's, so the check reads her table of qubit 0. A pristine
+        decoy fails no check, so the check of a sequence Eve left alone
+        counts no error and draws nothing."""
+        if not self._attacked(name):
+            return self._record_check(step, 0)
         errors = 0
-        for kinds, ids, lanes in self._checked_units(name, len(DECOY_TOKENS), len(GhzLabel), 0):
-            (out,) = self.eve[0].sample(self.states, ids, DECOY_BASIS[kinds], lanes)
+        for kinds, ids, rng in self._checked_units(name, len(DECOY_TOKENS), len(GhzLabel), 0):
+            (out,) = self.eve[0].sample(self.states, ids, DECOY_BASIS[kinds], rng)
             errors += int(np.count_nonzero(DECOY_ERRORS[kinds, out]))
         return self._record_check(step, errors)
 
     def bob_encode(self) -> None:
         """Step 6: identify each group's prepared state from the even
-        triple, rebuild it fresh, and encode Bob's bits on it."""
+        triple, rebuild it fresh, and encode Bob's bits on it. Eve passes
+        over every triple of the sequence she attacks, so without an attack
+        each even triple is the GHZ state of its prepared label, whose id
+        is the label and which Bob's measurement returns."""
         columns, even = self.transcript.columns, self.triples[:, 1]
-        for start, stop in _spans(self.cfg.n_groups):
-            (found,) = self.identify.sample(self.states, even[start:stop], 0,
-                                            lambda: self._key(_BOB_GHZ, start, stop))
-            columns[_P_LABEL, start:stop] = found
+        if self.cfg.attack is None:
+            columns[_P_LABEL] = even
+        else:
+            for start, stop in _spans(self.cfg.n_groups):
+                (found,) = self.identify.sample(self.states, even[start:stop], 0,
+                                                self._key(_BOB_GHZ, start, stop))
+                columns[_P_LABEL, start:stop] = found
         # the fresh triple is never sent, so Bob's op only relabels it
         # (transform_chart), its sign unseen by any measurement
         even[:] = transform_chart()[columns[_P_LABEL], self.bob_ops]
@@ -646,7 +614,7 @@ class Session:
         swap.lookup(states, odd, even)
         for start, stop in _spans(len(odd)):
             a, b, c = swap.sample(states, odd[start:stop], even[start:stop],
-                                  lambda: self._key(_SWAP, start, stop))
+                                  self._key(_SWAP, start, stop))
             self.transcript.columns[_BELL, start:stop] = 16 * a + 4 * b + c
         # no later step draws or reads the states, and the ops are in the columns
         self.triples = self.states = self._streams = self.alice_ops = self.bob_ops = None

@@ -21,7 +21,10 @@ of the transcript's columns, where Session writes a block's slice. The
 samples and decoys are drawn up front, each set as its sequence is sent,
 and held until their check, where Session draws, attacks and measures them
 a block at a time within the check: equal transcripts show that the order
-of those draws does not matter.
+of those draws does not matter. Every check here draws and measures its
+units, and Bob measures every even triple, where Session skips the check
+of a sequence Eve left alone and, without an attack, reads Bob's labels
+off the triples: equal transcripts show that those skips move no byte.
 """
 
 import numpy as np

@@ -68,6 +68,12 @@ class TestCheckTemplate:
         est = estimate_detection(AttackConfig("none"), template, trials=1)
         assert est.params["sample_label"] == "psi3"
 
+    def test_bool_is_not_a_label(self):
+        # True once became psi1
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="sample_label"):
+                CheckTemplate(sample_label=bad)
+
     def test_validation(self):
         # -1 once measured psi7 silently, and 9 or "psi1" failed deep inside
         for bad in (-1, 8, 9, 1.5, "psi1"):
@@ -92,23 +98,17 @@ AXIS_CONFIGS = (
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_session_and_harness_read_one_eve_axis(target):
-    # the harness's choice axis is _eve_axis, and the session keys its
-    # lanes, and draws Eve's pick from them, exactly when it has several
-    # entries; otherwise every unit takes the axis's one entry
+    # the harness's choice axis is _eve_axis, and the session draws Eve's
+    # pick from the units' streams exactly when it has several entries;
+    # otherwise every unit takes the axis's one entry
     for cfg in AXIS_CONFIGS:
         cfg = dataclasses.replace(cfg, target=target)
         axis = _eve_axis(cfg)
         assert _TrialSampler(cfg, CheckTemplate()).eve_values == axis
-        keyed = []
-
-        def lanes():
-            keyed.append(True)
-            rng = StreamBlock(5, 64)
-            rng.key(0, 64)
-            return rng
-
-        choices = attack_choices(cfg, lanes, lambda basis, lanes: np.zeros(64, dtype=np.intp))
-        assert len(keyed) == (len(axis) > 1), cfg
+        rng = StreamBlock(5, 64)
+        rng.key(0, 64)
+        choices = attack_choices(cfg, rng, lambda basis, rng: np.zeros(64, dtype=np.intp))
+        assert rng.drawn == (len(axis) > 1), cfg  # the block counts its draws
         picks = np.unique(np.asarray(choices) // (2 if cfg.strategy == "measure_resend" else 1))
         assert picks.tolist() == list(axis), cfg
 
@@ -241,6 +241,22 @@ class TestExactRates:
         # no row has an error path: the report writes 0.0, never the int 0
         rate = exact_detection_probability(AttackConfig("none", target), CheckTemplate())
         assert type(rate) is float and rate == 0.0
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_rate_equals_the_running_total_replay(self, target):
+        # exact_rate sums the error paths' weights in one numpy call; the
+        # loop it replaced, each weight the difference of the running totals
+        # around it, added one at a time in row order, is the reference
+        for cfg in AXIS_CONFIGS:
+            cfg = dataclasses.replace(cfg, target=target)
+            for template in (CheckTemplate(), CheckTemplate(bob_basis="Z", decoy_basis="X")):
+                sampler = _TrialSampler(cfg, template)
+                steps = np.diff(sampler.weights.cumsum(axis=1), axis=1, prepend=0.0)
+                total = 0.0
+                for step in (1.0 / (sampler.n_lead * sampler.n_eve)
+                             * steps[sampler.errors]).tolist():
+                    total += step
+                assert sampler.exact_rate() == pytest.approx(total, abs=1e-12), cfg
 
     def test_entangle_invisible_to_x_decoys(self):
         rate = exact_detection_probability(
@@ -475,6 +491,13 @@ class TestEstimateDetection:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             estimate_detection(AttackConfig("none"), trials=0)
+
+    def test_trials_and_seed_are_integers(self):
+        # a float once failed in numpy, and True ran one trial
+        for name in ("trials", "seed"):
+            for bad in (2.5, True, "2"):
+                with pytest.raises(TypeError, match=name):
+                    estimate_detection(AttackConfig("none"), **{"trials": 2, name: bad})
 
     @pytest.mark.parametrize("cfg,template", DIFF_CASES,
                              ids=[f"{c.strategy}-{c.target}-{c.fake_state or c.eve_basis}-"

@@ -110,6 +110,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SessionConfig(n_groups=1, decoys=-1)
 
+    def test_integer_fields_are_integers(self):
+        # a float once failed deep inside (a float decoy count in the stream
+        # block, n_groups 2.5 as "7.5 message bits"), and True passed as 1
+        for name in ("n_groups", "seed", "decoys"):
+            for bad in (1.5, 2.0, True, "2"):
+                with pytest.raises(TypeError, match=name):
+                    SessionConfig(**{"n_groups": 1, name: bad})
+        cfg = SessionConfig(n_groups=np.int64(2), seed=np.uint8(3), decoys=np.int32(4))
+        assert [type(v) for v in (cfg.n_groups, cfg.seed, cfg.decoys)] == [int] * 3
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="initial_label"):
+                SessionConfig(n_groups=1, initial_label=bad)
+
     def test_initial_label_is_a_label_and_always_written(self):
         # psi0 is label 0, which is falsy: a run forced to it still says so
         for label in GhzLabel:
@@ -271,6 +284,24 @@ class TestChecks:
             assert checks.DECOY_ERRORS[k].tolist() == [out != prep.expected
                                                        for out in basis_labels(prep.basis)]
 
+    def test_pristine_units_fail_no_check(self):
+        # what lets a session skip the check of a sequence Eve left alone
+        # and read Bob's label off an untouched triple: every outcome of
+        # positive weight of a pristine GHZ sample, in every check basis, and
+        # of a pristine decoy, in its basis, is not an error, and a GHZ
+        # state's GHZ measurement has one live outcome, its label
+        labels, w = np.divmod(np.arange(len(GhzLabel) * len(CHECK_BASES)), len(CHECK_BASES))
+        weights = qcore.path_weights(qcore.branch_rows(
+            ghz_rows()[labels], CHECK_BASES, ((2,), (0,), (1,)), which=w))
+        c, a, b = np.unravel_index(np.arange(8), (2, 2, 2))
+        errors = checks.sample_errors()[labels, w][:, 4 * a + 2 * b + c]
+        assert (weights > 0).any(axis=1).all() and not (errors & (weights > 0)).any()
+        weights = qcore.path_weights(qcore.branch_rows(
+            decoy_rows(), CHECK_BASES, ((0,),), which=checks.DECOY_BASIS))
+        assert not (checks.DECOY_ERRORS & (weights > 0)).any()
+        weights = qcore.path_weights(qcore.branch_rows(ghz_rows(), MeasBasis.GHZ, ((0, 1, 2),)))
+        assert [np.flatnonzero(row).tolist() for row in weights] == [[g] for g in GhzLabel]
+
     def test_decoy_states_are_the_hand_written_vectors(self):
         # decoy_rows derives each state from its DECOY_STATES entry, and
         # decoy_state wraps its row; these literals are the independent fixture
@@ -324,25 +355,26 @@ class TestEncoding:
         assert equal_up_to_global_phase(triple_state(s, 0, 0), expect)
 
     def test_decoy_states_drawn_uniformly(self):
-        cfg = SessionConfig(n_groups=1, seed=14, decoys=400)
-        s = Session(cfg, "010", "101")
-        # each check draws its own decoys, so count them as the checks read them
+        # each check draws its own decoys, so count them as the checks read
+        # them; only a check of an attacked sequence draws them, so attack
+        # S_B in one session and S_A in another
         counts = {tok: 0 for tok in "01+-"}
-        units = s._checked_units
+        for target in ("S_B", "S_A"):
+            cfg = SessionConfig(n_groups=1, seed=14, decoys=400, check_threshold=0.99,
+                                attack=AttackConfig.entangling(0.25, target=target))
+            s = Session(cfg, "010", "101")
+            units = s._checked_units
 
-        def count_decoys(name, kinds, first, role):
-            for units_drawn, ids, lanes in units(name, kinds, first, role):
-                if name != "S_C":
-                    for k in units_drawn.tolist():
-                        counts[DECOY_TOKENS[k]] += 1
-                yield units_drawn, ids, lanes
+            def count_decoys(name, kinds, first, role):
+                for units_drawn, ids, rng in units(name, kinds, first, role):
+                    if name != "S_C":
+                        for k in units_drawn.tolist():
+                            counts[DECOY_TOKENS[k]] += 1
+                    yield units_drawn, ids, rng
 
-        s._checked_units = count_decoys
-        s.prepare()
-        s.check1()
-        s.alice_encode()
-        s.check2()
-        s.check3()
+            s._checked_units = count_decoys
+            for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3):
+                step()
         assert sum(counts.values()) == 800
         for tok, c in counts.items():
             assert abs(c / 800 - 0.25) < 0.06
@@ -547,6 +579,31 @@ class TestKeyedStreams:
         assert streams, "no stream was keyed"
         assert len(streams) == len(set(streams))
         assert not set(streams) & {0, 1, 2}
+
+    @pytest.mark.parametrize("strategy, target", STRATEGY_TARGETS)
+    def test_untouched_units_key_no_stream(self, strategy, target, monkeypatch):
+        # the check of a sequence Eve leaves alone draws no unit and measures
+        # none, and without an attack Bob reads his labels without a draw
+        places = set()
+        key = StreamBlock.key
+
+        def record(self, start, n):
+            key(self, start, n)
+            places.add(start >> protocol._UNIT_BITS)
+
+        monkeypatch.setattr(StreamBlock, "key", record)
+        attack = AttackConfig.entangling(0.25, target=target) \
+            if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
+        s = Session(SessionConfig(n_groups=3, seed=5, decoys=4, check_threshold=0.99,
+                                  attack=attack), "010110011", "101001100")
+        for step in (s.prepare, s.check1, s.alice_encode, s.check2, s.check3,
+                     s.bob_encode, s.swap_and_announce):
+            step()
+        attacked = set() if strategy == "none" else {target}
+        for name in TARGETS:
+            checked = {protocol._UNITS[name], protocol._CHECK[name]}
+            assert checked & places == (checked if name in attacked else set()), name
+        assert (protocol._BOB_GHZ in places) == (strategy != "none")
 
 
 def assert_written_as_json_dumps(text):
@@ -885,11 +942,11 @@ def measured(s):
     return [*s.eve, s.samples, s.identify]
 
 
-def derive_charts_and_seeds():
-    """Derive the cached charts and every measurement's seed table."""
+def derive_charts_and_swap_seed():
+    """Derive the cached charts, the sample check's error table and the
+    swap's seed."""
     run_session(quiet_cfg(1), "000", "000")
-    for table in measured(Session(quiet_cfg(1), "000", "000")):
-        table.seed()
+    checks.sample_errors()
 
 
 class TestBobLabels:
@@ -930,7 +987,6 @@ def assert_seeded_entries_are_built(states, swap):
     built = qcore.branch_thresholds(swap.tables(fresh, p, k))
     for got, want in zip(swap.thresholds, built, strict=True):
         assert np.array_equal(got[:len(p)], want)
-    assert np.array_equal(swap.fixed[:len(p)], protocol._certain(built))
 
 
 # The swap pairs a session starts with: every pair of GHZ states.
@@ -966,7 +1022,8 @@ class TestSwapTable:
         assert '"announcement": null' not in s.transcript.to_json()
         memo = states.memos[table]
         assert memo.shape[1] == len(GhzLabel)
-        assert sum(joined) == len(distinct - GHZ_PAIRS) == len(table.fixed) - len(GHZ_PAIRS)
+        assert sum(joined) == len(distinct - GHZ_PAIRS) == \
+            len(table.thresholds[0]) - len(GHZ_PAIRS)
         assert set(zip(*np.nonzero(memo >= 0))) == distinct | GHZ_PAIRS
         assert len(distinct) <= self.BOUND
         assert_seeded_entries_are_built(states, table)
@@ -1026,25 +1083,24 @@ class TestSwapTable:
 
 
 class TestInterning:
-    """A session starts its op memo and its swap from the charts and each
-    measurement table from its seed, runs each other distinct transition
-    of its states, each other entry of its measurement tables and each
-    other swap pair through the dense kernels once, and its tables stay
-    within a bound per strategy as N grows."""
+    """A session starts its op memo and its swap from the charts and its
+    measurement tables empty, runs each other distinct transition of its
+    states, each entry of its measurement tables and each other swap pair
+    through the dense kernels once, and its tables stay within a bound per
+    strategy as N grows."""
 
     # (states, entries of the check, identification and Eve tables built,
     # swap pairs built) under uniform attack parameters, each the maximum
-    # measured at 10**3 and 10**4 groups over the targets before the
-    # measurement tables were seeded, when a session built every entry it
-    # reached: 12, 28 and 0 without an attack, 60, 100 and 256 under
-    # intercept-resend, 28, 68 and 128 under measure-resend and 24, 32 and
-    # 64 under the entangling attack. The 64 pairs of GHZ states come from
-    # the charts and the measurements of the 12 seed states from their
-    # seeds (at most 80 entries over the five tables), derived once per
-    # process, and none of them is built. States are interned up to sign,
-    # and Bob's triple is its chart label.
-    BOUNDS = {"none": (12, 28, 0), "intercept_resend": (60, 100, 256),
-              "measure_resend": (28, 68, 128), "entangle_measure": (24, 32, 64)}
+    # measured at 10**3 and 10**4 groups over the targets. A session
+    # measures only the units Eve touched, and Eve measures only under
+    # measure-resend, so a clean session builds no entry: these entry
+    # bounds are the measured maxima, below the 28, 100, 68 and 32 measured
+    # when a session measured every unit it reached. The 64 pairs of GHZ
+    # states come from the swap's seed, derived once per process, and none
+    # of them is built. States are interned up to sign, and Bob's triple is
+    # its chart label.
+    BOUNDS = {"none": (12, 0, 0), "intercept_resend": (60, 96, 256),
+              "measure_resend": (28, 64, 128), "entangle_measure": (24, 24, 64)}
     # The memos (StateTable.memos) are int32 arrays of (id, second index),
     # regrown to twice the state count when a lookup meets an id beyond
     # them: each has at most 2 * len(states.rows) rows, so together they
@@ -1070,7 +1126,7 @@ class TestInterning:
                 return out
             return wrapper
 
-        derive_charts_and_seeds()  # uncounted
+        derive_charts_and_swap_seed()  # uncounted
         # the kernels of the misses, at the names the session looks up
         monkeypatch.setattr(protocol, "apply_op", counting("moves", protocol.apply_op))
         monkeypatch.setattr(protocol, "apply_attack", counting("moves", protocol.apply_attack))
@@ -1084,24 +1140,22 @@ class TestInterning:
         states, measurements, swap = s.states, measured(s), s.swap  # the swap releases them
         t = s.run()
         assert not t.aborted and t.bob_message_bits() is not None
-        # a table that was never looked up has no entries, seeded or built
+        # a table that was never looked up has no entries
+        assert all(not table.thresholds for table in measurements if table not in states.memos)
         measurements = [table for table in measurements if table in states.memos]
         known = {kind: int((memo >= 0).sum()) for kind, memo in states.memos.items()}
         # the entries the session started with: op k on each GHZ state, and
-        # the seed of each table it looked up, the swap's the 64 pairs of
-        # GHZ states
-        seeded = {"op": len(GHZ_PAIRS), **{table: len(table.seed()[1])
-                                           for table in [*measurements, swap]}}
-        assert seeded[swap] == len(GHZ_PAIRS)
-        entries = sum(len(table.fixed) - seeded[table] for table in measurements)
-        assert entries + sum(seeded[table] for table in measurements) == \
-            sum(known[table] for table in measurements)
+        # the swap's seed, the 64 pairs of GHZ states
+        seeded = {"op": len(GHZ_PAIRS), swap: len(GHZ_PAIRS)}
+        entries = sum(len(table.thresholds[0]) for table in measurements)
+        assert entries == sum(known[table] for table in measurements)
         keys = [protocol._keys(row[None])[0] for row in states.rows]
         assert len(set(keys)) == len(states.rows)
         assert built["moves"] == sum(n - seeded.get(kind, 0) for kind, n in known.items()
                                      if not isinstance(kind, Branches))
-        assert built["entries"] == entries + len(swap.fixed) - seeded[swap]
-        assert built["pairs"] == len(swap.fixed) - seeded[swap] == known[swap] - seeded[swap]
+        pairs = len(swap.thresholds[0]) - seeded[swap]
+        assert built["entries"] == entries + pairs
+        assert built["pairs"] == pairs == known[swap] - seeded[swap]
         bounds = self.BOUNDS[strategy]
         assert len(states.rows) <= bounds[0] and entries <= bounds[1]
         assert built["pairs"] <= bounds[2]
@@ -1113,25 +1167,6 @@ class TestInterning:
         assert max(widths, default=None) == \
             (None if strategy == "none" else TestWidth.WIDEST[strategy])
         assert_seeded_entries_are_built(states, swap)
-
-    def test_certain_outcomes_are_neither_keyed_nor_drawn(self):
-        # a Z measurement of |0> (state 8) or of |1> (9) has one live
-        # outcome, of |+> (10) two: only a block that reaches |+> keys its
-        # lanes and draws, and its |0> and |1> keep their outcomes
-        states, table = StateTable(), Branches.measuring(CHECK_BASES, ((0,),))
-        keyed = []
-
-        def lanes():
-            keyed.append(True)
-            rng = StreamBlock(0, 3)
-            rng.key(0, 3)
-            return rng
-
-        (out,) = table.sample(states, np.array([8, 9, 9]), 0, lanes)
-        assert out.tolist() == [0, 1, 1] and not keyed
-        (out,) = table.sample(states, np.array([9, 10, 8]), 0, lanes)
-        assert keyed and out[[0, 2]].tolist() == [1, 0]
-        assert table.fixed[table.lookup(states, np.array([8, 9, 10]), 0), 0].tolist() == [0, 1, -1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1243,19 +1278,20 @@ class TestSeededEntries:
             built = qcore.branch_thresholds(tables)
             for got, want in zip(built, ghz_swap_tables(), strict=True):
                 assert np.array_equal(got, want[rows])
-            assert np.array_equal(protocol._certain(built), protocol._swap_seed()[1][rows])
-        assert swap.lookup(states, g1, g2).tolist() == list(range(64)) and len(swap.fixed) == 64
+        assert swap.lookup(states, g1, g2).tolist() == list(range(64))
+        assert len(swap.thresholds[0]) == 64
 
 
 class TestSeedTables:
-    """Each measurement table starts, on its first lookup, from the seed of
-    its kind (protocol._seed_tables): the entries a session would build for
-    the states every StateTable starts with, derived once per process."""
+    """Only the swap starts from a seed (swap.ghz_swap_tables), derived once
+    per process from the tables the swap chart is read off. Each
+    measurement table starts empty, and a clean session looks none of them
+    up: it checks no sequence and reads Bob's labels off the triples."""
 
     @pytest.mark.parametrize("decoys", [0, 16])
     @pytest.mark.parametrize("n", [1, 600, 1100])
     def test_clean_session_runs_no_dense_kernel(self, monkeypatch, n, decoys):
-        derive_charts_and_seeds()
+        derive_charts_and_swap_seed()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a clean session ran a dense kernel")
@@ -1265,41 +1301,33 @@ class TestSeedTables:
         t = run_session(quiet_cfg(n, seed=n, decoys=decoys), "011" * n, "101" * n)
         assert not t.aborted and t.bob_message_bits() == "011" * n
 
-    def test_each_seed_is_a_fresh_append_of_its_pairs(self):
-        # each seeded pair (id, k), appended alone to a fresh table by the
-        # session's own tables function, gives its seed entry bit for bit;
-        # the GHZ states are seeded in every basis, the decoys only where
-        # the measurement is of qubit 0 alone; every seed array is read-only
+    def test_only_the_swap_starts_seeded(self):
+        # the swap's seed is read-only, and its first lookup maps pair
+        # (g1, g2) to entry 8 g1 + g2
         s = Session(quiet_cfg(1), "000", "000")
         for table in measured(s):
-            thresholds, fixed, memo = table.seed()
-            ids, k = np.nonzero(memo >= 0)
-            decoys = table is s.eve[0]
-            # the 8 GHZ states, then the 4 decoys where they are seeded
-            assert len(memo) == (12 if decoys else 8) and (memo >= 0).all()
-            assert sorted(memo[ids, k].tolist()) == list(range(len(fixed)))
-            for i, k_i in zip(ids.tolist(), k.tolist()):
-                # the pair's entry as a miss appends it (Branches._append)
-                fresh = qcore.branch_thresholds(table.tables(StateTable(), np.array([i]),
-                                                             np.array([k_i])))
-                for got, want in zip(thresholds, fresh, strict=True):
-                    assert np.array_equal(got[memo[i, k_i]], want[0])
-                assert np.array_equal(fixed[memo[i, k_i]], protocol._certain(fresh)[0])
-        for table in [*measured(s), s.swap]:
-            assert not any(a.flags.writeable for a in (*table.seed()[0], *table.seed()[1:]))
+            assert table.seed is None and not table.thresholds
+        assert s.swap.seed is ghz_swap_tables
+        assert not any(a.flags.writeable for a in s.swap.seed())
+        s.swap.lookup(s.states, np.array([0]), 0)
+        memo = s.states.memos[s.swap][:len(GhzLabel)]
+        assert np.array_equal(memo, np.arange(len(GHZ_PAIRS)).reshape(len(GhzLabel), -1))
 
-    def test_clean_session_without_decoys_derives_only_bobs_seed(self, monkeypatch):
+    def test_clean_session_derives_only_the_swap_seed(self, monkeypatch):
         derived = []
-        real_seed = protocol._seed_tables
+        real_seed = protocol.ghz_swap_tables
 
-        def recording(bases, rounds):
-            derived.append((bases, rounds))
-            return real_seed(bases, rounds)
+        def recording():
+            derived.append(True)
+            return real_seed()
 
-        monkeypatch.setattr(protocol, "_seed_tables", recording)
-        t = run_session(quiet_cfg(1000, seed=3), "011" * 1000, "101" * 1000)
-        assert not t.aborted
-        assert derived == [((MeasBasis.GHZ,), ((0, 1, 2),))]
+        monkeypatch.setattr(protocol, "ghz_swap_tables", recording)
+        s = Session(SessionConfig(1000, seed=3), "011" * 1000, "101" * 1000)
+        states, measurements = s.states, measured(s)  # the swap releases them
+        t = s.run()
+        assert not t.aborted and [c.samples for c in t.checks] == [1000] * 3
+        assert derived == [True]
+        assert not any(table in states.memos for table in measurements)
 
 
 class TestStepMemory:
@@ -1506,10 +1534,9 @@ class TestWidth:
         monkeypatch.setattr(qcore, "branch_rows",
                             recording(qcore.branch_rows, lambda out: None, branched))
         # a session starts the swap of each pair of GHZ states from their
-        # tables (ghz_swap_tables), derived once into its seed (_swap_seed):
-        # derive both again here
+        # tables (ghz_swap_tables), derived once as its seed:
+        # derive them again here
         monkeypatch.setattr(protocol, "ghz_swap_tables", ghz_swap_tables.__wrapped__)
-        monkeypatch.setattr(protocol, "_swap_seed", protocol._swap_seed.__wrapped__)
         attack = AttackConfig.entangling(0.25, target=target) \
             if strategy == "entangle_measure" else AttackConfig(strategy, target=target)
         cfg = SessionConfig(n_groups=2, seed=3, check_threshold=0.99, attack=attack)
